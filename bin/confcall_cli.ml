@@ -308,15 +308,7 @@ let generate_cmd =
 (* ---------------- solve ---------------- *)
 
 let objective_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "all" | "find-all" -> Ok Objective.Find_all
-    | "any" | "find-any" -> Ok Objective.Find_any
-    | other ->
-      (match int_of_string_opt other with
-       | Some k when k >= 1 -> Ok (Objective.Find_at_least k)
-       | _ -> Error (`Msg "objective must be all|any|<k>"))
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Objective.of_string s) in
   Arg.conv (parse, fun ppf o -> Objective.pp ppf o)
 
 let solver_conv =

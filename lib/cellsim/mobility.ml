@@ -170,6 +170,13 @@ let check_residence r =
   | Ok () -> ()
   | Error e -> invalid_arg ("Mobility residence: " ^ e)
 
+(* Discrete Lomax tail at the age [x] (a whole number, as a float):
+   polynomial decay, heavy for small alpha. This one expression is every
+   Pareto survival value the module computes, so the exact mean sum and
+   the bisection screen agree term for term. *)
+let pareto_term ~alpha ~scale x =
+  if x = 0.0 then 1.0 else (1.0 +. (x /. scale)) ** -.alpha
+
 (* Survival S(a) = P(dwell > a ticks); dwell is at least one tick, so
    S(0) = 1 for every law. *)
 let residence_survival r a =
@@ -182,9 +189,7 @@ let residence_survival r a =
       (* Geometric dwell with hazard 1/mean: the unique memoryless
          discrete law, i.e. the Markov-chain case. *)
       (1.0 -. (1.0 /. mean)) ** float_of_int a
-    | Pareto { alpha; scale } ->
-      (* Discrete Lomax tail: polynomial decay, heavy for small alpha. *)
-      (1.0 +. (float_of_int a /. scale)) ** -.alpha
+    | Pareto { alpha; scale } -> pareto_term ~alpha ~scale (float_of_int a)
     | Zipf { s; cutoff } ->
       if a >= cutoff then 0.0
       else begin
@@ -207,8 +212,33 @@ let residence_hazard r a =
     Float.min 1.0 (Float.max 0.0 h)
   end
 
+(* The Pareto mean is the truncated sum Σ_{a<N} S(a). N is the 10^7
+   cap, or one past the first age whose survival falls below 1e-12 if
+   that comes first. At alpha 1.6 the floor is never reached before the
+   cap, and the omitted tail is not negligible: 7.0e-4 at mean 6. Every
+   matched-mean law and residence-pareto trajectory is defined by this
+   exact float sum, so it stays as it is. *)
+let pareto_cap = 10_000_000
+let pareto_floor = 1e-12
+
+(* The age also runs as a float, [x = float_of_int a] exactly: a
+   cvtsi2sd per term would write into the register holding the previous
+   pow result and chain every pow call on the one before it. *)
+let pareto_sum ~alpha ~scale =
+  let sum = ref 0.0 in
+  let a = ref 0 and x = ref 0.0 in
+  let continue = ref true in
+  while !continue && !a < pareto_cap do
+    let s = pareto_term ~alpha ~scale !x in
+    sum := !sum +. s;
+    if s < pareto_floor then continue := false;
+    incr a;
+    x := !x +. 1.0
+  done;
+  !sum
+
 (* Mean dwell = Σ_{a≥0} S(a); diverges (→ infinity) for Pareto with
-   alpha <= 1. The sum is truncated once the tail is negligible. *)
+   alpha <= 1, and is the truncated [pareto_sum] for alpha > 1. *)
 let residence_mean r =
   check_residence r;
   match r with
@@ -221,39 +251,131 @@ let residence_mean r =
       weighted := !weighted +. (float_of_int k *. w)
     done;
     !weighted /. !total
-  | Pareto { alpha; _ } ->
-    if alpha <= 1.0 then infinity
-    else begin
-      let sum = ref 0.0 in
-      let a = ref 0 in
-      let continue = ref true in
-      while !continue && !a < 10_000_000 do
-        let s = residence_survival r !a in
-        sum := !sum +. s;
-        if s < 1e-12 then continue := false;
-        incr a
-      done;
-      !sum
-    end
+  | Pareto { alpha; scale } ->
+    if alpha <= 1.0 then infinity else pareto_sum ~alpha ~scale
 
-(* Bisection on the scale parameter: residence_mean is continuous and
-   strictly increasing in the scale, so a heavy-tailed law can be
+(* The term count of [pareto_sum]. Consecutive bases 1 + a/scale differ
+   by a relative 1/(scale + a) > 9e-10 at every scale the bisection
+   visits (up to 2^30), millions of ulps, and pow is accurate to within
+   one ulp, so the computed terms strictly decrease in [a]: the first
+   one below the floor is found by bisection on the same float
+   expression. *)
+let pareto_terms ~alpha ~scale =
+  let below a = pareto_term ~alpha ~scale (float_of_int a) < pareto_floor in
+  if not (below (pareto_cap - 1)) then pareto_cap
+  else begin
+    (* invariant: below !hi, not (below !lo) *)
+    let lo = ref 0 and hi = ref (pareto_cap - 1) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if below mid then hi := mid else lo := mid
+    done;
+    !hi + 1
+  end
+
+type pareto_screen = { value : float; margin : float; terms : int }
+
+(* A closed-form value of the same truncated sum, and a rigorous bound
+   on its distance from [pareto_sum] (DESIGN §14). With
+   f(x) = (1 + x/s)^-α the first K terms are summed exactly as
+   [pareto_sum] sums them, and Σ_{K<=a<N} f(a) is Euler–Maclaurin's
+     ∫_K^N f + (f(K) − f(N))/2 + (f'(N) − f'(K))/12
+       − (f'''(N) − f'''(K))/720,
+   whose remainder is at most 2ζ(5)/(2π)^5 · f''''(K) < 2.12e-4 · f''''(K).
+   The margin adds the recursive-summation bound of both float sums,
+   (N + K)·u·G, the pow and division error of every term, (2α + 4)·u
+   each, that of the closed form, and a 1% cushion for evaluating the
+   bound itself. When N <= K the value is the exact sum, margin zero. *)
+let pareto_mean_screen ~alpha ~scale =
+  let n = pareto_terms ~alpha ~scale and k = 2000 in
+  if n <= k then { value = pareto_sum ~alpha ~scale; margin = 0.0; terms = n }
+  else begin
+    let head = ref 0.0 in
+    for a = 0 to k - 1 do
+      head := !head +. pareto_term ~alpha ~scale (float_of_int a)
+    done;
+    (* One pow per end point: with w = 1/(s + x), f' = −α·w·f,
+       f''' = −α(α+1)(α+2)·w³·f, f'''' = α(α+1)(α+2)(α+3)·w⁴·f and
+       ∫_x^∞ f = (s + x)/(α − 1)·f. The d terms below are −f' and −f'''. *)
+    let at x =
+      let sx = scale +. float_of_int x in
+      ((1.0 +. (float_of_int x /. scale)) ** -.alpha, 1.0 /. sx, sx)
+    in
+    let fk, wk, sk = at k and fn, wn, sn = at n in
+    let c3 = alpha *. (alpha +. 1.0) *. (alpha +. 2.0) in
+    let ik = sk /. (alpha -. 1.0) *. fk and in_ = sn /. (alpha -. 1.0) *. fn in
+    let d1k = alpha *. wk *. fk and d1n = alpha *. wn *. fn in
+    let d3k = c3 *. (wk *. wk *. wk) *. fk
+    and d3n = c3 *. (wn *. wn *. wn) *. fn in
+    let tail =
+      (ik -. in_)
+      +. ((fk -. fn) /. 2.0)
+      +. ((d1k -. d1n) /. 12.0)
+      -. ((d3k -. d3n) /. 720.0)
+    in
+    let value = !head +. tail in
+    let magnitude =
+      ik +. in_
+      +. ((fk +. fn) /. 2.0)
+      +. ((d1k +. d1n) /. 12.0)
+      +. ((d3k +. d3n) /. 720.0)
+    in
+    let u = epsilon_float /. 2.0 in
+    let remainder =
+      2.12e-4 *. c3 *. (alpha +. 3.0) *. (wk *. wk *. wk *. wk) *. fk
+    in
+    let margin =
+      1.01
+      *. ((u
+           *. (((float_of_int (n + k) +. (4.0 *. alpha) +. 9.0) *. value)
+              +. (((2.0 *. alpha) +. 20.0) *. magnitude)))
+          +. remainder)
+    in
+    { value; margin; terms = n }
+  end
+
+(* Bisection on the scale parameter: the truncated mean is continuous
+   and strictly increasing in the scale, so a heavy-tailed law can be
    matched to an exponential one's mean for like-for-like variance
-   comparisons. *)
+   comparisons. The match is to the truncated mean [residence_mean]
+   reports, not the law's true mean; changing that would move every
+   residence-pareto trajectory. Every comparison has the exact sum's
+   outcome, and the loop stops once the midpoint equals an end point,
+   after which each step is a no-op: the scale is the float a full
+   80-step bisection on exact sums returns. *)
 let pareto_with_mean ~alpha ~mean =
   if not (Float.is_finite alpha && alpha > 1.0) then
     invalid_arg "Mobility.pareto_with_mean: alpha must be > 1 (finite mean)"
   else if not (Float.is_finite mean && mean >= 1.0) then
     invalid_arg "Mobility.pareto_with_mean: mean must be finite and >= 1"
   else begin
-    let mean_at scale = residence_mean (Pareto { alpha; scale }) in
+    (* [pareto_sum ~alpha ~scale < mean]: from the screen when the
+       closed form clears its margin, from the exact sum otherwise. *)
+    let below scale =
+      let s = pareto_mean_screen ~alpha ~scale in
+      if s.value -. mean > s.margin then false
+      else if mean -. s.value > s.margin then true
+      else pareto_sum ~alpha ~scale < mean
+    in
     let lo = ref 1e-6 and hi = ref 1.0 in
-    while mean_at !hi < mean && !hi < 1e9 do
-      hi := !hi *. 2.0
+    let short = ref (below !hi) in
+    while !short && !hi < 1e9 do
+      hi := !hi *. 2.0;
+      short := below !hi
     done;
-    for _ = 1 to 80 do
+    if !short then
+      invalid_arg
+        (Printf.sprintf
+           "Mobility.pareto_with_mean: mean %g is unreachable at alpha %g \
+            (the truncated mean stays below it up to scale %g)"
+           mean alpha !hi);
+    let steps = ref 0 and fixed = ref false in
+    while (not !fixed) && !steps < 80 do
       let mid = 0.5 *. (!lo +. !hi) in
-      if mean_at mid < mean then lo := mid else hi := mid
+      if mid = !lo || mid = !hi then fixed := true
+      else if below mid then lo := mid
+      else hi := mid;
+      incr steps
     done;
     Pareto { alpha; scale = 0.5 *. (!lo +. !hi) }
   end

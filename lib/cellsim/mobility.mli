@@ -75,14 +75,39 @@ val residence_survival : residence -> int -> float
 val residence_hazard : residence -> int -> float
 
 (** [residence_mean r] — expected dwell in ticks; [infinity] when the
-    law's mean diverges (Pareto with [alpha <= 1]). *)
+    law's mean diverges (Pareto with [alpha <= 1]). For Pareto with
+    [alpha > 1] it is the truncated float sum [Σ_{a<N} S(a)], [N] the
+    10{^7} cap or one past the first age with [S(a) < 1e-12], whichever
+    comes first. The omitted tail is not negligible for small [alpha]:
+    at [alpha = 1.6], mean 6 it is 7.0e-4, so that law's true mean is
+    about 6.0007. *)
 val residence_mean : residence -> float
 
 (** [pareto_with_mean ~alpha ~mean] — the Pareto law with tail index
-    [alpha] whose mean dwell equals [mean] (scale found by bisection),
-    for variance comparisons at a matched mean.
-    @raise Invalid_argument when [alpha <= 1] or [mean < 1]. *)
+    [alpha] whose truncated mean {!residence_mean} equals [mean] (scale
+    found by bisection), for variance comparisons at a matched mean.
+    The match is deliberately to the truncated mean: matching the true
+    mean would move every residence-pareto trajectory and E31. Most
+    bisection steps are decided by a certified closed form of the
+    truncated sum, so the scale is the same float a bisection on exact
+    sums returns.
+    @raise Invalid_argument when [alpha <= 1], [mean < 1], or when no
+    scale up to 1e9 reaches [mean] (the message names both). *)
 val pareto_with_mean : alpha:float -> mean:float -> residence
+
+(**/**)
+
+(** Internals of {!pareto_with_mean}, exposed for the margin audit in
+    the test suite; not a stable API. [value] approximates the truncated
+    Pareto sum of {!residence_mean} by its first terms plus an
+    Euler–Maclaurin tail, [margin] bounds [|value - residence_mean|]
+    rigorously (zero when [value] is the exact sum), and [terms] is the
+    sum's term count [N]. *)
+type pareto_screen = { value : float; margin : float; terms : int }
+
+val pareto_mean_screen : alpha:float -> scale:float -> pareto_screen
+
+(**/**)
 
 (** [residence_of_string s] parses ["exp:<mean>"],
     ["pareto:<alpha>:<scale>"] or ["zipf:<s>:<cutoff>"]. *)

@@ -137,3 +137,17 @@ let to_string = function
   | Find_at_least k -> Printf.sprintf "find-%d" k
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
+
+let of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "all" | "find-all" -> Ok Find_all
+  | "any" | "find-any" -> Ok Find_any
+  | other ->
+    let k =
+      if String.starts_with ~prefix:"find-" other then
+        String.sub other 5 (String.length other - 5)
+      else other
+    in
+    (match int_of_string_opt k with
+     | Some k when k >= 1 -> Ok (Find_at_least k)
+     | _ -> Error "objective must be all|any|<k>")

@@ -48,4 +48,10 @@ val success_exact : t -> Numeric.Rational.t array -> Numeric.Rational.t
 val found_enough : t -> m:int -> found:int -> bool
 
 val to_string : t -> string
+
+(** [of_string s] parses an objective, case-insensitively and ignoring
+    surrounding blanks: [all] or [find-all], [any] or [find-any], and
+    [<k>] or [find-<k>] with [k >= 1]. {!to_string} output round-trips.
+    The error is ["objective must be all|any|<k>"]. *)
+val of_string : string -> (t, string) result
 val pp : Format.formatter -> t -> unit

@@ -683,20 +683,6 @@ let rec worker_loop st =
 
 (* ---------------- request handling (connection side) ---------------- *)
 
-let parse_objective s =
-  match String.lowercase_ascii (String.trim s) with
-  | "all" | "find-all" -> Ok Objective.Find_all
-  | "any" | "find-any" -> Ok Objective.Find_any
-  | other ->
-    let other =
-      match String.length other >= 5 && String.sub other 0 5 = "find-" with
-      | true -> String.sub other 5 (String.length other - 5)
-      | false -> other
-    in
-    (match int_of_string_opt other with
-     | Some k when k >= 1 -> Ok (Objective.Find_at_least k)
-     | _ -> Error "objective must be all|any|<k>")
-
 let handle_solve st conn ~id (sr : Proto.solve_req) =
   let ( let* ) r f =
     match r with
@@ -712,7 +698,7 @@ let handle_solve st conn ~id (sr : Proto.solve_req) =
   let* objective =
     match sr.Proto.objective with
     | None -> Ok Objective.Find_all
-    | Some s -> parse_objective s
+    | Some s -> Objective.of_string s
   in
   let* () =
     Result.map_error (fun e -> "objective: " ^ e)

@@ -70,16 +70,100 @@ let test_residence_survival_hazard () =
   let z = M.Zipf { s = 1.0; cutoff = 5 } in
   check (float_t 1e-12) "zipf exhausts at cutoff" 1.0 (M.residence_hazard z 5)
 
+let bits_t = Alcotest.int64
+
+(* Scales a bisection on exact truncated sums returns (80 steps, every
+   comparison on the full 10^7-term sum): [pareto_with_mean] must return
+   these very floats. At alpha 3 the 1e-12 early stop ends each sum. *)
+let pinned_pareto_laws =
+  lazy
+    (List.map
+       (fun (alpha, mean, scale) ->
+         (alpha, mean, scale, M.pareto_with_mean ~alpha ~mean))
+       [
+         (1.6, 6.0, 0x1.a35f1f8160d7p+1);
+         (1.6, 2.0, 0x1.a1c326d3a1d4p-1);
+         (1.6, 12.0, 0x1.b8f2a6f4af2fcp+2);
+         (3.0, 6.0, 0x1.5e8b1ec17b8cep+3);
+       ])
+
 let test_pareto_with_mean () =
   List.iter
-    (fun mean ->
-      let law = M.pareto_with_mean ~alpha:1.6 ~mean in
+    (fun (_, mean, _, law) ->
       check (float_t 1e-6) "mean matched" mean (M.residence_mean law))
-    [ 2.0; 6.0; 12.0 ];
+    (Lazy.force pinned_pareto_laws);
   check bool_t "alpha <= 1 rejected" true
     (raises_invalid (fun () -> M.pareto_with_mean ~alpha:1.0 ~mean:6.0));
   check bool_t "mean < 1 rejected" true
     (raises_invalid (fun () -> M.pareto_with_mean ~alpha:1.6 ~mean:0.5))
+
+let test_pareto_scale_bits () =
+  List.iter
+    (fun (alpha, mean, pinned, law) ->
+      match law with
+      | M.Pareto { scale; _ } ->
+        check bits_t
+          (Printf.sprintf "scale bits at alpha %g, mean %g" alpha mean)
+          (Int64.bits_of_float pinned) (Int64.bits_of_float scale)
+      | _ -> Alcotest.fail "pareto_with_mean returned a non-Pareto law")
+    (Lazy.force pinned_pareto_laws);
+  (* The truncated sums themselves, from the same exact loop. *)
+  List.iter
+    (fun (alpha, scale, pinned) ->
+      check bits_t
+        (Printf.sprintf "residence_mean bits at alpha %g, scale %g" alpha scale)
+        (Int64.bits_of_float pinned)
+        (Int64.bits_of_float (M.residence_mean (M.Pareto { alpha; scale }))))
+    [
+      (1.6, 3.5, 0x1.97b11ce6a18e8p+2);
+      (3.0, 10.0, 0x1.61983f4c89d7cp+2);
+      (4.0, 0.5, 0x1.03c1f080ff85p+0);
+    ]
+
+let test_pareto_unreachable_mean () =
+  match M.pareto_with_mean ~alpha:1.6 ~mean:1e8 with
+  | _ -> Alcotest.fail "an unreachable mean was matched"
+  | exception Invalid_argument msg ->
+    check bool_t "names alpha" true (contains msg "alpha 1.6");
+    check bool_t "names mean" true (contains msg "mean 1e+08")
+
+(* The truncated Pareto mean exactly as first written: ages 0, 1, ...
+   summed in order until a term drops below 1e-12 or 10^7 terms are in.
+   Returns the sum and its term count. *)
+let reference_pareto_sum ~alpha ~scale =
+  let sum = ref 0.0 and a = ref 0 and continue = ref true in
+  while !continue && !a < 10_000_000 do
+    let s =
+      if !a = 0 then 1.0
+      else (1.0 +. (float_of_int !a /. scale)) ** -.alpha
+    in
+    sum := !sum +. s;
+    if s < 1e-12 then continue := false;
+    incr a
+  done;
+  (!sum, !a)
+
+(* The screen may decide a bisection step only if its margin really
+   bounds the distance to the exact sum. Alphas 1.1-1.6 run to the 10^7
+   cap; 2.5-4 stop early (alpha 4 at scale 0.5 before the directly
+   summed head ends, where the screen is the exact sum). *)
+let test_pareto_screen_margin () =
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun scale ->
+          let exact, terms = reference_pareto_sum ~alpha ~scale in
+          let s = M.pareto_mean_screen ~alpha ~scale in
+          let at = Printf.sprintf "alpha %g, scale %g" alpha scale in
+          check int_t ("term count at " ^ at) terms s.M.terms;
+          if abs_float (s.M.value -. exact) > s.M.margin then
+            Alcotest.failf "%s: |G - sum| = %g exceeds the margin %g" at
+              (abs_float (s.M.value -. exact))
+              s.M.margin;
+          check bool_t ("margin can decide at " ^ at) true
+            (s.M.margin <= 1e-8 *. exact))
+        [ 0.5; 3.3; 50.0; 400.0 ])
+    [ 1.1; 1.2; 1.6; 2.5; 3.0; 4.0 ]
 
 let test_residence_strings () =
   List.iter
@@ -469,6 +553,11 @@ let () =
             test_residence_survival_hazard;
           Alcotest.test_case "pareto mean matching" `Quick
             test_pareto_with_mean;
+          Alcotest.test_case "pareto scale bits" `Quick test_pareto_scale_bits;
+          Alcotest.test_case "pareto unreachable mean" `Quick
+            test_pareto_unreachable_mean;
+          Alcotest.test_case "pareto screen margin" `Quick
+            test_pareto_screen_margin;
           Alcotest.test_case "string round-trip" `Quick test_residence_strings;
           Alcotest.test_case "validation" `Quick test_validate_residence;
         ] );

@@ -169,6 +169,32 @@ let test_objective_found_enough () =
   check bool_t "k" true
     (Objective.found_enough (Objective.Find_at_least 2) ~m:3 ~found:2)
 
+let test_objective_of_string () =
+  let parses s expected =
+    match Objective.of_string s with
+    | Ok o ->
+      check Alcotest.string ("parse " ^ s) (Objective.to_string expected)
+        (Objective.to_string o)
+    | Error e -> Alcotest.failf "%S rejected: %s" s e
+  in
+  parses "all" Objective.Find_all;
+  parses " Find-All\n" Objective.Find_all;
+  parses "ANY" Objective.Find_any;
+  parses "find-any" Objective.Find_any;
+  parses "3" (Objective.Find_at_least 3);
+  parses " find-3 " (Objective.Find_at_least 3);
+  List.iter
+    (fun o -> parses (Objective.to_string o) o)
+    [ Objective.Find_all; Objective.Find_any; Objective.Find_at_least 7 ];
+  List.iter
+    (fun s ->
+      check
+        (Alcotest.result Alcotest.reject Alcotest.string)
+        ("reject " ^ s)
+        (Error "objective must be all|any|<k>")
+        (Result.map ignore (Objective.of_string s)))
+    [ "0"; "find-0"; "-2"; "find-"; "some"; ""; "find-all-2" ]
+
 let prop_objective_monotone_in_probs =
   QCheck.Test.make ~name:"success monotone in prefix masses" ~count:200
     (QCheck.pair
@@ -571,6 +597,7 @@ let () =
           Alcotest.test_case "poisson binomial" `Quick
             test_objective_poisson_binomial;
           Alcotest.test_case "found_enough" `Quick test_objective_found_enough;
+          Alcotest.test_case "of_string" `Quick test_objective_of_string;
           qt prop_objective_monotone_in_probs;
           qt prop_objective_exact_matches_float;
         ] );
