@@ -41,24 +41,8 @@ let record ~id ~pass ?(metrics = []) detail =
    recorded. Values in [metrics] are already JSON fragments. *)
 let json_out : string option ref = ref None
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-let json_num x =
-  if Float.is_finite x then Printf.sprintf "%.12g" x
-  else json_str (Printf.sprintf "%h" x)
+let json_str s = Wire.Json.to_string (Wire.Json.Str s)
+let json_num x = Wire.Json.to_string (Wire.Json.Num x)
 
 let json_out_result dir (id, pass, detail, metrics) =
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" id) in
@@ -2475,7 +2459,9 @@ let e30 () =
       | 1 -> Objective.Find_any
       | _ -> Objective.Find_at_least (1 + Prob.Rng.int rng m)
     in
-    let gl = Greedy.solve ~objective inst in
+    let gl =
+      Order_dp.solve ~objective inst ~order:(Instance.weight_order inst)
+    in
     let gf = Flat.greedy ~objective arena inst in
     if
       gl.Order_dp.expected_paging <> gf.Order_dp.expected_paging

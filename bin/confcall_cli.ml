@@ -32,29 +32,14 @@ let read_instance path =
 
 (* ---------------- JSON emission ----------------
 
-   Machine-readable output for bench trajectories and CI. Hand-rolled:
-   the values are numbers, booleans and fixed keys, so no library is
-   needed. *)
+   Machine-readable output for bench trajectories and CI, built from
+   pre-rendered fragments. Strings and numbers go through the wire
+   printer, so a CLI solve and a daemon response print the same values
+   byte-identically. *)
 
 module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let str s = Printf.sprintf "\"%s\"" (escape s)
-  let num x =
-    if Float.is_finite x then Printf.sprintf "%.12g" x
-    else str (Printf.sprintf "%h" x)
+  let str s = Wire.Json.to_string (Wire.Json.Str s)
+  let num x = Wire.Json.to_string (Wire.Json.Num x)
   let obj fields =
     "{"
     ^ String.concat ", "
@@ -394,8 +379,7 @@ let runner_report_json (r : Runner.run_report) =
 let solve_budgeted inst objective json budget_ms chain uncertainty domains =
   let report =
     with_domains domains (fun pool ->
-        Runner.run ~objective ?budget_ms ?uncertainty ~chain ?pool
-          ~arena:(Flat.domain_arena ()) inst)
+        Runner.run ~objective ?budget_ms ?uncertainty ~chain ?pool inst)
   in
   if json then print_endline (runner_report_json report)
   else begin
@@ -480,15 +464,13 @@ let solve path spec objective verbose json budget_ms chain eps tv samples
       | false, Some spec -> spec
       | false, None -> Solver.Greedy
     in
-    (* Direct path: run on this domain's flat arena and report the
-       minor-heap words the solve itself allocated. alloc_words covers
-       the solve only (arena binding included, result boxing excluded
-       by nothing — it is the honest per-call figure); the steady-state
-       zero-allocation guarantee on the run_* cores is gated by the
-       test suite and bench e30. *)
-    let arena = Flat.domain_arena () in
+    (* Direct path: report the minor-heap words the solve itself
+       allocated. alloc_words covers the whole call (arena creation,
+       binding and result boxing included — it is the honest per-call
+       figure); the steady-state zero-allocation guarantee on the run_*
+       cores is gated by the test suite and bench e30. *)
     let words_before = Gc.minor_words () in
-    let outcome = Solver.solve ~objective ~arena spec inst in
+    let outcome = Solver.solve ~objective spec inst in
     let alloc_words = int_of_float (Gc.minor_words () -. words_before) in
     let cert = certification outcome.Solver.strategy in
     if json then
@@ -670,10 +652,7 @@ let sweep m c d dist skew seeds objective budget_ms chain journal_path resume
               let inst = make_instance ~dist ~skew rng ~m ~c ~d in
               (* Shards run on pool domains; each reuses its own arena
                  across the seeds it processes. *)
-              let report =
-                Runner.run ~objective ?budget_ms ~chain
-                  ~arena:(Flat.domain_arena ()) inst
-              in
+              let report = Runner.run ~objective ?budget_ms ~chain inst in
               match report.Runner.winner with
               | Some (spec, o) ->
                 Printf.sprintf "winner=%s ep=%.9f exact=%b"
@@ -766,7 +745,7 @@ let compare_solvers path =
   Printf.printf "%-12s %12s %8s\n" "solver" "EP" "exact";
   List.iter
     (fun spec ->
-      match Solver.solve ~arena:(Flat.domain_arena ()) spec inst with
+      match Solver.solve spec inst with
       | outcome ->
         Printf.printf "%-12s %12.6f %8s\n"
           (Solver.spec_to_string spec)

@@ -1,8 +1,7 @@
 let feasible ~c ~d ~b = b >= 1 && c <= b * d
 
 let solve ?objective ?cancel inst ~b =
-  Order_dp.solve ?objective ?cancel ~max_group:b inst
-    ~order:(Instance.weight_order inst)
+  Flat.bandwidth ?objective ?cancel (Flat.domain_arena ()) inst ~b
 
 let exhaustive ?objective inst ~b =
   Optimal.exhaustive ?objective ~max_group:b inst

@@ -7,8 +7,9 @@
 (** [feasible ~c ~d ~b] — a strategy exists iff c ≤ b·d. *)
 val feasible : c:int -> d:int -> b:int -> bool
 
-(** [solve ?objective ?cancel inst ~b] — the heuristic under the cap;
-    [cancel] is threaded into the underlying DP (see {!Cancel}).
+(** [solve ?objective ?cancel inst ~b] — the heuristic under the cap,
+    on this domain's {!Flat.domain_arena}; [cancel] is threaded into the
+    underlying DP (see {!Cancel}).
     @raise Invalid_argument when infeasible. *)
 val solve :
   ?objective:Objective.t ->

@@ -8,15 +8,17 @@
    boxes floats crossing non-inlined function boundaries), and scalar
    results travel through the [out] slots instead of return values.
 
-   Every computation here is an op-for-op mirror of the legacy list
-   path ([Order_dp], [Strategy], [Local_search]): the same Neumaier
+   This is the only production implementation of the heuristics:
+   [Solver], [Runner], [Greedy.solve] and [Bandwidth.solve] all run
+   here. Every computation is an op-for-op mirror of the list reference
+   code ([Order_dp], [Strategy], [Local_search]): the same Neumaier
    compensation sequence for prefix masses, the same fold order inside
    [Objective.success_into], the same DP scan and tie-breaks, and — for
    the hill climb — the same apply/evaluate/revert move protocol whose
    floating-point drift feeds later evaluations. Results are therefore
-   bit-identical to the legacy implementations, which stay alive as the
-   differential oracle (test_flat pins this across instances, solver
-   specs and domains).
+   bit-identical to the list code, which the tests keep as the
+   reference (test_flat pins this across instances, solver specs and
+   domains).
 
    The delta-EP machinery ([Ls], [run_hill_climb_fast]) additionally
    maintains per-round survivor prefixes incrementally so a local-search
@@ -178,7 +180,7 @@ let bind a ~objective inst =
 
 (* Cell weights, accumulated row-major for cache locality. Per cell the
    additions happen in device order 0..m-1 — the same sequence as the
-   legacy column-walking [Instance.cell_weight] — so each weight is
+   list-path column-walking [Instance.cell_weight] — so each weight is
    bit-identical. *)
 let compute_weights a =
   let m = a.m and c = a.c in
@@ -240,7 +242,7 @@ let compute_table a =
     Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
       ~dst:a.table ~di:j
   done;
-  (* Unit cumulative cost, as the legacy DP computes it. *)
+  (* Unit cumulative cost, as the list DP computes it. *)
   FA.set a.cum 0 0.0;
   for j = 1 to c do
     FA.set a.cum j (FA.get a.cum (j - 1) +. 1.0)
@@ -437,13 +439,13 @@ let run_page_all a =
   | Some _ -> ());
   a.sizes.(0) <- a.c;
   a.nsizes <- 1;
-  (* Lemma 2.1 with one round: EP = c exactly (the legacy Kahan chain
+  (* Lemma 2.1 with one round: EP = c exactly (the list Kahan chain
      adds nothing to the initial term). *)
   FA.set a.out 0 (float_of_int a.c)
 
 (* ------------------------------------------------------------------ *)
 (* Local search. State mirrors [Local_search.state]; [ls_masses] is
-   device-major like the legacy m x rounds matrix. *)
+   device-major like the list m x rounds matrix. *)
 
 let sort_int_range arr lo len =
   for i = lo + 1 to lo + len - 1 do
@@ -507,7 +509,7 @@ let ls_ep_into a ~di =
 
 (* Mirror of [Local_search.relocate], including the drift its ±p mass
    updates leave behind (later evaluations read the drifted values — the
-   legacy scan does the same, so the climbs stay bit-identical). *)
+   list scan does the same, so the climbs stay bit-identical). *)
 let ls_relocate a cell target =
   let src = a.ls_round_of.(cell) in
   a.ls_round_of.(cell) <- target;
@@ -524,7 +526,7 @@ let ls_relocate a cell target =
 
 let run_hill_climb ?(cancel = Cancel.never) a =
   (* Seed from the greedy cut, uncancelled — exactly as
-     [Local_search.hill_climb] seeds via [Greedy.solve]. *)
+     [Local_search.hill_climb] seeds from the weight-order DP. *)
   greedy_core a Cancel.never;
   seed_ls a;
   a.iters <- 0;

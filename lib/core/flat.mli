@@ -8,12 +8,13 @@
     [floatarray]s and scalar results travel through arena slots because
     ocamlopt boxes floats that cross non-inlined function boundaries.
 
-    Every computation is an op-for-op mirror of the legacy list path
-    ([Order_dp], [Strategy], [Local_search]), so results are
-    bit-identical; the legacy implementations stay alive as the
-    differential oracle (test_flat). DESIGN §13 documents the arena
-    layout, the prefix-product invariants and the delta-EP correctness
-    argument. *)
+    This is the only production implementation of the heuristics:
+    {!Solver}, {!Runner}, [Greedy.solve] and [Bandwidth.solve] run
+    here. Every computation is an op-for-op mirror of the list
+    reference code ([Order_dp], [Strategy], [Local_search]), so results
+    are bit-identical; the tests keep the list code as the reference
+    (test_flat). DESIGN §13 documents the arena layout, the
+    prefix-product invariants and the delta-EP correctness argument. *)
 
 type t
 
@@ -77,7 +78,8 @@ val run_hill_climb : ?cancel:Cancel.t -> t -> unit
     re-evaluation; the accepted move is committed and resynced. Same
     move set and gain threshold as {!run_hill_climb}; scores agree only
     to rounding, so the climbed strategy may differ in ulp-tie cases —
-    use {!run_hill_climb} where bit-identity with legacy matters. *)
+    use {!run_hill_climb} where bit-identity with the list reference
+    matters. *)
 val run_hill_climb_fast : ?cancel:Cancel.t -> t -> unit
 
 (** {1 Result accessors} *)
@@ -99,9 +101,10 @@ val current_order : t -> int array
 
 (** {1 Allocating conveniences}
 
-    One-call wrappers: prepare, run, and box the result in the legacy
-    record types (strategies are rebuilt exactly as the legacy solvers
-    build them, preserving bit-identity end to end). *)
+    One-call wrappers: prepare, run, and box the result in the
+    [Order_dp]/[Local_search] record types (strategies are rebuilt
+    exactly as the list solvers build them, preserving bit-identity end
+    to end). *)
 
 val greedy :
   ?objective:Objective.t -> ?cancel:Cancel.t -> t -> Instance.t ->

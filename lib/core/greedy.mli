@@ -7,9 +7,11 @@
     O(c(m + dc)) time and O(m + dc) space. The ratio cannot be better
     than 320/317 (§4.3). For m = 2 = d the bound improves to 4/3 (§4.1). *)
 
-(** [solve ?objective ?cancel inst] runs the heuristic. Note the
-    approximation guarantee of Theorem 4.8 is proved for [Find_all];
-    other objectives reuse the same machinery heuristically (§5). *)
+(** [solve ?objective ?cancel inst] runs the heuristic on this domain's
+    {!Flat.domain_arena}; [Order_dp.solve] over {!order} is the list
+    reference it is tested against. Note the approximation guarantee of
+    Theorem 4.8 is proved for [Find_all]; other objectives reuse the
+    same machinery heuristically (§5). *)
 val solve :
   ?objective:Objective.t -> ?cancel:Cancel.t -> Instance.t -> Order_dp.result
 

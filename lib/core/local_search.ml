@@ -149,13 +149,15 @@ let hill_climb_state ?(cancel = Cancel.never) state =
    with Out_of_budget -> ());
   !current, !iterations
 
-let hill_climb ?(objective = Objective.Find_all) ?seed_strategy ?cancel inst =
-  let seed =
-    match seed_strategy with
-    | Some s -> s
-    | None -> (Greedy.solve ~objective inst).Order_dp.strategy
-  in
-  let state = state_of_strategy ~objective inst seed in
+(* The greedy cut of §4.2.2, computed by the list DP: this module is the
+   list reference for [Flat]'s climb, so it must not reach the flat cores
+   through [Greedy.solve]. *)
+let greedy_seed ~objective inst =
+  (Order_dp.solve ~objective inst ~order:(Instance.weight_order inst))
+    .Order_dp.strategy
+
+let hill_climb ?(objective = Objective.Find_all) ?cancel inst =
+  let state = state_of_strategy ~objective inst (greedy_seed ~objective inst) in
   let expected_paging, iterations = hill_climb_state ?cancel state in
   { strategy = strategy_of_state state; expected_paging; iterations }
 
@@ -166,8 +168,9 @@ let anneal ?(objective = Objective.Find_all) ?(cancel = Cancel.never) inst rng
   else if cooling <= 0.0 || cooling >= 1.0 then
     invalid_arg "Local_search.anneal: cooling must be in (0, 1)"
   else begin
-    let seed = (Greedy.solve ~objective inst).Order_dp.strategy in
-    let state = state_of_strategy ~objective inst seed in
+    let state =
+      state_of_strategy ~objective inst (greedy_seed ~objective inst)
+    in
     let c = inst.Instance.c in
     let current = ref (ep state) in
     let best = ref !current in

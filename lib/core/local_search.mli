@@ -17,15 +17,16 @@ type result = {
   iterations : int;  (** total move evaluations *)
 }
 
-(** [hill_climb ?objective ?seed_strategy ?cancel inst] — steepest-descent
-    from the greedy solution (or [seed_strategy]) until no improving move
-    exists. Deterministic. Unlike the exact searches, local search is
-    anytime: when [cancel] fires mid-climb it returns its best-so-far
-    strategy instead of raising — the working state is valid at every
-    step, so there is always something to return. *)
+(** [hill_climb ?objective ?cancel inst] — steepest-descent from the
+    greedy solution until no improving move exists. Deterministic.
+    Unlike the exact searches, local search is anytime: when [cancel]
+    fires mid-climb it returns its best-so-far strategy instead of
+    raising — the working state is valid at every step, so there is
+    always something to return. This list implementation is the
+    reference the allocation-free [Flat.hill_climb] is tested against;
+    [Solver] runs the flat one. *)
 val hill_climb :
   ?objective:Objective.t ->
-  ?seed_strategy:Strategy.t ->
   ?cancel:Cancel.t ->
   Instance.t ->
   result

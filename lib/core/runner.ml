@@ -347,14 +347,10 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
           let result =
             Obs.span ~parent:run_sp ("stage:" ^ Solver.spec_to_string spec)
             @@ fun _sp ->
-            (* Raced stages run on pool domains: each uses its domain's
-               private arena so concurrent stages never share scratch. *)
-            let arena =
-              match arena with
-              | Some _ -> Some (Flat.domain_arena ())
-              | None -> None
-            in
-            match Solver.solve ~objective ~cancel ~unguarded ?arena spec inst with
+            (* Raced stages run on pool domains: without [?arena] each
+               solves on its own domain's arena, so concurrent stages
+               never share scratch. *)
+            match Solver.solve ~objective ~cancel ~unguarded spec inst with
             | outcome ->
               on_success i;
               if Cancel.cancelled cancel then Ok (Degraded, outcome)

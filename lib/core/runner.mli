@@ -141,11 +141,11 @@ val chain_to_string : Solver.spec list -> string
     overridden together with [?pool], is called from several domains
     and must be thread-safe (the default {!Cancel.now} is).
 
-    [?arena] routes every stage with a flat mirror through the
-    allocation-free {!Flat} hot path (see {!Solver.solve}); raced
-    stages substitute their own domain's arena ({!Flat.domain_arena}),
-    so the supplied arena is only touched from the calling domain.
-    Results stay bit-identical either way. *)
+    [?arena] names the {!Flat} scratch arena the sequential stages
+    reuse (see {!Solver.solve}); it defaults to the calling domain's
+    {!Flat.domain_arena}. Raced stages always take their own domain's
+    arena, so the supplied one is only touched from the calling domain.
+    It never changes a result. *)
 val run :
   ?objective:Objective.t ->
   ?budget_ms:float ->

@@ -1,7 +1,7 @@
 let solve inst =
   if inst.Instance.m <> 1 then
     invalid_arg "Single.solve: instance must have exactly one device"
-  else Order_dp.solve inst ~order:(Instance.weight_order inst)
+  else Greedy.solve inst
 
 let solve_distribution ~d p = solve (Instance.create ~d [| p |])
 

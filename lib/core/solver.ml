@@ -55,31 +55,23 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
      recursive candidates a [Robust] re-rank fans out to. *)
   if Obs.on () then
     Obs.count ("solver_solve_" ^ Obs.sanitize (spec_to_string spec));
+  let arena = Option.value arena ~default:(Flat.domain_arena ()) in
   match spec with
   | Greedy ->
     let exact = inst.Instance.m = 1 || inst.Instance.d = 1 in
-    (match arena with
-     | Some a -> of_order_dp exact (Flat.greedy ?objective ?cancel a inst)
-     | None -> of_order_dp exact (Greedy.solve ?objective ?cancel inst))
+    of_order_dp exact (Flat.greedy ?objective ?cancel arena inst)
   | Page_all ->
-    let strategy = Strategy.page_all inst.Instance.c in
-    let expected_paging =
-      match arena with
-      (* One round never stops early: EP = c, bit-identical to the
-         Lemma 2.1 evaluation (whose sum has no terms to subtract). *)
-      | Some _ -> float_of_int inst.Instance.c
-      | None -> Strategy.expected_paging ?objective inst strategy
-    in
-    { strategy; expected_paging; exact = inst.Instance.d = 1 }
+    (* One round never stops early: EP = c, bit-identical to the
+       Lemma 2.1 evaluation (whose sum has no terms to subtract). *)
+    {
+      strategy = Strategy.page_all inst.Instance.c;
+      expected_paging = float_of_int inst.Instance.c;
+      exact = inst.Instance.d = 1;
+    }
   | Within_order order ->
-    (match arena with
-     | Some a ->
-       of_order_dp false (Flat.order_dp ?objective ?cancel a inst ~order)
-     | None -> of_order_dp false (Order_dp.solve ?objective ?cancel inst ~order))
+    of_order_dp false (Flat.order_dp ?objective ?cancel arena inst ~order)
   | Bandwidth_limited b ->
-    (match arena with
-     | Some a -> of_order_dp false (Flat.bandwidth ?objective ?cancel a inst ~b)
-     | None -> of_order_dp false (Bandwidth.solve ?objective ?cancel inst ~b))
+    of_order_dp false (Flat.bandwidth ?objective ?cancel arena inst ~b)
   | Exhaustive ->
     let guard = not (Option.value unguarded ~default:false) in
     of_optimal (Optimal.exhaustive ?objective ?cancel ~guard inst)
@@ -90,11 +82,7 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
      | Some r -> of_optimal r
      | None -> invalid_arg "Solver: instance too large for exact solving")
   | Local_search ->
-    let r =
-      match arena with
-      | Some a -> Flat.hill_climb ?objective ?cancel a inst
-      | None -> Local_search.hill_climb ?objective ?cancel inst
-    in
+    let r = Flat.hill_climb ?objective ?cancel arena inst in
     {
       strategy = r.Local_search.strategy;
       expected_paging = r.Local_search.expected_paging;
@@ -113,7 +101,7 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
     List.iter
       (fun cand ->
          Option.iter Cancel.check cancel;
-         match solve ?objective ?cancel ?unguarded ?arena cand inst with
+         match solve ?objective ?cancel ?unguarded ~arena cand inst with
          | outcome ->
            let r = Uncertainty.robust_ep ?objective u inst outcome.strategy in
            (match !best with

@@ -32,12 +32,11 @@ type outcome = {
     exact methods — only meaningful together with a deadline token, as
     the {!Runner} does.
 
-    [arena] routes [Greedy], [Page_all], [Within_order],
-    [Bandwidth_limited], [Local_search] (and the [Robust] re-rank over
-    them) through the allocation-free {!Flat} hot path, reusing the
-    arena's scratch across solves. Results are bit-identical to the
-    legacy list path (test_flat pins this); solvers without a flat
-    mirror ignore the arena.
+    [Greedy], [Within_order], [Bandwidth_limited] and [Local_search]
+    (and the [Robust] re-rank over them) always run on the
+    allocation-free {!Flat} cores. [arena] only names the scratch arena
+    they reuse across solves; it defaults to {!Flat.domain_arena} and
+    never changes a result. Exact methods ignore it.
     @raise Invalid_argument when the method does not apply (e.g.
     [Best_exact] on a huge instance, [Branch_and_bound] with d ≠ 2).
     @raise Cancel.Cancelled when the token fires before a non-anytime

@@ -13,7 +13,7 @@ let best_single_device inst =
       if row.(a) <> row.(b) then compare row.(b) row.(a) else compare a b
     in
     Array.sort cmp order;
-    Order_dp.solve ~objective inst ~order
+    Flat.order_dp ~objective (Flat.domain_arena ()) inst ~order
   in
   let rec pick i best =
     if i >= m then best

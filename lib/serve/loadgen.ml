@@ -139,15 +139,15 @@ let make_workload o =
 
 let solve_fields o w i =
   [
-    ("op", Json.Str "solve");
-    ("instance", Json.Str w.pool.(w.assignment.(i)));
+    ("op", Wire.Json.Str "solve");
+    ("instance", Wire.Json.Str w.pool.(w.assignment.(i)));
   ]
-  @ (match o.solver with Some s -> [ ("solver", Json.Str s) ] | None -> [])
-  @ (match o.chain with Some c -> [ ("chain", Json.Str c) ] | None -> [])
+  @ (match o.solver with Some s -> [ ("solver", Wire.Json.Str s) ] | None -> [])
+  @ (match o.chain with Some c -> [ ("chain", Wire.Json.Str c) ] | None -> [])
   @ (match o.budget_ms with
-     | Some b -> [ ("budget_ms", Json.Num b) ]
+     | Some b -> [ ("budget_ms", Wire.Json.Num b) ]
      | None -> [])
-  @ if o.cache then [] else [ ("cache", Json.Bool false) ]
+  @ if o.cache then [] else [ ("cache", Wire.Json.Bool false) ]
 
 (* One record per response, filled in by the receiver threads. *)
 type reply = { status : string; rung : string option; recv_s : float }
@@ -193,9 +193,9 @@ let summarize ~sent ~start_s ~last_s ~conn_lost ~retried ~failed_over
 let run_legacy target o =
   let w = make_workload o in
   let frame i =
-    Json.to_string
-      (Json.Obj
-         (("id", Json.Str (Printf.sprintf "r%d" i)) :: solve_fields o w i))
+    Wire.Json.to_string
+      (Wire.Json.Obj
+         (("id", Wire.Json.Str (Printf.sprintf "r%d" i)) :: solve_fields o w i))
     ^ "\n"
   in
   let conns = Array.init o.connections (fun _ -> connect target) in
@@ -209,10 +209,10 @@ let run_legacy target o =
     let chunk = Bytes.create 65536 in
     let acc = Buffer.create 4096 in
     let handle line =
-      match Json.parse line with
+      match Wire.Json.parse line with
       | Error _ -> ()
       | Ok json ->
-        let str k = Option.bind (Json.member k json) Json.to_str in
+        let str k = Option.bind (Wire.Json.member k json) Wire.Json.to_str in
         (match str "id" with
          | Some id when String.length id > 1 && id.[0] = 'r' ->
            (match
@@ -420,8 +420,8 @@ let run_resilient targets o =
          if r.Wire.Proto.cache_hit then Some "cache"
          else
            Option.bind
-             (Json.member "ladder" r.Wire.Proto.json)
-             Json.to_str
+             (Wire.Json.member "ladder" r.Wire.Proto.json)
+             Wire.Json.to_str
        in
        Option.iter
          (fun rung ->

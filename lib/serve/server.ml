@@ -84,8 +84,8 @@ let apply_ladder ladder chain =
    compares daemon strategy/EP fields against `confcall solve --json`
    literally. *)
 
-let jstr s = Json.to_string (Json.Str s)
-let jnum x = Json.to_string (Json.Num x)
+let jstr s = Wire.Json.to_string (Wire.Json.Str s)
+let jnum x = Wire.Json.to_string (Wire.Json.Num x)
 let jbool b = if b then "true" else "false"
 let field (k, v) = jstr k ^ ": " ^ v
 let fragment fields = String.concat ", " (List.map field fields)
@@ -332,7 +332,7 @@ let terminal st conn ~id ~request_id ~status payload =
 let terminal_error st conn ~id ~request_id msg =
   match request_id with
   | None ->
-    respond st conn ~status:"error" (Proto.error_frame ~id:(Some id) msg)
+    respond st conn ~status:"error" (Wire.Proto.error_frame ~id:(Some id) msg)
   | Some _ ->
     terminal st conn ~id ~request_id ~status:"error"
       (fragment [ ("error", jstr msg) ])
@@ -347,7 +347,7 @@ let reject_waiters st ~request_id ?retry_after_ms ~reason () =
     List.iter
       (fun (wconn, wid) ->
         respond st wconn ~status:"rejected"
-          (Proto.rejected_frame ~id:wid ?retry_after_ms ~reason ()))
+          (Wire.Proto.rejected_frame ~id:wid ?retry_after_ms ~reason ()))
       (Dedup.abort st.dedup rid)
 
 (* ---------------- drain ---------------- *)
@@ -409,14 +409,14 @@ let admit st conn ~id ~request_id work =
       Obs.count "serve_breaker_rejects"
     end;
     respond st conn ~status:"rejected"
-      (Proto.rejected_frame ~id ~retry_after_ms ~reason:"overload" ());
+      (Wire.Proto.rejected_frame ~id ~retry_after_ms ~reason:"overload" ());
     reject_waiters st ~request_id ~retry_after_ms ~reason:"overload" ()
   | None ->
   Mutex.lock st.qmutex;
   if Atomic.get st.stopping then begin
     Mutex.unlock st.qmutex;
     respond st conn ~status:"rejected"
-      (Proto.rejected_frame ~id ~reason:"draining" ());
+      (Wire.Proto.rejected_frame ~id ~reason:"draining" ());
     reject_waiters st ~request_id ~reason:"draining" ()
   end
   else begin
@@ -426,7 +426,7 @@ let admit st conn ~id ~request_id work =
       note_shed st;
       let retry_after_ms = retry_after_hint st ~depth in
       respond st conn ~status:"rejected"
-        (Proto.rejected_frame ~id ~retry_after_ms ~reason:"overload" ());
+        (Wire.Proto.rejected_frame ~id ~retry_after_ms ~reason:"overload" ());
       reject_waiters st ~request_id ~retry_after_ms ~reason:"overload" ()
     end
     else begin
@@ -515,6 +515,9 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
     terminal st job.conn ~id:job.id ~request_id:job.request_id ~status
       (fragment (core @ tail))
   in
+  (* Worker lanes are domains: both paths below solve on the lane's own
+     flat arena (the [Solver] default) and reuse it across the jobs it
+     serves, so steady-state solving stays off the minor heap. *)
   if not runner_path then begin
     (* Direct path: one solver, no deadline — mirrors `confcall solve`.
        Under load the ladder swaps an expensive method for greedy. *)
@@ -551,11 +554,7 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
       Option.map (fun b -> Float.max (b -. queue_ms) 1.0) budget_ms
     in
     let report =
-      (* Worker lanes are domains: each reuses its own flat arena across
-         the jobs it serves, so steady-state solving stays off the minor
-         heap. *)
-      Runner.run ~objective ?budget_ms:eff_budget ~chain:eff_chain
-        ~arena:(Flat.domain_arena ()) inst
+      Runner.run ~objective ?budget_ms:eff_budget ~chain:eff_chain inst
     in
     match report.Runner.winner with
     | None ->
@@ -683,20 +682,20 @@ let rec worker_loop st =
 
 (* ---------------- request handling (connection side) ---------------- *)
 
-let handle_solve st conn ~id (sr : Proto.solve_req) =
+let handle_solve st conn ~id (sr : Wire.Proto.solve_req) =
   let ( let* ) r f =
     match r with
     | Ok v -> f v
     | Error msg ->
-      respond st conn ~status:"error" (Proto.error_frame ~id:(Some id) msg)
+      respond st conn ~status:"error" (Wire.Proto.error_frame ~id:(Some id) msg)
   in
   let* inst =
-    match Instance.of_string sr.Proto.instance with
+    match Instance.of_string sr.Wire.Proto.instance with
     | inst -> Ok inst
     | exception Invalid_argument msg -> Error ("instance: " ^ msg)
   in
   let* objective =
-    match sr.Proto.objective with
+    match sr.Wire.Proto.objective with
     | None -> Ok Objective.Find_all
     | Some s -> Objective.of_string s
   in
@@ -705,7 +704,7 @@ let handle_solve st conn ~id (sr : Proto.solve_req) =
       (Objective.validate objective ~m:inst.Instance.m)
   in
   let* spec =
-    match sr.Proto.solver with
+    match sr.Wire.Proto.solver with
     | None -> Ok None
     | Some s ->
       Result.map
@@ -713,7 +712,7 @@ let handle_solve st conn ~id (sr : Proto.solve_req) =
         (Result.map_error (fun e -> "solver: " ^ e) (Solver.spec_of_string s))
   in
   let* chain =
-    match sr.Proto.chain with
+    match sr.Wire.Proto.chain with
     | None -> Ok None
     | Some s ->
       Result.map
@@ -721,14 +720,14 @@ let handle_solve st conn ~id (sr : Proto.solve_req) =
         (Result.map_error (fun e -> "chain: " ^ e) (Runner.chain_of_string s))
   in
   let ckey =
-    if not sr.Proto.cache then None
+    if not sr.Wire.Proto.cache then None
     else
       let mode =
-        mode_of_solve ~spec ~chain ~budgeted:(sr.Proto.budget_ms <> None)
+        mode_of_solve ~spec ~chain ~budgeted:(sr.Wire.Proto.budget_ms <> None)
       in
       Some (cache_key ~objective ~mode inst)
   in
-  let request_id = sr.Proto.request_id in
+  let request_id = sr.Wire.Proto.request_id in
   (* Cache hits are answered here, from the connection thread, without
      touching the queue: a warm daemon under overload still serves
      repeats instantly, and a restarted daemon serves its journal. *)
@@ -749,7 +748,7 @@ let handle_solve st conn ~id (sr : Proto.solve_req) =
              objective;
              spec;
              chain;
-             budget_ms = sr.Proto.budget_ms;
+             budget_ms = sr.Wire.Proto.budget_ms;
              ckey;
            })
   in
@@ -796,16 +795,16 @@ let health_response st ~id =
     ]
 
 let handle_frame st conn line =
-  match Proto.decode line with
+  match Wire.Proto.decode line with
   | Error (id, msg) ->
     if Obs.on () then Obs.count "serve_frame_errors";
-    respond st conn ~status:"error" (Proto.error_frame ~id msg)
-  | Ok { Proto.id; req } ->
+    respond st conn ~status:"error" (Wire.Proto.error_frame ~id msg)
+  | Ok { Wire.Proto.id; req } ->
     Atomic.incr st.requests;
     (match req with
-     | Proto.Health ->
+     | Wire.Proto.Health ->
        respond st conn ~status:"ok" (health_response st ~id)
-     | Proto.Metrics ->
+     | Wire.Proto.Metrics ->
        respond st conn ~status:"ok"
          (compose
             [
@@ -814,17 +813,17 @@ let handle_frame st conn line =
               ( "prometheus",
                 jstr (Obs.Metrics.to_prometheus Obs.Metrics.default) );
             ])
-     | Proto.Drain ->
+     | Wire.Proto.Drain ->
        initiate_drain st;
        respond st conn ~status:"ok"
          (compose
             [ ("id", jstr id); ("status", jstr "ok"); ("draining", "true") ])
-     | Proto.Solve sr -> handle_solve st conn ~id sr
-     | Proto.Simulate { scenario; seed; replicas } ->
+     | Wire.Proto.Solve sr -> handle_solve st conn ~id sr
+     | Wire.Proto.Simulate { scenario; seed; replicas } ->
        (match List.assoc_opt scenario Cellsim.Scenario.all with
         | None ->
           respond st conn ~status:"error"
-            (Proto.error_frame ~id:(Some id)
+            (Wire.Proto.error_frame ~id:(Some id)
                (Printf.sprintf "unknown scenario %S (expected %s)" scenario
                   (String.concat "|" (List.map fst Cellsim.Scenario.all))))
         | Some build ->
@@ -846,7 +845,7 @@ let read_loop st conn =
       try handle_frame st conn line
       with e ->
         respond st conn ~status:"error"
-          (Proto.error_frame ~id:None
+          (Wire.Proto.error_frame ~id:None
              ("internal: " ^ Printexc.to_string e))
   in
   let feed byte =
@@ -865,7 +864,7 @@ let read_loop st conn =
         Buffer.clear acc;
         if Obs.on () then Obs.count "serve_frame_errors";
         respond st conn ~status:"error"
-          (Proto.error_frame ~id:None
+          (Wire.Proto.error_frame ~id:None
              (Printf.sprintf "frame exceeds %d bytes" st.cfg.max_frame_bytes))
       end
     end
@@ -977,7 +976,8 @@ let accept_loop st lfd =
             if Atomic.get st.connections >= st.cfg.max_connections then begin
               (try
                  write_all fd
-                   (Proto.error_frame ~id:None "too many connections" ^ "\n")
+                   (Wire.Proto.error_frame ~id:None "too many connections"
+                   ^ "\n")
                with Unix.Unix_error _ | Sys_error _ -> ());
               try Unix.close fd with Unix.Unix_error _ -> ()
             end
@@ -1009,7 +1009,8 @@ let accept_loop st lfd =
         (if Atomic.get st.connections >= st.cfg.max_connections then begin
            (try
               write_all fd
-                (Proto.error_frame ~id:None "too many connections" ^ "\n")
+                (Wire.Proto.error_frame ~id:None "too many connections"
+                ^ "\n")
             with Unix.Unix_error _ | Sys_error _ -> ());
            try Unix.close fd with Unix.Unix_error _ -> ()
          end

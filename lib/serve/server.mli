@@ -1,6 +1,6 @@
 (** Paging-as-a-service: the [confcall serve] daemon.
 
-    A long-lived JSONL request/response service (see {!Proto}) over a
+    A long-lived JSONL request/response service (see {!Wire.Proto}) over a
     TCP or Unix-domain stream socket, built only on the stdlib ([Unix],
     [Thread], [Domain] via {!Exec.Pool}). Connection threads do the
     I/O and the cheap work (parsing, cache lookups, admission);

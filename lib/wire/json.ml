@@ -8,9 +8,8 @@ type t =
 
 (* ---------------- printer ---------------- *)
 
-(* Identical escaping and number formatting to the CLI's Json module:
-   the differential tests compare daemon output against CLI output byte
-   for byte. *)
+(* Numbers print as [%.12g]; a non-finite one prints as a quoted [%h]
+   string. *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

@@ -2,11 +2,12 @@
 
     Hand-rolled on purpose: frames are small objects of numbers,
     strings, booleans and nested arrays, and the container must not
-    grow dependencies. The printer emits exactly the format the CLI's
-    [--json] emitter uses ([", "]/[": "] separators, numbers as
-    [%.12g]), so a daemon response and a CLI solve print strategies and
-    expected paging {e byte-identically} — the differential tests lean
-    on that.
+    grow dependencies. The printer uses [", "]/[": "] separators and
+    prints numbers as [%.12g]. The CLI's [--json] output and bench's
+    [BENCH_*.json] records build their strings and numbers with
+    {!to_string} too, so a daemon response and a CLI solve print
+    strategies and expected paging {e byte-identically} — the
+    differential tests lean on that.
 
     The parser is total: any byte string returns [Ok] or [Error],
     never an exception — it sits directly behind the network boundary

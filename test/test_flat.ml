@@ -1,11 +1,12 @@
 (* Differential + GC-regression suite for the flat hot path (Flat).
 
-   The legacy list-based solvers are the oracle: every flat mirror must
-   return the bit-identical expected paging and strategy on random and
-   adversarial instances, across solver specs, objectives and domain
-   counts. A rational-oracle pin re-checks the flat EPs against the
-   exact arithmetic path to ≤ 1e-12·c, so the two float paths cannot
-   drift together. The GC section asserts the zero-minor-words contract
+   The flat cores are the only production path; the list-based
+   solvers stay as the reference: every flat core must return the
+   bit-identical expected paging and strategy on random and adversarial
+   instances, across solver specs, objectives and domain counts. A
+   golden digest taken from the list solvers and a rational-oracle pin
+   (flat EPs against the exact arithmetic path to ≤ 1e-12·c) keep the
+   two float paths from drifting together. The GC section asserts the zero-minor-words contract
    of the run_* cores, and the property section drives the incremental
    local-search EP delta through random accepted/rejected move
    sequences against full re-evaluation. *)
@@ -63,51 +64,153 @@ let random_order rng c =
   done;
   order
 
-let same_outcome what trial (legacy : Solver.outcome) (flat : Solver.outcome) =
-  if legacy.Solver.expected_paging <> flat.Solver.expected_paging then
-    Alcotest.failf "%s (trial %d): EP differs: legacy %.17g flat %.17g" what
-      trial legacy.Solver.expected_paging flat.Solver.expected_paging;
-  if not (Strategy.equal legacy.Solver.strategy flat.Solver.strategy) then
-    Alcotest.failf "%s (trial %d): strategies differ: legacy %s flat %s" what
-      trial
-      (Strategy.to_string legacy.Solver.strategy)
+let same_outcome what trial (reference : Solver.outcome)
+    (flat : Solver.outcome) =
+  if reference.Solver.expected_paging <> flat.Solver.expected_paging then
+    Alcotest.failf "%s (trial %d): EP differs: reference %.17g flat %.17g"
+      what trial reference.Solver.expected_paging flat.Solver.expected_paging;
+  if not (Strategy.equal reference.Solver.strategy flat.Solver.strategy) then
+    Alcotest.failf "%s (trial %d): strategies differ: reference %s flat %s"
+      what trial
+      (Strategy.to_string reference.Solver.strategy)
       (Strategy.to_string flat.Solver.strategy);
-  if legacy.Solver.exact <> flat.Solver.exact then
+  if reference.Solver.exact <> flat.Solver.exact then
     Alcotest.failf "%s (trial %d): exact flag differs" what trial
 
 (* -------------------- differential: solver specs -------------------- *)
 
-(* ≥ 200 instances (random + adversarial), one shared arena rebound
-   across all of them — so the cache-invalidation logic is exercised as
-   hard as the numerics. Every spec with a flat mirror must match the
-   legacy path bit for bit. *)
-let test_differential_specs () =
+(* ≥ 200 instances (random + adversarial), each with its objective and
+   the specs that have a flat core. Generated in one fixed rng sequence
+   so the differential and the golden digest below see the same corpus.
+   Production solves rebind this domain's one arena across all of them,
+   so the cache-invalidation logic is exercised as hard as the
+   numerics. *)
+let spec_corpus () =
   let rng = Prob.Rng.create ~seed:0xF1A7 in
-  let arena = Flat.create () in
-  let trials = 240 in
-  for trial = 1 to trials do
-    let m, c, d = random_dims rng in
-    let inst = random_instance rng ~kind:trial ~m ~c ~d in
-    let objective = objective_for rng ~m trial in
-    let solve ?arena spec = Solver.solve ~objective ?arena spec inst in
-    let specs =
-      [
-        Solver.Greedy;
-        Solver.Page_all;
-        Solver.Within_order (random_order rng c);
-        Solver.Bandwidth_limited (1 + ((c + d - 1) / d));
-        Solver.Local_search;
-      ]
-      @ (if trial mod 10 = 0 then [ Solver.Robust { eps = 0.05; tv = infinity } ]
-         else [])
-    in
+  List.init 240 (fun k ->
+      let trial = k + 1 in
+      let m, c, d = random_dims rng in
+      let inst = random_instance rng ~kind:trial ~m ~c ~d in
+      let objective = objective_for rng ~m trial in
+      let specs =
+        [
+          Solver.Greedy;
+          Solver.Page_all;
+          Solver.Within_order (random_order rng c);
+          Solver.Bandwidth_limited (1 + ((c + d - 1) / d));
+          Solver.Local_search;
+        ]
+        @
+        if trial mod 10 = 0 then [ Solver.Robust { eps = 0.05; tv = infinity } ]
+        else []
+      in
+      (trial, inst, objective, specs))
+
+(* The list cores are the reference implementation: what each spec
+   answered before the flat arena became the only production path.
+   Specs without a flat core go straight to [Solver.solve]. *)
+let rec reference_outcome ~objective spec inst =
+  let of_dp exact (r : Order_dp.result) =
+    {
+      Solver.strategy = r.Order_dp.strategy;
+      expected_paging = r.Order_dp.expected_paging;
+      exact;
+    }
+  in
+  let weight_order = Instance.weight_order inst in
+  match spec with
+  | Solver.Greedy ->
+    of_dp
+      (inst.Instance.m = 1 || inst.Instance.d = 1)
+      (Order_dp.solve ~objective inst ~order:weight_order)
+  | Solver.Page_all ->
+    let strategy = Strategy.page_all inst.Instance.c in
+    {
+      Solver.strategy;
+      expected_paging = Strategy.expected_paging ~objective inst strategy;
+      exact = inst.Instance.d = 1;
+    }
+  | Solver.Within_order order ->
+    of_dp false (Order_dp.solve ~objective inst ~order)
+  | Solver.Bandwidth_limited b ->
+    of_dp false
+      (Order_dp.solve ~objective ~max_group:b inst ~order:weight_order)
+  | Solver.Local_search ->
+    let r = Local_search.hill_climb ~objective inst in
+    {
+      Solver.strategy = r.Local_search.strategy;
+      expected_paging = r.Local_search.expected_paging;
+      exact = false;
+    }
+  | Solver.Robust { eps; tv } ->
+    (* The robust re-rank over reference candidates: lowest worst-case
+       EP wins, ties go to the earlier candidate. *)
+    let u = Uncertainty.uniform ~tv eps in
+    let best = ref None in
     List.iter
-      (fun spec ->
-        let legacy = solve spec in
-        let flat = solve ~arena spec in
-        same_outcome (Solver.spec_to_string spec) trial legacy flat)
-      specs
-  done
+      (fun cand ->
+        match reference_outcome ~objective cand inst with
+        | o ->
+          let r = Uncertainty.robust_ep ~objective u inst o.Solver.strategy in
+          (match !best with
+           | Some (_, r') when r' <= r -> ()
+           | _ -> best := Some (o, r))
+        | exception Invalid_argument _ -> ())
+      Solver.robust_candidates;
+    (match !best with
+     | Some (o, _) -> { o with Solver.exact = false }
+     | None -> invalid_arg "reference: no robust candidate applies")
+  | spec -> Solver.solve ~objective spec inst
+
+let test_differential_specs () =
+  List.iter
+    (fun (trial, inst, objective, specs) ->
+      List.iter
+        (fun spec ->
+          same_outcome (Solver.spec_to_string spec) trial
+            (reference_outcome ~objective spec inst)
+            (Solver.solve ~objective spec inst))
+        specs)
+    (spec_corpus ())
+
+(* Golden pin over the same corpus: EP bits, strategy and exact flag of
+   every spec, plus the hill-climb iteration count, hashed. The value
+   was taken from the list solvers before the flat arena became the
+   only production path, so the reference and the flat cores cannot
+   drift together unnoticed. *)
+let corpus_digest ~solve ~climb_iterations =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (trial, inst, objective, specs) ->
+      List.iter
+        (fun spec ->
+          let o = solve ~objective spec inst in
+          Printf.bprintf b "%d %s %Lx %s %b\n" trial
+            (Solver.spec_to_string spec)
+            (Int64.bits_of_float o.Solver.expected_paging)
+            (Strategy.to_string o.Solver.strategy)
+            o.Solver.exact)
+        specs;
+      Printf.bprintf b "%d climb %d\n" trial (climb_iterations ~objective inst))
+    (spec_corpus ());
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_corpus_digest = "f92310f5f914722b9216bdeb75eec91d"
+
+let test_golden_digest () =
+  let check_digest what digest =
+    Alcotest.(check string) what golden_corpus_digest digest
+  in
+  check_digest "reference"
+    (corpus_digest ~solve:reference_outcome
+       ~climb_iterations:(fun ~objective inst ->
+         (Local_search.hill_climb ~objective inst).Local_search.iterations));
+  check_digest "production"
+    (corpus_digest
+       ~solve:(fun ~objective spec inst -> Solver.solve ~objective spec inst)
+       ~climb_iterations:(fun ~objective inst ->
+         (Flat.hill_climb ~objective (Flat.domain_arena ()) inst)
+           .Local_search.iterations))
 
 (* Local search must also agree on the iteration count: the flat climb
    claims to replay the legacy scan move for move. *)
@@ -195,27 +298,65 @@ let test_rational_oracle_pin () =
 
 (* -------------------- differential: runner, domains 1 and 4 ------- *)
 
-let runner_winner_ep ?pool ?arena inst ~objective =
-  let report = Runner.run ~objective ?pool ?arena inst in
-  match report.Runner.winner with
-  | Some (spec, o) -> (spec, o.Solver.expected_paging, o.Solver.strategy)
-  | None -> Alcotest.fail "runner produced no winner"
+(* Every runner stage with a flat core must report the reference EP
+   bit for bit, and a flat-core winner must be the reference outcome;
+   the winner choice is a function of those EPs, so it matches the
+   choice the list solvers would have led to. Odd trials run the
+   default chain (first success wins); even trials run a chain of flat
+   cores in uncertainty re-ranking mode, where every stage runs to its
+   end. The sequential leg reuses one caller-supplied arena across
+   instances; the raced leg (4 domains) runs each stage on its domain's
+   own arena. *)
+let has_flat_core = function
+  | Solver.Greedy | Solver.Page_all | Solver.Within_order _
+  | Solver.Bandwidth_limited _ | Solver.Local_search | Solver.Robust _ ->
+    true
+  | _ -> false
 
 let test_runner_differential_domains () =
   let rng = Prob.Rng.create ~seed:0x40FE in
   let arena = Flat.create () in
-  let compare_one ?pool trial =
+  let compare_one ?pool ?arena trial =
     let m, c, d = random_dims rng in
     let inst = random_instance rng ~kind:trial ~m ~c ~d in
     let objective = objective_for rng ~m trial in
-    let wl, el, sl = runner_winner_ep ?pool inst ~objective in
-    let wf, ef, sf = runner_winner_ep ?pool ~arena inst ~objective in
-    check bool_t "same winner spec" true (wl = wf);
-    check bool_t "same winner ep" true (el = ef);
-    check bool_t "same winner strategy" true (Strategy.equal sl sf)
+    let report =
+      if trial mod 2 = 1 then Runner.run ~objective ?pool ?arena inst
+      else
+        Runner.run ~objective ?pool ?arena
+          ~uncertainty:(Uncertainty.uniform 0.05)
+          ~chain:
+            Solver.
+              [
+                Local_search;
+                Greedy;
+                Within_order (random_order rng c);
+                Bandwidth_limited (1 + ((c + d - 1) / d));
+                Page_all;
+              ]
+          inst
+    in
+    List.iter
+      (fun (st : Runner.stage_report) ->
+        match st.Runner.expected_paging with
+        | Some ep when has_flat_core st.Runner.spec ->
+          let r = reference_outcome ~objective st.Runner.spec inst in
+          if ep <> r.Solver.expected_paging then
+            Alcotest.failf "runner %s (trial %d): EP %.17g, reference %.17g"
+              (Solver.spec_to_string st.Runner.spec)
+              trial ep r.Solver.expected_paging
+        | _ -> ())
+      report.Runner.stages;
+    match report.Runner.winner with
+    | Some (spec, o) when has_flat_core spec ->
+      same_outcome "runner winner" trial
+        (reference_outcome ~objective spec inst)
+        o
+    | Some _ -> ()
+    | None -> Alcotest.fail "runner produced no winner"
   in
   for trial = 1 to 12 do
-    compare_one trial
+    compare_one ~arena trial
   done;
   Exec.Pool.with_pool ~domains:4 (fun pool ->
       for trial = 13 to 24 do
@@ -425,6 +566,8 @@ let () =
             test_rational_oracle_pin;
           Alcotest.test_case "runner, domains 1 and 4" `Quick
             test_runner_differential_domains;
+          Alcotest.test_case "golden digest, 240 instances" `Quick
+            test_golden_digest;
         ] );
       ( "gc-regression",
         [

@@ -100,9 +100,9 @@ let test_instance_fuzz () =
 (* Whatever survives the parser must be safe to feed the flat hot path:
    one shared arena rebound across every surviving mutant (so stale
    cached tables from the previous mutant are in scope each time), and
-   the flat EP must stay bit-identical to the legacy solver. Only the
-   documented [Invalid_argument] may escape either path — and the two
-   paths must agree on whether they reject. *)
+   the flat EP must stay bit-identical to the reference list DP over the
+   weight order. Only the documented [Invalid_argument] may escape
+   either path — and the two paths must agree on whether they reject. *)
 let test_flat_arena_fuzz () =
   let rng = Prob.Rng.create ~seed:0xF0223 in
   let arena = Flat.create () in
@@ -118,8 +118,8 @@ let test_flat_arena_fuzz () =
       Alcotest.failf "Instance.of_string (seed %d) escaped with %s on %S" case
         (Printexc.to_string e) (escape input)
     | inst ->
-      let legacy =
-        match Solver.solve Solver.Greedy inst with
+      let reference =
+        match Order_dp.solve inst ~order:(Instance.weight_order inst) with
         | o -> Ok o
         | exception Invalid_argument msg -> Error msg
       in
@@ -131,19 +131,19 @@ let test_flat_arena_fuzz () =
           Alcotest.failf "flat greedy (seed %d) escaped with %s on %S" case
             (Printexc.to_string e) (escape input)
       in
-      (match (legacy, flat) with
+      (match (reference, flat) with
        | Ok l, Ok f ->
-         if l.Solver.expected_paging <> f.Solver.expected_paging then
+         if l.Order_dp.expected_paging <> f.Solver.expected_paging then
            Alcotest.failf
-             "flat/legacy EP diverge (seed %d): %.17g vs %.17g on %S" case
-             l.Solver.expected_paging f.Solver.expected_paging (escape input)
+             "flat/reference EP diverge (seed %d): %.17g vs %.17g on %S" case
+             l.Order_dp.expected_paging f.Solver.expected_paging (escape input)
        | Error _, Error _ -> ()
        | Ok _, Error msg ->
-         Alcotest.failf "flat rejects what legacy accepts (seed %d): %s" case
-           msg
+         Alcotest.failf "flat rejects what the reference accepts (seed %d): %s"
+           case msg
        | Error msg, Ok _ ->
-         Alcotest.failf "flat accepts what legacy rejects (seed %d): %s" case
-           msg)
+         Alcotest.failf "flat accepts what the reference rejects (seed %d): %s"
+           case msg)
   done
 
 (* -------------------- journal loader -------------------- *)
@@ -194,7 +194,7 @@ let test_journal_fuzz () =
 (* -------------------- serve protocol -------------------- *)
 
 (* The daemon's parse path must be total: any byte string into
-   [Serve.Json.parse] or [Serve.Proto.decode] returns a result — no
+   [Wire.Json.parse] or [Wire.Proto.decode] returns a result — no
    exception of any kind may escape (the connection loop relies on
    this to turn bad frames into ["error"] responses). *)
 
@@ -210,21 +210,21 @@ let valid_frame_string rng =
        \"seed\": %d}"
       (Prob.Rng.int rng 1000) (Prob.Rng.int rng 100)
   | 2 ->
-    Serve.Json.to_string
-      (Serve.Json.Obj
-         [ ("id", Serve.Json.Str (Printf.sprintf "f%d" (Prob.Rng.int rng 1000)));
-           ("op", Serve.Json.Str "solve");
-           ("instance", Serve.Json.Str inst);
-           ("budget_ms", Serve.Json.Num (1.0 +. Prob.Rng.unit_float rng));
+    Wire.Json.to_string
+      (Wire.Json.Obj
+         [ ("id", Wire.Json.Str (Printf.sprintf "f%d" (Prob.Rng.int rng 1000)));
+           ("op", Wire.Json.Str "solve");
+           ("instance", Wire.Json.Str inst);
+           ("budget_ms", Wire.Json.Num (1.0 +. Prob.Rng.unit_float rng));
          ])
   | _ ->
-    Serve.Json.to_string
-      (Serve.Json.Obj
-         [ ("id", Serve.Json.Str (Printf.sprintf "f%d" (Prob.Rng.int rng 1000)));
-           ("op", Serve.Json.Str "solve");
-           ("instance", Serve.Json.Str inst);
-           ("solver", Serve.Json.Str "greedy");
-           ("cache", Serve.Json.Bool false);
+    Wire.Json.to_string
+      (Wire.Json.Obj
+         [ ("id", Wire.Json.Str (Printf.sprintf "f%d" (Prob.Rng.int rng 1000)));
+           ("op", Wire.Json.Str "solve");
+           ("instance", Wire.Json.Str inst);
+           ("solver", Wire.Json.Str "greedy");
+           ("cache", Wire.Json.Bool false);
          ])
 
 let test_protocol_fuzz () =
@@ -236,11 +236,11 @@ let test_protocol_fuzz () =
       | 1 -> random_texty rng (Prob.Rng.int rng 400)
       | _ -> mutate_n rng (valid_frame_string rng)
     in
-    (match Serve.Json.parse input with
+    (match Wire.Json.parse input with
      | Ok j ->
        (* whatever parses must re-emit to a reparseable equal value *)
-       let s = Serve.Json.to_string j in
-       (match Serve.Json.parse s with
+       let s = Wire.Json.to_string j in
+       (match Wire.Json.parse s with
         | Ok j2 when j2 = j -> ()
         | Ok _ ->
           Alcotest.failf "Json print/reparse not fixed-point on %S"
@@ -252,7 +252,7 @@ let test_protocol_fuzz () =
      | exception e ->
        Alcotest.failf "Json.parse (case %d) escaped with %s on %S" case
          (Printexc.to_string e) (escape input));
-    match Serve.Proto.decode input with
+    match Wire.Proto.decode input with
     | Ok _ | Error _ -> ()
     | exception e ->
       Alcotest.failf "Proto.decode (case %d) escaped with %s on %S" case
@@ -326,10 +326,10 @@ let test_connection_survives_garbage () =
         Buffer.add_string buf (String.sub s start (String.length s - start))
       | Some i ->
         let line = String.sub s start (i - start) in
-        (match Serve.Json.parse line with
+        (match Wire.Json.parse line with
          | Ok j ->
            if
-             Option.bind (Serve.Json.member "id" j) Serve.Json.to_str
+             Option.bind (Wire.Json.member "id" j) Wire.Json.to_str
              = Some "fuzz-done"
            then done_ := true
          | Error e ->

@@ -15,7 +15,7 @@
 
 open Confcall
 module Sv = Serve.Server
-module J = Serve.Json
+module J = Wire.Json
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -269,26 +269,26 @@ let test_ladder () =
 
 let test_proto_decode () =
   let ok s =
-    match Serve.Proto.decode s with
+    match Wire.Proto.decode s with
     | Ok f -> f
     | Error (_, e) -> Alcotest.failf "decode %S failed: %s" s e
   in
   let err s =
-    match Serve.Proto.decode s with
+    match Wire.Proto.decode s with
     | Ok _ -> Alcotest.failf "decode %S unexpectedly succeeded" s
     | Error (id, _) -> id
   in
   let f = ok "{\"id\": \"a\", \"op\": \"health\"}" in
-  check bool_t "health" true (f.Serve.Proto.req = Serve.Proto.Health);
+  check bool_t "health" true (f.Wire.Proto.req = Wire.Proto.Health);
   let f =
     ok
       "{\"id\": \"s\", \"op\": \"solve\", \"instance\": \"1 1 1\\n1\\n\", \
        \"budget_ms\": 5}"
   in
-  (match f.Serve.Proto.req with
-   | Serve.Proto.Solve sr ->
-     check bool_t "budget decoded" true (sr.Serve.Proto.budget_ms = Some 5.0);
-     check bool_t "cache defaults on" true sr.Serve.Proto.cache
+  (match f.Wire.Proto.req with
+   | Wire.Proto.Solve sr ->
+     check bool_t "budget decoded" true (sr.Wire.Proto.budget_ms = Some 5.0);
+     check bool_t "cache defaults on" true sr.Wire.Proto.cache
    | _ -> Alcotest.fail "not a solve");
   check bool_t "id recovered from bad frame" true
     (err "{\"id\": \"x\", \"op\": \"nope\"}" = Some "x");

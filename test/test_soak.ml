@@ -264,15 +264,15 @@ let run_serve_burst ~chaos () =
         match Prob.Rng.int rng 3 with 0 -> 1.0 | 1 -> 5.0 | _ -> 20.0
       in
       send
-        (Serve.Json.to_string
-           (Serve.Json.Obj
+        (Wire.Json.to_string
+           (Wire.Json.Obj
               [
-                ("id", Serve.Json.Str (Printf.sprintf "s%d" i));
-                ("op", Serve.Json.Str "solve");
-                ("instance", Serve.Json.Str (Instance.to_string inst));
-                ("chain", Serve.Json.Str "default");
-                ("budget_ms", Serve.Json.Num budget_ms);
-                ("cache", Serve.Json.Bool chaos);
+                ("id", Wire.Json.Str (Printf.sprintf "s%d" i));
+                ("op", Wire.Json.Str "solve");
+                ("instance", Wire.Json.Str (Instance.to_string inst));
+                ("chain", Wire.Json.Str "default");
+                ("budget_ms", Wire.Json.Num budget_ms);
+                ("cache", Wire.Json.Bool chaos);
               ]))
     done
   in
@@ -301,10 +301,10 @@ let run_serve_burst ~chaos () =
         Buffer.add_string buf (String.sub s start (String.length s - start))
       | Some i ->
         let line = String.sub s start (i - start) in
-        (match Serve.Json.parse line with
+        (match Wire.Json.parse line with
          | Error e -> Alcotest.failf "non-JSON response %S (%s)" line e
          | Ok j ->
-           let str k = Option.bind (Serve.Json.member k j) Serve.Json.to_str in
+           let str k = Option.bind (Wire.Json.member k j) Wire.Json.to_str in
            (match str "id" with
             | Some id ->
               Hashtbl.replace seen id
