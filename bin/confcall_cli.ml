@@ -1427,26 +1427,18 @@ let serve_cmd =
 
 (* --endpoints wins over --port/--socket; each entry is PORT, tcp:PORT,
    unix:PATH or a bare socket path (see {!Client.endpoint_of_string}). *)
-let loadgen_targets endpoints port socket =
+let endpoints_of_flags cmd endpoints port socket =
   match endpoints with
   | Some s -> (
     match Client.endpoints_of_string s with
-    | Error msg -> invalid_arg ("loadgen: " ^ msg)
-    | Ok eps ->
-      List.map
-        (function
-          | Client.Tcp p -> Serve.Loadgen.Tcp p
-          | Client.Unix_path p -> Serve.Loadgen.Unix_path p)
-        eps)
-  | None -> (
-    match listen_of_flags port socket with
-    | Serve.Server.Tcp p -> [ Serve.Loadgen.Tcp p ]
-    | Serve.Server.Unix_path p -> [ Serve.Loadgen.Unix_path p ])
+    | Error msg -> invalid_arg (cmd ^ ": " ^ msg)
+    | Ok eps -> eps)
+  | None -> [ listen_of_flags port socket ]
 
 let loadgen port socket endpoints rate requests budget_ms solver chain m c d
     instances connections seed cache timeout retries hedge_after_ms json =
   guard @@ fun () ->
-  let targets = loadgen_targets endpoints port socket in
+  let targets = endpoints_of_flags "loadgen" endpoints port socket in
   let opts =
     {
       Serve.Loadgen.rate;
@@ -1656,17 +1648,7 @@ let call path endpoints port socket retries hedge_after_ms deadline_ms
     budget_ms solver chain objective no_cache request_id json =
   guard @@ fun () ->
   let inst = read_instance path in
-  let eps =
-    match endpoints with
-    | Some s -> (
-      match Client.endpoints_of_string s with
-      | Error msg -> invalid_arg ("call: " ^ msg)
-      | Ok eps -> eps)
-    | None -> (
-      match listen_of_flags port socket with
-      | Serve.Server.Tcp p -> [ Client.Tcp p ]
-      | Serve.Server.Unix_path p -> [ Client.Unix_path p ])
-  in
+  let eps = endpoints_of_flags "call" endpoints port socket in
   if not (Float.is_finite deadline_ms) || deadline_ms <= 0.0 then
     invalid_arg "call: --deadline-ms must be positive";
   let cl =

@@ -727,22 +727,8 @@ let run config =
               (* Re-rank the candidate pool by worst-case EP over the
                  age-inflated per-row ball, like the robust-<eps>
                  solver but with radii from the residence-time model. *)
-              let ball = staleness_ball () in
-              let best = ref None in
-              List.iter
-                (fun cand ->
-                  match Solver.solve cand inst with
-                  | outcome ->
-                    let r =
-                      Uncertainty.robust_ep ball inst outcome.Solver.strategy
-                    in
-                    (match !best with
-                     | Some (_, r') when r' <= r -> ()
-                     | _ -> best := Some (outcome.Solver.strategy, r))
-                  | exception Invalid_argument _ -> ())
-                Solver.robust_candidates;
-              (match !best with
-               | Some (s, _) -> s
+              (match Solver.most_robust (staleness_ball ()) inst with
+               | Some o -> o.Solver.strategy
                | None -> (Greedy.solve inst).Order_dp.strategy)
             | Selective _ | Selective_diffuse _ | Selective_aged _ ->
               (match plan_budget_ms with

@@ -177,7 +177,7 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
       objective;
       budget_ms;
       winner;
-      stages = List.rev stages;
+      stages;
       total_ms;
       quality;
       robust;
@@ -211,173 +211,115 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
                    outcome.Solver.strategy)
          with Invalid_argument _ -> Some infinity)
     in
-    let rec go best stages = function
-      | [] ->
-        (match best with
-         | Some (spec, outcome, _) ->
-           finish ~stages ~winner:(Some (spec, outcome)) ~failure:None
-         | None ->
-           let failure =
-             if
-               List.exists
-                 (fun s -> s.status = Failed Timeout)
-                 stages
-             then Timeout
-             else Internal "fallback chain exhausted without a result"
-           in
-           finish ~stages ~winner:None ~failure:(Some failure))
-      | spec :: rest ->
-        let t0 = clock () in
-        let overdue =
-          match deadline with Some d -> t0 >= d | None -> false
-        in
-        if overdue && not (always_fast spec) then
-          let stage =
-            { spec; status = Failed Timeout; elapsed_ms = 0.0;
-              expected_paging = None; robust_ep = None; raced = false }
-          in
-          (obs_record_stage stage;
-           go best (stage :: stages) rest)
-        else begin
-          (* Fresh token per stage: a token fired during one stage must
-             not instantly cancel the next. Overdue fast stages get the
-             grace window; [Page_all] is O(m·c) and runs untokened. *)
-          let cancel =
-            match (spec, deadline) with
-            | Solver.Page_all, _ | _, None -> Cancel.never
-            | _, Some d ->
-              let d = if overdue then clock () +. (grace_ms /. 1000.0) else d in
-              Cancel.deadline ~clock d
-          in
-          let result =
-            Obs.span ~parent:run_sp ("stage:" ^ Solver.spec_to_string spec)
-            @@ fun _sp ->
-            match Solver.solve ~objective ~cancel ~unguarded ?arena spec inst with
-            | outcome ->
-              if Cancel.cancelled cancel then Ok (Degraded, outcome)
-              else Ok (Completed, outcome)
-            | exception Cancel.Cancelled -> Error Timeout
-            | exception Invalid_argument msg -> Error (Inapplicable msg)
-            | exception exn -> Error (Internal (Printexc.to_string exn))
-          in
-          let elapsed_ms = (clock () -. t0) *. 1000.0 in
-          match result with
-          | Ok (status, outcome) ->
-            let rscore = robust_score outcome in
-            let stage =
-              { spec; status; elapsed_ms;
-                expected_paging = Some outcome.Solver.expected_paging;
-                robust_ep = rscore; raced = false }
-            in
-            obs_record_stage stage;
-            (match uncertainty with
-             | None ->
-               finish ~stages:(stage :: stages)
-                 ~winner:(Some (spec, outcome)) ~failure:None
-             | Some _ ->
-               (* Re-ranking mode: keep going and remember the stage
-                  with the best certified worst case (first wins ties —
-                  earlier chain entries are the stronger methods). *)
-               let r = Option.value rscore ~default:infinity in
-               let best' =
-                 match best with
-                 | Some (_, _, r') when r' <= r -> best
-                 | _ -> Some (spec, outcome, r)
-               in
-               go best' (stage :: stages) rest)
-          | Error err ->
-            let stage =
-              { spec; status = Failed err; elapsed_ms;
-                expected_paging = None; robust_ep = None; raced = false }
-            in
-            obs_record_stage stage;
-            go best (stage :: stages) rest
-        end
+    let record ~raced spec status elapsed_ms result =
+      let stage =
+        { spec; status; elapsed_ms;
+          expected_paging =
+            Option.map (fun (o, _) -> o.Solver.expected_paging) result;
+          robust_ep = Option.bind result snd; raced }
+      in
+      obs_record_stage stage;
+      (stage, result)
     in
-    (* Raced execution: all stages of the chain run concurrently on the
-       pool; in first-success mode the winner is the minimum-chain-index
-       success — exactly the stage the sequential loop would have chosen
-       — so a success at index i makes every j > i a definitive loser,
-       and we flip their lose flags the moment i completes. Stages
-       before i keep running: one of them may still succeed and take the
-       win. In re-ranking (uncertainty) mode every candidate's score is
-       needed, so nothing is cancelled early. Each task polls its flag
-       through its own [Cancel] token; losers unwind within one poll
-       interval. *)
-    let run_raced pool =
+    (* The one stage executor, shared by both schedules. [lose] is the
+       raced stage's loser flag; without it the stage runs in the
+       calling domain on the caller's arena. Overdue expensive stages are
+       skipped. Each stage gets a fresh token — one fired during one
+       stage must not instantly cancel the next — that ORs the loser
+       flag with the deadline, or with the grace window once overdue.
+       [Page_all] is the O(m·c) baseline the budget+grace guarantee
+       leans on and always runs untokened. *)
+    let run_stage ?lose spec =
+      let raced = Option.is_some lose in
+      let t0 = clock () in
+      let overdue = match deadline with Some d -> t0 >= d | None -> false in
+      if overdue && not (always_fast spec) then
+        record ~raced spec (Failed Timeout) 0.0 None
+      else begin
+        let lost () = match lose with Some l -> Atomic.get l | None -> false in
+        let cancel =
+          match (spec, deadline, lose) with
+          | Solver.Page_all, _, _ | _, None, None -> Cancel.never
+          | _, None, Some _ -> Cancel.of_probe lost
+          | _, Some d, _ ->
+            let d = if overdue then clock () +. (grace_ms /. 1000.0) else d in
+            Cancel.of_probe (fun () -> lost () || clock () >= d)
+        in
+        let arena = if raced then None else arena in
+        let result =
+          Obs.span ~parent:run_sp ("stage:" ^ Solver.spec_to_string spec)
+          @@ fun _sp ->
+          match Solver.solve ~objective ~cancel ~unguarded ?arena spec inst with
+          | outcome ->
+            if Cancel.cancelled cancel then Ok (Degraded, outcome)
+            else Ok (Completed, outcome)
+          | exception Cancel.Cancelled -> Error Timeout
+          | exception Invalid_argument msg -> Error (Inapplicable msg)
+          | exception exn -> Error (Internal (Printexc.to_string exn))
+        in
+        let elapsed_ms = (clock () -. t0) *. 1000.0 in
+        match result with
+        | Ok (status, outcome) ->
+          record ~raced spec status elapsed_ms
+            (Some (outcome, robust_score outcome))
+        | Error err -> record ~raced spec (Failed err) elapsed_ms None
+      end
+    in
+    (* Winner and failure from the chain-ordered stage results: the
+       least worst-case EP, ties to the earlier (stronger) chain entry.
+       Without [?uncertainty] every score is [infinity], so that is the
+       first success. *)
+    let conclude results =
+      let stages = List.map fst results in
+      let best =
+        List.fold_left
+          (fun best ((s : stage_report), result) ->
+            match result with
+            | None -> best
+            | Some (outcome, rscore) ->
+              let r = Option.value rscore ~default:infinity in
+              (match best with
+               | Some (_, _, r') when r' <= r -> best
+               | _ -> Some (s.spec, outcome, r)))
+          None results
+      in
+      match best with
+      | Some (spec, outcome, _) ->
+        finish ~stages ~winner:(Some (spec, outcome)) ~failure:None
+      | None ->
+        let failure =
+          if List.exists (fun s -> s.status = Failed Timeout) stages then
+            Timeout
+          else Internal "fallback chain exhausted without a result"
+        in
+        finish ~stages ~winner:None ~failure:(Some failure)
+    in
+    (* In first-success mode a success settles the run; re-ranking
+       needs every stage's score. *)
+    let decisive (_, result) =
+      Option.is_some result && Option.is_none uncertainty
+    in
+    let rec sequential acc = function
+      | [] -> List.rev acc
+      | spec :: rest ->
+        let r = run_stage spec in
+        if decisive r then List.rev (r :: acc) else sequential (r :: acc) rest
+    in
+    (* Raced schedule: every stage starts concurrently on the pool. A
+       decisive success at index i makes every j > i a definitive loser,
+       so their lose flags flip the moment i completes; stages before i
+       keep running, as one of them may still take the win. *)
+    let raced pool =
       let chain_arr = Array.of_list chain in
       let n = Array.length chain_arr in
       let lose = Array.init n (fun _ -> Atomic.make false) in
-      let on_success i =
-        if Option.is_none uncertainty then
+      let run_one i =
+        let r = run_stage ~lose:lose.(i) chain_arr.(i) in
+        if decisive r then
           for j = i + 1 to n - 1 do
             Atomic.set lose.(j) true
-          done
-      in
-      let run_one i =
-        let spec = chain_arr.(i) in
-        let t0 = clock () in
-        let overdue =
-          match deadline with Some d -> t0 >= d | None -> false
-        in
-        if overdue && not (always_fast spec) then begin
-          let stage =
-            { spec; status = Failed Timeout; elapsed_ms = 0.0;
-              expected_paging = None; robust_ep = None; raced = true }
-          in
-          obs_record_stage stage;
-          (stage, None)
-        end
-        else begin
-          let lose_probe () = Atomic.get lose.(i) in
-          let cancel =
-            (* Same per-stage token policy as the sequential loop, with
-               the lose flag OR-ed into the probe. [Page_all] stays
-               untokened: it is the O(m·c) baseline whose completion the
-               budget+grace guarantee leans on. *)
-            match (spec, deadline) with
-            | Solver.Page_all, _ -> Cancel.never
-            | _, None -> Cancel.of_probe lose_probe
-            | _, Some d ->
-              let d =
-                if overdue then clock () +. (grace_ms /. 1000.0) else d
-              in
-              Cancel.of_probe (fun () -> lose_probe () || clock () >= d)
-          in
-          let result =
-            Obs.span ~parent:run_sp ("stage:" ^ Solver.spec_to_string spec)
-            @@ fun _sp ->
-            (* Raced stages run on pool domains: without [?arena] each
-               solves on its own domain's arena, so concurrent stages
-               never share scratch. *)
-            match Solver.solve ~objective ~cancel ~unguarded spec inst with
-            | outcome ->
-              on_success i;
-              if Cancel.cancelled cancel then Ok (Degraded, outcome)
-              else Ok (Completed, outcome)
-            | exception Cancel.Cancelled -> Error Timeout
-            | exception Invalid_argument msg -> Error (Inapplicable msg)
-            | exception exn -> Error (Internal (Printexc.to_string exn))
-          in
-          let elapsed_ms = (clock () -. t0) *. 1000.0 in
-          match result with
-          | Ok (status, outcome) ->
-            let rscore = robust_score outcome in
-            let stage =
-              { spec; status; elapsed_ms;
-                expected_paging = Some outcome.Solver.expected_paging;
-                robust_ep = rscore; raced = true }
-            in
-            obs_record_stage stage;
-            (stage, Some (outcome, rscore))
-          | Error err ->
-            let stage =
-              { spec; status = Failed err; elapsed_ms;
-                expected_paging = None; robust_ep = None; raced = true }
-            in
-            obs_record_stage stage;
-            (stage, None)
-        end
+          done;
+        r
       in
       (* [run_all], not [map]: a stage crashing its domain (chaos seam,
          stack overflow in a solver) must fail only that stage. The
@@ -394,67 +336,20 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
               { deadline_s = d; grace_s = grace_ms /. 1000.0;
                 cancel = (fun () -> Atomic.set lose.(i) true) }
       in
-      let results =
-        Exec.Pool.run_all pool ~guard run_one (Array.init n Fun.id)
-        |> Array.mapi (fun i -> function
-          | Ok r -> r
-          | Error e ->
-            (* The stage never published: its domain died mid-flight.
-               Surface it through the ordinary taxonomy. *)
-            let stage =
-              { spec = chain_arr.(i);
-                status = Failed (Internal (Printexc.to_string e));
-                elapsed_ms = 0.0; expected_paging = None;
-                robust_ep = None; raced = true }
-            in
-            obs_record_stage stage;
-            (stage, None))
-      in
-      let stages_rev =
-        Array.fold_left (fun acc (s, _) -> s :: acc) [] results
-      in
-      let winner =
-        match uncertainty with
-        | None ->
-          (* First (minimum-index) success, as the sequential chain. *)
-          let rec first i =
-            if i >= n then None
-            else
-              match results.(i) with
-              | _, Some (outcome, _) -> Some (chain_arr.(i), outcome)
-              | _, None -> first (i + 1)
-          in
-          first 0
-        | Some _ ->
-          (* Re-rank by worst-case EP; ties to the earlier chain entry
-             (the iteration order makes [<=] keep the incumbent). *)
-          let best = ref None in
-          Array.iteri
-            (fun i (_, r) ->
-              match r with
-              | None -> ()
-              | Some (outcome, rscore) ->
-                let r = Option.value rscore ~default:infinity in
-                (match !best with
-                 | Some (_, _, r') when r' <= r -> ()
-                 | _ -> best := Some (chain_arr.(i), outcome, r)))
-            results;
-          Option.map (fun (spec, outcome, _) -> (spec, outcome)) !best
-      in
-      match winner with
-      | Some w -> finish ~stages:stages_rev ~winner:(Some w) ~failure:None
-      | None ->
-        let failure =
-          if
-            List.exists (fun s -> s.status = Failed Timeout) stages_rev
-          then Timeout
-          else Internal "fallback chain exhausted without a result"
-        in
-        finish ~stages:stages_rev ~winner:None ~failure:(Some failure)
+      Exec.Pool.run_all pool ~guard run_one (Array.init n Fun.id)
+      |> Array.mapi (fun i -> function
+        | Ok r -> r
+        | Error e ->
+          (* The stage never published: its domain died mid-flight.
+             Surface it through the ordinary taxonomy. *)
+          record ~raced:true chain_arr.(i)
+            (Failed (Internal (Printexc.to_string e))) 0.0 None)
+      |> Array.to_list
     in
-    (match pool with
-     | Some p when Exec.Pool.size p > 1 -> run_raced p
-     | Some _ | None -> go None [] chain)
+    conclude
+      (match pool with
+       | Some p when Exec.Pool.size p > 1 -> raced p
+       | Some _ | None -> sequential [] chain)
 
 let solve ?objective ?budget_ms ?grace_ms ?clock ?chain ?uncertainty ?pool
     ?arena inst =

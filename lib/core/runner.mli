@@ -96,6 +96,13 @@ val chain_of_string : string -> (Solver.spec list, string) result
 
 val chain_to_string : Solver.spec list -> string
 
+(** [always_fast spec] holds for the stages cheap enough to run after
+    the deadline, inside the grace window: [Greedy], [Page_all],
+    [Within_order] and [Bandwidth_limited] (polynomial, small
+    constants). {!run} skips every other stage once the budget is gone;
+    the daemon's load-shedding ladder keeps the same set. *)
+val always_fast : Solver.spec -> bool
+
 (** [run ?objective ?budget_ms ?grace_ms ?clock ?ensure_baseline ?chain
     inst] executes the chain best-first and returns the full report.
 
@@ -103,8 +110,7 @@ val chain_to_string : Solver.spec list -> string
     the start of the run. A stage started before the deadline runs with
     a cancellation token on it; once the deadline has passed, remaining
     expensive stages are skipped (recorded as [Failed Timeout]) and only
-    the always-fast ones ([Greedy], [Page_all], [Within_order],
-    [Bandwidth_limited]) still run, under a [grace_ms] token (default
+    the {!always_fast} ones still run, under a [grace_ms] token (default
     100 ms). Without a budget no token is armed and the exact methods
     keep their size guards; with a budget the guards are lifted — the
     deadline, not the guard, bounds the work.
@@ -124,22 +130,27 @@ val chain_to_string : Solver.spec list -> string
     are unchanged — overdue expensive stages are still skipped, so the
     run degrades to re-ranking whatever candidates fit the budget.
 
-    With [?pool] of more than one domain, the chain's stages {e race}:
-    all of them start concurrently on the pool, and in first-success
-    mode the winner is the minimum-chain-index success — the same stage
-    the sequential loop chooses, since a success at index i makes every
+    With [?pool] of more than one domain, the chain's stages {e race}.
+    Both modes run every stage through one stage executor (the overdue
+    skip, the per-stage token, the error taxonomy, the stage report)
+    and pick the winner with one rule; only the schedule differs. The
+    sequential schedule runs the stages in chain order and, in
+    first-success mode, stops at the first success. The raced schedule
+    starts all of them concurrently on the pool; in first-success mode
+    the winner is still the minimum-chain-index success — the stage the
+    sequential schedule chooses, since a success at index i makes every
     later stage a definitive loser regardless of what the earlier ones
     do. Losers are cancelled through their [Cancel] tokens the moment a
     better-or-equal stage completes, and unwind within one poll
     interval (anytime stages return best-so-far as [Degraded]). In
     re-ranking mode all stages run to their own end — every candidate's
     score is needed. Stage reports carry [raced = true]; the report is
-    otherwise unchanged in shape, and with the default (or any
-    one-domain) pool the sequential code path runs bit-identically.
-    Wall-clock under a budget is still bounded by budget + grace: every
-    raced token also watches the shared deadline. [clock], when
-    overridden together with [?pool], is called from several domains
-    and must be thread-safe (the default {!Cancel.now} is).
+    otherwise unchanged in shape. The default (or any one-domain) pool
+    takes the sequential schedule. Wall-clock under a budget is still
+    bounded by budget + grace: every raced token also watches the
+    shared deadline. [clock], when overridden together with [?pool], is
+    called from several domains and must be thread-safe (the default
+    {!Cancel.now} is).
 
     [?arena] names the {!Flat} scratch arena the sequential stages
     reuse (see {!Solver.solve}); it defaults to the calling domain's

@@ -96,22 +96,26 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
       exact = true;
     }
   | Robust { eps; tv } ->
-    let u = Uncertainty.uniform ~tv eps in
-    let best = ref None in
-    List.iter
-      (fun cand ->
-         Option.iter Cancel.check cancel;
-         match solve ?objective ?cancel ?unguarded ~arena cand inst with
-         | outcome ->
-           let r = Uncertainty.robust_ep ?objective u inst outcome.strategy in
-           (match !best with
-            | Some (_, r') when r' <= r -> ()
-            | _ -> best := Some (outcome, r))
-         | exception Invalid_argument _ -> ())
-      robust_candidates;
-    (match !best with
-     | Some (outcome, _) -> { outcome with exact = false }
+    (match
+       most_robust ?objective ?cancel ~arena (Uncertainty.uniform ~tv eps)
+         inst
+     with
+     | Some outcome -> { outcome with exact = false }
      | None -> invalid_arg "Solver: no robust candidate applies")
+
+and most_robust ?objective ?cancel ?arena u inst =
+  List.fold_left
+    (fun best cand ->
+      Option.iter Cancel.check cancel;
+      match solve ?objective ?cancel ?arena cand inst with
+      | outcome ->
+        let r = Uncertainty.robust_ep ?objective u inst outcome.strategy in
+        (match best with
+         | Some (_, r') when r' <= r -> best
+         | _ -> Some (outcome, r))
+      | exception Invalid_argument _ -> best)
+    None robust_candidates
+  |> Option.map fst
 
 let spec_of_string s =
   match String.lowercase_ascii s with

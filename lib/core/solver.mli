@@ -50,6 +50,22 @@ val solve :
   Instance.t ->
   outcome
 
+(** [most_robust ?objective ?cancel ?arena u inst] solves each of
+    {!robust_candidates} in order and returns the outcome whose strategy
+    has the least worst-case EP over the ball [u]
+    ({!Uncertainty.robust_ep}); ties go to the earlier (stronger)
+    candidate. A candidate that does not apply is skipped; [None] when
+    none applies. [Robust] is this over {!Uncertainty.uniform}; the
+    simulator's robust scheme runs it over an age-inflated ball.
+    @raise Cancel.Cancelled when [cancel] fires between candidates. *)
+val most_robust :
+  ?objective:Objective.t ->
+  ?cancel:Cancel.t ->
+  ?arena:Flat.t ->
+  Uncertainty.t ->
+  Instance.t ->
+  outcome option
+
 val spec_of_string : string -> (spec, string) result
 val spec_to_string : spec -> string
 

@@ -1,6 +1,6 @@
 open Confcall
 
-type target = Tcp of int | Unix_path of string
+type target = Client.endpoint = Tcp of int | Unix_path of string
 
 type opts = {
   rate : float;
@@ -371,17 +371,10 @@ let max_concurrent_calls = 256
 
 let run_resilient targets o =
   let w = make_workload o in
-  let endpoints =
-    List.map
-      (function
-        | Tcp p -> Client.Tcp p
-        | Unix_path p -> Client.Unix_path p)
-      targets
-  in
   let cl =
     Client.create
       {
-        endpoints;
+        endpoints = targets;
         retry = { Client.Retry.default with max_retries = o.retries };
         budget_ms = Some (o.timeout_s *. 1000.0);
         hedge_after_ms = o.hedge_after_ms;

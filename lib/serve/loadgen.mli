@@ -27,7 +27,9 @@
       outcome; the summary reports how it got there ([retried],
       [failed_over], [hedge_wins]). *)
 
-type target = Tcp of int  (** loopback *) | Unix_path of string
+type target = Client.endpoint =
+  | Tcp of int  (** loopback *)
+  | Unix_path of string
 
 type opts = {
   rate : float;  (** offered load, requests/second *)

@@ -1,6 +1,6 @@
 open Confcall
 
-type listen = Tcp of int | Unix_path of string
+type listen = Client.endpoint = Tcp of int | Unix_path of string
 
 type config = {
   listen : listen;
@@ -53,27 +53,21 @@ let ladder_of_depth ~capacity depth =
   else if depth * 4 < capacity * 3 then Heuristic
   else Fast
 
-(* Mirrors the runner's always-fast set: stages that run even after a
-   deadline has passed, under the grace token. *)
-let is_fast = function
-  | Solver.Greedy | Solver.Page_all | Solver.Within_order _
-  | Solver.Bandwidth_limited _ ->
-    true
-  | _ -> false
-
 let apply_ladder ladder chain =
   match ladder with
   | Full -> (chain, false)
   | Heuristic ->
     let kept =
-      List.filter (fun s -> is_fast s || s = Solver.Local_search) chain
+      List.filter
+        (fun s -> Runner.always_fast s || s = Solver.Local_search)
+        chain
     in
     let kept =
       if kept = [] then Solver.[ Local_search; Greedy ] else kept
     in
     (kept, kept <> chain)
   | Fast ->
-    let kept = List.filter is_fast chain in
+    let kept = List.filter Runner.always_fast chain in
     let kept = if kept = [] then [ Solver.Greedy ] else kept in
     (kept, kept <> chain)
 
@@ -523,7 +517,8 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
        Under load the ladder swaps an expensive method for greedy. *)
     let requested = Option.value spec ~default:Solver.Greedy in
     let effective, downgraded =
-      if job.ladder = Full || is_fast requested then (requested, false)
+      if job.ladder = Full || Runner.always_fast requested then
+        (requested, false)
       else (Solver.Greedy, true)
     in
     match Solver.solve ~objective effective inst with

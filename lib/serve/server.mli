@@ -52,7 +52,9 @@
     text exposition). [serve_*] counters/gauges cover requests by
     status, sheds, ladder occupancy, queue depth and cache traffic. *)
 
-type listen = Tcp of int  (** loopback; port 0 picks one *) | Unix_path of string
+type listen = Client.endpoint =
+  | Tcp of int  (** loopback; port 0 picks one *)
+  | Unix_path of string
 
 type config = {
   listen : listen;

@@ -342,6 +342,99 @@ let test_differential_uncertainty () =
           (robust_ep seq = robust_ep par)
       done)
 
+(* Overdue chains: a fake clock that reads the wall time at the run's
+   start and then jumps far past the deadline and stays there. Every
+   expensive stage is skipped as [Failed Timeout] with no elapsed time,
+   the fast ones run under a grace token that never fires, so both
+   schedules are deterministic and must report the same stages. The
+   clock is shared by the raced stages' domains, hence the atomic. The
+   pool's watchdog compares the wall clock with the run's deadline
+   plus grace; starting at the wall time and a long grace keep it from
+   cancelling a raced stage on a slow host. *)
+let jumping_clock () =
+  let reads = Atomic.make 0 in
+  let start = Cancel.now () in
+  fun () ->
+    if Atomic.fetch_and_add reads 1 = 0 then start else start +. 1000.0
+
+let expensive = function
+  | Solver.Best_exact | Solver.Branch_and_bound | Solver.Local_search -> true
+  | _ -> false
+
+let stage_key (s : Runner.stage_report) =
+  let bits = Option.map Int64.bits_of_float in
+  ( Solver.spec_to_string s.Runner.spec,
+    Runner.stage_status_to_string s.Runner.status,
+    bits s.Runner.expected_paging,
+    bits s.Runner.robust_ep )
+
+let winner_bits (r : Runner.run_report) =
+  Option.map
+    (fun (spec, o) ->
+      ( Solver.spec_to_string spec,
+        Int64.bits_of_float o.Solver.expected_paging,
+        o.Solver.strategy ))
+    r.Runner.winner
+
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+let test_overdue_same_report () =
+  let rng = Prob.Rng.create ~seed:9091 in
+  let chain =
+    Solver.
+      [ Best_exact; Greedy; Branch_and_bound; Bandwidth_limited 2;
+        Local_search; Page_all ]
+  in
+  Exec.Pool.with_pool ~domains:4 (fun pool ->
+      for case = 1 to 20 do
+        let m = 1 + Prob.Rng.int rng 3 in
+        (* Large enough that the fast stages poll their tokens: a raced
+           stage without the grace window would time out. *)
+        let c = 100 + Prob.Rng.int rng 200 in
+        let d = 2 + Prob.Rng.int rng 3 in
+        let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
+        let name = Printf.sprintf "overdue case %d" case in
+        let run ?uncertainty ?pool () =
+          Runner.run ~budget_ms:10.0 ~grace_ms:60_000.0
+            ~clock:(jumping_clock ()) ~chain ?uncertainty ?pool inst
+        in
+        (* Re-ranking: every stage is reported, identically. *)
+        let uncertainty = Uncertainty.uniform 0.01 in
+        let seq = run ~uncertainty () and par = run ~uncertainty ~pool () in
+        check bool_t (name ^ ": same stages") true
+          (List.map stage_key seq.Runner.stages
+           = List.map stage_key par.Runner.stages);
+        check bool_t (name ^ ": same winner") true
+          (winner_bits seq = winner_bits par);
+        check bool_t (name ^ ": a fast stage wins") true
+          (match seq.Runner.winner with
+           | Some (spec, _) -> Runner.always_fast spec
+           | None -> false);
+        List.iter
+          (fun (s : Runner.stage_report) ->
+            if expensive s.Runner.spec then begin
+              check bool_t (name ^ ": expensive stage timed out") true
+                (s.Runner.status = Runner.Failed Runner.Timeout);
+              check bool_t (name ^ ": skipped, not run") true
+                (s.Runner.elapsed_ms = 0.0)
+            end)
+          (seq.Runner.stages @ par.Runner.stages);
+        (* First success: the sequential stages are a prefix of the
+           raced ones, and the winner is the same. *)
+        let seq = run () and par = run ~pool () in
+        check bool_t (name ^ ": first-success prefix") true
+          (is_prefix
+             (List.map stage_key seq.Runner.stages)
+             (List.map stage_key par.Runner.stages));
+        check bool_t (name ^ ": first-success winner") true
+          (winner_bits seq = winner_bits par
+           && Option.map fst seq.Runner.winner = Some Solver.Greedy)
+      done)
+
 (* ---------------- sharded sweep differential ---------------- *)
 
 let tmp name = Filename.temp_file ("confcall_parallel_" ^ name) ".journal"
@@ -520,6 +613,8 @@ let () =
             test_differential_rational_oracle;
           Alcotest.test_case "40 uncertainty re-rankings" `Quick
             test_differential_uncertainty;
+          Alcotest.test_case "overdue chain, same report" `Quick
+            test_overdue_same_report;
         ] );
       ( "sweep-differential",
         [
