@@ -174,8 +174,10 @@ let check_residence r =
    polynomial decay, heavy for small alpha. This one expression is every
    Pareto survival value the module computes, so the exact mean sum and
    the bisection screen agree term for term. *)
+let pareto_base ~scale x = 1.0 +. (x /. scale)
+
 let pareto_term ~alpha ~scale x =
-  if x = 0.0 then 1.0 else (1.0 +. (x /. scale)) ** -.alpha
+  if x = 0.0 then 1.0 else pareto_base ~scale x ** -.alpha
 
 (* Survival S(a) = P(dwell > a ticks); dwell is at least one tick, so
    S(0) = 1 for every law. *)
@@ -217,24 +219,105 @@ let residence_hazard r a =
    that comes first. At alpha 1.6 the floor is never reached before the
    cap, and the omitted tail is not negligible: 7.0e-4 at mean 6. Every
    matched-mean law and residence-pareto trajectory is defined by this
-   exact float sum, so it stays as it is. *)
+   float sum, added in age order, so [pareto_sum] returns exactly the
+   float that loop returns; it just rarely calls pow to get there. *)
 let pareto_cap = 10_000_000
 let pareto_floor = 1e-12
 
-(* The age also runs as a float, [x = float_of_int a] exactly: a
-   cvtsi2sd per term would write into the register holding the previous
-   pow result and chain every pow call on the one before it. *)
+(* Terms summed one by one before the ulp-grid blocks start. *)
+let pareto_head = 2000
+
+(* The sequential sum, bit for bit (DESIGN §14). After the head the sum
+   S is at least 1 and a multiple of its ulp, so while S + t stays below
+   the next power of two, fl(S + t) = S + rne(t/ulp)·ulp: a term only
+   has to be known well enough to round it to whole ulps. Each block
+   starts at an anchor, the real term at x0 with base b0, added as a
+   plain float. The next terms are t0·(1 + e)^-α with e = j/(scale·b0)
+   <= emax, taken from the degree-4 binomial series (alternating, so
+   the truncation is below the first omitted term). [w] bounds the
+   distance between the series value y and the real term, both in ulps
+   of S: pow's one-ulp error at the anchor and at the real term, the
+   rounding of both bases, the truncation, and the evaluation of y and
+   of e, with a 1% cushion. A term is taken from the series only when y
+   is more than [w] from a half-integer, it stays in S's binade, and it
+   is clear of the 1e-12 stop; otherwise the block ends and that term
+   is the next anchor. Whole ulps gather in the float [acc], exact
+   below 2^53, and join S when the block ends. y is rounded as
+   [(y + 2^52) - 2^52], exact for 0 <= y < 2^51: no int conversion (a
+   cvtsi2sd round trip made the loop 1.4x slower) and no branch on the
+   rounding direction. The age runs as a float too, exact below 2^53.
+   Callers pass a finite alpha > 0 and scale > 0, or laws whose sum
+   ends inside the head ([pareto_mean_screen] sums only those). *)
 let pareto_sum ~alpha ~scale =
-  let sum = ref 0.0 in
-  let a = ref 0 and x = ref 0.0 in
-  let continue = ref true in
-  while !continue && !a < pareto_cap do
+  let sum = ref 0.0 and x = ref 0.0 and continue = ref true in
+  let cap = float_of_int pareto_cap and head = float_of_int pareto_head in
+  while !continue && !x < head do
     let s = pareto_term ~alpha ~scale !x in
     sum := !sum +. s;
     if s < pareto_floor then continue := false;
-    incr a;
     x := !x +. 1.0
   done;
+  if !continue && !x < cap then begin
+    let u = epsilon_float /. 2.0 in
+    (* emax <= 1/(alpha + 5) keeps the series' terms past degree 4
+       decreasing, and alpha·emax < 1. *)
+    let emax = Float.min 0x1p-9 (1.0 /. (alpha +. 5.0)) in
+    let c1 = -.alpha in
+    let c2 = alpha *. (alpha +. 1.0) /. 2.0 in
+    let c3 = -.c2 *. (alpha +. 2.0) /. 3.0 in
+    let c4 = -.c3 *. (alpha +. 3.0) /. 4.0 in
+    let c5 = c4 *. (alpha +. 4.0) /. 5.0 in
+    let e2 = emax *. emax in
+    (* [rel] is relative to t0, the largest term of its block.
+       h = (1 - emax)^-α bounds Σ|c_k|·e^k, for the Horner part, and
+       h·α/(1 - emax) bounds Σ k|c_k|·e^(k-1), for the rounding of e. *)
+    let h = (1.0 -. emax) ** -.alpha in
+    let rel =
+      1.01
+      *. ((c5 *. e2 *. e2 *. emax)
+         +. (u
+             *. (4.0 +. (4.01 *. alpha)
+                 +. (h *. (17.01 +. (3.01 *. alpha *. emax /. (1.0 -. emax)))))))
+    in
+    while !continue && !x < cap do
+      let b0 = pareto_base ~scale !x in
+      let t0 = b0 ** -.alpha in
+      sum := !sum +. t0;
+      if t0 < pareto_floor then continue := false;
+      x := !x +. 1.0;
+      let s = !sum in
+      (* S lies in [top/2, top), a binade whose ulp is 1/c. *)
+      let top = Float.ldexp 1.0 (snd (Float.frexp s)) in
+      let c = 0x1p53 /. top in
+      let tc = t0 *. c in
+      let jmax =
+        Float.of_int (Float.to_int (Float.min (emax *. scale *. b0) (cap -. !x)))
+      in
+      if !continue && jmax >= 1.0 && tc < 0x1p50 then begin
+        let w = (tc *. rel) +. 0x1p-50 in
+        let lim = 0.5 -. w in
+        let floor_y = (c *. pareto_floor) +. (2.0 *. w) in
+        let room = (top -. s) *. c in
+        let inv = 1.0 /. (scale *. b0) in
+        let k1 = tc *. c1 and k2 = tc *. c2 and k3 = tc *. c3 and k4 = tc *. c4 in
+        let acc = ref 0.0 and j = ref 1.0 and fast = ref true in
+        while !fast && !j <= jmax do
+          let e = !j *. inv in
+          let y = tc +. (e *. (k1 +. (e *. (k2 +. (e *. (k3 +. (e *. k4))))))) in
+          let r = y +. 0x1p52 -. 0x1p52 in
+          let acc' = !acc +. r in
+          if Float.abs (y -. r) >= lim || acc' >= room || y < floor_y then
+            fast := false
+          else begin
+            acc := acc';
+            j := !j +. 1.0
+          end
+        done;
+        sum := !sum +. (!acc /. c);
+        x := !x +. (!j -. 1.0)
+      end
+    done
+  end;
   !sum
 
 (* Mean dwell = Σ_{a≥0} S(a); diverges (→ infinity) for Pareto with

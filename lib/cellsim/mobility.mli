@@ -80,7 +80,10 @@ val residence_hazard : residence -> int -> float
     10{^7} cap or one past the first age with [S(a) < 1e-12], whichever
     comes first. The omitted tail is not negligible for small [alpha]:
     at [alpha = 1.6], mean 6 it is 7.0e-4, so that law's true mean is
-    about 6.0007. *)
+    about 6.0007. The result is the float of adding the terms one by one
+    in age order, but most terms come from a series on the running sum's
+    ulp grid rather than from pow: a full 10{^7}-term sum costs ~0.03 s
+    on a 2-vCPU x86-64 host. *)
 val residence_mean : residence -> float
 
 (** [pareto_with_mean ~alpha ~mean] — the Pareto law with tail index

@@ -75,17 +75,20 @@ let bits_t = Alcotest.int64
 (* Scales a bisection on exact truncated sums returns (80 steps, every
    comparison on the full 10^7-term sum): [pareto_with_mean] must return
    these very floats. At alpha 3 the 1e-12 early stop ends each sum. *)
+let pinned_pareto_scales =
+  [
+    (1.6, 6.0, 0x1.a35f1f8160d7p+1);
+    (1.6, 2.0, 0x1.a1c326d3a1d4p-1);
+    (1.6, 12.0, 0x1.b8f2a6f4af2fcp+2);
+    (3.0, 6.0, 0x1.5e8b1ec17b8cep+3);
+  ]
+
 let pinned_pareto_laws =
   lazy
     (List.map
        (fun (alpha, mean, scale) ->
          (alpha, mean, scale, M.pareto_with_mean ~alpha ~mean))
-       [
-         (1.6, 6.0, 0x1.a35f1f8160d7p+1);
-         (1.6, 2.0, 0x1.a1c326d3a1d4p-1);
-         (1.6, 12.0, 0x1.b8f2a6f4af2fcp+2);
-         (3.0, 6.0, 0x1.5e8b1ec17b8cep+3);
-       ])
+       pinned_pareto_scales)
 
 let test_pareto_with_mean () =
   List.iter
@@ -143,6 +146,21 @@ let reference_pareto_sum ~alpha ~scale =
   done;
   (!sum, !a)
 
+(* Each reference sum is computed once and shared between the tests
+   below: the 10^7-term loop costs a few tenths of a second. *)
+let reference_sums = Hashtbl.create 32
+
+let reference_sum ~alpha ~scale =
+  match Hashtbl.find_opt reference_sums (alpha, scale) with
+  | Some r -> r
+  | None ->
+    let r = reference_pareto_sum ~alpha ~scale in
+    Hashtbl.add reference_sums (alpha, scale) r;
+    r
+
+let screen_alphas = [ 1.1; 1.2; 1.6; 2.5; 3.0; 4.0 ]
+let screen_scales = [ 0.5; 3.3; 50.0; 400.0 ]
+
 (* The screen may decide a bisection step only if its margin really
    bounds the distance to the exact sum. Alphas 1.1-1.6 run to the 10^7
    cap; 2.5-4 stop early (alpha 4 at scale 0.5 before the directly
@@ -152,7 +170,7 @@ let test_pareto_screen_margin () =
     (fun alpha ->
       List.iter
         (fun scale ->
-          let exact, terms = reference_pareto_sum ~alpha ~scale in
+          let exact, terms = reference_sum ~alpha ~scale in
           let s = M.pareto_mean_screen ~alpha ~scale in
           let at = Printf.sprintf "alpha %g, scale %g" alpha scale in
           check int_t ("term count at " ^ at) terms s.M.terms;
@@ -162,8 +180,27 @@ let test_pareto_screen_margin () =
               s.M.margin;
           check bool_t ("margin can decide at " ^ at) true
             (s.M.margin <= 1e-8 *. exact))
-        [ 0.5; 3.3; 50.0; 400.0 ])
-    [ 1.1; 1.2; 1.6; 2.5; 3.0; 4.0 ]
+        screen_scales)
+    screen_alphas
+
+(* [residence_mean] adds most terms as whole ulps of the running sum;
+   it must still return the first-written loop's float, bit for bit:
+   on the screen-audit grid, at the pinned matched scales (the
+   (1.6, 12) law's sum is exactly 12.0), and at (1.6, 4.5), whose sum
+   crosses 8 after the 2000-term head. *)
+let test_pareto_exact_sum_bits () =
+  List.iter
+    (fun (alpha, scale) ->
+      let exact, _ = reference_sum ~alpha ~scale in
+      check bits_t
+        (Printf.sprintf "sum bits at alpha %g, scale %h" alpha scale)
+        (Int64.bits_of_float exact)
+        (Int64.bits_of_float (M.residence_mean (M.Pareto { alpha; scale }))))
+    (List.concat_map
+       (fun alpha -> List.map (fun scale -> (alpha, scale)) screen_scales)
+       screen_alphas
+    @ List.map (fun (alpha, _, scale) -> (alpha, scale)) pinned_pareto_scales
+    @ [ (1.6, 4.5) ])
 
 let test_residence_strings () =
   List.iter
@@ -558,6 +595,8 @@ let () =
             test_pareto_unreachable_mean;
           Alcotest.test_case "pareto screen margin" `Quick
             test_pareto_screen_margin;
+          Alcotest.test_case "pareto exact sum bits" `Quick
+            test_pareto_exact_sum_bits;
           Alcotest.test_case "string round-trip" `Quick test_residence_strings;
           Alcotest.test_case "validation" `Quick test_validate_residence;
         ] );
