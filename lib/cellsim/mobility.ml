@@ -224,31 +224,73 @@ let residence_hazard r a =
 let pareto_cap = 10_000_000
 let pareto_floor = 1e-12
 
-(* Terms summed one by one before the ulp-grid blocks start. *)
+(* Terms summed one by one before the blocks start. *)
 let pareto_head = 2000
+
+(* Terms per block after the head; the last block is cut at the cap. *)
+let pareto_block = 256
+let pareto_block_count =
+  (pareto_cap - pareto_head + pareto_block - 1) / pareto_block
+
+(* What one sum learned about each block, for the next sum at a nearby
+   scale of the same alpha (DESIGN §14). [rows] is allocated at the
+   first block and holds, at 5k to 5k + 4 for block k: the scale it was
+   last summed at, the top of the running sum's binade there, the whole
+   ulps it added, its first term (the anchor), and its clearance, a
+   lower bound, in ulps, on every one of its float terms' distance to a
+   half-integer of the ulp grid. A clearance of 0 (a tie, a binade
+   crossing, the 1e-12 stop or a block never summed) means the block is
+   always summed again. *)
+type pareto_blocks = {
+  alpha : float;
+  mutable rows : Float.Array.t;
+  mutable recomputed : int;
+  mutable summed : float list;
+}
+
+let pareto_blocks ~alpha =
+  { alpha; rows = Float.Array.make 0 0.0; recomputed = 0; summed = [] }
+
+let pareto_recomputed t = t.recomputed
+let pareto_summed t = List.rev t.summed
 
 (* The sequential sum, bit for bit (DESIGN §14). After the head the sum
    S is at least 1 and a multiple of its ulp, so while S + t stays below
    the next power of two, fl(S + t) = S + rne(t/ulp)·ulp: a term only
-   has to be known well enough to round it to whole ulps. Each block
-   starts at an anchor, the real term at x0 with base b0, added as a
-   plain float. The next terms are t0·(1 + e)^-α with e = j/(scale·b0)
-   <= emax, taken from the degree-4 binomial series (alternating, so
-   the truncation is below the first omitted term). [w] bounds the
-   distance between the series value y and the real term, both in ulps
-   of S: pow's one-ulp error at the anchor and at the real term, the
-   rounding of both bases, the truncation, and the evaluation of y and
-   of e, with a 1% cushion. A term is taken from the series only when y
-   is more than [w] from a half-integer, it stays in S's binade, and it
-   is clear of the 1e-12 stop; otherwise the block ends and that term
-   is the next anchor. Whole ulps gather in the float [acc], exact
-   below 2^53, and join S when the block ends. y is rounded as
+   has to be known well enough to round it to whole ulps.
+
+   A block keeps its recorded ulps, with no term computed, when S is in
+   its recorded binade, S plus those ulps stays below the binade's top,
+   and no term can have moved by its clearance since it was summed at
+   scale sb. With r = |scale − sb|/min(scale, sb), the real term
+   T(x, s) = (1 + x/s)^-α moves by at most α·r·T(x0, max scale), since
+   it grows in s and falls in x, and each float term is within
+   (2α + 4)u of it at either scale: z below is the sum, relative to
+   T(x0, max scale), which is at most the anchor times 1 + 2z for
+   z <= 2^-7. The bound carries a 1% cushion for its own evaluation and
+   2^-50 ulps for the clearance's.
+
+   Otherwise the block is summed again. Each sub-block starts at an
+   anchor, the real term at x0 with base b0, added as a plain float.
+   The next terms are t0·(1 + e)^-α with e = j/(scale·b0) <= emax,
+   taken from the degree-4 binomial series (alternating, so the
+   truncation is below the first omitted term). [w] bounds the distance
+   between the series value y and the real term, both in ulps of S:
+   pow's one-ulp error at the anchor and at the real term, the rounding
+   of both bases, the truncation, and the evaluation of y and of e, with
+   a 1% cushion. A term is taken from the series only when y is more
+   than [w] from a half-integer, it stays in S's binade, and y − 2w
+   clears the 1e-12 stop; otherwise the sub-block ends and that term is
+   the next anchor. Whole ulps gather in the float [acc], exact below 2^53,
+   and join S when the sub-block ends. y is rounded as
    [(y + 2^52) - 2^52], exact for 0 <= y < 2^51: no int conversion (a
    cvtsi2sd round trip made the loop 1.4x slower) and no branch on the
    rounding direction. The age runs as a float too, exact below 2^53.
    Callers pass a finite alpha > 0 and scale > 0, or laws whose sum
    ends inside the head ([pareto_mean_screen] sums only those). *)
-let pareto_sum ~alpha ~scale =
+let pareto_sum t ~scale =
+  let alpha = t.alpha in
+  t.summed <- scale :: t.summed;
   let sum = ref 0.0 and x = ref 0.0 and continue = ref true in
   let cap = float_of_int pareto_cap and head = float_of_int pareto_head in
   while !continue && !x < head do
@@ -257,7 +299,11 @@ let pareto_sum ~alpha ~scale =
     if s < pareto_floor then continue := false;
     x := !x +. 1.0
   done;
+  t.recomputed <- t.recomputed + Float.to_int !x;
   if !continue && !x < cap then begin
+    if Float.Array.length t.rows = 0 then
+      t.rows <- Float.Array.make (5 * pareto_block_count) 0.0;
+    let rows = t.rows in
     let u = epsilon_float /. 2.0 in
     (* emax <= 1/(alpha + 5) keeps the series' terms past degree 4
        decreasing, and alpha·emax < 1. *)
@@ -268,7 +314,7 @@ let pareto_sum ~alpha ~scale =
     let c4 = -.c3 *. (alpha +. 3.0) /. 4.0 in
     let c5 = c4 *. (alpha +. 4.0) /. 5.0 in
     let e2 = emax *. emax in
-    (* [rel] is relative to t0, the largest term of its block.
+    (* [rel] is relative to t0, the largest term of its sub-block.
        h = (1 - emax)^-α bounds Σ|c_k|·e^k, for the Horner part, and
        h·α/(1 - emax) bounds Σ k|c_k|·e^(k-1), for the rounding of e. *)
     let h = (1.0 -. emax) ** -.alpha in
@@ -279,43 +325,110 @@ let pareto_sum ~alpha ~scale =
              *. (4.0 +. (4.01 *. alpha)
                  +. (h *. (17.01 +. (3.01 *. alpha *. emax /. (1.0 -. emax)))))))
     in
+    let term_err = ((4.0 *. alpha) +. 8.0) *. u in
+    let block = float_of_int pareto_block in
+    let k = ref 0 in
     while !continue && !x < cap do
-      let b0 = pareto_base ~scale !x in
-      let t0 = b0 ** -.alpha in
-      sum := !sum +. t0;
-      if t0 < pareto_floor then continue := false;
-      x := !x +. 1.0;
-      let s = !sum in
-      (* S lies in [top/2, top), a binade whose ulp is 1/c. *)
-      let top = Float.ldexp 1.0 (snd (Float.frexp s)) in
-      let c = 0x1p53 /. top in
-      let tc = t0 *. c in
-      let jmax =
-        Float.of_int (Float.to_int (Float.min (emax *. scale *. b0) (cap -. !x)))
+      let i = 5 * !k in
+      let xe = Float.min (!x +. block) cap in
+      let s0 = !sum in
+      let sb = Float.Array.get rows i in
+      let top_b = Float.Array.get rows (i + 1) in
+      let c_b = 0x1p53 /. top_b in
+      let s1 = s0 +. (Float.Array.get rows (i + 2) /. c_b) in
+      let anchor_b = Float.Array.get rows (i + 3) in
+      let clear_b = Float.Array.get rows (i + 4) in
+      let z =
+        (alpha *. Float.abs (scale -. sb) /. if scale < sb then scale else sb)
+        +. term_err
       in
-      if !continue && jmax >= 1.0 && tc < 0x1p50 then begin
-        let w = (tc *. rel) +. 0x1p-50 in
-        let lim = 0.5 -. w in
-        let floor_y = (c *. pareto_floor) +. (2.0 *. w) in
-        let room = (top -. s) *. c in
-        let inv = 1.0 /. (scale *. b0) in
-        let k1 = tc *. c1 and k2 = tc *. c2 and k3 = tc *. c3 and k4 = tc *. c4 in
-        let acc = ref 0.0 and j = ref 1.0 and fast = ref true in
-        while !fast && !j <= jmax do
-          let e = !j *. inv in
-          let y = tc +. (e *. (k1 +. (e *. (k2 +. (e *. (k3 +. (e *. k4))))))) in
-          let r = y +. 0x1p52 -. 0x1p52 in
-          let acc' = !acc +. r in
-          if Float.abs (y -. r) >= lim || acc' >= room || y < floor_y then
-            fast := false
-          else begin
-            acc := acc';
-            j := !j +. 1.0
+      if
+        clear_b > 0.0 && s0 >= 0.5 *. top_b && s1 < top_b && z <= 0x1p-7
+        && (1.01 *. c_b *. anchor_b *. z *. (1.0 +. (2.0 *. z))) +. 0x1p-50
+           < clear_b
+      then begin
+        sum := s1;
+        x := xe
+      end
+      else begin
+        let top0 = Float.ldexp 1.0 (snd (Float.frexp s0)) in
+        let c0 = 0x1p53 /. top0 in
+        let x0 = !x and anchor = ref 0.0 in
+        (* [clear] gathers the clearance; [last] is a lower bound on the
+           latest term, in ulps. *)
+        let clear = ref 0.5 and last = ref 0.0 in
+        while !continue && !x < xe do
+          let b0 = pareto_base ~scale !x in
+          let t0 = b0 ** -.alpha in
+          if !x = x0 then anchor := t0;
+          sum := !sum +. t0;
+          if t0 < pareto_floor then continue := false;
+          x := !x +. 1.0;
+          (* The anchor's own rounding is exact: 0 on a tie. *)
+          let tc0 = t0 *. c0 in
+          last := tc0;
+          if tc0 < 0x1p50 then
+            clear :=
+              Float.min !clear
+                (0.5 -. Float.abs (tc0 -. (tc0 +. 0x1p52 -. 0x1p52)))
+          else clear := 0.0;
+          let s = !sum in
+          (* S lies in [top/2, top), a binade whose ulp is 1/c. *)
+          let top = Float.ldexp 1.0 (snd (Float.frexp s)) in
+          let c = 0x1p53 /. top in
+          let tc = t0 *. c in
+          let jmax =
+            Float.of_int (Float.to_int (Float.min (emax *. scale *. b0) (xe -. !x)))
+          in
+          if !continue && jmax >= 1.0 && tc < 0x1p50 then begin
+            let w = (tc *. rel) +. 0x1p-50 in
+            let lim = 0.5 -. w in
+            let floor_y = (c *. pareto_floor) +. (2.0 *. w) in
+            let room = (top -. s) *. c in
+            let inv = 1.0 /. (scale *. b0) in
+            let k1 = tc *. c1 and k2 = tc *. c2 and k3 = tc *. c3 and k4 = tc *. c4 in
+            let acc = ref 0.0 and j = ref 1.0 and fast = ref true in
+            let dmax = ref 0.0 and ylast = ref 0.0 in
+            while !fast && !j <= jmax do
+              let e = !j *. inv in
+              let y = tc +. (e *. (k1 +. (e *. (k2 +. (e *. (k3 +. (e *. k4))))))) in
+              let r = y +. 0x1p52 -. 0x1p52 in
+              let acc' = !acc +. r in
+              let d = Float.abs (y -. r) in
+              if d >= lim || acc' >= room || y < floor_y then fast := false
+              else begin
+                if d > !dmax then dmax := d;
+                ylast := y;
+                acc := acc';
+                j := !j +. 1.0
+              end
+            done;
+            if !j > 1.0 then begin
+              (* The 2^-50 in [w] covers rounding these two bounds. *)
+              clear := Float.min !clear (lim -. !dmax);
+              last := !ylast -. w
+            end;
+            sum := !sum +. (!acc /. c);
+            x := !x +. (!j -. 1.0)
           end
         done;
-        sum := !sum +. (!acc /. c);
-        x := !x +. (!j -. 1.0)
-      end
+        t.recomputed <- t.recomputed + Float.to_int (!x -. x0);
+        (* Each float term is within term_err/2 of the real, decreasing
+           function, so none is below [last]·(1 - term_err); twice that
+           covers rounding. A kept block moves less than this room, so
+           it cannot meet the stop. *)
+        let floor_room =
+          (!last *. (1.0 -. (2.0 *. term_err))) -. (c0 *. pareto_floor)
+        in
+        Float.Array.set rows i scale;
+        Float.Array.set rows (i + 1) top0;
+        Float.Array.set rows (i + 2) ((!sum -. s0) *. c0);
+        Float.Array.set rows (i + 3) !anchor;
+        Float.Array.set rows (i + 4)
+          (if !sum >= top0 || not !continue then 0.0
+           else Float.min !clear floor_room)
+      end;
+      incr k
     done
   end;
   !sum
@@ -335,7 +448,7 @@ let residence_mean r =
     done;
     !weighted /. !total
   | Pareto { alpha; scale } ->
-    if alpha <= 1.0 then infinity else pareto_sum ~alpha ~scale
+    if alpha <= 1.0 then infinity else pareto_sum (pareto_blocks ~alpha) ~scale
 
 (* The term count of [pareto_sum]. Consecutive bases 1 + a/scale differ
    by a relative 1/(scale + a) > 9e-10 at every scale the bisection
@@ -371,7 +484,8 @@ type pareto_screen = { value : float; margin : float; terms : int }
    bound itself. When N <= K the value is the exact sum, margin zero. *)
 let pareto_mean_screen ~alpha ~scale =
   let n = pareto_terms ~alpha ~scale and k = 2000 in
-  if n <= k then { value = pareto_sum ~alpha ~scale; margin = 0.0; terms = n }
+  if n <= k then
+    { value = pareto_sum (pareto_blocks ~alpha) ~scale; margin = 0.0; terms = n }
   else begin
     let head = ref 0.0 in
     for a = 0 to k - 1 do
@@ -425,20 +539,22 @@ let pareto_mean_screen ~alpha ~scale =
    residence-pareto trajectory. Every comparison has the exact sum's
    outcome, and the loop stops once the midpoint equals an end point,
    after which each step is a no-op: the scale is the float a full
-   80-step bisection on exact sums returns. *)
-let pareto_with_mean ~alpha ~mean =
+   80-step bisection on exact sums returns. The exact sums share one
+   block table, so each keeps what the previous ones proved. *)
+let pareto_match t ~mean =
+  let alpha = t.alpha in
   if not (Float.is_finite alpha && alpha > 1.0) then
     invalid_arg "Mobility.pareto_with_mean: alpha must be > 1 (finite mean)"
   else if not (Float.is_finite mean && mean >= 1.0) then
     invalid_arg "Mobility.pareto_with_mean: mean must be finite and >= 1"
   else begin
-    (* [pareto_sum ~alpha ~scale < mean]: from the screen when the
-       closed form clears its margin, from the exact sum otherwise. *)
+    (* [pareto_sum t ~scale < mean]: from the screen when the closed
+       form clears its margin, from the exact sum otherwise. *)
     let below scale =
       let s = pareto_mean_screen ~alpha ~scale in
       if s.value -. mean > s.margin then false
       else if mean -. s.value > s.margin then true
-      else pareto_sum ~alpha ~scale < mean
+      else pareto_sum t ~scale < mean
     in
     let lo = ref 1e-6 and hi = ref 1.0 in
     let short = ref (below !hi) in
@@ -462,6 +578,8 @@ let pareto_with_mean ~alpha ~mean =
     done;
     Pareto { alpha; scale = 0.5 *. (!lo +. !hi) }
   end
+
+let pareto_with_mean ~alpha ~mean = pareto_match (pareto_blocks ~alpha) ~mean
 
 let residence_to_string = function
   | Exponential { mean } -> Printf.sprintf "exp:%g" mean

@@ -202,6 +202,116 @@ let test_pareto_exact_sum_bits () =
     @ List.map (fun (alpha, _, scale) -> (alpha, scale)) pinned_pareto_scales
     @ [ (1.6, 4.5) ])
 
+(* Matched scales near powers of two, from a bisection on exact sums:
+   the exact sums of each match fall on both sides of 4 (sum 4 + 1 ulp
+   at the match) or of 8 (sum 8 - 2 ulps), so the block table sees
+   binade changes between sums. *)
+let pinned_binade_edge_scales =
+  [ (1.6, 4.0, 0x1.0805c265353dp+1); (1.6, 8.0, 0x1.1ee93a6901948p+2) ]
+
+(* One table through a match, kept for its summed scales and its work. *)
+let matched_tables =
+  lazy
+    (List.map
+       (fun (alpha, mean, pinned) ->
+         let t = M.pareto_blocks ~alpha in
+         let law = M.pareto_match t ~mean in
+         (alpha, mean, pinned, law, t))
+       ((1.6, 6.0, 0x1.a35f1f8160d7p+1) :: pinned_binade_edge_scales))
+
+let test_pareto_binade_edge_bits () =
+  List.iter
+    (fun (alpha, mean, pinned, law, _) ->
+      match law with
+      | M.Pareto { scale; _ } ->
+        check bits_t
+          (Printf.sprintf "scale bits at alpha %g, mean %g" alpha mean)
+          (Int64.bits_of_float pinned) (Int64.bits_of_float scale)
+      | _ -> Alcotest.fail "pareto_match returned a non-Pareto law")
+    (Lazy.force matched_tables)
+
+(* Scales around [scale] in the order a table meets them: a walk whose
+   steps are one to four ulps or a relative 1e-16 to 1e-3, up or down,
+   then the visited scales again, shuffled. *)
+let walk ~seed ~scale ~steps =
+  let rng = Prob.Rng.create ~seed in
+  let s = ref scale and visited = ref [ scale ] in
+  for _ = 1 to steps do
+    let up = Prob.Rng.bool rng in
+    (if Prob.Rng.bool rng then
+       for _ = 0 to Prob.Rng.int rng 4 do
+         s := if up then Float.succ !s else Float.pred !s
+       done
+     else
+       let rel = 10.0 ** (-16.0 +. Prob.Rng.float rng 13.0) in
+       s := !s *. if up then 1.0 +. rel else 1.0 -. rel);
+    visited := !s :: !visited
+  done;
+  let again = Array.of_list !visited in
+  Prob.Rng.shuffle rng again;
+  List.rev !visited @ Array.to_list again
+
+(* A table threaded through a scale sequence gives every sum the bits
+   of a fresh table's sum, which "pareto exact sum bits" pins to the
+   reference loop. The sequences: the (1.6, 6) match's exact sums;
+   scales whose sums fall on alternate sides of 8 and of 4, crossing
+   them within ~20 blocks of the cap; and walks that also move the
+   1e-12 stop (alpha 3), cross 8 after the head (1.6, 4.5) or end on a
+   sum of exactly 12. *)
+let test_pareto_block_reuse_bits () =
+  let fresh = Hashtbl.create 64 in
+  let same ~what ~alpha scales =
+    let t = M.pareto_blocks ~alpha in
+    List.iteri
+      (fun i scale ->
+        let expected =
+          match Hashtbl.find_opt fresh (alpha, scale) with
+          | Some sum -> sum
+          | None ->
+            let sum = M.residence_mean (M.Pareto { alpha; scale }) in
+            Hashtbl.add fresh (alpha, scale) sum;
+            sum
+        in
+        check bits_t
+          (Printf.sprintf "%s: sum %d, scale %h" what i scale)
+          (Int64.bits_of_float expected)
+          (Int64.bits_of_float (M.pareto_sum t ~scale)))
+      scales
+  in
+  let alpha, _, _, _, t = List.hd (Lazy.force matched_tables) in
+  same ~what:"the (1.6, 6) match" ~alpha (M.pareto_summed t);
+  List.iter
+    (fun (alpha, mean, pinned) ->
+      same
+        ~what:(Printf.sprintf "straddling %g" mean)
+        ~alpha
+        (List.map
+           (fun rel -> pinned *. (1.0 +. rel))
+           [ 4e-9; -4e-9; 2e-8; -2e-8; 1e-9; -1e-9 ]))
+    pinned_binade_edge_scales;
+  List.iter
+    (fun (what, alpha, scale, seed) ->
+      same ~what ~alpha (walk ~seed ~scale ~steps:6))
+    [
+      ("walk at the (1.6, 6) match", 1.6, 0x1.a35f1f8160d7p+1, 1);
+      ("walk at (1.1, 400)", 1.1, 400.0, 2);
+      ("walk at the (3, 6) match", 3.0, 0x1.5e8b1ec17b8cep+3, 3);
+      ("walk at (1.6, 4.5)", 1.6, 4.5, 4);
+      ("walk at the (1.6, 12) match", 1.6, 0x1.b8f2a6f4af2fcp+2, 5);
+    ]
+
+(* Reuse is what makes the match cheap: a regression that sums every
+   block again (25 sums, 2.5e8 terms at (1.6, 6)) fails here, with no
+   timing involved. *)
+let test_pareto_match_work () =
+  List.iter
+    (fun (alpha, mean, _, _, t) ->
+      let work = M.pareto_recomputed t in
+      if work > 30_000_000 then
+        Alcotest.failf "match at (%g, %g) computed %d terms, above 3e7" alpha
+          mean work)
+    (Lazy.force matched_tables)
+
 let test_residence_strings () =
   List.iter
     (fun law ->
@@ -597,6 +707,11 @@ let () =
             test_pareto_screen_margin;
           Alcotest.test_case "pareto exact sum bits" `Quick
             test_pareto_exact_sum_bits;
+          Alcotest.test_case "pareto scale bits near powers of two" `Quick
+            test_pareto_binade_edge_bits;
+          Alcotest.test_case "pareto block reuse bits" `Quick
+            test_pareto_block_reuse_bits;
+          Alcotest.test_case "pareto match work" `Quick test_pareto_match_work;
           Alcotest.test_case "string round-trip" `Quick test_residence_strings;
           Alcotest.test_case "validation" `Quick test_validate_residence;
         ] );

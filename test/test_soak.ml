@@ -348,18 +348,27 @@ let test_soak_serve () = run_serve_burst ~chaos:false ()
    fsync so the journal points probe. Invariants are the clean leg's —
    exactly one terminal response per request, drain within grace, zero
    leaked domains — plus: the seam actually fired, and disabling it
-   restores the clean path. *)
+   restores the clean path. A failing leg prints its seed and fault
+   spec to stderr, so a CI log is enough to replay it. *)
 let test_soak_serve_chaos () =
   let seed =
     match Option.bind (Sys.getenv_opt "CHAOS_SEED") int_of_string_opt with
     | Some s -> s
     | None -> 1
   in
-  Faultpoint.configure_exn ~seed "*=0.05";
-  Fun.protect ~finally:Faultpoint.disable (fun () ->
-      run_serve_burst ~chaos:true ();
-      check bool_t "chaos seam fired at least once" true
-        (Faultpoint.total_fired () > 0));
+  let spec = "*=0.05" in
+  Faultpoint.configure_exn ~seed spec;
+  (match
+     Fun.protect ~finally:Faultpoint.disable (fun () ->
+         run_serve_burst ~chaos:true ();
+         check bool_t "chaos seam fired at least once" true
+           (Faultpoint.total_fired () > 0))
+   with
+   | () -> ()
+   | exception e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Printf.eprintf "chaos leg failed: CHAOS_SEED=%d faults=%s\n%!" seed spec;
+     Printexc.raise_with_backtrace e bt);
   check bool_t "seam off after chaos leg" false (Faultpoint.on ())
 
 let () =
