@@ -162,6 +162,13 @@ let validate_config config =
   then invalid_arg "Sim.run: profile_smoothing must be positive"
   else if not (Float.is_finite config.duration && config.duration >= 0.0) then
     invalid_arg "Sim.run: duration must be finite and non-negative"
+  else if
+    not (Float.is_finite config.call_duration && config.call_duration >= 0.0)
+  then invalid_arg "Sim.run: call_duration must be finite and non-negative"
+  else if Traffic.users config.traffic > config.users then
+    invalid_arg
+      (Printf.sprintf "Sim.run: traffic draws from %d users but users is %d"
+         (Traffic.users config.traffic) config.users)
   else begin
     let rec check_sorted = function
       | (a, _) :: ((b, _) :: _ as rest) ->
@@ -252,19 +259,106 @@ type scheme_acc = {
   mutable s_pages_blocked : int;
 }
 
-(* Ground-truth rounds used by a strategy on one outcome. *)
-let rounds_on_outcome strategy ~positions =
+(* The paging executor, the only one: page [strategy]'s rounds (local
+   indices into [universe]) against the participants' true [positions]
+   until everyone has answered, then apply the retry policy, sampling
+   page loss, outage blocking and imperfect detection from [frng].
+   Under [Faults.none] it draws nothing and stops at the round holding
+   the last participant, so [cells_paged] is the strategy's cost on
+   that outcome. A participant outside [universe] (only possible after
+   a lost or delayed report) is a residual miss unless a blanket
+   escalation reaches it. *)
+let page_call acc (fmodel : Faults.t) ~outage ~paged_mask ~all_cells ~universe
+    ~positions frng strategy =
   let groups = Strategy.groups strategy in
-  let where = Hashtbl.create 32 in
-  Array.iteri
-    (fun r g -> Array.iter (fun cell -> Hashtbl.replace where cell r) g)
-    groups;
-  let last =
-    Array.fold_left
-      (fun acc p -> Stdlib.max acc (Hashtbl.find where p))
-      0 positions
+  let n_base = Array.length groups in
+  let m_group = Array.length positions in
+  let found = Array.make m_group false in
+  let n_found = ref 0 in
+  let cells_paged = ref 0 in
+  let rounds = ref 0 in
+  let page_cells round_cells =
+    incr rounds;
+    let paged_before = !cells_paged in
+    let effective = ref [] in
+    Array.iter
+      (fun cell ->
+        if fmodel.outage_rate > 0.0 && Faults.Outage.down outage cell then
+          (* The MSC knows the base station is down: the page is never
+             transmitted (no cost), but the coverage hole persists. *)
+          acc.s_pages_blocked <- acc.s_pages_blocked + 1
+        else begin
+          incr cells_paged;
+          if fmodel.page_loss > 0.0 && Prob.Rng.unit_float frng < fmodel.page_loss
+          then acc.s_pages_lost <- acc.s_pages_lost + 1
+          else begin
+            paged_mask.(cell) <- true;
+            effective := cell :: !effective
+          end
+        end)
+      round_cells;
+    (if fmodel.detect_q >= 1.0 then
+       Array.iteri
+         (fun i pos ->
+           if (not found.(i)) && paged_mask.(pos) then begin
+             found.(i) <- true;
+             incr n_found
+           end)
+         positions
+     else
+       n_found :=
+         !n_found
+         + Miss.page_round frng ~q:fmodel.detect_q
+             ~in_group:(fun cell -> paged_mask.(cell))
+             ~positions ~found);
+    List.iter (fun cell -> paged_mask.(cell) <- false) !effective;
+    if Obs.on () then
+      Obs.observe ~buckets:Obs.small_count_buckets "sim_paged_cells_per_round"
+        (float_of_int (!cells_paged - paged_before))
   in
-  last + 1
+  let page_local g = page_cells (Array.map (fun k -> universe.(k)) g) in
+  let r = ref 0 in
+  while !n_found < m_group && !r < n_base do
+    page_local groups.(!r);
+    incr r
+  done;
+  let base_cells = !cells_paged and base_rounds = !rounds in
+  let repeat_cycles cycles ~backoff =
+    if cycles > 0 && !n_found < m_group then begin
+      let sched = Miss.repeat_strategy strategy ~cycles in
+      let i = ref 0 in
+      while !n_found < m_group && !i < Array.length sched do
+        if !i mod n_base = 0 then begin
+          acc.s_retries <- acc.s_retries + 1;
+          rounds := !rounds + backoff
+        end;
+        page_local sched.(!i);
+        incr i
+      done
+    end;
+    acc.s_retry_cells <- acc.s_retry_cells + (!cells_paged - base_cells);
+    acc.s_retry_rounds <- acc.s_retry_rounds + (!rounds - base_rounds)
+  in
+  (match fmodel.retry with
+   | Faults.No_retry -> ()
+   | Faults.Repeat { cycles; backoff } -> repeat_cycles cycles ~backoff
+   | Faults.Escalate { after; to_blanket } ->
+     repeat_cycles after ~backoff:0;
+     if !n_found < m_group then begin
+       acc.s_escalations <- acc.s_escalations + 1;
+       let before = !cells_paged in
+       page_cells (if to_blanket then all_cells else universe);
+       acc.s_escalate_cells <- acc.s_escalate_cells + (!cells_paged - before)
+     end);
+  if Obs.on () then
+    Obs.observe ~buckets:Obs.small_count_buckets "sim_rounds_to_find"
+      (float_of_int !rounds);
+  acc.s_residual <- acc.s_residual + (m_group - !n_found);
+  acc.s_calls <- acc.s_calls + 1;
+  acc.s_devices <- acc.s_devices + m_group;
+  acc.s_cells <- acc.s_cells + !cells_paged;
+  acc.s_rounds <- acc.s_rounds + !rounds;
+  Prob.Stats.Acc.add acc.s_stats (float_of_int !cells_paged)
 
 (* End-of-run counters (DESIGN §9): derived from the result record, so
    for a fixed seed they are independent of how the run was scheduled —
@@ -317,16 +411,16 @@ let run config =
     let rng = Prob.Rng.create ~seed:config.seed in
     let rng_move = Prob.Rng.split rng in
     let rng_traffic = Prob.Rng.split rng in
-    (* A dedicated fault stream: splitting it here (whether or not faults
-       are enabled) keeps the mobility and traffic streams identical
-       across clean and faulty runs of the same seed. *)
+    (* A dedicated fault stream: every run splits it (and every call
+       splits its per-call stream from it), so the mobility and traffic
+       streams are identical across clean and faulty runs of the same
+       seed, and [Faults.none] never draws from it. *)
     let rng_faults = Prob.Rng.split rng in
-    let faults_on = config.faults <> None in
-    let fmodel =
-      match config.faults with None -> Faults.none | Some f -> f
-    in
+    let fmodel = Option.value config.faults ~default:Faults.none in
+    (* Only a lost or delayed report can leave the network's view stale,
+       i.e. a participant outside its uncertainty set. *)
     let report_faults =
-      faults_on && (fmodel.Faults.report_loss > 0.0 || fmodel.Faults.report_delay > 0.0)
+      fmodel.Faults.report_loss > 0.0 || fmodel.Faults.report_delay > 0.0
     in
     let outage = Faults.Outage.create ~cells in
     let reports_lost = ref 0 and reports_delayed = ref 0 in
@@ -458,7 +552,7 @@ let run config =
     in
     let handle_tick now =
       maybe_freeze now;
-      if faults_on && fmodel.Faults.outage_rate > 0.0 then
+      if fmodel.Faults.outage_rate > 0.0 then
         Faults.Outage.step outage fmodel rng_faults;
       let mobility = mobility_at now in
       let drive_semi =
@@ -494,40 +588,33 @@ let run config =
               ~hex:config.hex report_state.(u) ~from_cell ~to_cell ~now
           in
           if reported then begin
+            let moved = to_cell <> from_cell in
             match snap with
-            | None ->
+            | Some snapshot
+              when fmodel.Faults.report_loss > 0.0
+                   && Prob.Rng.unit_float rng_faults < fmodel.Faults.report_loss
+              ->
+              (* Lost in transit: the network's view stays stale and the
+                 terminal keeps accumulating toward its next report
+                 attempt. *)
+              Reporting.rollback report_state.(u) ~snapshot ~moved;
+              incr reports_lost
+            | Some snapshot when fmodel.Faults.report_delay > 0.0 ->
+              (* Delivered late: the anchor stays stale meanwhile, and
+                 only the profile estimator learns the (old) cell at
+                 delivery time. *)
+              Reporting.rollback report_state.(u) ~snapshot ~moved;
+              incr reports_delayed;
+              let delay =
+                Prob.Rng.exponential rng_faults
+                  ~rate:(1.0 /. fmodel.Faults.report_delay)
+              in
+              Event.schedule_after engine ~delay
+                (Report_delivery { user = u; cell = to_cell })
+            | _ ->
               incr updates;
               (* The report reveals the exact new cell. *)
               learn ~now u to_cell
-            | Some snapshot ->
-              let moved = to_cell <> from_cell in
-              if
-                fmodel.Faults.report_loss > 0.0
-                && Prob.Rng.unit_float rng_faults < fmodel.Faults.report_loss
-              then begin
-                (* Lost in transit: the network's view stays stale and
-                   the terminal keeps accumulating toward its next
-                   report attempt. *)
-                Reporting.rollback report_state.(u) ~snapshot ~moved;
-                incr reports_lost
-              end
-              else if fmodel.Faults.report_delay > 0.0 then begin
-                (* Delivered late: the anchor stays stale meanwhile, and
-                   only the profile estimator learns the (old) cell at
-                   delivery time. *)
-                Reporting.rollback report_state.(u) ~snapshot ~moved;
-                incr reports_delayed;
-                let delay =
-                  Prob.Rng.exponential rng_faults
-                    ~rate:(1.0 /. fmodel.Faults.report_delay)
-                in
-                Event.schedule_after engine ~delay
-                  (Report_delivery { user = u; cell = to_cell })
-              end
-              else begin
-                incr updates;
-                learn ~now u to_cell
-              end
           end
         end
       done;
@@ -624,292 +711,133 @@ let run config =
           uncertain;
         let universe = Array.of_list (List.rev !universe_rev) in
         let c_local = Array.length universe in
-        (* Row construction per estimator. *)
-        let counts_row idx =
-          let u = group.(idx) in
-          let row = Array.make c_local 0.0 in
-          let dist =
-            Profile.distribution_over (paging_profile u) uncertain.(idx)
-          in
-          Array.iteri
-            (fun k cell -> row.(Hashtbl.find universe_tbl cell) <- dist.(k))
-            uncertain.(idx);
-          row
+        (* Each estimator's rows over the universe, built at most once
+           per call and shared by every scheme that pages from them
+           (Instance.create copies its rows). [estimate idx u] is the
+           distribution over [uncertain.(idx)]. *)
+        let rows_of estimate =
+          lazy
+            (Array.mapi
+               (fun idx u ->
+                 let row = Array.make c_local 0.0 in
+                 let dist = estimate idx u in
+                 Array.iteri
+                   (fun k cell -> row.(Hashtbl.find universe_tbl cell) <- dist.(k))
+                   uncertain.(idx);
+                 row)
+               group)
         in
-        let diffuse_row idx =
-          let u = group.(idx) in
-          let st = report_state.(u) in
-          let belief =
-            diffuse
-              ~cell:(Reporting.last_reported_cell st)
-              ~steps:(Reporting.ticks_since_report st)
-          in
-          let row = Array.make c_local 0.0 in
-          let mass = ref 0.0 in
-          Array.iter
-            (fun cell ->
-              let p = belief.(cell) in
-              row.(Hashtbl.find universe_tbl cell) <- p;
-              mass := !mass +. p)
-            uncertain.(idx);
-          if !mass <= 0.0 then begin
-            (* Degenerate: fall back to uniform over the uncertainty set. *)
-            let share = 1.0 /. float_of_int (Array.length uncertain.(idx)) in
-            Array.iter
-              (fun cell -> row.(Hashtbl.find universe_tbl cell) <- share)
-              uncertain.(idx)
-          end
-          else
-            Array.iteri (fun k p -> row.(k) <- p /. !mass) (Array.copy row);
-          row
+        let counts_rows =
+          rows_of (fun idx u ->
+              Profile.distribution_over (paging_profile u) uncertain.(idx))
         in
-        (* Age-dependent row: the profile estimate evolved through the
+        let diffuse_rows =
+          rows_of (fun idx u ->
+              let st = report_state.(u) in
+              let belief =
+                diffuse
+                  ~cell:(Reporting.last_reported_cell st)
+                  ~steps:(Reporting.ticks_since_report st)
+              in
+              let dist = Array.map (fun cell -> belief.(cell)) uncertain.(idx) in
+              let mass = Array.fold_left ( +. ) 0.0 dist in
+              if mass <= 0.0 then
+                (* Degenerate: fall back to uniform over the uncertainty set. *)
+                Array.make (Array.length dist)
+                  (1.0 /. float_of_int (Array.length dist))
+              else Array.map (fun p -> p /. mass) dist)
+        in
+        (* Age-dependent rows: the profile estimate evolved through the
            residence-time kernel for as long as the system has been
            blind to this user. Age 0 falls back to the frozen-snapshot
            path bit for bit (Profile.aged_over delegates). *)
-        let aged_row idx =
-          let u = group.(idx) in
-          let k = Option.get kernel in
-          Profile.aged_over (paging_profile u) ~aging:k
-            ~age:(profile_age u) uncertain.(idx)
-          |> fun dist ->
-          let row = Array.make c_local 0.0 in
-          Array.iteri
-            (fun k cell -> row.(Hashtbl.find universe_tbl cell) <- dist.(k))
-            uncertain.(idx);
-          row
+        let aged_rows =
+          rows_of (fun idx u ->
+              Profile.aged_over (paging_profile u) ~aging:(Option.get kernel)
+                ~age:(profile_age u) uncertain.(idx))
         in
         (* Staleness-inflated uncertainty ball for the robust re-rank:
            the sampling radius (DKW on the profile's observation count)
            grown by the churn probability — the chance the user left
            their observed cell altogether, from the residence survival
            at the profile's age. Radii never shrink with age. *)
-        let staleness_ball () =
-          match aging_cfg with
-          | None -> assert false (* validated: robust scheme needs aging *)
-          | Some a ->
-            let base =
-              Array.map
-                (fun u ->
-                  Prob.Estimate.dkw_eps
-                    ~n:(Profile.observations (paging_profile u))
-                    ~confidence:a.confidence)
-                group
-            in
-            let churn =
-              Array.map
-                (fun u ->
-                  1.0
-                  -. Mobility.residence_survival a.residence (profile_age u))
-                group
-            in
-            Uncertainty.inflate (Uncertainty.per_row base) ~by:churn
-        in
-        let plan acc =
-          let d, rows =
-            match acc.s_scheme with
-            | Blanket -> 1, Array.mapi (fun idx _ -> counts_row idx) group
-            | Selective d ->
-              ( Stdlib.min d c_local,
-                Array.mapi (fun idx _ -> counts_row idx) group )
-            | Selective_diffuse d ->
-              ( Stdlib.min d c_local,
-                Array.mapi (fun idx _ -> diffuse_row idx) group )
-            | Selective_aged d | Selective_robust d ->
-              ( Stdlib.min d c_local,
-                Array.mapi (fun idx _ -> aged_row idx) group )
+        let staleness_ball a =
+          let base =
+            Array.map
+              (fun u ->
+                Prob.Estimate.dkw_eps
+                  ~n:(Profile.observations (paging_profile u))
+                  ~confidence:a.confidence)
+              group
           in
-          let inst = Instance.create ~d rows in
+          let churn =
+            Array.map
+              (fun u ->
+                1.0 -. Mobility.residence_survival a.residence (profile_age u))
+              group
+          in
+          Uncertainty.inflate (Uncertainty.per_row base) ~by:churn
+        in
+        let plan scheme =
+          let d, rows =
+            match scheme with
+            | Blanket -> 1, counts_rows
+            | Selective d -> Stdlib.min d c_local, counts_rows
+            | Selective_diffuse d -> Stdlib.min d c_local, diffuse_rows
+            | Selective_aged d | Selective_robust d ->
+              Stdlib.min d c_local, aged_rows
+          in
+          let inst = Instance.create ~d (Lazy.force rows) in
+          let greedy () = (Greedy.solve inst).Order_dp.strategy in
           let strategy =
-            match acc.s_scheme with
-            | Blanket -> Strategy.page_all c_local
-            | Selective_robust _ ->
+            match scheme, aging_cfg with
+            | Blanket, _ -> Strategy.page_all c_local
+            | Selective_robust _, Some a ->
               (* Re-rank the candidate pool by worst-case EP over the
                  age-inflated per-row ball, like the robust-<eps>
                  solver but with radii from the residence-time model. *)
-              (match Solver.most_robust (staleness_ball ()) inst with
+              (match Solver.most_robust (staleness_ball a) inst with
                | Some o -> o.Solver.strategy
-               | None -> (Greedy.solve inst).Order_dp.strategy)
-            | Selective _ | Selective_diffuse _ | Selective_aged _ ->
+               | None -> greedy ())
+            | _ ->
+              (* Selective, diffuse and aged (validation gives the robust
+                 scheme an aging config). A budgeted estimator re-solves
+                 through the runtime: a refreshed snapshot re-plans like
+                 any other call, under the same per-call deadline. *)
               (match plan_budget_ms with
                | Some b ->
-                 (* Re-solve through the budgeted runtime: a refreshed
-                    snapshot re-plans like any other call, under the
-                    same per-call deadline. *)
                  (match
                     Runner.solve ~budget_ms:b
                       ~chain:Solver.[ Greedy; Page_all ] inst
                   with
                   | Ok o -> o.Solver.strategy
-                  | Error _ -> (Greedy.solve inst).Order_dp.strategy)
-               | None -> (Greedy.solve inst).Order_dp.strategy)
+                  | Error _ -> greedy ())
+               | None -> greedy ())
           in
           inst, strategy
         in
-        if not faults_on then begin
-          (* Clean path: identical to the fault-free simulator. *)
-          let positions_local =
-            Array.map
-              (fun u ->
-                match Hashtbl.find_opt universe_tbl position.(u) with
-                | Some k -> k
-                | None ->
-                  (* Disk-based policies assume at most one cell per tick;
-                     teleporting mobility models break that. *)
-                  invalid_arg
-                    "Sim.run: user outside its uncertainty set (mobility \
-                     jumps farther than the reporting policy allows)")
-              group
-          in
-          List.iter
-            (fun acc ->
-              let inst, strategy = plan acc in
-              let cost =
-                Strategy.cost_on_outcome strategy ~m:(Array.length group)
-                  ~positions:positions_local
-              in
-              acc.s_calls <- acc.s_calls + 1;
-              acc.s_devices <- acc.s_devices + Array.length group;
-              acc.s_cells <- acc.s_cells + cost;
-              acc.s_expected <-
-                acc.s_expected +. Strategy.expected_paging inst strategy;
-              let rounds_used =
-                rounds_on_outcome strategy ~positions:positions_local
-              in
-              acc.s_rounds <- acc.s_rounds + rounds_used;
-              if Obs.on () then begin
-                Obs.observe ~buckets:Obs.small_count_buckets
-                  "sim_rounds_to_find" (float_of_int rounds_used);
-                let groups = Strategy.groups strategy in
-                for k = 0 to rounds_used - 1 do
-                  Obs.observe ~buckets:Obs.small_count_buckets
-                    "sim_paged_cells_per_round"
-                    (float_of_int (Array.length groups.(k)))
-                done
-              end;
-              Prob.Stats.Acc.add acc.s_stats (float_of_int cost))
-            accs
-        end
-        else begin
-          (* Fault-aware path: execute the strategy round by round
-             against ground truth, sampling page loss, outage blocking
-             and imperfect detection, then apply the retry policy. Every
-             scheme replays the same per-call fault stream so their
-             numbers stay directly comparable. *)
-          let call_frng = Prob.Rng.split rng_faults in
-          let positions_true = Array.map (fun u -> position.(u)) group in
-          let m_group = Array.length group in
-          List.iter
-            (fun acc ->
-              let frng = Prob.Rng.copy call_frng in
-              let inst, strategy = plan acc in
-              let groups = Strategy.groups strategy in
-              let n_base = Array.length groups in
-              let found = Array.make m_group false in
-              let n_found = ref 0 in
-              let cells_paged = ref 0 in
-              let rounds = ref 0 in
-              let round_of_local g = Array.map (fun k -> universe.(k)) g in
-              let page_cells round_cells =
-                incr rounds;
-                let paged_before = !cells_paged in
-                let effective = ref [] in
-                Array.iter
-                  (fun cell ->
-                    if
-                      fmodel.Faults.outage_rate > 0.0
-                      && Faults.Outage.down outage cell
-                    then
-                      (* The MSC knows the base station is down: the page
-                         is never transmitted (no cost), but the
-                         coverage hole persists. *)
-                      acc.s_pages_blocked <- acc.s_pages_blocked + 1
-                    else begin
-                      incr cells_paged;
-                      if
-                        fmodel.Faults.page_loss > 0.0
-                        && Prob.Rng.unit_float frng < fmodel.Faults.page_loss
-                      then acc.s_pages_lost <- acc.s_pages_lost + 1
-                      else begin
-                        paged_mask.(cell) <- true;
-                        effective := cell :: !effective
-                      end
-                    end)
-                  round_cells;
-                (if fmodel.Faults.detect_q >= 1.0 then
-                   Array.iteri
-                     (fun i pos ->
-                       if (not found.(i)) && paged_mask.(pos) then begin
-                         found.(i) <- true;
-                         incr n_found
-                       end)
-                     positions_true
-                 else
-                   n_found :=
-                     !n_found
-                     + Miss.page_round frng ~q:fmodel.Faults.detect_q
-                         ~in_group:(fun cell -> paged_mask.(cell))
-                         ~positions:positions_true ~found);
-                List.iter (fun cell -> paged_mask.(cell) <- false) !effective;
-                if Obs.on () then
-                  Obs.observe ~buckets:Obs.small_count_buckets
-                    "sim_paged_cells_per_round"
-                    (float_of_int (!cells_paged - paged_before))
-              in
-              let r = ref 0 in
-              while !n_found < m_group && !r < n_base do
-                page_cells (round_of_local groups.(!r));
-                incr r
-              done;
-              let base_cells = !cells_paged and base_rounds = !rounds in
-              let repeat_cycles cycles ~backoff =
-                if cycles > 0 && !n_found < m_group then begin
-                  let sched = Miss.repeat_strategy strategy ~cycles in
-                  let i = ref 0 in
-                  while !n_found < m_group && !i < Array.length sched do
-                    if !i mod n_base = 0 then begin
-                      acc.s_retries <- acc.s_retries + 1;
-                      rounds := !rounds + backoff
-                    end;
-                    page_cells (round_of_local sched.(!i));
-                    incr i
-                  done
-                end
-              in
-              (match fmodel.Faults.retry with
-               | Faults.No_retry -> ()
-               | Faults.Repeat { cycles; backoff } ->
-                 repeat_cycles cycles ~backoff;
-                 acc.s_retry_cells <-
-                   acc.s_retry_cells + (!cells_paged - base_cells);
-                 acc.s_retry_rounds <-
-                   acc.s_retry_rounds + (!rounds - base_rounds)
-               | Faults.Escalate { after; to_blanket } ->
-                 repeat_cycles after ~backoff:0;
-                 acc.s_retry_cells <-
-                   acc.s_retry_cells + (!cells_paged - base_cells);
-                 acc.s_retry_rounds <-
-                   acc.s_retry_rounds + (!rounds - base_rounds);
-                 if !n_found < m_group then begin
-                   acc.s_escalations <- acc.s_escalations + 1;
-                   let before = !cells_paged in
-                   page_cells (if to_blanket then all_cells else universe);
-                   acc.s_escalate_cells <-
-                     acc.s_escalate_cells + (!cells_paged - before)
-                 end);
-              if Obs.on () then
-                Obs.observe ~buckets:Obs.small_count_buckets
-                  "sim_rounds_to_find" (float_of_int !rounds);
-              acc.s_residual <- acc.s_residual + (m_group - !n_found);
-              acc.s_calls <- acc.s_calls + 1;
-              acc.s_devices <- acc.s_devices + m_group;
-              acc.s_cells <- acc.s_cells + !cells_paged;
-              acc.s_expected <-
-                acc.s_expected +. Strategy.expected_paging inst strategy;
-              acc.s_rounds <- acc.s_rounds + !rounds;
-              Prob.Stats.Acc.add acc.s_stats (float_of_int !cells_paged))
-            accs
-        end;
+        let positions = Array.map (fun u -> position.(u)) group in
+        if not report_faults then
+          Array.iter
+            (fun cell ->
+              if not (Hashtbl.mem universe_tbl cell) then
+                (* Disk-based policies assume at most one cell per tick;
+                   teleporting mobility models break that. *)
+                invalid_arg
+                  "Sim.run: user outside its uncertainty set (mobility \
+                   jumps farther than the reporting policy allows)")
+            positions;
+        (* Every scheme replays the same per-call fault stream, so their
+           numbers stay directly comparable. *)
+        let call_frng = Prob.Rng.split rng_faults in
+        List.iter
+          (fun acc ->
+            let inst, strategy = plan acc.s_scheme in
+            page_call acc fmodel ~outage ~paged_mask ~all_cells ~universe
+              ~positions (Prob.Rng.copy call_frng) strategy;
+            acc.s_expected <-
+              acc.s_expected +. Strategy.expected_paging inst strategy)
+          accs;
         (* The reference network establishes the call, whatever each
            measured scheme achieved: all schemes observe identical
            histories, keeping their costs directly comparable. *)

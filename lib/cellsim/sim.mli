@@ -5,22 +5,27 @@
     For each call the system builds a Conference Call instance over the
     union of the participants' uncertainty sets, estimates each row with
     the scheme's location estimator, runs the paging strategy, and
-    counts the cells actually paged against ground truth. All schemes
-    observe identical mobility, traffic and observation history (every
-    scheme locates all participants), so their costs are directly
-    comparable within one run.
+    counts the cells actually paged against ground truth. Each
+    estimator's rows are built once per call and shared by every scheme
+    that pages from them. All schemes observe identical mobility,
+    traffic and observation history (every scheme locates all
+    participants), so their costs are directly comparable within one
+    run.
 
     Optionally calls have a duration: while a user is on a call the
     system tracks their cell continuously (an ongoing call needs no
     search — §1.1), and busy users cannot join new conferences.
 
-    With [faults = Some f] the run additionally injects the {!Faults}
-    model: pages are lost, paged devices answer only with probability
-    [q] (§5), cells suffer transient outages, and location reports are
-    lost or delayed — after which the configured retry policy re-pages
-    and possibly escalates to blanket paging. The fault stream has its
-    own split of the seed PRNG, so [faults = None] and
-    [faults = Some Faults.none] produce identical results and every
+    One executor pages every call, round by round, against the
+    participants' true cells, and stops once all have answered. With
+    [faults = Some f] it also injects the {!Faults} model: pages are
+    lost, paged devices answer only with probability [q] (§5), cells
+    suffer transient outages, and location reports are lost or delayed
+    — after which the configured retry policy re-pages and possibly
+    escalates to blanket paging. [faults = None] runs the same executor
+    with {!Faults.none}, so it equals [faults = Some Faults.none] by
+    construction. The fault stream has its own split of the seed PRNG,
+    so enabling faults never perturbs mobility or traffic, and every
     faulty run is reproducible. *)
 
 type scheme =
@@ -162,7 +167,7 @@ type config = {
           [mobility]. Lets commuter patterns (morning/evening drift)
           diverge from the system's single calibrated model. *)
   call_duration : float;
-      (** mean call length (exponential); ≤ 0 for instantaneous calls *)
+      (** mean call length (exponential); [0] for instantaneous calls *)
   track_ongoing : bool;
       (** when true, the network observes the exact cell of every user on
           an ongoing call each tick (§1.1: devices in a call communicate
@@ -170,10 +175,10 @@ type config = {
           as opaque as idle ones — the ablation switch for E17 *)
   faults : Faults.t option;
       (** fault-injection model; [None] is the perfectly reliable
-          simulator. Note that with faults enabled a device may fall
-          outside the computed uncertainty universe (a lost report made
-          the network's view stale); the paging loop then counts it as a
-          residual miss instead of raising, and only an
+          simulator, i.e. [Some Faults.none]. With report loss or delay
+          a device may fall outside the computed uncertainty universe
+          (the network's view went stale); the executor then counts it
+          as a residual miss instead of raising, and only an
           [Escalate ~to_blanket:true] retry can still recover it. *)
   estimator : estimator;
       (** [Live] pages from the always-fresh profiles; [Snapshot]
@@ -195,9 +200,13 @@ val default_config : unit -> config
 (** [run config] executes the simulation deterministically for the
     config's seed.
     @raise Invalid_argument on inconsistent dimensions, non-positive
-    user counts, an empty scheme list, an unsorted mobility schedule,
-    out-of-range profile decay/smoothing, or bad reporting/fault
-    parameters. *)
+    user counts, traffic drawing from more users than [users], an empty
+    scheme list, an unsorted mobility schedule, out-of-range profile
+    decay/smoothing, a negative or non-finite [call_duration], or bad
+    reporting/fault parameters; and, mid-run, when a call participant
+    is outside their uncertainty set although no report fault is
+    configured (the motion jumps farther than the reporting policy
+    allows, e.g. {!Mobility.teleport} under [Movement] reporting). *)
 val run : config -> result
 
 val scheme_to_string : scheme -> string

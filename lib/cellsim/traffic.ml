@@ -6,7 +6,10 @@ type group_size =
 type t = { rate : float; group_size : group_size; users : int }
 
 let create ~rate ~group_size ~users =
-  if rate <= 0.0 then invalid_arg "Traffic.create: non-positive rate"
+  if not (Float.is_finite rate && rate > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Traffic.create: rate must be finite and positive, got %g"
+         rate)
   else if users <= 0 then invalid_arg "Traffic.create: no users"
   else begin
     (match group_size with
@@ -16,8 +19,12 @@ let create ~rate ~group_size ~users =
        if lo < 1 || hi < lo || hi > users then
          invalid_arg "Traffic.create: bad size range"
      | Geometric_capped (p, cap) ->
-       if p <= 0.0 || p > 1.0 || cap < 1 || cap > users then
-         invalid_arg "Traffic.create: bad geometric parameters");
+       if not (p > 0.0 && p <= 1.0) then
+         invalid_arg
+           (Printf.sprintf "Traffic.create: geometric p must be in (0, 1], got %g"
+              p)
+       else if cap < 1 || cap > users then
+         invalid_arg "Traffic.create: bad geometric cap");
     { rate; group_size; users }
   end
 
@@ -48,3 +55,4 @@ let draw_group t rng =
   Array.sub ids 0 k
 
 let rate t = t.rate
+let users t = t.users

@@ -11,7 +11,10 @@ type t
 
 (** [create ~rate ~group_size ~users] — [rate] is calls per time unit
     across the system; participants are drawn without replacement from
-    [users]. *)
+    [users].
+    @raise Invalid_argument naming the field on a rate that is not
+    finite and positive, a geometric [p] outside (0, 1] (NaN included),
+    or a group size that cannot be drawn from [users]. *)
 val create : rate:float -> group_size:group_size -> users:int -> t
 
 (** [next_arrival t rng] — exponential inter-arrival time. *)
@@ -21,3 +24,7 @@ val next_arrival : t -> Prob.Rng.t -> float
 val draw_group : t -> Prob.Rng.t -> int array
 
 val rate : t -> float
+
+(** [users t] — the participant ids [draw_group] draws from are
+    [0 .. users t - 1]. *)
+val users : t -> int

@@ -585,25 +585,19 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
 let execute_sim st job ~build ~scenario ~seed ~replicas =
   let start_s = Obs.now () in
   let queue_ms = (start_s -. job.admitted_s) *. 1000.0 in
+  (* One path for every replica count ([Proto] guarantees >= 1): a
+     one-replica summary carries that run's calls, cells and EP. *)
+  let summary =
+    Cellsim.Replicate.run_summary ~replicas (build ?seed:(Some seed) ())
+  in
   let per_scheme =
-    if replicas <= 1 then
-      let r = Cellsim.Sim.run (build ?seed:(Some seed) ()) in
-      List.map
-        (fun (s : Cellsim.Sim.scheme_metrics) ->
-          ( Cellsim.Sim.scheme_to_string s.Cellsim.Sim.scheme,
-            s.Cellsim.Sim.calls,
-            s.Cellsim.Sim.cells_paged,
-            s.Cellsim.Sim.expected_paging ))
-        r.Cellsim.Sim.per_scheme
-    else
-      let s = Cellsim.Replicate.run_summary ~replicas (build ?seed:(Some seed) ()) in
-      List.map
-        (fun (a : Cellsim.Replicate.scheme_agg) ->
-          ( Cellsim.Sim.scheme_to_string a.Cellsim.Replicate.scheme,
-            a.Cellsim.Replicate.calls,
-            a.Cellsim.Replicate.cells_paged,
-            a.Cellsim.Replicate.expected_paging ))
-        s.Cellsim.Replicate.per_scheme
+    List.map
+      (fun (a : Cellsim.Replicate.scheme_agg) ->
+        ( Cellsim.Sim.scheme_to_string a.Cellsim.Replicate.scheme,
+          a.Cellsim.Replicate.calls,
+          a.Cellsim.Replicate.cells_paged,
+          a.Cellsim.Replicate.expected_paging ))
+      summary.Cellsim.Replicate.per_scheme
   in
   let elapsed_ms = (Obs.now () -. start_s) *. 1000.0 in
   note_exec_ms st elapsed_ms;

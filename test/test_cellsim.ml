@@ -484,6 +484,128 @@ let test_sim_heavy_report_loss_survives () =
   check bool_t "completed" true (r.Cellsim.Sim.total_calls > 0);
   check bool_t "reports actually lost" true (r.Cellsim.Sim.reports_lost > 0)
 
+(* Teleporting users jump several cells in one tick. Movement reporting
+   bounds a terminal's displacement by its move count, so a jump leaves
+   it outside its uncertainty set: without report faults that breaks the
+   simulator's containment invariant and the run must refuse to go on.
+   Distance reporting fires on the jump itself and stays contained. *)
+let teleport_config reporting =
+  let c = small_config () in
+  let cells = Cellsim.Hex.cells c.Cellsim.Sim.hex in
+  {
+    c with
+    Cellsim.Sim.mobility =
+      Cellsim.Mobility.teleport c.Cellsim.Sim.mobility ~jump:0.3
+        ~target:(Array.make cells (1.0 /. float_of_int cells));
+    reporting;
+  }
+
+let test_sim_containment_check () =
+  let outside = function
+    | Invalid_argument msg ->
+      String.starts_with ~prefix:"Sim.run: user outside its uncertainty set"
+        msg
+    | _ -> false
+  in
+  let raises_outside config =
+    match Cellsim.Sim.run config with
+    | _ -> false
+    | exception e -> outside e
+  in
+  check bool_t "movement reporting, no faults: refused" true
+    (raises_outside (teleport_config (Cellsim.Reporting.Movement 3)));
+  (* A fault model without report faults leaves the view as fresh as
+     the clean run's, so the check still fires. *)
+  check bool_t "movement reporting, page faults only: refused" true
+    (raises_outside
+       (with_faults
+          (Some { Cellsim.Faults.none with Cellsim.Faults.detect_q = 0.9 })
+          (teleport_config (Cellsim.Reporting.Movement 3))));
+  let distance = Cellsim.Sim.run (teleport_config (Cellsim.Reporting.Distance 2)) in
+  check bool_t "distance reporting stays contained" true
+    (distance.Cellsim.Sim.total_calls > 0);
+  (* With report loss the same motion is tolerated: devices outside the
+     stale universe surface as residual misses instead. *)
+  let lossy =
+    Cellsim.Sim.run
+      (with_faults
+         (Some { Cellsim.Faults.none with Cellsim.Faults.report_loss = 0.1 })
+         (teleport_config (Cellsim.Reporting.Movement 3)))
+  in
+  check bool_t "report loss: residual misses reported" true
+    (List.for_all
+       (fun s -> s.Cellsim.Sim.robustness.Cellsim.Sim.residual_misses > 0)
+       lossy.Cellsim.Sim.per_scheme)
+
+(* -------------------- Golden digest -------------------- *)
+
+(* Every canned scenario at seeds 1–3, with the metrics registry on:
+   every integer field of the result, the [%h] bits of every float
+   field, and the [sim_*] counters and histograms of the run. The
+   digest was taken before the simulator lost its separate fault-free
+   paging executor and must not move: degraded-downtown covers the
+   fault path, residence-pareto the aged and robust schemes, and
+   drifting-commuter the drift snapshots. *)
+let golden_sim_digest = "eae4ee4e194f4ac509dbb217cca7240f"
+
+let sim_digest () =
+  let b = Buffer.create 65536 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let m = Obs.Metrics.default in
+  let was_on = Obs.Metrics.enabled m in
+  Obs.Metrics.set_enabled m true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.reset m;
+      Obs.Metrics.set_enabled m was_on)
+    (fun () ->
+      List.iter
+        (fun (name, build) ->
+          List.iter
+            (fun seed ->
+              Obs.Metrics.reset m;
+              let r = Cellsim.Sim.run (build ?seed:(Some seed) ()) in
+              let open Cellsim.Sim in
+              line "%s seed %d: %h %d %d %d %d %d %d %d %d" name seed
+                r.duration r.moves r.updates r.total_calls r.skipped_calls
+                r.reports_lost r.reports_delayed r.outages r.polls;
+              Option.iter
+                (fun d ->
+                  line "drift %d %d %d %s %h" d.checks d.evaluated d.resolves
+                    (match d.last_resolve with
+                     | None -> "-"
+                     | Some t -> Printf.sprintf "%h" t)
+                    d.max_mean_tv)
+                r.drift;
+              List.iter
+                (fun s ->
+                  let p = s.per_call and f = s.robustness in
+                  line "%s %d %d %d %h %d | %d %h %h %h %h %h | %d %d %d %d %d %d %d %d"
+                    (scheme_to_string s.scheme) s.calls s.devices_sought
+                    s.cells_paged s.expected_paging s.rounds_used p.Prob.Stats.n
+                    p.Prob.Stats.mean p.Prob.Stats.variance p.Prob.Stats.stddev
+                    p.Prob.Stats.min p.Prob.Stats.max f.retries f.retry_cells
+                    f.retry_rounds f.escalations f.escalate_cells
+                    f.residual_misses f.pages_lost f.pages_blocked)
+                r.per_scheme;
+              let sim_metric (n, _) = String.starts_with ~prefix:"sim_" n in
+              List.iter
+                (fun (n, v) -> line "counter %s %d" n v)
+                (List.filter sim_metric (Obs.Metrics.counters m));
+              List.iter
+                (fun (n, counts) ->
+                  line "histogram %s %s" n
+                    (String.concat " "
+                       (Array.to_list (Array.map string_of_int counts))))
+                (List.filter sim_metric (Obs.Metrics.histogram_buckets m)))
+            [ 1; 2; 3 ])
+        Cellsim.Scenario.all);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_sim_golden_digest () =
+  check Alcotest.string "Scenario.all × seeds 1–3" golden_sim_digest
+    (sim_digest ())
+
 let test_sim_different_seeds_differ () =
   let c1 = small_config () in
   let c2 = { c1 with Cellsim.Sim.seed = 78 } in
@@ -561,6 +683,8 @@ let () =
           Alcotest.test_case "deeper delay helps" `Slow
             test_sim_deeper_delay_pages_less;
           Alcotest.test_case "seeds differ" `Slow test_sim_different_seeds_differ;
+          Alcotest.test_case "golden digest, every scenario" `Quick
+            test_sim_golden_digest;
         ] );
       ( "faults",
         [
@@ -574,5 +698,7 @@ let () =
             test_sim_degradation_costs_pages;
           Alcotest.test_case "heavy report loss" `Slow
             test_sim_heavy_report_loss_survives;
+          Alcotest.test_case "containment check" `Quick
+            test_sim_containment_check;
         ] );
     ]

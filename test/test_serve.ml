@@ -581,6 +581,52 @@ let test_ops_and_drain () =
         (jstr_field "status" j);
       check string_t "drain reason" "draining" (jstr_field "reason" j))
 
+(* The daemon's [simulate] answer is the in-process replicated summary,
+   scheme by scheme, at one replica and at several: same calls, same
+   cells, and the same printed EP. *)
+let test_simulate_matches_in_process () =
+  with_server ~domains:1 ~capacity:8 (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let seed = 5 in
+      List.iter
+        (fun (scenario, replicas) ->
+          send c
+            (Printf.sprintf
+               "{\"id\": \"s\", \"op\": \"simulate\", \"scenario\": %S, \
+                \"seed\": %d, \"replicas\": %d}"
+               scenario seed replicas);
+          let j = parse_response (List.hd (recv_n c 1)) in
+          let what = Printf.sprintf "%s x%d" scenario replicas in
+          check string_t (what ^ " ok") "ok" (jstr_field "status" j);
+          let build = List.assoc scenario Cellsim.Scenario.all in
+          let expected =
+            Cellsim.Replicate.run_summary ~replicas (build ~seed ())
+          in
+          let served =
+            match J.member "per_scheme" j with
+            | Some (J.Arr l) -> l
+            | _ -> Alcotest.failf "%s: no per_scheme array" what
+          in
+          check int_t (what ^ " scheme count")
+            (List.length expected.Cellsim.Replicate.per_scheme)
+            (List.length served);
+          List.iter2
+            (fun (a : Cellsim.Replicate.scheme_agg) s ->
+              let name = Cellsim.Sim.scheme_to_string a.Cellsim.Replicate.scheme in
+              check string_t (what ^ " scheme") name (jstr_field "scheme" s);
+              check int_t (what ^ " " ^ name ^ " calls") a.Cellsim.Replicate.calls
+                (int_of_float (jnum_field "calls" s));
+              check int_t (what ^ " " ^ name ^ " cells")
+                a.Cellsim.Replicate.cells_paged
+                (int_of_float (jnum_field "cells_paged" s));
+              check string_t (what ^ " " ^ name ^ " EP")
+                (J.to_string (J.Num a.Cellsim.Replicate.expected_paging))
+                (J.to_string (J.Num (jnum_field "expected_paging" s))))
+            expected.Cellsim.Replicate.per_scheme served)
+        [ ("suburb", 1); ("suburb", 3); ("residence-exp", 1);
+          ("residence-exp", 3) ])
+
 let test_drain_finishes_inflight () =
   with_server ~domains:1 ~capacity:16 (fun h port ->
       let c = connect port in
@@ -723,6 +769,8 @@ let () =
             test_ops_and_drain;
           Alcotest.test_case "drain finishes in-flight work" `Quick
             test_drain_finishes_inflight;
+          Alcotest.test_case "simulate matches in-process replicas" `Quick
+            test_simulate_matches_in_process;
         ] );
       ( "idempotency",
         [
