@@ -25,9 +25,10 @@ module Bandwidth = Confcall.Bandwidth
 module Miss = Confcall.Miss
 module Hardness = Confcall.Hardness
 
-(* id, pass, detail, machine-readable metrics (values are JSON
-   fragments; see [json_out]). *)
-let results : (string * bool * string * (string * string) list) list ref =
+module J = Wire.Json
+
+(* id, pass, detail, machine-readable metrics (see [json_out]). *)
+let results : (string * bool * string * (string * J.t) list) list ref =
   ref []
 
 let record ~id ~pass ?(metrics = []) detail =
@@ -38,29 +39,18 @@ let record ~id ~pass ?(metrics = []) detail =
 
 (* --json-out DIR: after the run, one BENCH_<id>.json per experiment
    with the shape-check verdict and any metrics the experiment
-   recorded. Values in [metrics] are already JSON fragments. *)
+   recorded. *)
 let json_out : string option ref = ref None
-
-let json_str s = Wire.Json.to_string (Wire.Json.Str s)
-let json_num x = Wire.Json.to_string (Wire.Json.Num x)
 
 let json_out_result dir (id, pass, detail, metrics) =
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" id) in
-  let fields =
-    [
-      "id", json_str id;
-      "pass", (if pass then "true" else "false");
-      "detail", json_str detail;
-    ]
-    @ metrics
+  let record =
+    J.Obj
+      ([ ("id", J.Str id); ("pass", J.Bool pass); ("detail", J.Str detail) ]
+      @ metrics)
   in
-  let body =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%s: %s" (json_str k) v) fields)
-    ^ "}\n"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc body)
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (J.to_string record ^ "\n"))
 
 let header ~id ~title ~claim =
   Printf.printf "=== %s: %s ===\n" (String.uppercase_ascii id) title;
@@ -1395,23 +1385,24 @@ let e24 () =
     ~pass:(bracket && monotone && resolves >= 1 && recovered_ok && stale_degrades)
     ~metrics:
       [
-        "nominal_ep", json_num nominal;
+        "nominal_ep", J.Num nominal;
         ( "eps_sweep",
-          "["
-          ^ String.concat ", "
-              (List.map
-                 (fun (eps, lo, hi, worst) ->
-                   Printf.sprintf
-                     "{\"eps\": %s, \"lo\": %s, \"hi\": %s, \"worst\": %s}"
-                     (json_num eps) (json_num lo) (json_num hi)
-                     (json_num worst))
-                 rows)
-          ^ "]" );
-        "drift_realized", json_num drift_realized;
-        "drift_nominal", json_num drift_nominal;
-        "stale_realized", json_num stale_realized;
-        "stale_nominal", json_num stale_nominal;
-        "resolves", string_of_int resolves;
+          J.Arr
+            (List.map
+               (fun (eps, lo, hi, worst) ->
+                 J.Obj
+                   [
+                     ("eps", J.Num eps);
+                     ("lo", J.Num lo);
+                     ("hi", J.Num hi);
+                     ("worst", J.Num worst);
+                   ])
+               rows) );
+        "drift_realized", J.Num drift_realized;
+        "drift_nominal", J.Num drift_nominal;
+        "stale_realized", J.Num stale_realized;
+        "stale_nominal", J.Num stale_nominal;
+        "resolves", J.int resolves;
       ]
     (Printf.sprintf
        "bounds bracket nominal and worst case: %b; widen monotonically: %b; \
@@ -1552,29 +1543,29 @@ let e25 () =
     "parallel == sequential: race %b, sweep (journal bytes) %b, sim %b\n"
     race_eq sweep_eq sim_eq;
   let leg_json runs =
-    "["
-    ^ String.concat ", "
-        (List.map
-           (fun (d, (_, w)) ->
-             Printf.sprintf
-               "{\"domains\": %d, \"wall_ms\": %s, \"speedup\": %s}" d
-               (json_num w)
-               (json_num (speedup runs d)))
-           runs)
-    ^ "]"
+    J.Arr
+      (List.map
+         (fun (d, (_, w)) ->
+           J.Obj
+             [
+               ("domains", J.int d);
+               ("wall_ms", J.Num w);
+               ("speedup", J.Num (speedup runs d));
+             ])
+         runs)
   in
   record ~id:"e25"
     ~pass:(race_eq && sweep_eq && sim_eq && speedup_ok)
     ~metrics:
       [
-        "cores", string_of_int cores;
+        "cores", J.int cores;
         "race", leg_json race_runs;
         "sweep", leg_json sweep_runs;
         "sim", leg_json sim_runs;
-        "race_equal", (if race_eq then "true" else "false");
-        "sweep_equal", (if sweep_eq then "true" else "false");
-        "sim_equal", (if sim_eq then "true" else "false");
-        "sweep_speedup_4", json_num sweep_s4;
+        "race_equal", J.Bool race_eq;
+        "sweep_equal", J.Bool sweep_eq;
+        "sim_equal", J.Bool sim_eq;
+        "sweep_speedup_4", J.Num sweep_s4;
       ]
     (Printf.sprintf
        "results identical across 1/2/4 domains: race %b, sweep %b, sim %b; \
@@ -1731,17 +1722,17 @@ let e26 () =
     ~pass:(overhead_ok && counters_equal && n_counters > 0 && n_hists > 0)
     ~metrics:
       ([
-         "counters_equal", (if counters_equal then "true" else "false");
-         "overhead_ok", (if overhead_ok then "true" else "false");
-         "deterministic_counters", string_of_int n_counters;
-         "deterministic_histograms", string_of_int n_hists;
+         "counters_equal", J.Bool counters_equal;
+         "overhead_ok", J.Bool overhead_ok;
+         "deterministic_counters", J.int n_counters;
+         "deterministic_histograms", J.int n_hists;
        ]
       @ List.concat_map
           (fun (name, dis, en) ->
             [
-              "overhead_" ^ name, json_num (en /. dis);
-              "wall_disabled_" ^ name ^ "_ms", json_num dis;
-              "wall_enabled_" ^ name ^ "_ms", json_num en;
+              "overhead_" ^ name, J.Num (en /. dis);
+              "wall_disabled_" ^ name ^ "_ms", J.Num dis;
+              "wall_enabled_" ^ name ^ "_ms", J.Num en;
             ])
           oh)
     (Printf.sprintf
@@ -1890,6 +1881,14 @@ let e27 () =
   let slow_inst =
     Instance.to_string (Instance.random_zipf rng ~s:1.1 ~m:3 ~c:18 ~d:3)
   in
+  let slow_frame id ~chain ~budget_ms =
+    let sr =
+      { Wire.Proto.instance = slow_inst; solver = None; chain = Some chain;
+        budget_ms = Some budget_ms; objective = None; cache = false;
+        request_id = None }
+    in
+    J.to_string (J.Obj (("id", J.Str id) :: Wire.Proto.solve_fields sr)) ^ "\n"
+  in
   (* The fillers run [exhaustive], which burns its whole budget on a
      c = 18 instance, so the first [domains] jobs pin the lanes for
      250 ms; the rest sit in the queue (where the ladder will later
@@ -1900,10 +1899,8 @@ let e27 () =
   let fill_n = domains + capacity + 4 in
   for i = 1 to fill_n do
     write_all filler
-      (Printf.sprintf
-         "{\"id\": \"fill%d\", \"op\": \"solve\", \"instance\": %s, \
-          \"chain\": \"exhaustive\", \"budget_ms\": 250, \"cache\": false}\n"
-         i (json_str slow_inst))
+      (slow_frame (Printf.sprintf "fill%d" i) ~chain:"exhaustive"
+         ~budget_ms:250.0)
   done;
   (* let the filler connection's thread admit the batch and the lanes
      dequeue their first jobs, then top the queue back up to capacity —
@@ -1911,10 +1908,8 @@ let e27 () =
   Unix.sleepf 0.05;
   for i = 1 to domains + 2 do
     write_all filler
-      (Printf.sprintf
-         "{\"id\": \"top%d\", \"op\": \"solve\", \"instance\": %s, \
-          \"chain\": \"exhaustive\", \"budget_ms\": 250, \"cache\": false}\n"
-         i (json_str slow_inst))
+      (slow_frame (Printf.sprintf "top%d" i) ~chain:"exhaustive"
+         ~budget_ms:250.0)
   done;
   Unix.sleepf 0.02;
   let probe_buf = Buffer.create 1024 in
@@ -1922,22 +1917,15 @@ let e27 () =
   for i = 1 to 10 do
     let t = Unix.gettimeofday () in
     write_all prober
-      (Printf.sprintf
-         "{\"id\": \"probe%d\", \"op\": \"solve\", \"instance\": %s, \
-          \"chain\": \"default\", \"budget_ms\": 20, \"cache\": false}\n"
-         i (json_str slow_inst));
+      (slow_frame (Printf.sprintf "probe%d" i) ~chain:"default"
+         ~budget_ms:20.0);
     match read_response prober probe_buf with
     | None -> ()
     | Some line ->
       probe_rtts := ((Unix.gettimeofday () -. t) *. 1000.0) :: !probe_rtts;
-      let contains needle =
-        let nh = String.length line and nn = String.length needle in
-        let rec go i =
-          i + nn <= nh && (String.sub line i nn = needle || go (i + 1))
-        in
-        go 0
-      in
-      if contains "\"rejected\"" then incr probe_rejected
+      match Wire.Proto.decode_response line with
+      | Ok { Wire.Proto.status = "rejected"; _ } -> incr probe_rejected
+      | _ -> ()
   done;
   (try Unix.close prober with Unix.Unix_error _ -> ());
   (try Unix.close filler with Unix.Unix_error _ -> ());
@@ -1977,48 +1965,38 @@ let e27 () =
       results
   in
   let leg_json (mult, s, p50, p99, p999, shed_p99) =
-    let ladder =
-      "{"
-      ^ String.concat ", "
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%s: %d" (json_str k) v)
-             s.Serve.Loadgen.ladder)
-      ^ "}"
-    in
-    "{"
-    ^ String.concat ", "
-        [
-          Printf.sprintf "\"load\": %s" (json_num mult);
-          Printf.sprintf "\"sent\": %d" s.Serve.Loadgen.sent;
-          Printf.sprintf "\"ok\": %d" s.Serve.Loadgen.ok;
-          Printf.sprintf "\"degraded\": %d" s.Serve.Loadgen.degraded;
-          Printf.sprintf "\"rejected\": %d" s.Serve.Loadgen.rejected;
-          Printf.sprintf "\"errors\": %d" s.Serve.Loadgen.errors;
-          Printf.sprintf "\"unanswered\": %d" s.Serve.Loadgen.unanswered;
-          Printf.sprintf "\"throughput\": %s"
-            (json_num s.Serve.Loadgen.throughput);
-          Printf.sprintf "\"p50_ms\": %s" (json_num p50);
-          Printf.sprintf "\"p99_ms\": %s" (json_num p99);
-          Printf.sprintf "\"p999_ms\": %s" (json_num p999);
-          Printf.sprintf "\"shed_p99_ms\": %s" (json_num shed_p99);
-          Printf.sprintf "\"ladder\": %s" ladder;
-        ]
-    ^ "}"
+    J.Obj
+      [
+        ("load", J.Num mult);
+        ("sent", J.int s.Serve.Loadgen.sent);
+        ("ok", J.int s.Serve.Loadgen.ok);
+        ("degraded", J.int s.Serve.Loadgen.degraded);
+        ("rejected", J.int s.Serve.Loadgen.rejected);
+        ("errors", J.int s.Serve.Loadgen.errors);
+        ("unanswered", J.int s.Serve.Loadgen.unanswered);
+        ("throughput", J.Num s.Serve.Loadgen.throughput);
+        ("p50_ms", J.Num p50);
+        ("p99_ms", J.Num p99);
+        ("p999_ms", J.Num p999);
+        ("shed_p99_ms", J.Num shed_p99);
+        ( "ladder",
+          J.Obj (List.map (fun (k, v) -> (k, J.int v)) s.Serve.Loadgen.ladder)
+        );
+      ]
   in
   record ~id:"e27"
     ~pass:(all_terminal && clean_at_half && shed_fast && p99_bounded && drained)
     ~metrics:
       [
-        "nominal_rate", json_num nominal;
-        "budget_ms", json_num budget_ms;
-        "domains", string_of_int domains;
-        "capacity", string_of_int capacity;
-        "drained", (if drained then "true" else "false");
-        "shed_probe_answered", string_of_int probe_answered;
-        "shed_probe_rejected", string_of_int !probe_rejected;
-        "shed_probe_max_ms", json_num probe_max_ms;
-        ( "loads",
-          "[" ^ String.concat ", " (List.map leg_json results) ^ "]" );
+        "nominal_rate", J.Num nominal;
+        "budget_ms", J.Num budget_ms;
+        "domains", J.int domains;
+        "capacity", J.int capacity;
+        "drained", J.Bool drained;
+        "shed_probe_answered", J.int probe_answered;
+        "shed_probe_rejected", J.int !probe_rejected;
+        "shed_probe_max_ms", J.Num probe_max_ms;
+        ("loads", J.Arr (List.map leg_json results));
       ]
     (Printf.sprintf
        "all terminal: %b; clean at 0.5x: %b; pinned-queue shed < 10 ms: %b \
@@ -2162,24 +2140,18 @@ let e28 () =
       (all_terminal && base_drained && fault_drained && healed && p99_bounded)
     ~metrics:
       [
-        "nominal_rate", json_num nominal;
-        "requests", string_of_int requests;
-        "p99_base_ms", json_num p99_base;
-        "p99_fault_ms", json_num p99_fault;
-        "p99_gate_ms", json_num p99_gate;
-        "lane_crashes", string_of_int lane_crashes;
-        "respawns", string_of_int respawns;
-        ( "faults_fired",
-          "{"
-          ^ String.concat ", "
-              (List.map
-                 (fun (pt, n) -> Printf.sprintf "%s: %d" (json_str pt) n)
-                 fired)
-          ^ "}" );
-        "unanswered_base", string_of_int base_s.Serve.Loadgen.unanswered;
-        "unanswered_fault", string_of_int fault_s.Serve.Loadgen.unanswered;
-        "drained_base", (if base_drained then "true" else "false");
-        "drained_fault", (if fault_drained then "true" else "false");
+        "nominal_rate", J.Num nominal;
+        "requests", J.int requests;
+        "p99_base_ms", J.Num p99_base;
+        "p99_fault_ms", J.Num p99_fault;
+        "p99_gate_ms", J.Num p99_gate;
+        "lane_crashes", J.int lane_crashes;
+        "respawns", J.int respawns;
+        ("faults_fired", J.Obj (List.map (fun (pt, n) -> (pt, J.int n)) fired));
+        "unanswered_base", J.int base_s.Serve.Loadgen.unanswered;
+        "unanswered_fault", J.int fault_s.Serve.Loadgen.unanswered;
+        "drained_base", J.Bool base_drained;
+        "drained_fault", J.Bool fault_drained;
       ]
     (Printf.sprintf
        "all terminal: %b; drained: %b/%b; lane crashes %d healed by %d \
@@ -2404,20 +2376,20 @@ let e29 () =
     ~pass:(terminal_ok && no_dups && failover_seen && p99_bounded)
     ~metrics:
       [
-        "pair_nominal_rate", json_num nominal;
-        "rate", json_num rate;
-        "requests", string_of_int requests;
-        "terminal_rate_base", json_num base_rate;
-        "terminal_rate_kill", json_num kill_rate;
-        "terminal_rate_hedge", json_num hedge_rate;
-        "p99_base_ms", json_num p99_base;
-        "p99_kill_ms", json_num p99_kill;
-        "p99_hedge_ms", json_num p99_hedge;
-        "p99_gate_ms", json_num p99_gate;
-        "kill_retried", string_of_int kill_s.Serve.Loadgen.retried;
-        "kill_failed_over", string_of_int kill_s.Serve.Loadgen.failed_over;
-        "hedge_wins", string_of_int hedge_s.Serve.Loadgen.hedge_wins;
-        "duplicate_executions", (if no_dups then "0" else "1");
+        "pair_nominal_rate", J.Num nominal;
+        "rate", J.Num rate;
+        "requests", J.int requests;
+        "terminal_rate_base", J.Num base_rate;
+        "terminal_rate_kill", J.Num kill_rate;
+        "terminal_rate_hedge", J.Num hedge_rate;
+        "p99_base_ms", J.Num p99_base;
+        "p99_kill_ms", J.Num p99_kill;
+        "p99_hedge_ms", J.Num p99_hedge;
+        "p99_gate_ms", J.Num p99_gate;
+        "kill_retried", J.int kill_s.Serve.Loadgen.retried;
+        "kill_failed_over", J.int kill_s.Serve.Loadgen.failed_over;
+        "hedge_wins", J.int hedge_s.Serve.Loadgen.hedge_wins;
+        "duplicate_executions", J.int (if no_dups then 0 else 1);
       ]
     (Printf.sprintf
        "terminal >= 99%%: %b (%.3f/%.3f/%.3f); duplicate executions: %s; \
@@ -2532,15 +2504,15 @@ let e30 () =
     ~pass:(!small_equal && !fast_ok && solve_fast && minor_words = 0 && equal)
     ~metrics:
       [
-        "cells_per_sec", json_num cells_per_sec;
-        "minor_words_per_solve", string_of_int minor_words;
-        "metro_solve_ms", json_num steady_ms;
-        "prepare_ms", json_num prepare_ms;
-        "legacy_solve_ms", json_num legacy_ms;
-        "metro_ep", json_num flat_ep;
-        "flat_equal_legacy", (if equal then "true" else "false");
-        "small_diff_equal", (if !small_equal then "true" else "false");
-        "fast_climb_ok", (if !fast_ok then "true" else "false");
+        "cells_per_sec", J.Num cells_per_sec;
+        "minor_words_per_solve", J.int minor_words;
+        "metro_solve_ms", J.Num steady_ms;
+        "prepare_ms", J.Num prepare_ms;
+        "legacy_solve_ms", J.Num legacy_ms;
+        "metro_ep", J.Num flat_ep;
+        "flat_equal_legacy", J.Bool equal;
+        "small_diff_equal", J.Bool !small_equal;
+        "fast_climb_ok", J.Bool !fast_ok;
       ]
     (Printf.sprintf
        "metro solve %.3f ms < 100 ms: %b; minor words/solve = %d (want 0); \
@@ -2737,26 +2709,26 @@ let e31 () =
     ~pass:(degrades && pareto_faster && mitigates && recovers)
     ~metrics:
       [
-        "exp_fresh", json_num exp_fresh;
-        "pareto_fresh", json_num pareto_fresh;
-        "exp_aged_sum", json_num exp_aged_sum;
-        "pareto_aged_sum", json_num pareto_aged_sum;
-        "exp_aged_nom_max", json_num (nominal (at "exp" kmax) aged);
-        "pareto_aged_nom_max", json_num (nominal (at "pareto" kmax) aged);
-        "exp_deg_max", json_num (deg "exp" kmax);
-        "pareto_deg_max", json_num (deg "pareto" kmax);
-        "exp_stale_max", json_num (realized (at "exp" kmax) sel);
-        "exp_aged_max", json_num (realized (at "exp" kmax) aged);
-        "exp_robust_max", json_num (realized (at "exp" kmax) robust);
-        "pareto_stale_max", json_num (realized (at "pareto" kmax) sel);
-        "pareto_aged_max", json_num (realized (at "pareto" kmax) aged);
-        "pareto_robust_max", json_num (realized (at "pareto" kmax) robust);
-        "exp_reprofiled", json_num rec_exp;
-        "pareto_reprofiled", json_num rec_pareto;
-        "degrades", (if degrades then "true" else "false");
-        "pareto_faster", (if pareto_faster then "true" else "false");
-        "mitigates", (if mitigates then "true" else "false");
-        "recovers", (if recovers then "true" else "false");
+        "exp_fresh", J.Num exp_fresh;
+        "pareto_fresh", J.Num pareto_fresh;
+        "exp_aged_sum", J.Num exp_aged_sum;
+        "pareto_aged_sum", J.Num pareto_aged_sum;
+        "exp_aged_nom_max", J.Num (nominal (at "exp" kmax) aged);
+        "pareto_aged_nom_max", J.Num (nominal (at "pareto" kmax) aged);
+        "exp_deg_max", J.Num (deg "exp" kmax);
+        "pareto_deg_max", J.Num (deg "pareto" kmax);
+        "exp_stale_max", J.Num (realized (at "exp" kmax) sel);
+        "exp_aged_max", J.Num (realized (at "exp" kmax) aged);
+        "exp_robust_max", J.Num (realized (at "exp" kmax) robust);
+        "pareto_stale_max", J.Num (realized (at "pareto" kmax) sel);
+        "pareto_aged_max", J.Num (realized (at "pareto" kmax) aged);
+        "pareto_robust_max", J.Num (realized (at "pareto" kmax) robust);
+        "exp_reprofiled", J.Num rec_exp;
+        "pareto_reprofiled", J.Num rec_pareto;
+        "degrades", J.Bool degrades;
+        "pareto_faster", J.Bool pareto_faster;
+        "mitigates", J.Bool mitigates;
+        "recovers", J.Bool recovers;
       ]
     (Printf.sprintf
        "staleness degrades realized cost monotonically: %b; heavy tail \

@@ -30,127 +30,111 @@ let read_instance path =
   in
   Instance.of_string content
 
-(* ---------------- JSON emission ----------------
+(* ---------------- JSON output ----------------
 
-   Machine-readable output for bench trajectories and CI, built from
-   pre-rendered fragments. Strings and numbers go through the wire
-   printer, so a CLI solve and a daemon response print the same values
-   byte-identically. *)
+   Machine-readable output for bench trajectories and CI: every
+   [--json] document is a [Wire.Json] tree, printed by the same printer
+   as the daemon's frames. *)
 
-module Json = struct
-  let str s = Wire.Json.to_string (Wire.Json.Str s)
-  let num x = Wire.Json.to_string (Wire.Json.Num x)
-  let obj fields =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%s: %s" (str k) v) fields)
-    ^ "}"
-  let arr items = "[" ^ String.concat ", " items ^ "]"
+module J = Wire.Json
 
-  let strategy (s : Strategy.t) =
-    arr
-      (Array.to_list
-         (Array.map
-            (fun g -> arr (Array.to_list (Array.map string_of_int g)))
-            (Strategy.groups s)))
+let print_json v = print_endline (J.to_string v)
 
-  let summary (s : Prob.Stats.summary) =
-    obj
+let summary_json (s : Prob.Stats.summary) =
+  J.Obj
+    [
+      ("n", J.int s.Prob.Stats.n);
+      ("mean", J.Num s.Prob.Stats.mean);
+      ("stddev", J.Num s.Prob.Stats.stddev);
+      ("min", J.Num s.Prob.Stats.min);
+      ("max", J.Num s.Prob.Stats.max);
+    ]
+
+let sim_result_json (r : Cellsim.Sim.result) =
+  let robustness (f : Cellsim.Sim.fault_metrics) =
+    J.Obj
       [
-        "n", string_of_int s.Prob.Stats.n;
-        "mean", num s.Prob.Stats.mean;
-        "stddev", num s.Prob.Stats.stddev;
-        "min", num s.Prob.Stats.min;
-        "max", num s.Prob.Stats.max;
+        ("retries", J.int f.Cellsim.Sim.retries);
+        ("retry_cells", J.int f.Cellsim.Sim.retry_cells);
+        ("retry_rounds", J.int f.Cellsim.Sim.retry_rounds);
+        ("escalations", J.int f.Cellsim.Sim.escalations);
+        ("escalate_cells", J.int f.Cellsim.Sim.escalate_cells);
+        ("residual_misses", J.int f.Cellsim.Sim.residual_misses);
+        ("pages_lost", J.int f.Cellsim.Sim.pages_lost);
+        ("pages_blocked", J.int f.Cellsim.Sim.pages_blocked);
       ]
-
-  let sim_result (r : Cellsim.Sim.result) =
-    let robustness (f : Cellsim.Sim.fault_metrics) =
-      obj
-        [
-          "retries", string_of_int f.Cellsim.Sim.retries;
-          "retry_cells", string_of_int f.Cellsim.Sim.retry_cells;
-          "retry_rounds", string_of_int f.Cellsim.Sim.retry_rounds;
-          "escalations", string_of_int f.Cellsim.Sim.escalations;
-          "escalate_cells", string_of_int f.Cellsim.Sim.escalate_cells;
-          "residual_misses", string_of_int f.Cellsim.Sim.residual_misses;
-          "pages_lost", string_of_int f.Cellsim.Sim.pages_lost;
-          "pages_blocked", string_of_int f.Cellsim.Sim.pages_blocked;
-        ]
-    in
-    let scheme (s : Cellsim.Sim.scheme_metrics) =
-      obj
-        [
-          "scheme", str (Cellsim.Sim.scheme_to_string s.Cellsim.Sim.scheme);
-          "calls", string_of_int s.Cellsim.Sim.calls;
-          "devices_sought", string_of_int s.Cellsim.Sim.devices_sought;
-          "cells_paged", string_of_int s.Cellsim.Sim.cells_paged;
-          "expected_paging", num s.Cellsim.Sim.expected_paging;
-          "rounds_used", string_of_int s.Cellsim.Sim.rounds_used;
-          "per_call", summary s.Cellsim.Sim.per_call;
-          "robustness", robustness s.Cellsim.Sim.robustness;
-        ]
-    in
-    obj
-      ([
-        "duration", num r.Cellsim.Sim.duration;
-        "moves", string_of_int r.Cellsim.Sim.moves;
-        "updates", string_of_int r.Cellsim.Sim.updates;
-        "total_calls", string_of_int r.Cellsim.Sim.total_calls;
-        "skipped_calls", string_of_int r.Cellsim.Sim.skipped_calls;
-        "reports_lost", string_of_int r.Cellsim.Sim.reports_lost;
-        "reports_delayed", string_of_int r.Cellsim.Sim.reports_delayed;
-        "outages", string_of_int r.Cellsim.Sim.outages;
-        "polls", string_of_int r.Cellsim.Sim.polls;
-        "per_scheme",
-        arr (List.map scheme r.Cellsim.Sim.per_scheme);
-      ]
-      @
-      (match r.Cellsim.Sim.drift with
-      | Some d ->
-        [
-          ( "drift",
-            obj
-              [
-                "checks", string_of_int d.Cellsim.Sim.checks;
-                "evaluated", string_of_int d.Cellsim.Sim.evaluated;
-                "resolves", string_of_int d.Cellsim.Sim.resolves;
-                ( "last_resolve",
-                  match d.Cellsim.Sim.last_resolve with
-                  | Some t -> num t
-                  | None -> "null" );
-                "max_mean_tv", num d.Cellsim.Sim.max_mean_tv;
-              ] );
-        ]
-      | None -> []))
-
-  let replicate_summary (s : Cellsim.Replicate.summary) =
-    let scheme (a : Cellsim.Replicate.scheme_agg) =
-      obj
-        [
-          "scheme", str (Cellsim.Sim.scheme_to_string a.Cellsim.Replicate.scheme);
-          "calls", string_of_int a.Cellsim.Replicate.calls;
-          "devices_sought", string_of_int a.Cellsim.Replicate.devices_sought;
-          "cells_paged", string_of_int a.Cellsim.Replicate.cells_paged;
-          "expected_paging", num a.Cellsim.Replicate.expected_paging;
-          "rounds_used", string_of_int a.Cellsim.Replicate.rounds_used;
-          "mean_cells_per_call", num a.Cellsim.Replicate.mean_cells_per_call;
-          "retries", string_of_int a.Cellsim.Replicate.retries;
-          "escalations", string_of_int a.Cellsim.Replicate.escalations;
-          "residual_misses",
-          string_of_int a.Cellsim.Replicate.residual_misses;
-        ]
-    in
-    obj
+  in
+  let scheme (s : Cellsim.Sim.scheme_metrics) =
+    J.Obj
       [
-        "replicas", string_of_int s.Cellsim.Replicate.replicas;
-        "total_calls", string_of_int s.Cellsim.Replicate.total_calls;
-        "skipped_calls", string_of_int s.Cellsim.Replicate.skipped_calls;
-        "moves", string_of_int s.Cellsim.Replicate.moves;
-        "updates", string_of_int s.Cellsim.Replicate.updates;
-        "per_scheme", arr (List.map scheme s.Cellsim.Replicate.per_scheme);
+        ("scheme", J.Str (Cellsim.Sim.scheme_to_string s.Cellsim.Sim.scheme));
+        ("calls", J.int s.Cellsim.Sim.calls);
+        ("devices_sought", J.int s.Cellsim.Sim.devices_sought);
+        ("cells_paged", J.int s.Cellsim.Sim.cells_paged);
+        ("expected_paging", J.Num s.Cellsim.Sim.expected_paging);
+        ("rounds_used", J.int s.Cellsim.Sim.rounds_used);
+        ("per_call", summary_json s.Cellsim.Sim.per_call);
+        ("robustness", robustness s.Cellsim.Sim.robustness);
       ]
-end
+  in
+  J.Obj
+    ([
+       ("duration", J.Num r.Cellsim.Sim.duration);
+       ("moves", J.int r.Cellsim.Sim.moves);
+       ("updates", J.int r.Cellsim.Sim.updates);
+       ("total_calls", J.int r.Cellsim.Sim.total_calls);
+       ("skipped_calls", J.int r.Cellsim.Sim.skipped_calls);
+       ("reports_lost", J.int r.Cellsim.Sim.reports_lost);
+       ("reports_delayed", J.int r.Cellsim.Sim.reports_delayed);
+       ("outages", J.int r.Cellsim.Sim.outages);
+       ("polls", J.int r.Cellsim.Sim.polls);
+       ("per_scheme", J.Arr (List.map scheme r.Cellsim.Sim.per_scheme));
+     ]
+    @
+    match r.Cellsim.Sim.drift with
+    | Some d ->
+      [
+        ( "drift",
+          J.Obj
+            [
+              ("checks", J.int d.Cellsim.Sim.checks);
+              ("evaluated", J.int d.Cellsim.Sim.evaluated);
+              ("resolves", J.int d.Cellsim.Sim.resolves);
+              ( "last_resolve",
+                match d.Cellsim.Sim.last_resolve with
+                | Some t -> J.Num t
+                | None -> J.Null );
+              ("max_mean_tv", J.Num d.Cellsim.Sim.max_mean_tv);
+            ] );
+      ]
+    | None -> [])
+
+let replicate_summary_json (s : Cellsim.Replicate.summary) =
+  let scheme (a : Cellsim.Replicate.scheme_agg) =
+    J.Obj
+      [
+        ( "scheme",
+          J.Str (Cellsim.Sim.scheme_to_string a.Cellsim.Replicate.scheme) );
+        ("calls", J.int a.Cellsim.Replicate.calls);
+        ("devices_sought", J.int a.Cellsim.Replicate.devices_sought);
+        ("cells_paged", J.int a.Cellsim.Replicate.cells_paged);
+        ("expected_paging", J.Num a.Cellsim.Replicate.expected_paging);
+        ("rounds_used", J.int a.Cellsim.Replicate.rounds_used);
+        ("mean_cells_per_call", J.Num a.Cellsim.Replicate.mean_cells_per_call);
+        ("retries", J.int a.Cellsim.Replicate.retries);
+        ("escalations", J.int a.Cellsim.Replicate.escalations);
+        ("residual_misses", J.int a.Cellsim.Replicate.residual_misses);
+      ]
+  in
+  J.Obj
+    [
+      ("replicas", J.int s.Cellsim.Replicate.replicas);
+      ("total_calls", J.int s.Cellsim.Replicate.total_calls);
+      ("skipped_calls", J.int s.Cellsim.Replicate.skipped_calls);
+      ("moves", J.int s.Cellsim.Replicate.moves);
+      ("updates", J.int s.Cellsim.Replicate.updates);
+      ("per_scheme", J.Arr (List.map scheme s.Cellsim.Replicate.per_scheme));
+    ]
 
 (* Parallelism degree: the flag wins, else CONFCALL_DOMAINS, else 1
    (the sequential code path). Both sources are validated here, at the
@@ -301,32 +285,32 @@ let solver_conv =
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Solver.spec_to_string s))
 
 let bounds_json (b : Uncertainty.bounds) =
-  Json.obj [ "lo", Json.num b.Uncertainty.lo; "hi", Json.num b.Uncertainty.hi ]
+  J.Obj [ ("lo", J.Num b.Uncertainty.lo); ("hi", J.Num b.Uncertainty.hi) ]
 
 let runner_report_json (r : Runner.run_report) =
   let stage (s : Runner.stage_report) =
-    Json.obj
+    J.Obj
       ([
-         "spec", Json.str (Solver.spec_to_string s.Runner.spec);
-         "status", Json.str (Runner.stage_status_to_string s.Runner.status);
-         "elapsed_ms", Json.num s.Runner.elapsed_ms;
+         ("spec", J.Str (Solver.spec_to_string s.Runner.spec));
+         ("status", J.Str (Runner.stage_status_to_string s.Runner.status));
+         ("elapsed_ms", J.Num s.Runner.elapsed_ms);
        ]
-       @ (match s.Runner.expected_paging with
-          | Some ep -> [ ("expected_paging", Json.num ep) ]
-          | None -> [])
-       @
-       match s.Runner.robust_ep with
-       | Some rep -> [ ("robust_ep", Json.num rep) ]
-       | None -> [])
+      @ (match s.Runner.expected_paging with
+         | Some ep -> [ ("expected_paging", J.Num ep) ]
+         | None -> [])
+      @
+      match s.Runner.robust_ep with
+      | Some rep -> [ ("robust_ep", J.Num rep) ]
+      | None -> [])
   in
   let winner_fields =
     match r.Runner.winner with
     | Some (spec, o) ->
       [
-        "winner", Json.str (Solver.spec_to_string spec);
-        "strategy", Json.strategy o.Solver.strategy;
-        "expected_paging", Json.num o.Solver.expected_paging;
-        "exact", (if o.Solver.exact then "true" else "false");
+        ("winner", J.Str (Solver.spec_to_string spec));
+        ("strategy", J.int_rows (Strategy.groups o.Solver.strategy));
+        ("expected_paging", J.Num o.Solver.expected_paging);
+        ("exact", J.Bool o.Solver.exact);
       ]
     | None -> []
   in
@@ -335,13 +319,12 @@ let runner_report_json (r : Runner.run_report) =
     | Some q ->
       [
         ( "quality",
-          Json.obj
+          J.Obj
             [
-              "lower_bound", Json.num q.Runner.lower_bound;
-              "ratio_to_lower_bound", Json.num q.Runner.ratio_to_lower_bound;
-              "guarantee", Json.num q.Runner.guarantee;
-              ( "within_guarantee",
-                if q.Runner.within_guarantee then "true" else "false" );
+              ("lower_bound", J.Num q.Runner.lower_bound);
+              ("ratio_to_lower_bound", J.Num q.Runner.ratio_to_lower_bound);
+              ("guarantee", J.Num q.Runner.guarantee);
+              ("within_guarantee", J.Bool q.Runner.within_guarantee);
             ] );
       ]
     | None -> []
@@ -351,37 +334,38 @@ let runner_report_json (r : Runner.run_report) =
     | Some rb ->
       [
         ( "robust",
-          Json.obj
+          J.Obj
             [
-              "uncertainty", Json.str (Uncertainty.to_string rb.Runner.uncertainty);
-              "winner_robust_ep", Json.num rb.Runner.winner_robust_ep;
-              "ep_bounds", bounds_json rb.Runner.winner_bounds;
+              ( "uncertainty",
+                J.Str (Uncertainty.to_string rb.Runner.uncertainty) );
+              ("winner_robust_ep", J.Num rb.Runner.winner_robust_ep);
+              ("ep_bounds", bounds_json rb.Runner.winner_bounds);
             ] );
       ]
     | None -> []
   in
   let failure_fields =
     match r.Runner.failure with
-    | Some e -> [ ("failure", Json.str (Runner.error_to_string e)) ]
+    | Some e -> [ ("failure", J.Str (Runner.error_to_string e)) ]
     | None -> []
   in
-  Json.obj
+  J.Obj
     ([
-       "chain", Json.str (Runner.chain_to_string r.Runner.chain);
-       "objective", Json.str (Objective.to_string r.Runner.objective);
+       ("chain", J.Str (Runner.chain_to_string r.Runner.chain));
+       ("objective", J.Str (Objective.to_string r.Runner.objective));
        ( "budget_ms",
-         match r.Runner.budget_ms with Some b -> Json.num b | None -> "null" );
-       "stages", Json.arr (List.map stage r.Runner.stages);
-       "total_ms", Json.num r.Runner.total_ms;
+         match r.Runner.budget_ms with Some b -> J.Num b | None -> J.Null );
+       ("stages", J.Arr (List.map stage r.Runner.stages));
+       ("total_ms", J.Num r.Runner.total_ms);
      ]
-     @ winner_fields @ quality_fields @ robust_fields @ failure_fields)
+    @ winner_fields @ quality_fields @ robust_fields @ failure_fields)
 
 let solve_budgeted inst objective json budget_ms chain uncertainty domains =
   let report =
     with_domains domains (fun pool ->
         Runner.run ~objective ?budget_ms ?uncertainty ~chain ?pool inst)
   in
-  if json then print_endline (runner_report_json report)
+  if json then print_json (runner_report_json report)
   else begin
     Format.printf "@[<v>%a@]@." Runner.pp_report report;
     match report.Runner.winner with
@@ -474,28 +458,29 @@ let solve path spec objective verbose json budget_ms chain eps tv samples
     let alloc_words = int_of_float (Gc.minor_words () -. words_before) in
     let cert = certification outcome.Solver.strategy in
     if json then
-      print_endline
-        (Json.obj
+      print_json
+        (J.Obj
            ([
-              "solver", Json.str (Solver.spec_to_string spec);
-              "strategy", Json.strategy outcome.Solver.strategy;
-              "expected_paging", Json.num outcome.Solver.expected_paging;
-              "exact", (if outcome.Solver.exact then "true" else "false");
-              "expected_rounds",
-              Json.num
-                (Strategy.expected_rounds ~objective inst
-                   outcome.Solver.strategy);
-              "lower_bound", Json.num (Bounds.lower_bound ~objective inst);
-              "page_all_cost", string_of_int inst.Instance.c;
-              "alloc_words", string_of_int alloc_words;
+              ("solver", J.Str (Solver.spec_to_string spec));
+              ( "strategy",
+                J.int_rows (Strategy.groups outcome.Solver.strategy) );
+              ("expected_paging", J.Num outcome.Solver.expected_paging);
+              ("exact", J.Bool outcome.Solver.exact);
+              ( "expected_rounds",
+                J.Num
+                  (Strategy.expected_rounds ~objective inst
+                     outcome.Solver.strategy) );
+              ("lower_bound", J.Num (Bounds.lower_bound ~objective inst));
+              ("page_all_cost", J.int inst.Instance.c);
+              ("alloc_words", J.int alloc_words);
             ]
            @
            match cert with
            | Some (u, b, worst) ->
              [
-               "uncertainty", Json.str (Uncertainty.to_string u);
-               "ep_bounds", bounds_json b;
-               "robust_ep", Json.num worst;
+               ("uncertainty", J.Str (Uncertainty.to_string u));
+               ("ep_bounds", bounds_json b);
+               ("robust_ep", J.Num worst);
              ]
            | None -> []))
     else begin
@@ -929,7 +914,7 @@ let build_aging residence age_cap reprofile_age age_robust aged =
     None
 
 let print_sim_result json result =
-  if json then print_endline (Json.sim_result result)
+  if json then print_json (sim_result_json result)
   else Format.printf "%a@." Cellsim.Sim.pp_result result
 
 (* One run prints the plain result; [--replicas n] runs n independent
@@ -942,7 +927,7 @@ let run_sim_config ~replicas ~domains json config =
       with_domains domains (fun pool ->
           Cellsim.Replicate.run_summary ?pool ~replicas config)
     in
-    if json then print_endline (Json.replicate_summary summary)
+    if json then print_json (replicate_summary_json summary)
     else Format.printf "@[<v>%a@]@." Cellsim.Replicate.pp_summary summary
   end
 
@@ -1466,42 +1451,41 @@ let loadgen port socket endpoints rate requests budget_ms solver chain m c d
   in
   let pct a p =
     let v = Serve.Loadgen.percentile a p in
-    if Float.is_nan v then "null" else Json.num v
+    if Float.is_nan v then J.Null else J.Num v
   in
   if json then
-    print_endline
-      (Json.obj
+    print_json
+      (J.Obj
          [
-           "sent", string_of_int s.Serve.Loadgen.sent;
-           "ok", string_of_int s.Serve.Loadgen.ok;
-           "degraded", string_of_int s.Serve.Loadgen.degraded;
-           "rejected", string_of_int s.Serve.Loadgen.rejected;
-           "errors", string_of_int s.Serve.Loadgen.errors;
-           "unanswered", string_of_int s.Serve.Loadgen.unanswered;
-           "conn_lost", string_of_int s.Serve.Loadgen.conn_lost;
-           "retried", string_of_int s.Serve.Loadgen.retried;
-           "failed_over", string_of_int s.Serve.Loadgen.failed_over;
-           "hedge_wins", string_of_int s.Serve.Loadgen.hedge_wins;
-           "duration_s", Json.num s.Serve.Loadgen.duration_s;
-           "throughput", Json.num s.Serve.Loadgen.throughput;
+           ("sent", J.int s.Serve.Loadgen.sent);
+           ("ok", J.int s.Serve.Loadgen.ok);
+           ("degraded", J.int s.Serve.Loadgen.degraded);
+           ("rejected", J.int s.Serve.Loadgen.rejected);
+           ("errors", J.int s.Serve.Loadgen.errors);
+           ("unanswered", J.int s.Serve.Loadgen.unanswered);
+           ("conn_lost", J.int s.Serve.Loadgen.conn_lost);
+           ("retried", J.int s.Serve.Loadgen.retried);
+           ("failed_over", J.int s.Serve.Loadgen.failed_over);
+           ("hedge_wins", J.int s.Serve.Loadgen.hedge_wins);
+           ("duration_s", J.Num s.Serve.Loadgen.duration_s);
+           ("throughput", J.Num s.Serve.Loadgen.throughput);
            ( "accepted_ms",
-             Json.obj
+             J.Obj
                [
-                 "p50", pct s.Serve.Loadgen.accepted_ms 50.0;
-                 "p99", pct s.Serve.Loadgen.accepted_ms 99.0;
-                 "p999", pct s.Serve.Loadgen.accepted_ms 99.9;
+                 ("p50", pct s.Serve.Loadgen.accepted_ms 50.0);
+                 ("p99", pct s.Serve.Loadgen.accepted_ms 99.0);
+                 ("p999", pct s.Serve.Loadgen.accepted_ms 99.9);
                ] );
            ( "rejected_ms",
-             Json.obj
+             J.Obj
                [
-                 "p50", pct s.Serve.Loadgen.rejected_ms 50.0;
-                 "p99", pct s.Serve.Loadgen.rejected_ms 99.0;
+                 ("p50", pct s.Serve.Loadgen.rejected_ms 50.0);
+                 ("p99", pct s.Serve.Loadgen.rejected_ms 99.0);
                ] );
            ( "ladder",
-             Json.obj
-               (List.map
-                  (fun (k, v) -> (k, string_of_int v))
-                  s.Serve.Loadgen.ladder) );
+             J.Obj
+               (List.map (fun (k, v) -> (k, J.int v)) s.Serve.Loadgen.ladder)
+           );
          ])
   else begin
     Printf.printf
@@ -1670,38 +1654,38 @@ let call path endpoints port socket retries hedge_after_ms deadline_ms
       Printf.sprintf "cli-%d-%.0f" (Unix.getpid ())
         (Unix.gettimeofday () *. 1e6)
   in
+  (* the client appends the request_id after the frame's own fields *)
   let fields =
-    [
-      ("op", Wire.Json.Str "solve");
-      ("instance", Wire.Json.Str (Instance.to_string inst));
-    ]
-    @ (match solver with Some s -> [ ("solver", Wire.Json.Str s) ] | None -> [])
-    @ (match chain with Some c -> [ ("chain", Wire.Json.Str c) ] | None -> [])
-    @ (match budget_ms with
-       | Some b -> [ ("budget_ms", Wire.Json.Num b) ]
-       | None -> [])
-    @ (match objective with
-       | Some o -> [ ("objective", Wire.Json.Str o) ]
-       | None -> [])
-    @ if no_cache then [ ("cache", Wire.Json.Bool false) ] else []
+    Wire.Proto.solve_fields
+      {
+        instance = Instance.to_string inst;
+        solver;
+        chain;
+        budget_ms;
+        objective;
+        cache = not no_cache;
+        request_id = None;
+      }
   in
   let result = Client.call cl ~request_id fields in
   Client.close cl;
   match result with
   | Ok (out : Client.call_outcome) ->
     if json then
-      print_endline
-        (Json.obj
+      print_json
+        (J.Obj
            [
-             (* the winning response line, embedded verbatim *)
-             "response", out.Client.raw;
-             "endpoint", Json.str (Client.endpoint_to_string out.Client.endpoint);
-             "attempts", string_of_int out.Client.attempts;
-             "retries", string_of_int out.Client.retries;
-             "failovers", string_of_int out.Client.failovers;
-             "hedges", string_of_int out.Client.hedges;
-             "hedge_won", (if out.Client.hedge_won then "true" else "false");
-             "elapsed_ms", Json.num out.Client.elapsed_ms;
+             (* the winning response, re-printed: the same bytes the
+                daemon wrote *)
+             ("response", out.Client.response.Wire.Proto.json);
+             ( "endpoint",
+               J.Str (Client.endpoint_to_string out.Client.endpoint) );
+             ("attempts", J.int out.Client.attempts);
+             ("retries", J.int out.Client.retries);
+             ("failovers", J.int out.Client.failovers);
+             ("hedges", J.int out.Client.hedges);
+             ("hedge_won", J.Bool out.Client.hedge_won);
+             ("elapsed_ms", J.Num out.Client.elapsed_ms);
            ])
     else begin
       print_endline out.Client.raw;

@@ -211,13 +211,7 @@ let route c line =
   | Error _ ->
     if Obs.on () then Obs.count "client_bad_frames"
   | Ok json ->
-    let id =
-      match Json.member "id" json with
-      | Some (Json.Str s) -> Some s
-      | Some (Json.Num x) -> Some (Json.to_string (Json.Num x))
-      | _ -> None
-    in
-    (match id with
+    (match Proto.frame_id json with
      | None -> if Obs.on () then Obs.count "client_bad_frames"
      | Some id ->
        Mutex.lock c.tmutex;

@@ -11,7 +11,7 @@
 
    Generic in both the waiter handle ['w] (the server stores
    (connection, frame id) pairs; tests store ints) and the completion
-   payload ['p] (the server stores rendered response fragments), so the
+   payload ['p] (the server stores printed response bodies), so the
    table itself stays pure bookkeeping under one internal lock. *)
 
 (* [Done] entries form an intrusive doubly-linked LRU over their

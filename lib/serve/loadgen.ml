@@ -75,6 +75,17 @@ let validate o =
   if o.instances < 1 then invalid_arg "loadgen: instances must be >= 1";
   if o.connections < 1 then invalid_arg "loadgen: connections must be >= 1";
   if o.retries < 0 then invalid_arg "loadgen: retries must be >= 0";
+  if not (Float.is_finite o.timeout_s) || o.timeout_s <= 0.0 then
+    invalid_arg
+      (Printf.sprintf "loadgen: timeout_s must be finite and positive, got %g"
+         o.timeout_s);
+  if o.m < 1 then
+    invalid_arg (Printf.sprintf "loadgen: m must be >= 1, got %d" o.m);
+  if o.c < 1 then
+    invalid_arg (Printf.sprintf "loadgen: c must be >= 1, got %d" o.c);
+  if o.d < 1 || o.d > o.c then
+    invalid_arg
+      (Printf.sprintf "loadgen: d must be in [1, c = %d], got %d" o.c o.d);
   (match o.hedge_after_ms with
    | Some h when not (Float.is_finite h) || h < 0.0 ->
      invalid_arg "loadgen: hedge_after_ms must be >= 0"
@@ -138,16 +149,22 @@ let make_workload o =
   { pool; assignment; gaps }
 
 let solve_fields o w i =
-  [
-    ("op", Wire.Json.Str "solve");
-    ("instance", Wire.Json.Str w.pool.(w.assignment.(i)));
-  ]
-  @ (match o.solver with Some s -> [ ("solver", Wire.Json.Str s) ] | None -> [])
-  @ (match o.chain with Some c -> [ ("chain", Wire.Json.Str c) ] | None -> [])
-  @ (match o.budget_ms with
-     | Some b -> [ ("budget_ms", Wire.Json.Num b) ]
-     | None -> [])
-  @ if o.cache then [] else [ ("cache", Wire.Json.Bool false) ]
+  Wire.Proto.solve_fields
+    {
+      instance = w.pool.(w.assignment.(i));
+      solver = o.solver;
+      chain = o.chain;
+      budget_ms = o.budget_ms;
+      objective = None;
+      cache = o.cache;
+      request_id = None;
+    }
+
+(* The rung that answered: ["cache"] for a hit, else the ladder rung. *)
+let rung_of (r : Wire.Proto.response) =
+  if r.Wire.Proto.cache_hit then Some "cache"
+  else
+    Option.bind (Wire.Json.member "ladder" r.Wire.Proto.json) Wire.Json.to_str
 
 (* One record per response, filled in by the receiver threads. *)
 type reply = { status : string; rung : string option; recv_s : float }
@@ -209,34 +226,26 @@ let run_legacy target o =
     let chunk = Bytes.create 65536 in
     let acc = Buffer.create 4096 in
     let handle line =
-      match Wire.Json.parse line with
-      | Error _ -> ()
-      | Ok json ->
-        let str k = Option.bind (Wire.Json.member k json) Wire.Json.to_str in
-        (match str "id" with
-         | Some id when String.length id > 1 && id.[0] = 'r' ->
-           (match
-              int_of_string_opt (String.sub id 1 (String.length id - 1))
-            with
-            | Some i ->
-              let reply =
-                {
-                  status = Option.value (str "status") ~default:"error";
-                  rung =
-                    (match str "cache" with
-                     | Some "hit" -> Some "cache"
-                     | _ -> str "ladder");
-                  recv_s = Obs.now ();
-                }
-              in
-              Mutex.lock rmutex;
-              if not (Hashtbl.mem replies i) then begin
-                Hashtbl.replace replies i reply;
-                Atomic.incr answered
-              end;
-              Mutex.unlock rmutex
-            | None -> ())
-         | _ -> ())
+      match Wire.Proto.decode_response line with
+      | Ok ({ Wire.Proto.rid = Some id; _ } as r)
+        when String.length id > 1 && id.[0] = 'r' -> (
+        match int_of_string_opt (String.sub id 1 (String.length id - 1)) with
+        | Some i ->
+          let reply =
+            {
+              status = r.Wire.Proto.status;
+              rung = rung_of r;
+              recv_s = Obs.now ();
+            }
+          in
+          Mutex.lock rmutex;
+          if not (Hashtbl.mem replies i) then begin
+            Hashtbl.replace replies i reply;
+            Atomic.incr answered
+          end;
+          Mutex.unlock rmutex
+        | None -> ())
+      | _ -> ()
     in
     let rec pump () =
       match Unix.read fd chunk 0 (Bytes.length chunk) with
@@ -409,18 +418,11 @@ let run_resilient targets o =
        if out.Client.retries > 0 then incr retried;
        if out.Client.failovers > 0 then incr failed_over;
        if out.Client.hedge_won then incr hedge_wins;
-       let rung =
-         if r.Wire.Proto.cache_hit then Some "cache"
-         else
-           Option.bind
-             (Wire.Json.member "ladder" r.Wire.Proto.json)
-             Wire.Json.to_str
-       in
        Option.iter
          (fun rung ->
            Hashtbl.replace ladder rung
              (1 + Option.value (Hashtbl.find_opt ladder rung) ~default:0))
-         rung
+         (rung_of r)
      | Error (e : Client.call_error) ->
        incr errors;
        if e.Client.err_retries > 0 then incr retried);

@@ -84,7 +84,8 @@ type stats = {
 
 (** [run target opts] drives one load session and blocks until every
     request reached a terminal outcome or the straggler timeout fires.
-    @raise Invalid_argument on nonsensical opts (rate, counts).
+    @raise Invalid_argument on nonsensical opts (rate, counts, timeout,
+    instance shape), with a message naming the field.
     @raise Unix.Unix_error when the daemon cannot be reached (legacy
     path; the resilient path records unreachable endpoints as request
     outcomes instead). *)

@@ -71,27 +71,7 @@ let apply_ladder ladder chain =
     let kept = if kept = [] then [ Solver.Greedy ] else kept in
     (kept, kept <> chain)
 
-(* ---------------- JSON emission ----------------
-
-   Pre-rendered string fields, byte-compatible with the CLI's emitter
-   (same separators, same %.12g for numbers) — the differential test
-   compares daemon strategy/EP fields against `confcall solve --json`
-   literally. *)
-
-let jstr s = Wire.Json.to_string (Wire.Json.Str s)
-let jnum x = Wire.Json.to_string (Wire.Json.Num x)
-let jbool b = if b then "true" else "false"
-let field (k, v) = jstr k ^ ": " ^ v
-let fragment fields = String.concat ", " (List.map field fields)
-let compose fields = "{" ^ fragment fields ^ "}"
-let jarr items = "[" ^ String.concat ", " items ^ "]"
-
-let jstrategy s =
-  jarr
-    (Array.to_list
-       (Array.map
-          (fun g -> jarr (Array.to_list (Array.map string_of_int g)))
-          (Strategy.groups s)))
+module J = Wire.Json
 
 (* ---------------- state ---------------- *)
 
@@ -293,43 +273,31 @@ let record_request st rid ~status =
        if Obs.on () then Obs.count "serve_reqlog_drops");
     Mutex.unlock st.rlmutex
 
-(* A response rebuilt for a frame that did not execute: same terminal,
-   the waiter's own frame id, plus a marker that it was deduplicated. *)
-let dedup_line ~id ~status payload =
-  "{"
-  ^ fragment [ ("id", jstr id); ("status", jstr status) ]
-  ^ (if payload = "" then "" else ", " ^ payload)
-  ^ ", "
-  ^ field ("dedup", jstr "hit")
-  ^ "}"
+(* A response rebuilt for a frame that did not execute: same terminal
+   body, the waiter's own frame id, plus a marker that it was
+   deduplicated. *)
+let dedup_line ~id ~status body =
+  Wire.Proto.frame ~id ~status ~body [ ("dedup", J.Str "hit") ]
 
-(* Every terminal answer to a request carrying a request_id funnels
-   through here: answer the owning connection (byte-identical to the
-   pre-idempotency composition), journal the execution, memoize the
-   terminal, and answer the waiters parked by retried or hedged
-   duplicates of the same request. *)
-let terminal st conn ~id ~request_id ~status payload =
-  respond st conn ~status
-    ("{"
-    ^ fragment [ ("id", jstr id); ("status", jstr status) ]
-    ^ (if payload = "" then "" else ", " ^ payload)
-    ^ "}");
+(* Every terminal answer to a solve funnels through here: answer the
+   owning connection and, for a request carrying a request_id, journal
+   the execution, memoize the terminal body, and answer the waiters
+   parked by retried or hedged duplicates of the same request. [body]
+   is a stored body (a cache hit) that precedes [fields]. *)
+let terminal st conn ~id ~request_id ~status ?body fields =
   match request_id with
-  | None -> ()
+  | None -> respond st conn ~status (Wire.Proto.frame ~id ~status ?body fields)
   | Some rid ->
+    let body = Wire.Proto.body ?stored:body fields in
+    respond st conn ~status (Wire.Proto.frame ~id ~status ~body []);
     record_request st rid ~status;
     List.iter
       (fun (wconn, wid) ->
-        respond st wconn ~status (dedup_line ~id:wid ~status payload))
-      (Dedup.complete st.dedup rid (status, payload))
+        respond st wconn ~status (dedup_line ~id:wid ~status body))
+      (Dedup.complete st.dedup rid (status, body))
 
 let terminal_error st conn ~id ~request_id msg =
-  match request_id with
-  | None ->
-    respond st conn ~status:"error" (Wire.Proto.error_frame ~id:(Some id) msg)
-  | Some _ ->
-    terminal st conn ~id ~request_id ~status:"error"
-      (fragment [ ("error", jstr msg) ])
+  terminal st conn ~id ~request_id ~status:"error" [ ("error", J.Str msg) ]
 
 (* A rejected submission never executed: drop the in-flight entry so a
    later retry may run, and give any waiters that raced in the same
@@ -458,16 +426,12 @@ let cache_key ~objective ~mode inst =
   ^ "|"
   ^ Digest.to_hex (Digest.string mode)
 
-let hit_response ~id payload =
-  "{" ^ fragment [ ("id", jstr id); ("status", jstr "ok") ] ^ ", " ^ payload
-  ^ ", " ^ field ("cache", jstr "hit") ^ "}"
-
 let outcome_fields spec (o : Solver.outcome) =
   [
-    ("solver", jstr (Solver.spec_to_string spec));
-    ("strategy", jstrategy o.Solver.strategy);
-    ("expected_paging", jnum o.Solver.expected_paging);
-    ("exact", jbool o.Solver.exact);
+    ("solver", J.Str (Solver.spec_to_string spec));
+    ("strategy", J.int_rows (Strategy.groups o.Solver.strategy));
+    ("expected_paging", J.Num o.Solver.expected_paging);
+    ("exact", J.Bool o.Solver.exact);
   ]
 
 (* Feed the retry-after estimator. A plain [Atomic.set] race loses at
@@ -489,25 +453,26 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
       Obs.observe ~buckets:Obs.latency_ms_buckets "serve_queue_ms" queue_ms;
       Obs.observe ~buckets:Obs.latency_ms_buckets "serve_exec_ms" elapsed_ms
     end;
+    let tail =
+      [
+        ("ladder", J.Str (ladder_to_string job.ladder));
+        ("queue_ms", J.Num queue_ms);
+        ("elapsed_ms", J.Num elapsed_ms);
+        ("cache", J.Str (if ckey = None then "off" else "miss"));
+      ]
+      @ match reason with
+        | Some r -> [ ("degraded_reason", J.Str r) ]
+        | None -> []
+    in
     (* Only clean answers enter the cache: full ladder, full budget,
        nothing degraded — a clipped result must never be replayed to a
        healthy system. *)
+    let body = Wire.Proto.body core in
     (match (status, ckey) with
-     | "ok", Some key -> Cache.store st.cache ~key ~payload:(fragment core)
+     | "ok", Some key -> Cache.store st.cache ~key ~payload:body
      | _ -> ());
-    let tail =
-      [
-        ("ladder", jstr (ladder_to_string job.ladder));
-        ("queue_ms", jnum queue_ms);
-        ("elapsed_ms", jnum elapsed_ms);
-        ("cache", jstr (if ckey = None then "off" else "miss"));
-      ]
-      @ match reason with
-        | Some r -> [ ("degraded_reason", jstr r) ]
-        | None -> []
-    in
-    terminal st job.conn ~id:job.id ~request_id:job.request_id ~status
-      (fragment (core @ tail))
+    terminal st job.conn ~id:job.id ~request_id:job.request_id ~status ~body
+      tail
   in
   (* Worker lanes are domains: both paths below solve on the lane's own
      flat arena (the [Solver] default) and reuse it across the jobs it
@@ -579,7 +544,7 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
       in
       finish ~status ?reason
         (outcome_fields wspec o
-        @ [ ("chain", jstr (Runner.chain_to_string report.Runner.chain)) ])
+        @ [ ("chain", J.Str (Runner.chain_to_string report.Runner.chain)) ])
   end
 
 let execute_sim st job ~build ~scenario ~seed ~replicas =
@@ -602,27 +567,25 @@ let execute_sim st job ~build ~scenario ~seed ~replicas =
   let elapsed_ms = (Obs.now () -. start_s) *. 1000.0 in
   note_exec_ms st elapsed_ms;
   respond st job.conn ~status:"ok"
-    (compose
+    (Wire.Proto.frame ~id:job.id ~status:"ok"
        [
-         ("id", jstr job.id);
-         ("status", jstr "ok");
-         ("scenario", jstr scenario);
-         ("seed", jnum (float_of_int seed));
-         ("replicas", jnum (float_of_int replicas));
+         ("scenario", J.Str scenario);
+         ("seed", J.int seed);
+         ("replicas", J.int replicas);
          ( "per_scheme",
-           jarr
+           J.Arr
              (List.map
                 (fun (name, calls, cells, ep) ->
-                  compose
+                  J.Obj
                     [
-                      ("scheme", jstr name);
-                      ("calls", string_of_int calls);
-                      ("cells_paged", string_of_int cells);
-                      ("expected_paging", jnum ep);
+                      ("scheme", J.Str name);
+                      ("calls", J.int calls);
+                      ("cells_paged", J.int cells);
+                      ("expected_paging", J.Num ep);
                     ])
                 per_scheme) );
-         ("queue_ms", jnum queue_ms);
-         ("elapsed_ms", jnum elapsed_ms);
+         ("queue_ms", J.Num queue_ms);
+         ("elapsed_ms", J.Num elapsed_ms);
        ])
 
 (* Exactly one terminal response per admitted job, even when execution
@@ -722,13 +685,9 @@ let handle_solve st conn ~id (sr : Wire.Proto.solve_req) =
      repeats instantly, and a restarted daemon serves its journal. *)
   let proceed () =
     match Option.bind ckey (fun key -> Cache.find st.cache ~key) with
-    | Some payload -> (
-      match request_id with
-      | None -> respond st conn ~status:"ok" (hit_response ~id payload)
-      | Some _ ->
-        (* same bytes as [hit_response], via the dedup-completing path *)
-        terminal st conn ~id ~request_id ~status:"ok"
-          (payload ^ ", " ^ field ("cache", jstr "hit")))
+    | Some body ->
+      terminal st conn ~id ~request_id ~status:"ok" ~body
+        [ ("cache", J.Str "hit") ]
     | None ->
       admit st conn ~id ~request_id
         (Jsolve
@@ -760,27 +719,24 @@ let health_response st ~id =
   let depth = Queue.length st.queue in
   Mutex.unlock st.qmutex;
   let ds = Dedup.stats st.dedup in
-  compose
+  Wire.Proto.frame ~id ~status:"ok"
     [
-      ("id", jstr id);
-      ("status", jstr "ok");
-      ("draining", jbool (Atomic.get st.stopping));
-      ("queue_depth", string_of_int depth);
-      ("capacity", string_of_int st.cfg.capacity);
-      ("domains", string_of_int st.cfg.domains);
-      ("inflight", string_of_int (Atomic.get st.inflight));
-      ("connections", string_of_int (Atomic.get st.connections));
-      ("cache_entries", string_of_int (Cache.entries st.cache));
-      ("cache_hits", string_of_int (Cache.hits st.cache));
-      ("cache_misses", string_of_int (Cache.misses st.cache));
-      ("cache_evictions", string_of_int (Cache.evictions st.cache));
-      ("breaker_open", jbool (breaker_open_ms st <> None));
-      ("pool_respawns", string_of_int (Exec.Pool.total_respawns ()));
-      ("dedup_in_flight", string_of_int ds.Dedup.in_flight);
-      ("dedup_completed", string_of_int ds.Dedup.completed);
-      ( "dedup_hits",
-        string_of_int (ds.Dedup.hits_in_flight + ds.Dedup.hits_completed) );
-      ("request_log", jbool (st.reqlog <> None));
+      ("draining", J.Bool (Atomic.get st.stopping));
+      ("queue_depth", J.int depth);
+      ("capacity", J.int st.cfg.capacity);
+      ("domains", J.int st.cfg.domains);
+      ("inflight", J.int (Atomic.get st.inflight));
+      ("connections", J.int (Atomic.get st.connections));
+      ("cache_entries", J.int (Cache.entries st.cache));
+      ("cache_hits", J.int (Cache.hits st.cache));
+      ("cache_misses", J.int (Cache.misses st.cache));
+      ("cache_evictions", J.int (Cache.evictions st.cache));
+      ("breaker_open", J.Bool (breaker_open_ms st <> None));
+      ("pool_respawns", J.int (Exec.Pool.total_respawns ()));
+      ("dedup_in_flight", J.int ds.Dedup.in_flight);
+      ("dedup_completed", J.int ds.Dedup.completed);
+      ("dedup_hits", J.int (ds.Dedup.hits_in_flight + ds.Dedup.hits_completed));
+      ("request_log", J.Bool (st.reqlog <> None));
     ]
 
 let handle_frame st conn line =
@@ -795,18 +751,15 @@ let handle_frame st conn line =
        respond st conn ~status:"ok" (health_response st ~id)
      | Wire.Proto.Metrics ->
        respond st conn ~status:"ok"
-         (compose
+         (Wire.Proto.frame ~id ~status:"ok"
             [
-              ("id", jstr id);
-              ("status", jstr "ok");
               ( "prometheus",
-                jstr (Obs.Metrics.to_prometheus Obs.Metrics.default) );
+                J.Str (Obs.Metrics.to_prometheus Obs.Metrics.default) );
             ])
      | Wire.Proto.Drain ->
        initiate_drain st;
        respond st conn ~status:"ok"
-         (compose
-            [ ("id", jstr id); ("status", jstr "ok"); ("draining", "true") ])
+         (Wire.Proto.frame ~id ~status:"ok" [ ("draining", J.Bool true) ])
      | Wire.Proto.Solve sr -> handle_solve st conn ~id sr
      | Wire.Proto.Simulate { scenario; seed; replicas } ->
        (match List.assoc_opt scenario Cellsim.Scenario.all with

@@ -8,34 +8,60 @@ type t =
 
 (* ---------------- printer ---------------- *)
 
-(* Numbers print as [%.12g]; a non-finite one prints as a quoted [%h]
-   string. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Escapes go straight into the output buffer; the runs between them
+   are copied whole. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      (match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run)
 
-let fmt_num x =
-  if Float.is_finite x then Printf.sprintf "%.12g" x
-  else Printf.sprintf "\"%s\"" (escape (Printf.sprintf "%h" x))
+(* Numbers print as [%.12g]; a non-finite one prints as a quoted [%h]
+   string. [%.12g] prints an integral value below 10^12 in magnitude
+   (other than -0) as its [string_of_int] digits, which are written
+   straight into the buffer here: several times cheaper than [Printf],
+   and strategies are arrays of cell indices. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.chr (48 + (n mod 10)))
+
+let add_num buf x =
+  if
+    Float.is_integer x && Float.abs x < 1e12
+    && not (x = 0.0 && Float.sign_bit x)
+  then begin
+    if x < 0.0 then Buffer.add_char buf '-';
+    add_nat buf (int_of_float (Float.abs x))
+  end
+  else if Float.is_finite x then
+    Buffer.add_string buf (Printf.sprintf "%.12g" x)
+  else begin
+    Buffer.add_char buf '"';
+    add_escaped buf (Printf.sprintf "%h" x);
+    Buffer.add_char buf '"'
+  end
+
+let add_str buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num x -> Buffer.add_string buf (fmt_num x)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Num x -> add_num buf x
+  | Str s -> add_str buf s
   | Arr items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -46,20 +72,35 @@ let rec write buf = function
     Buffer.add_char buf ']'
   | Obj fields ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
-        write buf v)
-      fields;
+    write_members buf fields;
     Buffer.add_char buf '}'
+
+and write_members buf fields =
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      add_str buf k;
+      Buffer.add_string buf ": ";
+      write buf v)
+    fields
 
 let to_string v =
   let buf = Buffer.create 256 in
   write buf v;
   Buffer.contents buf
+
+let members_to_string fields =
+  let buf = Buffer.create 256 in
+  write_members buf fields;
+  Buffer.contents buf
+
+(* ---------------- builders ---------------- *)
+
+let int n = Num (float_of_int n)
+
+let int_rows rows =
+  let ints row = Arr (Array.fold_right (fun x l -> int x :: l) row []) in
+  Arr (Array.fold_right (fun row l -> ints row :: l) rows [])
 
 (* ---------------- parser ---------------- *)
 

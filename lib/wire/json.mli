@@ -1,13 +1,17 @@
-(** Minimal JSON for the serve wire protocol.
+(** Minimal JSON: the one printer and parser of this repository.
 
-    Hand-rolled on purpose: frames are small objects of numbers,
-    strings, booleans and nested arrays, and the container must not
-    grow dependencies. The printer uses [", "]/[": "] separators and
-    prints numbers as [%.12g]. The CLI's [--json] output and bench's
-    [BENCH_*.json] records build their strings and numbers with
-    {!to_string} too, so a daemon response and a CLI solve print
-    strategies and expected paging {e byte-identically} — the
-    differential tests lean on that.
+    Hand-rolled on purpose: the container must not grow dependencies.
+    Every JSON document the CLI ([--json]), the serve daemon (every
+    frame) and bench ([BENCH_*.json]) print is a {!t} tree printed by
+    {!to_string}; nothing outside this library composes JSON from
+    strings. The one splice is {!Proto.frame}'s stored body: bytes this
+    printer produced earlier (a cache journal entry, a deduplicated
+    answer).
+
+    The printer uses [", "]/[": "] separators and prints numbers as
+    [%.12g] (an integral value below 10{^12} in magnitude, other than
+    [-0], as its [string_of_int] digits: the same bytes), a non-finite
+    one as its quoted [%h] string. Print, parse, print is the identity.
 
     The parser is total: any byte string returns [Ok] or [Error],
     never an exception — it sits directly behind the network boundary
@@ -29,6 +33,19 @@ type t =
 val parse : ?max_depth:int -> string -> (t, string) result
 
 val to_string : t -> string
+
+val members_to_string : (string * t) list -> string
+(** The members of an object as {!to_string} prints them, without the
+    braces: the stored form of a response body. *)
+
+(** {2 Builders} *)
+
+val int : int -> t
+(** [int n] is [Num (float_of_int n)]. *)
+
+val int_rows : int array array -> t
+(** Rows of integers as an array of arrays — a paging strategy's
+    ordered cell groups. *)
 
 (** {2 Accessors} — shape-tolerant lookups for protocol fields. *)
 

@@ -95,6 +95,20 @@ let decode_solve json =
          request_id;
        })
 
+(* The inverse of [decode_solve]: optional fields appear only when set,
+   and ["cache"] only when off, in this order. *)
+let solve_fields sr =
+  let str k = function Some s -> [ (k, Json.Str s) ] | None -> [] in
+  [ ("op", Json.Str "solve"); ("instance", Json.Str sr.instance) ]
+  @ str "solver" sr.solver
+  @ str "chain" sr.chain
+  @ (match sr.budget_ms with
+     | Some b -> [ ("budget_ms", Json.Num b) ]
+     | None -> [])
+  @ str "objective" sr.objective
+  @ (if sr.cache then [] else [ ("cache", Json.Bool false) ])
+  @ str "request_id" sr.request_id
+
 let decode_simulate json =
   let* scenario = field_str json "scenario" in
   let* seed = field_int json "seed" in
@@ -113,16 +127,17 @@ let decode_simulate json =
   in
   Ok (Simulate { scenario; seed; replicas })
 
+let frame_id json =
+  match Json.member "id" json with
+  | Some (Json.Str s) -> Some s
+  | Some (Json.Num x) -> Some (Json.to_string (Json.Num x))
+  | _ -> None
+
 let decode line =
   match Json.parse line with
   | Error msg -> Error (None, "parse: " ^ msg)
   | Ok json ->
-    let id =
-      match Json.member "id" json with
-      | Some (Json.Str s) -> Some s
-      | Some (Json.Num x) -> Some (Json.to_string (Json.Num x))
-      | _ -> None
-    in
+    let id = frame_id json in
     let fail msg = Error (id, msg) in
     (match json with
      | Json.Obj _ ->
@@ -155,30 +170,29 @@ let decode line =
 
 (* ---------------- responses ---------------- *)
 
-let frame ~id ~status fields =
-  Json.to_string
-    (Json.Obj (("id", Json.Str id) :: ("status", Json.Str status) :: fields))
+(* Two printed member lists joined as one. *)
+let join a b = if a = "" then b else if b = "" then a else a ^ ", " ^ b
 
-let ok_frame ~id fields = frame ~id ~status:"ok" fields
+let body ?(stored = "") fields = join stored (Json.members_to_string fields)
+
+let frame ~id ~status ?body:stored fields =
+  let head = [ ("id", Json.Str id); ("status", Json.Str status) ] in
+  match stored with
+  | None -> Json.to_string (Json.Obj (head @ fields))
+  | Some stored ->
+    "{" ^ join (Json.members_to_string head) (body ~stored fields) ^ "}"
 
 let rejected_frame ~id ?retry_after_ms ~reason () =
-  let fields =
-    ("reason", Json.Str reason)
-    ::
-    (match retry_after_ms with
-     | Some ms -> [ ("retry_after_ms", Json.Num (float_of_int ms)) ]
-     | None -> [])
-  in
-  frame ~id ~status:"rejected" fields
+  let hint ms = ("retry_after_ms", Json.int ms) in
+  frame ~id ~status:"rejected"
+    (("reason", Json.Str reason)
+    :: Option.to_list (Option.map hint retry_after_ms))
 
 let error_frame ~id msg =
-  let fields = [ ("status", Json.Str "error"); ("error", Json.Str msg) ] in
-  let fields =
-    match id with
-    | Some id -> ("id", Json.Str id) :: fields
-    | None -> fields
-  in
-  Json.to_string (Json.Obj fields)
+  let error = ("error", Json.Str msg) in
+  match id with
+  | Some id -> frame ~id ~status:"error" [ error ]
+  | None -> Json.to_string (Json.Obj [ ("status", Json.Str "error"); error ])
 
 (* ---------------- response decoding (client side) ----------------
 
@@ -205,18 +219,12 @@ let decode_response line =
   | Error msg -> Error ("parse: " ^ msg)
   | Ok (Json.Obj _ as json) ->
     let str k = Option.bind (Json.member k json) Json.to_str in
-    let rid =
-      match Json.member "id" json with
-      | Some (Json.Str s) -> Some s
-      | Some (Json.Num x) -> Some (Json.to_string (Json.Num x))
-      | _ -> None
-    in
     (match str "status" with
      | None -> Error "response frame has no \"status\" field"
      | Some status ->
        Ok
          {
-           rid;
+           rid = frame_id json;
            status;
            reason = str "reason";
            retry_after_ms =

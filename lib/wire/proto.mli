@@ -47,6 +47,17 @@ type request =
 
 type frame = { id : string; req : request }
 
+(** [solve_fields sr] — the inverse of decoding a solve frame: its
+    fields without ["id"], optional ones only when set and ["cache"]
+    only when off, in the order op, instance, solver, chain, budget_ms,
+    objective, cache, request_id. [budget_ms] is printed at 12
+    significant digits. *)
+val solve_fields : solve_req -> (string * Json.t) list
+
+(** [frame_id json] — a frame's ["id"]: a string, or a number as
+    {!Json.to_string} prints it. *)
+val frame_id : Json.t -> string option
+
 (** [decode line] — total: any byte string yields a frame or a message
     for an ["error"] response. When the line parses far enough to carry
     an id, the error message is paired with it so the client can match
@@ -63,10 +74,17 @@ val error_frame : id:string option -> string -> string
 val rejected_frame :
   id:string -> ?retry_after_ms:int -> reason:string -> unit -> string
 
-val ok_frame : id:string -> (string * Json.t) list -> string
-(** [ok_frame ~id fields] — [{"id":.., "status":"ok", fields...}]. *)
+val frame :
+  id:string -> status:string -> ?body:string -> (string * Json.t) list -> string
+(** [frame ~id ~status ?body fields] —
+    [{"id": id, "status": status, body..., fields...}]. [body] is a
+    stored response body (see {!body}) spliced in byte for byte: the
+    cache journal persists bodies across restarts, so a hit replays the
+    bytes the original solve printed. *)
 
-val frame : id:string -> status:string -> (string * Json.t) list -> string
+val body : ?stored:string -> (string * Json.t) list -> string
+(** [body ?stored fields] — a response body: [stored] followed by
+    [fields], printed as object members without braces. *)
 
 (** {2 Response decoding (client side)}
 

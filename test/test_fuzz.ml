@@ -341,6 +341,120 @@ let test_connection_survives_garbage () =
   done;
   if not !done_ then Alcotest.fail "health after garbage never answered"
 
+(* -------------------- JSON printer contracts -------------------- *)
+
+module J = Wire.Json
+
+(* A random integer below 10^12 in magnitude, spread over every digit
+   count, plus the edges. *)
+let random_int12 rng =
+  match Prob.Rng.int rng 8 with
+  | 0 -> Prob.Rng.choose rng [| 0; 1; -1; 999_999_999_999; -999_999_999_999 |]
+  | _ ->
+    let digits = 1 + Prob.Rng.int rng 12 in
+    let n = Prob.Rng.int rng (int_of_float (10.0 ** float_of_int digits)) in
+    if Prob.Rng.bool rng then n else -n
+
+let random_float rng =
+  match Prob.Rng.int rng 6 with
+  | 0 -> float_of_int (random_int12 rng)
+  | 1 -> Int64.float_of_bits (Prob.Rng.bits64 rng)
+  | 2 -> Prob.Rng.choose rng [| nan; infinity; neg_infinity; -0.0; 1e12; -1e12 |]
+  | 3 -> float_of_int (random_int12 rng) *. 1e6 (* integral, >= 10^12 *)
+  | 4 -> Prob.Rng.normal rng *. 1000.0
+  | _ -> float_of_int (random_int12 rng) /. 100.0
+
+let random_string rng =
+  let len = Prob.Rng.int rng 24 in
+  String.init len (fun _ ->
+      match Prob.Rng.int rng 4 with
+      | 0 -> Char.chr (Prob.Rng.int rng 0x20) (* raw control bytes *)
+      | 1 -> Char.chr (0x80 + Prob.Rng.int rng 0x80) (* high bytes *)
+      | 2 -> Prob.Rng.choose rng [| '"'; '\\'; '/'; '\x7f' |]
+      | _ -> Char.chr (0x20 + Prob.Rng.int rng 0x5f))
+
+let rec random_json rng depth =
+  match Prob.Rng.int rng (if depth >= 6 then 4 else 6) with
+  | 0 -> J.Null
+  | 1 -> J.Bool (Prob.Rng.bool rng)
+  | 2 -> J.Num (random_float rng)
+  | 3 -> J.Str (random_string rng)
+  | 4 ->
+    J.Arr (List.init (Prob.Rng.int rng 5) (fun _ -> random_json rng (depth + 1)))
+  | _ ->
+    J.Obj
+      (List.init (Prob.Rng.int rng 5) (fun _ ->
+           (random_string rng, random_json rng (depth + 1))))
+
+(* Print, parse, print is the identity: a printed document (a cached
+   body, a daemon line re-printed by `confcall call --json`) can be
+   parsed and printed again without changing a byte. *)
+let test_print_parse_print () =
+  let rng = Prob.Rng.create ~seed:0x150 in
+  for case = 1 to cases * 4 do
+    let s = J.to_string (random_json rng 0) in
+    match J.parse s with
+    | Ok v ->
+      let s' = J.to_string v in
+      if s' <> s then
+        Alcotest.failf "case %d: print/parse/print changed %S into %S" case
+          (escape s) (escape s')
+    | Error e -> Alcotest.failf "case %d: printed %S does not parse: %s" case (escape s) e
+  done
+
+(* An integral number below 10^12 prints as [string_of_int]; every
+   other number, -0 included, exactly as [%.12g]. *)
+let test_number_printing () =
+  let rng = Prob.Rng.create ~seed:0x151 in
+  for _ = 1 to cases * 20 do
+    let n = random_int12 rng in
+    Alcotest.(check string)
+      (Printf.sprintf "integral %d" n) (string_of_int n)
+      (J.to_string (J.Num (float_of_int n)))
+  done;
+  let check_g x =
+    if Float.is_finite x then
+      Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%.12g" x)
+        (J.to_string (J.Num x))
+  in
+  List.iter check_g
+    [ -0.0; 1e12; -1e12; 1e12 +. 1.0; 0.5; -0.5; 1e-300; 5e-324; max_float;
+      -.max_float; 0x1p53; 123456789012.5; 999999999999.5; 0.1; 1e15 ];
+  for _ = 1 to cases * 20 do
+    let x = random_float rng in
+    if not (Float.is_integer x && Float.abs x < 1e12) then check_g x
+  done
+
+(* -------------------- solve frame encoder -------------------- *)
+
+let random_solve_req rng =
+  let opt f = if Prob.Rng.bool rng then Some (f ()) else None in
+  let nonempty () = "r" ^ random_string rng in
+  {
+    Wire.Proto.instance = nonempty ();
+    solver = opt (fun () -> random_string rng);
+    chain = opt (fun () -> random_string rng);
+    (* 12 significant digits survive the printer *)
+    budget_ms =
+      opt (fun () -> float_of_int (1 + Prob.Rng.int rng 1_000_000_000) /. 100.0);
+    objective = opt (fun () -> random_string rng);
+    cache = Prob.Rng.bool rng;
+    request_id = opt nonempty;
+  }
+
+(* [Proto.solve_fields] is the inverse of decoding a solve frame. *)
+let test_solve_fields_roundtrip () =
+  let rng = Prob.Rng.create ~seed:0x152 in
+  for case = 1 to cases * 2 do
+    let sr = random_solve_req rng in
+    let id = "f" ^ random_string rng in
+    let line = J.to_string (J.Obj (("id", J.Str id) :: Wire.Proto.solve_fields sr)) in
+    match Wire.Proto.decode line with
+    | Ok f when f = { Wire.Proto.id; req = Wire.Proto.Solve sr } -> ()
+    | Ok _ -> Alcotest.failf "case %d: %S decoded to a different frame" case (escape line)
+    | Error (_, e) -> Alcotest.failf "case %d: %S rejected: %s" case (escape line) e
+  done
+
 let () =
   Alcotest.run "fuzz"
     [ ( "smoke",
@@ -352,5 +466,13 @@ let () =
             test_protocol_fuzz;
           Alcotest.test_case "connection survives garbage" `Quick
             test_connection_survives_garbage;
+        ] );
+      ( "printer",
+        [ Alcotest.test_case "print, parse, print is the identity" `Quick
+            test_print_parse_print;
+          Alcotest.test_case "integral numbers print as string_of_int" `Quick
+            test_number_printing;
+          Alcotest.test_case "solve_fields inverts decode" `Quick
+            test_solve_fields_roundtrip;
         ] );
     ]

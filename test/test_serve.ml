@@ -730,6 +730,149 @@ let test_idempotency_dedup () =
   check bool_t "journalled ids are the executed ids" true
     (List.map fst entries = [ "rid-1"; "rid-2" ])
 
+(* ---------------- golden frames ---------------- *)
+
+(* Every response shape the daemon writes, byte for byte: a direct and
+   a chain solve, a cache hit, dedup replays (of a miss, of a hit and of
+   an error), an error with and without a request_id, health, simulate
+   at one and two replicas, drain — plus the cache journal those solves
+   leave on disk, which a restarted daemon replays verbatim. Only the
+   timing values are masked. These bytes are a regression pin: clients
+   parse the frames, and cache journals outlive the daemon that wrote
+   them. *)
+
+let mask_timings line =
+  let keys = [ "\"queue_ms\": "; "\"elapsed_ms\": " ] in
+  let n = String.length line in
+  let buf = Buffer.create n in
+  let rec go i =
+    if i < n then
+      match
+        List.find_opt
+          (fun k ->
+            let l = String.length k in
+            i + l <= n && String.sub line i l = k)
+          keys
+      with
+      | Some k ->
+        Buffer.add_string buf k;
+        Buffer.add_char buf 'T';
+        let j = ref (i + String.length k) in
+        while !j < n && line.[!j] <> ',' && line.[!j] <> '}' do
+          incr j
+        done;
+        go !j
+      | None ->
+        Buffer.add_char buf line.[i];
+        go (i + 1)
+  in
+  go 0;
+  Buffer.contents buf
+
+let golden_frames =
+  [
+    ( "solve direct, cache miss",
+      "{\"id\": \"d1\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\"}" );
+    ( "solve direct, cache hit",
+      "{\"id\": \"d2\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false, \"cache\": \"hit\"}" );
+    ( "solve chain",
+      "{\"id\": \"ch\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false, \"chain\": \"greedy,page-all\", \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"off\"}" );
+    ( "solve chain, budgeted",
+      "{\"id\": \"cb\", \"status\": \"ok\", \"solver\": \"local-search\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false, \"chain\": \"local-search,greedy,page-all\", \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"off\"}" );
+    ( "request_id, cache miss",
+      "{\"id\": \"q1\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\"}" );
+    ( "dedup replay of a miss",
+      "{\"id\": \"q2\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\", \"dedup\": \"hit\"}" );
+    ( "request_id, cache hit",
+      "{\"id\": \"q3\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false, \"cache\": \"hit\"}" );
+    ( "dedup replay of a hit",
+      "{\"id\": \"q4\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false, \"cache\": \"hit\", \"dedup\": \"hit\"}" );
+    ( "error with request_id",
+      "{\"id\": \"e1\", \"status\": \"error\", \"error\": \"inapplicable: Optimal.branch_and_bound_d2: requires d = 2\"}" );
+    ( "dedup replay of an error",
+      "{\"id\": \"e2\", \"status\": \"error\", \"error\": \"inapplicable: Optimal.branch_and_bound_d2: requires d = 2\", \"dedup\": \"hit\"}" );
+    ( "error without request_id",
+      "{\"id\": \"e3\", \"status\": \"error\", \"error\": \"solver: unknown solver \\\"nonsense\\\"\"}" );
+    ( "frame error",
+      "{\"id\": \"e4\", \"status\": \"error\", \"error\": \"unknown op \\\"warp\\\" (expected solve|simulate|health|metrics|drain)\"}" );
+    ( "health",
+      "{\"id\": \"h\", \"status\": \"ok\", \"draining\": false, \"queue_depth\": 0, \"capacity\": 8, \"domains\": 1, \"inflight\": 0, \"connections\": 1, \"cache_entries\": 2, \"cache_hits\": 2, \"cache_misses\": 2, \"cache_evictions\": 0, \"breaker_open\": false, \"pool_respawns\": 0, \"dedup_in_flight\": 0, \"dedup_completed\": 3, \"dedup_hits\": 3, \"request_log\": false}" );
+    ( "simulate",
+      "{\"id\": \"s1\", \"status\": \"ok\", \"scenario\": \"suburb\", \"seed\": 3, \"replicas\": 1, \"per_scheme\": [{\"scheme\": \"blanket\", \"calls\": 156, \"cells_paged\": 5776, \"expected_paging\": 5776}, {\"scheme\": \"selective-d3\", \"calls\": 156, \"cells_paged\": 4923, \"expected_paging\": 2881.01682177}, {\"scheme\": \"diffuse-d3\", \"calls\": 156, \"cells_paged\": 3432, \"expected_paging\": 3298.71710508}], \"queue_ms\": T, \"elapsed_ms\": T}" );
+    ( "simulate, two replicas",
+      "{\"id\": \"s2\", \"status\": \"ok\", \"scenario\": \"suburb\", \"seed\": 3, \"replicas\": 2, \"per_scheme\": [{\"scheme\": \"blanket\", \"calls\": 307, \"cells_paged\": 11360, \"expected_paging\": 11360}, {\"scheme\": \"selective-d3\", \"calls\": 307, \"cells_paged\": 9604, \"expected_paging\": 5681.15837733}, {\"scheme\": \"diffuse-d3\", \"calls\": 307, \"cells_paged\": 6590, \"expected_paging\": 6498.31875172}], \"queue_ms\": T, \"elapsed_ms\": T}" );
+    ( "drain",
+      "{\"id\": \"dr\", \"status\": \"ok\", \"draining\": true}" );
+    ( "cache journal",
+      "a2386eb8ea6a069e446f5cd464e1d350|989e443d86a1a0d19dd9afd15cba8ba7\t\"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false\tcrc:102a88c6\n1492be8e73d16bbee135923f85740283|989e443d86a1a0d19dd9afd15cba8ba7\t\"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false\tcrc:46a8f7bc\n" );
+  ]
+
+let test_golden_frames () =
+  let path = Filename.temp_file "confcall_golden" ".cachej" in
+  Sys.remove path;
+  let rng = Prob.Rng.create ~seed:0x601D in
+  let small = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:2 in
+  let other = Instance.random_uniform_simplex rng ~m:2 ~c:5 ~d:2 in
+  let three = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:3 in
+  let got =
+    with_server ~domains:1 ~capacity:8 ~cache_path:path (fun _h port ->
+        let c = connect port in
+        Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+        (* requests go one at a time, in list order; [settle] lets the
+           previous terminal finish its bookkeeping (dedup memo, lane
+           counters) before a frame that observes it *)
+        List.map
+          (fun (what, settle, frame) ->
+            if settle then Thread.delay 0.1;
+            send c frame;
+            (what, mask_timings (List.hd (recv_n c 1))))
+          [
+            ( "solve direct, cache miss", false,
+              solve_frame ~id:"d1" ~solver:"greedy" ~cache:true small );
+            ( "solve direct, cache hit", false,
+              solve_frame ~id:"d2" ~solver:"greedy" ~cache:true small );
+            ("solve chain", false, solve_frame ~id:"ch" ~chain:"fast" other);
+            ( "solve chain, budgeted", false,
+              solve_frame ~id:"cb" ~chain:"heuristic" ~budget_ms:10_000.0
+                other );
+            ( "request_id, cache miss", false,
+              solve_frame ~id:"q1" ~request_id:"g1" ~solver:"greedy"
+                ~cache:true other );
+            ( "dedup replay of a miss", true,
+              solve_frame ~id:"q2" ~request_id:"g1" ~solver:"greedy"
+                ~cache:true other );
+            ( "request_id, cache hit", false,
+              solve_frame ~id:"q3" ~request_id:"g2" ~solver:"greedy"
+                ~cache:true small );
+            ( "dedup replay of a hit", true,
+              solve_frame ~id:"q4" ~request_id:"g2" ~solver:"greedy"
+                ~cache:true small );
+            ( "error with request_id", false,
+              solve_frame ~id:"e1" ~request_id:"g3" ~solver:"bnb" three );
+            ( "dedup replay of an error", true,
+              solve_frame ~id:"e2" ~request_id:"g3" ~solver:"bnb" three );
+            ( "error without request_id", false,
+              solve_frame ~id:"e3" ~solver:"nonsense" three );
+            ("frame error", false, "{\"id\": \"e4\", \"op\": \"warp\"}");
+            ("health", true, "{\"id\": \"h\", \"op\": \"health\"}");
+            ( "simulate", false,
+              "{\"id\": \"s1\", \"op\": \"simulate\", \"scenario\": \
+               \"suburb\", \"seed\": 3}" );
+            ( "simulate, two replicas", false,
+              "{\"id\": \"s2\", \"op\": \"simulate\", \"scenario\": \
+               \"suburb\", \"seed\": 3, \"replicas\": 2}" );
+            ("drain", false, "{\"id\": \"dr\", \"op\": \"drain\"}");
+        ])
+  in
+  let journal = In_channel.with_open_bin path In_channel.input_all in
+  (try Sys.remove path with Sys_error _ -> ());
+  let got = got @ [ ("cache journal", journal) ] in
+  List.iter2
+    (fun (what, expected) (what', line) ->
+      check string_t "golden order" what what';
+      check string_t what expected line)
+    golden_frames got
+
 (* ---------------- registration ---------------- *)
 
 let () =
@@ -771,6 +914,8 @@ let () =
             test_drain_finishes_inflight;
           Alcotest.test_case "simulate matches in-process replicas" `Quick
             test_simulate_matches_in_process;
+          Alcotest.test_case "golden frames and cache journal" `Quick
+            test_golden_frames;
         ] );
       ( "idempotency",
         [
