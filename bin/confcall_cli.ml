@@ -422,12 +422,7 @@ let solve path spec objective verbose json budget_ms chain eps tv samples
        With --robust the uncertainty flows into the runner, which
        re-ranks the chain by worst-case EP and certifies the winner;
        without it the certification is computed for the winner only. *)
-    let chain =
-      match (chain, spec) with
-      | Some chain, _ -> chain
-      | None, Some spec -> [ spec ]
-      | None, None -> Runner.default_chain
-    in
+    let chain = Runner.resolve_chain ~chain ~spec in
     if robust then
       solve_budgeted inst objective json budget_ms chain uncertainty domains
     else begin
@@ -614,6 +609,13 @@ let sweep m c d dist skew seeds objective budget_ms chain journal_path resume
     domains metrics_out trace_out =
   guard @@ fun () ->
   with_obs ~metrics_out ~trace_out @@ fun () ->
+  (* The shape is checked before the journal is touched: a bad flag
+     must not leave an empty journal behind that refuses the corrected
+     rerun. *)
+  if m < 1 then invalid_arg (Printf.sprintf "-m must be >= 1, got %d" m);
+  if c < 1 then invalid_arg (Printf.sprintf "-c must be >= 1, got %d" c);
+  if d < 1 || d > c then
+    invalid_arg (Printf.sprintf "-d must be in [1, c = %d], got %d" c d);
   let chain = Option.value chain ~default:Runner.default_chain in
   let domains = effective_domains domains in
   if Sys.file_exists journal_path && not resume then
@@ -1165,6 +1167,8 @@ let simulate_cmd =
 
 let analyze path max_d =
   guard @@ fun () ->
+  if max_d < 1 then
+    invalid_arg (Printf.sprintf "--max-d must be >= 1, got %d" max_d);
   let inst = read_instance path in
   let r = Greedy.solve inst in
   let dist = Analysis.cost_distribution inst r.Order_dp.strategy in
@@ -1198,6 +1202,17 @@ let analyze_cmd =
 
 let hardness sizes =
   guard @@ fun () ->
+  (* Partition_to_qp1's precondition, checked before anything prints. *)
+  if
+    sizes = []
+    || List.length sizes mod 2 <> 0
+    || List.exists (fun s -> s <= 0) sizes
+  then
+    invalid_arg
+      (Printf.sprintf
+         "--sizes must be a non-empty, even-length list of positive \
+          integers, got %S"
+         (String.concat "," (List.map string_of_int sizes)));
   let sizes = Array.of_list sizes in
   Printf.printf "Partition instance: [%s]\n"
     (String.concat "; " (Array.to_list (Array.map string_of_int sizes)));

@@ -46,10 +46,6 @@ let () =
         fun () -> (Greedy.solve inst).Order_dp.expected_paging );
       ( "local search",
         fun () -> (Local_search.hill_climb inst).Local_search.expected_paging );
-      ( "annealing",
-        fun () ->
-          (Local_search.solve inst (Prob.Rng.create ~seed:7))
-            .Local_search.expected_paging );
       "QAP route (Sec 5.1)", (fun () -> snd (Qap.solve_conference_m2 inst));
     ]
   in

@@ -18,13 +18,7 @@
    floating-point drift feeds later evaluations. Results are therefore
    bit-identical to the list code, which the tests keep as the
    reference (test_flat pins this across instances, solver specs and
-   domains).
-
-   The delta-EP machinery ([Ls], [run_hill_climb_fast]) additionally
-   maintains per-round survivor prefixes incrementally so a local-search
-   move is evaluated in O(affected rounds · m) instead of a full
-   O(rounds · m) re-evaluation per candidate; DESIGN §13 carries the
-   correctness argument. *)
+   domains). *)
 
 module FA = Float.Array
 
@@ -68,16 +62,12 @@ type t = {
   mutable improved : bool;
   out : FA.t;
   (* slots: 0 = result/current EP; 1 = success scratch; 2 = full-eval EP;
-     3 = delta success scratch; 4 = delta-predicted EP *)
+     3 = best gain of the climb's scan round *)
   (* ---- local-search state ---- *)
   mutable ls_rounds : int;
   mutable ls_round_of : int array;  (* capacity c *)
   mutable ls_counts : int array;  (* capacity d *)
   mutable ls_masses : FA.t;  (* m x rounds, device-major [i*rounds + r] *)
-  mutable ls_prefix : FA.t;  (* rounds-1 x m, round-major [r*m + i]; only
-                                columns 0..rounds-2 are maintained — the
-                                EP formula never reads the last round *)
-  mutable ls_f : FA.t;  (* per-round success of the prefix, 0..rounds-2 *)
   mutable ls_scratch : FA.t;  (* m *)
   mutable ls_cells : int array;  (* capacity c: seeding scratch *)
 }
@@ -114,13 +104,11 @@ let create () =
     nsizes = 0;
     iters = 0;
     improved = false;
-    out = FA.make 8 0.0;
+    out = FA.make 4 0.0;
     ls_rounds = 0;
     ls_round_of = [||];
     ls_counts = [||];
     ls_masses = FA.create 0;
-    ls_prefix = FA.create 0;
-    ls_f = FA.create 0;
     ls_scratch = FA.create 0;
     ls_cells = [||];
   }
@@ -163,8 +151,6 @@ let bind a ~objective inst =
     a.ls_round_of <- ia_cap a.ls_round_of c;
     a.ls_counts <- ia_cap a.ls_counts (Stdlib.max 1 d);
     a.ls_masses <- fa_cap a.ls_masses (m * Stdlib.max 1 d);
-    a.ls_prefix <- fa_cap a.ls_prefix (m * Stdlib.max 1 d);
-    a.ls_f <- fa_cap a.ls_f (Stdlib.max 1 d);
     a.ls_scratch <- fa_cap a.ls_scratch m;
     a.ls_cells <- ia_cap a.ls_cells c;
     a.weights_ok <- false;
@@ -531,7 +517,7 @@ let run_hill_climb ?(cancel = Cancel.never) a =
   seed_ls a;
   a.iters <- 0;
   ls_ep_into a ~di:0;
-  (* out.(0) carries the current EP and out.(5) the best gain of the
+  (* out.(0) carries the current EP and out.(3) the best gain of the
      scan round: float refs would box (they stay live across the
      exception handler, which defeats ref unboxing). *)
   let c = a.c in
@@ -539,7 +525,7 @@ let run_hill_climb ?(cancel = Cancel.never) a =
   (try
      while a.improved do
        a.improved <- false;
-       FA.set a.out 5 1e-12;
+       FA.set a.out 3 1e-12;
        let best_kind = ref 0 and best_u = ref 0 and best_v = ref 0 in
        for cell = 0 to c - 1 do
          let src = a.ls_round_of.(cell) in
@@ -551,8 +537,8 @@ let run_hill_climb ?(cancel = Cancel.never) a =
                ls_relocate a cell target;
                ls_ep_into a ~di:2;
                ls_relocate a cell src;
-               if FA.get a.out 0 -. FA.get a.out 2 > FA.get a.out 5 then begin
-                 FA.set a.out 5 (FA.get a.out 0 -. FA.get a.out 2);
+               if FA.get a.out 0 -. FA.get a.out 2 > FA.get a.out 3 then begin
+                 FA.set a.out 3 (FA.get a.out 0 -. FA.get a.out 2);
                  best_kind := 1;
                  best_u := cell;
                  best_v := target
@@ -571,8 +557,8 @@ let run_hill_climb ?(cancel = Cancel.never) a =
              ls_ep_into a ~di:2;
              ls_relocate a q rq;
              ls_relocate a p rp;
-             if FA.get a.out 0 -. FA.get a.out 2 > FA.get a.out 5 then begin
-               FA.set a.out 5 (FA.get a.out 0 -. FA.get a.out 2);
+             if FA.get a.out 0 -. FA.get a.out 2 > FA.get a.out 3 then begin
+               FA.set a.out 3 (FA.get a.out 0 -. FA.get a.out 2);
                best_kind := 2;
                best_u := p;
                best_v := q
@@ -590,203 +576,6 @@ let run_hill_climb ?(cancel = Cancel.never) a =
          ls_relocate a !best_u rv;
          ls_relocate a !best_v ru;
          ls_ep_into a ~di:0;
-         a.improved <- true
-       end
-     done
-   with Out_of_budget -> ());
-  a.nsizes <- a.ls_rounds;
-  for r = 0 to a.ls_rounds - 1 do
-    a.sizes.(r) <- a.ls_counts.(r)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Incremental (delta) EP. Invariants, rebuilt by [ls_sync] and
-   maintained by the apply functions:
-     ls_prefix.(r*m + i) = Σ_{r' <= r} ls_masses.(i*rounds + r'),
-                           for r = 0..rounds-2
-     ls_f.(r)            = success(objective, ls_prefix column r)
-     out.(0)             = c − Σ_{r=0..rounds-2} counts.(r+1)·ls_f.(r)
-   A relocate src→tgt perturbs prefix columns r ∈ [min, max) by ±p and
-   the count factors at r = src−1 and r = tgt−1; a swap perturbs only
-   the columns in between by (p_b − p_a). Everything outside the
-   affected window keeps its bits, so the delta touches O(window · m)
-   floats instead of O(rounds · m). *)
-
-let ls_sync a =
-  let m = a.m and rounds = a.ls_rounds in
-  for i = 0 to m - 1 do
-    let run = ref 0.0 in
-    for r = 0 to rounds - 2 do
-      run := !run +. FA.get a.ls_masses ((i * rounds) + r);
-      FA.set a.ls_prefix ((r * m) + i) !run
-    done
-  done;
-  for r = 0 to rounds - 2 do
-    Objective.success_into a.objective ~src:a.ls_prefix ~off:(r * m) ~n:m
-      ~dp:a.dp ~dst:a.ls_f ~di:r
-  done;
-  let total = ref (float_of_int a.c) in
-  for r = 0 to rounds - 2 do
-    total := !total -. (float_of_int a.ls_counts.(r + 1) *. FA.get a.ls_f r)
-  done;
-  FA.set a.out 0 !total
-
-(* Relocate delta. With [apply] the move is committed (state, prefixes,
-   per-round successes, maintained EP); without it only out.(4) is
-   written. Touches rounds [min−1, max) only. *)
-let ls_delta_relocate a cell target ~apply =
-  let src = a.ls_round_of.(cell) in
-  if src = target then FA.set a.out 4 (FA.get a.out 0)
-  else begin
-    let m = a.m and rounds = a.ls_rounds in
-    let lo = Stdlib.min src target and hi = Stdlib.max src target in
-    let new_ep = ref (FA.get a.out 0) in
-    for r = Stdlib.max 0 (lo - 1) to Stdlib.min (rounds - 2) (hi - 1) do
-      let cnt_old = a.ls_counts.(r + 1) in
-      let cnt_new =
-        cnt_old
-        + (if r + 1 = target then 1 else 0)
-        - if r + 1 = src then 1 else 0
-      in
-      let f_old = FA.get a.ls_f r in
-      let f_new =
-        if r < lo then f_old
-        else begin
-          for i = 0 to m - 1 do
-            let p = a.pmat.(i).(cell) in
-            let dlt = if src < target then -.p else p in
-            FA.set a.ls_scratch i (FA.get a.ls_prefix ((r * m) + i) +. dlt)
-          done;
-          Objective.success_into a.objective ~src:a.ls_scratch ~off:0 ~n:m
-            ~dp:a.dp ~dst:a.out ~di:3;
-          FA.get a.out 3
-        end
-      in
-      new_ep :=
-        !new_ep
-        +. (float_of_int cnt_old *. f_old)
-        -. (float_of_int cnt_new *. f_new);
-      if apply && r >= lo then FA.set a.ls_f r f_new
-    done;
-    if apply then begin
-      ls_relocate a cell target;
-      for r = lo to hi - 1 do
-        for i = 0 to m - 1 do
-          let p = a.pmat.(i).(cell) in
-          let dlt = if src < target then -.p else p in
-          FA.set a.ls_prefix ((r * m) + i)
-            (FA.get a.ls_prefix ((r * m) + i) +. dlt)
-        done
-      done;
-      FA.set a.out 0 !new_ep
-    end
-    else FA.set a.out 4 !new_ep
-  end
-
-(* Swap delta: counts are preserved, so only the prefix columns strictly
-   between the two rounds move, each by (p_other − p_this). *)
-let ls_delta_swap a ca cb ~apply =
-  let ra = a.ls_round_of.(ca) and rb = a.ls_round_of.(cb) in
-  if ra = rb then FA.set a.out 4 (FA.get a.out 0)
-  else begin
-    let m = a.m in
-    let lo = Stdlib.min ra rb and hi = Stdlib.max ra rb in
-    let new_ep = ref (FA.get a.out 0) in
-    for r = lo to hi - 1 do
-      let cnt = float_of_int a.ls_counts.(r + 1) in
-      let f_old = FA.get a.ls_f r in
-      for i = 0 to m - 1 do
-        let dlt =
-          if ra < rb then a.pmat.(i).(cb) -. a.pmat.(i).(ca)
-          else a.pmat.(i).(ca) -. a.pmat.(i).(cb)
-        in
-        FA.set a.ls_scratch i (FA.get a.ls_prefix ((r * m) + i) +. dlt)
-      done;
-      Objective.success_into a.objective ~src:a.ls_scratch ~off:0 ~n:m
-        ~dp:a.dp ~dst:a.out ~di:3;
-      let f_new = FA.get a.out 3 in
-      new_ep := !new_ep +. (cnt *. f_old) -. (cnt *. f_new);
-      if apply then FA.set a.ls_f r f_new
-    done;
-    if apply then begin
-      ls_relocate a ca rb;
-      ls_relocate a cb ra;
-      for r = lo to hi - 1 do
-        for i = 0 to m - 1 do
-          let dlt =
-            if ra < rb then a.pmat.(i).(cb) -. a.pmat.(i).(ca)
-            else a.pmat.(i).(ca) -. a.pmat.(i).(cb)
-          in
-          FA.set a.ls_prefix ((r * m) + i)
-            (FA.get a.ls_prefix ((r * m) + i) +. dlt)
-        done
-      done;
-      FA.set a.out 0 !new_ep
-    end
-    else FA.set a.out 4 !new_ep
-  end
-
-(* Delta-screened steepest descent: candidate moves are scored through
-   the incremental delta in O(window · m) each; the accepted move is
-   committed and the invariants fully resynced (one O(rounds · m) pass
-   per accepted move — accepted moves are rare next to candidates).
-   Same move set, guards and 1e-12 gain threshold as the mirror climb;
-   only the (last-ulp) arithmetic of the scores differs. *)
-let run_hill_climb_fast ?(cancel = Cancel.never) a =
-  greedy_core a Cancel.never;
-  seed_ls a;
-  ls_sync a;
-  a.iters <- 0;
-  let c = a.c in
-  a.improved <- true;
-  (try
-     while a.improved do
-       a.improved <- false;
-       (* out.(5) holds the best gain (a float ref would box: it stays
-          live across the exception handler). out.(0) is the maintained
-          current EP; out.(4) the delta-predicted EP of the candidate. *)
-       FA.set a.out 5 1e-12;
-       let best_kind = ref 0 and best_u = ref 0 and best_v = ref 0 in
-       for cell = 0 to c - 1 do
-         let src = a.ls_round_of.(cell) in
-         if a.ls_counts.(src) > 1 then
-           for target = 0 to a.ls_rounds - 1 do
-             if target <> src then begin
-               if Cancel.poll cancel then raise Out_of_budget;
-               a.iters <- a.iters + 1;
-               ls_delta_relocate a cell target ~apply:false;
-               if FA.get a.out 0 -. FA.get a.out 4 > FA.get a.out 5 then begin
-                 FA.set a.out 5 (FA.get a.out 0 -. FA.get a.out 4);
-                 best_kind := 1;
-                 best_u := cell;
-                 best_v := target
-               end
-             end
-           done
-       done;
-       for p = 0 to c - 1 do
-         for q = p + 1 to c - 1 do
-           if a.ls_round_of.(p) <> a.ls_round_of.(q) then begin
-             if Cancel.poll cancel then raise Out_of_budget;
-             a.iters <- a.iters + 1;
-             ls_delta_swap a p q ~apply:false;
-             if FA.get a.out 0 -. FA.get a.out 4 > FA.get a.out 5 then begin
-               FA.set a.out 5 (FA.get a.out 0 -. FA.get a.out 4);
-               best_kind := 2;
-               best_u := p;
-               best_v := q
-             end
-           end
-         done
-       done;
-       if !best_kind = 1 then begin
-         ls_delta_relocate a !best_u !best_v ~apply:true;
-         ls_sync a;
-         a.improved <- true
-       end
-       else if !best_kind = 2 then begin
-         ls_delta_swap a !best_u !best_v ~apply:true;
-         ls_sync a;
          a.improved <- true
        end
      done
@@ -849,66 +638,3 @@ let hill_climb ?objective ?cancel a inst =
     expected_paging = FA.get a.out 0;
     iterations = a.iters;
   }
-
-let hill_climb_fast ?objective ?cancel a inst =
-  prepare ?objective a inst;
-  run_hill_climb_fast ?cancel a;
-  {
-    Local_search.strategy = ls_strategy a;
-    expected_paging = FA.get a.out 0;
-    iterations = a.iters;
-  }
-
-module Ls = struct
-  let load ?objective a inst strategy =
-    (match Strategy.validate ~c:inst.Instance.c strategy with
-    | Ok () -> ()
-    | Error reason -> invalid_arg ("Local_search: " ^ reason));
-    bind a ~objective:(Option.value objective ~default:Objective.Find_all)
-      inst;
-    let groups = Strategy.groups strategy in
-    let rounds = Array.length groups in
-    if rounds > a.d then
-      invalid_arg "Flat.Ls.load: more rounds than the delay constraint";
-    a.ls_rounds <- rounds;
-    let m = a.m in
-    for idx = 0 to (m * rounds) - 1 do
-      FA.set a.ls_masses idx 0.0
-    done;
-    Array.iteri
-      (fun r group ->
-        a.ls_counts.(r) <- Array.length group;
-        Array.iter
-          (fun cell ->
-            a.ls_round_of.(cell) <- r;
-            for i = 0 to m - 1 do
-              let idx = (i * rounds) + r in
-              FA.set a.ls_masses idx
-                (FA.get a.ls_masses idx +. a.pmat.(i).(cell))
-            done)
-          group)
-      groups;
-    ls_sync a
-
-  let sync = ls_sync
-  let ep a = FA.get a.out 0
-
-  let ep_full a =
-    ls_ep_into a ~di:2;
-    FA.get a.out 2
-
-  let rounds a = a.ls_rounds
-  let round_of a cell = a.ls_round_of.(cell)
-  let count a r = a.ls_counts.(r)
-
-  let predict_relocate a ~cell ~target =
-    ls_delta_relocate a cell target ~apply:false;
-    FA.get a.out 4
-
-  let predict_swap a ~p ~q =
-    ls_delta_swap a p q ~apply:false;
-    FA.get a.out 4
-
-  let apply_relocate a ~cell ~target = ls_delta_relocate a cell target ~apply:true
-  let apply_swap a ~p ~q = ls_delta_swap a p q ~apply:true
-end

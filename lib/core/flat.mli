@@ -13,8 +13,7 @@
     here. Every computation is an op-for-op mirror of the list
     reference code ([Order_dp], [Strategy], [Local_search]), so results
     are bit-identical; the tests keep the list code as the reference
-    (test_flat). DESIGN §13 documents the arena layout, the
-    prefix-product invariants and the delta-EP correctness argument. *)
+    (test_flat). DESIGN §13 documents the arena layout. *)
 
 type t
 
@@ -73,15 +72,6 @@ val run_page_all : t -> unit
     apply/evaluate/revert float drift, hence bit-identical. *)
 val run_hill_climb : ?cancel:Cancel.t -> t -> unit
 
-(** The delta-screened climb: candidates are scored via the incremental
-    EP delta in O(affected rounds · m) each instead of a full
-    re-evaluation; the accepted move is committed and resynced. Same
-    move set and gain threshold as {!run_hill_climb}; scores agree only
-    to rounding, so the climbed strategy may differ in ulp-tie cases —
-    use {!run_hill_climb} where bit-identity with the list reference
-    matters. *)
-val run_hill_climb_fast : ?cancel:Cancel.t -> t -> unit
-
 (** {1 Result accessors} *)
 
 (** Expected paging of the last [run_*]. *)
@@ -125,44 +115,3 @@ val coarse :
 val hill_climb :
   ?objective:Objective.t -> ?cancel:Cancel.t -> t -> Instance.t ->
   Local_search.result
-
-val hill_climb_fast :
-  ?objective:Objective.t -> ?cancel:Cancel.t -> t -> Instance.t ->
-  Local_search.result
-
-(** {1 Incremental EP internals}
-
-    Exposed for the delta-vs-full property tests: load an arbitrary
-    strategy, predict or apply moves through the incremental delta, and
-    compare {!Ls.ep} (maintained) against {!Ls.ep_full} (full mirror
-    re-evaluation). *)
-module Ls : sig
-  (** Load a strategy as LS state and build the prefix/success
-      invariants. Validates like [Local_search.state_of_strategy]. *)
-  val load : ?objective:Objective.t -> t -> Instance.t -> Strategy.t -> unit
-
-  (** Rebuild the invariants from the masses (full resync). *)
-  val sync : t -> unit
-
-  (** The incrementally maintained EP. *)
-  val ep : t -> float
-
-  (** Full re-evaluation (mirror of [Local_search.ep]); does not touch
-      the maintained value. *)
-  val ep_full : t -> float
-
-  val rounds : t -> int
-  val round_of : t -> int -> int
-  val count : t -> int -> int
-
-  (** Predicted EP after the move, via the delta; state unchanged. *)
-  val predict_relocate : t -> cell:int -> target:int -> float
-
-  val predict_swap : t -> p:int -> q:int -> float
-
-  (** Commit the move, updating masses, prefixes, per-round successes
-      and the maintained EP incrementally (no resync). *)
-  val apply_relocate : t -> cell:int -> target:int -> unit
-
-  val apply_swap : t -> p:int -> q:int -> unit
-end

@@ -160,84 +160,3 @@ let hill_climb ?(objective = Objective.Find_all) ?cancel inst =
   let state = state_of_strategy ~objective inst (greedy_seed ~objective inst) in
   let expected_paging, iterations = hill_climb_state ?cancel state in
   { strategy = strategy_of_state state; expected_paging; iterations }
-
-let anneal ?(objective = Objective.Find_all) ?(cancel = Cancel.never) inst rng
-    ~steps ~t0 ~cooling =
-  if steps < 0 then invalid_arg "Local_search.anneal: negative steps"
-  else if t0 <= 0.0 then invalid_arg "Local_search.anneal: t0 must be positive"
-  else if cooling <= 0.0 || cooling >= 1.0 then
-    invalid_arg "Local_search.anneal: cooling must be in (0, 1)"
-  else begin
-    let state =
-      state_of_strategy ~objective inst (greedy_seed ~objective inst)
-    in
-    let c = inst.Instance.c in
-    let current = ref (ep state) in
-    let best = ref !current in
-    let best_assignment = ref (Array.copy state.round_of) in
-    let temperature = ref t0 in
-    let iterations = ref 0 in
-    if state.rounds > 1 then begin
-      try
-        for _ = 1 to steps do
-          if Cancel.poll cancel then raise Out_of_budget;
-          incr iterations;
-        let use_swap = Prob.Rng.bool rng in
-        let candidate =
-          if use_swap then begin
-            let a = Prob.Rng.int rng c and b = Prob.Rng.int rng c in
-            if a <> b && state.round_of.(a) <> state.round_of.(b) then
-              Some (`Swap (a, b), try_swap state a b)
-            else None
-          end
-          else begin
-            let cell = Prob.Rng.int rng c in
-            let target = Prob.Rng.int rng state.rounds in
-            let src = state.round_of.(cell) in
-            if target <> src && state.counts.(src) > 1 then
-              Some (`Relocate (cell, target), try_relocate state cell target)
-            else None
-          end
-        in
-        (match candidate with
-         | None -> ()
-         | Some (move, v) ->
-           let delta = v -. !current in
-           let accept =
-             delta <= 0.0
-             || Prob.Rng.unit_float rng < exp (-.delta /. !temperature)
-           in
-           if accept then begin
-             (match move with
-              | `Relocate (cell, target) -> relocate state cell target
-              | `Swap (a, b) ->
-                let ra = state.round_of.(a) and rb = state.round_of.(b) in
-                relocate state a rb;
-                relocate state b ra);
-             current := v;
-             if v < !best then begin
-               best := v;
-               best_assignment := Array.copy state.round_of
-             end
-           end);
-          temperature := !temperature *. cooling
-        done
-      with Out_of_budget -> ()
-    end;
-    (* Restore the best visited assignment, then polish greedily. *)
-    Array.iteri
-      (fun cell r -> if state.round_of.(cell) <> r then relocate state cell r)
-      !best_assignment;
-    let polished, extra = hill_climb_state ~cancel state in
-    {
-      strategy = strategy_of_state state;
-      expected_paging = polished;
-      iterations = !iterations + extra;
-    }
-  end
-
-let solve ?(objective = Objective.Find_all) ?cancel inst rng =
-  let c = inst.Instance.c in
-  let steps = Stdlib.max 500 (50 * c) in
-  anneal ~objective ?cancel inst rng ~steps ~t0:(0.05 *. float_of_int c)
-    ~cooling:(1.0 -. (2.0 /. float_of_int steps))

@@ -1,15 +1,15 @@
-(** Local-search solvers over the full strategy space.
+(** Steepest-descent local search over the full strategy space — the
+    list reference for [Flat.hill_climb].
 
     The greedy heuristic is confined to cell-weight order; local search
     explores arbitrary ordered partitions and can escape the order
     restriction — on the §4.3 instance it recovers the true optimum
-    317/49 that the heuristic misses. Useful as a stronger (unproven)
-    solver at sizes where exact search is impossible, and as an
-    independent check on the exact solvers at small sizes.
+    317/49 that the heuristic misses. Production runs the
+    allocation-free [Flat.run_hill_climb] (via [Solver]); this module
+    is the op-for-op reference the tests hold it to.
 
-    Moves considered: relocate one cell to another (possibly new empty →
-    no, groups stay non-empty) round, and swap two cells between rounds.
-    All randomness comes from the supplied generator. *)
+    Moves considered: relocate one cell to another round (groups stay
+    non-empty), and swap two cells between rounds. *)
 
 type result = {
   strategy : Strategy.t;
@@ -22,33 +22,9 @@ type result = {
     Unlike the exact searches, local search is anytime: when [cancel]
     fires mid-climb it returns its best-so-far strategy instead of
     raising — the working state is valid at every step, so there is
-    always something to return. This list implementation is the
-    reference the allocation-free [Flat.hill_climb] is tested against;
-    [Solver] runs the flat one. *)
+    always something to return. *)
 val hill_climb :
   ?objective:Objective.t ->
   ?cancel:Cancel.t ->
   Instance.t ->
   result
-
-(** [anneal ?objective ?cancel inst rng ~steps ~t0 ~cooling] — simulated
-    annealing: random relocate/swap moves accepted when improving or
-    with probability exp(−Δ/T), T decaying geometrically from [t0] by
-    [cooling] per step; returns the best strategy seen. Ends with a
-    hill-climb polish. Anytime under [cancel], like {!hill_climb}.
-    @raise Invalid_argument when parameters are out of range. *)
-val anneal :
-  ?objective:Objective.t ->
-  ?cancel:Cancel.t ->
-  Instance.t ->
-  Prob.Rng.t ->
-  steps:int ->
-  t0:float ->
-  cooling:float ->
-  result
-
-(** [solve ?objective ?cancel inst rng] — annealing with sensible
-    defaults scaled to instance size, then hill-climbing; never worse
-    than the greedy heuristic (it starts there). *)
-val solve :
-  ?objective:Objective.t -> ?cancel:Cancel.t -> Instance.t -> Prob.Rng.t -> result

@@ -45,6 +45,12 @@ let default_chain =
   Solver.
     [ Best_exact; Branch_and_bound; Local_search; Greedy; Page_all ]
 
+let resolve_chain ~chain ~spec =
+  match (chain, spec) with
+  | Some chain, _ -> chain
+  | None, Some spec -> [ spec ]
+  | None, None -> default_chain
+
 let chain_to_string chain =
   String.concat "," (List.map Solver.spec_to_string chain)
 

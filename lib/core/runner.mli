@@ -89,6 +89,13 @@ type run_report = {
 (** [Best_exact → Branch_and_bound → Local_search → Greedy → Page_all]. *)
 val default_chain : Solver.spec list
 
+(** [resolve_chain ~chain ~spec] is the chain a runner-path solve
+    executes: the explicit [chain] if given, else the one-stage chain
+    [[spec]], else {!default_chain}. The CLI and the daemon both decide
+    it here. *)
+val resolve_chain :
+  chain:Solver.spec list option -> spec:Solver.spec option -> Solver.spec list
+
 (** Chains by name ("default", "fast", "heuristic", "exact") or as
     comma-separated solver specs ("bnb,local-search,page-all"); specs as
     in {!Solver.spec_of_string}. *)

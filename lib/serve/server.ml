@@ -496,13 +496,9 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
         ("inapplicable: " ^ msg)
   end
   else begin
-    let base_chain =
-      match (chain, spec) with
-      | Some c, _ -> c
-      | None, Some s -> [ s ]
-      | None, None -> Runner.default_chain
+    let eff_chain, downgraded =
+      apply_ladder job.ladder (Runner.resolve_chain ~chain ~spec)
     in
-    let eff_chain, downgraded = apply_ladder job.ladder base_chain in
     (* The budget was armed at admission: queueing time already counts
        against it. An exhausted budget still runs the chain under a
        ~1 ms token, so the runner's grace window returns the anytime

@@ -6,10 +6,8 @@
    instances, across solver specs, objectives and domain counts. A
    golden digest taken from the list solvers and a rational-oracle pin
    (flat EPs against the exact arithmetic path to ≤ 1e-12·c) keep the
-   two float paths from drifting together. The GC section asserts the zero-minor-words contract
-   of the run_* cores, and the property section drives the incremental
-   local-search EP delta through random accepted/rejected move
-   sequences against full re-evaluation. *)
+   two float paths from drifting together. The GC section asserts the
+   zero-minor-words contract of the run_* cores. *)
 
 open Confcall
 
@@ -231,6 +229,50 @@ let test_differential_hill_climb_iterations () =
       (Strategy.equal legacy.Local_search.strategy flat.Local_search.strategy)
   done
 
+(* The anytime contract the Runner relies on: a climb cancelled after
+   poll k stops where it stands and returns its best-so-far. Both
+   climbs poll once per move evaluation, so under the same cut they
+   must return the same strategy, EP bits and iteration count, and
+   that count is k whenever the cut falls before the natural end. *)
+let test_differential_cancelled_climb () =
+  let rng = Prob.Rng.create ~seed:0xCA7C in
+  let arena = Flat.create () in
+  let cut_after k =
+    let polls = ref 0 in
+    Cancel.of_probe ~every:1 (fun () ->
+        incr polls;
+        !polls > k)
+  in
+  for trial = 1 to 60 do
+    let m, c, d = random_dims rng in
+    let inst = random_instance rng ~kind:trial ~m ~c ~d in
+    let objective = objective_for rng ~m trial in
+    let full =
+      (Local_search.hill_climb ~objective inst).Local_search.iterations
+    in
+    [ 0; 1; 2; full / 3; full / 2; full - 1; full ]
+    |> List.filter (fun k -> k >= 0)
+    |> List.sort_uniq compare
+    |> List.iter (fun k ->
+           let legacy =
+             Local_search.hill_climb ~objective ~cancel:(cut_after k) inst
+           in
+           let flat =
+             Flat.hill_climb ~objective ~cancel:(cut_after k) arena inst
+           in
+           let what = Printf.sprintf "trial %d, cut after poll %d" trial k in
+           check int_t (what ^ ": iterations") legacy.Local_search.iterations
+             flat.Local_search.iterations;
+           check int_t (what ^ ": iterations = cut") (min k full)
+             flat.Local_search.iterations;
+           check bool_t (what ^ ": ep bits") true
+             (Int64.bits_of_float legacy.Local_search.expected_paging
+             = Int64.bits_of_float flat.Local_search.expected_paging);
+           check bool_t (what ^ ": strategy") true
+             (Strategy.equal legacy.Local_search.strategy
+                flat.Local_search.strategy))
+  done
+
 (* Coarse DP: block boundaries must not perturb the per-device mass
    chains — flat and legacy agree bitwise for every block size,
    including block = 1 (≡ the full DP). *)
@@ -387,9 +429,6 @@ let test_zero_alloc_cores () =
       Testutil.assert_no_minor_alloc
         (Printf.sprintf "run_hill_climb[%s]" oname)
         (fun () -> Flat.run_hill_climb arena);
-      Testutil.assert_no_minor_alloc
-        (Printf.sprintf "run_hill_climb_fast[%s]" oname)
-        (fun () -> Flat.run_hill_climb_fast arena);
       Flat.prepare_coarse ~objective ~block:8 arena inst;
       Testutil.assert_no_minor_alloc
         (Printf.sprintf "run_coarse[%s]" oname)
@@ -421,113 +460,6 @@ let test_zero_alloc_after_rebind () =
         (Printf.sprintf "run_hill_climb after rebind %d" k)
         (fun () -> Flat.run_hill_climb arena))
     insts
-
-(* -------------------- property: incremental EP delta -------------- *)
-
-(* Drive the delta machinery through random move sequences. After every
-   rejected candidate (predict) the maintained EP must be untouched;
-   after every accepted move (apply, deliberately without resync) the
-   maintained EP must match a full re-evaluation to float-drift
-   tolerance, and must equal the prediction of that same move bit for
-   bit (predict and apply share the arithmetic). *)
-let test_delta_ep_property () =
-  let rng = Prob.Rng.create ~seed:0xDE17A in
-  let arena = Flat.create () in
-  for seq = 1 to 100 do
-    let m = 1 + Prob.Rng.int rng 4 in
-    let c = 3 + Prob.Rng.int rng 10 in
-    let d = 2 + Prob.Rng.int rng (c - 1) in
-    let inst = random_instance rng ~kind:seq ~m ~c ~d in
-    let objective = objective_for rng ~m seq in
-    (* random strategy with rounds ≤ d *)
-    let rounds = 2 + Prob.Rng.int rng (d - 1) in
-    let rounds = min rounds c in
-    let order = random_order rng c in
-    let sizes = Array.make rounds 1 in
-    for _ = 1 to c - rounds do
-      let r = Prob.Rng.int rng rounds in
-      sizes.(r) <- sizes.(r) + 1
-    done;
-    let strategy = Strategy.of_sizes ~order ~sizes in
-    Flat.Ls.load ~objective arena inst strategy;
-    let tol = 1e-9 *. float_of_int c in
-    let check_consistent what step =
-      let maintained = Flat.Ls.ep arena in
-      let full = Flat.Ls.ep_full arena in
-      if abs_float (maintained -. full) > tol then
-        Alcotest.failf
-          "seq %d step %d (%s): maintained EP %.17g vs full %.17g" seq step
-          what maintained full
-    in
-    check_consistent "load" 0;
-    for step = 1 to 20 do
-      let relocate = Prob.Rng.bool rng in
-      if relocate then begin
-        let cell = Prob.Rng.int rng c in
-        let src = Flat.Ls.round_of arena cell in
-        let target = Prob.Rng.int rng rounds in
-        if target <> src && Flat.Ls.count arena src > 1 then begin
-          let before = Flat.Ls.ep arena in
-          let predicted = Flat.Ls.predict_relocate arena ~cell ~target in
-          if Flat.Ls.ep arena <> before then
-            Alcotest.failf "seq %d step %d: predict_relocate moved the EP"
-              seq step;
-          check_consistent "rejected relocate" step;
-          if Prob.Rng.bool rng then begin
-            Flat.Ls.apply_relocate arena ~cell ~target;
-            if Flat.Ls.ep arena <> predicted then
-              Alcotest.failf
-                "seq %d step %d: applied relocate EP %.17g <> predicted %.17g"
-                seq step (Flat.Ls.ep arena) predicted;
-            check_consistent "accepted relocate" step
-          end
-        end
-      end
-      else begin
-        let p = Prob.Rng.int rng c and q = Prob.Rng.int rng c in
-        if p <> q && Flat.Ls.round_of arena p <> Flat.Ls.round_of arena q
-        then begin
-          let before = Flat.Ls.ep arena in
-          let predicted = Flat.Ls.predict_swap arena ~p ~q in
-          if Flat.Ls.ep arena <> before then
-            Alcotest.failf "seq %d step %d: predict_swap moved the EP" seq
-              step;
-          check_consistent "rejected swap" step;
-          if Prob.Rng.bool rng then begin
-            Flat.Ls.apply_swap arena ~p ~q;
-            if Flat.Ls.ep arena <> predicted then
-              Alcotest.failf
-                "seq %d step %d: applied swap EP %.17g <> predicted %.17g" seq
-                step (Flat.Ls.ep arena) predicted;
-            check_consistent "accepted swap" step
-          end
-        end
-      end
-    done
-  done
-
-(* The fast climb must land within float tolerance of the mirror climb
-   (same move set and threshold; only candidate scoring arithmetic
-   differs). *)
-let test_fast_climb_agrees () =
-  let rng = Prob.Rng.create ~seed:0xFA57 in
-  let arena = Flat.create () in
-  for trial = 1 to 40 do
-    let m, c, d = random_dims rng in
-    let inst = random_instance rng ~kind:trial ~m ~c ~d in
-    let objective = objective_for rng ~m trial in
-    let mirror = Flat.hill_climb ~objective arena inst in
-    let fast = Flat.hill_climb_fast ~objective arena inst in
-    let tol = 1e-9 *. float_of_int c in
-    if
-      abs_float
-        (mirror.Local_search.expected_paging
-        -. fast.Local_search.expected_paging)
-      > tol
-    then
-      Alcotest.failf "trial %d: mirror EP %.17g vs fast EP %.17g" trial
-        mirror.Local_search.expected_paging fast.Local_search.expected_paging
-  done
 
 (* -------------------- boundary -------------------- *)
 
@@ -568,6 +500,8 @@ let () =
             test_runner_differential_domains;
           Alcotest.test_case "golden digest, 240 instances" `Quick
             test_golden_digest;
+          Alcotest.test_case "cancelled hill climb at every cut" `Quick
+            test_differential_cancelled_climb;
         ] );
       ( "gc-regression",
         [
@@ -575,13 +509,6 @@ let () =
             test_zero_alloc_cores;
           Alcotest.test_case "zero minor words after rebind" `Quick
             test_zero_alloc_after_rebind;
-        ] );
-      ( "delta-ep",
-        [
-          Alcotest.test_case "incremental = full on 100 move sequences" `Quick
-            test_delta_ep_property;
-          Alcotest.test_case "fast climb agrees with mirror" `Quick
-            test_fast_climb_agrees;
         ] );
       ( "boundary",
         [

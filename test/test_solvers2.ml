@@ -51,36 +51,6 @@ let test_hill_climb_matches_optimal_often () =
   done;
   check bool_t "usually optimal on small instances" true (!hits >= trials - 2)
 
-let test_anneal_bounds_and_determinism () =
-  let rng1 = Prob.Rng.create ~seed:203 in
-  let rng2 = Prob.Rng.create ~seed:203 in
-  let inst = Instance.random_zipf (Prob.Rng.create ~seed:204) ~s:1.0 ~m:3 ~c:10 ~d:3 in
-  let a = Local_search.anneal inst rng1 ~steps:2000 ~t0:0.5 ~cooling:0.999 in
-  let b = Local_search.anneal inst rng2 ~steps:2000 ~t0:0.5 ~cooling:0.999 in
-  check (float_t 0.0) "deterministic given seed" a.Local_search.expected_paging
-    b.Local_search.expected_paging;
-  let greedy = (Greedy.solve inst).Order_dp.expected_paging in
-  check bool_t "not worse than greedy" true
-    (a.Local_search.expected_paging <= greedy +. 1e-9)
-
-let test_anneal_rejects_bad_params () =
-  let inst = Instance.all_uniform ~m:1 ~c:4 ~d:2 in
-  let rng = Prob.Rng.create ~seed:1 in
-  List.iter
-    (fun (steps, t0, cooling) ->
-      match Local_search.anneal inst rng ~steps ~t0 ~cooling with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "bad params accepted")
-    [ -1, 1.0, 0.9; 10, 0.0, 0.9; 10, 1.0, 1.5 ]
-
-let test_local_search_solve_defaults () =
-  let rng = Prob.Rng.create ~seed:205 in
-  let inst = Instance.random_zipf rng ~s:1.2 ~m:2 ~c:12 ~d:3 in
-  let r = Local_search.solve inst rng in
-  check bool_t "valid strategy" true
-    (Strategy.validate ~c:12 r.Local_search.strategy = Ok ());
-  check bool_t "iterations counted" true (r.Local_search.iterations > 0)
-
 (* -------------------- Adaptive DP -------------------- *)
 
 let test_adaptive_dp_single_device_equals_oblivious () =
@@ -409,11 +379,6 @@ let () =
             test_hill_climb_escapes_weight_order;
           Alcotest.test_case "usually optimal small" `Slow
             test_hill_climb_matches_optimal_often;
-          Alcotest.test_case "annealing deterministic" `Quick
-            test_anneal_bounds_and_determinism;
-          Alcotest.test_case "bad params" `Quick test_anneal_rejects_bad_params;
-          Alcotest.test_case "solve defaults" `Quick
-            test_local_search_solve_defaults;
         ] );
       ( "adaptive-dp",
         [
