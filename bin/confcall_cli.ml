@@ -835,13 +835,9 @@ let reporting_conv =
 
 let scenario_conv =
   let parse s =
-    match List.assoc_opt (String.lowercase_ascii s) Cellsim.Scenario.all with
-    | Some build -> Ok (Some build)
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "scenario must be one of: %s"
-              (String.concat " | " (List.map fst Cellsim.Scenario.all))))
+    match Cellsim.Scenario.find s with
+    | Ok build -> Ok (Some build)
+    | Error e -> Error (`Msg e)
   in
   Arg.conv (parse, fun ppf _ -> Format.pp_print_string ppf "<scenario>")
 

@@ -82,8 +82,10 @@ val residence_hazard : residence -> int -> float
     at [alpha = 1.6], mean 6 it is 7.0e-4, so that law's true mean is
     about 6.0007. The result is the float of adding the terms one by one
     in age order, but most terms come from a series on the running sum's
-    ulp grid rather than from pow: a full 10{^7}-term sum costs
-    ~0.05–0.07 s on a 2-vCPU x86-64 host (~0.5 s for one pow per
+    ulp grid rather than from pow, and far out, where terms fall by a
+    fraction of an ulp per age, whole runs of them are counted by where
+    they cross the grid's rounding boundaries: a full 10{^7}-term sum
+    costs ~0.02–0.04 s on a 2-vCPU x86-64 host (~0.5 s for one pow per
     term). *)
 val residence_mean : residence -> float
 
@@ -96,8 +98,9 @@ val residence_mean : residence -> float
     truncated sum, so the scale is the same float a bisection on exact
     sums returns. The ~25 exact sums left share a block table and
     recompute only blocks whose rounding could have moved, ~1.8 sums'
-    worth of terms: the match at [alpha] 1.6, mean 6 costs ~0.15 s on
-    a 2-vCPU x86-64 host.
+    worth of terms for ~1.0 sum's worth of pows and series values: the
+    match at [alpha] 1.6, mean 6 costs ~0.07–0.12 s on a 2-vCPU x86-64
+    host.
     @raise Invalid_argument when [alpha <= 1], [mean < 1], or when no
     scale up to 1e9 reaches [mean] (the message names both). *)
 val pareto_with_mean : alpha:float -> mean:float -> residence
@@ -133,6 +136,10 @@ val pareto_match : pareto_blocks -> mean:float -> residence
 (** Terms computed (the head and every block summed again) over all
     sums on [t]. *)
 val pareto_recomputed : pareto_blocks -> int
+
+(** Work over all sums on [t]: every pow (the head and each anchor) plus
+    every series value computed, term by term or to find a crossing. *)
+val pareto_evaluations : pareto_blocks -> int
 
 (** The scales summed exactly on [t], in order. *)
 val pareto_summed : pareto_blocks -> float list

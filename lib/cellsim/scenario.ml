@@ -231,3 +231,11 @@ let all =
     "residence-exp", residence_exp;
     "residence-pareto", residence_pareto;
   ]
+
+let find name =
+  match List.assoc_opt (String.lowercase_ascii name) all with
+  | Some build -> Ok build
+  | None ->
+    Error
+      (Printf.sprintf "unknown scenario %S (expected one of: %s)" name
+         (String.concat " | " (List.map fst all)))

@@ -61,4 +61,11 @@ val residence_exp : ?seed:int -> unit -> Sim.config
     1.6, infinite variance) matched to the same mean dwell 6. *)
 val residence_pareto : ?seed:int -> unit -> Sim.config
 
+(** Every scenario, by its lower-case name. *)
 val all : (string * (?seed:int -> unit -> Sim.config)) list
+
+(** [find name] — the builder of the scenario called [name], in any
+    case, or an error naming every valid scenario. The CLI's
+    [--scenario] and the daemon's [simulate] op both look names up
+    here. *)
+val find : string -> (?seed:int -> unit -> Sim.config, string) result

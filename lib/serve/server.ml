@@ -758,13 +758,11 @@ let handle_frame st conn line =
          (Wire.Proto.frame ~id ~status:"ok" [ ("draining", J.Bool true) ])
      | Wire.Proto.Solve sr -> handle_solve st conn ~id sr
      | Wire.Proto.Simulate { scenario; seed; replicas } ->
-       (match List.assoc_opt scenario Cellsim.Scenario.all with
-        | None ->
+       (match Cellsim.Scenario.find scenario with
+        | Error e ->
           respond st conn ~status:"error"
-            (Wire.Proto.error_frame ~id:(Some id)
-               (Printf.sprintf "unknown scenario %S (expected %s)" scenario
-                  (String.concat "|" (List.map fst Cellsim.Scenario.all))))
-        | Some build ->
+            (Wire.Proto.error_frame ~id:(Some id) e)
+        | Ok build ->
           admit st conn ~id ~request_id:None
             (Jsim { build; scenario; seed; replicas })))
 

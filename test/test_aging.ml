@@ -183,6 +183,24 @@ let test_pareto_screen_margin () =
         screen_scales)
     screen_alphas
 
+(* Laws that exercise crossing mode, where a slowly falling sub-block is
+   counted by the half-integers its series values cross. (16, 1000)
+   enters it 10 blocks after the head and (2.75, 20) ~130k ages before
+   its 1e-12 stop, which falls inside a crossing-mode block. The three
+   alpha-4 scales are tuned so the real term at one age lies 2e-10 ulp
+   below a half-integer, where the truncated series still reads above
+   it: at the second-to-last age of a sub-block (36117 and 45351) a
+   crossing there must not be certified, and at the last (36118) the end
+   term must not be taken as clear of its level. *)
+let crossing_laws =
+  [
+    (16.0, 1000.0);
+    (2.75, 20.0);
+    (4.0, 0x1.9007ef7cd933cp+5);
+    (4.0, 0x1.901b86cb6e0d2p+5);
+    (4.0, 0x1.900ac55ce0aa3p+5);
+  ]
+
 (* [residence_mean] adds most terms as whole ulps of the running sum;
    it must still return the first-written loop's float, bit for bit:
    on the screen-audit grid, at the pinned matched scales (the
@@ -200,7 +218,8 @@ let test_pareto_exact_sum_bits () =
        (fun alpha -> List.map (fun scale -> (alpha, scale)) screen_scales)
        screen_alphas
     @ List.map (fun (alpha, _, scale) -> (alpha, scale)) pinned_pareto_scales
-    @ [ (1.6, 4.5) ])
+    @ [ (1.6, 4.5) ]
+    @ crossing_laws)
 
 (* Matched scales near powers of two, from a bisection on exact sums:
    the exact sums of each match fall on both sides of 4 (sum 4 + 1 ulp
@@ -298,6 +317,9 @@ let test_pareto_block_reuse_bits () =
       ("walk at the (3, 6) match", 3.0, 0x1.5e8b1ec17b8cep+3, 3);
       ("walk at (1.6, 4.5)", 1.6, 4.5, 4);
       ("walk at the (1.6, 12) match", 1.6, 0x1.b8f2a6f4af2fcp+2, 5);
+      ("walk at (16, 1000)", 16.0, 1000.0, 6);
+      ("walk at (2.75, 20)", 2.75, 20.0, 7);
+      ("walk at an alpha-4 near-tie", 4.0, 0x1.9007ef7cd933cp+5, 8);
     ]
 
 (* Reuse is what makes the match cheap: a regression that sums every
@@ -311,6 +333,19 @@ let test_pareto_match_work () =
         Alcotest.failf "match at (%g, %g) computed %d terms, above 3e7" alpha
           mean work)
     (Lazy.force matched_tables)
+
+(* The evaluations (pows plus series values) the matches make, bounded
+   at their measured counts + 10%: crossing mode cut the (1.6, 6) match
+   from 1.78e7 to 1.01e7, and losing it fails here. *)
+let test_pareto_match_evaluations () =
+  List.iter2
+    (fun (alpha, mean, _, _, t) bound ->
+      let work = M.pareto_evaluations t in
+      if work > bound then
+        Alcotest.failf "match at (%g, %g) made %d evaluations, above %d" alpha
+          mean work bound)
+    (Lazy.force matched_tables)
+    [ 11_069_055; 12_268_546; 13_322_538 ]
 
 let test_residence_strings () =
   List.iter
@@ -712,6 +747,8 @@ let () =
           Alcotest.test_case "pareto block reuse bits" `Quick
             test_pareto_block_reuse_bits;
           Alcotest.test_case "pareto match work" `Quick test_pareto_match_work;
+          Alcotest.test_case "pareto match evaluations" `Quick
+            test_pareto_match_evaluations;
           Alcotest.test_case "string round-trip" `Quick test_residence_strings;
           Alcotest.test_case "validation" `Quick test_validate_residence;
         ] );

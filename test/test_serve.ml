@@ -627,6 +627,35 @@ let test_simulate_matches_in_process () =
         [ ("suburb", 1); ("suburb", 3); ("residence-exp", 1);
           ("residence-exp", 3) ])
 
+(* The daemon looks a scenario name up as the CLI's --scenario does, in
+   any case, and an unknown name's error lists the valid ones. *)
+let test_simulate_scenario_names () =
+  with_server ~domains:1 ~capacity:8 (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let simulate scenario =
+        send c
+          (Printf.sprintf
+             "{\"id\": \"s\", \"op\": \"simulate\", \"scenario\": %S, \
+              \"seed\": 5}"
+             scenario);
+        parse_response (List.hd (recv_n c 1))
+      in
+      let per_scheme j =
+        match J.member "per_scheme" j with
+        | Some l -> J.to_string l
+        | None -> Alcotest.fail "no per_scheme array"
+      in
+      let lower = simulate "suburb" and mixed = simulate "SubUrb" in
+      check string_t "mixed-case name ok" "ok" (jstr_field "status" mixed);
+      check string_t "mixed-case name runs the same scenario"
+        (per_scheme lower) (per_scheme mixed);
+      let bad = simulate "Atlantis" in
+      check string_t "unknown scenario is an error" "error"
+        (jstr_field "status" bad);
+      check bool_t "the error lists the scenarios" true
+        (find_sub (jstr_field "error" bad) "suburb | commuter-day" <> None))
+
 let test_drain_finishes_inflight () =
   with_server ~domains:1 ~capacity:16 (fun h port ->
       let c = connect port in
@@ -914,6 +943,8 @@ let () =
             test_drain_finishes_inflight;
           Alcotest.test_case "simulate matches in-process replicas" `Quick
             test_simulate_matches_in_process;
+          Alcotest.test_case "simulate scenario names in any case" `Quick
+            test_simulate_scenario_names;
           Alcotest.test_case "golden frames and cache journal" `Quick
             test_golden_frames;
         ] );
