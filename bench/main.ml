@@ -1816,7 +1816,6 @@ let e27 () =
             solver = None;
             chain = Some "default";
             instances = 32;
-            connections = 4;
             seed = 2702;
             timeout_s = 120.0;
           }
@@ -2074,7 +2073,6 @@ let e28 () =
         solver = None;
         chain = Some "default";
         instances = 32;
-        connections = 4;
         seed = 2802;
         timeout_s = 120.0;
       }

@@ -1432,7 +1432,7 @@ let endpoints_of_flags cmd endpoints port socket =
   | None -> [ listen_of_flags port socket ]
 
 let loadgen port socket endpoints rate requests budget_ms solver chain m c d
-    instances connections seed cache timeout retries hedge_after_ms json =
+    instances seed cache timeout retries hedge_after_ms json =
   guard @@ fun () ->
   let targets = endpoints_of_flags "loadgen" endpoints port socket in
   let opts =
@@ -1446,7 +1446,6 @@ let loadgen port socket endpoints rate requests budget_ms solver chain m c d
       c;
       d;
       instances;
-      connections;
       seed;
       cache;
       timeout_s = timeout;
@@ -1474,7 +1473,6 @@ let loadgen port socket endpoints rate requests budget_ms solver chain m c d
            ("rejected", J.int s.Serve.Loadgen.rejected);
            ("errors", J.int s.Serve.Loadgen.errors);
            ("unanswered", J.int s.Serve.Loadgen.unanswered);
-           ("conn_lost", J.int s.Serve.Loadgen.conn_lost);
            ("retried", J.int s.Serve.Loadgen.retried);
            ("failed_over", J.int s.Serve.Loadgen.failed_over);
            ("hedge_wins", J.int s.Serve.Loadgen.hedge_wins);
@@ -1500,11 +1498,10 @@ let loadgen port socket endpoints rate requests budget_ms solver chain m c d
          ])
   else begin
     Printf.printf
-      "sent %d: %d ok, %d degraded, %d rejected, %d errors, %d unanswered, \
-       %d conn-lost\n"
+      "sent %d: %d ok, %d degraded, %d rejected, %d errors, %d unanswered\n"
       s.Serve.Loadgen.sent s.Serve.Loadgen.ok s.Serve.Loadgen.degraded
       s.Serve.Loadgen.rejected s.Serve.Loadgen.errors
-      s.Serve.Loadgen.unanswered s.Serve.Loadgen.conn_lost;
+      s.Serve.Loadgen.unanswered;
     if
       s.Serve.Loadgen.retried > 0
       || s.Serve.Loadgen.failed_over > 0
@@ -1528,11 +1525,7 @@ let loadgen port socket endpoints rate requests budget_ms solver chain m c d
       (fun (k, v) -> Printf.printf "ladder %s: %d\n" k v)
       s.Serve.Loadgen.ladder
   end;
-  if
-    s.Serve.Loadgen.unanswered > 0
-    || s.Serve.Loadgen.conn_lost > 0
-    || s.Serve.Loadgen.sent < requests
-  then exit 3
+  if s.Serve.Loadgen.unanswered > 0 then exit 3
 
 let loadgen_cmd =
   let rate =
@@ -1577,12 +1570,6 @@ let loadgen_cmd =
       & info [ "instances" ] ~docv:"N"
           ~doc:"Distinct instances in the generated pool.")
   in
-  let connections =
-    Arg.(
-      value & opt int 4
-      & info [ "connections" ] ~docv:"N"
-          ~doc:"Pipelined connections the load is spread over.")
-  in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let cache =
     Arg.(
@@ -1595,7 +1582,9 @@ let loadgen_cmd =
     Arg.(
       value & opt float 30.0
       & info [ "timeout" ] ~docv:"S"
-          ~doc:"Straggler window after the last send.")
+          ~doc:"Per-request budget in seconds, retries included: a \
+                request with no terminal answer by then counts as \
+                unanswered.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
@@ -1606,9 +1595,8 @@ let loadgen_cmd =
       & opt (some string) None
       & info [ "endpoints" ] ~docv:"LIST"
           ~doc:"Comma-separated daemon endpoints (PORT, tcp:PORT, \
-                unix:PATH or a socket path). More than one endpoint \
-                switches to the resilient client with health-scored \
-                failover. Wins over --port/--socket.")
+                unix:PATH or a socket path), ranked by observed health \
+                for failover. Wins over --port/--socket.")
   in
   let retries =
     Arg.(
@@ -1616,8 +1604,9 @@ let loadgen_cmd =
       & info [ "retries" ] ~docv:"N"
           ~doc:"Per-request retry budget (capped exponential backoff with \
                 decorrelated jitter, honoring server retry_after_ms \
-                hints). Any value > 0 switches to the resilient client, \
-                and requests carry an idempotency request_id.")
+                hints). Every request carries an idempotency request_id \
+                unique to the run, so a retry executes at most once per \
+                daemon.")
   in
   let hedge_after_ms =
     Arg.(
@@ -1626,16 +1615,15 @@ let loadgen_cmd =
       & info [ "hedge-after-ms" ] ~docv:"MS"
           ~doc:"Tail-latency hedging: when no answer arrived within \
                 $(docv) ms, fire the request again at the next-best \
-                endpoint; first terminal answer wins. Implies the \
-                resilient client.")
+                endpoint; first terminal answer wins.")
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:"Drive Poisson load at a running serve daemon")
     Term.(
       const loadgen $ port_arg $ socket_arg $ endpoints $ rate $ requests
-      $ budget_ms $ solver $ chain $ m $ c $ d $ instances $ connections
-      $ seed $ cache $ timeout $ retries $ hedge_after_ms $ json)
+      $ budget_ms $ solver $ chain $ m $ c $ d $ instances $ seed $ cache
+      $ timeout $ retries $ hedge_after_ms $ json)
 
 (* ---------------- call ---------------- *)
 

@@ -411,6 +411,9 @@ type call_error = {
   err_failovers : int;
   err_hedges : int;
   err_elapsed_ms : float;
+  err_rejected : bool;
+      (** the final attempt was answered by a [rejected] frame (either
+          copy, when hedged): the daemon answered and shed the call *)
 }
 
 let failure_kind_to_string = function
@@ -445,7 +448,7 @@ let call t ?request_id fields =
         Mutex.unlock c.tmutex)
       !issued
   in
-  let fail kind message =
+  let fail ?(rejected = false) kind message =
     cleanup ();
     Error
       {
@@ -456,6 +459,7 @@ let call t ?request_id fields =
         err_failovers = !failovers;
         err_hedges = !hedges;
         err_elapsed_ms = (now () -. start_s) *. 1000.0;
+        err_rejected = rejected;
       }
   in
   let succeed ep tag response raw =
@@ -500,6 +504,7 @@ let call t ?request_id fields =
        loss was connection-shaped (fast failover, no backoff). *)
     let hint = ref None in
     let conn_failure = ref false in
+    let rejected = ref false in
     let wait_result =
       let rec wait () =
         let nw = now () in
@@ -540,6 +545,7 @@ let call t ?request_id fields =
                         Printf.sprintf "%s: rejected (%s)"
                           (endpoint_to_string tag_eps.(tag).endpoint)
                           (Option.value r.Proto.reason ~default:"?");
+                      rejected := true;
                       (match hint_ms with
                        | Some h ->
                          hint :=
@@ -597,7 +603,7 @@ let call t ?request_id fields =
              !last_err)
     | `Failed ->
       if round >= policy.Retry.max_retries then
-        fail Retries_exhausted !last_err
+        fail ~rejected:!rejected Retries_exhausted !last_err
       else begin
         incr retries;
         if Obs.on () then Obs.count "client_retries";
@@ -617,7 +623,7 @@ let call t ?request_id fields =
           match deadline with
           | Some dl when now () +. (d /. 1000.0) >= dl ->
             (* sleeping would blow the budget: surface best-so-far *)
-            fail Budget_exhausted
+            fail ~rejected:!rejected Budget_exhausted
               (Printf.sprintf "budget exhausted before retry %d (last: %s)"
                  (round + 1) !last_err)
           | _ ->

@@ -10,22 +10,14 @@
     assignment and the inter-arrival gaps are all drawn from
     {!Prob.Rng}. Latencies of course are not.
 
-    Two execution paths, selected by the options:
-
-    - {b Legacy} (single target, [retries = 0], no hedging): solve
-      frames spread round-robin over [connections] pipelined raw
-      connections; one receiver thread per connection matches responses
-      to send timestamps by frame id. Wire behavior is byte-identical
-      to the pre-{!Client} loadgen (no [request_id] field). A
-      connection that dies mid-run loses only its own in-flight
-      requests (reported as [conn_lost]); later sends reroute to the
-      surviving connections.
-    - {b Resilient} ([retries > 0], hedging on, or multiple targets):
-      every request is a {!Client.call} over all endpoints, carrying a
-      [request_id] so server-side idempotency makes its retries and
-      hedges exactly-once per daemon. Each request ends in a terminal
-      outcome; the summary reports how it got there ([retried],
-      [failed_over], [hedge_wins]). *)
+    One path: every request is a {!Client.call} over one {!Client.t}
+    holding all targets, carrying a [request_id] unique to its run, so
+    server-side idempotency makes retries and hedges exactly-once per
+    daemon. The client keeps one pipelined connection per endpoint.
+    Each request ends in one outcome ([ok], [degraded], [rejected],
+    [errors] or [unanswered]); the summary also reports how it got
+    there ([retried], [failed_over], [hedge_wins]). With [retries = 0]
+    and no hedge, each request is sent exactly once. *)
 
 type target = Client.endpoint =
   | Tcp of int  (** loopback *)
@@ -41,12 +33,12 @@ type opts = {
   c : int;
   d : int;
   instances : int;  (** distinct instances in the generated pool *)
-  connections : int;
   seed : int;
   cache : bool;  (** let the daemon use its result cache *)
-  timeout_s : float;  (** wait for stragglers after the last send;
-                          also the per-call budget (resilient path) *)
-  retries : int;  (** per-request retry budget; 0 = resilience off *)
+  timeout_s : float;
+      (** per-call budget: a request with no terminal answer within
+          [timeout_s] of its arrival counts as [unanswered] *)
+  retries : int;  (** per-request retry budget; 0 = send once *)
   hedge_after_ms : float option;
       (** fire a second attempt at the next-best endpoint when no
           answer arrived within this delay; first terminal wins *)
@@ -54,46 +46,43 @@ type opts = {
 
 val default_opts : opts
 (** rate 50, 200 requests, no budget, greedy solver, 3×12×2 instances,
-    pool of 32, 4 connections, seed 1, cache off (measure solves, not
-    the cache), 30 s straggler timeout, no retries, no hedging. *)
+    pool of 32, seed 1, cache off (measure solves, not the cache),
+    30 s per-call timeout, no retries, no hedging. *)
 
 type stats = {
   sent : int;
   ok : int;
   degraded : int;
-  rejected : int;  (** terminal rejects (legacy path only) *)
+  rejected : int;
+      (** sheds: the final attempt was answered [rejected] *)
   errors : int;
-      (** error responses; on the resilient path also calls that
-          exhausted their retry or time budget *)
-  unanswered : int;  (** sent but no response within [timeout_s] *)
-  conn_lost : int;
-      (** in flight on a connection that died (legacy path); the
-          resilient path retries these instead *)
+      (** error frames, and calls that ran out of retries on lost or
+          refused connections *)
+  unanswered : int;  (** calls that exhausted [timeout_s] unanswered *)
   retried : int;  (** requests that retried at least once *)
   failed_over : int;  (** requests that moved endpoints *)
   hedge_wins : int;  (** requests whose hedge beat the primary *)
-  duration_s : float;  (** first send to last response *)
-  throughput : float;  (** terminal responses per second *)
+  duration_s : float;  (** first send to last answered outcome *)
+  throughput : float;  (** answered requests per second *)
   accepted_ms : float array;
       (** sorted latencies of ok + degraded responses *)
-  rejected_ms : float array;  (** sorted latencies of sheds *)
+  rejected_ms : float array;  (** sorted end-to-end latencies of sheds *)
   ladder : (string * int) list;
       (** executed-rung occupancy over accepted responses, plus
           ["cache"] for cache hits (sorted by rung name) *)
 }
 
-(** [run target opts] drives one load session and blocks until every
-    request reached a terminal outcome or the straggler timeout fires.
+(** [run_multi targets opts] drives one load session over the replicas
+    [targets] and blocks until every request has its outcome.
     @raise Invalid_argument on nonsensical opts (rate, counts, timeout,
-    instance shape), with a message naming the field.
-    @raise Unix.Unix_error when the daemon cannot be reached (legacy
-    path; the resilient path records unreachable endpoints as request
-    outcomes instead). *)
-val run : target -> opts -> stats
-
-(** [run_multi targets opts] — as {!run} over several replicas; always
-    the resilient path when more than one target is given. *)
+    instance shape), with a message naming the field, or no targets.
+    @raise Unix.Unix_error before any request is sent when no target
+    accepts a connection; once one does, an endpoint that becomes
+    unreachable is a request outcome instead. *)
 val run_multi : target list -> opts -> stats
+
+(** [run target opts] is [run_multi [target] opts]. *)
+val run : target -> opts -> stats
 
 (** [percentile xs p] — nearest-rank percentile ([p] in [0, 100]) of a
     {e sorted} array; [nan] when empty. *)

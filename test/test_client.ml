@@ -284,18 +284,6 @@ let reject_response ?retry_after_ms frame =
     | Some ms -> [ ("retry_after_ms", J.Num (float_of_int ms)) ]
     | None -> [])
 
-(* a TCP port that refuses connections: bound, then closed *)
-let dead_port () =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  Unix.close fd;
-  port
-
 let with_client cfg f =
   let t = C.create cfg in
   Fun.protect ~finally:(fun () -> C.close t) (fun () -> f t)
@@ -309,7 +297,7 @@ let test_failover_dead_endpoint () =
   Fun.protect ~finally:(fun () -> stop_fake live) @@ fun () ->
   let cfg =
     {
-      (C.default_config [ C.Tcp (dead_port ()); C.Tcp live.port ]) with
+      (C.default_config [ C.Tcp (Testutil.dead_port ()); C.Tcp live.port ]) with
       budget_ms = Some 5000.0;
       seed = 7;
     }

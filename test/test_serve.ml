@@ -759,6 +759,69 @@ let test_idempotency_dedup () =
   check bool_t "journalled ids are the executed ids" true
     (List.map fst entries = [ "rid-1"; "rid-2" ])
 
+(* ---------------- loadgen ---------------- *)
+
+module Lg = Serve.Loadgen
+
+let health_frame port =
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+  send c "{\"id\": \"h\", \"op\": \"health\"}";
+  parse_response (List.hd (recv_n c 1))
+
+(* Two back-to-back runs against one daemon: request ids are fresh per
+   run, so the dedup table answers nothing from the first run. *)
+let test_loadgen_fresh_ids retries () =
+  with_server ~domains:1 (fun _h port ->
+      let o = { Lg.default_opts with rate = 400.0; requests = 20; retries } in
+      for run = 1 to 2 do
+        let s = Lg.run (Lg.Tcp port) o in
+        let tag = Printf.sprintf "run %d: " run in
+        check int_t (tag ^ "sent") 20 s.Lg.sent;
+        check int_t (tag ^ "all accepted") 20 (s.Lg.ok + s.Lg.degraded);
+        check int_t (tag ^ "no errors") 0 s.Lg.errors
+      done;
+      check int_t "no dedup replay across runs" 0
+        (int_of_float (jnum_field "dedup_hits" (health_frame port))))
+
+(* A capacity-1 daemon whose lane is held by a slow budgeted exhaustive
+   solve sheds the load; each shed is a [rejected] outcome with its
+   latency, never an error. *)
+let test_loadgen_counts_sheds () =
+  with_server ~domains:1 ~capacity:1 (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let rng = Prob.Rng.create ~seed:23 in
+      let slow = Instance.random_zipf rng ~s:1.1 ~m:3 ~c:18 ~d:3 in
+      for i = 1 to 2 do
+        send c
+          (solve_frame ~id:(Printf.sprintf "hold%d" i) ~chain:"exhaustive"
+             ~budget_ms:400.0 slow)
+      done;
+      Thread.delay 0.05;
+      let s =
+        Lg.run (Lg.Tcp port) { Lg.default_opts with rate = 500.0; requests = 8 }
+      in
+      ignore (recv_n c 2);
+      check bool_t "sheds counted as rejected" true (s.Lg.rejected >= 1);
+      check int_t "one latency per shed" s.Lg.rejected
+        (Array.length s.Lg.rejected_ms);
+      check int_t "no errors" 0 s.Lg.errors;
+      check int_t "none unanswered" 0 s.Lg.unanswered;
+      check int_t "every request has one outcome" 8
+        (s.Lg.ok + s.Lg.degraded + s.Lg.rejected))
+
+(* No target accepts: the run raises the first target's connect error
+   instead of reporting every request as a failed call. *)
+let test_loadgen_unreachable () =
+  let missing = Filename.temp_file "confcall_nodaemon" ".sock" in
+  Sys.remove missing;
+  let targets = [ Lg.Unix_path missing; Lg.Tcp (Testutil.dead_port ()) ] in
+  match Lg.run_multi targets { Lg.default_opts with requests = 5 } with
+  | _ -> Alcotest.fail "a run with no reachable target returned stats"
+  | exception Unix.Unix_error (e, _, _) ->
+    check bool_t "the first target's error" true (e = Unix.ENOENT)
+
 (* ---------------- golden frames ---------------- *)
 
 (* Every response shape the daemon writes, byte for byte: a direct and
@@ -952,5 +1015,16 @@ let () =
         [
           Alcotest.test_case "request_id dedup: in-flight, replay, audit"
             `Quick test_idempotency_dedup;
+        ] );
+      ( "loadgen",
+        [
+          Alcotest.test_case "fresh request ids per run, retries 0" `Quick
+            (test_loadgen_fresh_ids 0);
+          Alcotest.test_case "fresh request ids per run, retries 1" `Quick
+            (test_loadgen_fresh_ids 1);
+          Alcotest.test_case "sheds are rejected outcomes" `Quick
+            test_loadgen_counts_sheds;
+          Alcotest.test_case "no reachable target raises" `Quick
+            test_loadgen_unreachable;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Shared helpers for the test executables. The (tests) stanza links
    every module of this directory into each test binary, so keep this
-   file dependency-light (Alcotest only). *)
+   file dependency-light (Alcotest and Unix only). *)
 
 (* GC-regression harness: run [f] a few warmup times (arena binding,
    table building and buffer growth are allowed to allocate), then
@@ -22,3 +22,15 @@ let assert_no_minor_alloc ?(warmup = 2) ?(runs = 3) name f =
       "%s allocated %.0f minor-heap words over %d steady-state runs \
        (expected 0)"
       name words runs
+
+(* a TCP port that refuses connections: bound, then closed *)
+let dead_port () =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  Unix.close fd;
+  port
