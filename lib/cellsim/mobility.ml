@@ -638,6 +638,25 @@ let pareto_mean_screen ~alpha ~scale =
     { value; margin; terms = n }
   end
 
+(* The relative scale gap past which no float term falls (DESIGN §14):
+   for scales s < s' with (s' - s)/s' >= [pareto_gap ~alpha s'], every
+   float term at s' is at least the term of the same age at s, so
+   F(s) <= F(s'). Each base 1 + x/σ is within u(1 + u)(1 + 2x/σ) of its
+   real value, and for x >= 1, x/(σ + x) >= 1/(1 + σ): the float bases
+   then differ by a relative δ with (1 + αδ)(1 - 2u) >= 1 + 2u, which
+   covers pow's one ulp (2u) at both, since (1 + δ)^α >= 1 + αδ for
+   α > 1. The age-0 term is 1 at both scales. fl(S + t) is monotone in
+   S and in t, and the 1e-12 stop comes no earlier at s'. *)
+let pareto_gap ~alpha s =
+  let u = epsilon_float /. 2.0 in
+  (4.0 *. u) +. ((1.0 +. s) *. ((2.01 *. u) +. (4.01 *. u /. alpha)))
+
+(* The bracketing probes sit a relative 2^-40 from the screen's root,
+   then 16 times farther each, up to 2^-20: past the screen's reach
+   (~2^-30 at (1.6, 6)), which ends the probes sooner. *)
+let pareto_probe_first = 0x1p-40
+let pareto_probe_last = 0x1p-20
+
 (* Bisection on the scale parameter: the truncated mean is continuous
    and strictly increasing in the scale, so a heavy-tailed law can be
    matched to an exponential one's mean for like-for-like variance
@@ -646,8 +665,12 @@ let pareto_mean_screen ~alpha ~scale =
    residence-pareto trajectory. Every comparison has the exact sum's
    outcome, and the loop stops once the midpoint equals an end point,
    after which each step is a no-op: the scale is the float a full
-   80-step bisection on exact sums returns. The exact sums share one
-   block table, so each keeps what the previous ones proved. *)
+   80-step bisection on exact sums returns. At the first step the screen
+   cannot decide, exact sums at the root of the screen's closed form and
+   just past it on the open side bracket the threshold; later steps are
+   decided from those outcomes by [pareto_gap] where they are far
+   enough from them. The exact sums share one block table, so each
+   keeps what the previous ones proved. *)
 let pareto_match t ~mean =
   let alpha = t.alpha in
   if not (Float.is_finite alpha && alpha > 1.0) then
@@ -655,35 +678,100 @@ let pareto_match t ~mean =
   else if not (Float.is_finite mean && mean >= 1.0) then
     invalid_arg "Mobility.pareto_with_mean: mean must be finite and >= 1"
   else begin
-    (* [pareto_sum t ~scale < mean]: from the screen when the closed
-       form clears its margin, from the exact sum otherwise. *)
-    let below scale =
+    (* [pareto_sum t ~scale < mean] when the closed form clears the
+       screen's margin. *)
+    let screened scale =
       let s = pareto_mean_screen ~alpha ~scale in
-      if s.value -. mean > s.margin then false
-      else if mean -. s.value > s.margin then true
-      else pareto_sum t ~scale < mean
+      if s.value -. mean > s.margin then Some false
+      else if mean -. s.value > s.margin then Some true
+      else None
     in
+    (* Every exact outcome so far, as (scale, sum < mean). *)
+    let known = ref [] in
+    let exact scale =
+      let b = pareto_sum t ~scale < mean in
+      known := (scale, b) :: !known;
+      b
+    in
+    (* An outcome a known one implies, F being monotone across a gap of
+       [pareto_gap]; the factor 2 covers rounding the comparison. *)
+    let implied mid =
+      List.find_map
+        (fun (p, b) ->
+          if (not b) && mid >= p *. (1.0 +. (2.0 *. pareto_gap ~alpha mid))
+          then Some false
+          else if b && p >= mid *. (1.0 +. (2.0 *. pareto_gap ~alpha p)) then
+            Some true
+          else None)
+        !known
+    in
+    (* At most 80 midpoints of [lo, hi], stopping once the midpoint
+       equals an end point; [below lo hi mid] says which half to keep. *)
+    let bisect lo hi below =
+      let lo = ref lo and hi = ref hi in
+      let steps = ref 0 and fixed = ref false in
+      while (not !fixed) && !steps < 80 do
+        let mid = 0.5 *. (!lo +. !hi) in
+        if mid = !lo || mid = !hi then fixed := true
+        else if below !lo !hi mid then lo := mid
+        else hi := mid;
+        incr steps
+      done;
+      0.5 *. (!lo +. !hi)
+    in
+    (* Sum exactly at the root of the screen's value in [lo, hi], then a
+       relative [rho] past it on the side its outcome leaves open, [rho]
+       growing until the threshold is bracketed or the screen decides. *)
+    let probe lo hi =
+      let root =
+        bisect lo hi (fun _ _ mid ->
+            (pareto_mean_screen ~alpha ~scale:mid).value < mean)
+      in
+      let b = exact root in
+      let rho = ref pareto_probe_first and open_side = ref true in
+      while !open_side && !rho <= pareto_probe_last do
+        let p = root *. if b then 1.0 +. !rho else 1.0 -. !rho in
+        (match screened p with
+         | Some _ -> open_side := false
+         | None -> open_side := exact p = b);
+        rho := !rho *. 16.0
+      done
+    in
+    let probed = ref false in
+    (* [pareto_sum t ~scale < mean]: from the screen, then from a known
+       outcome, then from the exact sum. A bisection step passes its
+       bracket, to probe around the first scale the screen leaves. *)
+    let below ?bracket scale =
+      match screened scale with
+      | Some b -> b
+      | None -> (
+        (match bracket with
+         | Some (lo, hi) when not !probed ->
+           probed := true;
+           probe lo hi
+         | _ -> ());
+        match implied scale with Some b -> b | None -> exact scale)
+    in
+    let unreachable what scale =
+      invalid_arg
+        (Printf.sprintf
+           "Mobility.pareto_with_mean: mean %g is unreachable at alpha %g \
+            (the truncated mean %s scale %g)"
+           mean alpha what scale)
+    in
+    (* A sum equal to [mean] at the lowest scale still matches, at the
+       bisection's fixed point there; a sum above [mean] cannot. *)
     let lo = ref 1e-6 and hi = ref 1.0 in
+    if (not (below !lo)) && pareto_sum t ~scale:!lo > mean then
+      unreachable "exceeds it already at" !lo;
     let short = ref (below !hi) in
     while !short && !hi < 1e9 do
       hi := !hi *. 2.0;
       short := below !hi
     done;
-    if !short then
-      invalid_arg
-        (Printf.sprintf
-           "Mobility.pareto_with_mean: mean %g is unreachable at alpha %g \
-            (the truncated mean stays below it up to scale %g)"
-           mean alpha !hi);
-    let steps = ref 0 and fixed = ref false in
-    while (not !fixed) && !steps < 80 do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if mid = !lo || mid = !hi then fixed := true
-      else if below mid then lo := mid
-      else hi := mid;
-      incr steps
-    done;
-    Pareto { alpha; scale = 0.5 *. (!lo +. !hi) }
+    if !short then unreachable "stays below it up to" !hi;
+    let scale = bisect !lo !hi (fun lo hi mid -> below ~bracket:(lo, hi) mid) in
+    Pareto { alpha; scale }
   end
 
 let pareto_with_mean ~alpha ~mean = pareto_match (pareto_blocks ~alpha) ~mean

@@ -95,14 +95,16 @@ val residence_mean : residence -> float
     The match is deliberately to the truncated mean: matching the true
     mean would move every residence-pareto trajectory and E31. Most
     bisection steps are decided by a certified closed form of the
-    truncated sum, so the scale is the same float a bisection on exact
-    sums returns. The ~25 exact sums left share a block table and
-    recompute only blocks whose rounding could have moved, ~1.8 sums'
-    worth of terms for ~1.0 sum's worth of pows and series values: the
-    match at [alpha] 1.6, mean 6 costs ~0.07–0.12 s on a 2-vCPU x86-64
-    host.
-    @raise Invalid_argument when [alpha <= 1], [mean < 1], or when no
-    scale up to 1e9 reaches [mean] (the message names both). *)
+    truncated sum, the rest by exact sums that bracket the threshold at
+    that form's root, which the sum's monotonicity in the scale extends
+    to nearby steps, so the scale is the same float a bisection on exact
+    sums returns. The ~12 exact sums share a block table and recompute
+    only blocks whose rounding could have moved, one sum's worth of
+    terms for ~0.35 sum's worth of pows and series values: the match at
+    [alpha] 1.6, mean 6 costs ~0.05 s on a 2-vCPU x86-64 host.
+    @raise Invalid_argument when [alpha <= 1], [mean < 1], when no scale
+    up to 1e9 reaches [mean], or when the truncated mean already exceeds
+    [mean] at scale 1e-6 (the last two name both). *)
 val pareto_with_mean : alpha:float -> mean:float -> residence
 
 (**/**)
@@ -129,6 +131,11 @@ val pareto_blocks : alpha:float -> pareto_blocks
     provably adds the same whole ulps at [scale], and recording the
     blocks it sums again. *)
 val pareto_sum : pareto_blocks -> scale:float -> float
+
+(** [pareto_gap ~alpha s'] — a relative scale gap past which the exact
+    sum cannot fall: scales [s < s'] with [(s' - s)/s' >= pareto_gap
+    ~alpha s'] have [pareto_sum] at [s] at most that at [s']. *)
+val pareto_gap : alpha:float -> float -> float
 
 (** [pareto_match t ~mean] — {!pareto_with_mean} on the table [t]. *)
 val pareto_match : pareto_blocks -> mean:float -> residence

@@ -123,12 +123,20 @@ let test_pareto_scale_bits () =
       (4.0, 0.5, 0x1.03c1f080ff85p+0);
     ]
 
+(* Above every scale up to 1e9, and below the lowest scale: at 1e-6 the
+   alpha-1.6 law's truncated mean is already 1.0000000005. *)
 let test_pareto_unreachable_mean () =
-  match M.pareto_with_mean ~alpha:1.6 ~mean:1e8 with
-  | _ -> Alcotest.fail "an unreachable mean was matched"
+  (match M.pareto_with_mean ~alpha:1.6 ~mean:1e8 with
+   | _ -> Alcotest.fail "an unreachable mean was matched"
+   | exception Invalid_argument msg ->
+     check bool_t "names alpha" true (contains msg "alpha 1.6");
+     check bool_t "names mean" true (contains msg "mean 1e+08"));
+  match M.pareto_with_mean ~alpha:1.6 ~mean:1.0 with
+  | _ -> Alcotest.fail "a mean below the lowest scale's was matched"
   | exception Invalid_argument msg ->
     check bool_t "names alpha" true (contains msg "alpha 1.6");
-    check bool_t "names mean" true (contains msg "mean 1e+08")
+    check bool_t "names mean" true (contains msg "mean 1 ");
+    check bool_t "names the lowest scale" true (contains msg "scale 1e-06")
 
 (* The truncated Pareto mean exactly as first written: ages 0, 1, ...
    summed in order until a term drops below 1e-12 or 10^7 terms are in.
@@ -336,7 +344,8 @@ let test_pareto_match_work () =
 
 (* The evaluations (pows plus series values) the matches make, bounded
    at their measured counts + 10%: crossing mode cut the (1.6, 6) match
-   from 1.78e7 to 1.01e7, and losing it fails here. *)
+   from 1.78e7 to 1.01e7, and the bracketing probes to 3.54e6 (one full
+   sum's worth); losing either fails here. *)
 let test_pareto_match_evaluations () =
   List.iter2
     (fun (alpha, mean, _, _, t) bound ->
@@ -345,7 +354,93 @@ let test_pareto_match_evaluations () =
         Alcotest.failf "match at (%g, %g) made %d evaluations, above %d" alpha
           mean work bound)
     (Lazy.force matched_tables)
-    [ 11_069_055; 12_268_546; 13_322_538 ]
+    [ 3_893_768; 3_880_931; 4_660_286 ]
+
+(* The exact sums the matches make, bounded at their measured counts
+   + 10%: 12, 14 and 12 with the bracketing probes, 25, 25 and 24
+   without them. *)
+let test_pareto_match_exact_sums () =
+  List.iter2
+    (fun (alpha, mean, _, _, t) bound ->
+      let sums = List.length (M.pareto_summed t) in
+      if sums > bound then
+        Alcotest.failf "match at (%g, %g) made %d exact sums, above %d" alpha
+          mean sums bound)
+    (Lazy.force matched_tables)
+    [ 13; 15; 13 ]
+
+(* The match as it was before the bracketing probes: the same bracket,
+   midpoints and fixed-point stop, each step decided by the screen or
+   else by the exact sum on one shared table. *)
+let screen_then_sum_match ~alpha ~mean =
+  let t = M.pareto_blocks ~alpha in
+  let below scale =
+    let s = M.pareto_mean_screen ~alpha ~scale in
+    if s.M.value -. mean > s.M.margin then false
+    else if mean -. s.M.value > s.M.margin then true
+    else M.pareto_sum t ~scale < mean
+  in
+  let lo = ref 1e-6 and hi = ref 1.0 in
+  let short = ref (below !hi) in
+  while !short && !hi < 1e9 do
+    hi := !hi *. 2.0;
+    short := below !hi
+  done;
+  if !short then Alcotest.failf "(%g, %g) is unreachable" alpha mean;
+  let steps = ref 0 and fixed = ref false in
+  while (not !fixed) && !steps < 80 do
+    let mid = 0.5 *. (!lo +. !hi) in
+    if mid = !lo || mid = !hi then fixed := true
+    else if below mid then lo := mid
+    else hi := mid;
+    incr steps
+  done;
+  0.5 *. (!lo +. !hi)
+
+(* Laws with no pinned scale: an early stop (2.5, 6) and (3, 2), a
+   match below scale 1 (1.6, 1.5), and heavier tails (1.4, 10) and
+   (1.2, 6), whose first exact sums recompute most blocks. *)
+let test_pareto_match_differential () =
+  List.iter
+    (fun (alpha, mean) ->
+      match M.pareto_with_mean ~alpha ~mean with
+      | M.Pareto { scale; _ } ->
+        check bits_t
+          (Printf.sprintf "scale bits at alpha %g, mean %g" alpha mean)
+          (Int64.bits_of_float (screen_then_sum_match ~alpha ~mean))
+          (Int64.bits_of_float scale)
+      | _ -> Alcotest.fail "pareto_with_mean returned a non-Pareto law")
+    [ (2.5, 6.0); (3.0, 2.0); (1.6, 1.5); (1.4, 10.0); (1.2, 6.0) ]
+
+(* The lemma behind the probes: scales s < s' a relative gap of at least
+   [pareto_gap ~alpha s'] apart have exact sums F(s) <= F(s'). One table
+   per alpha runs through pairs exactly 2g and 4g apart, below scales
+   at and near the (1.6, 6), (1.05, 3) and (3, 6) matches and the
+   crossing-mode law (16, 1000). *)
+let test_pareto_gap_monotone () =
+  List.iter
+    (fun (alpha, scale) ->
+      let t = M.pareto_blocks ~alpha in
+      List.iter
+        (fun rel ->
+          let s' = scale *. (1.0 +. rel) in
+          let f' = M.pareto_sum t ~scale:s' in
+          List.iter
+            (fun k ->
+              let s = s' *. (1.0 -. (k *. M.pareto_gap ~alpha s')) in
+              let at = Printf.sprintf "alpha %g, %gg below %h" alpha k s' in
+              check bool_t ("separated at " ^ at) true (s < s');
+              let f = M.pareto_sum t ~scale:s in
+              if f > f' then
+                Alcotest.failf "%s: F(s) = %h above F(s') = %h" at f f')
+            [ 2.0; 4.0 ])
+        [ 0.0; 1e-13; -1e-13; 3e-12; -3e-12 ])
+    [
+      (1.6, 0x1.a35f1f8160d7p+1);
+      (1.05, 0x1.8775f5385b224p-3);
+      (3.0, 0x1.5e8b1ec17b8cep+3);
+      (16.0, 1000.0);
+    ]
 
 let test_residence_strings () =
   List.iter
@@ -749,6 +844,12 @@ let () =
           Alcotest.test_case "pareto match work" `Quick test_pareto_match_work;
           Alcotest.test_case "pareto match evaluations" `Quick
             test_pareto_match_evaluations;
+          Alcotest.test_case "pareto match exact sums" `Quick
+            test_pareto_match_exact_sums;
+          Alcotest.test_case "pareto match differential" `Quick
+            test_pareto_match_differential;
+          Alcotest.test_case "pareto gap monotone" `Quick
+            test_pareto_gap_monotone;
           Alcotest.test_case "string round-trip" `Quick test_residence_strings;
           Alcotest.test_case "validation" `Quick test_validate_residence;
         ] );
