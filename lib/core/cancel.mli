@@ -1,6 +1,6 @@
 (** Cooperative cancellation for the solver hot loops.
 
-    The exact methods (exhaustive enumeration, branch and bound, the
+    The exact methods (the prefix-chain DP, branch and bound, the
     adaptive DPs) are exponential; a production paging controller must be
     able to abandon them mid-search and fall back to the always-fast §4
     heuristic. A {!t} is a token the solver loops poll via {!check};

@@ -1,141 +1,38 @@
-type result = {
-  strategy : Strategy.t;
-  expected_paging : float;
-  classes : int;
-  candidates : int;
-}
+type result = { strategy : Strategy.t; expected_paging : float; classes : int }
 
 let classes ?(eps = 0.0) inst =
-  let m = inst.Instance.m and c = inst.Instance.c in
-  let same a b =
-    let rec go i =
-      if i >= m then true
-      else if
-        abs_float (inst.Instance.p.(i).(a) -. inst.Instance.p.(i).(b)) > eps
-      then false
-      else go (i + 1)
-    in
-    go 0
-  in
+  let p = inst.Instance.p in
+  let same a b = Array.for_all (fun r -> abs_float (r.(a) -. r.(b)) <= eps) p in
   (* Group cells left to right; representatives keep first-seen order so
      the constructed strategies are deterministic. *)
   let groups : (int * int list ref) list ref = ref [] in
-  for j = 0 to c - 1 do
+  for j = 0 to inst.Instance.c - 1 do
     match List.find_opt (fun (rep, _) -> same rep j) !groups with
     | Some (_, members) -> members := j :: !members
-    | None -> groups := !groups @ [ j, ref [ j ] ]
+    | None -> groups := !groups @ [ (j, ref [ j ]) ]
   done;
-  Array.of_list
-    (List.map (fun (_, members) -> Array.of_list (List.rev !members)) !groups)
+  Array.of_list (List.map (fun (_, ms) -> Array.of_list (List.rev !ms)) !groups)
 
-let solve ?(objective = Objective.Find_all) ?cancel ?eps
-    ?(max_candidates = 5_000_000) inst =
-  let m = inst.Instance.m and c = inst.Instance.c in
-  let d = Stdlib.min inst.Instance.d c in
+let solve ?objective ?cancel ?eps ?(max_candidates = 5_000_000) inst =
+  let d = Stdlib.min inst.Instance.d inst.Instance.c in
   let cls = classes ?eps inst in
-  let t = Array.length cls in
-  (* Candidate count: prod_t C(n_t + d - 1, d - 1). *)
+  (* Guard: the Π_t C(n_t + d − 1, d − 1) per-class count compositions. *)
   let compositions n =
-    (* number of ways to write n as d ordered non-negative parts *)
-    let num = ref 1.0 in
+    let acc = ref 1.0 in
     for i = 1 to d - 1 do
-      num := !num *. float_of_int (n + i) /. float_of_int i
+      acc := !acc *. float_of_int (n + i) /. float_of_int i
     done;
-    !num
+    !acc
   in
-  let total_candidates =
-    Array.fold_left (fun acc g -> acc *. compositions (Array.length g)) 1.0 cls
-  in
-  if total_candidates > float_of_int max_candidates then
-    invalid_arg "Class_solver.solve: too many compositions"
-  else begin
-    (* counts.(t).(r): cells of class t paged in round r. Class masses
-       per device are shared by all members. *)
-    let class_mass =
-      Array.map
-        (fun g -> Array.init m (fun i -> inst.Instance.p.(i).(g.(0))))
-        cls
+  if Array.fold_left (fun a g -> a *. compositions (Array.length g)) 1.0 cls
+     > float_of_int max_candidates
+  then invalid_arg "Class_solver.solve: too many compositions"
+  else
+    let r =
+      Optimal.exhaustive ?objective ?cancel ~classes:cls ~guard:false inst
     in
-    let counts = Array.make_matrix t d 0 in
-    let best = ref infinity in
-    let best_counts = ref [||] in
-    let evaluated = ref 0 in
-    let prefix = Array.make m 0.0 in
-    let evaluate () =
-      Option.iter Cancel.check cancel;
-      incr evaluated;
-      Array.fill prefix 0 m 0.0;
-      let ep = ref (float_of_int c) in
-      for r = 0 to d - 2 do
-        for i = 0 to m - 1 do
-          let acc = ref 0.0 in
-          for k = 0 to t - 1 do
-            acc := !acc +. (float_of_int counts.(k).(r) *. class_mass.(k).(i))
-          done;
-          prefix.(i) <- prefix.(i) +. !acc
-        done;
-        let f = Objective.success objective prefix in
-        let next_size = ref 0 in
-        for k = 0 to t - 1 do
-          next_size := !next_size + counts.(k).(r + 1)
-        done;
-        ep := !ep -. (float_of_int !next_size *. f)
-      done;
-      if !ep < !best then begin
-        best := !ep;
-        best_counts := Array.map Array.copy counts
-      end
-    in
-    (* Enumerate compositions class by class, round by round. *)
-    let rec fill_class k =
-      if k >= t then evaluate ()
-      else begin
-        let n = Array.length cls.(k) in
-        let rec fill_round r remaining =
-          if r = d - 1 then begin
-            counts.(k).(r) <- remaining;
-            fill_class (k + 1);
-            counts.(k).(r) <- 0
-          end
-          else
-            for x = 0 to remaining do
-              counts.(k).(r) <- x;
-              fill_round (r + 1) (remaining - x);
-              counts.(k).(r) <- 0
-            done
-        in
-        fill_round 0 n
-      end
-    in
-    fill_class 0;
-    (* Materialize the winning counts as a strategy; empty rounds are
-       dropped (they do not change expected paging). *)
-    let buckets = Array.make d [] in
-    Array.iteri
-      (fun k group ->
-        let pos = ref 0 in
-        Array.iteri
-          (fun r cnt ->
-            for _ = 1 to cnt do
-              buckets.(r) <- group.(!pos) :: buckets.(r);
-              incr pos
-            done)
-          !best_counts.(k))
-      cls;
-    let groups =
-      Array.of_list
-        (List.filter_map
-           (fun b -> if b = [] then None else Some (Array.of_list b))
-           (Array.to_list buckets))
-    in
-    let strategy = Strategy.create groups in
-    {
-      strategy;
-      expected_paging = !best;
-      classes = t;
-      candidates = !evaluated;
-    }
-  end
+    { strategy = r.strategy; expected_paging = r.expected_paging;
+      classes = Array.length cls }
 
 let approximate ?(objective = Objective.Find_all) ?max_candidates inst ~grid =
   if grid < 1 then invalid_arg "Class_solver.approximate: grid must be >= 1"
@@ -155,9 +52,6 @@ let approximate ?(objective = Objective.Find_all) ?max_candidates inst ~grid =
     let surrogate = Instance.create ~d:inst.Instance.d snapped in
     let r = solve ~objective ?max_candidates surrogate in
     (* Report the strategy's true quality on the original instance. *)
-    {
-      r with
-      expected_paging =
-        Strategy.expected_paging ~objective inst r.strategy;
-    }
+    let expected_paging = Strategy.expected_paging ~objective inst r.strategy in
+    { r with expected_paging }
   end

@@ -3,19 +3,17 @@
     §5 sketches an approximation scheme for the subclass where the
     probabilities fall into a constant number of groups; this module
     implements the underlying idea exactly. Two cells are equivalent
-    when every device gives them the same probability; expected paging
-    depends only on {e how many} cells of each class are paged per
-    round, so it suffices to enumerate per-class count compositions —
-    Π_t C(n_t + d − 1, d − 1) candidates instead of d^c.
-
-    Exact for any instance; practical whenever the number of classes is
-    small (uniform instances, the §4.3 instance, reduction outputs). *)
+    when every device gives them the same probability; EP depends only
+    on {e how many} cells of each class are paged per round, so
+    {!Optimal.exhaustive} runs on per-class count vectors — Π_t (n_t + 1)
+    prefixes instead of 2ᶜ. Exact for any instance; practical whenever
+    the classes are few (uniform instances, the §4.3 instance,
+    reduction outputs). *)
 
 type result = {
   strategy : Strategy.t;
   expected_paging : float;
   classes : int;  (** number of distinct cell types found *)
-  candidates : int;  (** compositions evaluated *)
 }
 
 (** [classes ?eps inst] groups cells by probability column (tolerance
@@ -24,11 +22,10 @@ type result = {
 val classes : ?eps:float -> Instance.t -> int array array
 
 (** [solve ?objective ?cancel ?eps ?max_candidates inst] — exact
-    optimum. [cancel] is polled once per candidate evaluated, so the
-    enumeration unwinds within one poll interval of the token firing.
-    @raise Invalid_argument when the composition count exceeds
-    [max_candidates] (default 5,000,000).
-    @raise Cancel.Cancelled when the token fires mid-enumeration. *)
+    optimum; [cancel] is polled at every prefix the search visits.
+    @raise Invalid_argument when the Π_t C(n_t + d − 1, d − 1) per-class
+    count compositions exceed [max_candidates] (default 5,000,000).
+    @raise Cancel.Cancelled when the token fires mid-search. *)
 val solve :
   ?objective:Objective.t ->
   ?cancel:Cancel.t ->

@@ -1,8 +1,8 @@
 (** Exact solvers, used as ground truth for the approximation-ratio
     experiments. The problem is NP-hard for every fixed m ≥ 2, d ≥ 2
-    (Theorem 3.8), so these are exponential in general: exhaustive
-    enumeration of ordered partitions for small c, and a pruned search
-    specialized to d = 2 for moderate c.
+    (Theorem 3.8), so these are exponential in general: one prefix-chain
+    DP (DESIGN §15) behind {!exhaustive}, {!exhaustive_exact} and
+    {!Class_solver}, and a pruned search specialized to d = 2.
 
     Every search accepts a {!Cancel.t} token polled in its hot loop, so
     a deadline-driven caller (the {!Runner}) can abandon it mid-search;
@@ -10,25 +10,29 @@
 
 type result = { strategy : Strategy.t; expected_paging : float }
 
-(** [exhaustive ?objective ?max_group ?cancel ?guard inst] enumerates
-    every strategy of length at most [inst.d] (all dⁿ round assignments,
-    skipping those with an empty round among the used ones) and returns
-    a minimizer. Cost O(d^c · m · c); intended for c ≤ ~12.
-    [guard] (default [true]) bounds the instance size; pass
-    [~guard:false] only together with a real [cancel] token, letting the
-    deadline bound the cost instead.
-    @raise Invalid_argument when guarded and [c > 16] or d^c is huge.
-    @raise Cancel.Cancelled when the token fires mid-enumeration. *)
+(** [exhaustive ?objective ?max_group ?classes ?cancel ?guard inst]
+    returns the first minimizer, in round-labelling order and bit for
+    bit, over strategies of at most [inst.d] rounds of at most
+    [max_group] cells (default [c]). O(3ᶜ · d) prefix steps; a lattice
+    above 2²⁰ prefixes × rounds is searched without a memo. [classes]
+    (default singletons) groups cells every device sees alike; a prefix
+    is then a per-class count, members paged in the given order.
+    [guard] (default [true]) rejects [c > 16] and [dᶜ > 8·10⁶]; pass
+    [~guard:false] only with a real [cancel] token or a guard of your own.
+    @raise Invalid_argument when guarded and too large, or when no
+    strategy fits [max_group].
+    @raise Cancel.Cancelled when the token fires mid-search. *)
 val exhaustive :
   ?objective:Objective.t ->
   ?max_group:int ->
+  ?classes:int array array ->
   ?cancel:Cancel.t ->
   ?guard:bool ->
   Instance.t ->
   result
 
-(** Exact-rational exhaustive search on an exact instance: returns the
-    minimizer and its expected paging as a rational. *)
+(** Exact-rational {!exhaustive} on an exact instance, under the same
+    guard: returns the minimizer and its expected paging as a rational. *)
 val exhaustive_exact :
   ?objective:Objective.t ->
   ?cancel:Cancel.t ->

@@ -90,11 +90,7 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
     }
   | Class_based ->
     let r = Class_solver.solve ?objective ?cancel inst in
-    {
-      strategy = r.Class_solver.strategy;
-      expected_paging = r.Class_solver.expected_paging;
-      exact = true;
-    }
+    { strategy = r.strategy; expected_paging = r.expected_paging; exact = true }
   | Robust { eps; tv } ->
     (match
        most_robust ?objective ?cancel ~arena (Uncertainty.uniform ~tv eps)
