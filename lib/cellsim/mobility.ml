@@ -174,9 +174,9 @@ let check_residence r =
    polynomial decay, heavy for small alpha. This one expression is every
    Pareto survival value the module computes, so the exact mean sum and
    the bisection screen agree term for term. *)
-let pareto_base ~scale x = 1.0 +. (x /. scale)
+let[@inline] pareto_base ~scale x = 1.0 +. (x /. scale)
 
-let pareto_term ~alpha ~scale x =
+let[@inline] pareto_term ~alpha ~scale x =
   if x = 0.0 then 1.0 else pareto_base ~scale x ** -.alpha
 
 (* Survival S(a) = P(dwell > a ticks); dwell is at least one tick, so
@@ -228,9 +228,27 @@ let pareto_floor = 1e-12
 let pareto_head = 2000
 
 (* Terms per block after the head; the last block is cut at the cap. *)
-let pareto_block = 256
+let pareto_block = 1024
 let pareto_block_count =
   (pareto_cap - pareto_head + pareto_block - 1) / pareto_block
+
+(* Series mode's loop state ([pareto_steps]): on entry the differences
+   q0..q4 at the sub-block's first series age and the loop's bounds, on
+   return what it took. An all-float record is stored flat, so its
+   fields pass in and out unboxed. *)
+type pareto_steps = {
+  mutable q0 : float;
+  mutable q1 : float;
+  mutable q2 : float;
+  mutable q3 : float;
+  mutable q4 : float;
+  mutable lim : float;
+  mutable room : float;
+  mutable floor : float;
+  mutable taken : float;
+  mutable dmax : float;
+  mutable ylast : float;
+}
 
 (* What one sum learned about each block, for the next sum at a nearby
    scale of the same alpha (DESIGN §14). [rows] is allocated at the
@@ -240,13 +258,15 @@ let pareto_block_count =
    lower bound, in ulps, on every one of its float terms' distance to a
    half-integer of the ulp grid. A clearance of 0 (a tie, a binade
    crossing, the 1e-12 stop or a block never summed) means the block is
-   always summed again. *)
+   always summed again. [steps] is series mode's loop state, reused by
+   every sub-block. *)
 type pareto_blocks = {
   alpha : float;
   mutable rows : Float.Array.t;
   mutable recomputed : int;
   mutable evaluations : int;
   mutable summed : float list;
+  steps : pareto_steps;
 }
 
 let pareto_blocks ~alpha =
@@ -256,6 +276,20 @@ let pareto_blocks ~alpha =
     recomputed = 0;
     evaluations = 0;
     summed = [];
+    steps =
+      {
+        q0 = 0.0;
+        q1 = 0.0;
+        q2 = 0.0;
+        q3 = 0.0;
+        q4 = 0.0;
+        lim = 0.0;
+        room = 0.0;
+        floor = 0.0;
+        taken = 0.0;
+        dmax = 0.0;
+        ylast = 0.0;
+      };
   }
 
 let pareto_recomputed t = t.recomputed
@@ -267,6 +301,13 @@ let pareto_summed t = List.rev t.summed
    its last: its two series values per crossing then number at most half
    its ages. *)
 let pareto_flat = 4.0
+
+(* The top of the binade holding [s], 2^(e+1) for s in [2^e, 2^(e+1)),
+   from its exponent bits: positive, normal [s] only. *)
+let[@inline] pareto_top s =
+  2.0
+  *. Int64.float_of_bits
+       (Int64.logand (Int64.bits_of_float s) 0x7ff0000000000000L)
 
 (* A sub-block's degree-4 binomial series (see [pareto_sum]), in ulps of
    the running sum: tc·(1 + e)^-α at e = j/(scale·b0). *)
@@ -284,12 +325,13 @@ let[@inline] pareto_series ~tc ~k1 ~k2 ~k3 ~k4 e =
    than 2w inside the levels beyond them, the sub-block adds
    n·rne(yn) + Σ_L m whole ulps, no term is a tie, and each lies at
    least the smallest of those distances less 2w from a half-integer;
-   [clear] is lowered to that. Returns the count, or -1 (and no
-   clearance) when a crossing or an end is within 2w of a level, when yn
-   is below [floor_y], or when the count reaches [room]: the sub-block
-   is then summed term by term. *)
-let pareto_crossings t ~tc ~k1 ~k2 ~k3 ~k4 ~inv ~n ~y1 ~yn ~w ~floor_y ~room
-    clear =
+   the block's clearance, gathered in its row at [ci], is lowered to that.
+   Returns the count, or -1 (and no clearance) when a crossing or an end
+   is within 2w of a level, when yn is below [floor_y], or when the
+   count reaches [room]: the sub-block is then summed term by term.
+   Inlined, so no argument is boxed. *)
+let[@inline] pareto_crossings t ~ci ~tc ~k1 ~k2 ~k3 ~k4 ~inv ~n ~y1 ~yn
+    ~w ~floor_y ~room =
   let w2 = 2.0 *. w in
   let r1 = y1 +. 0x1p52 -. 0x1p52 and rn = yn +. 0x1p52 -. 0x1p52 in
   let near = ref (r1 +. 0.5 -. y1) in
@@ -329,10 +371,78 @@ let pareto_crossings t ~tc ~k1 ~k2 ~k3 ~k4 ~inv ~n ~y1 ~yn ~w ~floor_y ~room
     else ok := false
   done;
   if !ok && !total < room then begin
-    if !near -. w2 < !clear then clear := !near -. w2;
+    if !near -. w2 < Float.Array.get t.rows ci then
+      Float.Array.set t.rows ci (!near -. w2);
     !total
   end
   else -1.0
+
+(* Series mode steps Q(j) = tc + Σ_k b_k·j^k, b_k = k_k·inv^k (the
+   series at e = j·inv), by forward differences D^i, started from the
+   b_k at j = 1. This bounds, in ulps, how far its values for
+   j = 1..n lie from Q's, Q taken exactly on the float k_k and inv
+   (DESIGN §14, "Stepping the series"). a_i bounds |Δ^i Q| at the ages
+   the recurrence reads, j + i <= n + 4. The start-up rounds D^i by at
+   most 8u·a_i, which reaches D^0 after j - 1 steps with weight
+   C(j - 1, i); each step rounds D^i by at most u·a_i, and those reach
+   D^0 with weights summing to C(j - 1, i + 1). The 1% cushion covers
+   second-order terms and evaluating the bound. *)
+let[@inline] pareto_steps_error ~tc ~b1 ~b2 ~b3 ~b4 n =
+  let p1 = Float.abs b1 and p2 = Float.abs b2 in
+  let p3 = Float.abs b3 and p4 = Float.abs b4 in
+  let m = n +. 4.0 and k = n -. 1.0 in
+  let a0 = tc +. (m *. (p1 +. (m *. (p2 +. (m *. (p3 +. (m *. p4))))))) in
+  let a1 =
+    p1 +. (m *. ((2.0 *. p2) +. (m *. ((3.0 *. p3) +. (m *. (4.0 *. p4))))))
+  in
+  let a2 = (2.0 *. p2) +. (m *. ((6.0 *. p3) +. (m *. (12.0 *. p4)))) in
+  let a3 = (6.0 *. p3) +. (m *. (24.0 *. p4)) in
+  let a4 = 24.0 *. p4 in
+  let start =
+    a0
+    +. (k
+        *. (a1 +. (k /. 2.0 *. (a2 +. (k /. 3.0 *. (a3 +. (k /. 4.0 *. a4)))))))
+  in
+  let steps =
+    k *. (a0 +. (k /. 2.0 *. (a1 +. (k /. 3.0 *. (a2 +. (k /. 4.0 *. a3))))))
+  in
+  1.01 *. (epsilon_float /. 2.0) *. ((8.0 *. start) +. steps)
+
+(* Series mode's term loop over a sub-block's ages j = 1..n, stepping
+   y = q0 by q0 += q1, q1 += q2, q2 += q3, q3 += q4. A value is taken
+   while it lies less than [lim] from a whole number, the whole ulps
+   taken stay below [room], and it is at least [floor]; [taken], [dmax]
+   (the largest such distance) and [ylast] (the last value taken) are
+   set on return. Returns the first age not taken, n + 1 when all are.
+   Out of line, so the differences stay in registers: inlined into
+   [pareto_sum], they were spilled to the stack, and the loop ran ~1.3x
+   slower. *)
+let[@inline never] pareto_steps s n =
+  let q0 = ref s.q0 and q1 = ref s.q1 and q2 = ref s.q2 and q3 = ref s.q3 in
+  let q4 = s.q4 and lim = s.lim and room = s.room and floor = s.floor in
+  let taken = ref 0.0 and dmax = ref 0.0 and ylast = ref 0.0 in
+  let j = ref 1 and taking = ref true in
+  while !taking && !j <= n do
+    let y = !q0 in
+    let r = y +. 0x1p52 -. 0x1p52 in
+    let taken' = !taken +. r in
+    let d = Float.abs (y -. r) in
+    if d >= lim || taken' >= room || y < floor then taking := false
+    else begin
+      if d > !dmax then dmax := d;
+      ylast := y;
+      taken := taken';
+      incr j;
+      q0 := !q0 +. !q1;
+      q1 := !q1 +. !q2;
+      q2 := !q2 +. !q3;
+      q3 := !q3 +. q4
+    end
+  done;
+  s.taken <- !taken;
+  s.dmax <- !dmax;
+  s.ylast <- !ylast;
+  !j
 
 (* The sequential sum, bit for bit (DESIGN §14). After the head the sum
    S is at least 1 and a multiple of its ulp, so while S + t stays below
@@ -358,19 +468,21 @@ let pareto_crossings t ~tc ~k1 ~k2 ~k3 ~k4 ~inv ~n ~y1 ~yn ~w ~floor_y ~room
    between the series value y and the real term, both in ulps of S:
    pow's one-ulp error at the anchor and at the real term, the rounding
    of both bases, the truncation, and the evaluation of y and of e, with
-   a 1% cushion. A term is taken from the series only when y is more
-   than [w] from a half-integer, it stays in S's binade, and y − 2w
-   clears the 1e-12 stop; otherwise the sub-block ends and that term is
-   the next anchor. A sub-block whose values fall by less than
-   1/[pareto_flat] ulp per age is instead counted by its crossings of the
-   half-integers ([pareto_crossings]), and summed term by term only when
-   that fails. Whole ulps gather in the float [acc], exact below 2^53,
-   and join S when the sub-block ends. y is rounded as
-   [(y + 2^52) - 2^52], exact for 0 <= y < 2^51: no int conversion (a
-   cvtsi2sd round trip made the loop 1.4x slower) and no branch on the
-   rounding direction. The age runs as a float too, exact below 2^53.
-   Callers pass a finite alpha > 0 and scale > 0, or laws whose sum
-   ends inside the head ([pareto_mean_screen] sums only those). *)
+   a 1% cushion. A sub-block whose values fall by less than
+   1/[pareto_flat] ulp per age is counted by its crossings of the
+   half-integers ([pareto_crossings]). Any other, or one that cannot be
+   counted, is summed term by term from the series stepped by forward
+   differences, whose rounding [pareto_steps_error] bounds by e: a term
+   is taken only when y is more than w + e from a half-integer, it stays
+   in S's binade, and y − 2(w + e) clears the 1e-12 stop; otherwise the
+   sub-block ends and that term is the next anchor. Whole ulps gather in
+   the float [acc], exact below 2^53, and join S when the sub-block
+   ends. y is rounded as [(y + 2^52) - 2^52], exact for 0 <= y < 2^51:
+   no int conversion (a cvtsi2sd round trip made the loop 1.4x slower)
+   and no branch on the rounding direction. The age runs as a float too,
+   exact below 2^53. Nothing in the loop allocates: every float stays
+   unboxed. Callers pass a finite alpha > 0 and scale > 0, or laws whose
+   sum ends inside the head ([pareto_mean_screen] sums only those). *)
 let pareto_sum t ~scale =
   let alpha = t.alpha in
   t.summed <- scale :: t.summed;
@@ -391,7 +503,9 @@ let pareto_sum t ~scale =
     let u = epsilon_float /. 2.0 in
     (* emax <= 1/(alpha + 5) keeps the series' terms past degree 4
        decreasing, and alpha·emax < 1. *)
-    let emax = Float.min 0x1p-9 (1.0 /. (alpha +. 5.0)) in
+    let emax =
+      if 1.0 /. (alpha +. 5.0) < 0x1p-9 then 1.0 /. (alpha +. 5.0) else 0x1p-9
+    in
     let c1 = -.alpha in
     let c2 = alpha *. (alpha +. 1.0) /. 2.0 in
     let c3 = -.c2 *. (alpha +. 2.0) /. 3.0 in
@@ -414,7 +528,7 @@ let pareto_sum t ~scale =
     let k = ref 0 in
     while !continue && !x < cap do
       let i = 5 * !k in
-      let xe = Float.min (!x +. block) cap in
+      let xe = if !x +. block < cap then !x +. block else cap in
       let s0 = !sum in
       let sb = Float.Array.get rows i in
       let top_b = Float.Array.get rows (i + 1) in
@@ -435,12 +549,14 @@ let pareto_sum t ~scale =
         x := xe
       end
       else begin
-        let top0 = Float.ldexp 1.0 (snd (Float.frexp s0)) in
+        let top0 = pareto_top s0 in
         let c0 = 0x1p53 /. top0 in
         let x0 = !x and anchor = ref 0.0 in
-        (* [clear] gathers the clearance; [last] is a lower bound on the
-           latest term, in ulps. *)
-        let clear = ref 0.5 and last = ref 0.0 in
+        (* The clearance gathers in the block's row, at [ci]; [last] is
+           a lower bound on the latest term, in ulps. *)
+        let ci = i + 4 in
+        Float.Array.set rows ci 0.5;
+        let last = ref 0.0 in
         while !continue && !x < xe do
           let b0 = pareto_base ~scale !x in
           let t0 = b0 ** -.alpha in
@@ -452,22 +568,22 @@ let pareto_sum t ~scale =
           (* The anchor's own rounding is exact: 0 on a tie. *)
           let tc0 = t0 *. c0 in
           last := tc0;
-          if tc0 < 0x1p50 then
-            clear :=
-              Float.min !clear
-                (0.5 -. Float.abs (tc0 -. (tc0 +. 0x1p52 -. 0x1p52)))
-          else clear := 0.0;
+          let d =
+            if tc0 < 0x1p50 then
+              0.5 -. Float.abs (tc0 -. (tc0 +. 0x1p52 -. 0x1p52))
+            else 0.0
+          in
+          if d < Float.Array.get rows ci then Float.Array.set rows ci d;
           let s = !sum in
           (* S lies in [top/2, top), a binade whose ulp is 1/c. *)
-          let top = Float.ldexp 1.0 (snd (Float.frexp s)) in
+          let top = pareto_top s in
           let c = 0x1p53 /. top in
           let tc = t0 *. c in
-          let jmax =
-            Float.of_int (Float.to_int (Float.min (emax *. scale *. b0) (xe -. !x)))
-          in
-          if !continue && jmax >= 1.0 && tc < 0x1p50 then begin
+          let reach = emax *. scale *. b0 and left = xe -. !x in
+          let n = Float.to_int (if reach < left then reach else left) in
+          let jmax = Float.of_int n in
+          if !continue && n >= 1 && tc < 0x1p50 then begin
             let w = (tc *. rel) +. 0x1p-50 in
-            let lim = 0.5 -. w in
             let floor_y = (c *. pareto_floor) +. (2.0 *. w) in
             let room = (top -. s) *. c in
             let inv = 1.0 /. (scale *. b0) in
@@ -475,45 +591,47 @@ let pareto_sum t ~scale =
             (* A sub-block whose values fall slowly is counted by its
                crossings; any other, or one that cannot be, is summed
                term by term. *)
-            let acc = ref (-1.0) and j = ref (jmax +. 1.0) in
-            if jmax >= 2.0 then begin
+            let acc = ref (-1.0) and j = ref (n + 1) in
+            if n >= 2 then begin
               let y1 = pareto_series ~tc ~k1 ~k2 ~k3 ~k4 inv
               and yn = pareto_series ~tc ~k1 ~k2 ~k3 ~k4 (jmax *. inv) in
               t.evaluations <- t.evaluations + 2;
               if (y1 -. yn) *. pareto_flat < jmax then begin
                 acc :=
-                  pareto_crossings t ~tc ~k1 ~k2 ~k3 ~k4 ~inv ~n:jmax ~y1 ~yn ~w
-                    ~floor_y ~room clear;
+                  pareto_crossings t ~ci ~tc ~k1 ~k2 ~k3 ~k4 ~inv ~n:jmax ~y1
+                    ~yn ~w ~floor_y ~room;
                 if !acc >= 0.0 then last := yn -. w
               end
             end;
             if !acc < 0.0 then begin
-              acc := 0.0;
-              j := 1.0;
-              let fast = ref true and dmax = ref 0.0 and ylast = ref 0.0 in
-              while !fast && !j <= jmax do
-                let y = pareto_series ~tc ~k1 ~k2 ~k3 ~k4 (!j *. inv) in
-                let r = y +. 0x1p52 -. 0x1p52 in
-                let acc' = !acc +. r in
-                let d = Float.abs (y -. r) in
-                if d >= lim || acc' >= room || y < floor_y then fast := false
-                else begin
-                  if d > !dmax then dmax := d;
-                  ylast := y;
-                  acc := acc';
-                  j := !j +. 1.0
-                end
-              done;
-              t.evaluations <-
-                t.evaluations + Float.to_int !j - if !fast then 1 else 0;
-              if !j > 1.0 then begin
+              (* Q(j) and its differences at j = 1, from the b_k: never
+                 from series values, whose differences cancel. *)
+              let i2 = inv *. inv in
+              let b1 = k1 *. inv and b2 = k2 *. i2 in
+              let b3 = k3 *. (i2 *. inv) and b4 = k4 *. (i2 *. i2) in
+              let st = t.steps in
+              st.q0 <- tc +. (b1 +. (b2 +. (b3 +. b4)));
+              st.q1 <- b1 +. ((3.0 *. b2) +. ((7.0 *. b3) +. (15.0 *. b4)));
+              st.q2 <- (2.0 *. b2) +. ((12.0 *. b3) +. (50.0 *. b4));
+              st.q3 <- (6.0 *. b3) +. (60.0 *. b4);
+              st.q4 <- 24.0 *. b4;
+              let e = pareto_steps_error ~tc ~b1 ~b2 ~b3 ~b4 jmax in
+              let we = w +. e in
+              st.lim <- 0.5 -. we;
+              st.room <- room;
+              st.floor <- floor_y +. (2.0 *. e);
+              j := pareto_steps st n;
+              acc := st.taken;
+              t.evaluations <- t.evaluations + if !j > n then n else !j;
+              if !j > 1 then begin
                 (* The 2^-50 in [w] covers rounding these two bounds. *)
-                clear := Float.min !clear (lim -. !dmax);
-                last := !ylast -. w
+                if st.lim -. st.dmax < Float.Array.get rows ci then
+                  Float.Array.set rows ci (st.lim -. st.dmax);
+                last := st.ylast -. we
               end
             end;
             sum := !sum +. (!acc /. c);
-            x := !x +. (!j -. 1.0)
+            x := !x +. Float.of_int (!j - 1)
           end
         done;
         t.recomputed <- t.recomputed + Float.to_int (!x -. x0);
@@ -524,13 +642,15 @@ let pareto_sum t ~scale =
         let floor_room =
           (!last *. (1.0 -. (2.0 *. term_err))) -. (c0 *. pareto_floor)
         in
+        let clear = Float.Array.get rows ci in
         Float.Array.set rows i scale;
         Float.Array.set rows (i + 1) top0;
         Float.Array.set rows (i + 2) ((!sum -. s0) *. c0);
         Float.Array.set rows (i + 3) !anchor;
-        Float.Array.set rows (i + 4)
+        Float.Array.set rows ci
           (if !sum >= top0 || not !continue then 0.0
-           else Float.min !clear floor_room)
+           else if clear < floor_room then clear
+           else floor_room)
       end;
       incr k
     done

@@ -82,11 +82,11 @@ val residence_hazard : residence -> int -> float
     at [alpha = 1.6], mean 6 it is 7.0e-4, so that law's true mean is
     about 6.0007. The result is the float of adding the terms one by one
     in age order, but most terms come from a series on the running sum's
-    ulp grid rather than from pow, and far out, where terms fall by a
-    fraction of an ulp per age, whole runs of them are counted by where
-    they cross the grid's rounding boundaries: a full 10{^7}-term sum
-    costs ~0.02–0.04 s on a 2-vCPU x86-64 host (~0.5 s for one pow per
-    term). *)
+    ulp grid, stepped by forward differences, rather than from pow, and
+    far out, where terms fall by a fraction of an ulp per age, whole runs
+    of them are counted by where they cross the grid's rounding
+    boundaries: a full 10{^7}-term sum costs ~0.02 s on a 2-vCPU x86-64
+    host (~0.5 s for one pow per term), with no allocation per term. *)
 val residence_mean : residence -> float
 
 (** [pareto_with_mean ~alpha ~mean] — the Pareto law with tail index
@@ -100,8 +100,8 @@ val residence_mean : residence -> float
     to nearby steps, so the scale is the same float a bisection on exact
     sums returns. The ~12 exact sums share a block table and recompute
     only blocks whose rounding could have moved, one sum's worth of
-    terms for ~0.35 sum's worth of pows and series values: the match at
-    [alpha] 1.6, mean 6 costs ~0.05 s on a 2-vCPU x86-64 host.
+    terms for ~0.36 sum's worth of pows and series values: the match at
+    [alpha] 1.6, mean 6 costs ~0.02 s on a 2-vCPU x86-64 host.
     @raise Invalid_argument when [alpha <= 1], [mean < 1], when no scale
     up to 1e9 reaches [mean], or when the truncated mean already exceeds
     [mean] at scale 1e-6 (the last two name both). *)
@@ -120,7 +120,7 @@ type pareto_screen = { value : float; margin : float; terms : int }
 val pareto_mean_screen : alpha:float -> scale:float -> pareto_screen
 
 (** The block table the exact sums of one {!pareto_with_mean} share,
-    for one [alpha]: what each 256-term block added at the scale it was
+    for one [alpha]: what each 1024-term block added at the scale it was
     last summed at, and how far its terms are from rounding otherwise. *)
 type pareto_blocks
 

@@ -1,11 +1,15 @@
 exception Cancelled
 
-type t = {
-  probe : unit -> bool;
-  every : int;
-  mutable countdown : int;
-  mutable fired : bool;
-}
+(* [Never] is a constant: polling it reads nothing and writes nothing,
+   so every domain can share it. Only a [Token] counts down. *)
+type t =
+  | Never
+  | Token of {
+      probe : unit -> bool;
+      every : int;
+      mutable countdown : int;
+      mutable fired : bool;
+    }
 
 (* Atomic, not a plain ref: tokens now tick on several domains at once
    (raced runner stages), and the monotone high-water mark must not be
@@ -22,27 +26,29 @@ let now () =
   in
   bump ()
 
-let never = { probe = (fun () -> false); every = max_int; countdown = max_int; fired = false }
+let never = Never
 
 let of_probe ?(every = 256) probe =
   if every < 1 then invalid_arg "Cancel.of_probe: every must be >= 1"
-  else { probe; every; countdown = every; fired = false }
+  else Token { probe; every; countdown = every; fired = false }
 
 let deadline ?every ?(clock = now) t = of_probe ?every (fun () -> clock () >= t)
 
 let budget_ms ?every ?(clock = now) ms =
   deadline ?every ~clock (clock () +. (ms /. 1000.0))
 
-let poll t =
-  if t.fired then true
-  else begin
-    t.countdown <- t.countdown - 1;
-    if t.countdown <= 0 then begin
-      t.countdown <- t.every;
-      if t.probe () then t.fired <- true
-    end;
-    t.fired
-  end
+let poll = function
+  | Never -> false
+  | Token t ->
+    if t.fired then true
+    else begin
+      t.countdown <- t.countdown - 1;
+      if t.countdown <= 0 then begin
+        t.countdown <- t.every;
+        if t.probe () then t.fired <- true
+      end;
+      t.fired
+    end
 
 let check t = if poll t then raise Cancelled
-let cancelled t = t.fired
+let cancelled = function Never -> false | Token t -> t.fired

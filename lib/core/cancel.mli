@@ -9,14 +9,17 @@
     every [every] checks, so a check is a couple of integer ops on the
     fast path.
 
-    Tokens are single-use and not thread-safe — create one per run. *)
+    Tokens are single-use and not thread-safe — create one per run.
+    {!never} is the exception: it holds no state, so any number of
+    domains may poll it at once. *)
 
 type t
 
 (** Raised by {!check} once the token has fired. *)
 exception Cancelled
 
-(** A token that never fires (the default for direct solver calls). *)
+(** A token that never fires (the default for direct solver calls).
+    Polling it writes nothing. *)
 val never : t
 
 (** [of_probe ?every probe] fires once [probe ()] returns [true]; the

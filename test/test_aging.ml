@@ -193,13 +193,17 @@ let test_pareto_screen_margin () =
 
 (* Laws that exercise crossing mode, where a slowly falling sub-block is
    counted by the half-integers its series values cross. (16, 1000)
-   enters it 10 blocks after the head and (2.75, 20) ~130k ages before
-   its 1e-12 stop, which falls inside a crossing-mode block. The three
-   alpha-4 scales are tuned so the real term at one age lies 2e-10 ulp
-   below a half-integer, where the truncated series still reads above
-   it: at the second-to-last age of a sub-block (36117 and 45351) a
-   crossing there must not be certified, and at the last (36118) the end
-   term must not be taken as clear of its level. *)
+   enters it at age 4514, in the third block after the head, and
+   (2.75, 20) ~130k ages before its 1e-12 stop, which falls inside a
+   crossing-mode block. The first three alpha-4 scales are tuned so the
+   real term at one age lies 2e-10 ulp below a half-integer, where the
+   truncated series still reads above it: at the second-to-last age of
+   a sub-block (36117 and 45351) a crossing there must not be
+   certified, and at the last (36118) the end term must not be taken as
+   clear of its level. Those ages were sub-block ends with 256-age
+   blocks. The fourth puts the same near-tie (1e-10 ulp below, the
+   series 3e-9 above) at age 30793, the last of a counted sub-block
+   with 1024-age blocks. *)
 let crossing_laws =
   [
     (16.0, 1000.0);
@@ -207,7 +211,17 @@ let crossing_laws =
     (4.0, 0x1.9007ef7cd933cp+5);
     (4.0, 0x1.901b86cb6e0d2p+5);
     (4.0, 0x1.900ac55ce0aa3p+5);
+    (4.0, 0x1.9006c41c34f35p+5);
   ]
+
+(* Near-ties for series mode, whose forward differences carry their own
+   rounding bound E on top of the series window w. At the last age of
+   a sub-block (520132 and 464729), the float term lies ~5e-9 ulp below
+   a half-integer while the stepped series reads above it by more than
+   w, though not by more than w + E: a window without E takes the term
+   and rounds it up. *)
+let series_laws =
+  [ (1.6, 0x1.a3d4cfd9c4ae4p+1); (1.6, 0x1.a3d507cf4ba95p+1) ]
 
 (* [residence_mean] adds most terms as whole ulps of the running sum;
    it must still return the first-written loop's float, bit for bit:
@@ -227,7 +241,7 @@ let test_pareto_exact_sum_bits () =
        screen_alphas
     @ List.map (fun (alpha, _, scale) -> (alpha, scale)) pinned_pareto_scales
     @ [ (1.6, 4.5) ]
-    @ crossing_laws)
+    @ crossing_laws @ series_laws)
 
 (* Matched scales near powers of two, from a bisection on exact sums:
    the exact sums of each match fall on both sides of 4 (sum 4 + 1 ulp
@@ -316,6 +330,11 @@ let test_pareto_block_reuse_bits () =
            (fun rel -> pinned *. (1.0 +. rel))
            [ 4e-9; -4e-9; 2e-8; -2e-8; 1e-9; -1e-9 ]))
     pinned_binade_edge_scales;
+  (* The running sum at the start of block 9758 (age 9994192) is 4 + 1
+     ulp at the first scale and just below 4 at the second: a block
+     recorded above 4 meets a sum below it, two ulps of scale lower. *)
+  same ~what:"4 at a block start" ~alpha:1.6
+    [ 0x1.0805c2fe4d388p+1; 0x1.0805c2fe4d386p+1 ];
   List.iter
     (fun (what, alpha, scale, seed) ->
       same ~what ~alpha (walk ~seed ~scale ~steps:6))
@@ -368,6 +387,23 @@ let test_pareto_match_exact_sums () =
           mean sums bound)
     (Lazy.force matched_tables)
     [ 13; 15; 13 ]
+
+(* The exact sum allocates nothing per block or per term: a cold sum,
+   which sums every block, and a warm one on the same table, which
+   keeps them all, each stay within 64 minor words (the table's rows
+   are one major-heap array). *)
+let test_pareto_sum_allocation () =
+  let scale = 0x1.a35f1f8160d7p+1 in
+  let t = M.pareto_blocks ~alpha:1.6 in
+  let words what =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (M.pareto_sum t ~scale));
+    let words = Gc.minor_words () -. before in
+    if words > 64.0 then
+      Alcotest.failf "%s sum allocated %.0f minor words, above 64" what words
+  in
+  words "cold";
+  words "warm"
 
 (* The match as it was before the bracketing probes: the same bracket,
    midpoints and fixed-point stop, each step decided by the screen or
@@ -846,6 +882,8 @@ let () =
             test_pareto_match_evaluations;
           Alcotest.test_case "pareto match exact sums" `Quick
             test_pareto_match_exact_sums;
+          Alcotest.test_case "pareto sum allocation" `Quick
+            test_pareto_sum_allocation;
           Alcotest.test_case "pareto match differential" `Quick
             test_pareto_match_differential;
           Alcotest.test_case "pareto gap monotone" `Quick

@@ -26,6 +26,22 @@ let test_cancel_never () =
   done;
   check bool_t "not cancelled" false (Cancel.cancelled Cancel.never)
 
+(* [never] is shared by every unbudgeted solve on every domain: two
+   domains polling it a million times each see it unfired throughout. *)
+let test_cancel_never_domains () =
+  let polls () =
+    let fired = ref 0 in
+    for _ = 1 to 1_000_000 do
+      if Cancel.poll Cancel.never then incr fired
+    done;
+    !fired
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn polls) in
+  List.iter
+    (fun d -> check int_t "polls that fired" 0 (Domain.join d))
+    domains;
+  check bool_t "not cancelled" false (Cancel.cancelled Cancel.never)
+
 let test_cancel_every_validation () =
   (match Cancel.of_probe ~every:0 (fun () -> true) with
    | exception Invalid_argument _ -> ()
@@ -483,6 +499,8 @@ let () =
       ( "cancel",
         [
           Alcotest.test_case "never" `Quick test_cancel_never;
+          Alcotest.test_case "never on two domains" `Quick
+            test_cancel_never_domains;
           Alcotest.test_case "every validation" `Quick
             test_cancel_every_validation;
           Alcotest.test_case "probe amortized" `Quick
