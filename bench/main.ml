@@ -1195,9 +1195,9 @@ let e23 () =
      the exact stage must time out and a heuristic must win in time. *)
   let rng = Prob.Rng.create ~seed:23 in
   let inst = Instance.random_uniform_simplex rng ~m:3 ~c:60 ~d:4 in
-  let t0 = Cancel.now () in
+  let t0 = Obs.now () in
   let report = Runner.run ~budget_ms:50.0 inst in
-  let wall_ms = (Cancel.now () -. t0) *. 1000.0 in
+  let wall_ms = (Obs.now () -. t0) *. 1000.0 in
   List.iter
     (fun (s : Runner.stage_report) ->
       Printf.printf "  %-14s %8.2f ms  %s\n"

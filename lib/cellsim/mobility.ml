@@ -973,8 +973,6 @@ let aging ?(dwell_cap = 32) base laws =
 let aging_uniform ?dwell_cap base law =
   aging ?dwell_cap base (Array.make base.n law)
 
-let aging_base a = a.base
-let aging_dwell_cap a = a.dwell_cap
 let aging_law a ~cell =
   if cell < 0 || cell >= a.base.n then
     invalid_arg "Mobility.aging_law: bad cell"

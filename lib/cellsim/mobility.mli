@@ -180,8 +180,6 @@ val aging : ?dwell_cap:int -> t -> residence array -> aging
 (** [aging_uniform ?dwell_cap base law] — the same law in every cell. *)
 val aging_uniform : ?dwell_cap:int -> t -> residence -> aging
 
-val aging_base : aging -> t
-val aging_dwell_cap : aging -> int
 val aging_law : aging -> cell:int -> residence
 
 (** [hazard_at a ~cell ~dwell] — leave probability this tick. *)

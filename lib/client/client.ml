@@ -32,8 +32,9 @@ module Json = Wire.Json
 module Proto = Wire.Proto
 module Retry = Retry
 module Health = Health
+module Transport = Transport
 
-type endpoint = Tcp of int | Unix_path of string
+type endpoint = Transport.endpoint = Tcp of int | Unix_path of string
 
 let endpoint_to_string = function
   | Tcp p -> Printf.sprintf "tcp:%d" p
@@ -224,45 +225,18 @@ let route c line =
           (* a cancelled hedge loser or an abandoned attempt: expected *)
           if Obs.on () then Obs.count "client_orphan_responses"))
 
+(* An oversized response cannot be routed (its frame id is somewhere
+   in the discarded bytes), so it costs the connection: every pending
+   call on it is [Lost] and retries or fails over. *)
 let reader c =
-  let chunk = Bytes.create 65536 in
-  let acc = Buffer.create 4096 in
-  let rec pump () =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      for i = 0 to n - 1 do
-        let ch = Bytes.get chunk i in
-        if ch = '\n' then begin
-          route c (Buffer.contents acc);
-          Buffer.clear acc
-        end
-        else Buffer.add_char acc ch
-      done;
-      pump ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-    | exception Unix.Unix_error _ -> ()
-    | exception Sys_error _ -> ()
-  in
-  pump ();
+  Transport.read_frames c.fd (route c) ~on_oversize:(fun () ->
+      conn_kill c
+        (Printf.sprintf "response frame exceeds %d bytes"
+           Transport.max_frame_bytes));
   conn_kill c "connection closed by server";
   try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-let connect_endpoint = function
-  | Tcp port ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  | Unix_path path ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
+let connect_endpoint endpoint = Transport.socket endpoint Unix.connect
 
 (* Lazy (re)connect: a previous failure leaves [conn] dead and the next
    caller replaces it. Loopback/Unix connects resolve immediately
@@ -297,16 +271,6 @@ let ensure_conn ep =
            (endpoint_to_string ep.endpoint)
            (Unix.error_message e)))
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
 let note_fail ep =
   Mutex.lock ep.emutex;
   Health.note_fail ep.health ~now_s:(now ());
@@ -324,8 +288,10 @@ let note_ok ep ~latency_ms =
 
 (* Send one frame on one endpoint. All failure modes surface as a
    [Lost] answer to the waiter (possibly via [conn_kill] failing every
-   pending call on that connection); the caller only ever polls. *)
-let issue t ep w tag ~issued ~fields ~request_id =
+   pending call on that connection); the caller only ever polls. The
+   write is bounded by the call's [deadline]: a peer that stops reading
+   cannot hold the call past its budget. *)
+let issue t ep w tag ~issued ~deadline ~fields ~request_id =
   let id = "c" ^ string_of_int (Atomic.fetch_and_add t.ids 1) in
   let all = ("id", Json.Str id) :: fields in
   let all =
@@ -353,12 +319,14 @@ let issue t ep w tag ~issued ~fields ~request_id =
     else begin
       issued := (c, id) :: !issued;
       Mutex.lock c.wrmutex;
-      (match write_all c.fd line with
+      (match Transport.write_all ?deadline c.fd line with
        | () -> Mutex.unlock c.wrmutex
-       | exception (Unix.Unix_error _ | Sys_error _) ->
+       | exception (Unix.Unix_error _ | Sys_error _ | Transport.Write_timeout)
+         ->
          Mutex.unlock c.wrmutex;
          note_fail ep;
-         (* fails every pending waiter on this conn, ours included *)
+         (* a torn frame desyncs the stream: fail every pending waiter
+            on this conn, ours included *)
          conn_kill c "write failed")
     end
 
@@ -492,7 +460,7 @@ let call t ?request_id fields =
     let w = { wmutex = Mutex.create (); arrived = [] } in
     let tag_eps = [| primary; primary |] in
     incr attempts;
-    issue t primary w 0 ~issued ~fields ~request_id;
+    issue t primary w 0 ~issued ~deadline ~fields ~request_id;
     let hedge_at =
       Option.map (fun h -> now () +. (h /. 1000.0)) t.cfg.hedge_after_ms
     in
@@ -583,7 +551,7 @@ let call t ?request_id fields =
                  incr attempts;
                  incr hedges;
                  if Obs.on () then Obs.count "client_hedges";
-                 issue t secondary w 1 ~issued ~fields ~request_id
+                 issue t secondary w 1 ~issued ~deadline ~fields ~request_id
                | _ -> ());
               Thread.delay poll_interval_s;
               wait ()

@@ -72,11 +72,3 @@ let delay_paging_frontier ?objective inst ~max_d =
         let r = Greedy.solve ?objective sub in
         let rounds = Strategy.expected_rounds ?objective sub r.Order_dp.strategy in
         rounds, r.Order_dp.expected_paging)
-
-let pp_distribution ppf dist =
-  Format.fprintf ppf "@[<v>mean %.4f sd %.4f@," dist.mean dist.stddev;
-  Array.iteri
-    (fun i p ->
-      Format.fprintf ppf "P[cost = %.0f] = %.4f@," dist.support.(i) p)
-    dist.probabilities;
-  Format.fprintf ppf "@]"

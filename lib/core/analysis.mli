@@ -37,5 +37,3 @@ val quantile : distribution -> float -> float
     1 to [max_d]: the tradeoff a system designer actually navigates. *)
 val delay_paging_frontier :
   ?objective:Objective.t -> Instance.t -> max_d:int -> (float * float) array
-
-val pp_distribution : Format.formatter -> distribution -> unit

@@ -53,5 +53,3 @@ let lower_bound ?(objective = Objective.Find_all) inst =
   match objective with
   | Objective.Find_all -> Stdlib.max base (occupied_cells inst)
   | Objective.Find_any | Objective.Find_at_least _ -> Stdlib.max base 1.0
-
-let page_all_upper inst = float_of_int inst.Instance.c

@@ -21,6 +21,3 @@ val occupied_cells : Instance.t -> float
 
 (** [lower_bound ?objective inst] is the best applicable combination. *)
 val lower_bound : ?objective:Objective.t -> Instance.t -> float
-
-(** [page_all_upper inst] = c: the d = 1 strategy is always feasible. *)
-val page_all_upper : Instance.t -> float

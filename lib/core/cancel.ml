@@ -11,30 +11,15 @@ type t =
       mutable fired : bool;
     }
 
-(* Atomic, not a plain ref: tokens now tick on several domains at once
-   (raced runner stages), and the monotone high-water mark must not be
-   torn or rolled back by a concurrent writer. *)
-let last_now = Atomic.make 0.0
-
-let now () =
-  let t = Unix.gettimeofday () in
-  let rec bump () =
-    let seen = Atomic.get last_now in
-    if t <= seen then seen
-    else if Atomic.compare_and_set last_now seen t then t
-    else bump ()
-  in
-  bump ()
-
 let never = Never
 
 let of_probe ?(every = 256) probe =
   if every < 1 then invalid_arg "Cancel.of_probe: every must be >= 1"
   else Token { probe; every; countdown = every; fired = false }
 
-let deadline ?every ?(clock = now) t = of_probe ?every (fun () -> clock () >= t)
+let deadline ?every ?(clock = Obs.now) t = of_probe ?every (fun () -> clock () >= t)
 
-let budget_ms ?every ?(clock = now) ms =
+let budget_ms ?every ?(clock = Obs.now) ms =
   deadline ?every ~clock (clock () +. (ms /. 1000.0))
 
 let poll = function

@@ -28,7 +28,7 @@ val never : t
 val of_probe : ?every:int -> (unit -> bool) -> t
 
 (** [deadline ?every ?clock t] fires when [clock ()] passes the absolute
-    time [t] (seconds on [clock]'s scale; default {!now}). *)
+    time [t] (seconds on [clock]'s scale; default {!Obs.now}). *)
 val deadline : ?every:int -> ?clock:(unit -> float) -> float -> t
 
 (** [budget_ms ?every ?clock ms] is [deadline (clock () +. ms /. 1000.)]. *)
@@ -46,8 +46,3 @@ val poll : t -> bool
 
 (** [cancelled t] is [true] once the token has fired, without probing. *)
 val cancelled : t -> bool
-
-(** The default budget clock, in seconds: wall time clamped to never run
-    backwards (a poor man's monotonic clock — the container has no
-    [mtime], and a backwards NTP step must not extend a deadline). *)
-val now : unit -> float

@@ -384,9 +384,10 @@ let run_dp_core a ~n ~dd ~b ~ftab ~cumtab ~cancel =
   FA.set a.out 0 (FA.get e ((rounds * width) + n))
 
 (* Internal cores take [cancel] as a required argument: an optional
-   ~cancel:Cancel.never at a call site allocates [Some never] (the token
-   is a mutable record, so the option cell cannot be statically
-   allocated), which would break the zero-allocation guarantee. *)
+   ~cancel:Cancel.never at a call site allocates [Some never] (the
+   option cell is built at each call site, since [Cancel.never] is a
+   value of another module, not a literal), which would break the
+   zero-allocation guarantee. *)
 let order_dp_core a cancel b =
   if not a.table_ok then invalid_arg "Flat.run_order_dp: arena not prepared";
   run_dp_core a ~n:a.c ~dd:a.d ~b ~ftab:a.table ~cumtab:a.cum ~cancel
@@ -590,7 +591,6 @@ let run_hill_climb ?(cancel = Cancel.never) a =
 
 let ep a = FA.get a.out 0
 let rounds a = a.nsizes
-let size_at a r = a.sizes.(r)
 let iterations a = a.iters
 let current_order a = Array.copy a.order
 

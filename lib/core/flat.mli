@@ -80,9 +80,6 @@ val ep : t -> float
 (** Number of groups of the last [run_*]. *)
 val rounds : t -> int
 
-(** Size of group [r] (cells, also on the coarse path). *)
-val size_at : t -> int -> int
-
 (** Move evaluations of the last hill climb. *)
 val iterations : t -> int
 

@@ -73,8 +73,6 @@ let create ?row_sum_tol ~d p =
     let p = Array.map Array.copy p in
     { m; c; d; p }
 
-let create_exn = create
-
 let with_d t d =
   if d < 1 || d > t.c then invalid_arg "Instance.with_d: d out of range"
   else { t with d }
@@ -96,7 +94,6 @@ let weight_order_of ~c weight =
   order
 
 let weight_order t = weight_order_of ~c:t.c (cell_weight t)
-let device_row t i = Array.copy t.p.(i)
 
 let restrict t ~d ~cells ~devices =
   if Array.length cells = 0 || Array.length devices = 0 then

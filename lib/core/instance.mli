@@ -24,10 +24,6 @@ type t = private {
     rows not summing to 1 within the tolerance. *)
 val create : ?row_sum_tol:float -> d:int -> float array array -> t
 
-(** [create_exn] is [create]; kept as an explicit alias for call sites
-    that want the raising behaviour to be visible. *)
-val create_exn : ?row_sum_tol:float -> d:int -> float array array -> t
-
 (** [validate ?row_sum_tol ~d p] is [Ok ()] or [Error reason] without
     building; the row-sum error names the row, its residual and the
     tolerance in force. *)
@@ -45,9 +41,6 @@ val cell_weight : t -> int -> float
 (** [weight_order t] is a permutation of cells by non-increasing
     {!cell_weight}, breaking ties by cell index (ascending). *)
 val weight_order : t -> int array
-
-(** [device_row t i] is a copy of device [i]'s distribution. *)
-val device_row : t -> int -> float array
 
 (** [restrict t ~cells ~devices] is the conditional sub-instance on the
     given cells (renormalizing each kept device's row) with delay [d];

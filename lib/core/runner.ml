@@ -129,7 +129,7 @@ let quality_of ?objective inst (outcome : Solver.outcome) =
   }
 
 let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
-    ?(clock = Cancel.now) ?(ensure_baseline = true) ?(chain = default_chain)
+    ?(clock = Obs.now) ?(ensure_baseline = true) ?(chain = default_chain)
     ?uncertainty ?pool ?arena inst =
   Obs.span "runner.run" @@ fun run_sp ->
   Obs.count "runner_runs";

@@ -6,7 +6,7 @@
     it can find {e within a time budget}, every time. The runner wraps
     {!Solver.solve} with:
 
-    - a budget on the wall clock ({!Cancel.now}: monotonized wall time),
+    - a budget on the wall clock ({!Obs.now}: monotonized wall time),
       enforced through the cooperative cancellation tokens threaded into
       every solver hot loop;
     - a declarative {e fallback chain} — an ordered list of
@@ -123,7 +123,7 @@ val always_fast : Solver.spec -> bool
     deadline, not the guard, bounds the work.
 
     [ensure_baseline] (default true) appends [Page_all] when absent so
-    the chain cannot end empty-handed. [clock] (default {!Cancel.now})
+    the chain cannot end empty-handed. [clock] (default {!Obs.now})
     is exposed for tests. Never raises: all solver escapes are folded
     into the taxonomy above.
 
@@ -157,7 +157,7 @@ val always_fast : Solver.spec -> bool
     bounded by budget + grace: every raced token also watches the
     shared deadline. [clock], when overridden together with [?pool], is
     called from several domains and must be thread-safe (the default
-    {!Cancel.now} is).
+    {!Obs.now} is).
 
     [?arena] names the {!Flat} scratch arena the sequential stages
     reuse (see {!Solver.solve}); it defaults to the calling domain's

@@ -3,8 +3,6 @@ let solve inst =
     invalid_arg "Single.solve: instance must have exactly one device"
   else Greedy.solve inst
 
-let solve_distribution ~d p = solve (Instance.create ~d [| p |])
-
 let uniform_sizes ~c ~d =
   if c <= 0 || d <= 0 || d > c then invalid_arg "Single.uniform_sizes"
   else begin

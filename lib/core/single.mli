@@ -10,10 +10,6 @@
     @raise Invalid_argument when [inst.m <> 1]. *)
 val solve : Instance.t -> Order_dp.result
 
-(** [solve_distribution ~d p] builds a one-device instance from the
-    distribution [p] and solves it. *)
-val solve_distribution : d:int -> float array -> Order_dp.result
-
 (** [uniform_ep ~c ~d] is the optimal expected paging for a uniform
     single device in closed form: with near-equal group sizes
     c = q·d + r, EP = c − Σ_{i=1}^{d−1} size_{i+1}·(b_i/c).

@@ -28,13 +28,11 @@ let active = Atomic.make 0
 
 let active_domains () = Atomic.get active
 
-(* Lifetime totals across all pools, for the chaos bench and soaks:
-   respawned worker domains and watchdog-flagged stuck tasks. *)
+(* Lifetime total across all pools, for the chaos bench and soaks:
+   respawned worker domains. *)
 let all_respawns = Atomic.make 0
-let all_stuck = Atomic.make 0
 
 let total_respawns () = Atomic.get all_respawns
-let total_stuck () = Atomic.get all_stuck
 
 let default_domains () =
   match Sys.getenv_opt env_var with
@@ -133,7 +131,6 @@ let wd_scan t =
       if (not ctx.flagged) && now > ctx.g.deadline_s +. ctx.g.grace_s then begin
         ctx.flagged <- true;
         Atomic.incr t.stuck;
-        Atomic.incr all_stuck;
         if Obs.on () then Obs.count "pool_stuck_tasks";
         (try ctx.g.cancel () with _ -> ())
       end

@@ -129,11 +129,9 @@ val respawns : t -> int
     their guard's [deadline_s + grace_s]). *)
 val stuck_tasks : t -> int
 
-(** Lifetime totals across every pool in the process — the chaos bench
-    and soak gates read these. *)
+(** Lifetime total of respawned worker domains across every pool in
+    the process — the chaos bench and soak gates read it. *)
 val total_respawns : unit -> int
-
-val total_stuck : unit -> int
 
 (** ["CONFCALL_DOMAINS"] — the environment knob behind
     {!default_domains}. *)

@@ -42,7 +42,6 @@ let of_int n =
 
 let one = of_int 1
 let two = of_int 2
-let minus_one = of_int (-1)
 
 let sign x = x.sign
 let is_zero x = x.sign = 0

@@ -11,7 +11,6 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 (** [of_int n] is the big integer equal to [n]. *)
 val of_int : int -> t

@@ -17,11 +17,6 @@ let reset acc =
   acc.sum <- 0.0;
   acc.comp <- 0.0
 
-let sum_array xs =
-  let acc = create () in
-  Array.iter (fun x -> add acc x) xs;
-  total acc
-
 let zero = 0.0, 0.0
 
 let step (sum, comp) x =

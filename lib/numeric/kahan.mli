@@ -22,9 +22,6 @@ val total : t -> float
 (** [reset acc] returns the accumulator to 0 without reallocating. *)
 val reset : t -> unit
 
-(** One-shot compensated sum of an array. *)
-val sum_array : float array -> float
-
 (** Functional single-step form for fold-style call sites:
     [step (s, c) x] is the updated (sum, compensation) pair, and
     [value (s, c)] its total. [zero] is the empty pair. *)

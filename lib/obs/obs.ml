@@ -12,9 +12,9 @@
      *_ms must not depend on how work was scheduled, so cross-domain
      equality can be asserted (bench e26, test_obs). *)
 
-(* Monotonised wall clock, same idiom as Cancel.now: a CAS high-water
-   mark keeps the reading non-decreasing across domains even if the
-   system clock is stepped backwards. *)
+(* The one monotonised wall clock (budgets, deadlines, latencies): a
+   CAS high-water mark keeps the reading non-decreasing across domains
+   even if the system clock is stepped backwards. *)
 let mono_high = Atomic.make neg_infinity
 
 let now () =

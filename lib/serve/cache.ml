@@ -1,25 +1,15 @@
 open Confcall
 
-(* Exact LRU over an intrusive doubly-linked list: [find] and [store]
-   are O(1), eviction unlinks the tail. The journal stays append-only —
+(* An exact [Lru] of stored bodies. The journal stays append-only —
    evicted entries keep their lines, and [Journal.completed] prevents a
    re-stored key from appending a duplicate id (which would refuse to
    load next restart). *)
 
-type node = {
-  nkey : string;
-  payload : string;
-  mutable prev : node option;  (* towards most-recent *)
-  mutable next : node option;  (* towards least-recent *)
-}
-
 type t = {
   mutex : Mutex.t;
-  tbl : (string, node) Hashtbl.t;
+  lru : string Lru.t;
   max_entries : int;
   journal : Journal.t option;
-  mutable head : node option;  (* most recently used *)
-  mutable tail : node option;  (* least recently used; evicted first *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -28,43 +18,13 @@ type t = {
 
 let default_max_entries = 65536
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
-
-let touch t n =
-  match t.head with
-  | Some h when h == n -> ()
-  | _ ->
-    unlink t n;
-    push_front t n
-
-let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.tbl n.nkey;
-    t.evictions <- t.evictions + 1;
-    if Obs.on () then Obs.count "serve_cache_evictions"
-
 (* Insert without journaling; evicts to stay within the cap. *)
 let insert t ~key ~payload =
-  (if not (Hashtbl.mem t.tbl key) then begin
-     if Hashtbl.length t.tbl >= t.max_entries then evict_lru t;
-     let n = { nkey = key; payload; prev = None; next = None } in
-     push_front t n;
-     Hashtbl.replace t.tbl key n
-   end);
-  if Obs.on () then Obs.gauge_set "serve_cache_entries" (Hashtbl.length t.tbl)
+  if Lru.add t.lru key payload then begin
+    t.evictions <- t.evictions + 1;
+    if Obs.on () then Obs.count "serve_cache_evictions"
+  end;
+  if Obs.on () then Obs.gauge_set "serve_cache_entries" (Lru.length t.lru)
 
 let create ?path ?(fsync = false) ?(max_entries = default_max_entries) () =
   if max_entries < 1 then
@@ -73,11 +33,9 @@ let create ?path ?(fsync = false) ?(max_entries = default_max_entries) () =
   let t =
     {
       mutex = Mutex.create ();
-      tbl = Hashtbl.create 256;
+      lru = Lru.create max_entries;
       max_entries;
       journal;
-      head = None;
-      tail = None;
       hits = 0;
       misses = 0;
       evictions = 0;
@@ -101,12 +59,11 @@ let locked t f =
 
 let find t ~key =
   locked t @@ fun () ->
-  match Hashtbl.find_opt t.tbl key with
-  | Some n ->
-    touch t n;
+  match Lru.find t.lru key with
+  | Some _ as hit ->
     t.hits <- t.hits + 1;
     if Obs.on () then Obs.count "serve_cache_hits";
-    Some n.payload
+    hit
   | None ->
     t.misses <- t.misses + 1;
     if Obs.on () then Obs.count "serve_cache_misses";
@@ -114,7 +71,7 @@ let find t ~key =
 
 let store t ~key ~payload =
   locked t @@ fun () ->
-  if not (Hashtbl.mem t.tbl key) then begin
+  if not (Lru.mem t.lru key) then begin
     insert t ~key ~payload;
     (* The memory entry stands whatever happens to the journal: a full
        disk or an injected fault must not cost the daemon its warm
@@ -133,7 +90,7 @@ let store t ~key ~payload =
       if Obs.on () then Obs.count "serve_cache_store_errors"
   end
 
-let entries t = locked t @@ fun () -> Hashtbl.length t.tbl
+let entries t = locked t @@ fun () -> Lru.length t.lru
 let hits t = locked t @@ fun () -> t.hits
 let misses t = locked t @@ fun () -> t.misses
 let evictions t = locked t @@ fun () -> t.evictions

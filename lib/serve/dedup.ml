@@ -14,24 +14,14 @@
    payload ['p] (the server stores printed response bodies), so the
    table itself stays pure bookkeeping under one internal lock. *)
 
-(* [Done] entries form an intrusive doubly-linked LRU over their
-   request-id keys, newest at the front, same construction as
-   [Cache]. *)
-type 'p node = {
-  payload : 'p;
-  mutable prev : string option;
-  mutable next : string option;
-}
-
-type ('w, 'p) entry = In_flight of { mutable waiters : 'w list } | Done of 'p node
-
+(* In-flight executions sit in a plain table with their parked
+   waiters; completed payloads live in an [Lru] beside it. A key is in
+   at most one of the two: [complete] moves it across, and a submit
+   that finds it completed replays instead of executing again. *)
 type ('w, 'p) t = {
   lock : Mutex.t;
-  table : (string, ('w, 'p) entry) Hashtbl.t;
-  max_completed : int;
-  mutable front : string option;
-  mutable back : string option;
-  mutable completed : int;
+  in_flight : (string, 'w list ref) Hashtbl.t;
+  completed : 'p Lru.t;
   mutable hits_in_flight : int;
   mutable hits_completed : int;
   mutable evictions : int;
@@ -49,11 +39,8 @@ let create ~max_completed =
   if max_completed < 1 then invalid_arg "Dedup: max_completed must be >= 1";
   {
     lock = Mutex.create ();
-    table = Hashtbl.create 256;
-    max_completed;
-    front = None;
-    back = None;
-    completed = 0;
+    in_flight = Hashtbl.create 256;
+    completed = Lru.create max_completed;
     hits_in_flight = 0;
     hits_completed = 0;
     evictions = 0;
@@ -63,97 +50,53 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* ---- intrusive LRU plumbing (keys of Done entries) ---- *)
-
-let done_exn t key =
-  match Hashtbl.find_opt t.table key with
-  | Some (Done d) -> d
-  | _ -> invalid_arg "Dedup: LRU key is not a Done entry"
-
-let unlink t d =
-  (match d.prev with
-   | Some p -> (done_exn t p).next <- d.next
-   | None -> t.front <- d.next);
-  (match d.next with
-   | Some n -> (done_exn t n).prev <- d.prev
-   | None -> t.back <- d.prev);
-  d.prev <- None;
-  d.next <- None
-
-let push_front t key d =
-  d.prev <- None;
-  d.next <- t.front;
-  (match t.front with
-   | Some f -> (done_exn t f).prev <- Some key
-   | None -> t.back <- Some key);
-  t.front <- Some key
-
-let touch t key d =
-  if t.front <> Some key then begin
-    unlink t d;
-    push_front t key d
-  end
-
-let evict_oldest t =
-  match t.back with
-  | None -> ()
-  | Some key ->
-    let d = done_exn t key in
-    unlink t d;
-    Hashtbl.remove t.table key;
-    t.completed <- t.completed - 1;
-    t.evictions <- t.evictions + 1
-
 (* ---- the three transitions ---- *)
 
 let submit t key waiter =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | None ->
-        Hashtbl.replace t.table key (In_flight { waiters = [] });
-        `Execute
-      | Some (In_flight e) ->
-        e.waiters <- waiter :: e.waiters;
+      match Hashtbl.find_opt t.in_flight key with
+      | Some waiters ->
+        waiters := waiter :: !waiters;
         t.hits_in_flight <- t.hits_in_flight + 1;
         `Queued
-      | Some (Done d) ->
-        touch t key d;
-        t.hits_completed <- t.hits_completed + 1;
-        `Replay d.payload)
+      | None -> (
+        match Lru.find t.completed key with
+        | Some payload ->
+          t.hits_completed <- t.hits_completed + 1;
+          `Replay payload
+        | None ->
+          Hashtbl.replace t.in_flight key (ref []);
+          `Execute))
 
 (* Terminal answer produced: memoize it, return the parked waiters for
-   the caller to answer (outside the lock). *)
+   the caller to answer (outside the lock). Completing twice, or
+   completing something never submitted, memoizes nothing new. *)
 let complete t key payload =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some (In_flight e) ->
-        let d = { payload; prev = None; next = None } in
-        Hashtbl.replace t.table key (Done d);
-        push_front t key d;
-        t.completed <- t.completed + 1;
-        if t.completed > t.max_completed then evict_oldest t;
-        List.rev e.waiters
-      | Some (Done _) | None ->
-        (* completing twice, or completing something never submitted:
-           nothing to memoize that is not already there *)
-        [])
+      match Hashtbl.find_opt t.in_flight key with
+      | Some waiters ->
+        Hashtbl.remove t.in_flight key;
+        if Lru.add t.completed key payload then
+          t.evictions <- t.evictions + 1;
+        List.rev !waiters
+      | None -> [])
 
 (* Execution never happened (admission rejected the owner): drop the
    in-flight entry so a later retry may execute, and hand back any
    waiters that raced in so they hear the rejection too. *)
 let abort t key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some (In_flight e) ->
-        Hashtbl.remove t.table key;
-        List.rev e.waiters
-      | Some (Done _) | None -> [])
+      match Hashtbl.find_opt t.in_flight key with
+      | Some waiters ->
+        Hashtbl.remove t.in_flight key;
+        List.rev !waiters
+      | None -> [])
 
 let stats t =
   locked t (fun () ->
       {
-        in_flight = Hashtbl.length t.table - t.completed;
-        completed = t.completed;
+        in_flight = Hashtbl.length t.in_flight;
+        completed = Lru.length t.completed;
         hits_in_flight = t.hits_in_flight;
         hits_completed = t.hits_completed;
         evictions = t.evictions;

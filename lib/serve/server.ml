@@ -29,7 +29,7 @@ let default_config listen =
     max_connections = 256;
     cache_path = None;
     cache_fsync = false;
-    max_frame_bytes = 4 * 1024 * 1024;
+    max_frame_bytes = Client.Transport.max_frame_bytes;
     drain_grace_ms = 10_000.0;
     quiet = false;
     cache_max = Cache.default_max_entries;
@@ -166,36 +166,7 @@ type handle = {
 
 (* ---------------- socket plumbing ---------------- *)
 
-exception Write_stalled
-
-(* Write with a deadline per [select]: a peer that stops reading makes
-   the socket unwritable, [select] times out, and the caller declares
-   the client dead — no systhread is ever pinned by a stalled socket.
-   The injected [serve.write] fault is a transient (absorbed, chunk
-   retried); the delay point models a slow kernel buffer. *)
-let write_all_deadline fd s ~timeout_s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then begin
-      Faultpoint.delay "serve.write.delay";
-      match Faultpoint.hit "serve.write" with
-      | exception Faultpoint.Injected _ -> go off
-      | () -> (
-        match Unix.select [] [ fd ] [] timeout_s with
-        | _, [], _ -> raise Write_stalled
-        | _ -> (
-          match Unix.write_substring fd s off (n - off) with
-          | w -> go (off + w)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off)
-    end
-  in
-  go 0
-
-(* Best-effort blocking write for pre-connection rejects (no [conn]
-   exists yet); still deadline-bounded so an accept-time abuser cannot
-   stall the accept loop's helper. *)
-let write_all fd s = write_all_deadline fd s ~timeout_s:1.0
+module Transport = Client.Transport
 
 (* One line per response, appended atomically w.r.t. other responses on
    the same connection: workers complete out of order, so pipelined
@@ -218,36 +189,53 @@ let conn_send ?(max_buffer = max_int) conn line =
   Mutex.unlock conn.wmutex
 
 (* The per-connection writer: sleeps until bytes are queued, drains
-   them outside the lock under the write deadline. Exits when the
-   connection is shut down ([wclosed]) and the buffer is dry, or the
-   moment the peer is declared dead. *)
+   them outside the lock, each drained chunk under one write deadline
+   of [write_timeout_ms] — a peer that stops reading is declared dead
+   when it passes, so no systhread is pinned by a stalled socket. The
+   injected [serve.write] fault is a transient (absorbed, chunk
+   retried); the delay point models a slow kernel buffer. Exits when
+   the connection is shut down ([wclosed]) and the buffer is dry, or
+   the moment the peer is declared dead (stalled, failed or overflowed
+   its buffer) — and then shuts the socket down, so the reader stops
+   too: the connection is over. *)
 let writer_loop cfg conn =
   let timeout_s = cfg.write_timeout_ms /. 1000.0 in
+  let rec write_chunk chunk =
+    Faultpoint.delay "serve.write.delay";
+    match Faultpoint.hit "serve.write" with
+    | exception Faultpoint.Injected _ -> write_chunk chunk
+    | () ->
+      Transport.write_all conn.fd chunk ~deadline:(Obs.now () +. timeout_s)
+  in
   let rec loop () =
     Mutex.lock conn.wmutex;
     while Buffer.length conn.wbuf = 0 && conn.alive && not conn.wclosed do
       Condition.wait conn.wcond conn.wmutex
     done;
-    if Buffer.length conn.wbuf = 0 || not conn.alive then
-      Mutex.unlock conn.wmutex (* done: shutdown drained, or peer dead *)
+    if Buffer.length conn.wbuf = 0 || not conn.alive then begin
+      let dead = not conn.alive in
+      Mutex.unlock conn.wmutex;
+      if dead then
+        try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
+        with Unix.Unix_error _ -> ()
+    end
     else begin
       let chunk = Buffer.contents conn.wbuf in
       Buffer.clear conn.wbuf;
       Mutex.unlock conn.wmutex;
-      (match write_all_deadline conn.fd chunk ~timeout_s with
-       | () -> ()
-       | exception Write_stalled ->
-         Mutex.lock conn.wmutex;
-         conn.alive <- false;
-         Mutex.unlock conn.wmutex;
-         if Obs.on () then Obs.count "serve_write_timeouts";
-         (* unblock the reader too: the connection is over *)
-         (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error _ -> ())
-       | exception (Unix.Unix_error _ | Sys_error _) ->
-         Mutex.lock conn.wmutex;
-         conn.alive <- false;
-         Mutex.unlock conn.wmutex);
+      let written =
+        match write_chunk chunk with
+        | () -> true
+        | exception Transport.Write_timeout ->
+          if Obs.on () then Obs.count "serve_write_timeouts";
+          false
+        | exception (Unix.Unix_error _ | Sys_error _) -> false
+      in
+      if not written then begin
+        Mutex.lock conn.wmutex;
+        conn.alive <- false;
+        Mutex.unlock conn.wmutex
+      end;
       loop ()
     end
   in
@@ -768,61 +756,25 @@ let handle_frame st conn line =
 
 (* ---------------- connection lifecycle ---------------- *)
 
+(* Frames until EOF. An oversized frame is answered once, and the
+   stream resynchronises at the next newline. *)
 let read_loop st conn =
-  let chunk = Bytes.create 65536 in
-  let acc = Buffer.create 4096 in
-  let skipping = ref false in
-  let handle_line line =
-    let line =
-      let n = String.length line in
-      if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-    in
-    if line <> "" then
+  let error_frame msg =
+    respond st conn ~status:"error" (Wire.Proto.error_frame ~id:None msg)
+  in
+  Transport.read_frames conn.fd ~cap:st.cfg.max_frame_bytes
+    ~before_read:(fun () ->
+      Faultpoint.delay "serve.read.delay";
+      match Faultpoint.hit "serve.read" with
+      | () -> true
+      | exception Faultpoint.Injected _ -> false (* transient: retry *))
+    ~on_oversize:(fun () ->
+      if Obs.on () then Obs.count "serve_frame_errors";
+      error_frame
+        (Printf.sprintf "frame exceeds %d bytes" st.cfg.max_frame_bytes))
+    (fun line ->
       try handle_frame st conn line
-      with e ->
-        respond st conn ~status:"error"
-          (Wire.Proto.error_frame ~id:None
-             ("internal: " ^ Printexc.to_string e))
-  in
-  let feed byte =
-    if byte = '\n' then begin
-      if !skipping then skipping := false
-      else handle_line (Buffer.contents acc);
-      Buffer.clear acc
-    end
-    else if !skipping then ()
-    else begin
-      Buffer.add_char acc byte;
-      (* Oversized frame: answer once, then discard bytes until the
-         next newline resynchronises the stream. *)
-      if Buffer.length acc > st.cfg.max_frame_bytes then begin
-        skipping := true;
-        Buffer.clear acc;
-        if Obs.on () then Obs.count "serve_frame_errors";
-        respond st conn ~status:"error"
-          (Wire.Proto.error_frame ~id:None
-             (Printf.sprintf "frame exceeds %d bytes" st.cfg.max_frame_bytes))
-      end
-    end
-  in
-  let rec pump () =
-    Faultpoint.delay "serve.read.delay";
-    match
-      Faultpoint.hit "serve.read";
-      Unix.read conn.fd chunk 0 (Bytes.length chunk)
-    with
-    | 0 -> ()
-    | n ->
-      for i = 0 to n - 1 do
-        feed (Bytes.get chunk i)
-      done;
-      pump ()
-    | exception Faultpoint.Injected _ -> pump () (* transient: retry *)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-    | exception Unix.Unix_error _ -> ()
-    | exception Sys_error _ -> ()
-  in
-  pump ()
+      with e -> error_frame ("internal: " ^ Printexc.to_string e))
 
 let conn_main st fd =
   let conn =
@@ -863,30 +815,34 @@ let conn_main st fd =
 
 (* ---------------- accept loop ---------------- *)
 
+(* A stale socket file left by a killed daemon is replaced. *)
 let bind_listen cfg =
-  match cfg.listen with
-  | Tcp port ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Transport.socket cfg.listen (fun fd addr ->
+      (match cfg.listen with
+       | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+       | Unix_path path -> (
+         try
+           if (Unix.stat path).Unix.st_kind = Unix.S_SOCK then Unix.unlink path
+         with Unix.Unix_error _ -> ()));
+      Unix.bind fd addr;
+      Unix.listen fd 128)
+
+(* Give an accepted socket its connection thread, or, at the
+   connection cap, answer "too many connections" under a 1 s write
+   deadline (an accept-time abuser cannot stall the accept loop) and
+   close it. *)
+let take_conn st fd =
+  if Atomic.get st.connections >= st.cfg.max_connections then begin
     (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-       Unix.listen fd 128
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  | Unix_path path ->
-    (try
-       if (Unix.stat path).Unix.st_kind = Unix.S_SOCK then Unix.unlink path
-     with Unix.Unix_error _ -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 128
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
+       Transport.write_all fd ~deadline:(Obs.now () +. 1.0)
+         (Wire.Proto.error_frame ~id:None "too many connections" ^ "\n")
+     with Unix.Unix_error _ | Sys_error _ | Transport.Write_timeout -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  end
+  else begin
+    Atomic.incr st.connections;
+    ignore (Thread.create (conn_main st) fd)
+  end
 
 (* Select with a short timeout instead of a blocking accept: the loop
    doubles as the poller that promotes a signal-handler drain request
@@ -909,18 +865,7 @@ let accept_loop st lfd =
                would RST a client mid-burst (its unread request bytes
                turn close into a reset). Serve it — admission answers
                every submission with a terminal "draining" reject. *)
-            if Atomic.get st.connections >= st.cfg.max_connections then begin
-              (try
-                 write_all fd
-                   (Wire.Proto.error_frame ~id:None "too many connections"
-                   ^ "\n")
-               with Unix.Unix_error _ | Sys_error _ -> ());
-              try Unix.close fd with Unix.Unix_error _ -> ()
-            end
-            else begin
-              Atomic.incr st.connections;
-              ignore (Thread.create (conn_main st) fd)
-            end
+            take_conn st fd
           | exception
               Unix.Unix_error
                 ( ( Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
@@ -942,18 +887,7 @@ let accept_loop st lfd =
     | _ -> (
       match Unix.accept ~cloexec:true lfd with
       | fd, _ ->
-        (if Atomic.get st.connections >= st.cfg.max_connections then begin
-           (try
-              write_all fd
-                (Wire.Proto.error_frame ~id:None "too many connections"
-                ^ "\n")
-            with Unix.Unix_error _ | Sys_error _ -> ());
-           try Unix.close fd with Unix.Unix_error _ -> ()
-         end
-         else begin
-           Atomic.incr st.connections;
-           ignore (Thread.create (conn_main st) fd)
-         end);
+        take_conn st fd;
         sweep ()
       | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ -> ()

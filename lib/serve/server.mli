@@ -63,13 +63,15 @@ type config = {
   max_connections : int;
   cache_path : string option;  (** journal the result cache here *)
   cache_fsync : bool;
-  max_frame_bytes : int;  (** oversized frames are answered and dropped *)
+  max_frame_bytes : int;
+      (** oversized frames are answered and dropped (default
+          {!Client.Transport.max_frame_bytes}) *)
   drain_grace_ms : float;  (** drain must finish within this window *)
   quiet : bool;
   cache_max : int;  (** LRU cap on the result cache, >= 1 *)
   write_timeout_ms : float;
-      (** per-chunk socket-write deadline; a client that stalls longer
-          is disconnected *)
+      (** deadline on writing each drained chunk of answers; a client
+          that stalls longer is disconnected *)
   max_buffer_bytes : int;
       (** per-connection output buffer bound, >= 4096; overflow kills
           the connection (backpressure, not unbounded memory) *)

@@ -419,6 +419,155 @@ let test_hedge_exactly_one_answer () =
     check bool_t "frame ids are distinct" true
       (frame_id (List.hd sf) <> frame_id (List.hd ff))
 
+(* ---------------- transport: frames and write deadlines ---------------- *)
+
+module T = Client.Transport
+
+type event = Frame of string | Oversize
+
+(* The reference framer: the byte-at-a-time state machine the daemon
+   read with before the transport was shared. *)
+let reference_frames ~cap s =
+  let acc = Buffer.create 16 and skipping = ref false and out = ref [] in
+  String.iter
+    (fun ch ->
+      if ch = '\n' then begin
+        (if !skipping then skipping := false
+         else
+           let l = Buffer.contents acc in
+           let n = String.length l in
+           let l =
+             if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+           in
+           if l <> "" then out := Frame l :: !out);
+        Buffer.clear acc
+      end
+      else if not !skipping then begin
+        Buffer.add_char acc ch;
+        if Buffer.length acc > cap then begin
+          skipping := true;
+          Buffer.clear acc;
+          out := Oversize :: !out
+        end
+      end)
+    s;
+  List.rev !out
+
+(* Feed [pieces] in order, each inside a window of newline padding that
+   [feed] must not read past. *)
+let framed ~cap pieces =
+  let f = T.framer ~cap () in
+  let out = ref [] in
+  List.iter
+    (fun piece ->
+      let b = Bytes.of_string ("\n\n" ^ piece ^ "\n\n") in
+      T.feed f b 2 (String.length piece)
+        ~on_oversize:(fun () -> out := Oversize :: !out)
+        (fun l -> out := Frame l :: !out))
+    pieces;
+  List.rev !out
+
+let test_framer_rules () =
+  let got = framed ~cap:4 [ "ab\r\n\n\r\nabcd\nabcd\r\nabcde\nxy\nz" ] in
+  check bool_t "CR stripped, empties skipped, cap counts the CR" true
+    (got = [ Frame "ab"; Frame "abcd"; Oversize; Oversize; Frame "xy" ]);
+  (* the oversize is reported once, as the line passes the cap, before
+     its newline arrives *)
+  check bool_t "oversize reported mid-line" true
+    (framed ~cap:4 [ "abc"; "de"; "fgh" ] = [ Oversize ]);
+  check bool_t "resynchronised at the newline" true
+    (framed ~cap:4 [ "abcde"; "fgh\nok\n" ] = [ Oversize; Frame "ok" ])
+
+let test_framer_cuts =
+  QCheck.Test.make ~name:"any chunk cut yields the whole stream's frames"
+    ~count:500 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let alphabet = "ab\r\n" in
+      let s =
+        String.init (Random.State.int rng 160) (fun _ ->
+            alphabet.[Random.State.int rng (String.length alphabet)])
+      in
+      let cap = 1 + Random.State.int rng 12 in
+      let rec cut i acc =
+        if i >= String.length s then List.rev acc
+        else
+          let k = min (String.length s - i) (Random.State.int rng 9) in
+          cut (i + k) (String.sub s i k :: acc)
+      in
+      let expected = reference_frames ~cap s in
+      framed ~cap [ s ] = expected && framed ~cap (cut 0 []) = expected)
+
+(* A response line over the frame cap cannot be routed: the client
+   drops the connection, so the attempt is lost and the call retries
+   (here: none left) instead of waiting out its budget. *)
+let test_oversized_response_is_lost () =
+  let f =
+    start_fake (fun _ -> Some (String.make (T.max_frame_bytes + 1) 'x'))
+  in
+  Fun.protect ~finally:(fun () -> stop_fake f) @@ fun () ->
+  let cfg =
+    {
+      (C.default_config [ C.Tcp f.port ]) with
+      retry = { R.max_retries = 0; base_ms = 1.0; cap_ms = 5.0 };
+      budget_ms = Some 10_000.0;
+      seed = 7;
+    }
+  in
+  with_client cfg @@ fun t ->
+  match Testutil.with_watchdog ~seconds:10.0 (fun () -> C.call t ping_fields) with
+  | Ok _ -> Alcotest.fail "an oversized response line was accepted"
+  | Error e ->
+    check string_t "the attempt was lost, not timed out" "retries_exhausted"
+      (C.failure_kind_to_string e.C.kind);
+    let needle = Printf.sprintf "exceeds %d bytes" T.max_frame_bytes in
+    let m = e.C.message in
+    let nl = String.length needle in
+    let rec has i =
+      i + nl <= String.length m && (String.sub m i nl = needle || has (i + 1))
+    in
+    check bool_t ("message names the cap: " ^ m) true (has 0)
+
+(* The budget covers the frame write: against a peer that accepts and
+   never reads, a 16 MB frame (far more than loopback socket buffers
+   hold) must not block the call past its 300 ms budget. *)
+let test_stalled_write_within_budget () =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 4;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let held = ref None in
+  let acceptor =
+    Thread.create (fun () -> held := Some (fst (Unix.accept lfd))) ()
+  in
+  let cfg =
+    { (C.default_config [ C.Tcp port ]) with budget_ms = Some 300.0; seed = 7 }
+  in
+  let fields =
+    [ ("op", J.Str "health"); ("pad", J.Str (String.make 16_000_000 'x')) ]
+  in
+  let t = C.create cfg in
+  Fun.protect
+    ~finally:(fun () ->
+      (* also unblocks a write stuck in a regressed client *)
+      C.close t;
+      Thread.join acceptor;
+      Option.iter Unix.close !held;
+      Unix.close lfd)
+  @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  match Testutil.with_watchdog ~seconds:5.0 (fun () -> C.call t fields) with
+  | Ok _ -> Alcotest.fail "a call to a peer that never reads succeeded"
+  | Error e ->
+    let took = Unix.gettimeofday () -. t0 in
+    check string_t "kind is budget_exhausted" "budget_exhausted"
+      (C.failure_kind_to_string e.C.kind);
+    check bool_t (Printf.sprintf "ended within 1 s (took %.3f s)" took) true
+      (took < 1.0)
+
 (* ---------------- endpoint parsing ---------------- *)
 
 let test_endpoint_parsing () =
@@ -468,4 +617,13 @@ let () =
         ] );
       ( "endpoints",
         [ Alcotest.test_case "endpoint grammar" `Quick test_endpoint_parsing ] );
+      ( "transport",
+        [
+          Alcotest.test_case "frame rules" `Quick test_framer_rules;
+          QCheck_alcotest.to_alcotest test_framer_cuts;
+          Alcotest.test_case "oversized response loses the connection" `Quick
+            test_oversized_response_is_lost;
+          Alcotest.test_case "a stalled write ends within the budget" `Quick
+            test_stalled_write_within_budget;
+        ] );
     ]

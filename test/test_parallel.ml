@@ -353,7 +353,7 @@ let test_differential_uncertainty () =
    cancelling a raced stage on a slow host. *)
 let jumping_clock () =
   let reads = Atomic.make 0 in
-  let start = Cancel.now () in
+  let start = Obs.now () in
   fun () ->
     if Atomic.fetch_and_add reads 1 = 0 then start else start +. 1000.0
 

@@ -390,6 +390,37 @@ let test_cache_store_failure_absorbed () =
       Serve.Cache.close c2;
       Sys.remove path)
 
+(* ---------------- dedup LRU ---------------- *)
+
+(* Completed idempotency entries past [max_completed] go oldest first;
+   a replay touches its entry, so it outlives older untouched ones.
+   Waiters are plain ints here. *)
+let test_dedup_lru_eviction () =
+  let module D = Serve.Dedup in
+  let d = D.create ~max_completed:3 in
+  let run key =
+    check bool_t (key ^ " executes") true (D.submit d key 0 = `Execute);
+    check bool_t (key ^ " had no waiters") true (D.complete d key key = [])
+  in
+  List.iter run [ "a"; "b"; "c" ];
+  check bool_t "replay touches a" true (D.submit d "a" 1 = `Replay "a");
+  run "d";
+  let st = D.stats d in
+  check int_t "at cap" 3 st.D.completed;
+  check int_t "one eviction" 1 st.D.evictions;
+  check bool_t "oldest untouched (b) evicted: executes again" true
+    (D.submit d "b" 2 = `Execute);
+  check bool_t "touched a survives" true (D.submit d "a" 3 = `Replay "a");
+  (* b is in flight now: a duplicate parks, completion frees it *)
+  check bool_t "in-flight duplicate parks" true (D.submit d "b" 4 = `Queued);
+  check bool_t "parked waiter handed back" true (D.complete d "b" "b2" = [ 4 ]);
+  let st = D.stats d in
+  check int_t "nothing in flight" 0 st.D.in_flight;
+  check int_t "still at cap" 3 st.D.completed;
+  check int_t "second eviction (c, now oldest)" 2 st.D.evictions;
+  check bool_t "c evicted" true (D.submit d "c" 5 = `Execute);
+  check bool_t "d survives" true (D.submit d "d" 6 = `Replay "d")
+
 (* ---------------- chaos-off differential ---------------- *)
 
 let winner_key (r : Runner.run_report) =
@@ -495,6 +526,11 @@ let () =
             test_cache_journal_evict_restore;
           Alcotest.test_case "store failure absorbed" `Quick
             test_cache_store_failure_absorbed;
+        ] );
+      ( "dedup-lru",
+        [
+          Alcotest.test_case "completed entries evicted oldest first" `Quick
+            test_dedup_lru_eviction;
         ] );
       ( "chaos-off",
         [

@@ -85,8 +85,8 @@ let test_cancel_deadline_with_clock () =
   check bool_t "past deadline" true (Cancel.poll t)
 
 let test_cancel_now_monotone () =
-  let a = Cancel.now () in
-  let b = Cancel.now () in
+  let a = Obs.now () in
+  let b = Obs.now () in
   check bool_t "clock never runs backwards" true (b >= a)
 
 (* -------------------- Runner -------------------- *)
@@ -104,9 +104,9 @@ let small_instance () =
    slack for loaded CI machines). *)
 let test_runner_timeout_names_stage () =
   let inst = big_instance () in
-  let t0 = Cancel.now () in
+  let t0 = Obs.now () in
   let report = Runner.run ~budget_ms:50.0 inst in
-  let wall_ms = (Cancel.now () -. t0) *. 1000.0 in
+  let wall_ms = (Obs.now () -. t0) *. 1000.0 in
   let timed_out =
     List.filter_map
       (fun (s : Runner.stage_report) ->

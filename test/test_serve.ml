@@ -131,7 +131,8 @@ let solve_frame ?(id = "r") ?request_id ?solver ?chain ?budget_ms
 (* ---------------- server harness ---------------- *)
 
 let with_server ?(domains = 2) ?(capacity = 16) ?cache_path
-    ?(max_frame_bytes = 1024 * 1024) f =
+    ?(max_frame_bytes = 1024 * 1024) ?(write_timeout_ms = 5_000.0)
+    ?(max_buffer_bytes = 1024 * 1024) f =
   let before = Exec.Pool.active_domains () in
   let cfg =
     {
@@ -140,6 +141,8 @@ let with_server ?(domains = 2) ?(capacity = 16) ?cache_path
       capacity;
       cache_path;
       max_frame_bytes;
+      write_timeout_ms;
+      max_buffer_bytes;
       drain_grace_ms = 30_000.0;
       quiet = true;
     }
@@ -967,6 +970,59 @@ let test_golden_frames () =
 
 (* ---------------- registration ---------------- *)
 
+(* ---------------- stalled readers ---------------- *)
+
+(* A client that pipelines requests and never reads the answers is
+   disconnected, so its writer thread and connection slot come back:
+   within 2 s a second connection's health sees itself alone. With a
+   roomy output buffer the answers pile up in the socket and a drained
+   chunk misses the 200 ms write deadline; with the default 1 MiB one
+   the buffer overflows first. Either way the daemon hangs up. *)
+let stalled_reader_released ~max_buffer_bytes ~counter =
+  let count () = Obs.Metrics.counter_value Obs.Metrics.default counter in
+  with_server ~domains:1 ~write_timeout_ms:200.0 ~max_buffer_bytes
+    (fun _h port ->
+      let before = count () in
+      let raw = connect port in
+      Fun.protect ~finally:(fun () -> close_client raw) @@ fun () ->
+      let frames =
+        String.concat "\n"
+          (List.init 20_000 (fun i ->
+               Printf.sprintf "{\"id\": \"h%d\", \"op\": \"health\"}" i))
+      in
+      Testutil.with_watchdog ~seconds:10.0 (fun () ->
+          (* the daemon reads on while its writer stalls, so this
+             returns — or fails once the daemon hangs up *)
+          (try send raw frames with Unix.Unix_error _ -> ());
+          let deadline = Unix.gettimeofday () +. 2.0 in
+          let rec poll () =
+            let c = connect port in
+            let n =
+              Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+                  send c "{\"id\": \"probe\", \"op\": \"health\"}";
+                  jnum_field "connections"
+                    (parse_response (List.hd (recv_n ~timeout:2.0 c 1))))
+            in
+            if n <> 1.0 then
+              if Unix.gettimeofday () > deadline then
+                Alcotest.failf
+                  "stalled reader still connected after 2 s (connections \
+                   = %.0f)"
+                  n
+              else begin
+                Thread.delay 0.05;
+                poll ()
+              end
+          in
+          poll ());
+      check bool_t (counter ^ " counted") true (count () > before))
+
+let test_stalled_reader_disconnected () =
+  stalled_reader_released ~max_buffer_bytes:(64 * 1024 * 1024)
+    ~counter:"serve_write_timeouts";
+  stalled_reader_released ~max_buffer_bytes:(1024 * 1024)
+    ~counter:"serve_write_overflow"
+
 let () =
   Alcotest.run "serve"
     [
@@ -1010,6 +1066,8 @@ let () =
             test_simulate_scenario_names;
           Alcotest.test_case "golden frames and cache journal" `Quick
             test_golden_frames;
+          Alcotest.test_case "stalled reader disconnected" `Quick
+            test_stalled_reader_disconnected;
         ] );
       ( "idempotency",
         [

@@ -65,9 +65,9 @@ let generators =
 let soak_case ?pool ?(slack_ms = 400.0) ~name ~objective ~budget_ms ~chain
     inst =
   let c = inst.Instance.c and d = inst.Instance.d in
-  let t0 = Cancel.now () in
+  let t0 = Obs.now () in
   let report = Runner.run ~objective ~budget_ms ~chain ?pool inst in
-  let wall_ms = (Cancel.now () -. t0) *. 1000.0 in
+  let wall_ms = (Obs.now () -. t0) *. 1000.0 in
   check bool_t
     (Printf.sprintf "%s: wall %.1f ms within %.0f + grace" name wall_ms
        budget_ms)

@@ -1,6 +1,6 @@
 (* Shared helpers for the test executables. The (tests) stanza links
    every module of this directory into each test binary, so keep this
-   file dependency-light (Alcotest and Unix only). *)
+   file dependency-light (Alcotest, Unix and threads only). *)
 
 (* GC-regression harness: run [f] a few warmup times (arena binding,
    table building and buffer growth are allowed to allocate), then
@@ -34,3 +34,35 @@ let dead_port () =
   in
   Unix.close fd;
   port
+
+(* Run [f] on its own thread and wait at most [seconds] for its result:
+   a regression that hangs (a blocked write, a connection that never
+   closes) fails the test instead of stalling the whole suite. The
+   stuck thread is abandoned; the test's own cleanup should unblock it. *)
+let with_watchdog ~seconds f =
+  let m = Mutex.create () in
+  let result = ref None in
+  let _ : Thread.t =
+    Thread.create
+      (fun () ->
+        let r = match f () with v -> Ok v | exception e -> Error e in
+        Mutex.lock m;
+        result := Some r;
+        Mutex.unlock m)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    Mutex.lock m;
+    let r = !result in
+    Mutex.unlock m;
+    match r with
+    | Some (Ok v) -> v
+    | Some (Error e) -> raise e
+    | None ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "watchdog: no result within %.1f s" seconds;
+      Thread.delay 0.01;
+      wait ()
+  in
+  wait ()
