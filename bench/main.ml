@@ -2187,9 +2187,12 @@ let e29 () =
   if not (Sys.file_exists cli) then
     failwith ("e29: daemon binary not built: " ^ cli ^ " (run dune build)");
   (* Same calibration recipe as e27/e28, scaled to the pair: nominal is
-     what the two replicas sustain together. The legs run at 0.6x of
-     that so the survivor of the kill leg lands at ~1.2x of its own
-     capacity — stressed into admission control, not collapsed. *)
+     what the two replicas sustain together, counted in lanes the host
+     can run at once: 2 * domains, but no more than its CPUs. The legs
+     run at 0.6x of that. With a CPU per lane the survivor of the kill
+     leg lands at ~1.2x of its own capacity, stressed into admission
+     control, not collapsed; on fewer CPUs counting every lane would
+     overload both replicas from the baseline leg on. *)
   let rng = Prob.Rng.create ~seed:2901 in
   let probes = 12 in
   let t0 = Unix.gettimeofday () in
@@ -2200,16 +2203,17 @@ let e29 () =
   let mean_s =
     Float.max ((Unix.gettimeofday () -. t0) /. float_of_int probes) 1e-4
   in
-  let nominal = float_of_int (2 * domains) /. mean_s in
+  let lanes = min (2 * domains) (Domain.recommended_domain_count ()) in
+  let nominal = float_of_int lanes /. mean_s in
   let rate = 0.6 *. nominal in
   let requests =
     int_of_float (Float.min 400.0 (Float.max 100.0 (rate *. 2.5)))
   in
   let expected_s = float_of_int requests /. rate in
   Printf.printf
-    "calibration: %.2f ms/request -> pair nominal %.0f req/s; legs at \
-     0.6x (%.0f req/s, %d requests, ~%.1f s)\n\n"
-    (mean_s *. 1000.0) nominal rate requests expected_s;
+    "calibration: %.2f ms/request -> pair nominal %.0f req/s (%d lanes); \
+     legs at 0.6x (%.0f req/s, %d requests, ~%.1f s)\n\n"
+    (mean_s *. 1000.0) nominal lanes rate requests expected_s;
   let spawn ~sock ~reqlog =
     (try Sys.remove sock with Sys_error _ -> ());
     (try Sys.remove reqlog with Sys_error _ -> ());
@@ -2523,11 +2527,10 @@ let e31 () =
        re-profiling recovers the fresh-profile cost";
   let module Sim = Cellsim.Sim in
   let module Mobility = Cellsim.Mobility in
-  let mean_dwell = 6.0 in
   let laws =
     [
-      "exp", Mobility.Exponential { mean = mean_dwell };
-      "pareto", Mobility.pareto_with_mean ~alpha:1.6 ~mean:mean_dwell;
+      "exp", Mobility.Exponential { mean = 6.0 };
+      "pareto", Cellsim.Scenario.pareto_dwell;
     ]
   in
   let seeds = [ 2002; 2003; 2004 ] in

@@ -76,82 +76,15 @@ val residence_hazard : residence -> int -> float
 
 (** [residence_mean r] — expected dwell in ticks; [infinity] when the
     law's mean diverges (Pareto with [alpha <= 1]). For Pareto with
-    [alpha > 1] it is the truncated float sum [Σ_{a<N} S(a)], [N] the
-    10{^7} cap or one past the first age with [S(a) < 1e-12], whichever
-    comes first. The omitted tail is not negligible for small [alpha]:
-    at [alpha = 1.6], mean 6 it is 7.0e-4, so that law's true mean is
-    about 6.0007. The result is the float of adding the terms one by one
-    in age order, but most terms come from a series on the running sum's
-    ulp grid, stepped by forward differences, rather than from pow, and
-    far out, where terms fall by a fraction of an ulp per age, whole runs
-    of them are counted by where they cross the grid's rounding
-    boundaries: a full 10{^7}-term sum costs ~0.02 s on a 2-vCPU x86-64
-    host (~0.5 s for one pow per term), with no allocation per term. *)
+    [alpha > 1] it is the truncated float sum [Σ_{a<N} S(a)], added one
+    term at a time in age order, [N] the 10{^7} cap or one past the
+    first age with [S(a) < 1e-12], whichever comes first. The omitted
+    tail is not negligible for small [alpha]: at
+    {!Scenario.pareto_dwell} (alpha 1.6, truncated mean 6) it is
+    7.0e-4, so that law's true mean is about 6.0007. A sum that runs to
+    the cap makes one pow per term, ~0.5 s at alpha 1.6 on a 2-vCPU
+    x86-64 host; nothing in the simulator or the benchmarks calls it. *)
 val residence_mean : residence -> float
-
-(** [pareto_with_mean ~alpha ~mean] — the Pareto law with tail index
-    [alpha] whose truncated mean {!residence_mean} equals [mean] (scale
-    found by bisection), for variance comparisons at a matched mean.
-    The match is deliberately to the truncated mean: matching the true
-    mean would move every residence-pareto trajectory and E31. Most
-    bisection steps are decided by a certified closed form of the
-    truncated sum, the rest by exact sums that bracket the threshold at
-    that form's root, which the sum's monotonicity in the scale extends
-    to nearby steps, so the scale is the same float a bisection on exact
-    sums returns. The ~12 exact sums share a block table and recompute
-    only blocks whose rounding could have moved, one sum's worth of
-    terms for ~0.36 sum's worth of pows and series values: the match at
-    [alpha] 1.6, mean 6 costs ~0.02 s on a 2-vCPU x86-64 host.
-    @raise Invalid_argument when [alpha <= 1], [mean < 1], when no scale
-    up to 1e9 reaches [mean], or when the truncated mean already exceeds
-    [mean] at scale 1e-6 (the last two name both). *)
-val pareto_with_mean : alpha:float -> mean:float -> residence
-
-(**/**)
-
-(** Internals of {!pareto_with_mean}, exposed for the margin audit in
-    the test suite; not a stable API. [value] approximates the truncated
-    Pareto sum of {!residence_mean} by its first terms plus an
-    Euler–Maclaurin tail, [margin] bounds [|value - residence_mean|]
-    rigorously (zero when [value] is the exact sum), and [terms] is the
-    sum's term count [N]. *)
-type pareto_screen = { value : float; margin : float; terms : int }
-
-val pareto_mean_screen : alpha:float -> scale:float -> pareto_screen
-
-(** The block table the exact sums of one {!pareto_with_mean} share,
-    for one [alpha]: what each 1024-term block added at the scale it was
-    last summed at, and how far its terms are from rounding otherwise. *)
-type pareto_blocks
-
-val pareto_blocks : alpha:float -> pareto_blocks
-
-(** [pareto_sum t ~scale] — the truncated sum of
-    {!residence_mean}, bit for bit, keeping every block of [t] that
-    provably adds the same whole ulps at [scale], and recording the
-    blocks it sums again. *)
-val pareto_sum : pareto_blocks -> scale:float -> float
-
-(** [pareto_gap ~alpha s'] — a relative scale gap past which the exact
-    sum cannot fall: scales [s < s'] with [(s' - s)/s' >= pareto_gap
-    ~alpha s'] have [pareto_sum] at [s] at most that at [s']. *)
-val pareto_gap : alpha:float -> float -> float
-
-(** [pareto_match t ~mean] — {!pareto_with_mean} on the table [t]. *)
-val pareto_match : pareto_blocks -> mean:float -> residence
-
-(** Terms computed (the head and every block summed again) over all
-    sums on [t]. *)
-val pareto_recomputed : pareto_blocks -> int
-
-(** Work over all sums on [t]: every pow (the head and each anchor) plus
-    every series value computed, term by term or to find a crossing. *)
-val pareto_evaluations : pareto_blocks -> int
-
-(** The scales summed exactly on [t], in order. *)
-val pareto_summed : pareto_blocks -> float list
-
-(**/**)
 
 (** [residence_of_string s] parses ["exp:<mean>"],
     ["pareto:<alpha>:<scale>"] or ["zipf:<s>:<cutoff>"]. *)

@@ -57,8 +57,13 @@ val residence_lab :
 (** {!residence_lab} under an exponential dwell law of mean 6. *)
 val residence_exp : ?seed:int -> unit -> Sim.config
 
-(** {!residence_lab} under a heavy-tailed Pareto dwell law (tail index
-    1.6, infinite variance) matched to the same mean dwell 6. *)
+(** The heavy-tailed Pareto dwell law of E31: tail index 1.6 (infinite
+    variance) and scale [0x1.a35f1f8160d7p+1] (≈ 3.276), the first float
+    scale at which the truncated mean {!Mobility.residence_mean} reaches
+    6 ticks, that of {!residence_exp}'s law. Its true mean is ≈ 6.0007. *)
+val pareto_dwell : Mobility.residence
+
+(** {!residence_lab} under {!pareto_dwell}. *)
 val residence_pareto : ?seed:int -> unit -> Sim.config
 
 (** Every scenario, by its lower-case name. *)

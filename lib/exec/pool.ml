@@ -34,14 +34,6 @@ let all_respawns = Atomic.make 0
 
 let total_respawns () = Atomic.get all_respawns
 
-let default_domains () =
-  match Sys.getenv_opt env_var with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> min n max_domains
-      | Some _ | None -> 1)
-
 exception Killed of exn
 
 type guard = {

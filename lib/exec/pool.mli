@@ -133,17 +133,13 @@ val stuck_tasks : t -> int
     the process — the chaos bench and soak gates read it. *)
 val total_respawns : unit -> int
 
-(** ["CONFCALL_DOMAINS"] — the environment knob behind
-    {!default_domains}. *)
+(** ["CONFCALL_DOMAINS"] — the environment variable that sets the
+    [confcall] CLI's parallelism degree when no [--domains] flag is
+    given. The pool never reads it: the CLI parses and validates it at
+    its own boundary. *)
 val env_var : string
 
 (** Upper bound {!create} accepts for [domains] (256) — exported so
     front ends can validate at their own boundary with a matching
     message. *)
 val max_domains : int
-
-(** The parallelism degree CLI tools and tests use when no [--domains]
-    flag is given: [CONFCALL_DOMAINS] when set to a positive integer
-    (clamped to 256), else 1 — the sequential code path, so existing
-    behaviour is opt-out by default. *)
-val default_domains : unit -> int

@@ -72,44 +72,15 @@ let test_residence_survival_hazard () =
 
 let bits_t = Alcotest.int64
 
-(* Scales a bisection on exact truncated sums returns (80 steps, every
-   comparison on the full 10^7-term sum): [pareto_with_mean] must return
-   these very floats. At alpha 3 the 1e-12 early stop ends each sum. *)
-let pinned_pareto_scales =
-  [
-    (1.6, 6.0, 0x1.a35f1f8160d7p+1);
-    (1.6, 2.0, 0x1.a1c326d3a1d4p-1);
-    (1.6, 12.0, 0x1.b8f2a6f4af2fcp+2);
-    (3.0, 6.0, 0x1.5e8b1ec17b8cep+3);
-  ]
-
-let pinned_pareto_laws =
-  lazy
-    (List.map
-       (fun (alpha, mean, scale) ->
-         (alpha, mean, scale, M.pareto_with_mean ~alpha ~mean))
-       pinned_pareto_scales)
-
-let test_pareto_with_mean () =
-  List.iter
-    (fun (_, mean, _, law) ->
-      check (float_t 1e-6) "mean matched" mean (M.residence_mean law))
-    (Lazy.force pinned_pareto_laws);
-  check bool_t "alpha <= 1 rejected" true
-    (raises_invalid (fun () -> M.pareto_with_mean ~alpha:1.0 ~mean:6.0));
-  check bool_t "mean < 1 rejected" true
-    (raises_invalid (fun () -> M.pareto_with_mean ~alpha:1.6 ~mean:0.5))
-
+(* E31's Pareto law is a constant; its scale is the one a bisection on
+   the truncated mean returned for (alpha 1.6, mean 6). *)
 let test_pareto_scale_bits () =
-  List.iter
-    (fun (alpha, mean, pinned, law) ->
-      match law with
-      | M.Pareto { scale; _ } ->
-        check bits_t
-          (Printf.sprintf "scale bits at alpha %g, mean %g" alpha mean)
-          (Int64.bits_of_float pinned) (Int64.bits_of_float scale)
-      | _ -> Alcotest.fail "pareto_with_mean returned a non-Pareto law")
-    (Lazy.force pinned_pareto_laws);
+  (match Cellsim.Scenario.pareto_dwell with
+   | M.Pareto { alpha; scale } ->
+     check (float_t 0.0) "pareto_dwell alpha" 1.6 alpha;
+     check bits_t "pareto_dwell scale bits"
+       (Int64.bits_of_float 0x1.a35f1f8160d7p+1) (Int64.bits_of_float scale)
+   | _ -> Alcotest.fail "pareto_dwell is not a Pareto law");
   (* The truncated sums themselves, from the same exact loop. *)
   List.iter
     (fun (alpha, scale, pinned) ->
@@ -123,360 +94,19 @@ let test_pareto_scale_bits () =
       (4.0, 0.5, 0x1.03c1f080ff85p+0);
     ]
 
-(* Above every scale up to 1e9, and below the lowest scale: at 1e-6 the
-   alpha-1.6 law's truncated mean is already 1.0000000005. *)
-let test_pareto_unreachable_mean () =
-  (match M.pareto_with_mean ~alpha:1.6 ~mean:1e8 with
-   | _ -> Alcotest.fail "an unreachable mean was matched"
-   | exception Invalid_argument msg ->
-     check bool_t "names alpha" true (contains msg "alpha 1.6");
-     check bool_t "names mean" true (contains msg "mean 1e+08"));
-  match M.pareto_with_mean ~alpha:1.6 ~mean:1.0 with
-  | _ -> Alcotest.fail "a mean below the lowest scale's was matched"
-  | exception Invalid_argument msg ->
-    check bool_t "names alpha" true (contains msg "alpha 1.6");
-    check bool_t "names mean" true (contains msg "mean 1 ");
-    check bool_t "names the lowest scale" true (contains msg "scale 1e-06")
-
-(* The truncated Pareto mean exactly as first written: ages 0, 1, ...
-   summed in order until a term drops below 1e-12 or 10^7 terms are in.
-   Returns the sum and its term count. *)
-let reference_pareto_sum ~alpha ~scale =
-  let sum = ref 0.0 and a = ref 0 and continue = ref true in
-  while !continue && !a < 10_000_000 do
-    let s =
-      if !a = 0 then 1.0
-      else (1.0 +. (float_of_int !a /. scale)) ** -.alpha
-    in
-    sum := !sum +. s;
-    if s < 1e-12 then continue := false;
-    incr a
-  done;
-  (!sum, !a)
-
-(* Each reference sum is computed once and shared between the tests
-   below: the 10^7-term loop costs a few tenths of a second. *)
-let reference_sums = Hashtbl.create 32
-
-let reference_sum ~alpha ~scale =
-  match Hashtbl.find_opt reference_sums (alpha, scale) with
-  | Some r -> r
-  | None ->
-    let r = reference_pareto_sum ~alpha ~scale in
-    Hashtbl.add reference_sums (alpha, scale) r;
-    r
-
-let screen_alphas = [ 1.1; 1.2; 1.6; 2.5; 3.0; 4.0 ]
-let screen_scales = [ 0.5; 3.3; 50.0; 400.0 ]
-
-(* The screen may decide a bisection step only if its margin really
-   bounds the distance to the exact sum. Alphas 1.1-1.6 run to the 10^7
-   cap; 2.5-4 stop early (alpha 4 at scale 0.5 before the directly
-   summed head ends, where the screen is the exact sum). *)
-let test_pareto_screen_margin () =
-  List.iter
-    (fun alpha ->
-      List.iter
-        (fun scale ->
-          let exact, terms = reference_sum ~alpha ~scale in
-          let s = M.pareto_mean_screen ~alpha ~scale in
-          let at = Printf.sprintf "alpha %g, scale %g" alpha scale in
-          check int_t ("term count at " ^ at) terms s.M.terms;
-          if abs_float (s.M.value -. exact) > s.M.margin then
-            Alcotest.failf "%s: |G - sum| = %g exceeds the margin %g" at
-              (abs_float (s.M.value -. exact))
-              s.M.margin;
-          check bool_t ("margin can decide at " ^ at) true
-            (s.M.margin <= 1e-8 *. exact))
-        screen_scales)
-    screen_alphas
-
-(* Laws that exercise crossing mode, where a slowly falling sub-block is
-   counted by the half-integers its series values cross. (16, 1000)
-   enters it at age 4514, in the third block after the head, and
-   (2.75, 20) ~130k ages before its 1e-12 stop, which falls inside a
-   crossing-mode block. The first three alpha-4 scales are tuned so the
-   real term at one age lies 2e-10 ulp below a half-integer, where the
-   truncated series still reads above it: at the second-to-last age of
-   a sub-block (36117 and 45351) a crossing there must not be
-   certified, and at the last (36118) the end term must not be taken as
-   clear of its level. Those ages were sub-block ends with 256-age
-   blocks. The fourth puts the same near-tie (1e-10 ulp below, the
-   series 3e-9 above) at age 30793, the last of a counted sub-block
-   with 1024-age blocks. *)
-let crossing_laws =
-  [
-    (16.0, 1000.0);
-    (2.75, 20.0);
-    (4.0, 0x1.9007ef7cd933cp+5);
-    (4.0, 0x1.901b86cb6e0d2p+5);
-    (4.0, 0x1.900ac55ce0aa3p+5);
-    (4.0, 0x1.9006c41c34f35p+5);
-  ]
-
-(* Near-ties for series mode, whose forward differences carry their own
-   rounding bound E on top of the series window w. At the last age of
-   a sub-block (520132 and 464729), the float term lies ~5e-9 ulp below
-   a half-integer while the stepped series reads above it by more than
-   w, though not by more than w + E: a window without E takes the term
-   and rounds it up. *)
-let series_laws =
-  [ (1.6, 0x1.a3d4cfd9c4ae4p+1); (1.6, 0x1.a3d507cf4ba95p+1) ]
-
-(* [residence_mean] adds most terms as whole ulps of the running sum;
-   it must still return the first-written loop's float, bit for bit:
-   on the screen-audit grid, at the pinned matched scales (the
-   (1.6, 12) law's sum is exactly 12.0), and at (1.6, 4.5), whose sum
-   crosses 8 after the 2000-term head. *)
-let test_pareto_exact_sum_bits () =
-  List.iter
-    (fun (alpha, scale) ->
-      let exact, _ = reference_sum ~alpha ~scale in
-      check bits_t
-        (Printf.sprintf "sum bits at alpha %g, scale %h" alpha scale)
-        (Int64.bits_of_float exact)
-        (Int64.bits_of_float (M.residence_mean (M.Pareto { alpha; scale }))))
-    (List.concat_map
-       (fun alpha -> List.map (fun scale -> (alpha, scale)) screen_scales)
-       screen_alphas
-    @ List.map (fun (alpha, _, scale) -> (alpha, scale)) pinned_pareto_scales
-    @ [ (1.6, 4.5) ]
-    @ crossing_laws @ series_laws)
-
-(* Matched scales near powers of two, from a bisection on exact sums:
-   the exact sums of each match fall on both sides of 4 (sum 4 + 1 ulp
-   at the match) or of 8 (sum 8 - 2 ulps), so the block table sees
-   binade changes between sums. *)
-let pinned_binade_edge_scales =
-  [ (1.6, 4.0, 0x1.0805c265353dp+1); (1.6, 8.0, 0x1.1ee93a6901948p+2) ]
-
-(* One table through a match, kept for its summed scales and its work. *)
-let matched_tables =
-  lazy
-    (List.map
-       (fun (alpha, mean, pinned) ->
-         let t = M.pareto_blocks ~alpha in
-         let law = M.pareto_match t ~mean in
-         (alpha, mean, pinned, law, t))
-       ((1.6, 6.0, 0x1.a35f1f8160d7p+1) :: pinned_binade_edge_scales))
-
-let test_pareto_binade_edge_bits () =
-  List.iter
-    (fun (alpha, mean, pinned, law, _) ->
-      match law with
-      | M.Pareto { scale; _ } ->
-        check bits_t
-          (Printf.sprintf "scale bits at alpha %g, mean %g" alpha mean)
-          (Int64.bits_of_float pinned) (Int64.bits_of_float scale)
-      | _ -> Alcotest.fail "pareto_match returned a non-Pareto law")
-    (Lazy.force matched_tables)
-
-(* Scales around [scale] in the order a table meets them: a walk whose
-   steps are one to four ulps or a relative 1e-16 to 1e-3, up or down,
-   then the visited scales again, shuffled. *)
-let walk ~seed ~scale ~steps =
-  let rng = Prob.Rng.create ~seed in
-  let s = ref scale and visited = ref [ scale ] in
-  for _ = 1 to steps do
-    let up = Prob.Rng.bool rng in
-    (if Prob.Rng.bool rng then
-       for _ = 0 to Prob.Rng.int rng 4 do
-         s := if up then Float.succ !s else Float.pred !s
-       done
-     else
-       let rel = 10.0 ** (-16.0 +. Prob.Rng.float rng 13.0) in
-       s := !s *. if up then 1.0 +. rel else 1.0 -. rel);
-    visited := !s :: !visited
-  done;
-  let again = Array.of_list !visited in
-  Prob.Rng.shuffle rng again;
-  List.rev !visited @ Array.to_list again
-
-(* A table threaded through a scale sequence gives every sum the bits
-   of a fresh table's sum, which "pareto exact sum bits" pins to the
-   reference loop. The sequences: the (1.6, 6) match's exact sums;
-   scales whose sums fall on alternate sides of 8 and of 4, crossing
-   them within ~20 blocks of the cap; and walks that also move the
-   1e-12 stop (alpha 3), cross 8 after the head (1.6, 4.5) or end on a
-   sum of exactly 12. *)
-let test_pareto_block_reuse_bits () =
-  let fresh = Hashtbl.create 64 in
-  let same ~what ~alpha scales =
-    let t = M.pareto_blocks ~alpha in
-    List.iteri
-      (fun i scale ->
-        let expected =
-          match Hashtbl.find_opt fresh (alpha, scale) with
-          | Some sum -> sum
-          | None ->
-            let sum = M.residence_mean (M.Pareto { alpha; scale }) in
-            Hashtbl.add fresh (alpha, scale) sum;
-            sum
-        in
-        check bits_t
-          (Printf.sprintf "%s: sum %d, scale %h" what i scale)
-          (Int64.bits_of_float expected)
-          (Int64.bits_of_float (M.pareto_sum t ~scale)))
-      scales
-  in
-  let alpha, _, _, _, t = List.hd (Lazy.force matched_tables) in
-  same ~what:"the (1.6, 6) match" ~alpha (M.pareto_summed t);
-  List.iter
-    (fun (alpha, mean, pinned) ->
-      same
-        ~what:(Printf.sprintf "straddling %g" mean)
-        ~alpha
-        (List.map
-           (fun rel -> pinned *. (1.0 +. rel))
-           [ 4e-9; -4e-9; 2e-8; -2e-8; 1e-9; -1e-9 ]))
-    pinned_binade_edge_scales;
-  (* The running sum at the start of block 9758 (age 9994192) is 4 + 1
-     ulp at the first scale and just below 4 at the second: a block
-     recorded above 4 meets a sum below it, two ulps of scale lower. *)
-  same ~what:"4 at a block start" ~alpha:1.6
-    [ 0x1.0805c2fe4d388p+1; 0x1.0805c2fe4d386p+1 ];
-  List.iter
-    (fun (what, alpha, scale, seed) ->
-      same ~what ~alpha (walk ~seed ~scale ~steps:6))
-    [
-      ("walk at the (1.6, 6) match", 1.6, 0x1.a35f1f8160d7p+1, 1);
-      ("walk at (1.1, 400)", 1.1, 400.0, 2);
-      ("walk at the (3, 6) match", 3.0, 0x1.5e8b1ec17b8cep+3, 3);
-      ("walk at (1.6, 4.5)", 1.6, 4.5, 4);
-      ("walk at the (1.6, 12) match", 1.6, 0x1.b8f2a6f4af2fcp+2, 5);
-      ("walk at (16, 1000)", 16.0, 1000.0, 6);
-      ("walk at (2.75, 20)", 2.75, 20.0, 7);
-      ("walk at an alpha-4 near-tie", 4.0, 0x1.9007ef7cd933cp+5, 8);
-    ]
-
-(* Reuse is what makes the match cheap: a regression that sums every
-   block again (25 sums, 2.5e8 terms at (1.6, 6)) fails here, with no
-   timing involved. *)
-let test_pareto_match_work () =
-  List.iter
-    (fun (alpha, mean, _, _, t) ->
-      let work = M.pareto_recomputed t in
-      if work > 30_000_000 then
-        Alcotest.failf "match at (%g, %g) computed %d terms, above 3e7" alpha
-          mean work)
-    (Lazy.force matched_tables)
-
-(* The evaluations (pows plus series values) the matches make, bounded
-   at their measured counts + 10%: crossing mode cut the (1.6, 6) match
-   from 1.78e7 to 1.01e7, and the bracketing probes to 3.54e6 (one full
-   sum's worth); losing either fails here. *)
-let test_pareto_match_evaluations () =
-  List.iter2
-    (fun (alpha, mean, _, _, t) bound ->
-      let work = M.pareto_evaluations t in
-      if work > bound then
-        Alcotest.failf "match at (%g, %g) made %d evaluations, above %d" alpha
-          mean work bound)
-    (Lazy.force matched_tables)
-    [ 3_893_768; 3_880_931; 4_660_286 ]
-
-(* The exact sums the matches make, bounded at their measured counts
-   + 10%: 12, 14 and 12 with the bracketing probes, 25, 25 and 24
-   without them. *)
-let test_pareto_match_exact_sums () =
-  List.iter2
-    (fun (alpha, mean, _, _, t) bound ->
-      let sums = List.length (M.pareto_summed t) in
-      if sums > bound then
-        Alcotest.failf "match at (%g, %g) made %d exact sums, above %d" alpha
-          mean sums bound)
-    (Lazy.force matched_tables)
-    [ 13; 15; 13 ]
-
-(* The exact sum allocates nothing per block or per term: a cold sum,
-   which sums every block, and a warm one on the same table, which
-   keeps them all, each stay within 64 minor words (the table's rows
-   are one major-heap array). *)
-let test_pareto_sum_allocation () =
-  let scale = 0x1.a35f1f8160d7p+1 in
-  let t = M.pareto_blocks ~alpha:1.6 in
-  let words what =
-    let before = Gc.minor_words () in
-    ignore (Sys.opaque_identity (M.pareto_sum t ~scale));
-    let words = Gc.minor_words () -. before in
-    if words > 64.0 then
-      Alcotest.failf "%s sum allocated %.0f minor words, above 64" what words
-  in
-  words "cold";
-  words "warm"
-
-(* The match as it was before the bracketing probes: the same bracket,
-   midpoints and fixed-point stop, each step decided by the screen or
-   else by the exact sum on one shared table. *)
-let screen_then_sum_match ~alpha ~mean =
-  let t = M.pareto_blocks ~alpha in
-  let below scale =
-    let s = M.pareto_mean_screen ~alpha ~scale in
-    if s.M.value -. mean > s.M.margin then false
-    else if mean -. s.M.value > s.M.margin then true
-    else M.pareto_sum t ~scale < mean
-  in
-  let lo = ref 1e-6 and hi = ref 1.0 in
-  let short = ref (below !hi) in
-  while !short && !hi < 1e9 do
-    hi := !hi *. 2.0;
-    short := below !hi
-  done;
-  if !short then Alcotest.failf "(%g, %g) is unreachable" alpha mean;
-  let steps = ref 0 and fixed = ref false in
-  while (not !fixed) && !steps < 80 do
-    let mid = 0.5 *. (!lo +. !hi) in
-    if mid = !lo || mid = !hi then fixed := true
-    else if below mid then lo := mid
-    else hi := mid;
-    incr steps
-  done;
-  0.5 *. (!lo +. !hi)
-
-(* Laws with no pinned scale: an early stop (2.5, 6) and (3, 2), a
-   match below scale 1 (1.6, 1.5), and heavier tails (1.4, 10) and
-   (1.2, 6), whose first exact sums recompute most blocks. *)
-let test_pareto_match_differential () =
-  List.iter
-    (fun (alpha, mean) ->
-      match M.pareto_with_mean ~alpha ~mean with
-      | M.Pareto { scale; _ } ->
-        check bits_t
-          (Printf.sprintf "scale bits at alpha %g, mean %g" alpha mean)
-          (Int64.bits_of_float (screen_then_sum_match ~alpha ~mean))
-          (Int64.bits_of_float scale)
-      | _ -> Alcotest.fail "pareto_with_mean returned a non-Pareto law")
-    [ (2.5, 6.0); (3.0, 2.0); (1.6, 1.5); (1.4, 10.0); (1.2, 6.0) ]
-
-(* The lemma behind the probes: scales s < s' a relative gap of at least
-   [pareto_gap ~alpha s'] apart have exact sums F(s) <= F(s'). One table
-   per alpha runs through pairs exactly 2g and 4g apart, below scales
-   at and near the (1.6, 6), (1.05, 3) and (3, 6) matches and the
-   crossing-mode law (16, 1000). *)
-let test_pareto_gap_monotone () =
-  List.iter
-    (fun (alpha, scale) ->
-      let t = M.pareto_blocks ~alpha in
-      List.iter
-        (fun rel ->
-          let s' = scale *. (1.0 +. rel) in
-          let f' = M.pareto_sum t ~scale:s' in
-          List.iter
-            (fun k ->
-              let s = s' *. (1.0 -. (k *. M.pareto_gap ~alpha s')) in
-              let at = Printf.sprintf "alpha %g, %gg below %h" alpha k s' in
-              check bool_t ("separated at " ^ at) true (s < s');
-              let f = M.pareto_sum t ~scale:s in
-              if f > f' then
-                Alcotest.failf "%s: F(s) = %h above F(s') = %h" at f f')
-            [ 2.0; 4.0 ])
-        [ 0.0; 1e-13; -1e-13; 3e-12; -3e-12 ])
-    [
-      (1.6, 0x1.a35f1f8160d7p+1);
-      (1.05, 0x1.8775f5385b224p-3);
-      (3.0, 0x1.5e8b1ec17b8cep+3);
-      (16.0, 1000.0);
-    ]
+(* The constant is the first float scale at which the truncated mean
+   reaches 6: exactly 6 there, below 6 one ulp lower. *)
+let test_pareto_mean_matching () =
+  match Cellsim.Scenario.pareto_dwell with
+  | M.Pareto { alpha; scale } ->
+    let mean scale = M.residence_mean (M.Pareto { alpha; scale }) in
+    check bits_t "truncated mean at the constant"
+      (Int64.bits_of_float 0x1.8p+2)
+      (Int64.bits_of_float (mean scale));
+    let below = mean (Float.pred scale) in
+    if not (below < 6.0) then
+      Alcotest.failf "truncated mean one ulp lower is %h, not below 6" below
+  | _ -> Alcotest.fail "pareto_dwell is not a Pareto law"
 
 let test_residence_strings () =
   List.iter
@@ -865,29 +495,8 @@ let () =
           Alcotest.test_case "survival/hazard shapes" `Quick
             test_residence_survival_hazard;
           Alcotest.test_case "pareto mean matching" `Quick
-            test_pareto_with_mean;
+            test_pareto_mean_matching;
           Alcotest.test_case "pareto scale bits" `Quick test_pareto_scale_bits;
-          Alcotest.test_case "pareto unreachable mean" `Quick
-            test_pareto_unreachable_mean;
-          Alcotest.test_case "pareto screen margin" `Quick
-            test_pareto_screen_margin;
-          Alcotest.test_case "pareto exact sum bits" `Quick
-            test_pareto_exact_sum_bits;
-          Alcotest.test_case "pareto scale bits near powers of two" `Quick
-            test_pareto_binade_edge_bits;
-          Alcotest.test_case "pareto block reuse bits" `Quick
-            test_pareto_block_reuse_bits;
-          Alcotest.test_case "pareto match work" `Quick test_pareto_match_work;
-          Alcotest.test_case "pareto match evaluations" `Quick
-            test_pareto_match_evaluations;
-          Alcotest.test_case "pareto match exact sums" `Quick
-            test_pareto_match_exact_sums;
-          Alcotest.test_case "pareto sum allocation" `Quick
-            test_pareto_sum_allocation;
-          Alcotest.test_case "pareto match differential" `Quick
-            test_pareto_match_differential;
-          Alcotest.test_case "pareto gap monotone" `Quick
-            test_pareto_gap_monotone;
           Alcotest.test_case "string round-trip" `Quick test_residence_strings;
           Alcotest.test_case "validation" `Quick test_validate_residence;
         ] );

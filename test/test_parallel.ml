@@ -107,26 +107,6 @@ let test_raising_tasks_no_leak () =
       ignore (Exec.Pool.map pool succ (Array.init 8 Fun.id)));
   check int_t "fresh pool joined" before (Exec.Pool.active_domains ())
 
-let test_default_domains_env () =
-  let with_env v f =
-    (match v with
-     | Some v -> Unix.putenv Exec.Pool.env_var v
-     | None -> Unix.putenv Exec.Pool.env_var "");
-    Fun.protect ~finally:(fun () -> Unix.putenv Exec.Pool.env_var "") f
-  in
-  with_env (Some "4") (fun () ->
-      check int_t "CONFCALL_DOMAINS=4" 4 (Exec.Pool.default_domains ()));
-  with_env (Some " 8 ") (fun () ->
-      check int_t "whitespace tolerated" 8 (Exec.Pool.default_domains ()));
-  with_env (Some "100000") (fun () ->
-      check int_t "clamped" 256 (Exec.Pool.default_domains ()));
-  with_env (Some "0") (fun () ->
-      check int_t "non-positive -> 1" 1 (Exec.Pool.default_domains ()));
-  with_env (Some "banana") (fun () ->
-      check int_t "garbage -> 1" 1 (Exec.Pool.default_domains ()));
-  with_env None (fun () ->
-      check int_t "unset -> 1" 1 (Exec.Pool.default_domains ()))
-
 (* ---------------- cancellation ---------------- *)
 
 (* The losing side of a race must stop within one poll interval of its
@@ -595,8 +575,6 @@ let () =
             test_join_idempotent_no_leak;
           Alcotest.test_case "raising tasks keep accounting" `Quick
             test_raising_tasks_no_leak;
-          Alcotest.test_case "CONFCALL_DOMAINS parsing" `Quick
-            test_default_domains_env;
         ] );
       ( "cancellation",
         [
