@@ -1746,6 +1746,110 @@ let e26 () =
        n_counters n_hists counters_equal)
 
 (* ------------------------------------------------------------------ *)
+(* Serve harness shared by E27-E29                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every load in E27-E29 is the loadgen's diet: a pool of 32 Zipf
+   3x12x2 instances, chain [default] under a 20 ms budget, cache off. *)
+let serve_budget_ms = 20.0
+
+let leg_opts ~rate ~requests ~seed =
+  {
+    Serve.Loadgen.default_opts with
+    rate;
+    requests;
+    budget_ms = Some serve_budget_ms;
+    solver = None;
+    chain = Some "default";
+    instances = 32;
+    seed;
+    timeout_s = 120.0;
+  }
+
+let no_retries = { Client.Retry.default with max_retries = 0 }
+
+(* An in-process daemon on an ephemeral loopback port, and its target.
+   A cache journal, when given, is fsynced. *)
+let start_daemon ~id ?cache_path ~domains ~capacity () =
+  let h =
+    Serve.Server.start
+      {
+        (Serve.Server.default_config (Serve.Server.Tcp 0)) with
+        domains;
+        capacity;
+        cache_path;
+        cache_fsync = cache_path <> None;
+        drain_grace_ms = 60_000.0;
+        quiet = true;
+      }
+  in
+  match Serve.Server.bound_port h with
+  | Some p -> (h, Client.Tcp p)
+  | None -> failwith (id ^ ": no bound port")
+
+(* The nominal rate the legs are multiples of: what [targets] really
+   serve, measured through the socket path the legs take. [2 * lanes]
+   callers share one client and each sends its next request the moment
+   the last is answered, so the daemon's lanes and queue stay busy; the
+   answered (ok or degraded) requests per second are counted over
+   [calibration_windows] windows and the median is the rate. A measured
+   rate already includes the host's CPU limit. *)
+let calibration_windows = 5
+let calibration_window_s = 0.4
+
+let calibrate ~targets ~lanes =
+  let rng = Prob.Rng.create ~seed:2700 in
+  let pool =
+    Array.init 32 (fun _ ->
+        Wire.Proto.solve_fields
+          {
+            instance =
+              Instance.to_string
+                (Instance.random_zipf rng ~s:1.1 ~m:3 ~c:12 ~d:2);
+            solver = None;
+            chain = Some "default";
+            budget_ms = Some serve_budget_ms;
+            objective = None;
+            cache = false;
+            request_id = None;
+          })
+  in
+  let cl =
+    Client.create { (Client.default_config targets) with retry = no_retries }
+  in
+  let next = Atomic.make 0 and answered = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let caller () =
+    while not (Atomic.get stop) do
+      let i = Atomic.fetch_and_add next 1 mod Array.length pool in
+      match Client.call cl pool.(i) with
+      | Ok _ -> Atomic.incr answered
+      | Error _ -> ()
+    done
+  in
+  let callers = List.init (2 * lanes) (fun _ -> Thread.create caller ()) in
+  let t = ref (Unix.gettimeofday ()) in
+  let rates =
+    Array.init calibration_windows (fun _ ->
+        Thread.delay calibration_window_s;
+        let now = Unix.gettimeofday () in
+        let r = float_of_int (Atomic.exchange answered 0) /. (now -. !t) in
+        t := now;
+        r)
+  in
+  Atomic.set stop true;
+  List.iter Thread.join callers;
+  Client.close cl;
+  let shown =
+    String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.0f") rates))
+  in
+  Array.sort Float.compare rates;
+  let median = rates.(calibration_windows / 2) in
+  Printf.printf
+    "calibration: %d closed-loop callers over %d lanes, %d x %.1f s windows \
+     (%s req/s) -> nominal %.0f req/s\n"
+    (2 * lanes) lanes calibration_windows calibration_window_s shown median;
+  median
 
 (* ------------------------------------------------------------------ *)
 (* E27: paging-as-a-service — the daemon under 0.5x/1x/2x offered load *)
@@ -1758,44 +1862,12 @@ let e27 () =
        calibrated capacity answers every request with a terminal status, \
        sheds in well under 10 ms, and keeps accepted p99 latency within \
        the declared budget plus grace";
-  let module Runner = Confcall.Runner in
-  let module Instance = Confcall.Instance in
   let domains = 2 in
   let capacity = 16 in
-  let budget_ms = 20.0 in
-  (* Calibrate the daemon's nominal service rate from the budgeted
-     runner itself: mean wall time per request on the loadgen's own
-     instance diet, times the worker-lane count. *)
-  let rng = Prob.Rng.create ~seed:2701 in
-  let probes = 12 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to probes do
-    let inst = Instance.random_zipf rng ~s:1.1 ~m:3 ~c:12 ~d:2 in
-    ignore (Runner.run ~budget_ms ~chain:Runner.default_chain inst)
-  done;
-  let mean_s =
-    Float.max ((Unix.gettimeofday () -. t0) /. float_of_int probes) 1e-4
-  in
-  let nominal = float_of_int domains /. mean_s in
-  Printf.printf
-    "calibration: %.2f ms/request under a %.0f ms budget -> nominal %.0f \
-     req/s on %d lanes\n\n"
-    (mean_s *. 1000.0) budget_ms nominal domains;
-  let cfg =
-    {
-      (Serve.Server.default_config (Serve.Server.Tcp 0)) with
-      domains;
-      capacity;
-      drain_grace_ms = 60_000.0;
-      quiet = true;
-    }
-  in
-  let h = Serve.Server.start cfg in
-  let port =
-    match Serve.Server.bound_port h with
-    | Some p -> p
-    | None -> failwith "e27: no bound port"
-  in
+  let budget_ms = serve_budget_ms in
+  let h, target = start_daemon ~id:"e27" ~domains ~capacity () in
+  let nominal = calibrate ~targets:[ target ] ~lanes:domains in
+  print_newline ();
   let legs = [ 0.5; 1.0; 2.0 ] in
   Printf.printf "%6s %8s %6s %5s %5s %5s %4s %6s %9s %9s %9s %9s\n" "load"
     "rate/s" "sent" "ok" "degr" "shed" "err" "unansw" "p50ms" "p99ms"
@@ -1807,20 +1879,9 @@ let e27 () =
         let requests =
           int_of_float (Float.min 400.0 (Float.max 60.0 (rate *. 2.0)))
         in
-        let o =
-          {
-            Serve.Loadgen.default_opts with
-            rate;
-            requests;
-            budget_ms = Some budget_ms;
-            solver = None;
-            chain = Some "default";
-            instances = 32;
-            seed = 2702;
-            timeout_s = 120.0;
-          }
+        let s =
+          Serve.Loadgen.run target (leg_opts ~rate ~requests ~seed:2702)
         in
-        let s = Serve.Loadgen.run (Serve.Loadgen.Tcp port) o in
         let p q = Serve.Loadgen.percentile s.Serve.Loadgen.accepted_ms q in
         let shed_p99 =
           Serve.Loadgen.percentile s.Serve.Loadgen.rejected_ms 99.0
@@ -1841,92 +1902,75 @@ let e27 () =
      both lanes and the whole queue with slow budgeted solves on one
      connection, then time rejections on a second, otherwise idle
      connection while the queue is pinned full. *)
-  let write_all fd s =
-    let n = String.length s in
-    let rec go off =
-      if off < n then go (off + Unix.write_substring fd s off (n - off))
-    in
-    go 0
-  in
-  let read_response fd buf =
-    let chunk = Bytes.create 4096 in
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let rec go () =
-      let s = Buffer.contents buf in
-      match String.index_opt s '\n' with
-      | Some i ->
-        Buffer.clear buf;
-        Buffer.add_string buf (String.sub s (i + 1) (String.length s - i - 1));
-        Some (String.sub s 0 i)
-      | None ->
-        if Unix.gettimeofday () >= deadline then None
-        else begin
-          (match Unix.select [ fd ] [] [] 0.1 with
-           | [], _, _ -> ()
-           | _ -> (
-             match Unix.read fd chunk 0 4096 with
-             | 0 -> Buffer.add_char buf '\n' (* EOF: fail via empty line *)
-             | r -> Buffer.add_subbytes buf chunk 0 r));
-          go ()
-        end
-    in
-    go ()
-  in
-  let connect () =
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    fd
-  in
   let slow_inst =
-    Instance.to_string (Instance.random_zipf rng ~s:1.1 ~m:3 ~c:18 ~d:3)
+    Instance.to_string
+      (Instance.random_zipf (Prob.Rng.create ~seed:2701) ~s:1.1 ~m:3 ~c:18 ~d:3)
   in
-  let slow_frame id ~chain ~budget_ms =
-    let sr =
-      { Wire.Proto.instance = slow_inst; solver = None; chain = Some chain;
+  let slow_fields ~chain ~budget_ms =
+    Wire.Proto.solve_fields
+      { instance = slow_inst; solver = None; chain = Some chain;
         budget_ms = Some budget_ms; objective = None; cache = false;
         request_id = None }
-    in
-    J.to_string (J.Obj (("id", J.Str id) :: Wire.Proto.solve_fields sr)) ^ "\n"
   in
+  let fill id =
+    J.to_string
+      (J.Obj
+         (("id", J.Str id)
+         :: slow_fields ~chain:"exhaustive" ~budget_ms:250.0))
+    ^ "\n"
+  in
+  (* The prober sends each probe once and waits at most 10 s. Its
+     connection is opened by untimed health calls while the lanes are
+     idle, so no probe's RTT counts a connect; they repeat until the
+     circuit breaker the 2x leg may have tripped is closed again, or it
+     would shed the fillers and leave the queue unpinned. *)
+  let prober =
+    Client.create
+      {
+        (Client.default_config [ target ]) with
+        retry = no_retries;
+        budget_ms = Some 10_000.0;
+      }
+  in
+  let breaker_open () =
+    match Client.call prober [ ("op", J.Str "health") ] with
+    | Ok o ->
+      J.member "breaker_open" o.Client.response.json = Some (J.Bool true)
+    | Error _ -> false
+  in
+  while breaker_open () do
+    Thread.delay 0.05
+  done;
   (* The fillers run [exhaustive], which burns its whole budget on a
      c = 18 instance, so the first [domains] jobs pin the lanes for
      250 ms; the rest sit in the queue (where the ladder will later
      downgrade them — irrelevant, they never start while the lanes are
      held). The queue is therefore pinned at capacity for the whole
-     probe window. *)
-  let filler = connect () and prober = connect () in
-  let fill_n = domains + capacity + 4 in
-  for i = 1 to fill_n do
-    write_all filler
-      (slow_frame (Printf.sprintf "fill%d" i) ~chain:"exhaustive"
-         ~budget_ms:250.0)
+     probe window. Their answers are never read. *)
+  let filler = Client.connect_endpoint target in
+  for i = 1 to domains + capacity + 4 do
+    Client.Transport.write_all filler (fill (Printf.sprintf "fill%d" i))
   done;
   (* let the filler connection's thread admit the batch and the lanes
      dequeue their first jobs, then top the queue back up to capacity —
      otherwise depth sits at capacity - lanes and probes are admitted *)
   Unix.sleepf 0.05;
   for i = 1 to domains + 2 do
-    write_all filler
-      (slow_frame (Printf.sprintf "top%d" i) ~chain:"exhaustive"
-         ~budget_ms:250.0)
+    Client.Transport.write_all filler (fill (Printf.sprintf "top%d" i))
   done;
   Unix.sleepf 0.02;
-  let probe_buf = Buffer.create 1024 in
+  (* A shed is a [rejected] answer; an error frame is answered but not
+     shed; a lost or silent call is not answered. *)
   let probe_rtts = ref [] and probe_rejected = ref 0 in
-  for i = 1 to 10 do
-    let t = Unix.gettimeofday () in
-    write_all prober
-      (slow_frame (Printf.sprintf "probe%d" i) ~chain:"default"
-         ~budget_ms:20.0);
-    match read_response prober probe_buf with
-    | None -> ()
-    | Some line ->
-      probe_rtts := ((Unix.gettimeofday () -. t) *. 1000.0) :: !probe_rtts;
-      match Wire.Proto.decode_response line with
-      | Ok { Wire.Proto.status = "rejected"; _ } -> incr probe_rejected
-      | _ -> ()
+  for _ = 1 to 10 do
+    match Client.call prober (slow_fields ~chain:"default" ~budget_ms) with
+    | Ok o -> probe_rtts := o.Client.elapsed_ms :: !probe_rtts
+    | Error e when e.Client.err_rejected || e.Client.kind = Client.Fatal ->
+      if e.Client.err_rejected then incr probe_rejected;
+      probe_rtts := e.Client.err_elapsed_ms :: !probe_rtts
+    | Error _ -> ()
   done;
-  (try Unix.close prober with Unix.Unix_error _ -> ());
+  Client.close prober;
   (try Unix.close filler with Unix.Unix_error _ -> ());
   let probe_answered = List.length !probe_rtts in
   let probe_max_ms = List.fold_left Float.max 0.0 !probe_rtts in
@@ -2012,72 +2056,35 @@ let e28 () =
        terminal status, respawns every crashed domain, drains clean, and \
        keeps accepted p99 within a bounded multiple of its own fault-free \
        baseline";
-  let module Runner = Confcall.Runner in
-  let module Instance = Confcall.Instance in
   let domains = 2 in
   let capacity = 16 in
-  let budget_ms = 20.0 in
-  (* Same calibration recipe as e27: nominal rate from the budgeted
-     runner on the loadgen's instance diet. *)
-  let rng = Prob.Rng.create ~seed:2801 in
-  let probes = 12 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to probes do
-    let inst = Instance.random_zipf rng ~s:1.1 ~m:3 ~c:12 ~d:2 in
-    ignore (Runner.run ~budget_ms ~chain:Runner.default_chain inst)
-  done;
-  let mean_s =
-    Float.max ((Unix.gettimeofday () -. t0) /. float_of_int probes) 1e-4
-  in
-  let nominal = float_of_int domains /. mean_s in
-  let rate = nominal in
-  let requests =
+  let requests_at rate =
     int_of_float (Float.min 400.0 (Float.max 80.0 (rate *. 2.0)))
   in
-  Printf.printf
-    "calibration: %.2f ms/request -> nominal %.0f req/s; both legs at 1.0x \
-     (%d requests)\n\n"
-    (mean_s *. 1000.0) nominal requests;
   (* One daemon per leg so the fault leg's respawn/chaos accounting is
-     isolated; both see an identical fresh cache journal setup. *)
-  let run_leg ~label ~chaos =
+     isolated; both see an identical fresh cache journal setup. The
+     baseline leg's daemon is calibrated, faults off, before its load;
+     both legs run at 1.0x of that rate. *)
+  let run_leg ~label ~chaos ~nominal =
     (match chaos with
      | Some spec -> Faultpoint.configure_exn ~seed:1 spec
      | None -> Faultpoint.disable ());
     let cache_path = Filename.temp_file "confcall_e28" ".cache" in
     Sys.remove cache_path;
-    let cfg =
-      {
-        (Serve.Server.default_config (Serve.Server.Tcp 0)) with
-        domains;
-        capacity;
-        cache_path = Some cache_path;
-        cache_fsync = true;
-        drain_grace_ms = 60_000.0;
-        quiet = true;
-      }
-    in
     let respawns0 = Exec.Pool.total_respawns () in
-    let h = Serve.Server.start cfg in
-    let port =
-      match Serve.Server.bound_port h with
-      | Some p -> p
-      | None -> failwith "e28: no bound port"
+    let h, target = start_daemon ~id:"e28" ~cache_path ~domains ~capacity () in
+    let nominal =
+      match nominal with
+      | Some n -> n
+      | None ->
+        let n = calibrate ~targets:[ target ] ~lanes:domains in
+        Printf.printf "both legs at 1.0x (%d requests)\n\n" (requests_at n);
+        n
     in
-    let o =
-      {
-        Serve.Loadgen.default_opts with
-        rate;
-        requests;
-        budget_ms = Some budget_ms;
-        solver = None;
-        chain = Some "default";
-        instances = 32;
-        seed = 2802;
-        timeout_s = 120.0;
-      }
+    let s =
+      Serve.Loadgen.run target
+        (leg_opts ~rate:nominal ~requests:(requests_at nominal) ~seed:2802)
     in
-    let s = Serve.Loadgen.run (Serve.Loadgen.Tcp port) o in
     let drained = Serve.Server.stop h in
     let respawns = Exec.Pool.total_respawns () - respawns0 in
     let fired = Faultpoint.fired_all () in
@@ -2097,11 +2104,12 @@ let e28 () =
          "  fired "
          ^ String.concat " "
              (List.map (fun (pt, n) -> Printf.sprintf "%s=%d" pt n) l));
-    (s, drained, p 99.0, respawns, fired)
+    (nominal, s, drained, p 99.0, respawns, fired)
   in
-  let base_s, base_drained, p99_base, _, _ =
-    run_leg ~label:"baseline" ~chaos:None
+  let nominal, base_s, base_drained, p99_base, _, _ =
+    run_leg ~label:"baseline" ~chaos:None ~nominal:None
   in
+  let requests = requests_at nominal in
   (* Lane deaths dominate the spec; journal/cache faults ride along.
      Probabilities sized so expected crashes stay well inside the
      serve layer's spare-lane budget. *)
@@ -2109,8 +2117,8 @@ let e28 () =
     "serve.lane.crash=0.03,journal.fsync=0.1,journal.append.short=0.05,\
      cache.store=0.05,pool.task.delay=0.02@5"
   in
-  let fault_s, fault_drained, p99_fault, respawns, fired =
-    run_leg ~label:"faulted" ~chaos:(Some spec)
+  let _, fault_s, fault_drained, p99_fault, respawns, fired =
+    run_leg ~label:"faulted" ~chaos:(Some spec) ~nominal:(Some nominal)
   in
   print_newline ();
   (* Gates. Terminal responses and a clean drain on both legs; every
@@ -2171,12 +2179,10 @@ let e29 () =
        same request_id twice (per-replica request-log audit), and keeps \
        the failover leg's accepted p99 within +500 ms of the \
        two-replica baseline";
-  let module Runner = Confcall.Runner in
-  let module Instance = Confcall.Instance in
   let module Journal = Confcall.Journal in
   let domains = 2 in
   let capacity = 16 in
-  let budget_ms = 20.0 in
+  let budget_ms = serve_budget_ms in
   (* Real processes this time: SIGKILL on an in-process server is not a
      thing, so each replica is the actual CLI daemon as a subprocess. *)
   let cli =
@@ -2186,34 +2192,6 @@ let e29 () =
   in
   if not (Sys.file_exists cli) then
     failwith ("e29: daemon binary not built: " ^ cli ^ " (run dune build)");
-  (* Same calibration recipe as e27/e28, scaled to the pair: nominal is
-     what the two replicas sustain together, counted in lanes the host
-     can run at once: 2 * domains, but no more than its CPUs. The legs
-     run at 0.6x of that. With a CPU per lane the survivor of the kill
-     leg lands at ~1.2x of its own capacity, stressed into admission
-     control, not collapsed; on fewer CPUs counting every lane would
-     overload both replicas from the baseline leg on. *)
-  let rng = Prob.Rng.create ~seed:2901 in
-  let probes = 12 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to probes do
-    let inst = Instance.random_zipf rng ~s:1.1 ~m:3 ~c:12 ~d:2 in
-    ignore (Runner.run ~budget_ms ~chain:Runner.default_chain inst)
-  done;
-  let mean_s =
-    Float.max ((Unix.gettimeofday () -. t0) /. float_of_int probes) 1e-4
-  in
-  let lanes = min (2 * domains) (Domain.recommended_domain_count ()) in
-  let nominal = float_of_int lanes /. mean_s in
-  let rate = 0.6 *. nominal in
-  let requests =
-    int_of_float (Float.min 400.0 (Float.max 100.0 (rate *. 2.5)))
-  in
-  let expected_s = float_of_int requests /. rate in
-  Printf.printf
-    "calibration: %.2f ms/request -> pair nominal %.0f req/s (%d lanes); \
-     legs at 0.6x (%.0f req/s, %d requests, ~%.1f s)\n\n"
-    (mean_s *. 1000.0) nominal lanes rate requests expected_s;
   let spawn ~sock ~reqlog =
     (try Sys.remove sock with Sys_error _ -> ());
     (try Sys.remove reqlog with Sys_error _ -> ());
@@ -2234,21 +2212,13 @@ let e29 () =
   let wait_ready sock =
     let deadline = Unix.gettimeofday () +. 10.0 in
     let rec go () =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let up =
-        try
-          Unix.connect fd (Unix.ADDR_UNIX sock);
-          true
-        with Unix.Unix_error _ -> false
-      in
-      Unix.close fd;
-      if up then ()
-      else if Unix.gettimeofday () >= deadline then
-        failwith ("e29: daemon not ready: " ^ sock)
-      else begin
+      match Client.connect_endpoint (Client.Unix_path sock) with
+      | fd -> Unix.close fd
+      | exception Unix.Unix_error _ when Unix.gettimeofday () < deadline ->
         Thread.delay 0.05;
         go ()
-      end
+      | exception Unix.Unix_error _ ->
+        failwith ("e29: daemon not ready: " ^ sock)
     in
     go ()
   in
@@ -2281,7 +2251,9 @@ let e29 () =
     | entries -> (List.length entries, false)
     | exception Invalid_argument _ -> (0, true)
   in
-  let run_leg ~label ~kill_after ~hedge =
+  (* A fresh pair of replicas for [f targets pid_a], reaped afterwards;
+     returns [f]'s result and each replica's request-log audit. *)
+  let with_pair f =
     let sock_a = Filename.temp_file "confcall_e29a" ".sock" in
     let sock_b = Filename.temp_file "confcall_e29b" ".sock" in
     let log_a = Filename.temp_file "confcall_e29a" ".reqlog" in
@@ -2290,44 +2262,54 @@ let e29 () =
     let pid_b = spawn ~sock:sock_b ~reqlog:log_b in
     wait_ready sock_a;
     wait_ready sock_b;
-    let killer =
-      Option.map
-        (fun after_s ->
-          Thread.create
-            (fun () ->
-              Thread.delay after_s;
-              try Unix.kill pid_a Sys.sigkill with Unix.Unix_error _ -> ())
-            ())
-        kill_after
-    in
-    let o =
-      {
-        Serve.Loadgen.default_opts with
-        rate;
-        requests;
-        budget_ms = Some budget_ms;
-        solver = None;
-        chain = Some "default";
-        instances = 32;
-        seed = 2902;
-        timeout_s = 120.0;
-        retries = 3;
-        hedge_after_ms = hedge;
-      }
-    in
-    let s =
-      Serve.Loadgen.run_multi
-        [ Serve.Loadgen.Unix_path sock_a; Serve.Loadgen.Unix_path sock_b ]
-        o
-    in
-    Option.iter Thread.join killer;
+    let r = f [ Client.Unix_path sock_a; Client.Unix_path sock_b ] pid_a in
     reap pid_a;
     reap pid_b;
-    let exec_a, dup_a = audit log_a in
-    let exec_b, dup_b = audit log_b in
+    let audits = (audit log_a, audit log_b) in
     List.iter
       (fun p -> try Sys.remove p with Sys_error _ -> ())
       [ sock_a; sock_b; log_a; log_b ];
+    (r, audits)
+  in
+  (* Nominal is what a pair of replicas serves together, measured on a
+     pair of its own; the legs run at 0.6x of it, so the survivor of
+     the kill leg lands at ~1.2x of its own capacity: stressed into
+     admission control, not collapsed. *)
+  let nominal, _ =
+    with_pair (fun targets _ -> calibrate ~targets ~lanes:(2 * domains))
+  in
+  let rate = 0.6 *. nominal in
+  let requests =
+    int_of_float (Float.min 400.0 (Float.max 100.0 (rate *. 2.5)))
+  in
+  let expected_s = float_of_int requests /. rate in
+  Printf.printf "legs at 0.6x (%.0f req/s, %d requests, ~%.1f s)\n\n" rate
+    requests expected_s;
+  let run_leg ~label ~kill_after ~hedge =
+    let s, ((exec_a, dup_a), (exec_b, dup_b)) =
+      with_pair (fun targets pid_a ->
+          let killer =
+            Option.map
+              (fun after_s ->
+                Thread.create
+                  (fun () ->
+                    Thread.delay after_s;
+                    try Unix.kill pid_a Sys.sigkill
+                    with Unix.Unix_error _ -> ())
+                  ())
+              kill_after
+          in
+          let s =
+            Serve.Loadgen.run_multi targets
+              {
+                (leg_opts ~rate ~requests ~seed:2902) with
+                retries = 3;
+                hedge_after_ms = hedge;
+              }
+          in
+          Option.iter Thread.join killer;
+          s)
+    in
     let p q = Serve.Loadgen.percentile s.Serve.Loadgen.accepted_ms q in
     let terminal = s.Serve.Loadgen.sent - s.Serve.Loadgen.unanswered in
     Printf.printf

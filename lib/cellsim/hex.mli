@@ -12,7 +12,6 @@ val create : rows:int -> cols:int -> t
 val cells : t -> int
 val index : t -> row:int -> col:int -> int
 val coords : t -> int -> int * int
-val in_bounds : t -> row:int -> col:int -> bool
 
 (** [neighbors t cell] — the up-to-6 adjacent cells. *)
 val neighbors : t -> int -> int list

@@ -287,7 +287,6 @@ type aging = {
   (* jump.(c): (target, probability) list, the base matrix's row
      conditioned on leaving; empty iff the cell is absorbing. *)
   jump : (int * float) array array;
-  laws : residence array;
 }
 
 let aging ?(dwell_cap = 32) base laws =
@@ -317,15 +316,10 @@ let aging ?(dwell_cap = 32) base laws =
           Array.of_list !targets
         end)
   in
-  { base; dwell_cap; haz; jump; laws }
+  { base; dwell_cap; haz; jump }
 
 let aging_uniform ?dwell_cap base law =
   aging ?dwell_cap base (Array.make base.n law)
-
-let aging_law a ~cell =
-  if cell < 0 || cell >= a.base.n then
-    invalid_arg "Mobility.aging_law: bad cell"
-  else a.laws.(cell)
 
 let hazard_at a ~cell ~dwell =
   if cell < 0 || cell >= a.base.n then

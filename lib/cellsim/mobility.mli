@@ -113,11 +113,6 @@ val aging : ?dwell_cap:int -> t -> residence array -> aging
 (** [aging_uniform ?dwell_cap base law] — the same law in every cell. *)
 val aging_uniform : ?dwell_cap:int -> t -> residence -> aging
 
-val aging_law : aging -> cell:int -> residence
-
-(** [hazard_at a ~cell ~dwell] — leave probability this tick. *)
-val hazard_at : aging -> cell:int -> dwell:int -> float
-
 (** [semi_step a rng ~cell ~dwell] — one ground-truth tick of the
     semi-Markov walk; returns the new cell and dwell age. Consumes an
     identical number of RNG draws regardless of the law, so runs under

@@ -137,6 +137,8 @@ let drifting_commuter ?(seed = 2002) () =
     seed;
   }
 
+(* A dense 6x6 field with per-2x2 location areas, high call rate and
+   5-unit mean call durations: many busy lines, much free tracking. *)
 let busy_campus ?(seed = 2002) () =
   let hex = Hex.create ~rows:6 ~cols:6 in
   let users = 48 in
@@ -161,6 +163,11 @@ let busy_campus ?(seed = 2002) () =
     seed;
   }
 
+(* The [suburb] workload on degraded infrastructure: 5% page loss, §5
+   response probability q = 0.85, transient cell outages (hazard
+   0.002/tick, mean repair 10 ticks), 10% report loss, mean report
+   delay 2 ticks, and an escalate-after-one-repeat retry policy. The
+   robustness baseline for comparing schemes' graceful degradation. *)
 let degraded_downtown ?(seed = 2002) () =
   let base = suburb ~seed () in
   {

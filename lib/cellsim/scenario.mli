@@ -31,19 +31,6 @@ val commuter_day : ?seed:int -> unit -> Sim.config
     after the commute. *)
 val drifting_commuter : ?seed:int -> unit -> Sim.config
 
-(** [busy_campus ?seed ()] — a dense 6×6 field with per-2×2 location
-    areas, high call rate and 5-unit mean call durations: many busy
-    lines, much free tracking. *)
-val busy_campus : ?seed:int -> unit -> Sim.config
-
-(** [degraded_downtown ?seed ()] — the {!suburb} workload on degraded
-    infrastructure: 5% page loss, §5 response probability q = 0.85,
-    transient cell outages (hazard 0.002/tick, mean repair 10 ticks),
-    10% report loss, mean report delay 2 ticks, and an
-    escalate-after-one-repeat retry policy. The robustness baseline for
-    comparing schemes' graceful degradation. *)
-val degraded_downtown : ?seed:int -> unit -> Sim.config
-
 (** [residence_lab ?seed ~residence ()] — the residence-time
     laboratory: an 8×8 field whose ground truth moves by the
     semi-Markov walk under [residence] (mean dwell 6 ticks, stay

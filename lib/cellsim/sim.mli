@@ -59,8 +59,6 @@ type fault_metrics = {
   pages_blocked : int;  (** pages suppressed because the cell was down *)
 }
 
-val no_faults_observed : fault_metrics
-
 type scheme_metrics = {
   scheme : scheme;
   calls : int;

@@ -32,12 +32,6 @@ val domain_arena : unit -> t
     stay bound (physical equality on the instance). *)
 val prepare : ?objective:Objective.t -> t -> Instance.t -> unit
 
-(** [prepare_order a inst ~order] is {!prepare} for a caller-supplied
-    cell order (the §5 "any predefined sequence" remark). Raises the
-    same [Invalid_argument] errors as [Order_dp.solve] on a bad order. *)
-val prepare_order :
-  ?objective:Objective.t -> t -> Instance.t -> order:int array -> unit
-
 (** [prepare_coarse ?block a inst] prepares the weight order plus the
     block-boundary success table for {!run_coarse} (default block 16).
     The boundary entries are bit-identical to the corresponding full

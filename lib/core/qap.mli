@@ -25,9 +25,6 @@ val create : float array array -> float array array -> t
     @raise Invalid_argument when [perm] is not a permutation. *)
 val objective : t -> int array -> float
 
-(** [identity_permutation t] *)
-val identity_permutation : t -> int array
-
 (** [local_search t ~start] — steepest-ascent 2-swaps until a local
     maximum; returns (permutation, objective, evaluations). *)
 val local_search : t -> start:int array -> int array * float * int
@@ -50,10 +47,6 @@ val of_conference : Instance.t -> sizes:int array -> t
 (** [ep_of_objective inst value] = c − value: converts a QAP objective
     value back to expected paging. *)
 val ep_of_objective : Instance.t -> float -> float
-
-(** [strategy_of_permutation ~sizes perm] — slot assignment → strategy
-    (cell [x] goes to the round owning slot [perm.(x)]). *)
-val strategy_of_permutation : sizes:int array -> int array -> Strategy.t
 
 (** [solve_conference_m2 ?rng inst] — full §5.1 pipeline: for every size
     vector (d ≤ 3 keeps this polynomial and fast), build the QAP, run

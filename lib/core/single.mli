@@ -15,6 +15,3 @@ val solve : Instance.t -> Order_dp.result
     c = q·d + r, EP = c − Σ_{i=1}^{d−1} size_{i+1}·(b_i/c).
     For d = 2 and even c this is the paper's 3c/4 example (§1.1). *)
 val uniform_ep : c:int -> d:int -> float
-
-(** [uniform_sizes ~c ~d] are optimal group sizes for the uniform case. *)
-val uniform_sizes : c:int -> d:int -> int array

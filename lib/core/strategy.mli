@@ -32,10 +32,6 @@ val length : t -> int
 val groups : t -> int array array
 val sizes : t -> int array
 
-(** [prefix_masses inst t] is the per-round, per-device cumulative mass:
-    row [r] (0-based) gives, for each device, P[device ∈ S₁ ∪ … ∪ S_{r+1}]. *)
-val prefix_masses : Instance.t -> t -> float array array
-
 (** [success_by_round ?objective inst t] is F_r = P[stop by round r+1]
     for r = 0 … t−1 (Lemma 2.1's Pr[F_r]). Default objective: [Find_all]. *)
 val success_by_round : ?objective:Objective.t -> Instance.t -> t -> float array

@@ -90,23 +90,17 @@ type bounds = { lo : float; hi : float }
     {!validate}. *)
 val ep_bounds : ?objective:Objective.t -> t -> Instance.t -> Strategy.t -> bounds
 
-(** [worst_case_instance t inst strat] is the canonical adversarial
-    matrix: every row simultaneously minimizes all of [strat]'s prefix
-    masses over the ball. Its EP is the exact worst case. *)
-val worst_case_instance : t -> Instance.t -> Strategy.t -> Instance.t
-
-(** [best_case_instance t inst strat] is the mirror construction
-    (every prefix mass maximized). *)
-val best_case_instance : t -> Instance.t -> Strategy.t -> Instance.t
-
 (** [robust_ep ?objective t inst strat] is the worst-case expected
-    paging over the ball — [expected_paging] of
-    {!worst_case_instance}. Monotone non-decreasing in [eps] and [tv];
-    always within {!ep_bounds} up to float evaluation error. *)
+    paging over the ball — [expected_paging] of the canonical
+    adversarial matrix, whose every row simultaneously minimizes all of
+    [strat]'s prefix masses over the ball. Monotone non-decreasing in
+    [eps] and [tv]; always within {!ep_bounds} up to float evaluation
+    error. *)
 val robust_ep : ?objective:Objective.t -> t -> Instance.t -> Strategy.t -> float
 
 (** [optimistic_ep ?objective t inst strat] is the best-case EP over
-    the ball ([expected_paging] of {!best_case_instance}). *)
+    the ball ([expected_paging] of the mirror construction, every
+    prefix mass maximized). *)
 val optimistic_ep :
   ?objective:Objective.t -> t -> Instance.t -> Strategy.t -> float
 

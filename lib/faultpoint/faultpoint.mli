@@ -52,10 +52,6 @@ exception Injected of string
 val env_var : string
 (** ["CONFCALL_CHAOS"] — spec read by {!arm_from_env}. *)
 
-val seed_env_var : string
-(** ["CONFCALL_CHAOS_SEED"] — integer seed for {!arm_from_env}
-    (default 1). *)
-
 val catalogue : (string * string) list
 (** Every valid point name with a one-line description of what firing
     means at its site. Specs naming an uncatalogued point are

@@ -99,8 +99,6 @@ val default_config : listen -> config
 (** The shedding ladder, from healthy to overloaded. *)
 type ladder = Full | Heuristic | Fast
 
-val ladder_to_string : ladder -> string
-
 (** [ladder_of_depth ~capacity depth] — the rung admission assigns at
     the given queue depth: [Full] below 50% occupancy, [Heuristic]
     below 75%, [Fast] at or above. Pure; exported for tests. *)

@@ -195,16 +195,10 @@ let start_fake handler =
     { port; lfd; fstop = Atomic.make false; flog = ref []; fmutex = Mutex.create () }
   in
   let serve_conn cfd =
-    let buf = Buffer.create 1024 in
-    let chunk = Bytes.create 4096 in
+    let c = Testutil.frame_conn cfd in
     let rec loop () =
-      let s = Buffer.contents buf in
-      match String.index_opt s '\n' with
-      | Some i ->
-        Buffer.clear buf;
-        Buffer.add_string buf
-          (String.sub s (i + 1) (String.length s - i - 1));
-        let line = String.sub s 0 i in
+      match Testutil.next_frame c ~deadline:(Unix.gettimeofday () +. 0.1) with
+      | Some line ->
         (match J.parse line with
          | Ok frame -> (
            Mutex.lock f.fmutex;
@@ -212,30 +206,15 @@ let start_fake handler =
            Mutex.unlock f.fmutex;
            match handler frame with
            | Some resp -> (
-             let out = resp ^ "\n" in
-             let n = String.length out in
-             let rec wr off =
-               if off < n then
-                 wr (off + Unix.write_substring cfd out off (n - off))
-             in
-             try wr 0 with Unix.Unix_error _ -> ())
+             try Testutil.send_frame c resp with Unix.Unix_error _ -> ())
            | None -> ())
          | Error _ -> ());
         loop ()
-      | None -> (
-        match Unix.select [ cfd ] [] [] 0.1 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | [], _, _ -> if Atomic.get f.fstop then () else loop ()
-        | _ -> (
-          match Unix.read cfd chunk 0 4096 with
-          | 0 -> ()
-          | r ->
-            Buffer.add_subbytes buf chunk 0 r;
-            loop ()
-          | exception Unix.Unix_error _ -> ()))
+      | None -> if c.eof || Atomic.get f.fstop then () else loop ()
+      | exception Unix.Unix_error _ -> ()
     in
     loop ();
-    try Unix.close cfd with Unix.Unix_error _ -> ()
+    Testutil.frame_close c
   in
   let _accept : Thread.t =
     Thread.create

@@ -24,70 +24,22 @@ let string_t = Alcotest.string
 
 (* ---------------- tiny JSONL client ---------------- *)
 
-type client = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
-
-let connect port =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  { fd; buf = Buffer.create 4096; eof = false }
-
-let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let send c line =
-  let s = line ^ "\n" in
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring c.fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
+let connect port = Testutil.frame_connect (Client.Tcp port)
+let close_client = Testutil.frame_close
+let send = Testutil.send_frame
 
 (* Pull [n] complete response lines, in arrival order, within a bounded
    window. Responses may belong to any in-flight request. *)
 let recv_n ?(timeout = 30.0) c n =
   let deadline = Unix.gettimeofday () +. timeout in
-  let chunk = Bytes.create 4096 in
-  let lines = ref [] in
-  let got = ref 0 in
-  let split_off () =
-    let s = Buffer.contents c.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i ->
-      Buffer.clear c.buf;
-      Buffer.add_string c.buf (String.sub s (i + 1) (String.length s - i - 1));
-      Some (String.sub s 0 i)
+  let rec go got lines =
+    if got = n then List.rev lines
+    else
+      match Testutil.next_frame c ~deadline with
+      | Some line -> go (got + 1) (line :: lines)
+      | None -> Alcotest.failf "timed out after %d/%d responses" got n
   in
-  while !got < n && Unix.gettimeofday () < deadline && not c.eof do
-    match split_off () with
-    | Some line ->
-      lines := line :: !lines;
-      incr got
-    | None ->
-      (match Unix.select [ c.fd ] [] [] 0.1 with
-       | [], _, _ -> ()
-       | _ ->
-         (match Unix.read c.fd chunk 0 4096 with
-          | 0 -> c.eof <- true
-          | r -> Buffer.add_subbytes c.buf chunk 0 r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
-  done;
-  (* drain whole lines already buffered *)
-  let rec flush () =
-    if !got < n then
-      match split_off () with
-      | Some line ->
-        lines := line :: !lines;
-        incr got;
-        flush ()
-      | None -> ()
-  in
-  flush ();
-  if !got < n then
-    Alcotest.failf "timed out after %d/%d responses" !got n;
-  List.rev !lines
+  go 0 []
 
 let parse_response line =
   match J.parse line with

@@ -238,16 +238,8 @@ let run_serve_burst ~chaos () =
   in
   let h = Serve.Server.start cfg in
   let port = Option.get (Serve.Server.bound_port h) in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let send line =
-    let s = line ^ "\n" in
-    let rec go off =
-      if off < String.length s then
-        go (off + Unix.write_substring fd s off (String.length s - off))
-    in
-    go 0
-  in
+  let conn = Testutil.frame_connect (Client.Tcp port) in
+  let send = Testutil.send_frame conn in
   let rng = Prob.Rng.create ~seed:0x50AC in
   let n = n_mult * capacity in
   let burst () =
@@ -282,41 +274,24 @@ let run_serve_burst ~chaos () =
   (* collect until every id has answered, counting duplicates *)
   let seen : (string, int) Hashtbl.t = Hashtbl.create n in
   let statuses : (string, string) Hashtbl.t = Hashtbl.create n in
-  let buf = Buffer.create 8192 in
-  let chunk = Bytes.create 8192 in
   let deadline = Unix.gettimeofday () +. 30.0 in
   while Hashtbl.length seen < n && Unix.gettimeofday () < deadline do
-    (match Unix.select [ fd ] [] [] 0.1 with
-     | [], _, _ -> ()
-     | _ -> (
-       match Unix.read fd chunk 0 (Bytes.length chunk) with
-       | 0 -> Alcotest.fail "daemon closed mid-burst"
-       | r -> Buffer.add_subbytes buf chunk 0 r
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()));
-    let s = Buffer.contents buf in
-    let rec eat start =
-      match String.index_from_opt s start '\n' with
-      | None ->
-        Buffer.clear buf;
-        Buffer.add_string buf (String.sub s start (String.length s - start))
-      | Some i ->
-        let line = String.sub s start (i - start) in
-        (match Wire.Json.parse line with
-         | Error e -> Alcotest.failf "non-JSON response %S (%s)" line e
-         | Ok j ->
-           let str k = Option.bind (Wire.Json.member k j) Wire.Json.to_str in
-           (match str "id" with
-            | Some id ->
-              Hashtbl.replace seen id
-                (1 + Option.value (Hashtbl.find_opt seen id) ~default:0);
-              Hashtbl.replace statuses id
-                (Option.value (str "status") ~default:"?")
-            | None -> Alcotest.failf "response without id: %S" line));
-        eat (i + 1)
-    in
-    eat 0
+    match Testutil.next_frame conn ~deadline with
+    | None -> if conn.eof then Alcotest.fail "daemon closed mid-burst"
+    | Some line -> (
+      match Wire.Json.parse line with
+      | Error e -> Alcotest.failf "non-JSON response %S (%s)" line e
+      | Ok j -> (
+        let str k = Option.bind (Wire.Json.member k j) Wire.Json.to_str in
+        match str "id" with
+        | Some id ->
+          Hashtbl.replace seen id
+            (1 + Option.value (Hashtbl.find_opt seen id) ~default:0);
+          Hashtbl.replace statuses id
+            (Option.value (str "status") ~default:"?")
+        | None -> Alcotest.failf "response without id: %S" line))
   done;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Testutil.frame_close conn;
   check bool_t "drain completes within grace" true (Serve.Server.stop h);
   check bool_t
     (Printf.sprintf "all %d burst requests answered (got %d)" n

@@ -1,6 +1,7 @@
 (* Shared helpers for the test executables. The (tests) stanza links
    every module of this directory into each test binary, so keep this
-   file dependency-light (Alcotest, Unix and threads only). *)
+   file dependency-light (Alcotest, Unix, threads and the client's
+   transport only). *)
 
 (* GC-regression harness: run [f] a few warmup times (arena binding,
    table building and buffer growth are allowed to allocate), then
@@ -66,3 +67,52 @@ let with_watchdog ~seconds f =
       wait ()
   in
   wait ()
+
+(* ---------------- raw frame connection ---------------- *)
+
+(* A connection that speaks newline-framed JSON by hand, for tests that
+   drive a daemon (or play one) below the client: frames go out through
+   the transport's writer and come back through its framer, and every
+   read waits under [select], so a silent peer costs a deadline, never
+   a hang. *)
+type frame_conn = {
+  fd : Unix.file_descr;
+  framer : Client.Transport.framer;
+  chunk : Bytes.t;
+  frames : string Queue.t;
+  mutable eof : bool;
+}
+
+let frame_conn fd =
+  {
+    fd;
+    framer = Client.Transport.framer ();
+    chunk = Bytes.create 4096;
+    frames = Queue.create ();
+    eof = false;
+  }
+
+let frame_connect endpoint = frame_conn (Client.connect_endpoint endpoint)
+let frame_close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+let send_frame c line = Client.Transport.write_all c.fd (line ^ "\n")
+
+(* The next frame, or [None] once the peer has closed or [deadline]
+   (on the [Unix.gettimeofday] clock) has passed. Frames already read
+   are returned first, even past the deadline. *)
+let rec next_frame c ~deadline =
+  if not (Queue.is_empty c.frames) then Some (Queue.pop c.frames)
+  else if c.eof || Unix.gettimeofday () >= deadline then None
+  else begin
+    (match Unix.select [ c.fd ] [] [] 0.1 with
+     | [], _, _ -> ()
+     | _ -> (
+       match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
+       | 0 -> c.eof <- true
+       | n ->
+         Client.Transport.feed c.framer c.chunk 0 n
+           ~on_oversize:(fun () -> failwith "Testutil: oversized frame")
+           (fun frame -> Queue.push frame c.frames)
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    next_frame c ~deadline
+  end
