@@ -1766,8 +1766,6 @@ let leg_opts ~rate ~requests ~seed =
     timeout_s = 120.0;
   }
 
-let no_retries = { Client.Retry.default with max_retries = 0 }
-
 (* An in-process daemon on an ephemeral loopback port, and its target.
    A cache journal, when given, is fsynced. *)
 let start_daemon ~id ?cache_path ~domains ~capacity () =
@@ -1788,34 +1786,39 @@ let start_daemon ~id ?cache_path ~domains ~capacity () =
   | None -> failwith (id ^ ": no bound port")
 
 (* The nominal rate the legs are multiples of: what [targets] really
-   serve, measured through the socket path the legs take. [2 * lanes]
-   callers share one client and each sends its next request the moment
-   the last is answered, so the daemon's lanes and queue stay busy; the
-   answered (ok or degraded) requests per second are counted over
-   [calibration_windows] windows and the median is the rate. A measured
-   rate already includes the host's CPU limit. *)
+   serve, measured through the socket path the legs take, on their diet
+   ([leg_opts]). [2 * lanes] callers share one client and each sends its
+   next request the moment the last is answered, so the daemon's lanes
+   and queue stay busy; the answered (ok or degraded) requests per
+   second are counted over [calibration_windows] windows and the median
+   is the rate. A measured rate already includes the host's CPU limit. *)
 let calibration_windows = 5
 let calibration_window_s = 0.4
 
 let calibrate ~targets ~lanes =
-  let rng = Prob.Rng.create ~seed:2700 in
+  let o = leg_opts ~rate:0.0 ~requests:0 ~seed:2700 in
+  let rng = Prob.Rng.create ~seed:o.seed in
   let pool =
-    Array.init 32 (fun _ ->
+    Array.init o.instances (fun _ ->
         Wire.Proto.solve_fields
           {
             instance =
               Instance.to_string
-                (Instance.random_zipf rng ~s:1.1 ~m:3 ~c:12 ~d:2);
-            solver = None;
-            chain = Some "default";
-            budget_ms = Some serve_budget_ms;
+                (Instance.random_zipf rng ~s:1.1 ~m:o.m ~c:o.c ~d:o.d);
+            solver = o.solver;
+            chain = o.chain;
+            budget_ms = o.budget_ms;
             objective = None;
-            cache = false;
+            cache = o.cache;
             request_id = None;
           })
   in
   let cl =
-    Client.create { (Client.default_config targets) with retry = no_retries }
+    Client.create
+      {
+        (Client.default_config targets) with
+        retry = { Client.Retry.default with max_retries = 0 };
+      }
   in
   let next = Atomic.make 0 and answered = Atomic.make 0 in
   let stop = Atomic.make false in
@@ -1862,7 +1865,13 @@ let e27 () =
        calibrated capacity answers every request with a terminal status, \
        sheds in well under 10 ms, and keeps accepted p99 latency within \
        the declared budget plus grace";
-  let domains = 2 in
+  (* Two lanes, or one when the host has fewer than three CPUs. The shed
+     probe below claims that shedding happens at admission, and
+     admission runs on the connection threads, which need a CPU the
+     lanes leave free: with a lane on every CPU, each wake-up on the
+     admission path waits behind the lanes' stop-the-world minor
+     collections, and the probe times that instead. *)
+  let domains = max 1 (min 2 (Domain.recommended_domain_count () - 1)) in
   let capacity = 16 in
   let budget_ms = serve_budget_ms in
   let h, target = start_daemon ~id:"e27" ~domains ~capacity () in
@@ -1919,24 +1928,31 @@ let e27 () =
          :: slow_fields ~chain:"exhaustive" ~budget_ms:250.0))
     ^ "\n"
   in
-  (* The prober sends each probe once and waits at most 10 s. Its
-     connection is opened by untimed health calls while the lanes are
-     idle, so no probe's RTT counts a connect; they repeat until the
-     circuit breaker the 2x leg may have tripped is closed again, or it
-     would shed the fillers and leave the queue unpinned. *)
-  let prober =
-    Client.create
-      {
-        (Client.default_config [ target ]) with
-        retry = no_retries;
-        budget_ms = Some 10_000.0;
-      }
+  (* The prober is a raw frame connection: a probe's RTT is one write
+     and one blocking read, bounded at 10 s by [SO_RCVTIMEO], with no
+     client thread between the socket and the clock. It is opened, and
+     warmed by untimed health calls, while the lanes are idle; the
+     calls repeat until the circuit breaker the 2x leg may have tripped
+     is closed again, or it would shed the fillers and leave the queue
+     unpinned. *)
+  let prober = Client.connect_endpoint target in
+  Unix.setsockopt_float prober Unix.SO_RCVTIMEO 10.0;
+  let ask fields =
+    Client.Transport.write_all prober
+      (J.to_string (J.Obj (("id", J.Str "probe") :: fields)) ^ "\n");
+    let line = ref None in
+    (try
+       Client.Transport.read_frames prober ~on_oversize:ignore (fun l ->
+           line := Some l;
+           raise Exit)
+     with Exit -> ());
+    Option.map Wire.Proto.decode_response !line
   in
   let breaker_open () =
-    match Client.call prober [ ("op", J.Str "health") ] with
-    | Ok o ->
-      J.member "breaker_open" o.Client.response.json = Some (J.Bool true)
-    | Error _ -> false
+    match ask [ ("op", J.Str "health") ] with
+    | Some (Ok r) ->
+      J.member "breaker_open" r.Wire.Proto.json = Some (J.Bool true)
+    | _ -> false
   in
   while breaker_open () do
     Thread.delay 0.05
@@ -1960,17 +1976,19 @@ let e27 () =
   done;
   Unix.sleepf 0.02;
   (* A shed is a [rejected] answer; an error frame is answered but not
-     shed; a lost or silent call is not answered. *)
+     shed; a silent connection is not answered. *)
   let probe_rtts = ref [] and probe_rejected = ref 0 in
   for _ = 1 to 10 do
-    match Client.call prober (slow_fields ~chain:"default" ~budget_ms) with
-    | Ok o -> probe_rtts := o.Client.elapsed_ms :: !probe_rtts
-    | Error e when e.Client.err_rejected || e.Client.kind = Client.Fatal ->
-      if e.Client.err_rejected then incr probe_rejected;
-      probe_rtts := e.Client.err_elapsed_ms :: !probe_rtts
-    | Error _ -> ()
+    let t = Unix.gettimeofday () in
+    match ask (slow_fields ~chain:"default" ~budget_ms) with
+    | None -> ()
+    | Some r ->
+      probe_rtts := ((Unix.gettimeofday () -. t) *. 1000.0) :: !probe_rtts;
+      (match r with
+       | Ok { Wire.Proto.status = "rejected"; _ } -> incr probe_rejected
+       | _ -> ())
   done;
-  Client.close prober;
+  (try Unix.close prober with Unix.Unix_error _ -> ());
   (try Unix.close filler with Unix.Unix_error _ -> ());
   let probe_answered = List.length !probe_rtts in
   let probe_max_ms = List.fold_left Float.max 0.0 !probe_rtts in
@@ -2062,10 +2080,19 @@ let e28 () =
     int_of_float (Float.min 400.0 (Float.max 80.0 (rate *. 2.0)))
   in
   (* One daemon per leg so the fault leg's respawn/chaos accounting is
-     isolated; both see an identical fresh cache journal setup. The
-     baseline leg's daemon is calibrated, faults off, before its load;
-     both legs run at 1.0x of that rate. *)
-  let run_leg ~label ~chaos ~nominal =
+     isolated; both see an identical fresh cache journal setup, and both
+     start cold. A third daemon of the same shape is calibrated, faults
+     off, before either leg; both legs run at 1.0x of that rate. *)
+  let nominal =
+    Faultpoint.disable ();
+    let h, target = start_daemon ~id:"e28" ~domains ~capacity () in
+    let n = calibrate ~targets:[ target ] ~lanes:domains in
+    ignore (Serve.Server.stop h);
+    n
+  in
+  let requests = requests_at nominal in
+  Printf.printf "both legs at 1.0x (%d requests)\n\n" requests;
+  let run_leg ~label ~chaos =
     (match chaos with
      | Some spec -> Faultpoint.configure_exn ~seed:1 spec
      | None -> Faultpoint.disable ());
@@ -2073,17 +2100,8 @@ let e28 () =
     Sys.remove cache_path;
     let respawns0 = Exec.Pool.total_respawns () in
     let h, target = start_daemon ~id:"e28" ~cache_path ~domains ~capacity () in
-    let nominal =
-      match nominal with
-      | Some n -> n
-      | None ->
-        let n = calibrate ~targets:[ target ] ~lanes:domains in
-        Printf.printf "both legs at 1.0x (%d requests)\n\n" (requests_at n);
-        n
-    in
     let s =
-      Serve.Loadgen.run target
-        (leg_opts ~rate:nominal ~requests:(requests_at nominal) ~seed:2802)
+      Serve.Loadgen.run target (leg_opts ~rate:nominal ~requests ~seed:2802)
     in
     let drained = Serve.Server.stop h in
     let respawns = Exec.Pool.total_respawns () - respawns0 in
@@ -2104,12 +2122,11 @@ let e28 () =
          "  fired "
          ^ String.concat " "
              (List.map (fun (pt, n) -> Printf.sprintf "%s=%d" pt n) l));
-    (nominal, s, drained, p 99.0, respawns, fired)
+    (s, drained, p 99.0, respawns, fired)
   in
-  let nominal, base_s, base_drained, p99_base, _, _ =
-    run_leg ~label:"baseline" ~chaos:None ~nominal:None
+  let base_s, base_drained, p99_base, _, _ =
+    run_leg ~label:"baseline" ~chaos:None
   in
-  let requests = requests_at nominal in
   (* Lane deaths dominate the spec; journal/cache faults ride along.
      Probabilities sized so expected crashes stay well inside the
      serve layer's spare-lane budget. *)
@@ -2117,8 +2134,8 @@ let e28 () =
     "serve.lane.crash=0.03,journal.fsync=0.1,journal.append.short=0.05,\
      cache.store=0.05,pool.task.delay=0.02@5"
   in
-  let _, fault_s, fault_drained, p99_fault, respawns, fired =
-    run_leg ~label:"faulted" ~chaos:(Some spec) ~nominal:(Some nominal)
+  let fault_s, fault_drained, p99_fault, respawns, fired =
+    run_leg ~label:"faulted" ~chaos:(Some spec)
   in
   print_newline ();
   (* Gates. Terminal responses and a clean drain on both legs; every

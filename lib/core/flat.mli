@@ -50,7 +50,7 @@ val prepare_coarse :
 val run_order_dp : ?cancel:Cancel.t -> ?max_group:int -> t -> unit
 
 (** The §4.2.2 greedy heuristic: the DP over the weight order. Requires
-    {!prepare} (not {!prepare_order}). *)
+    {!prepare} (not a caller-supplied order). *)
 val run_greedy : ?cancel:Cancel.t -> t -> unit
 
 (** The coarse DP over block boundaries, mirror of

@@ -277,6 +277,8 @@ let run_serve_burst ~chaos () =
   let deadline = Unix.gettimeofday () +. 30.0 in
   while Hashtbl.length seen < n && Unix.gettimeofday () < deadline do
     match Testutil.next_frame conn ~deadline with
+    | _ when conn.blank_lines > 0 ->
+      Alcotest.failf "non-JSON response %S (an empty line)" ""
     | None -> if conn.eof then Alcotest.fail "daemon closed mid-burst"
     | Some line -> (
       match Wire.Json.parse line with

@@ -74,13 +74,18 @@ let with_watchdog ~seconds f =
    drive a daemon (or play one) below the client: frames go out through
    the transport's writer and come back through its framer, and every
    read waits under [select], so a silent peer costs a deadline, never
-   a hang. *)
+   a hang. The framer skips empty lines (and a lone ['\r'] is one), so
+   [blank_lines] counts those in the raw bytes for tests that must see
+   every line the peer sent. *)
 type frame_conn = {
   fd : Unix.file_descr;
   framer : Client.Transport.framer;
   chunk : Bytes.t;
   frames : string Queue.t;
   mutable eof : bool;
+  mutable line_len : int;  (* raw bytes since the last ['\n'] *)
+  mutable line_cr : bool;  (* ... and they are exactly ['\r'] *)
+  mutable blank_lines : int;
 }
 
 let frame_conn fd =
@@ -90,7 +95,22 @@ let frame_conn fd =
     chunk = Bytes.create 4096;
     frames = Queue.create ();
     eof = false;
+    line_len = 0;
+    line_cr = false;
+    blank_lines = 0;
   }
+
+let count_blank_lines c n =
+  for i = 0 to n - 1 do
+    match Bytes.get c.chunk i with
+    | '\n' ->
+      if c.line_len = 0 || c.line_cr then c.blank_lines <- c.blank_lines + 1;
+      c.line_len <- 0;
+      c.line_cr <- false
+    | ch ->
+      c.line_cr <- c.line_len = 0 && ch = '\r';
+      c.line_len <- c.line_len + 1
+  done
 
 let frame_connect endpoint = frame_conn (Client.connect_endpoint endpoint)
 let frame_close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
@@ -109,6 +129,7 @@ let rec next_frame c ~deadline =
        match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
        | 0 -> c.eof <- true
        | n ->
+         count_blank_lines c n;
          Client.Transport.feed c.framer c.chunk 0 n
            ~on_oversize:(fun () -> failwith "Testutil: oversized frame")
            (fun frame -> Queue.push frame c.frames)
