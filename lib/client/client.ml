@@ -271,20 +271,11 @@ let ensure_conn ep =
            (endpoint_to_string ep.endpoint)
            (Unix.error_message e)))
 
-let note_fail ep =
-  Mutex.lock ep.emutex;
-  Health.note_fail ep.health ~now_s:(now ());
-  Mutex.unlock ep.emutex
-
-let note_draining ep =
-  Mutex.lock ep.emutex;
-  Health.note_draining ep.health ~now_s:(now ());
-  Mutex.unlock ep.emutex
-
-let note_ok ep ~latency_ms =
-  Mutex.lock ep.emutex;
-  Health.note_ok ep.health ~latency_ms;
-  Mutex.unlock ep.emutex
+let note ep f = Mutex.protect ep.emutex (fun () -> f ep.health)
+let note_fail ep = note ep (Health.note_fail ~now_s:(now ()))
+let note_draining ep = note ep (Health.note_draining ~now_s:(now ()))
+let note_shed ep = note ep (Health.note_shed ~now_s:(now ()))
+let note_ok ep ~latency_ms = note ep (Health.note_ok ~latency_ms)
 
 (* Send one frame on one endpoint. All failure modes surface as a
    [Lost] answer to the waiter (possibly via [conn_kill] failing every
@@ -523,7 +514,7 @@ let call t ?request_id fields =
                               | None -> h)
                        | None -> ());
                       if draining then note_draining tag_eps.(tag)
-                      else note_fail tag_eps.(tag)))
+                      else note_shed tag_eps.(tag)))
               end)
             got;
           match !decide with

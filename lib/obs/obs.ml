@@ -50,29 +50,7 @@ let latency_ms_buckets =
 let small_count_buckets = [| 1.; 2.; 3.; 4.; 6.; 8.; 12.; 16.; 24.; 32.; 64. |]
 let excess_buckets = [| 0.; 0.001; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.5; 1. |]
 
-(* Shortest representation that round-trips: %.12g covers every bucket
-   bound and sum in practice, %.17g is the exact fallback. *)
-let float_repr v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let s = Printf.sprintf "%.12g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Wire.Json
 
 (* Atomic float accumulator: CAS loop over the boxed float. *)
 let atomic_fadd cell v =
@@ -234,88 +212,73 @@ module Metrics = struct
 
   (* Exposition ------------------------------------------------------- *)
 
+  (* Bucket counts made cumulative, the overflow bucket last. *)
+  let cumulative h =
+    let cum = Array.map Atomic.get h.cells in
+    for i = 1 to Array.length cum - 1 do
+      cum.(i) <- cum.(i) + cum.(i - 1)
+    done;
+    cum
+
   let to_json t =
     let bindings = sorted_bindings t in
-    let buf = Buffer.create 1024 in
-    let int_section kind pick =
-      let first = ref true in
-      Buffer.add_string buf (Printf.sprintf "\"%s\":{" kind);
-      List.iter
-        (fun (n, m) ->
-          match pick m with
-          | Some v ->
-              if not !first then Buffer.add_char buf ',';
-              first := false;
-              Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape n) v)
-          | None -> ())
-        bindings;
-      Buffer.add_char buf '}'
+    let section pick =
+      J.Obj
+        (List.filter_map
+           (fun (n, m) -> Option.map (fun v -> (n, v)) (pick m))
+           bindings)
     in
-    Buffer.add_char buf '{';
-    int_section "counters" (function Counter c -> Some (Atomic.get c) | _ -> None);
-    Buffer.add_char buf ',';
-    int_section "gauges" (function Gauge g -> Some (Atomic.get g) | _ -> None);
-    Buffer.add_string buf ",\"histograms\":{";
-    let first = ref true in
-    List.iter
-      (fun (n, m) ->
-        match m with
-        | Histogram h ->
-            if not !first then Buffer.add_char buf ',';
-            first := false;
-            Buffer.add_string buf (Printf.sprintf "\"%s\":{" (json_escape n));
-            Buffer.add_string buf
-              (Printf.sprintf "\"count\":%d,\"sum\":%s,\"buckets\":["
-                 (Atomic.get h.h_count)
-                 (float_repr (Atomic.get h.h_sum)));
-            let cum = ref 0 in
-            Array.iteri
-              (fun i cell ->
-                cum := !cum + Atomic.get cell;
-                if i > 0 then Buffer.add_char buf ',';
-                let le =
-                  if i < Array.length h.bounds then float_repr h.bounds.(i)
-                  else "\"+Inf\""
-                in
-                Buffer.add_string buf
-                  (Printf.sprintf "{\"le\":%s,\"count\":%d}" le !cum))
-              h.cells;
-            Buffer.add_string buf "]}"
-        | _ -> ())
-      bindings;
-    Buffer.add_string buf "}}";
-    Buffer.contents buf
+    let histogram h =
+      let cum = cumulative h in
+      let bucket i =
+        let b = Array.length h.bounds in
+        let le = if i < b then J.Num h.bounds.(i) else J.Str "+Inf" in
+        J.Obj [ ("le", le); ("count", J.int cum.(i)) ]
+      in
+      J.Obj
+        [
+          ("count", J.int (Atomic.get h.h_count));
+          ("sum", J.Num (Atomic.get h.h_sum));
+          ("buckets", J.Arr (List.init (Array.length cum) bucket));
+        ]
+    in
+    let int c = Some (J.int (Atomic.get c)) in
+    J.to_string
+      (J.Obj
+         [
+           ("counters", section (function Counter c -> int c | _ -> None));
+           ("gauges", section (function Gauge g -> int g | _ -> None));
+           ( "histograms",
+             section (function Histogram h -> Some (histogram h) | _ -> None) );
+         ])
+
+  (* Finite numbers print as in JSON; the rest in Prometheus's spelling. *)
+  let prom_num x =
+    if Float.is_finite x then J.to_string (J.Num x)
+    else if Float.is_nan x then "NaN"
+    else if x > 0. then "+Inf"
+    else "-Inf"
 
   let to_prometheus t =
-    let bindings = sorted_bindings t in
     let buf = Buffer.create 1024 in
+    let line fmt = Printf.bprintf buf fmt in
     List.iter
       (fun (n, m) ->
         match m with
-        | Counter c ->
-            Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
-            Buffer.add_string buf (Printf.sprintf "%s %d\n" n (Atomic.get c))
-        | Gauge g ->
-            Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
-            Buffer.add_string buf (Printf.sprintf "%s %d\n" n (Atomic.get g))
+        | Counter c -> line "# TYPE %s counter\n%s %d\n" n n (Atomic.get c)
+        | Gauge g -> line "# TYPE %s gauge\n%s %d\n" n n (Atomic.get g)
         | Histogram h ->
-            Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
-            let cum = ref 0 in
+            line "# TYPE %s histogram\n" n;
             Array.iteri
-              (fun i cell ->
-                cum := !cum + Atomic.get cell;
-                let le =
-                  if i < Array.length h.bounds then float_repr h.bounds.(i)
-                  else "+Inf"
-                in
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n le !cum))
-              h.cells;
-            Buffer.add_string buf
-              (Printf.sprintf "%s_sum %s\n" n (float_repr (Atomic.get h.h_sum)));
-            Buffer.add_string buf
-              (Printf.sprintf "%s_count %d\n" n (Atomic.get h.h_count)))
-      bindings;
+              (fun i c ->
+                let b = Array.length h.bounds in
+                let le = if i < b then h.bounds.(i) else infinity in
+                line "%s_bucket{le=\"%s\"} %d\n" n (prom_num le) c)
+              (cumulative h);
+            line "%s_sum %s\n%s_count %d\n" n
+              (prom_num (Atomic.get h.h_sum))
+              n (Atomic.get h.h_count))
+      (sorted_bindings t);
     Buffer.contents buf
 end
 
@@ -383,21 +346,18 @@ module Trace = struct
            | c -> c)
 
   let to_json t =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"spans\":[";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_char buf ',';
-        let parent = if s.parent < 0 then "null" else string_of_int s.parent in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"id\":%d,\"parent\":%s,\"name\":\"%s\",\"start_s\":%s,\"dur_ms\":%s,\"domain\":%d}"
-             s.id parent (json_escape s.name) (float_repr s.start_s)
-             (float_repr ((s.stop_s -. s.start_s) *. 1000.))
-             s.domain))
-      (spans t);
-    Buffer.add_string buf "]}";
-    Buffer.contents buf
+    let span s =
+      J.Obj
+        [
+          ("id", J.int s.id);
+          ("parent", if s.parent < 0 then J.Null else J.int s.parent);
+          ("name", J.Str s.name);
+          ("start_s", J.Num s.start_s);
+          ("dur_ms", J.Num ((s.stop_s -. s.start_s) *. 1000.));
+          ("domain", J.int s.domain);
+        ]
+    in
+    J.to_string (J.Obj [ ("spans", J.Arr (List.map span (spans t))) ])
 end
 
 let on () = Metrics.enabled Metrics.default

@@ -76,14 +76,18 @@ module Metrics : sig
   (** {2 Exposition} *)
 
   val to_json : t -> string
-  (** [{"counters":{...},"gauges":{...},"histograms":{name:{"count":n,
-      "sum":s,"buckets":[{"le":b,"count":c},...,{"le":"+Inf",...}]}}}]
-      with cumulative bucket counts and names sorted. *)
+  (** [{"counters": {name: n, ...}, "gauges": {name: n, ...},
+      "histograms": {name: {"count": n, "sum": s, "buckets": [{"le": b,
+      "count": c}, ..., {"le": "+Inf", "count": n}]}, ...}}], a
+      {!Wire.Json} tree printed by [Wire.Json.to_string]: cumulative
+      bucket counts, names sorted, bounds and sums exact, a non-finite
+      sum as a quoted [%h] string. *)
 
   val to_prometheus : t -> string
   (** Prometheus text exposition format (counters, gauges, and
       [_bucket]/[_sum]/[_count] histogram series with cumulative [le]
-      labels). *)
+      labels). Finite numbers print as in {!to_json}; a non-finite sum
+      as [+Inf], [-Inf] or [NaN]. *)
 end
 
 module Trace : sig
@@ -119,8 +123,10 @@ module Trace : sig
   (** Completed spans sorted by (start time, id). *)
 
   val to_json : t -> string
-  (** [{"spans":[{"id":..,"parent":..|null,"name":..,"start_s":..,
-      "dur_ms":..,"domain":..},...]}] sorted by start time. *)
+  (** [{"spans": [{"id": .., "parent": ..|null, "name": .., "start_s": ..,
+      "dur_ms": .., "domain": ..}, ...]}] sorted by start time, a
+      {!Wire.Json} tree printed by [Wire.Json.to_string]: [start_s] and
+      [dur_ms] exact. *)
 end
 
 (** {1 Shortcuts on the default registry and tracer} *)

@@ -27,11 +27,13 @@ let add_escaped buf s =
   done;
   Buffer.add_substring buf s !run (n - !run)
 
-(* Numbers print as [%.12g]; a non-finite one prints as a quoted [%h]
-   string. [%.12g] prints an integral value below 10^12 in magnitude
-   (other than -0) as its [string_of_int] digits, which are written
-   straight into the buffer here: several times cheaper than [Printf],
-   and strategies are arrays of cell indices. *)
+(* A finite number prints as [%.12g] when that text parses back to the
+   same float and as [%.17g] otherwise, so every number round-trips bit
+   for bit; a non-finite one prints as a quoted [%h] string. An integral
+   value below 10^12 in magnitude (other than -0) takes the first rule
+   and is written as its [string_of_int] digits straight into the
+   buffer: several times cheaper than [Printf], and strategies are
+   arrays of cell indices. *)
 let rec add_nat buf n =
   if n >= 10 then add_nat buf (n / 10);
   Buffer.add_char buf (Char.chr (48 + (n mod 10)))
@@ -44,8 +46,11 @@ let add_num buf x =
     if x < 0.0 then Buffer.add_char buf '-';
     add_nat buf (int_of_float (Float.abs x))
   end
-  else if Float.is_finite x then
-    Buffer.add_string buf (Printf.sprintf "%.12g" x)
+  else if Float.is_finite x then begin
+    let s = Printf.sprintf "%.12g" x in
+    Buffer.add_string buf
+      (if float_of_string s = x then s else Printf.sprintf "%.17g" x)
+  end
   else begin
     Buffer.add_char buf '"';
     add_escaped buf (Printf.sprintf "%h" x);

@@ -50,8 +50,8 @@ type frame = { id : string; req : request }
 (** [solve_fields sr] — the inverse of decoding a solve frame: its
     fields without ["id"], optional ones only when set and ["cache"]
     only when off, in the order op, instance, solver, chain, budget_ms,
-    objective, cache, request_id. [budget_ms] is printed at 12
-    significant digits. *)
+    objective, cache, request_id. [budget_ms] round-trips bit for
+    bit. *)
 val solve_fields : solve_req -> (string * Json.t) list
 
 (** [frame_id json] — a frame's ["id"]: a string, or a number as

@@ -355,6 +355,44 @@ let test_retries_exhausted () =
     check int_t "one attempt per round" 3 e.C.err_attempts;
     check int_t "server saw every attempt" 3 (List.length (fake_frames f))
 
+(* ---------------- call: a shed is not a failure ---------------- *)
+
+(* One endpoint is down; the other sheds twice, then answers. A shed
+   proves its endpoint is up, so the retries stay on it instead of
+   swinging back to the refused connect. The sheds come 100 ms after
+   the frame, as from a busy daemon, so the two endpoints' scores are
+   not near-tied when the retry ranks them. *)
+let test_shed_outranks_dead_endpoint () =
+  let seen = Atomic.make 0 in
+  let f =
+    start_fake (fun frame ->
+        if Atomic.fetch_and_add seen 1 < 2 then begin
+          Thread.delay 0.1;
+          reject_response ~retry_after_ms:20 frame
+        end
+        else ok_response frame)
+  in
+  Fun.protect ~finally:(fun () -> stop_fake f) @@ fun () ->
+  let dead = Filename.temp_file "confcall_dead" ".sock" in
+  Sys.remove dead;
+  let cfg =
+    {
+      (C.default_config [ C.Unix_path dead; C.Tcp f.port ]) with
+      retry = { R.default with max_retries = 4 };
+      budget_ms = Some 5000.0;
+      seed = 7;
+    }
+  in
+  with_client cfg @@ fun t ->
+  match C.call t ~request_id:"s1" ping_fields with
+  | Error e -> Alcotest.failf "call failed: %s" e.C.message
+  | Ok o ->
+    check string_t "answered ok" "ok" o.C.response.P.status;
+    check bool_t "answered by the shedding endpoint" true
+      (o.C.endpoint = C.Tcp f.port);
+    check int_t "two sheds, then the answer" 3 (List.length (fake_frames f));
+    check int_t "the dead endpoint is tried once" 4 o.C.attempts
+
 (* ---------------- call: hedging ---------------- *)
 
 let test_hedge_exactly_one_answer () =
@@ -593,6 +631,8 @@ let () =
             test_retries_exhausted;
           Alcotest.test_case "hedge cancellation: exactly one answer" `Quick
             test_hedge_exactly_one_answer;
+          Alcotest.test_case "a shed outranks a dead endpoint" `Quick
+            test_shed_outranks_dead_endpoint;
         ] );
       ( "endpoints",
         [ Alcotest.test_case "endpoint grammar" `Quick test_endpoint_parsing ] );

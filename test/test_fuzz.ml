@@ -403,7 +403,9 @@ let test_print_parse_print () =
   done
 
 (* An integral number below 10^12 prints as [string_of_int]; every
-   other number, -0 included, exactly as [%.12g]. *)
+   other finite number, -0 included, as [%.12g] when that text parses
+   back to the same float and as [%.17g] otherwise. Either way a finite
+   number parses back bit for bit. *)
 let test_number_printing () =
   let rng = Prob.Rng.create ~seed:0x151 in
   for _ = 1 to cases * 20 do
@@ -412,20 +414,39 @@ let test_number_printing () =
       (Printf.sprintf "integral %d" n) (string_of_int n)
       (J.to_string (J.Num (float_of_int n)))
   done;
-  let check_g x =
-    if Float.is_finite x then
-      Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%.12g" x)
-        (J.to_string (J.Num x))
+  let check_number x =
+    if Float.is_finite x then begin
+      let printed = J.to_string (J.Num x) in
+      if not (Float.is_integer x && Float.abs x < 1e12) then begin
+        let g12 = Printf.sprintf "%.12g" x in
+        let expected =
+          if float_of_string g12 = x then g12 else Printf.sprintf "%.17g" x
+        in
+        Alcotest.(check string) (Printf.sprintf "%h" x) expected printed
+      end;
+      match J.parse printed with
+      | Ok (J.Num y) when Int64.bits_of_float y = Int64.bits_of_float x -> ()
+      | Ok v ->
+        Alcotest.failf "%h printed as %s came back as %s" x printed
+          (J.to_string v)
+      | Error e -> Alcotest.failf "%h printed as %s: %s" x printed e
+    end
   in
-  List.iter check_g
+  List.iter check_number
     [ -0.0; 1e12; -1e12; 1e12 +. 1.0; 0.5; -0.5; 1e-300; 5e-324; max_float;
-      -.max_float; 0x1p53; 123456789012.5; 999999999999.5; 0.1; 1e15 ];
+      -.max_float; 0x1p53; 0x1p53 -. 1.0; 0x1p53 +. 1.0; Float.succ 0x1p53;
+      123456789012.5; 999999999999.5; 0.1; 1e15; 1786000000.123456 ];
   for _ = 1 to cases * 20 do
-    let x = random_float rng in
-    if not (Float.is_integer x && Float.abs x < 1e12) then check_g x
+    check_number (random_float rng);
+    check_number (Int64.float_of_bits (Prob.Rng.bits64 rng))
   done
 
 (* -------------------- solve frame encoder -------------------- *)
+
+(* Any positive finite float: the printer keeps every one exact. *)
+let rec random_budget rng =
+  let x = Float.abs (random_float rng) in
+  if Float.is_finite x && x > 0.0 then x else random_budget rng
 
 let random_solve_req rng =
   let opt f = if Prob.Rng.bool rng then Some (f ()) else None in
@@ -434,9 +455,7 @@ let random_solve_req rng =
     Wire.Proto.instance = nonempty ();
     solver = opt (fun () -> random_string rng);
     chain = opt (fun () -> random_string rng);
-    (* 12 significant digits survive the printer *)
-    budget_ms =
-      opt (fun () -> float_of_int (1 + Prob.Rng.int rng 1_000_000_000) /. 100.0);
+    budget_ms = opt (fun () -> random_budget rng);
     objective = opt (fun () -> random_string rng);
     cache = Prob.Rng.bool rng;
     request_id = opt nonempty;

@@ -127,12 +127,12 @@ let test_exposition () =
   List.iter
     (fun frag -> check bool_t ("json has " ^ frag) true (contains js frag))
     [
-      {|"counters":{"reqs":1}|};
-      {|"gauges":{"depth":3}|};
-      {|"count":2|};
+      {|"counters": {"reqs": 1}|};
+      {|"gauges": {"depth": 3}|};
+      {|"count": 2|};
       (* JSON buckets are cumulative, +Inf spelled as a string. *)
-      {|{"le":2,"count":1}|};
-      {|{"le":"+Inf","count":2}|};
+      {|{"le": 2, "count": 1}|};
+      {|{"le": "+Inf", "count": 2}|};
     ];
   let prom = Obs.Metrics.to_prometheus m in
   List.iter
@@ -146,6 +146,40 @@ let test_exposition () =
       {|lat_bucket{le="+Inf"} 2|};
       "lat_count 2";
     ]
+
+(* Both JSON documents parse whatever was recorded: a non-finite
+   histogram sum, a span name that needs escapes; a span's start time
+   comes back bit for bit, and Prometheus spells a non-finite sum its
+   own way. *)
+let test_json_any_value () =
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.set_enabled m true;
+  Obs.Metrics.observe m "inf" infinity;
+  Obs.Metrics.observe m "nan" nan;
+  (match Wire.Json.parse (Obs.Metrics.to_json m) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "metrics JSON rejected: %s" e);
+  let prom = Obs.Metrics.to_prometheus m in
+  List.iter
+    (fun frag -> check bool_t ("prom has " ^ frag) true (contains prom frag))
+    [ "inf_sum +Inf\n"; "nan_sum NaN\n" ];
+  let t = Obs.Trace.create () in
+  Obs.Trace.set_enabled t true;
+  let name = "a\tb\"c" in
+  Obs.Trace.with_span t name (fun _ -> ());
+  let start_s = (List.hd (Obs.Trace.spans t)).Obs.Trace.start_s in
+  match Wire.Json.parse (Obs.Trace.to_json t) with
+  | Error e -> Alcotest.failf "trace JSON rejected: %s" e
+  | Ok js -> (
+    match Wire.Json.member "spans" js with
+    | Some (Wire.Json.Arr [ span ]) ->
+      let field k f = Option.bind (Wire.Json.member k span) f in
+      check (Alcotest.option string_t) "name" (Some name)
+        (field "name" Wire.Json.to_str);
+      check (Alcotest.option Alcotest.int64) "start_s bits"
+        (Some (Int64.bits_of_float start_s))
+        (Option.map Int64.bits_of_float (field "start_s" Wire.Json.to_num))
+    | _ -> Alcotest.fail "expected one span")
 
 let test_sanitize () =
   check string_t "spec chars mapped" "bandwidth_80"
@@ -309,6 +343,8 @@ let () =
           Alcotest.test_case "JSON and Prometheus exposition" `Quick
             test_exposition;
           Alcotest.test_case "name sanitisation" `Quick test_sanitize;
+          Alcotest.test_case "JSON valid for any recorded value" `Quick
+            test_json_any_value;
         ] );
       ( "trace",
         [

@@ -297,7 +297,9 @@ let test_cache_persistence () =
 (* Local replica of the CLI's JSON emitter (bin/confcall_cli.ml) for the
    fields a solve response shares with `confcall solve --json`. *)
 let cli_num x =
-  if Float.is_finite x then Printf.sprintf "%.12g" x
+  if Float.is_finite x then
+    let s = Printf.sprintf "%.12g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
   else Printf.sprintf "\"%h\"" x
 
 let cli_strategy s =
@@ -819,21 +821,21 @@ let mask_timings line =
 let golden_frames =
   [
     ( "solve direct, cache miss",
-      "{\"id\": \"d1\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\"}" );
+      "{\"id\": \"d1\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344251792, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\"}" );
     ( "solve direct, cache hit",
-      "{\"id\": \"d2\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false, \"cache\": \"hit\"}" );
+      "{\"id\": \"d2\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344251792, \"exact\": false, \"cache\": \"hit\"}" );
     ( "solve chain",
-      "{\"id\": \"ch\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false, \"chain\": \"greedy,page-all\", \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"off\"}" );
+      "{\"id\": \"ch\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.3472216498559004, \"exact\": false, \"chain\": \"greedy,page-all\", \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"off\"}" );
     ( "solve chain, budgeted",
-      "{\"id\": \"cb\", \"status\": \"ok\", \"solver\": \"local-search\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false, \"chain\": \"local-search,greedy,page-all\", \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"off\"}" );
+      "{\"id\": \"cb\", \"status\": \"ok\", \"solver\": \"local-search\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.3472216498559004, \"exact\": false, \"chain\": \"local-search,greedy,page-all\", \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"off\"}" );
     ( "request_id, cache miss",
-      "{\"id\": \"q1\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\"}" );
+      "{\"id\": \"q1\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.3472216498559004, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\"}" );
     ( "dedup replay of a miss",
-      "{\"id\": \"q2\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\", \"dedup\": \"hit\"}" );
+      "{\"id\": \"q2\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.3472216498559004, \"exact\": false, \"ladder\": \"full\", \"queue_ms\": T, \"elapsed_ms\": T, \"cache\": \"miss\", \"dedup\": \"hit\"}" );
     ( "request_id, cache hit",
-      "{\"id\": \"q3\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false, \"cache\": \"hit\"}" );
+      "{\"id\": \"q3\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344251792, \"exact\": false, \"cache\": \"hit\"}" );
     ( "dedup replay of a hit",
-      "{\"id\": \"q4\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false, \"cache\": \"hit\", \"dedup\": \"hit\"}" );
+      "{\"id\": \"q4\", \"status\": \"ok\", \"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344251792, \"exact\": false, \"cache\": \"hit\", \"dedup\": \"hit\"}" );
     ( "error with request_id",
       "{\"id\": \"e1\", \"status\": \"error\", \"error\": \"inapplicable: Optimal.branch_and_bound_d2: requires d = 2\"}" );
     ( "dedup replay of an error",
@@ -845,13 +847,13 @@ let golden_frames =
     ( "health",
       "{\"id\": \"h\", \"status\": \"ok\", \"draining\": false, \"queue_depth\": 0, \"capacity\": 8, \"domains\": 1, \"inflight\": 0, \"connections\": 1, \"cache_entries\": 2, \"cache_hits\": 2, \"cache_misses\": 2, \"cache_evictions\": 0, \"breaker_open\": false, \"pool_respawns\": 0, \"dedup_in_flight\": 0, \"dedup_completed\": 3, \"dedup_hits\": 3, \"request_log\": false}" );
     ( "simulate",
-      "{\"id\": \"s1\", \"status\": \"ok\", \"scenario\": \"suburb\", \"seed\": 3, \"replicas\": 1, \"per_scheme\": [{\"scheme\": \"blanket\", \"calls\": 156, \"cells_paged\": 5776, \"expected_paging\": 5776}, {\"scheme\": \"selective-d3\", \"calls\": 156, \"cells_paged\": 4923, \"expected_paging\": 2881.01682177}, {\"scheme\": \"diffuse-d3\", \"calls\": 156, \"cells_paged\": 3432, \"expected_paging\": 3298.71710508}], \"queue_ms\": T, \"elapsed_ms\": T}" );
+      "{\"id\": \"s1\", \"status\": \"ok\", \"scenario\": \"suburb\", \"seed\": 3, \"replicas\": 1, \"per_scheme\": [{\"scheme\": \"blanket\", \"calls\": 156, \"cells_paged\": 5776, \"expected_paging\": 5776}, {\"scheme\": \"selective-d3\", \"calls\": 156, \"cells_paged\": 4923, \"expected_paging\": 2881.0168217719574}, {\"scheme\": \"diffuse-d3\", \"calls\": 156, \"cells_paged\": 3432, \"expected_paging\": 3298.7171050794504}], \"queue_ms\": T, \"elapsed_ms\": T}" );
     ( "simulate, two replicas",
-      "{\"id\": \"s2\", \"status\": \"ok\", \"scenario\": \"suburb\", \"seed\": 3, \"replicas\": 2, \"per_scheme\": [{\"scheme\": \"blanket\", \"calls\": 307, \"cells_paged\": 11360, \"expected_paging\": 11360}, {\"scheme\": \"selective-d3\", \"calls\": 307, \"cells_paged\": 9604, \"expected_paging\": 5681.15837733}, {\"scheme\": \"diffuse-d3\", \"calls\": 307, \"cells_paged\": 6590, \"expected_paging\": 6498.31875172}], \"queue_ms\": T, \"elapsed_ms\": T}" );
+      "{\"id\": \"s2\", \"status\": \"ok\", \"scenario\": \"suburb\", \"seed\": 3, \"replicas\": 2, \"per_scheme\": [{\"scheme\": \"blanket\", \"calls\": 307, \"cells_paged\": 11360, \"expected_paging\": 11360}, {\"scheme\": \"selective-d3\", \"calls\": 307, \"cells_paged\": 9604, \"expected_paging\": 5681.1583773328093}, {\"scheme\": \"diffuse-d3\", \"calls\": 307, \"cells_paged\": 6590, \"expected_paging\": 6498.3187517221695}], \"queue_ms\": T, \"elapsed_ms\": T}" );
     ( "drain",
       "{\"id\": \"dr\", \"status\": \"ok\", \"draining\": true}" );
     ( "cache journal",
-      "a2386eb8ea6a069e446f5cd464e1d350|989e443d86a1a0d19dd9afd15cba8ba7\t\"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344252, \"exact\": false\tcrc:102a88c6\n1492be8e73d16bbee135923f85740283|989e443d86a1a0d19dd9afd15cba8ba7\t\"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.34722164986, \"exact\": false\tcrc:46a8f7bc\n" );
+      "a2386eb8ea6a069e446f5cd464e1d350|989e443d86a1a0d19dd9afd15cba8ba7\t\"solver\": \"greedy\", \"strategy\": [[1, 2, 3], [0, 4, 5]], \"expected_paging\": 4.47477344251792, \"exact\": false\tcrc:31a233be\n1492be8e73d16bbee135923f85740283|989e443d86a1a0d19dd9afd15cba8ba7\t\"solver\": \"greedy\", \"strategy\": [[0, 1], [2, 3, 4]], \"expected_paging\": 3.3472216498559004, \"exact\": false\tcrc:01c5a3db\n" );
   ]
 
 let test_golden_frames () =
