@@ -274,15 +274,83 @@ let generate_cmd =
     (Cmd.info "generate" ~doc:"Generate a random instance on stdout")
     Term.(const generate $ m $ c $ d $ dist $ seed $ skew)
 
+(* ---------------- request flags ----------------
+
+   The flags of a solve request, each defined once on the library's own
+   parser and shared by every command that takes it, so a bad value
+   fails the same way everywhere: as a usage error before anything is
+   read, written or connected. A parsed value keeps the text as typed:
+   `call` and `loadgen` put that text in the frame, so the daemon parses
+   exactly what was typed (the spec printer rounds robust radii). What
+   depends on the instance or the value's range (the objective against
+   m, a positive and finite budget) is [Runner.validate], which each
+   command calls before any output or side effect. *)
+
+let request_conv parse =
+  let parse s =
+    match parse s with Ok v -> Ok (s, v) | Error e -> Error (`Msg e)
+  in
+  Arg.conv (parse, fun ppf (s, _) -> Format.pp_print_string ppf s)
+
+let objective_arg =
+  Arg.(
+    value
+    & opt (some (request_conv Objective.of_string)) None
+    & info [ "objective" ] ~docv:"OBJ"
+        ~doc:"all (conference, the default) | any (yellow pages) | <k> \
+              (at least k devices).")
+
+(* [default] is the spec a command sends or runs when the flag is
+   absent. *)
+let solver_arg default =
+  Arg.(
+    value
+    & opt (some (request_conv Solver.spec_of_string)) default
+    & info [ "solver" ] ~docv:"SPEC"
+        ~doc:"greedy|page-all|exhaustive|bnb|exact|local-search|class|\
+              bandwidth-<b>|robust-<eps>[:<tv>].")
+
+let chain_arg =
+  Arg.(
+    value
+    & opt (some (request_conv Runner.chain_of_string)) None
+    & info [ "chain" ] ~docv:"CHAIN"
+        ~doc:"Fallback chain for the deadline runner: \
+              default|fast|heuristic|exact or a comma-separated solver \
+              list, e.g. bnb,local-search,greedy.")
+
+let budget_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "budget-ms" ] ~docv:"MS"
+        ~doc:"Wall-clock solve budget in milliseconds, positive and \
+              finite: the deadline runner answers with the best strategy \
+              its fallback chain finds within it.")
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
+
+let endpoints_arg =
+  Arg.(
+    value
+    & opt (some (request_conv Client.endpoints_of_string)) None
+    & info [ "endpoints" ] ~docv:"LIST"
+        ~doc:"Comma-separated daemon endpoints (PORT, tcp:PORT, \
+              unix:PATH or a socket path), ranked by observed health for \
+              failover. Wins over --port/--socket.")
+
+let hedge_after_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "hedge-after-ms" ] ~docv:"MS"
+        ~doc:"Tail-latency hedging: when no answer arrived within \
+              $(docv) ms, fire the request again at the next-best \
+              endpoint; the first terminal answer wins (server-side \
+              idempotency keeps it exactly-once).")
+
 (* ---------------- solve ---------------- *)
-
-let objective_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Objective.of_string s) in
-  Arg.conv (parse, fun ppf o -> Objective.pp ppf o)
-
-let solver_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Solver.spec_of_string s) in
-  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Solver.spec_to_string s))
 
 let bounds_json (b : Uncertainty.bounds) =
   J.Obj [ ("lo", J.Num b.Uncertainty.lo); ("hi", J.Num b.Uncertainty.hi) ]
@@ -388,6 +456,8 @@ let solve path spec objective verbose json budget_ms chain eps tv samples
   with_obs ~metrics_out ~trace_out @@ fun () ->
   let domains = effective_domains domains in
   let inst = read_instance path in
+  let spec = Option.map snd spec and chain = Option.map snd chain in
+  let objective = Option.fold ~none:Objective.Find_all ~some:snd objective in
   (* The perturbation ball: an explicit --eps wins; --samples derives a
      DKW-style per-entry radius at --confidence; --robust alone uses
      the same default radius as the "robust" solver spec. *)
@@ -398,12 +468,8 @@ let solve path spec objective verbose json budget_ms chain eps tv samples
     | None, None -> if robust || tv <> None then Some 0.05 else None
   in
   let uncertainty = Option.map (fun e -> Uncertainty.uniform ?tv e) eff_eps in
-  (match uncertainty with
-   | Some u ->
-     (match Uncertainty.validate u ~m:inst.Instance.m with
-      | Ok () -> ()
-      | Error e -> invalid_arg e)
-   | None -> ());
+  Result.iter_error invalid_arg
+    (Runner.validate ~objective ?budget_ms ?uncertainty ~m:inst.Instance.m ());
   (* Text-mode certification printed for the direct (non-runner) path;
      the runner prints its own robust report. *)
   let certification strategy =
@@ -502,27 +568,6 @@ let file_arg =
     & pos 0 string "-"
     & info [] ~docv:"FILE" ~doc:"Instance file (\"-\" for stdin).")
 
-let chain_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Runner.chain_of_string s) in
-  Arg.conv
-    (parse, fun ppf c -> Format.pp_print_string ppf (Runner.chain_to_string c))
-
-let budget_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "budget-ms" ]
-        ~doc:"Wall-clock budget in milliseconds; enables the deadline \
-              runner with fallback chains.")
-
-let chain_arg =
-  Arg.(
-    value
-    & opt (some chain_conv) None
-    & info [ "chain" ]
-        ~doc:"Fallback chain: default|fast|heuristic|exact or a \
-              comma-separated solver list, e.g. bnb,local-search,greedy.")
-
 let domains_arg =
   Arg.(
     value
@@ -534,24 +579,7 @@ let domains_arg =
               to previous releases). Results are independent of N.")
 
 let solve_cmd =
-  let spec =
-    Arg.(
-      value
-      & opt (some solver_conv) None
-      & info [ "solver" ]
-          ~doc:"greedy|page-all|exhaustive|bnb|exact|local-search|class|\
-                bandwidth-<b> (default greedy).")
-  in
-  let objective =
-    Arg.(
-      value
-      & opt objective_conv Objective.Find_all
-      & info [ "objective" ] ~doc:"all (conference) | any (yellow pages) | k.")
-  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"More output.") in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
-  in
   let eps =
     Arg.(
       value
@@ -594,9 +622,9 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an instance")
     Term.(
-      const solve $ file_arg $ spec $ objective $ verbose $ json $ budget_arg
-      $ chain_arg $ eps $ tv $ samples $ confidence $ robust $ domains_arg
-      $ metrics_out_arg $ trace_out_arg)
+      const solve $ file_arg $ solver_arg None $ objective_arg $ verbose
+      $ json_arg $ budget_arg $ chain_arg $ eps $ tv $ samples $ confidence
+      $ robust $ domains_arg $ metrics_out_arg $ trace_out_arg)
 
 (* ---------------- sweep ---------------- *)
 
@@ -616,7 +644,9 @@ let sweep m c d dist skew seeds objective budget_ms chain journal_path resume
   if c < 1 then invalid_arg (Printf.sprintf "-c must be >= 1, got %d" c);
   if d < 1 || d > c then
     invalid_arg (Printf.sprintf "-d must be in [1, c = %d], got %d" c d);
-  let chain = Option.value chain ~default:Runner.default_chain in
+  let objective = Option.fold ~none:Objective.Find_all ~some:snd objective in
+  Result.iter_error invalid_arg (Runner.validate ~objective ?budget_ms ~m ());
+  let chain = Option.fold ~none:Runner.default_chain ~some:snd chain in
   let domains = effective_domains domains in
   if Sys.file_exists journal_path && not resume then
     invalid_arg
@@ -695,12 +725,6 @@ let sweep_cmd =
       & opt (list int) [ 1; 2; 3; 4; 5 ]
       & info [ "seeds" ] ~doc:"PRNG seeds, one work item each.")
   in
-  let objective =
-    Arg.(
-      value
-      & opt objective_conv Objective.Find_all
-      & info [ "objective" ] ~doc:"all|any|k.")
-  in
   let journal =
     Arg.(
       required
@@ -718,7 +742,7 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Journaled runner sweep over generated instances (resumable)")
     Term.(
-      const sweep $ m $ c $ d $ dist $ skew $ seeds $ objective $ budget_arg
+      const sweep $ m $ c $ d $ dist $ skew $ seeds $ objective_arg $ budget_arg
       $ chain_arg $ journal $ resume $ domains_arg $ metrics_out_arg
       $ trace_out_arg)
 
@@ -779,6 +803,9 @@ let parse_strategy s =
 let evaluate path strategy_s objective =
   guard @@ fun () ->
   let inst = read_instance path in
+  let objective = Option.fold ~none:Objective.Find_all ~some:snd objective in
+  Result.iter_error invalid_arg
+    (Runner.validate ~objective ~m:inst.Instance.m ());
   let strategy = parse_strategy strategy_s in
   Printf.printf "expected paging: %.6f\n"
     (Strategy.expected_paging ~objective inst strategy);
@@ -793,15 +820,9 @@ let evaluate_cmd =
       & info [ "strategy" ] ~docv:"GROUPS"
           ~doc:"Strategy as cell groups, e.g. \"0 1 2|3 4|5\".")
   in
-  let objective =
-    Arg.(
-      value
-      & opt objective_conv Objective.Find_all
-      & info [ "objective" ] ~doc:"all|any|k.")
-  in
   Cmd.v
     (Cmd.info "evaluate" ~doc:"Expected paging of an explicit strategy")
-    Term.(const evaluate $ file_arg $ strategy $ objective)
+    Term.(const evaluate $ file_arg $ strategy $ objective_arg)
 
 (* ---------------- simulate ---------------- *)
 
@@ -1139,9 +1160,6 @@ let simulate_cmd =
                 before planning (selective schemes become aged-d<k>). \
                 Requires --residence.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
-  in
   let replicas =
     Arg.(
       value & opt int 1
@@ -1157,7 +1175,7 @@ let simulate_cmd =
       $ ds $ reporting $ diffuse $ call_duration $ scenario $ page_loss
       $ detect_q $ outage_rate $ outage_repair $ report_loss $ report_delay
       $ retry $ residence $ age_cap $ reprofile_age $ age_robust $ aged
-      $ json $ replicas $ domains_arg $ metrics_out_arg $ trace_out_arg)
+      $ json_arg $ replicas $ domains_arg $ metrics_out_arg $ trace_out_arg)
 
 (* ---------------- analyze ---------------- *)
 
@@ -1423,25 +1441,22 @@ let serve_cmd =
 
 (* --endpoints wins over --port/--socket; each entry is PORT, tcp:PORT,
    unix:PATH or a bare socket path (see {!Client.endpoint_of_string}). *)
-let endpoints_of_flags cmd endpoints port socket =
+let endpoints_of_flags endpoints port socket =
   match endpoints with
-  | Some s -> (
-    match Client.endpoints_of_string s with
-    | Error msg -> invalid_arg (cmd ^ ": " ^ msg)
-    | Ok eps -> eps)
+  | Some (_, eps) -> eps
   | None -> [ listen_of_flags port socket ]
 
 let loadgen port socket endpoints rate requests budget_ms solver chain m c d
     instances seed cache timeout retries hedge_after_ms json =
   guard @@ fun () ->
-  let targets = endpoints_of_flags "loadgen" endpoints port socket in
+  let targets = endpoints_of_flags endpoints port socket in
   let opts =
     {
       Serve.Loadgen.rate;
       requests;
       budget_ms;
-      solver;
-      chain;
+      solver = Option.map fst solver;
+      chain = Option.map fst chain;
       m;
       c;
       d;
@@ -1540,27 +1555,6 @@ let loadgen_cmd =
       value & opt int 200
       & info [ "requests"; "n" ] ~docv:"N" ~doc:"Total requests to send.")
   in
-  let budget_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget-ms" ] ~docv:"MS"
-          ~doc:"Per-request deadline attached to every solve frame.")
-  in
-  let solver =
-    Arg.(
-      value
-      & opt (some string) (Some "greedy")
-      & info [ "solver" ] ~docv:"SPEC" ~doc:"Solver spec for the frames.")
-  in
-  let chain =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chain" ] ~docv:"CHAIN"
-          ~doc:"Fallback chain for the frames (overrides the direct-solver \
-                path).")
-  in
   let m = Arg.(value & opt int 3 & info [ "m" ] ~doc:"Devices per instance.") in
   let c = Arg.(value & opt int 12 & info [ "c" ] ~doc:"Cells per instance.") in
   let d = Arg.(value & opt int 2 & info [ "d" ] ~doc:"Delay budget.") in
@@ -1586,18 +1580,6 @@ let loadgen_cmd =
                 request with no terminal answer by then counts as \
                 unanswered.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
-  in
-  let endpoints =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "endpoints" ] ~docv:"LIST"
-          ~doc:"Comma-separated daemon endpoints (PORT, tcp:PORT, \
-                unix:PATH or a socket path), ranked by observed health \
-                for failover. Wins over --port/--socket.")
-  in
   let retries =
     Arg.(
       value & opt int 0
@@ -1608,22 +1590,14 @@ let loadgen_cmd =
                 unique to the run, so a retry executes at most once per \
                 daemon.")
   in
-  let hedge_after_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "hedge-after-ms" ] ~docv:"MS"
-          ~doc:"Tail-latency hedging: when no answer arrived within \
-                $(docv) ms, fire the request again at the next-best \
-                endpoint; first terminal answer wins.")
-  in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:"Drive Poisson load at a running serve daemon")
     Term.(
-      const loadgen $ port_arg $ socket_arg $ endpoints $ rate $ requests
-      $ budget_ms $ solver $ chain $ m $ c $ d $ instances $ seed $ cache
-      $ timeout $ retries $ hedge_after_ms $ json)
+      const loadgen $ port_arg $ socket_arg $ endpoints_arg $ rate $ requests
+      $ budget_arg $ solver_arg (Some ("greedy", Solver.Greedy)) $ chain_arg
+      $ m $ c $ d $ instances $ seed $ cache $ timeout $ retries
+      $ hedge_after_arg $ json_arg)
 
 (* ---------------- call ---------------- *)
 
@@ -1631,7 +1605,10 @@ let call path endpoints port socket retries hedge_after_ms deadline_ms
     budget_ms solver chain objective no_cache request_id json =
   guard @@ fun () ->
   let inst = read_instance path in
-  let eps = endpoints_of_flags "call" endpoints port socket in
+  Result.iter_error invalid_arg
+    (Runner.validate ?objective:(Option.map snd objective) ?budget_ms
+       ~m:inst.Instance.m ());
+  let eps = endpoints_of_flags endpoints port socket in
   if not (Float.is_finite deadline_ms) || deadline_ms <= 0.0 then
     invalid_arg "call: --deadline-ms must be positive";
   let cl =
@@ -1658,10 +1635,10 @@ let call path endpoints port socket retries hedge_after_ms deadline_ms
     Wire.Proto.solve_fields
       {
         instance = Instance.to_string inst;
-        solver;
-        chain;
+        solver = Option.map fst solver;
+        chain = Option.map fst chain;
         budget_ms;
-        objective;
+        objective = Option.map fst objective;
         cache = not no_cache;
         request_id = None;
       }
@@ -1709,15 +1686,6 @@ let call path endpoints port socket retries hedge_after_ms deadline_ms
     exit 1
 
 let call_cmd =
-  let endpoints =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "endpoints" ] ~docv:"LIST"
-          ~doc:"Comma-separated daemon endpoints (PORT, tcp:PORT, \
-                unix:PATH or a socket path), ranked by observed health; \
-                wins over --port/--socket.")
-  in
   let retries =
     Arg.(
       value & opt int 3
@@ -1727,46 +1695,12 @@ let call_cmd =
                 decorrelated jitter, honoring server retry_after_ms \
                 hints.")
   in
-  let hedge_after_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "hedge-after-ms" ] ~docv:"MS"
-          ~doc:"Fire a second attempt at the next-best endpoint when no \
-                answer arrived within $(docv) ms; first terminal answer \
-                wins (server-side idempotency keeps it exactly-once).")
-  in
   let deadline_ms =
     Arg.(
       value & opt float 30_000.0
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:"End-to-end budget across all retries and hedges; on \
                 exhaustion the best-so-far error is reported.")
-  in
-  let solver =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "solver" ] ~docv:"SPEC" ~doc:"Solver spec for the request.")
-  in
-  let chain =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chain" ] ~docv:"CHAIN" ~doc:"Fallback chain for the request.")
-  in
-  let budget_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget-ms" ] ~docv:"MS"
-          ~doc:"Server-side per-request deadline (budget_ms frame field).")
-  in
-  let objective =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "objective" ] ~docv:"OBJ" ~doc:"all | any | <k>.")
   in
   let no_cache =
     Arg.(
@@ -1780,9 +1714,6 @@ let call_cmd =
       & info [ "request-id" ] ~docv:"ID"
           ~doc:"Idempotency key (default: fresh per invocation). Reusing \
                 one replays the daemon's memoized terminal response.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
   in
   Cmd.v
     (Cmd.info "call"
@@ -1801,9 +1732,9 @@ let call_cmd =
               arguments.";
          ])
     Term.(
-      const call $ file_arg $ endpoints $ port_arg $ socket_arg $ retries
-      $ hedge_after_ms $ deadline_ms $ budget_ms $ solver $ chain $ objective
-      $ no_cache $ request_id $ json)
+      const call $ file_arg $ endpoints_arg $ port_arg $ socket_arg $ retries
+      $ hedge_after_arg $ deadline_ms $ budget_arg $ solver_arg None
+      $ chain_arg $ objective_arg $ no_cache $ request_id $ json_arg)
 
 let () =
   let info =

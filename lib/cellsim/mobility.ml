@@ -99,11 +99,11 @@ let step t rng ~cell =
   if cell < 0 || cell >= t.n then invalid_arg "Mobility.step: bad cell"
   else Prob.Dist.sample rng t.rows.(cell)
 
-let stationary ?(iters = 10_000) ?(tol = 1e-12) t =
+let stationary t =
   let v = ref (Array.make t.n (1.0 /. float_of_int t.n)) in
   let continue = ref true in
   let k = ref 0 in
-  while !continue && !k < iters do
+  while !continue && !k < 10_000 do
     let next = Array.make t.n 0.0 in
     for i = 0 to t.n - 1 do
       let vi = !v.(i) in
@@ -112,7 +112,7 @@ let stationary ?(iters = 10_000) ?(tol = 1e-12) t =
           next.(j) <- next.(j) +. (vi *. t.rows.(i).(j))
         done
     done;
-    if Prob.Dist.total_variation !v next < tol then continue := false;
+    if Prob.Dist.total_variation !v next < 1e-12 then continue := false;
     v := next;
     incr k
   done;

@@ -37,9 +37,9 @@ val teleport : t -> jump:float -> target:float array -> t
 (** [step t rng ~cell] — sample the next cell. *)
 val step : t -> Prob.Rng.t -> cell:int -> int
 
-(** [stationary ?iters ?tol t] — stationary distribution by power
-    iteration from uniform; [tol] is total-variation convergence. *)
-val stationary : ?iters:int -> ?tol:float -> t -> float array
+(** [stationary t] — stationary distribution by power iteration from
+    uniform, to 1e-12 in total variation (at most 10 000 steps). *)
+val stationary : t -> float array
 
 (** [diffuse t dist ~steps] — push a distribution [steps] ticks forward:
     the system's belief about a user last seen [steps] ago.

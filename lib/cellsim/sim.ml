@@ -197,11 +197,10 @@ let validate_config config =
           (match Drift.validate dc with
            | Ok () -> ()
            | Error reason -> invalid_arg ("Sim.run: drift: " ^ reason)));
-       (match budget_ms with
-        | None -> ()
-        | Some b ->
-          if not (Float.is_finite b && b > 0.0) then
-            invalid_arg "Sim.run: estimator budget_ms must be positive"));
+       (* every paged call seeks at least one device *)
+       Result.iter_error
+         (fun reason -> invalid_arg ("Sim.run: estimator " ^ reason))
+         (Runner.validate ?budget_ms ~m:1 ()));
     (match config.aging with
      | None ->
        List.iter

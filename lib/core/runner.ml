@@ -128,15 +128,23 @@ let quality_of ?objective inst (outcome : Solver.outcome) =
     within_guarantee = (ratio <= guarantee +. 1e-9);
   }
 
+let validate ?(objective = Objective.Find_all) ?budget_ms ?uncertainty ~m () =
+  match (Objective.validate objective ~m, budget_ms, uncertainty) with
+  | Error msg, _, _ -> Error ("objective: " ^ msg)
+  | Ok (), Some b, _ when not (Float.is_finite b && b > 0.0) ->
+    Error (Printf.sprintf "budget_ms must be positive and finite, got %g" b)
+  | Ok (), _, Some u ->
+    Result.map_error (( ^ ) "uncertainty: ") (Uncertainty.validate u ~m)
+  | Ok (), _, None -> Ok ()
+
 let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
-    ?(clock = Obs.now) ?(ensure_baseline = true) ?(chain = default_chain)
-    ?uncertainty ?pool ?arena inst =
+    ?(clock = Obs.now) ?(chain = default_chain) ?uncertainty ?pool ?arena
+    inst =
   Obs.span "runner.run" @@ fun run_sp ->
   Obs.count "runner_runs";
   let chain =
-    if ensure_baseline && not (List.mem Solver.Page_all chain) then
-      chain @ [ Solver.Page_all ]
-    else chain
+    if List.mem Solver.Page_all chain then chain
+    else chain @ [ Solver.Page_all ]
   in
   let start = clock () in
   let deadline = Option.map (fun b -> start +. (b /. 1000.0)) budget_ms in
@@ -190,21 +198,10 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
       failure;
     }
   in
-  let input_error =
-    match Objective.validate objective ~m:inst.Instance.m with
-    | Error msg -> Some msg
-    | Ok () ->
-      (match uncertainty with
-       | None -> None
-       | Some u ->
-         (match Uncertainty.validate u ~m:inst.Instance.m with
-          | Error msg -> Some ("uncertainty: " ^ msg)
-          | Ok () -> None))
-  in
-  match input_error with
-  | Some msg ->
+  match validate ~objective ?budget_ms ?uncertainty ~m:inst.Instance.m () with
+  | Error msg ->
     finish ~stages:[] ~winner:None ~failure:(Some (Invalid_input msg))
-  | None ->
+  | Ok () ->
     (* Worst-case EP of a completed stage's strategy — the re-ranking
        key in uncertainty mode. [infinity] keeps an unscorable stage as
        a last-resort candidate so the run can still produce a winner. *)
@@ -357,12 +354,8 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
        | Some p when Exec.Pool.size p > 1 -> raced p
        | Some _ | None -> sequential [] chain)
 
-let solve ?objective ?budget_ms ?grace_ms ?clock ?chain ?uncertainty ?pool
-    ?arena inst =
-  let report =
-    run ?objective ?budget_ms ?grace_ms ?clock ?chain ?uncertainty ?pool ?arena
-      inst
-  in
+let solve ?objective ?budget_ms ?chain inst =
+  let report = run ?objective ?budget_ms ?chain inst in
   match (report.winner, report.failure) with
   | Some (_, outcome), _ -> Ok outcome
   | None, Some err -> Error err

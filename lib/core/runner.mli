@@ -15,7 +15,8 @@
     - a structured error taxonomy replacing the stringly
       [Invalid_argument] escapes of the raw solvers at this boundary.
 
-    Guarantees, for any valid instance and any budget:
+    Guarantees, for any valid instance and any request that passes
+    {!validate}:
     + {!run} terminates within budget plus a small grace window (the
       terminal [Page_all] stage is O(m·c) and runs unconditionally);
     + the winner is a valid strategy for the instance ({!Strategy}
@@ -29,7 +30,7 @@ type error =
   | Inapplicable of string
       (** the method does not apply to this instance (e.g. B&B with
           d ≠ 2, guarded exact search on a huge instance) *)
-  | Invalid_input of string  (** the instance/objective failed validation *)
+  | Invalid_input of string  (** the request failed {!validate} *)
   | Internal of string  (** unexpected exception — a bug, not user error *)
 
 type stage_status =
@@ -110,8 +111,26 @@ val chain_to_string : Solver.spec list -> string
     the daemon's load-shedding ladder keeps the same set. *)
 val always_fast : Solver.spec -> bool
 
-(** [run ?objective ?budget_ms ?grace_ms ?clock ?ensure_baseline ?chain
-    inst] executes the chain best-first and returns the full report.
+(** [validate ?objective ?budget_ms ?uncertainty ~m ()] is the one
+    check of a solve request on [m] devices: the objective (default
+    [Find_all]) and the uncertainty ball against [m], and a positive,
+    finite budget. The error names the field. {!run} applies it first;
+    the CLI, the daemon, the simulator and the load generator call it
+    at their boundary, before any side effect. *)
+val validate :
+  ?objective:Objective.t ->
+  ?budget_ms:float ->
+  ?uncertainty:Uncertainty.t ->
+  m:int ->
+  unit ->
+  (unit, string) result
+
+(** [run ?objective ?budget_ms ?grace_ms ?clock ?chain inst] executes
+    the chain best-first and returns the full report.
+
+    A request that fails {!validate} runs no stage and fails with
+    [Invalid_input]: a budget of [infinity] or [nan] would arm a
+    deadline that never fires.
 
     Budget semantics: all stages share one deadline, [budget_ms] from
     the start of the run. A stage started before the deadline runs with
@@ -122,10 +141,10 @@ val always_fast : Solver.spec -> bool
     keep their size guards; with a budget the guards are lifted — the
     deadline, not the guard, bounds the work.
 
-    [ensure_baseline] (default true) appends [Page_all] when absent so
-    the chain cannot end empty-handed. [clock] (default {!Obs.now})
-    is exposed for tests. Never raises: all solver escapes are folded
-    into the taxonomy above.
+    [Page_all] is appended when absent so the chain cannot end
+    empty-handed. [clock] (default {!Obs.now}) is exposed for tests.
+    Never raises: all solver escapes are folded into the taxonomy
+    above.
 
     With [?uncertainty], the run switches from first-success to
     {e re-ranking}: every stage still within budget runs, each
@@ -169,7 +188,6 @@ val run :
   ?budget_ms:float ->
   ?grace_ms:float ->
   ?clock:(unit -> float) ->
-  ?ensure_baseline:bool ->
   ?chain:Solver.spec list ->
   ?uncertainty:Uncertainty.t ->
   ?pool:Exec.Pool.t ->
@@ -182,12 +200,7 @@ val run :
 val solve :
   ?objective:Objective.t ->
   ?budget_ms:float ->
-  ?grace_ms:float ->
-  ?clock:(unit -> float) ->
   ?chain:Solver.spec list ->
-  ?uncertainty:Uncertainty.t ->
-  ?pool:Exec.Pool.t ->
-  ?arena:Flat.t ->
   Instance.t ->
   (Solver.outcome, error) result
 

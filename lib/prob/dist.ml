@@ -57,8 +57,7 @@ let perturb rng ~eps v =
     normalize w
   end
 
-let clamp_positive ?(floor = 1e-12) v =
-  normalize (Array.map (fun x -> Stdlib.max x floor) v)
+let clamp_positive v = normalize (Array.map (fun x -> Stdlib.max x 1e-12) v)
 
 let sample rng v =
   let u = Rng.unit_float rng in

@@ -39,9 +39,9 @@ val shuffled : Rng.t -> float array -> float array
     [[1−eps, 1+eps]] and renormalizes; used for tie-breaking studies. *)
 val perturb : Rng.t -> eps:float -> float array -> float array
 
-(** [clamp_positive ?floor v] lifts zero entries to a tiny positive floor
-    and renormalizes, enforcing the model's positivity assumption. *)
-val clamp_positive : ?floor:float -> float array -> float array
+(** [clamp_positive v] lifts entries below 1e-12 to 1e-12 and
+    renormalizes, enforcing the model's positivity assumption. *)
+val clamp_positive : float array -> float array
 
 (** [sample rng v] draws a category index by linear inversion. *)
 val sample : Rng.t -> float array -> int

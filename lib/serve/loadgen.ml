@@ -84,10 +84,9 @@ let validate o =
    | Some h when not (Float.is_finite h) || h < 0.0 ->
      invalid_arg "loadgen: hedge_after_ms must be >= 0"
    | _ -> ());
-  match o.budget_ms with
-  | Some b when not (Float.is_finite b) || b <= 0.0 ->
-    invalid_arg "loadgen: budget_ms must be positive"
-  | _ -> ()
+  Result.iter_error
+    (fun msg -> invalid_arg ("loadgen: " ^ msg))
+    (Runner.validate ?budget_ms:o.budget_ms ~m:o.m ())
 
 (* The workload (instances, arrival gaps) and the request fields; the
    frame [id] and the [request_id] are the client runtime's. *)

@@ -636,25 +636,19 @@ let handle_solve st conn ~id (sr : Wire.Proto.solve_req) =
     | Some s -> Objective.of_string s
   in
   let* () =
-    Result.map_error (fun e -> "objective: " ^ e)
-      (Objective.validate objective ~m:inst.Instance.m)
+    Runner.validate ~objective ?budget_ms:sr.Wire.Proto.budget_ms
+      ~m:inst.Instance.m ()
   in
-  let* spec =
-    match sr.Wire.Proto.solver with
+  (* An absent field stays [None]; a present one must parse, and its
+     error names the field. *)
+  let optional name parse = function
     | None -> Ok None
     | Some s ->
-      Result.map
-        (fun s -> Some s)
-        (Result.map_error (fun e -> "solver: " ^ e) (Solver.spec_of_string s))
+      Result.map Option.some
+        (Result.map_error (fun e -> name ^ ": " ^ e) (parse s))
   in
-  let* chain =
-    match sr.Wire.Proto.chain with
-    | None -> Ok None
-    | Some s ->
-      Result.map
-        (fun c -> Some c)
-        (Result.map_error (fun e -> "chain: " ^ e) (Runner.chain_of_string s))
-  in
+  let* spec = optional "solver" Solver.spec_of_string sr.Wire.Proto.solver in
+  let* chain = optional "chain" Runner.chain_of_string sr.Wire.Proto.chain in
   let ckey =
     if not sr.Wire.Proto.cache then None
     else

@@ -182,6 +182,31 @@ let test_runner_invalid_objective () =
        | Some e -> Runner.error_to_string e
        | None -> "none")
 
+(* A budget must be positive and finite: infinity or nan would arm a
+   deadline that never fires, so the run stops at the input check and
+   no stage runs. *)
+let test_runner_invalid_budget () =
+  let inst = small_instance () in
+  List.iter
+    (fun b ->
+      let report = Runner.run ~budget_ms:b inst in
+      let what = Printf.sprintf "budget %g" b in
+      check bool_t (what ^ ": no winner") true (report.Runner.winner = None);
+      check int_t (what ^ ": no stage ran") 0 (List.length report.Runner.stages);
+      match report.Runner.failure with
+      | Some (Runner.Invalid_input msg) ->
+        check bool_t (what ^ ": names the budget") true
+          (String.starts_with ~prefix:"budget_ms" msg)
+      | f ->
+        Alcotest.failf "%s: expected Invalid_input, got %s" what
+          (match f with Some e -> Runner.error_to_string e | None -> "none"))
+    [ infinity; nan; 0.0; -1.0 ];
+  check bool_t "a finite positive budget passes" true
+    (Runner.validate ~budget_ms:1.0 ~m:2 () = Ok ());
+  check bool_t "the objective error names the field" true
+    (Runner.validate ~objective:(Objective.Find_at_least 5) ~m:2 ()
+     = Error "objective: Find_at_least k requires 1 <= k <= m")
+
 let test_runner_exact_wins_small () =
   let inst = small_instance () in
   let report = Runner.run ~budget_ms:5000.0 inst in
@@ -532,6 +557,8 @@ let () =
             test_runner_uncertainty_reranks;
           Alcotest.test_case "robust solver spec" `Quick
             test_solver_robust_spec;
+          Alcotest.test_case "invalid budget" `Quick
+            test_runner_invalid_budget;
         ] );
       ( "journal",
         [

@@ -427,6 +427,30 @@ let test_deadline_degrades () =
       check bool_t "EP finite" true
         (Float.is_finite (jnum_field "expected_paging" j)))
 
+(* ---------------- request check ---------------- *)
+
+(* An objective the instance cannot meet (k = 5 of m = 2 devices) is an
+   error frame whose text clients read: the daemon's "objective: ..."
+   message, pinned byte for byte. *)
+let test_objective_error_text () =
+  with_server ~domains:1 ~capacity:8 (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let rng = Prob.Rng.create ~seed:5 in
+      let inst = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:2 in
+      send c
+        (J.to_string
+           (J.Obj
+              [
+                ("id", J.Str "k5"); ("op", J.Str "solve");
+                ("instance", J.Str (Instance.to_string inst));
+                ("objective", J.Str "5");
+              ]));
+      check string_t "error frame"
+        "{\"id\": \"k5\", \"status\": \"error\", \"error\": \"objective: \
+         Find_at_least k requires 1 <= k <= m\"}"
+        (List.hd (recv_n c 1)))
+
 (* ---------------- overload and shedding ---------------- *)
 
 let test_overload_sheds () =
@@ -1022,6 +1046,8 @@ let () =
             test_golden_frames;
           Alcotest.test_case "stalled reader disconnected" `Quick
             test_stalled_reader_disconnected;
+          Alcotest.test_case "objective error text" `Quick
+            test_objective_error_text;
         ] );
       ( "idempotency",
         [
