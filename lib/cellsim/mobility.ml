@@ -1,81 +1,119 @@
-type t = { n : int; rows : float array array }
+(* Compressed sparse rows: row i's non-zeros sit at indices
+   ptr.(i) .. ptr.(i + 1) - 1 of [cols] (ascending) and [probs]. Exact
+   zeros are not stored, so a hex walk keeps at most 7 entries a row. *)
+type t = { n : int; ptr : int array; cols : int array; probs : floatarray }
 
-let create rows =
-  let n = Array.length rows in
-  if n = 0 then invalid_arg "Mobility.create: empty matrix"
+let cells t = t.n
+
+let row t i =
+  if i < 0 || i >= t.n then invalid_arg "Mobility.row: bad cell"
   else begin
-    Array.iteri
-      (fun i row ->
-        if Array.length row <> n then
-          invalid_arg
-            (Printf.sprintf
-               "Mobility.create: row %d has %d entries, matrix is %d-square" i
-               (Array.length row) n)
-        else if Array.exists (fun x -> x < 0.0) row then
-          invalid_arg (Printf.sprintf "Mobility.create: negative entry in row %d" i)
-        else begin
-          let sum = Array.fold_left ( +. ) 0.0 row in
-          if abs_float (sum -. 1.0) > 1e-9 then
-            invalid_arg
-              (Printf.sprintf "Mobility.create: row %d sums to %.12g, not 1" i
-                 sum)
-        end)
-      rows;
-    { n; rows = Array.map Array.copy rows }
+    let out = Array.make t.n 0.0 in
+    for k = t.ptr.(i) to t.ptr.(i + 1) - 1 do
+      out.(t.cols.(k)) <- Float.Array.get t.probs k
+    done;
+    out
   end
+
+(* The checks [create] makes on each dense row, in its order: width,
+   sign, then the left-to-right sum. *)
+let check_row n i row =
+  if Array.length row <> n then
+    invalid_arg
+      (Printf.sprintf "Mobility.create: row %d has %d entries, matrix is %d-square"
+         i (Array.length row) n);
+  let sum = ref 0.0 in
+  for j = 0 to n - 1 do
+    let x = row.(j) in
+    if x < 0.0 then
+      invalid_arg (Printf.sprintf "Mobility.create: negative entry in row %d" i);
+    sum := !sum +. x
+  done;
+  if abs_float (!sum -. 1.0) > 1e-9 then
+    invalid_arg
+      (Printf.sprintf "Mobility.create: row %d sums to %.12g, not 1" i !sum)
+
+(* [compress n dense] builds the model from dense rows [dense i], each
+   checked before its non-zeros are kept. [dense] may hand back one
+   scratch row refilled per call: its entries are read before the next
+   call. The entry arrays start at 8 a row, room for any hex walk, and
+   double when dense rows outgrow them. *)
+let compress n dense =
+  if n = 0 then invalid_arg "Mobility.create: empty matrix";
+  let ptr = Array.make (n + 1) 0 in
+  let cols = ref (Array.make (8 * n) 0) in
+  let probs = ref (Float.Array.make (8 * n) 0.0) in
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    let r = dense i in
+    check_row n i r;
+    for j = 0 to n - 1 do
+      let x = r.(j) in
+      if x <> 0.0 then begin
+        if !len = Array.length !cols then begin
+          let size = 2 * !len in
+          let c = Array.make size 0 and p = Float.Array.make size 0.0 in
+          Array.blit !cols 0 c 0 !len;
+          Float.Array.blit !probs 0 p 0 !len;
+          cols := c;
+          probs := p
+        end;
+        !cols.(!len) <- j;
+        Float.Array.set !probs !len x;
+        incr len
+      end
+    done;
+    ptr.(i + 1) <- !len
+  done;
+  let len = !len in
+  { n; ptr; cols = Array.sub !cols 0 len; probs = Float.Array.sub !probs 0 len }
+
+let create rows = compress (Array.length rows) (fun i -> rows.(i))
+
+(* Rows built in one zeroed scratch row; [fill cell row] writes the
+   cell's entries. *)
+let build n fill =
+  let scratch = Array.make n 0.0 in
+  compress n (fun cell ->
+      Array.fill scratch 0 n 0.0;
+      fill cell scratch;
+      scratch)
 
 let random_walk hex ~stay =
   if stay < 0.0 || stay >= 1.0 then
     invalid_arg "Mobility.random_walk: stay must be in [0, 1)"
-  else begin
-    let n = Hex.cells hex in
-    let rows =
-      Array.init n (fun cell ->
-          let row = Array.make n 0.0 in
-          let ns = Hex.neighbors hex cell in
-          (match ns with
-           | [] ->
-             (* Isolated cell (1×1 field): nowhere to leave to, so the
-                leaving mass folds back and the cell is absorbing. *)
-             row.(cell) <- 1.0
-           | _ ->
-             let share = (1.0 -. stay) /. float_of_int (List.length ns) in
-             row.(cell) <- stay;
-             List.iter (fun j -> row.(j) <- row.(j) +. share) ns);
-          row)
-    in
-    create rows
-  end
+  else
+    build (Hex.cells hex) (fun cell row ->
+        match Hex.neighbors hex cell with
+        | [] ->
+          (* Isolated cell (1×1 field): nowhere to leave to, so the
+             leaving mass folds back and the cell is absorbing. *)
+          row.(cell) <- 1.0
+        | ns ->
+          let share = (1.0 -. stay) /. float_of_int (List.length ns) in
+          row.(cell) <- stay;
+          List.iter (fun j -> row.(j) <- row.(j) +. share) ns)
 
 let drift_walk hex ~stay ~east_bias =
   if stay < 0.0 || stay >= 1.0 then
     invalid_arg "Mobility.drift_walk: stay must be in [0, 1)"
   else if east_bias < 1.0 then
     invalid_arg "Mobility.drift_walk: east_bias must be >= 1"
-  else begin
-    let n = Hex.cells hex in
-    let rows =
-      Array.init n (fun cell ->
-          let row = Array.make n 0.0 in
-          let _, col = Hex.coords hex cell in
-          let ns = Hex.neighbors hex cell in
-          (match ns with
-           | [] -> row.(cell) <- 1.0
-           | _ ->
-             let weight j =
-               let _, cj = Hex.coords hex j in
-               if cj > col then east_bias else 1.0
-             in
-             let total = List.fold_left (fun acc j -> acc +. weight j) 0.0 ns in
-             row.(cell) <- stay;
-             List.iter
-               (fun j ->
-                 row.(j) <- row.(j) +. ((1.0 -. stay) *. weight j /. total))
-               ns);
-          row)
-    in
-    create rows
-  end
+  else
+    build (Hex.cells hex) (fun cell row ->
+        let _, col = Hex.coords hex cell in
+        match Hex.neighbors hex cell with
+        | [] -> row.(cell) <- 1.0
+        | ns ->
+          let weight j =
+            let _, cj = Hex.coords hex j in
+            if cj > col then east_bias else 1.0
+          in
+          let total = List.fold_left (fun acc j -> acc +. weight j) 0.0 ns in
+          row.(cell) <- stay;
+          List.iter
+            (fun j -> row.(j) <- row.(j) +. ((1.0 -. stay) *. weight j /. total))
+            ns)
 
 let teleport base ~jump ~target =
   if jump < 0.0 || jump > 1.0 then
@@ -84,36 +122,59 @@ let teleport base ~jump ~target =
     invalid_arg "Mobility.teleport: target dimension mismatch"
   else begin
     let target = Prob.Dist.normalize (Array.copy target) in
-    let rows =
-      Array.map
-        (fun row ->
-          Array.mapi
-            (fun j x -> ((1.0 -. jump) *. x) +. (jump *. target.(j)))
-            row)
-        base.rows
-    in
-    create rows
+    build base.n (fun cell row ->
+        for k = base.ptr.(cell) to base.ptr.(cell + 1) - 1 do
+          row.(base.cols.(k)) <- Float.Array.get base.probs k
+        done;
+        for j = 0 to base.n - 1 do
+          row.(j) <- ((1.0 -. jump) *. row.(j)) +. (jump *. target.(j))
+        done)
   end
 
+(* [Prob.Dist.sample] on the dense row, over its non-zeros: the same
+   cumulative sums (a zero adds nothing and can never be returned) and
+   the same fall-through to cell n - 1, which is also what an entry in
+   column n - 1, always the row's last, returns. *)
 let step t rng ~cell =
   if cell < 0 || cell >= t.n then invalid_arg "Mobility.step: bad cell"
-  else Prob.Dist.sample rng t.rows.(cell)
+  else begin
+    let u = Prob.Rng.unit_float rng in
+    let last = t.ptr.(cell + 1) in
+    let rec go k acc =
+      if k >= last then t.n - 1
+      else begin
+        let acc = acc +. Float.Array.get t.probs k in
+        if u < acc then t.cols.(k) else go (k + 1) acc
+      end
+    in
+    go t.ptr.(cell) 0.0
+  end
+
+(* [next] := [v] pushed one tick. For each target, the products are
+   added in ascending source order, as the dense product did; a zero
+   entry contributed +0.0, which leaves a non-negative sum unchanged. *)
+let push t v next =
+  Array.fill next 0 t.n 0.0;
+  for i = 0 to t.n - 1 do
+    let vi = v.(i) in
+    if vi > 0.0 then
+      for k = t.ptr.(i) to t.ptr.(i + 1) - 1 do
+        let j = t.cols.(k) in
+        next.(j) <- next.(j) +. (vi *. Float.Array.get t.probs k)
+      done
+  done
 
 let stationary t =
   let v = ref (Array.make t.n (1.0 /. float_of_int t.n)) in
+  let next = ref (Array.make t.n 0.0) in
   let continue = ref true in
   let k = ref 0 in
   while !continue && !k < 10_000 do
-    let next = Array.make t.n 0.0 in
-    for i = 0 to t.n - 1 do
-      let vi = !v.(i) in
-      if vi > 0.0 then
-        for j = 0 to t.n - 1 do
-          next.(j) <- next.(j) +. (vi *. t.rows.(i).(j))
-        done
-    done;
-    if Prob.Dist.total_variation !v next < 1e-12 then continue := false;
-    v := next;
+    push t !v !next;
+    if Prob.Dist.total_variation !v !next < 1e-12 then continue := false;
+    let last = !v in
+    v := !next;
+    next := last;
     incr k
   done;
   !v
@@ -125,16 +186,12 @@ let diffuse t dist ~steps =
     invalid_arg "Mobility.diffuse: dimension mismatch"
   else begin
     let v = ref (Array.copy dist) in
+    let next = ref (Array.make t.n 0.0) in
     for _ = 1 to steps do
-      let next = Array.make t.n 0.0 in
-      for i = 0 to t.n - 1 do
-        let vi = !v.(i) in
-        if vi > 0.0 then
-          for j = 0 to t.n - 1 do
-            next.(j) <- next.(j) +. (vi *. t.rows.(i).(j))
-          done
-      done;
-      v := next
+      push t !v !next;
+      let last = !v in
+      v := !next;
+      next := last
     done;
     !v
   end
@@ -281,51 +338,88 @@ let residence_of_string str =
 type aging = {
   base : t;
   dwell_cap : int;
-  (* hazard.(c).(a): per-cell leave probability at dwell age a; frozen
-     at the cap (a geometric tail approximation beyond it). *)
-  haz : float array array;
-  (* jump.(c): (target, probability) list, the base matrix's row
-     conditioned on leaving; empty iff the cell is absorbing. *)
-  jump : (int * float) array array;
+  (* haz.(c * dwell_cap + a): per-cell leave probability at dwell age
+     a; frozen at the cap (a geometric tail approximation beyond it). *)
+  haz : floatarray;
+  (* Row c of the base matrix conditioned on leaving, in sparse rows:
+     targets jump_col.(k), probabilities jump_p.(k) for k from
+     jump_ptr.(c) to jump_ptr.(c + 1) - 1; empty iff c is absorbing. *)
+  jump_ptr : int array;
+  jump_col : int array;
+  jump_p : floatarray;
+  (* [age_dist]'s (cell × dwell-age) beliefs, laid out like [haz]:
+     scratch owned by this value, so one kernel serves one domain. *)
+  cur : floatarray;
+  nxt : floatarray;
 }
 
+let check_dwell_cap dwell_cap =
+  if dwell_cap < 1 then invalid_arg "Mobility.aging: dwell_cap must be >= 1"
+
+let hazards ~dwell_cap law = Float.Array.init dwell_cap (residence_hazard law)
+
+(* [hazard_row c] is cell c's hazards at dwell ages 0 .. dwell_cap - 1. *)
+let make_aging ~dwell_cap base hazard_row =
+  let n = base.n and cap = dwell_cap in
+  let haz = Float.Array.create (n * cap) in
+  for c = 0 to n - 1 do
+    Float.Array.blit (hazard_row c) 0 haz (c * cap) cap
+  done;
+  let jump_ptr = Array.make (n + 1) 0 in
+  let jump_col = Array.make (Array.length base.cols) 0 in
+  let jump_p = Float.Array.make (Array.length base.cols) 0.0 in
+  let len = ref 0 in
+  for c = 0 to n - 1 do
+    let first = base.ptr.(c) and last = base.ptr.(c + 1) - 1 in
+    let stay = ref 0.0 in
+    for k = first to last do
+      if base.cols.(k) = c then stay := Float.Array.get base.probs k
+    done;
+    let out = 1.0 -. !stay in
+    if out > 0.0 then
+      for k = first to last do
+        let j = base.cols.(k) in
+        if j <> c then begin
+          jump_col.(!len) <- j;
+          Float.Array.set jump_p !len (Float.Array.get base.probs k /. out);
+          incr len
+        end
+      done;
+    jump_ptr.(c + 1) <- !len
+  done;
+  {
+    base;
+    dwell_cap;
+    haz;
+    jump_ptr;
+    jump_col = Array.sub jump_col 0 !len;
+    jump_p = Float.Array.sub jump_p 0 !len;
+    cur = Float.Array.create (n * cap);
+    nxt = Float.Array.create (n * cap);
+  }
+
 let aging ?(dwell_cap = 32) base laws =
-  if dwell_cap < 1 then invalid_arg "Mobility.aging: dwell_cap must be >= 1";
+  check_dwell_cap dwell_cap;
   if Array.length laws <> base.n then
     invalid_arg
       (Printf.sprintf
          "Mobility.aging: %d residence laws for a %d-cell model"
          (Array.length laws) base.n);
   Array.iter check_residence laws;
-  let haz =
-    Array.map
-      (fun law -> Array.init dwell_cap (fun a -> residence_hazard law a))
-      laws
-  in
-  let jump =
-    Array.init base.n (fun c ->
-        let row = base.rows.(c) in
-        let out = 1.0 -. row.(c) in
-        if out <= 0.0 then [||]
-        else begin
-          let targets = ref [] in
-          for j = base.n - 1 downto 0 do
-            if j <> c && row.(j) > 0.0 then
-              targets := (j, row.(j) /. out) :: !targets
-          done;
-          Array.of_list !targets
-        end)
-  in
-  { base; dwell_cap; haz; jump }
+  make_aging ~dwell_cap base (fun c -> hazards ~dwell_cap laws.(c))
 
-let aging_uniform ?dwell_cap base law =
-  aging ?dwell_cap base (Array.make base.n law)
+(* Every cell shares one law, so its hazard row is computed once. *)
+let aging_uniform ?(dwell_cap = 32) base law =
+  check_dwell_cap dwell_cap;
+  check_residence law;
+  let row = hazards ~dwell_cap law in
+  make_aging ~dwell_cap base (fun _ -> row)
 
 let hazard_at a ~cell ~dwell =
   if cell < 0 || cell >= a.base.n then
     invalid_arg "Mobility.hazard_at: bad cell"
   else if dwell < 0 then invalid_arg "Mobility.hazard_at: dwell must be >= 0"
-  else a.haz.(cell).(Stdlib.min dwell (a.dwell_cap - 1))
+  else Float.Array.get a.haz ((cell * a.dwell_cap) + Stdlib.min dwell (a.dwell_cap - 1))
 
 (* One ground-truth tick of the semi-Markov walk: leave with the
    dwell-age hazard (target drawn from the conditional jump row, dwell
@@ -340,27 +434,28 @@ let semi_step a rng ~cell ~dwell =
      residence law consume motion randomness in lockstep. *)
   let u = Prob.Rng.unit_float rng in
   let v = Prob.Rng.unit_float rng in
-  if Array.length a.jump.(cell) = 0 || u >= h then
+  let first = a.jump_ptr.(cell) and last = a.jump_ptr.(cell + 1) - 1 in
+  if last < first || u >= h then
     (cell, Stdlib.min (dwell + 1) (a.dwell_cap - 1))
   else begin
     (* linear inversion on the conditional jump row *)
-    let targets = a.jump.(cell) in
-    let n = Array.length targets in
-    let rec go i acc =
-      if i >= n - 1 then fst targets.(n - 1)
+    let rec go k acc =
+      if k >= last then a.jump_col.(last)
       else begin
-        let j, p = targets.(i) in
-        let acc = acc +. p in
-        if v < acc then j else go (i + 1) acc
+        let acc = acc +. Float.Array.get a.jump_p k in
+        if v < acc then a.jump_col.(k) else go (k + 1) acc
       end
     in
-    (go 0 0.0, 0)
+    (go first 0.0, 0)
   end
 
 (* Transient evolution of a location belief under the semi-Markov law:
    the belief is placed at dwell age 0 (mass was just observed there),
    then pushed [steps] ticks through the (cell, dwell-age) chain and
-   marginalized back onto cells. [steps = 0] returns a copy. *)
+   marginalized back onto cells. [steps = 0] returns a copy. The
+   products are added in the order of the dense kernel this replaced
+   (cells, then ages, then jump targets ascending), so every sum is
+   bit-identical to it. *)
 let age_dist a dist ~steps =
   if steps < 0 then invalid_arg "Mobility.age_dist: steps must be >= 0"
   else if Array.length dist <> a.base.n then
@@ -368,38 +463,50 @@ let age_dist a dist ~steps =
   else if steps = 0 then Array.copy dist
   else begin
     let n = a.base.n and cap = a.dwell_cap in
-    let b = Array.make_matrix n cap 0.0 in
-    let nb = Array.make_matrix n cap 0.0 in
-    Array.iteri (fun c mass -> b.(c).(0) <- mass) dist;
-    let cur = ref b and nxt = ref nb in
+    let size = n * cap in
+    let haz = a.haz and jump_col = a.jump_col and jump_p = a.jump_p in
+    let cur = ref a.cur and nxt = ref a.nxt in
+    Float.Array.fill !cur 0 size 0.0;
+    for c = 0 to n - 1 do
+      Float.Array.set !cur (c * cap) dist.(c)
+    done;
     for _ = 1 to steps do
       let cur_m = !cur and nxt_m = !nxt in
-      Array.iter (fun row -> Array.fill row 0 cap 0.0) nxt_m;
+      Float.Array.fill nxt_m 0 size 0.0;
       for c = 0 to n - 1 do
-        let targets = a.jump.(c) in
-        let absorbing = Array.length targets = 0 in
-        let hrow = a.haz.(c) in
-        let brow = cur_m.(c) in
+        let first = a.jump_ptr.(c) and last = a.jump_ptr.(c + 1) - 1 in
+        let absorbing = last < first in
+        let row = c * cap in
         for k = 0 to cap - 1 do
-          let mass = brow.(k) in
+          let mass = Float.Array.get cur_m (row + k) in
           if mass > 0.0 then begin
-            let k' = Stdlib.min (k + 1) (cap - 1) in
-            if absorbing then nxt_m.(c).(k') <- nxt_m.(c).(k') +. mass
+            let k' = row + Stdlib.min (k + 1) (cap - 1) in
+            if absorbing then
+              Float.Array.set nxt_m k' (Float.Array.get nxt_m k' +. mass)
             else begin
-              let h = hrow.(k) in
-              let leave = mass *. h in
-              nxt_m.(c).(k') <- nxt_m.(c).(k') +. (mass -. leave);
+              let leave = mass *. Float.Array.get haz (row + k) in
+              Float.Array.set nxt_m k' (Float.Array.get nxt_m k' +. (mass -. leave));
               if leave > 0.0 then
-                Array.iter
-                  (fun (j, p) -> nxt_m.(j).(0) <- nxt_m.(j).(0) +. (leave *. p))
-                  targets
+                for e = first to last do
+                  let j = jump_col.(e) * cap in
+                  Float.Array.set nxt_m j
+                    (Float.Array.get nxt_m j +. (leave *. Float.Array.get jump_p e))
+                done
             end
           end
         done
       done;
-      let tmp = !cur in
-      cur := !nxt;
-      nxt := tmp
+      cur := nxt_m;
+      nxt := cur_m
     done;
-    Array.map (fun row -> Array.fold_left ( +. ) 0.0 row) !cur
+    let beliefs = !cur in
+    let out = Array.make n 0.0 in
+    for c = 0 to n - 1 do
+      let s = ref 0.0 in
+      for k = c * cap to (c * cap) + cap - 1 do
+        s := !s +. Float.Array.get beliefs k
+      done;
+      out.(c) <- !s
+    done;
+    out
   end

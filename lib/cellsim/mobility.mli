@@ -9,15 +9,33 @@
     hazard). The {!residence} / {!aging} layer below generalises this
     to explicit per-cell dwell laws — exponential or heavy-tailed —
     turning the chain into a semi-Markov process whose transient
-    evolution quantifies how fast a location profile goes stale. *)
+    evolution quantifies how fast a location profile goes stale.
 
-type t = private { n : int; rows : float array array }
+    A model is stored in compressed sparse rows: per row, the columns
+    of its non-zero entries in ascending order and their probabilities
+    in a [floatarray]. A hex walk keeps at most 7 entries a row, so
+    building, stepping and diffusing cost O(non-zeros), not O(n{^2}).
+    Every result is bit-identical to the dense n×n matrix it replaced:
+    sums run over the same entries in the same order, and a skipped
+    exact zero only ever added +0.0 to a non-negative sum. A model is
+    immutable once built and may be shared across domains. *)
 
-(** [create rows] validates a row-stochastic matrix.
+type t
+
+(** [create rows] validates a dense row-stochastic matrix and keeps
+    its non-zero entries; exact zeros are dropped.
     @raise Invalid_argument naming the offending row index and its
     actual sum when some row does not sum to 1, has the wrong width,
     or contains a negative entry. *)
 val create : float array array -> t
+
+(** [cells t] — the number of cells (rows) of the model. *)
+val cells : t -> int
+
+(** [row t i] — row [i] as a fresh dense array of [cells t] entries,
+    zeros included.
+    @raise Invalid_argument when [i] is not a cell. *)
+val row : t -> int -> float array
 
 (** [random_walk hex ~stay] — with probability [stay] remain in place,
     otherwise move to a uniform neighbor. A cell with no neighbors
@@ -34,7 +52,10 @@ val drift_walk : Hex.t -> stay:float -> east_bias:float -> t
     cell from [target] (waypoint behaviour), otherwise follow [base]. *)
 val teleport : t -> jump:float -> target:float array -> t
 
-(** [step t rng ~cell] — sample the next cell. *)
+(** [step t rng ~cell] — sample the next cell: one uniform draw,
+    inverted on the row's cumulative sums exactly as
+    {!Prob.Dist.sample} does on the dense row, including its
+    fall-through to cell [n - 1] when the draw passes every partial sum. *)
 val step : t -> Prob.Rng.t -> cell:int -> int
 
 (** [stationary t] — stationary distribution by power iteration from
@@ -101,7 +122,16 @@ val residence_to_string : residence -> string
     with dwell age capped at [dwell_cap] (hazards freeze at the cap, a
     geometric tail approximation). With uniform exponential laws of
     mean [1/(1 - stay)] the per-tick dynamics coincide exactly with the
-    base matrix. *)
+    base matrix.
+
+    The kernel keeps its hazards in one flat [cells × dwell_cap] table
+    and each cell's conditional jump row in sparse rows. It also owns
+    the two [cells × dwell_cap] buffers that {!age_dist} ping-pongs
+    between, so [age_dist] allocates only its result. Those buffers
+    make an [aging] value single-domain: never call [age_dist] on one
+    value from two domains at once. Each {!Sim.run} builds its own
+    kernel and {!Replicate} runs separate [Sim.run]s, so no kernel is
+    shared; the base model it reads stays immutable. *)
 
 type aging
 
@@ -110,7 +140,9 @@ type aging
     parameters, or [dwell_cap < 1] (default 32). *)
 val aging : ?dwell_cap:int -> t -> residence array -> aging
 
-(** [aging_uniform ?dwell_cap base law] — the same law in every cell. *)
+(** [aging_uniform ?dwell_cap base law] — the same law in every cell;
+    its hazard row is computed once. Equal to [aging] with [law]
+    repeated per cell. *)
 val aging_uniform : ?dwell_cap:int -> t -> residence -> aging
 
 (** [semi_step a rng ~cell ~dwell] — one ground-truth tick of the
@@ -121,6 +153,8 @@ val semi_step : aging -> Prob.Rng.t -> cell:int -> dwell:int -> int * int
 
 (** [age_dist a dist ~steps] — transient evolution of a location belief
     whose mass was observed (dwell age 0) [steps] ticks ago; the
-    age-dependent analogue of {!diffuse}. [steps = 0] is a copy.
+    age-dependent analogue of {!diffuse}. [steps = 0] is a copy. Works
+    in [a]'s own buffers and allocates only the result; see above for
+    why one kernel must not serve two domains at once.
     @raise Invalid_argument when [steps < 0] or on a size mismatch. *)
 val age_dist : aging -> float array -> steps:int -> float array

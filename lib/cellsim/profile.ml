@@ -61,17 +61,25 @@ let observe t cell =
 
 let observations t = t.seen
 
+(* The smoothed counts of cells [cell_of 0 .. n - 1], built in a loop
+   so that no float is boxed. *)
+let smoothed t n cell_of =
+  let row = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    row.(i) <- t.counts.(cell_of i) +. t.smoothing
+  done;
+  row
+
 let distribution t =
   materialize t;
-  Prob.Dist.normalize (Array.map (fun x -> x +. t.smoothing) t.counts)
+  Prob.Dist.normalize (smoothed t (cells t) Fun.id)
 
 let distribution_over t subset =
   if Array.length subset = 0 then
     invalid_arg "Profile.distribution_over: empty subset"
   else begin
     if t.decay < 1.0 then Array.iter (fun j -> materialize_cell t j) subset;
-    Prob.Dist.normalize
-      (Array.map (fun j -> t.counts.(j) +. t.smoothing) subset)
+    Prob.Dist.normalize (smoothed t (Array.length subset) (Array.get subset))
   end
 
 let reset t =
@@ -124,11 +132,16 @@ let aged_over t ~aging ~age subset =
   else if age = 0 then distribution_over t subset
   else begin
     let full = Mobility.age_dist aging (distribution t) ~steps:age in
-    let restricted = Array.map (fun j -> full.(j)) subset in
-    let mass = Array.fold_left ( +. ) 0.0 restricted in
-    if mass <= 0.0 then
+    let k = Array.length subset in
+    let restricted = Array.make k 0.0 in
+    let mass = ref 0.0 in
+    for i = 0 to k - 1 do
+      restricted.(i) <- full.(subset.(i));
+      mass := !mass +. restricted.(i)
+    done;
+    if !mass <= 0.0 then
       (* All evolved mass left the subset: fall back to uniform over
          it, mirroring the diffusion path's zero-mass convention. *)
-      Array.make (Array.length subset) (1.0 /. float_of_int (Array.length subset))
+      Array.make k (1.0 /. float_of_int k)
     else Prob.Dist.normalize restricted
   end

@@ -37,7 +37,7 @@ let commuter_day ?(seed = 2002) () =
             let row, col = Hex.coords hex c in
             Hex.index hex ~row ~col:(11 - col)
           in
-          let source = eastbound.Mobility.rows.(mirror cell) in
+          let source = Mobility.row eastbound (mirror cell) in
           let out = Array.make n 0.0 in
           Array.iteri (fun target p -> out.(mirror target) <- p) source;
           out)

@@ -1,7 +1,20 @@
+(* Plain loops, summing left to right as a fold would: the same bits,
+   with no float boxed per entry. *)
 let normalize v =
-  let s = Array.fold_left ( +. ) 0.0 v in
+  let n = Array.length v in
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    s := !s +. v.(i)
+  done;
+  let s = !s in
   if s <= 0.0 then invalid_arg "Dist.normalize: non-positive total mass"
-  else Array.map (fun x -> x /. s) v
+  else begin
+    let out = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      out.(i) <- v.(i) /. s
+    done;
+    out
+  end
 
 let is_distribution ?(eps = 1e-9) v =
   Array.length v > 0

@@ -397,15 +397,24 @@ let admit st conn ~id ~request_id work =
 
 (* ---------------- solve execution (worker side) ---------------- *)
 
+(* A spec as the cache key spells it: [Solver.spec_to_string], except
+   that a robust radius is written exactly (%h), since %g would give
+   robust-0.3000004 the key of robust-0.3. *)
+let key_spec = function
+  | Solver.Robust { eps; tv } ->
+    if Float.is_finite tv then Printf.sprintf "robust-%h:%h" eps tv
+    else Printf.sprintf "robust-%h" eps
+  | s -> Solver.spec_to_string s
+
 let mode_of_solve ~spec ~chain ~budgeted =
   match chain with
-  | Some c -> Printf.sprintf "chain:%s|%s" (Runner.chain_to_string c)
+  | Some c -> Printf.sprintf "chain:%s|%s"
+                (String.concat "," (List.map key_spec c))
                 (if budgeted then "budgeted" else "unbudgeted")
   | None ->
     (match (spec, budgeted) with
-     | Some s, false -> "spec:" ^ Solver.spec_to_string s
-     | Some s, true ->
-       Printf.sprintf "chain:%s|budgeted" (Solver.spec_to_string s)
+     | Some s, false -> "spec:" ^ key_spec s
+     | Some s, true -> Printf.sprintf "chain:%s|budgeted" (key_spec s)
      | None, true -> "chain:default|budgeted"
      | None, false -> "spec:greedy")
 

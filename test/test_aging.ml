@@ -146,9 +146,9 @@ let test_validate_residence () =
 let test_single_cell_walks_absorbing () =
   let h = Cellsim.Hex.create ~rows:1 ~cols:1 in
   let rw = M.random_walk h ~stay:0.3 in
-  check (float_t 0.0) "random walk absorbs" 1.0 rw.M.rows.(0).(0);
+  check (float_t 0.0) "random walk absorbs" 1.0 (M.row rw 0).(0);
   let dw = M.drift_walk h ~stay:0.3 ~east_bias:2.0 in
-  check (float_t 0.0) "drift walk absorbs" 1.0 dw.M.rows.(0).(0)
+  check (float_t 0.0) "drift walk absorbs" 1.0 (M.row dw 0).(0)
 
 let test_create_names_offending_row () =
   match M.create [| [| 0.5; 0.5 |]; [| 0.7; 0.5 |] |] with
@@ -487,6 +487,180 @@ let test_sim_aging_validation () =
                Some { Sim.default_aging with Sim.drive_motion = true };
            }))
 
+(* -------------------- dense reference -------------------- *)
+
+(* Mobility keeps sparse rows and a flat aging kernel; Mobility_ref is
+   the dense n×n implementation they replaced. Built from the same
+   inputs, the two must agree bit for bit on every row, every sampled
+   cell, every power iteration and every aged belief. *)
+
+module R = Mobility_ref
+
+let same_bits what a b =
+  check int_t (what ^ ": length") (Array.length b) (Array.length a);
+  Array.iteri
+    (fun i x ->
+      if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
+        Alcotest.failf "%s: entry %d is %h, dense reference %h" what i x b.(i))
+    a
+
+(* (name, sparse, dense) pairs: hex and drift walks (one with no stay
+   mass, so every diagonal is an absent zero), a dense teleport, a 1×1
+   field, and hand-made rows whose last entry is 0. *)
+let reference_models () =
+  let h88 = hex8 () and h35 = Cellsim.Hex.create ~rows:3 ~cols:5 in
+  let h11 = Cellsim.Hex.create ~rows:1 ~cols:1 in
+  let target = random_dist (Prob.Rng.create ~seed:41) 15 in
+  let hand =
+    [|
+      [| 0.1; 0.2; 0.7; 0.0 |];
+      [| 0.0; 0.0; 1.0; 0.0 |];
+      [| 0.25; 0.0; 0.75 -. 1e-10; 0.0 |];
+      [| 0.0; 0.5; 0.0; 0.5 |];
+    |]
+  in
+  [
+    ( "hex walk 8x8",
+      M.random_walk h88 ~stay:(1.0 -. (1.0 /. 6.0)),
+      R.random_walk h88 ~stay:(1.0 -. (1.0 /. 6.0)) );
+    ("hex walk, stay 0", M.random_walk h35 ~stay:0.0, R.random_walk h35 ~stay:0.0);
+    ( "drift walk",
+      M.drift_walk h35 ~stay:0.2 ~east_bias:4.0,
+      R.drift_walk h35 ~stay:0.2 ~east_bias:4.0 );
+    ( "teleport",
+      M.teleport (M.random_walk h35 ~stay:0.5) ~jump:0.3 ~target,
+      R.teleport (R.random_walk h35 ~stay:0.5) ~jump:0.3 ~target );
+    ("1x1 field", M.random_walk h11 ~stay:0.3, R.random_walk h11 ~stay:0.3);
+    ("hand rows, last entry 0", M.create hand, R.create hand);
+  ]
+
+let test_reference_rows_and_steps () =
+  List.iter
+    (fun (name, m, d) ->
+      let n = M.cells m in
+      check int_t (name ^ ": cells") d.R.n n;
+      for i = 0 to n - 1 do
+        same_bits (Printf.sprintf "%s: row %d" name i) (M.row m i) d.R.rows.(i)
+      done;
+      let r1 = Prob.Rng.create ~seed:5 and r2 = Prob.Rng.create ~seed:5 in
+      for i = 0 to 1999 do
+        let cell = i mod n in
+        check int_t (name ^ ": step") (R.step d r2 ~cell) (M.step m r1 ~cell)
+      done)
+    (reference_models ())
+
+(* A generator whose first [unit_float] is 1 - 2^-53, found by running
+   xoshiro256** and its SplitMix64 seeding backwards: so [step] must
+   pass every partial sum of a row and take the fall-through. *)
+let rng_at_top () =
+  let open Int64 in
+  let inverse c =
+    let x = ref c in
+    for _ = 1 to 6 do
+      x := mul !x (sub 2L (mul c !x))
+    done;
+    !x
+  in
+  let unxorshift y k =
+    let x = ref y in
+    for _ = 1 to 3 do
+      x := logxor y (shift_right_logical !x k)
+    done;
+    !x
+  in
+  let rotr x k = logor (shift_right_logical x k) (shift_left x (64 - k)) in
+  let golden = 0x9E3779B97F4A7C15L in
+  let rec search low =
+    (* bits64 = rotl (s1 * 5, 7) * 9; s1 is SplitMix64's second output. *)
+    let s1 = mul (rotr (mul (logor 0xFFFFFFFFFFFFF800L low) (inverse 9L)) 7) (inverse 5L) in
+    let z = unxorshift s1 31 in
+    let z = unxorshift (mul z (inverse 0x94D049BB133111EBL)) 27 in
+    let z = unxorshift (mul z (inverse 0xBF58476D1CE4E5B9L)) 30 in
+    let seed = sub z (mul 2L golden) in
+    if of_int (to_int seed) = seed then Prob.Rng.create ~seed:(to_int seed)
+    else search (add low 1L)
+  in
+  search 0L
+
+let test_reference_step_falls_through () =
+  check (float_t 0.0) "first draw" (1.0 -. 0x1p-53)
+    (Prob.Rng.unit_float (rng_at_top ()));
+  List.iter
+    (fun (name, m, d) ->
+      for cell = 0 to M.cells m - 1 do
+        check int_t
+          (Printf.sprintf "%s: top draw from cell %d" name cell)
+          (R.step d (rng_at_top ()) ~cell)
+          (M.step m (rng_at_top ()) ~cell)
+      done)
+    (reference_models ());
+  (* Row 2 of the hand rows sums to 1 - 1e-10 before its zero last
+     entry, so the top draw falls through to cell 3. *)
+  let _, hand, _ = List.nth (reference_models ()) 5 in
+  check int_t "fall-through to cell n - 1" 3 (M.step hand (rng_at_top ()) ~cell:2)
+
+let test_reference_stationary_and_diffuse () =
+  List.iter
+    (fun (name, m, d) ->
+      let n = M.cells m in
+      same_bits (name ^ ": stationary") (M.stationary m) (R.stationary d);
+      let starts =
+        [ random_dist (Prob.Rng.create ~seed:9) n;
+          Prob.Dist.point_mass ~eps:1e-9 n (n - 1) ]
+      in
+      List.iter
+        (fun dist ->
+          List.iter
+            (fun steps ->
+              same_bits
+                (Printf.sprintf "%s: diffuse %d" name steps)
+                (M.diffuse m dist ~steps) (R.diffuse d dist ~steps))
+            [ 0; 1; 2; 5; 17 ])
+        starts)
+    (reference_models ())
+
+(* Uniform kernels at several dwell caps (the sparse one computes its
+   hazard row once), plus one kernel with a different law per cell. *)
+let reference_kernels (m, d) =
+  let n = M.cells m in
+  let mixed = Array.init n (fun c -> List.nth sample_laws (c mod 3)) in
+  List.concat_map
+    (fun dwell_cap ->
+      List.map
+        (fun law ->
+          ( Printf.sprintf "%s, cap %d" (M.residence_to_string law) dwell_cap,
+            M.aging_uniform ~dwell_cap m law,
+            R.aging_uniform ~dwell_cap d law ))
+        [ M.Exponential { mean = 6.0 }; Cellsim.Scenario.pareto_dwell ])
+    [ 1; 3; 32 ]
+  @ [ ("mixed laws, cap 8", M.aging ~dwell_cap:8 m mixed, R.aging ~dwell_cap:8 d mixed) ]
+
+let test_reference_aging () =
+  List.iter
+    (fun (name, m, d) ->
+      let dist = random_dist (Prob.Rng.create ~seed:23) (M.cells m) in
+      List.iter
+        (fun (kname, ka, kd) ->
+          let what = name ^ ", " ^ kname in
+          for steps = 0 to 40 do
+            same_bits
+              (Printf.sprintf "%s: age_dist %d" what steps)
+              (M.age_dist ka dist ~steps) (R.age_dist kd dist ~steps)
+          done;
+          let r1 = Prob.Rng.create ~seed:31 and r2 = Prob.Rng.create ~seed:31 in
+          let rec walk i ((cell, dwell) as here) =
+            if i < 2000 then begin
+              let next = M.semi_step ka r1 ~cell ~dwell in
+              check (Alcotest.pair int_t int_t) (what ^ ": semi_step")
+                (R.semi_step kd r2 ~cell ~dwell) next;
+              walk (i + 1) next
+            end
+            else ignore here
+          in
+          walk 0 (0, 0))
+        (reference_kernels (m, d)))
+    (reference_models ())
+
 let () =
   Alcotest.run "aging"
     [
@@ -521,6 +695,17 @@ let () =
             test_age_dist_is_distribution;
           Alcotest.test_case "age → ∞ reaches stationary" `Slow
             test_age_to_infinity_reaches_stationary;
+        ] );
+      ( "dense reference",
+        [
+          Alcotest.test_case "rows and steps" `Quick
+            test_reference_rows_and_steps;
+          Alcotest.test_case "step falls through at the top" `Quick
+            test_reference_step_falls_through;
+          Alcotest.test_case "stationary and diffuse" `Quick
+            test_reference_stationary_and_diffuse;
+          Alcotest.test_case "age_dist and semi_step" `Quick
+            test_reference_aging;
         ] );
       ( "profile",
         [

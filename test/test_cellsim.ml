@@ -108,12 +108,15 @@ let test_hex_disk () =
 
 let hex44 () = Cellsim.Hex.create ~rows:4 ~cols:4
 
+let mobility_rows m =
+  Array.init (Cellsim.Mobility.cells m) (Cellsim.Mobility.row m)
+
 let test_mobility_random_walk_stochastic () =
   let m = Cellsim.Mobility.random_walk (hex44 ()) ~stay:0.3 in
   Array.iter
     (fun row ->
       check (float_t 1e-9) "row sum" 1.0 (Array.fold_left ( +. ) 0.0 row))
-    m.Cellsim.Mobility.rows
+    (mobility_rows m)
 
 let test_mobility_step_moves_to_neighbor_or_stays () =
   let hex = hex44 () in
@@ -154,11 +157,11 @@ let test_mobility_teleport () =
   Array.iter
     (fun row ->
       check (float_t 1e-9) "row sum" 1.0 (Array.fold_left ( +. ) 0.0 row))
-    m.Cellsim.Mobility.rows;
+    (mobility_rows m);
   (* Cell 0 must now be reachable from everywhere. *)
   Array.iter
     (fun row -> check bool_t "jump mass" true (row.(0) > 0.4))
-    m.Cellsim.Mobility.rows
+    (mobility_rows m)
 
 let test_mobility_diffuse_spreads () =
   let hex = hex44 () in

@@ -521,6 +521,25 @@ let test_cache_hit_and_restart () =
           check bool_t "EP survives the restart byte-exactly" true
             (ep = jnum_field "expected_paging" j)))
 
+(* Robust radii that print alike under %g are different solves: the
+   second of the pair must miss the cache and answer its own radius. *)
+let test_cache_robust_radii_exact () =
+  let rng = Prob.Rng.create ~seed:19 in
+  let inst = Instance.random_uniform_simplex rng ~m:2 ~c:8 ~d:3 in
+  with_server ~domains:1 (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      List.iter
+        (fun (id, solver) ->
+          send c (solve_frame ~id ~solver ~cache:true inst);
+          let j = parse_response (List.hd (recv_n c 1)) in
+          check string_t (solver ^ " misses") "miss" (jstr_field "cache" j);
+          let spec = Result.get_ok (Solver.spec_of_string solver) in
+          check bool_t (solver ^ " answers its own solve") true
+            ((Solver.solve spec inst).Solver.expected_paging
+            = jnum_field "expected_paging" j))
+        [ ("r1", "robust-0.3"); ("r2", "robust-0.3000004") ])
+
 (* ---------------- health, metrics, simulate, drain ---------------- *)
 
 let test_ops_and_drain () =
@@ -1034,6 +1053,8 @@ let () =
             test_overload_sheds;
           Alcotest.test_case "cache hit and restart" `Quick
             test_cache_hit_and_restart;
+          Alcotest.test_case "robust radii keyed exactly" `Quick
+            test_cache_robust_radii_exact;
           Alcotest.test_case "health/metrics/simulate/drain" `Quick
             test_ops_and_drain;
           Alcotest.test_case "drain finishes in-flight work" `Quick
