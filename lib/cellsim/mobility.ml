@@ -16,7 +16,8 @@ let row t i =
   end
 
 (* The checks [create] makes on each dense row, in its order: width,
-   sign, then the left-to-right sum. *)
+   sign, then the left-to-right sum. [not (x >= 0.0)] also catches NaN,
+   which every ordered comparison fails. *)
 let check_row n i row =
   if Array.length row <> n then
     invalid_arg
@@ -25,8 +26,11 @@ let check_row n i row =
   let sum = ref 0.0 in
   for j = 0 to n - 1 do
     let x = row.(j) in
-    if x < 0.0 then
-      invalid_arg (Printf.sprintf "Mobility.create: negative entry in row %d" i);
+    if not (x >= 0.0) then
+      invalid_arg
+        (if Float.is_nan x then
+           Printf.sprintf "Mobility.create: NaN entry in row %d, column %d" i j
+         else Printf.sprintf "Mobility.create: negative entry in row %d" i);
     sum := !sum +. x
   done;
   if abs_float (!sum -. 1.0) > 1e-9 then

@@ -26,7 +26,8 @@ type t
     its non-zero entries; exact zeros are dropped.
     @raise Invalid_argument naming the offending row index and its
     actual sum when some row does not sum to 1, has the wrong width,
-    or contains a negative entry. *)
+    or contains a negative entry; a NaN entry is named by row and
+    column. *)
 val create : float array array -> t
 
 (** [cells t] — the number of cells (rows) of the model. *)

@@ -39,10 +39,6 @@ type summary = {
   per_scheme : scheme_agg list;
 }
 
-(** The replica seeds for a base seed: [base, base+1, …, base+n-1].
-    @raise Invalid_argument when [n < 1]. *)
-val seeds : base:int -> int -> int list
-
 (** [run ?pool ~replicas config] — the replica results, in seed order.
     Each replica is an independent [Sim.run]; with a multi-domain pool
     they execute concurrently (simulation state is per-run, so replicas

@@ -19,9 +19,6 @@ let of_probe ?(every = 256) probe =
 
 let deadline ?every ?(clock = Obs.now) t = of_probe ?every (fun () -> clock () >= t)
 
-let budget_ms ?every ?(clock = Obs.now) ms =
-  deadline ?every ~clock (clock () +. (ms /. 1000.0))
-
 let poll = function
   | Never -> false
   | Token t ->

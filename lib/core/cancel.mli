@@ -31,9 +31,6 @@ val of_probe : ?every:int -> (unit -> bool) -> t
     time [t] (seconds on [clock]'s scale; default {!Obs.now}). *)
 val deadline : ?every:int -> ?clock:(unit -> float) -> float -> t
 
-(** [budget_ms ?every ?clock ms] is [deadline (clock () +. ms /. 1000.)]. *)
-val budget_ms : ?every:int -> ?clock:(unit -> float) -> float -> t
-
 (** [check t] raises {!Cancelled} when the token has fired (and keeps
     raising on every later call); otherwise returns. Solvers call this
     inside their innermost practical loop. *)

@@ -217,9 +217,6 @@ let of_string s =
     end
   | _ -> invalid_arg "Instance.of_string: missing header"
 
-let pp ppf t =
-  Format.fprintf ppf "instance m=%d c=%d d=%d" t.m t.c t.d
-
 module Exact = struct
   module Q = Numeric.Rational
 

@@ -82,8 +82,6 @@ val to_string : t -> string
 (** @raise Invalid_argument on malformed input. *)
 val of_string : string -> t
 
-val pp : Format.formatter -> t -> unit
-
 (** Exact-arithmetic instances, used to verify the paper's rational
     identities (§3 reductions, the 317/49 instance of §4.3). *)
 module Exact : sig

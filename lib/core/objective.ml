@@ -136,8 +136,6 @@ let to_string = function
   | Find_any -> "find-any"
   | Find_at_least k -> Printf.sprintf "find-%d" k
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "all" | "find-all" -> Ok Find_all

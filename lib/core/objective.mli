@@ -54,4 +54,3 @@ val to_string : t -> string
     [<k>] or [find-<k>] with [k >= 1]. {!to_string} output round-trips.
     The error is ["objective must be all|any|<k>"]. *)
 val of_string : string -> (t, string) result
-val pp : Format.formatter -> t -> unit

@@ -137,9 +137,11 @@ let validate ?(objective = Objective.Find_all) ?budget_ms ?uncertainty ~m () =
     Result.map_error (( ^ ) "uncertainty: ") (Uncertainty.validate u ~m)
   | Ok (), _, None -> Ok ()
 
-let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
-    ?(clock = Obs.now) ?(chain = default_chain) ?uncertainty ?pool ?arena
-    inst =
+(* How long a fast stage that starts after the deadline may run. *)
+let grace_s = 0.1
+
+let run ?(objective = Objective.Find_all) ?budget_ms ?(clock = Obs.now)
+    ?(chain = default_chain) ?uncertainty ?pool ?arena inst =
   Obs.span "runner.run" @@ fun run_sp ->
   Obs.count "runner_runs";
   let chain =
@@ -245,7 +247,7 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
           | Solver.Page_all, _, _ | _, None, None -> Cancel.never
           | _, None, Some _ -> Cancel.of_probe lost
           | _, Some d, _ ->
-            let d = if overdue then clock () +. (grace_ms /. 1000.0) else d in
+            let d = if overdue then clock () +. grace_s else d in
             Cancel.of_probe (fun () -> lost () || clock () >= d)
         in
         let arena = if raced then None else arena in
@@ -311,7 +313,10 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
     (* Raced schedule: every stage starts concurrently on the pool. A
        decisive success at index i makes every j > i a definitive loser,
        so their lose flags flip the moment i completes; stages before i
-       keep running, as one of them may still take the win. *)
+       keep running, as one of them may still take the win. The budget
+       + grace promise rests on each stage's own token, exactly as in
+       the sequential schedule: a stage dequeued after the deadline gets
+       the same skip or grace window. *)
     let raced pool =
       let chain_arr = Array.of_list chain in
       let n = Array.length chain_arr in
@@ -325,21 +330,8 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
         r
       in
       (* [run_all], not [map]: a stage crashing its domain (chaos seam,
-         stack overflow in a solver) must fail only that stage. The
-         watchdog guard mirrors the sequential loop's budget + grace
-         promise for tasks that stop cooperating: its cancel fires the
-         stage's lose flag, and a stage that still will not unwind gets
-         its worker lane recycled underneath it on completion. *)
-      let guard i =
-        match deadline with
-        | None -> None
-        | Some d ->
-          Some
-            Exec.Pool.
-              { deadline_s = d; grace_s = grace_ms /. 1000.0;
-                cancel = (fun () -> Atomic.set lose.(i) true) }
-      in
-      Exec.Pool.run_all pool ~guard run_one (Array.init n Fun.id)
+         stack overflow in a solver) must fail only that stage. *)
+      Exec.Pool.run_all pool run_one (Array.init n Fun.id)
       |> Array.mapi (fun i -> function
         | Ok r -> r
         | Error e ->

@@ -125,7 +125,7 @@ val validate :
   unit ->
   (unit, string) result
 
-(** [run ?objective ?budget_ms ?grace_ms ?clock ?chain inst] executes
+(** [run ?objective ?budget_ms ?clock ?chain inst] executes
     the chain best-first and returns the full report.
 
     A request that fails {!validate} runs no stage and fails with
@@ -136,10 +136,11 @@ val validate :
     the start of the run. A stage started before the deadline runs with
     a cancellation token on it; once the deadline has passed, remaining
     expensive stages are skipped (recorded as [Failed Timeout]) and only
-    the {!always_fast} ones still run, under a [grace_ms] token (default
-    100 ms). Without a budget no token is armed and the exact methods
-    keep their size guards; with a budget the guards are lifted — the
-    deadline, not the guard, bounds the work.
+    the {!always_fast} ones still run, each under its own 100 ms grace
+    token, started when the stage starts. Without a budget no token is
+    armed and the exact methods keep their size guards; with a budget
+    the guards are lifted — the deadline, not the guard, bounds the
+    work.
 
     [Page_all] is appended when absent so the chain cannot end
     empty-handed. [clock] (default {!Obs.now}) is exposed for tests.
@@ -174,9 +175,12 @@ val validate :
     otherwise unchanged in shape. The default (or any one-domain) pool
     takes the sequential schedule. Wall-clock under a budget is still
     bounded by budget + grace: every raced token also watches the
-    shared deadline. [clock], when overridden together with [?pool], is
-    called from several domains and must be thread-safe (the default
-    {!Obs.now} is).
+    shared deadline, and a raced stage that starts after it gets the
+    same skip or grace window as in the sequential schedule. These
+    tokens are the only deadline mechanism; the pool adds none.
+    [clock], when overridden together with [?pool], is called from
+    several domains and must be thread-safe (the default {!Obs.now}
+    is).
 
     [?arena] names the {!Flat} scratch arena the sequential stages
     reuse (see {!Solver.solve}); it defaults to the calling domain's
@@ -186,7 +190,6 @@ val validate :
 val run :
   ?objective:Objective.t ->
   ?budget_ms:float ->
-  ?grace_ms:float ->
   ?clock:(unit -> float) ->
   ?chain:Solver.spec list ->
   ?uncertainty:Uncertainty.t ->

@@ -232,5 +232,3 @@ let to_string t =
     ^ "}"
   in
   String.concat "|" (Array.to_list (Array.map group t.groups))
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

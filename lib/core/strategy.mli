@@ -84,4 +84,3 @@ val expected_paging_exact :
 
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

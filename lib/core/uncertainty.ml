@@ -266,5 +266,3 @@ let to_string t =
   in
   if Float.is_finite t.tv then Printf.sprintf "%s tv=%g" eps_s t.tv
   else eps_s
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -105,4 +105,3 @@ val optimistic_ep :
   ?objective:Objective.t -> t -> Instance.t -> Strategy.t -> float
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

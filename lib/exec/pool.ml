@@ -14,10 +14,9 @@
    crash that escapes the task harness — an injected domain death, a
    [Stack_overflow] in result publication, an [Out_of_memory] — fails
    {e only that task} (the map above it sees an [Error] slot, never a
-   hang) while the worker respawns a fresh domain in its place. A
-   watchdog systhread escalates tasks that overstay their guard
-   deadline: fire the cooperative cancel, then poison the lane so the
-   domain is recycled the moment the stuck task finally completes. *)
+   hang) while the worker respawns a fresh domain in its place. A task
+   that overstays a deadline is the caller's to stop, through the
+   cooperative cancel token it handed the task. *)
 
 let max_domains = 256
 let env_var = "CONFCALL_DOMAINS"
@@ -36,31 +35,9 @@ let total_respawns () = Atomic.get all_respawns
 
 exception Killed of exn
 
-type guard = {
-  deadline_s : float;
-  grace_s : float;
-  cancel : unit -> unit;
-}
-
 type task = {
   run : unit -> unit;  (* publishes its own result, normally *)
   fail : exn -> unit;  (* publish failure when [run] never got to *)
-  guard : guard option;
-}
-
-(* One per worker slot (never for the caller lane): the respawn chain
-   reuses the slot, and the watchdog poisons it to force a recycle. *)
-type lane = {
-  index : int;
-  poisoned : bool Atomic.t;
-}
-
-(* A guarded task currently executing somewhere, as seen by the
-   watchdog. [flagged] is owned by the watchdog thread. *)
-type ctx = {
-  g : guard;
-  mutable flagged : bool;
-  on_lane : lane option;  (* None: running on the caller's domain *)
 }
 
 type t = {
@@ -72,14 +49,7 @@ type t = {
   mutable stopped : bool;
   mutable joined : bool;
   mutable workers : unit Domain.t list;
-  lanes : lane array;  (* size - 1 worker slots *)
   respawns : int Atomic.t;
-  stuck : int Atomic.t;
-  (* watchdog: lazily started by the first guarded [run_all] *)
-  wd_mutex : Mutex.t;
-  mutable wd_running : ctx list;
-  mutable wd_thread : Thread.t option;
-  mutable wd_stop : bool;
 }
 
 let next_id = Atomic.make 0
@@ -90,81 +60,7 @@ let next_id = Atomic.make 0
 let executing : int list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-(* The worker lane the current domain services, for watchdog poisoning;
-   [None] on caller domains. *)
-let my_lane : lane option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
 let respawns t = Atomic.get t.respawns
-let stuck_tasks t = Atomic.get t.stuck
-
-(* ---------------- watchdog ---------------- *)
-
-let wd_register t ctx =
-  Mutex.lock t.wd_mutex;
-  t.wd_running <- ctx :: t.wd_running;
-  Mutex.unlock t.wd_mutex
-
-let wd_unregister t ctx =
-  Mutex.lock t.wd_mutex;
-  t.wd_running <- List.filter (fun c -> c != ctx) t.wd_running;
-  Mutex.unlock t.wd_mutex
-
-(* Escalation ladder, per scan: a task past deadline + grace gets its
-   cooperative cancel fired (once) and is counted stuck; past a second
-   grace window it clearly is not cooperating, so its lane is poisoned —
-   the worker respawns a fresh domain as soon as the task lets go. *)
-let wd_scan t =
-  let now = Unix.gettimeofday () in
-  Mutex.lock t.wd_mutex;
-  let running = t.wd_running in
-  List.iter
-    (fun ctx ->
-      if (not ctx.flagged) && now > ctx.g.deadline_s +. ctx.g.grace_s then begin
-        ctx.flagged <- true;
-        Atomic.incr t.stuck;
-        if Obs.on () then Obs.count "pool_stuck_tasks";
-        (try ctx.g.cancel () with _ -> ())
-      end
-      else if
-        ctx.flagged && now > ctx.g.deadline_s +. (2.0 *. ctx.g.grace_s)
-      then
-        match ctx.on_lane with
-        | Some lane ->
-          if not (Atomic.exchange lane.poisoned true) then
-            if Obs.on () then Obs.count "pool_lane_poisoned"
-        | None -> ())
-    running;
-  Mutex.unlock t.wd_mutex
-
-let wd_loop t =
-  let rec go () =
-    Mutex.lock t.wd_mutex;
-    let stop = t.wd_stop in
-    Mutex.unlock t.wd_mutex;
-    if not stop then begin
-      wd_scan t;
-      Thread.delay 0.005;
-      go ()
-    end
-  in
-  go ()
-
-(* Only guarded work needs a watchdog; unguarded pools (the common
-   case, and every [domains = 1] pool) never start the thread. *)
-let ensure_watchdog t =
-  Mutex.lock t.wd_mutex;
-  if t.wd_thread = None && not t.wd_stop then
-    t.wd_thread <- Some (Thread.create wd_loop t);
-  Mutex.unlock t.wd_mutex
-
-let stop_watchdog t =
-  Mutex.lock t.wd_mutex;
-  t.wd_stop <- true;
-  let th = t.wd_thread in
-  t.wd_thread <- None;
-  Mutex.unlock t.wd_mutex;
-  Option.iter Thread.join th
 
 (* ---------------- workers, crashes, respawn ---------------- *)
 
@@ -188,44 +84,37 @@ let run_task_contained task =
     (try task.fail e with _ -> ());
     true
 
-let rec worker_loop t lane =
-  let rec loop () =
-    Mutex.lock t.mutex;
-    while Queue.is_empty t.queue && not t.stopped do
-      Condition.wait t.nonempty t.mutex
-    done;
-    match Queue.take_opt t.queue with
-    | None ->
-        (* stopped and drained: queued work is always finished before a
-           worker exits, so [join] during a straggling [map] cannot
-           strand tasks. *)
-        Mutex.unlock t.mutex
-    | Some task ->
-        Mutex.unlock t.mutex;
-        if Obs.on () then begin
-          Obs.count "pool_tasks_worker";
-          Obs.gauge_add "pool_queue_depth" (-1)
-        end;
-        let crashed = run_task_contained task in
-        if crashed || Atomic.get lane.poisoned then respawn t lane
-        else loop ()
-  in
-  loop ()
+let rec worker_loop t =
+  Mutex.lock t.mutex;
+  while Queue.is_empty t.queue && not t.stopped do
+    Condition.wait t.nonempty t.mutex
+  done;
+  match Queue.take_opt t.queue with
+  | None ->
+      (* stopped and drained: queued work is always finished before a
+         worker exits, so [join] during a straggling [map] cannot
+         strand tasks. *)
+      Mutex.unlock t.mutex
+  | Some task ->
+      Mutex.unlock t.mutex;
+      if Obs.on () then begin
+        Obs.count "pool_tasks_worker";
+        Obs.gauge_add "pool_queue_depth" (-1)
+      end;
+      if run_task_contained task then respawn t else worker_loop t
 
-(* The executing domain is done for — crashed out of a task, or
-   poisoned by the watchdog. Hand the lane to a freshly spawned domain
-   and let this one exit; the replacement's first act is to join its
-   predecessor, keeping [active] accounting exact across any number of
-   deaths. After [join] has begun (or if the spawn itself fails) the
+(* The executing domain is done for: it crashed out of a task. Hand
+   the lane to a freshly spawned domain and let this one exit; the
+   replacement's first act is to join its predecessor, keeping [active]
+   accounting exact across any number of deaths. After [join] has begun (or if the spawn itself fails) the
    domain recovers in place instead: correctness never depends on the
    respawn succeeding. *)
-and respawn t lane =
-  Atomic.set lane.poisoned false;
+and respawn t =
   let self = Domain.self () in
   Mutex.lock t.mutex;
   if t.joined then begin
     Mutex.unlock t.mutex;
-    worker_loop t lane
+    worker_loop t
   end
   else begin
     match
@@ -243,8 +132,7 @@ and respawn t lane =
              Domain.join d;
              Atomic.decr active
            | None -> ());
-          Domain.DLS.set my_lane (ref (Some lane));
-          worker_loop t lane)
+          worker_loop t)
     with
     | d ->
       Atomic.incr active;
@@ -260,7 +148,7 @@ and respawn t lane =
       (* Could not spawn a replacement (domain limit, resources):
          recover in place — a slightly stale stack beats a lost lane. *)
       Mutex.unlock t.mutex;
-      worker_loop t lane
+      worker_loop t
   end
 
 let create ~domains () =
@@ -278,15 +166,7 @@ let create ~domains () =
       stopped = false;
       joined = false;
       workers = [];
-      lanes =
-        Array.init (max 0 (domains - 1)) (fun index ->
-            { index; poisoned = Atomic.make false });
       respawns = Atomic.make 0;
-      stuck = Atomic.make 0;
-      wd_mutex = Mutex.create ();
-      wd_running = [];
-      wd_thread = None;
-      wd_stop = false;
     }
   in
   (* Spawn accounting must stay exact even when a spawn fails halfway
@@ -296,13 +176,8 @@ let create ~domains () =
      otherwise [active_domains] would stay elevated forever and the
      leak tests downstream would blame an innocent caller. *)
   (try
-     for k = 2 to domains do
-       let lane = t.lanes.(k - 2) in
-       let d =
-         Domain.spawn (fun () ->
-             Domain.DLS.set my_lane (ref (Some lane));
-             worker_loop t lane)
-       in
+     for _ = 2 to domains do
+       let d = Domain.spawn (fun () -> worker_loop t) in
        Atomic.incr active;
        t.workers <- d :: t.workers
      done
@@ -325,7 +200,7 @@ let create ~domains () =
 
 let size t = t.size
 
-let run_guarded t body =
+let in_task t body =
   let stack = Domain.DLS.get executing in
   stack := t.id :: !stack;
   Fun.protect
@@ -337,14 +212,12 @@ let run_guarded t body =
 
 (* Core scheduler: every element becomes a {run; fail} task whose
    result lands in its input-index slot as a [result]; the caller helps
-   drain the queue, then waits. Guarded elements are registered with
-   the watchdog for the time they actually execute. *)
-let run_all_parallel t ?(guard = fun _ -> None) f input =
+   drain the queue, then waits. *)
+let run_all_parallel t f input =
   let n = Array.length input in
   let results = Array.make n None in
   let remaining = Atomic.make n in
   let all_done = Condition.create () in
-  let any_guard = ref false in
   let publish i r =
     results.(i) <- Some r;
     if Atomic.fetch_and_add remaining (-1) = 1 then begin
@@ -356,31 +229,16 @@ let run_all_parallel t ?(guard = fun _ -> None) f input =
     end
   in
   let make_task i =
-    let g = guard input.(i) in
-    if g <> None then any_guard := true;
     let run () =
-      let exec () =
-        run_guarded t (fun () ->
-            try Ok (f input.(i)) with
-            | Killed _ as k -> raise k
-            | e -> Error e)
-      in
-      let r =
-        match g with
-        | None -> exec ()
-        | Some g ->
-          let ctx =
-            { g; flagged = false; on_lane = !(Domain.DLS.get my_lane) }
-          in
-          wd_register t ctx;
-          Fun.protect ~finally:(fun () -> wd_unregister t ctx) exec
-      in
-      publish i r
+      publish i
+        (in_task t (fun () ->
+             try Ok (f input.(i)) with
+             | Killed _ as k -> raise k
+             | e -> Error e))
     in
-    { run; fail = (fun e -> publish i (Error e)); guard = g }
+    { run; fail = (fun e -> publish i (Error e)) }
   in
   let tasks = Array.init n make_task in
-  if !any_guard then ensure_watchdog t;
   Mutex.lock t.mutex;
   Array.iter (fun task -> Queue.add task t.queue) tasks;
   Condition.broadcast t.nonempty;
@@ -414,24 +272,24 @@ let run_all_parallel t ?(guard = fun _ -> None) f input =
       | None -> assert false)
     results
 
-let run_all t ?guard f input =
+let run_all t f input =
   if t.joined then invalid_arg "Pool.run_all: pool already joined";
   if List.mem t.id !(Domain.DLS.get executing) then
     invalid_arg
       "Pool.run_all: nested map on the same pool from one of its tasks";
   if Array.length input = 0 then [||]
   else if t.size = 1 then
-    (* Sequential: no domains, no watchdog; crashes are still contained
-       per element so a chaos run on one core keeps the run_all
-       contract (an [Error] slot, not an exception). *)
+    (* Sequential: no domains; crashes are still contained per element
+       so a chaos run on one core keeps the run_all contract (an
+       [Error] slot, not an exception). *)
     Array.map
       (fun x ->
-        match run_guarded t (fun () -> f x) with
+        match in_task t (fun () -> f x) with
         | v -> Ok v
         | exception Killed e -> Error e
         | exception e -> Error e)
       input
-  else run_all_parallel t ?guard f input
+  else run_all_parallel t f input
 
 let map t f input =
   if t.joined then invalid_arg "Pool.map: pool already joined";
@@ -492,7 +350,6 @@ let join t =
         Domain.join d;
         Atomic.decr active)
       ws;
-    stop_watchdog t;
     if Obs.on () then Obs.gauge_set "pool_active_domains" (Atomic.get active)
   end
 

@@ -29,21 +29,18 @@
     [Stack_overflow] in result publication — fails {e only that task};
     the map above it observes a failure slot instead of hanging, and
     the worker domain is respawned in place with {!active_domains}
-    accounting kept exact. Guarded runs ({!run_all} with [~guard]) are
-    additionally watched by a stuck-task watchdog systhread that fires
-    the task's cooperative cancel once it overstays
-    [deadline + grace], and poisons the worker's lane (forcing a
-    domain recycle on completion) after a second grace window.
+    accounting kept exact.
 
-    Cancellation hookup: the pool never kills a running task — that
-    would tear whatever state the task was mutating. Instead a caller
-    racing tasks gives each one a {!Confcall.Cancel} token whose probe
-    reads an [Atomic.t] flag; when a better task completes, the caller's
+    Cancellation hookup: the pool never kills or times out a running
+    task — that would tear whatever state the task was mutating.
+    Instead a caller racing tasks gives each one a {!Confcall.Cancel}
+    token whose probe reads an [Atomic.t] flag and, when the run has
+    one, its deadline; when a better task completes, the caller's
     completion callback sets the losers' flags and their solver loops
     unwind cooperatively within one poll interval. See
     [Confcall.Runner.run ?pool] for the canonical use.
 
-    Stdlib only: [Domain], [Mutex], [Condition], [Atomic], [Thread].
+    Stdlib only: [Domain], [Mutex], [Condition], [Atomic].
     No task may itself call {!map} on the same pool (the queue is one
     level deep); create a second pool, or restructure, for nested
     parallelism. *)
@@ -56,19 +53,6 @@ type t
     the worker domain running it is torn down and respawned. Raised by
     the chaos seams ([Faultpoint]); never on a clean run. *)
 exception Killed of exn
-
-(** Watchdog contract for one guarded task: past [deadline_s + grace_s]
-    (absolute epoch seconds, same clock as [Unix.gettimeofday]) the
-    watchdog calls [cancel] (must be safe from another thread —
-    typically it sets an [Atomic] flag a [Cancel] probe reads) and
-    counts the task stuck; past [deadline_s + 2 * grace_s] it poisons
-    the executing worker's lane so the domain is recycled the moment
-    the task completes. *)
-type guard = {
-  deadline_s : float;
-  grace_s : float;
-  cancel : unit -> unit;
-}
 
 (** [create ~domains ()] builds a pool that applies [domains] domains of
     compute: [domains - 1] spawned workers plus the caller inside
@@ -91,24 +75,20 @@ val size : t -> int
     inside a task of the same pool. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [run_all pool ?guard f input] is {!map} that never raises from a
-    task: every element's outcome lands in its input-index slot as a
+(** [run_all pool f input] is {!map} that never raises from a task:
+    every element's outcome lands in its input-index slot as a
     [result], so one crashed or cancelled element cannot mask its
-    siblings' answers. [guard] attaches a watchdog {!guard} to the
-    elements it returns [Some] for. With [pool] of size 1 the elements
-    run sequentially on the caller (no watchdog — there is no other
-    thread to get stuck behind).
+    siblings' answers. With [pool] of size 1 the elements run
+    sequentially on the caller.
     @raise Invalid_argument when called on a joined pool, or from
     inside a task of the same pool. *)
-val run_all :
-  t -> ?guard:('a -> guard option) -> ('a -> 'b) -> 'a array ->
-  ('b, exn) result array
+val run_all : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 
 (** [map_list pool f xs] is {!map} over a list, preserving order. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [join pool] stops the workers and joins their domains (including
-    any respawned replacements), and stops the watchdog. Idempotent.
+    any respawned replacements). Idempotent.
     Every pool must be joined — a dropped pool leaks OS threads — and
     the soak suite asserts {!active_domains} returns to zero. *)
 val join : t -> unit
@@ -121,13 +101,8 @@ val with_pool : domains:int -> (t -> 'a) -> 'a
     pools — the leak detector for tests. *)
 val active_domains : unit -> int
 
-(** Worker domains this pool has respawned after a crash or a poisoned
-    lane. *)
+(** Worker domains this pool has respawned after a crash. *)
 val respawns : t -> int
-
-(** Tasks of this pool the watchdog has flagged as stuck (ran past
-    their guard's [deadline_s + grace_s]). *)
-val stuck_tasks : t -> int
 
 (** Lifetime total of respawned worker domains across every pool in
     the process — the chaos bench and soak gates read it. *)

@@ -12,7 +12,8 @@ let catalogue =
       "worker/caller dies between dequeuing a task and running it \
        (domain death; the task is failed and the domain respawned)" );
     ( "pool.task.delay",
-      "task start delayed by param ms (straggler; watchdog fodder)" );
+      "task start delayed by param ms (straggler; a budgeted stage's own \
+       token still bounds it)" );
     ( "serve.lane.crash",
       "a serve worker lane dies between jobs (domain death; a spare \
        lane takes over)" );

@@ -330,5 +330,3 @@ let ( - ) = sub
 let ( * ) = mul
 let ( / ) = div
 let ( ~- ) = neg
-
-let pp ppf x = Format.pp_print_string ppf (to_string x)

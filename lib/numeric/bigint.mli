@@ -46,7 +46,6 @@ val mul : t -> t -> t
 val divmod : t -> t -> t * t
 
 val div : t -> t -> t
-val rem : t -> t -> t
 
 (** [gcd a b] is the non-negative greatest common divisor. *)
 val gcd : t -> t -> t
@@ -71,5 +70,3 @@ val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t
 val ( / ) : t -> t -> t
 val ( ~- ) : t -> t
-
-val pp : Format.formatter -> t -> unit

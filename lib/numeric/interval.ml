@@ -69,4 +69,3 @@ let product_nonneg ts =
   { lo = Float.max 0.0 !l; hi = !h }
 
 let to_string t = Printf.sprintf "[%.17g, %.17g]" t.lo t.hi
-let pp ppf t = Format.pp_print_string ppf (to_string t)

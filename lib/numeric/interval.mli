@@ -64,4 +64,3 @@ val sum : t array -> t
 val product_nonneg : t array -> t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -8,23 +8,9 @@
     ulp of the true sum for all practical inputs, at ~2x the cost of a
     bare add — negligible against the surrounding DP work. *)
 
-type t
-
-(** A fresh accumulator holding 0. *)
-val create : unit -> t
-
-(** [add acc x] folds [x] into the running sum. *)
-val add : t -> float -> unit
-
-(** [total acc] is the compensated value of everything added so far. *)
-val total : t -> float
-
-(** [reset acc] returns the accumulator to 0 without reallocating. *)
-val reset : t -> unit
-
-(** Functional single-step form for fold-style call sites:
-    [step (s, c) x] is the updated (sum, compensation) pair, and
-    [value (s, c)] its total. [zero] is the empty pair. *)
+(** Single-step form for fold-style call sites: [step (s, c) x] is the
+    updated (sum, compensation) pair, and [value (s, c)] its total.
+    [zero] is the empty pair. *)
 val zero : float * float
 
 val step : float * float -> float -> float * float

@@ -93,4 +93,3 @@ let ( + ) = add
 let ( - ) = sub
 let ( * ) = mul
 let ( / ) = div
-let pp ppf x = Format.pp_print_string ppf (to_string x)

@@ -63,5 +63,3 @@ val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t
 val ( / ) : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

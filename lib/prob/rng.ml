@@ -1,6 +1,15 @@
-(* xoshiro256** 1.0 (Blackman & Vigna), seeded via SplitMix64. *)
+(* xoshiro256** 1.0 (Blackman & Vigna), seeded via SplitMix64.
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+   The four 64-bit state words live unboxed in one 32-byte [Bytes]
+   (native byte order, offsets 0, 8, 16, 24): mutable [int64] record
+   fields would box a fresh word on every store, so every draw would
+   allocate. [bits64] is inlined into the draws below, which then
+   allocate nothing beyond their own boxed result. *)
+
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64_next state =
   let open Int64 in
@@ -12,44 +21,43 @@ let splitmix64_next state =
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for k = 0 to 3 do
+    set t (8 * k) (splitmix64_next state)
+  done;
+  t
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 8 (logxor s1 s2);
+  set t 16 (logxor s2 (shift_left s1 17));
+  set t 24 (rotl s3 45);
   result
 
 let split t =
   let seed = Int64.to_int (bits64 t) land max_int in
   create ~seed
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
+
+(* Rejection sampling on the high 62 bits to avoid modulo bias. A
+   top-level loop, not a local closure, so a draw allocates nothing. *)
+let rec int_below t bound =
+  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then int_below t bound else v
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound"
-  else begin
-    (* Rejection sampling on the high 62 bits to avoid modulo bias. *)
-    let rec go () =
-      let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-      let v = r mod bound in
-      if r - v > max_int - bound + 1 then go () else v
-    in
-    go ()
-  end
+  else int_below t bound
 
 let int_range t lo hi =
   if lo > hi then invalid_arg "Rng.int_range: empty range"

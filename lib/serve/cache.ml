@@ -8,7 +8,6 @@ open Confcall
 type t = {
   mutex : Mutex.t;
   lru : string Lru.t;
-  max_entries : int;
   journal : Journal.t option;
   mutable hits : int;
   mutable misses : int;
@@ -34,7 +33,6 @@ let create ?path ?(fsync = false) ?(max_entries = default_max_entries) () =
     {
       mutex = Mutex.create ();
       lru = Lru.create max_entries;
-      max_entries;
       journal;
       hits = 0;
       misses = 0;
@@ -95,7 +93,6 @@ let hits t = locked t @@ fun () -> t.hits
 let misses t = locked t @@ fun () -> t.misses
 let evictions t = locked t @@ fun () -> t.evictions
 let store_errors t = locked t @@ fun () -> t.store_errors
-let max_entries t = t.max_entries
 
 let close t =
   locked t @@ fun () ->

@@ -55,6 +55,4 @@ val evictions : t -> int
 val store_errors : t -> int
 (** Journal appends that failed and were absorbed. *)
 
-val max_entries : t -> int
-
 val close : t -> unit

@@ -1011,17 +1011,20 @@ let request_drain h =
   Atomic.set h.st.drain_flag true;
   initiate_drain h.st
 
-let wait ?grace_ms h =
+(* Block until the daemon has drained and the worker pool is joined;
+   [false] when the config's drain grace elapsed with work still in
+   flight (workers are then left to finish on their own and the cache
+   journal is not closed). *)
+let wait h =
   Thread.join h.accept_thread;
-  let deadline = Option.map (fun g -> Obs.now () +. (g /. 1000.0)) grace_ms in
+  let deadline = Obs.now () +. (h.st.cfg.drain_grace_ms /. 1000.0) in
   let rec poll () =
     if Atomic.get h.st.workers_done then true
-    else
-      match deadline with
-      | Some d when Obs.now () >= d -> false
-      | _ ->
-        Thread.delay 0.005;
-        poll ()
+    else if Obs.now () >= deadline then false
+    else begin
+      Thread.delay 0.005;
+      poll ()
+    end
   in
   let clean = poll () in
   if clean then begin
@@ -1035,7 +1038,7 @@ let wait ?grace_ms h =
 
 let stop h =
   request_drain h;
-  wait ~grace_ms:h.st.cfg.drain_grace_ms h
+  wait h
 
 let run cfg =
   let h = start cfg in
@@ -1044,7 +1047,7 @@ let run cfg =
   let on_signal _ = Atomic.set h.st.drain_flag true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  let clean = wait ~grace_ms:cfg.drain_grace_ms h in
+  let clean = wait h in
   if not cfg.quiet then
     Printf.eprintf
       "confcall serve: drained%s (requests=%d shed=%d cache: %d entries, %d \

@@ -131,14 +131,11 @@ val bound_port : handle -> int option
     (also what a [drain] frame triggers). *)
 val request_drain : handle -> unit
 
-(** [wait ?grace_ms h] blocks until the daemon has drained and the
-    worker pool is joined; returns [false] when [grace_ms] elapsed
-    with work still in flight (workers are then left to finish on
-    their own and the cache journal is not closed). Without a drain
-    request this blocks until one arrives. *)
-val wait : ?grace_ms:float -> handle -> bool
-
-(** [stop h] = {!request_drain} + {!wait} with the config's grace. *)
+(** [stop h] = {!request_drain}, then block until the daemon has
+    drained and the worker pool is joined; returns [false] when the
+    config's drain grace elapsed with work still in flight (workers are
+    then left to finish on their own and the cache journal is not
+    closed). *)
 val stop : handle -> bool
 
 (** [run cfg] — the CLI entry: {!start}, install SIGTERM/SIGINT

@@ -157,6 +157,24 @@ let test_create_names_offending_row () =
     check bool_t "names the row" true (contains msg "row 1");
     check bool_t "names the sum" true (contains msg "1.2")
 
+(* NaN fails every ordered comparison, so a [x < 0.0] sign check and a
+   [> 1e-9] sum check both let it through. *)
+let test_create_rejects_nan () =
+  let rejects rows =
+    match M.create rows with
+    | _ -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument msg -> msg
+  in
+  let msg = rejects [| [| nan; 1.0 |]; [| 0.5; 0.5 |] |] in
+  check bool_t "NaN named with row and column" true
+    (contains msg "NaN entry in row 0, column 0");
+  let msg = rejects [| [| 0.5; 0.5 |]; [| 1.0; Float.nan |] |] in
+  check bool_t "second row, last column" true
+    (contains msg "row 1, column 1");
+  let msg = rejects [| [| 0.5; 0.5 |]; [| 1.5; -0.5 |] |] in
+  check bool_t "negative text unchanged" true
+    (contains msg "negative entry in row 1")
+
 let test_diffuse_rejects_negative_steps () =
   let h = hex8 () in
   let mob = M.random_walk h ~stay:0.4 in
@@ -680,6 +698,8 @@ let () =
             test_single_cell_walks_absorbing;
           Alcotest.test_case "create names offender" `Quick
             test_create_names_offending_row;
+          Alcotest.test_case "create rejects NaN" `Quick
+            test_create_rejects_nan;
           Alcotest.test_case "diffuse rejects steps < 0" `Quick
             test_diffuse_rejects_negative_steps;
         ] );

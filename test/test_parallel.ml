@@ -328,9 +328,9 @@ let test_differential_uncertainty () =
    the fast ones run under a grace token that never fires, so both
    schedules are deterministic and must report the same stages. The
    clock is shared by the raced stages' domains, hence the atomic. The
-   pool's watchdog compares the wall clock with the run's deadline
-   plus grace; starting at the wall time and a long grace keep it from
-   cancelling a raced stage on a slow host. *)
+   stages' tokens are the run's only deadline mechanism, so the
+   default grace window holds on any host: its end is read on this
+   clock too. *)
 let jumping_clock () =
   let reads = Atomic.make 0 in
   let start = Obs.now () in
@@ -379,8 +379,8 @@ let test_overdue_same_report () =
         let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
         let name = Printf.sprintf "overdue case %d" case in
         let run ?uncertainty ?pool () =
-          Runner.run ~budget_ms:10.0 ~grace_ms:60_000.0
-            ~clock:(jumping_clock ()) ~chain ?uncertainty ?pool inst
+          Runner.run ~budget_ms:10.0 ~clock:(jumping_clock ()) ~chain
+            ?uncertainty ?pool inst
         in
         (* Re-ranking: every stage is reported, identically. *)
         let uncertainty = Uncertainty.uniform 0.01 in

@@ -34,6 +34,71 @@ let test_rng_copy () =
   let b = Prob.Rng.copy a in
   check bool_t "copy replays" true (Prob.Rng.bits64 a = Prob.Rng.bits64 b)
 
+(* Known answers of the xoshiro256** stream, so a change of state layout
+   cannot move a seeded result: per seed, the first draw and the MD5 of
+   the first 1000 [bits64] draws (little-endian bytes) from a fresh
+   generator, from a [split] child and from its advanced parent, and from
+   a [copy] taken after 7 draws, which must replay the original. *)
+let rng_known_answers =
+  [
+    ( 0, 0x99ec5f36cb75f2b4L, "b34ee695597d11c88ea3910cc21566da",
+      "827e3013df2f95bcd98426bfe8dc8d95", "7058ca3ac1bf8819d6c927d122abbaba",
+      "41db63dc295819cdfda969d255608166" );
+    ( 1, 0xb3f2af6d0fc710c5L, "7ff22290f3dbf3da9e9318e0a746a0bb",
+      "cb64deaee249931b00fa32c8953c6dfe", "62fb10b79cc5925b1761dce2514e5b54",
+      "9418f98c4ea891ed0894c96dab90dddc" );
+    ( 2002, 0x6c73c151722797eaL, "b24b709c1f52c8e4e20e2c9cf24faac8",
+      "0163114af9bf12aefaff379d421b4389", "f60bc028371320904ec737d7ee94d6a3",
+      "ea89cfd8a1bb1f795d65f93db03a03c0" );
+    ( max_int, 0x6a2df487bd4abde8L, "fc2eb2ad91e861e2af5cb335aa57afde",
+      "10ad8e38accc075be4b4789f92e400c7", "77b431bcf4dd0cc3649437b4182aaa6c",
+      "457da8247a32607bec9e4cf5e1c1f0fb" );
+  ]
+
+let test_rng_known_answers () =
+  let digest rng =
+    let b = Buffer.create 8000 in
+    for _ = 1 to 1000 do
+      Buffer.add_int64_le b (Prob.Rng.bits64 rng)
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (seed, first, fresh, child, parent, copied) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check bool_t (name "first draw") true
+        (Prob.Rng.bits64 (Prob.Rng.create ~seed) = first);
+      check Alcotest.string (name "fresh") fresh
+        (digest (Prob.Rng.create ~seed));
+      let p = Prob.Rng.create ~seed in
+      let c = Prob.Rng.split p in
+      check Alcotest.string (name "split child") child (digest c);
+      check Alcotest.string (name "split parent") parent (digest p);
+      let q = Prob.Rng.create ~seed in
+      for _ = 1 to 7 do
+        ignore (Prob.Rng.bits64 q)
+      done;
+      let r = Prob.Rng.copy q in
+      check Alcotest.string (name "copy") copied (digest r);
+      check Alcotest.string (name "original after copy") copied (digest q))
+    rng_known_answers
+
+(* The state is unboxed: [int] allocates nothing, and [unit_float]
+   allocates only its boxed float result (2 words). *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Prob.Rng.create ~seed:11 in
+  Testutil.assert_no_minor_alloc "Rng.int" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Prob.Rng.int rng 1000))
+      done);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Prob.Rng.unit_float rng))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 20_000.0 then
+    Alcotest.failf "Rng.unit_float allocated %.0f words over 10000 calls" words
+
 let test_rng_int_bounds () =
   let rng = Prob.Rng.create ~seed:3 in
   for _ = 1 to 1000 do
@@ -319,6 +384,9 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int uniformity" `Slow test_rng_int_uniformity;
           Alcotest.test_case "unit float" `Quick test_rng_unit_float_range;

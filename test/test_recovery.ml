@@ -3,10 +3,9 @@
    Pins the recovery machinery this repository grew around the chaos
    seam: an injected domain death fails exactly one task while the pool
    respawns the lane with [active_domains] accounting kept exact; the
-   watchdog escalates stuck tasks (cooperative cancel, then lane
-   poison); the journal skips checksum-failed lines instead of trusting
-   them; the serve cache is a bounded LRU whose journal failures cost
-   one entry's persistence; and — the flip side — the seam compiled in
+   journal skips checksum-failed lines instead of trusting them; the
+   serve cache is a bounded LRU whose journal failures cost one entry's
+   persistence; and — the flip side — the seam compiled in
    but not firing is invisible, down to journal bytes. *)
 
 open Confcall
@@ -191,88 +190,6 @@ let test_respawn_exact_accounting () =
         (Exec.Pool.map pool succ (Array.init 32 Fun.id) = Array.init 32 succ));
   check int_t "no leaked domains after join" before
     (Exec.Pool.active_domains ())
-
-(* ---------------- watchdog escalation ---------------- *)
-
-let test_watchdog_cancels_stuck_task () =
-  Exec.Pool.with_pool ~domains:2 (fun pool ->
-      let cancelled = Atomic.make false in
-      let stuck0 = Exec.Pool.stuck_tasks pool in
-      let guard _ =
-        Some
-          Exec.Pool.
-            {
-              deadline_s = Unix.gettimeofday () +. 0.02;
-              grace_s = 0.02;
-              cancel = (fun () -> Atomic.set cancelled true);
-            }
-      in
-      let out =
-        Exec.Pool.run_all pool ~guard
-          (fun () ->
-            (* cooperative: spins until its cancel token fires *)
-            let give_up = Unix.gettimeofday () +. 5.0 in
-            while
-              (not (Atomic.get cancelled)) && Unix.gettimeofday () < give_up
-            do
-              Thread.delay 0.002
-            done;
-            "done")
-          [| () |]
-      in
-      check bool_t "stuck task still publishes" true (out = [| Ok "done" |]);
-      check bool_t "watchdog fired the cancel" true (Atomic.get cancelled);
-      check bool_t "stuck task counted" true
-        (Exec.Pool.stuck_tasks pool > stuck0))
-
-(* Past the second grace window the watchdog poisons the worker's lane,
-   forcing a domain recycle once the stubborn task lets go. Poison only
-   applies to worker lanes (the caller cannot be respawned), so the
-   stubborn task bails unless it landed on a worker, retrying until it
-   does. *)
-let test_watchdog_poisons_lane () =
-  Exec.Pool.with_pool ~domains:2 (fun pool ->
-      let main = Domain.self () in
-      let landed = ref false in
-      let tries = ref 0 in
-      while (not !landed) && !tries < 50 do
-        incr tries;
-        let guard _ =
-          Some
-            Exec.Pool.
-              {
-                deadline_s = Unix.gettimeofday ();
-                grace_s = 0.02;
-                cancel = ignore (* a task that ignores its cancel *);
-              }
-        in
-        let r0 = Exec.Pool.respawns pool in
-        let out =
-          Exec.Pool.run_all pool ~guard
-            (fun i ->
-              if Domain.self () <> main then begin
-                Thread.delay 0.2 (* well past deadline + 2 * grace *);
-                landed := true
-              end
-              else Thread.delay 0.01;
-              i)
-            [| 0; 1 |]
-        in
-        check bool_t "both tasks complete" true
-          (Array.for_all (function Ok _ -> true | Error _ -> false) out);
-        if !landed then begin
-          let deadline = Unix.gettimeofday () +. 5.0 in
-          while
-            Exec.Pool.respawns pool <= r0
-            && Unix.gettimeofday () < deadline
-          do
-            Thread.delay 0.01
-          done;
-          check bool_t "poisoned lane respawned its domain" true
-            (Exec.Pool.respawns pool > r0)
-        end
-      done;
-      check bool_t "stubborn task landed on a worker" true !landed)
 
 (* ---------------- journal: corruption and recovery ---------------- *)
 
@@ -503,13 +420,6 @@ let () =
             test_killed_sequential_pool;
           Alcotest.test_case "respawn keeps accounting exact" `Quick
             test_respawn_exact_accounting;
-        ] );
-      ( "watchdog",
-        [
-          Alcotest.test_case "stuck task cancelled" `Quick
-            test_watchdog_cancels_stuck_task;
-          Alcotest.test_case "stubborn task poisons its lane" `Quick
-            test_watchdog_poisons_lane;
         ] );
       ( "journal-integrity",
         [
