@@ -1,7 +1,10 @@
 type t = { rows : int; cols : int }
 
 let create ~rows ~cols =
-  if rows <= 0 || cols <= 0 then invalid_arg "Hex.create: bad dimensions"
+  if rows <= 0 then
+    invalid_arg (Printf.sprintf "Hex.create: rows must be positive, got %d" rows)
+  else if cols <= 0 then
+    invalid_arg (Printf.sprintf "Hex.create: cols must be positive, got %d" cols)
   else { rows; cols }
 
 let cells t = t.rows * t.cols
@@ -15,21 +18,33 @@ let coords t cell =
   if cell < 0 || cell >= cells t then invalid_arg "Hex.coords: out of bounds"
   else cell / t.cols, cell mod t.cols
 
-let in_bounds t ~row ~col = row >= 0 && row < t.rows && col >= 0 && col < t.cols
+(* Odd-r offset layout: odd rows shift right by half a hex. The six
+   positions around a cell as (row, column) offsets, in ascending cell
+   order: the row above, the cell's own row, the row below, each left to
+   right. *)
+let row_offsets = [| -1; -1; 0; 0; 1; 1 |]
+let even_col_offsets = [| -1; 0; -1; 1; -1; 0 |]
+let odd_col_offsets = [| 0; 1; -1; 1; 0; 1 |]
 
-(* Odd-r offset layout: odd rows shift right by half a hex. *)
-let neighbor_offsets row =
-  if row land 1 = 0 then
-    [ -1, -1; -1, 0; 0, -1; 0, 1; 1, -1; 1, 0 ]
-  else [ -1, 0; -1, 1; 0, -1; 0, 1; 1, 0; 1, 1 ]
+let neighbors_into t cell buf =
+  if cell < 0 || cell >= cells t then
+    invalid_arg "Hex.neighbors_into: out of bounds";
+  let row = cell / t.cols in
+  let col = cell - (row * t.cols) in
+  let col_offsets = if row land 1 = 0 then even_col_offsets else odd_col_offsets in
+  let count = ref 0 in
+  for k = 0 to 5 do
+    let r = row + row_offsets.(k) and c = col + col_offsets.(k) in
+    if r >= 0 && r < t.rows && c >= 0 && c < t.cols then begin
+      buf.(!count) <- (r * t.cols) + c;
+      incr count
+    end
+  done;
+  !count
 
 let neighbors t cell =
-  let row, col = coords t cell in
-  List.filter_map
-    (fun (dr, dc) ->
-      let r = row + dr and c = col + dc in
-      if in_bounds t ~row:r ~col:c then Some (index t ~row:r ~col:c) else None)
-    (neighbor_offsets row)
+  let buf = Array.make 6 0 in
+  List.init (neighbors_into t cell buf) (Array.get buf)
 
 (* Convert odd-r offset to cube coordinates for distance. *)
 let to_cube row col =

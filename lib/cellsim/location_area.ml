@@ -13,50 +13,46 @@ let create ~cells ~area_of =
     else if Array.exists (fun a -> a < 0) area_of then
       invalid_arg "Location_area.create: negative area id"
     else begin
-      let buckets = Array.make k [] in
-      for cell = cells - 1 downto 0 do
-        buckets.(area_of.(cell)) <- cell :: buckets.(area_of.(cell))
-      done;
-      if Array.exists (fun b -> b = []) buckets then
+      (* A counting pass sizes each area; a second fills it, cells
+         ascending. *)
+      let size = Array.make k 0 in
+      Array.iter (fun a -> size.(a) <- size.(a) + 1) area_of;
+      if Array.exists (fun n -> n = 0) size then
         invalid_arg "Location_area.create: empty area"
-      else
-        {
-          cells;
-          area_of = Array.copy area_of;
-          members = Array.map Array.of_list buckets;
-        }
+      else begin
+        let members = Array.map (fun n -> Array.make n 0) size in
+        let fill = Array.make k 0 in
+        Array.iteri
+          (fun cell a ->
+            members.(a).(fill.(a)) <- cell;
+            fill.(a) <- fill.(a) + 1)
+          area_of;
+        { cells; area_of = Array.copy area_of; members }
+      end
     end
   end
 
+(* Block (row / block_rows, col / block_cols) is area
+   [(row / block_rows) * blocks_per_row + col / block_cols]: every block
+   holds a cell, so the ids are 0 .. k - 1, ascending in row-major cell
+   order. *)
 let grid hex ~block_rows ~block_cols =
-  if block_rows <= 0 || block_cols <= 0 then
-    invalid_arg "Location_area.grid: bad block size"
+  if block_rows <= 0 then
+    invalid_arg
+      (Printf.sprintf "Location_area.grid: block_rows must be positive, got %d"
+         block_rows)
+  else if block_cols <= 0 then
+    invalid_arg
+      (Printf.sprintf "Location_area.grid: block_cols must be positive, got %d"
+         block_cols)
   else begin
-    let rows = hex.Hex.rows and cols = hex.Hex.cols in
-    let blocks_per_row = (cols + block_cols - 1) / block_cols in
+    let blocks_per_row = (hex.Hex.cols + block_cols - 1) / block_cols in
     let area_of =
       Array.init (Hex.cells hex) (fun cell ->
           let row, col = Hex.coords hex cell in
           ((row / block_rows) * blocks_per_row) + (col / block_cols))
     in
-    ignore rows;
-    (* Compact ids (edge effects can skip ids when cols % block_cols <> 0
-       — they cannot here, but renumber defensively). *)
-    let seen = Hashtbl.create 16 in
-    let next = ref 0 in
-    let compact =
-      Array.map
-        (fun a ->
-          match Hashtbl.find_opt seen a with
-          | Some id -> id
-          | None ->
-            let id = !next in
-            Hashtbl.add seen a id;
-            incr next;
-            id)
-        area_of
-    in
-    create ~cells:(Hex.cells hex) ~area_of:compact
+    create ~cells:(Hex.cells hex) ~area_of
   end
 
 let single hex =

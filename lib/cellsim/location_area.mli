@@ -17,7 +17,9 @@ val create : cells:int -> area_of:int array -> t
 
 (** [grid hex ~block_rows ~block_cols] tiles the hex field with
     rectangular areas of the given block size (edge blocks may be
-    smaller). *)
+    smaller), numbered row-major by block.
+    @raise Invalid_argument naming the block dimension and its value
+    when it is not positive. *)
 val grid : Hex.t -> block_rows:int -> block_cols:int -> t
 
 (** [single hex] — one area covering everything (never report, always

@@ -15,9 +15,22 @@ let row t i =
     out
   end
 
-(* The checks [create] makes on each dense row, in its order: width,
-   sign, then the left-to-right sum. [not (x >= 0.0)] also catches NaN,
-   which every ordered comparison fails. *)
+(* The checks [create] makes on each row, in its order: width, each
+   entry's sign left to right, then the left-to-right sum. [not (x >=
+   0.0)] also catches NaN, which every ordered comparison fails.
+   [check_entry] is inlined, so an entry reaches it unboxed. *)
+let[@inline] check_entry i j x =
+  if not (x >= 0.0) then
+    invalid_arg
+      (if Float.is_nan x then
+         Printf.sprintf "Mobility.create: NaN entry in row %d, column %d" i j
+       else Printf.sprintf "Mobility.create: negative entry in row %d" i)
+
+let check_sum i sum =
+  if abs_float (sum -. 1.0) > 1e-9 then
+    invalid_arg
+      (Printf.sprintf "Mobility.create: row %d sums to %.12g, not 1" i sum)
+
 let check_row n i row =
   if Array.length row <> n then
     invalid_arg
@@ -26,22 +39,16 @@ let check_row n i row =
   let sum = ref 0.0 in
   for j = 0 to n - 1 do
     let x = row.(j) in
-    if not (x >= 0.0) then
-      invalid_arg
-        (if Float.is_nan x then
-           Printf.sprintf "Mobility.create: NaN entry in row %d, column %d" i j
-         else Printf.sprintf "Mobility.create: negative entry in row %d" i);
+    check_entry i j x;
     sum := !sum +. x
   done;
-  if abs_float (!sum -. 1.0) > 1e-9 then
-    invalid_arg
-      (Printf.sprintf "Mobility.create: row %d sums to %.12g, not 1" i !sum)
+  check_sum i !sum
 
 (* [compress n dense] builds the model from dense rows [dense i], each
    checked before its non-zeros are kept. [dense] may hand back one
-   scratch row refilled per call: its entries are read before the next
-   call. The entry arrays start at 8 a row, room for any hex walk, and
-   double when dense rows outgrow them. *)
+   row refilled per call: its entries are read before the next call.
+   The entry arrays start at 8 a row and double when dense rows outgrow
+   them. *)
 let compress n dense =
   if n = 0 then invalid_arg "Mobility.create: empty matrix";
   let ptr = Array.make (n + 1) 0 in
@@ -74,65 +81,112 @@ let compress n dense =
 
 let create rows = compress (Array.length rows) (fun i -> rows.(i))
 
-(* Rows built in one zeroed scratch row; [fill cell row] writes the
-   cell's entries. *)
-let build n fill =
-  let scratch = Array.make n 0.0 in
-  compress n (fun cell ->
-      Array.fill scratch 0 n 0.0;
-      fill cell scratch;
-      scratch)
+(* Row [cell] of a hex walk: [stay] on the diagonal and
+   [(1 - stay) * w j / total] on each neighbour [j], where [w j] is
+   [east_bias] for a neighbour in a larger column and 1 for the others,
+   and [total] adds up [w] over the neighbours in ascending order. The
+   two shares are computed once a row, from the same operands as the
+   dense row's per-entry expression. At [east_bias = 1] each weight and
+   their sum are exact, so every share is [(1 - stay) / degree] to the
+   bit. An isolated cell (1×1 field) has nowhere to leave to: the
+   leaving mass folds back and it absorbs.
+
+   The entries are visited in ascending column order: the neighbours
+   below the cell, its diagonal, the neighbours above ([nbr] holds room
+   for them). Unless [write], each is checked as [create] checks it and
+   the row sum last; with [write], the non-zeros are stored from index
+   [at] on. Either way the result is [at] plus the number of
+   non-zeros. *)
+let walk_row hex ~stay ~east_bias ~write nbr cols probs cell at =
+  let width = hex.Hex.cols in
+  let col = cell mod width in
+  let degree = Hex.neighbors_into hex cell nbr in
+  let total = ref 0.0 and below = ref 0 in
+  for e = 0 to degree - 1 do
+    let j = nbr.(e) in
+    if j < cell then incr below;
+    total := !total +. if j mod width > col then east_bias else 1.0
+  done;
+  let west = (1.0 -. stay) /. !total
+  and east = (1.0 -. stay) *. east_bias /. !total in
+  let len = ref at and sum = ref 0.0 in
+  for e = 0 to degree do
+    let j =
+      if e < !below then nbr.(e) else if e = !below then cell else nbr.(e - 1)
+    in
+    let x =
+      if j = cell then if degree = 0 then 1.0 else stay
+      else if j mod width > col then east
+      else west
+    in
+    if not write then begin
+      check_entry cell j x;
+      sum := !sum +. x
+    end;
+    if x <> 0.0 then begin
+      if write then begin
+        cols.(!len) <- j;
+        Float.Array.set probs !len x
+      end;
+      incr len
+    end
+  done;
+  if not write then check_sum cell !sum;
+  !len
+
+(* The hex walks' sparse rows, built in place in O(non-zeros): a first
+   pass checks every row and counts its non-zeros into [ptr], a second
+   writes them into arrays of exactly that size. Each entry is the one
+   value the dense row held there ([stay], or a share added to 0.0), and
+   the zeros a dense row also carried neither fail a check nor change
+   its sum: a bad row fails with [create]'s text, and a good one gives
+   the model [compress] would have kept. *)
+let walk hex ~stay ~east_bias =
+  let n = Hex.cells hex in
+  let ptr = Array.make (n + 1) 0 and nbr = Array.make 6 0 in
+  let no_probs = Float.Array.create 0 in
+  for cell = 0 to n - 1 do
+    ptr.(cell + 1) <-
+      walk_row hex ~stay ~east_bias ~write:false nbr [||] no_probs cell ptr.(cell)
+  done;
+  let cols = Array.make ptr.(n) 0 and probs = Float.Array.create ptr.(n) in
+  for cell = 0 to n - 1 do
+    ignore (walk_row hex ~stay ~east_bias ~write:true nbr cols probs cell ptr.(cell))
+  done;
+  { n; ptr; cols; probs }
 
 let random_walk hex ~stay =
   if stay < 0.0 || stay >= 1.0 then
     invalid_arg "Mobility.random_walk: stay must be in [0, 1)"
-  else
-    build (Hex.cells hex) (fun cell row ->
-        match Hex.neighbors hex cell with
-        | [] ->
-          (* Isolated cell (1×1 field): nowhere to leave to, so the
-             leaving mass folds back and the cell is absorbing. *)
-          row.(cell) <- 1.0
-        | ns ->
-          let share = (1.0 -. stay) /. float_of_int (List.length ns) in
-          row.(cell) <- stay;
-          List.iter (fun j -> row.(j) <- row.(j) +. share) ns)
+  else walk hex ~stay ~east_bias:1.0
 
 let drift_walk hex ~stay ~east_bias =
   if stay < 0.0 || stay >= 1.0 then
     invalid_arg "Mobility.drift_walk: stay must be in [0, 1)"
   else if east_bias < 1.0 then
     invalid_arg "Mobility.drift_walk: east_bias must be >= 1"
-  else
-    build (Hex.cells hex) (fun cell row ->
-        let _, col = Hex.coords hex cell in
-        match Hex.neighbors hex cell with
-        | [] -> row.(cell) <- 1.0
-        | ns ->
-          let weight j =
-            let _, cj = Hex.coords hex j in
-            if cj > col then east_bias else 1.0
-          in
-          let total = List.fold_left (fun acc j -> acc +. weight j) 0.0 ns in
-          row.(cell) <- stay;
-          List.iter
-            (fun j -> row.(j) <- row.(j) +. ((1.0 -. stay) *. weight j /. total))
-            ns)
+  else walk hex ~stay ~east_bias
 
+(* Every teleport row is dense (the target spreads over every cell), so
+   it goes through [compress], one reused dense row at a time. *)
 let teleport base ~jump ~target =
   if jump < 0.0 || jump > 1.0 then
     invalid_arg "Mobility.teleport: jump must be in [0, 1]"
   else if Array.length target <> base.n then
     invalid_arg "Mobility.teleport: target dimension mismatch"
   else begin
+    let n = base.n in
     let target = Prob.Dist.normalize (Array.copy target) in
-    build base.n (fun cell row ->
+    let dense = Array.make n 0.0 in
+    compress n (fun cell ->
+        Array.fill dense 0 n 0.0;
         for k = base.ptr.(cell) to base.ptr.(cell + 1) - 1 do
-          row.(base.cols.(k)) <- Float.Array.get base.probs k
+          dense.(base.cols.(k)) <- Float.Array.get base.probs k
         done;
-        for j = 0 to base.n - 1 do
-          row.(j) <- ((1.0 -. jump) *. row.(j)) +. (jump *. target.(j))
-        done)
+        for j = 0 to n - 1 do
+          dense.(j) <- ((1.0 -. jump) *. dense.(j)) +. (jump *. target.(j))
+        done;
+        dense)
   end
 
 (* [Prob.Dist.sample] on the dense row, over its non-zeros: the same
@@ -419,39 +473,48 @@ let aging_uniform ?(dwell_cap = 32) base law =
   let row = hazards ~dwell_cap law in
   make_aging ~dwell_cap base (fun _ -> row)
 
-let hazard_at a ~cell ~dwell =
+(* Cell [cell]'s hazard at dwell age [dwell], frozen at the cap. *)
+let[@inline] hazard_at a ~cell ~dwell =
   if cell < 0 || cell >= a.base.n then
-    invalid_arg "Mobility.hazard_at: bad cell"
-  else if dwell < 0 then invalid_arg "Mobility.hazard_at: dwell must be >= 0"
+    invalid_arg "Mobility.semi_step: bad cell"
+  else if dwell < 0 then invalid_arg "Mobility.semi_step: dwell must be >= 0"
   else Float.Array.get a.haz ((cell * a.dwell_cap) + Stdlib.min dwell (a.dwell_cap - 1))
+
+(* [Prob.Rng.unit_float], scaled here from its 53 bits: a float made in
+   this module stays unboxed, one returned from [Prob] is boxed. Like
+   [hazard_at] and [jump_target], it is inlined into [semi_step]. *)
+let[@inline] unit_draw rng = float_of_int (Prob.Rng.bits53 rng) *. 0x1.0p-53
+
+(* Linear inversion of [v] on the conditional jump row
+   [first .. last]: the first target whose partial sum exceeds [v], or
+   the last target when [v] passes them all: a loop over a float ref,
+   so the partial sums stay unboxed. *)
+let[@inline] jump_target a v ~first ~last =
+  let k = ref first and acc = ref 0.0 and target = ref (-1) in
+  while !target < 0 do
+    if !k >= last then target := a.jump_col.(last)
+    else begin
+      acc := !acc +. Float.Array.get a.jump_p !k;
+      if v < !acc then target := a.jump_col.(!k) else incr k
+    end
+  done;
+  !target
 
 (* One ground-truth tick of the semi-Markov walk: leave with the
    dwell-age hazard (target drawn from the conditional jump row, dwell
    resetting to 0), else stay one tick older. Absorbing cells never
-   leave. Every call draws exactly one uniform plus, on a jump, one
-   categorical sample — the draw count does not depend on the law, so
-   runs under different residence laws stay RNG-comparable. *)
+   leave. Both uniforms are drawn unconditionally: exactly two draws per
+   tick whatever the law or outcome, so runs that differ only in
+   residence law consume motion randomness in lockstep. Only the result
+   pair is allocated. *)
 let semi_step a rng ~cell ~dwell =
   let h = hazard_at a ~cell ~dwell in
-  (* Both uniforms are drawn unconditionally: exactly two draws per
-     tick whatever the law or outcome, so runs that differ only in
-     residence law consume motion randomness in lockstep. *)
-  let u = Prob.Rng.unit_float rng in
-  let v = Prob.Rng.unit_float rng in
+  let u = unit_draw rng in
+  let v = unit_draw rng in
   let first = a.jump_ptr.(cell) and last = a.jump_ptr.(cell + 1) - 1 in
   if last < first || u >= h then
     (cell, Stdlib.min (dwell + 1) (a.dwell_cap - 1))
-  else begin
-    (* linear inversion on the conditional jump row *)
-    let rec go k acc =
-      if k >= last then a.jump_col.(last)
-      else begin
-        let acc = acc +. Float.Array.get a.jump_p k in
-        if v < acc then a.jump_col.(k) else go (k + 1) acc
-      end
-    in
-    (go first 0.0, 0)
-  end
+  else (jump_target a v ~first ~last, 0)
 
 (* Transient evolution of a location belief under the semi-Markov law:
    the belief is placed at dwell age 0 (mass was just observed there),

@@ -14,11 +14,14 @@
     A model is stored in compressed sparse rows: per row, the columns
     of its non-zero entries in ascending order and their probabilities
     in a [floatarray]. A hex walk keeps at most 7 entries a row, so
-    building, stepping and diffusing cost O(non-zeros), not O(n{^2}).
-    Every result is bit-identical to the dense n×n matrix it replaced:
-    sums run over the same entries in the same order, and a skipped
-    exact zero only ever added +0.0 to a non-negative sum. A model is
-    immutable once built and may be shared across domains. *)
+    building one ({!random_walk}, {!drift_walk}), stepping and
+    diffusing cost O(non-zeros), not O(n{^2}): the walks write their
+    rows in place, with no dense row. {!create} and {!teleport} stay
+    O(n{^2}), because their input is dense. Every result is
+    bit-identical to the dense n×n matrix it replaced: sums run over
+    the same entries in the same order, and a skipped exact zero only
+    ever added +0.0 to a non-negative sum. A model is immutable once
+    built and may be shared across domains. *)
 
 type t
 
@@ -40,13 +43,17 @@ val row : t -> int -> float array
 
 (** [random_walk hex ~stay] — with probability [stay] remain in place,
     otherwise move to a uniform neighbor. A cell with no neighbors
-    (single-cell field) is absorbing: all mass stays. *)
+    (single-cell field) is absorbing: all mass stays. Each row is
+    checked as {!create} checks it, with the same error texts (a NaN
+    [stay] fails as a NaN entry in row 0, column 0); [stay = 0] leaves
+    no diagonal entry. *)
 val random_walk : Hex.t -> stay:float -> t
 
 (** [drift_walk hex ~stay ~east_bias] — a random walk with a preference
     for eastward neighbors; models commuter flow. [east_bias] ≥ 1
     multiplies the weight of neighbors with larger column. Isolated
-    cells are absorbing, as in {!random_walk}. *)
+    cells are absorbing and rows are checked, as in {!random_walk};
+    [east_bias = 1] gives {!random_walk} bit for bit. *)
 val drift_walk : Hex.t -> stay:float -> east_bias:float -> t
 
 (** [teleport base ~jump ~target] — with probability [jump] redraw the
@@ -149,7 +156,9 @@ val aging_uniform : ?dwell_cap:int -> t -> residence -> aging
 (** [semi_step a rng ~cell ~dwell] — one ground-truth tick of the
     semi-Markov walk; returns the new cell and dwell age. Consumes an
     identical number of RNG draws regardless of the law, so runs under
-    different residence laws share motion randomness shape. *)
+    different residence laws share motion randomness shape. Allocates
+    only the result pair.
+    @raise Invalid_argument when [cell] is not a cell or [dwell < 0]. *)
 val semi_step : aging -> Prob.Rng.t -> cell:int -> dwell:int -> int * int
 
 (** [age_dist a dist ~steps] — transient evolution of a location belief

@@ -63,9 +63,10 @@ let int_range t lo hi =
   if lo > hi then invalid_arg "Rng.int_range: empty range"
   else lo + int t (hi - lo + 1)
 
-let unit_float t =
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  r *. 0x1.0p-53
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+(* The 53 bits are below 2^53, so [float_of_int] is exact. *)
+let unit_float t = float_of_int (bits53 t) *. 0x1.0p-53
 
 let float t bound = unit_float t *. bound
 let bool t = Int64.logand (bits64 t) 1L = 1L

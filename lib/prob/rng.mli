@@ -25,8 +25,15 @@ val int : t -> int -> int
 (** [int_range t lo hi] is uniform in [[lo, hi]] inclusive. *)
 val int_range : t -> int -> int -> int
 
-(** [unit_float t] is uniform in [[0, 1)] with 53 bits of precision. *)
+(** [unit_float t] is uniform in [[0, 1)] with 53 bits of precision:
+    [float_of_int (bits53 t) *. 0x1p-53]. *)
 val unit_float : t -> float
+
+(** [bits53 t] is uniform in [[0, 2{^53})]: the draw [unit_float]
+    scales, advancing the stream alike. An [int] comes back unboxed, so
+    a caller in another module can scale it without allocating, where a
+    returned [float] is boxed. *)
+val bits53 : t -> int
 
 (** [float t bound] is uniform in [[0, bound)]. *)
 val float : t -> float -> float

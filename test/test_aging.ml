@@ -522,6 +522,28 @@ let same_bits what a b =
         Alcotest.failf "%s: entry %d is %h, dense reference %h" what i x b.(i))
     a
 
+(* Walks built in place on more shapes: drift walks on a square field
+   and on both one-cell-wide strips (a 5×1 field's neighbours sit in one
+   column, so none is east), and random walks on 2×2, a 1×7 strip and a
+   32×32 field. *)
+let extra_walks () =
+  let hex rows cols = Cellsim.Hex.create ~rows ~cols in
+  let drift name h =
+    ( "drift walk " ^ name,
+      M.drift_walk h ~stay:0.3 ~east_bias:2.5,
+      R.drift_walk h ~stay:0.3 ~east_bias:2.5 )
+  and walk name h stay =
+    ("hex walk " ^ name, M.random_walk h ~stay, R.random_walk h ~stay)
+  in
+  [
+    drift "8x8" (hex 8 8);
+    drift "1x5" (hex 1 5);
+    drift "5x1" (hex 5 1);
+    walk "2x2" (hex 2 2) 0.25;
+    walk "1x7" (hex 1 7) 0.0;
+    walk "32x32" (hex 32 32) 0.5;
+  ]
+
 (* (name, sparse, dense) pairs: hex and drift walks (one with no stay
    mass, so every diagonal is an absent zero), a dense teleport, a 1×1
    field, and hand-made rows whose last entry is 0. *)
@@ -551,6 +573,7 @@ let reference_models () =
     ("1x1 field", M.random_walk h11 ~stay:0.3, R.random_walk h11 ~stay:0.3);
     ("hand rows, last entry 0", M.create hand, R.create hand);
   ]
+  @ extra_walks ()
 
 let test_reference_rows_and_steps () =
   List.iter
@@ -621,7 +644,11 @@ let test_reference_stationary_and_diffuse () =
   List.iter
     (fun (name, m, d) ->
       let n = M.cells m in
-      same_bits (name ^ ": stationary") (M.stationary m) (R.stationary d);
+      (* The dense power iteration costs n² a step and runs for
+         thousands of steps on the 32×32 field (~10 s), so stationary
+         is compared on fields of up to 256 cells. *)
+      if n <= 256 then
+        same_bits (name ^ ": stationary") (M.stationary m) (R.stationary d);
       let starts =
         [ random_dist (Prob.Rng.create ~seed:9) n;
           Prob.Dist.point_mass ~eps:1e-9 n (n - 1) ]
@@ -679,6 +706,69 @@ let test_reference_aging () =
         (reference_kernels (m, d)))
     (reference_models ())
 
+(* The in-place walk builder makes [create]'s checks: on rows that
+   fail them it raises the text [create] gives on the reference's dense
+   rows. A NaN [stay] is the first entry of row 0, and an infinite east
+   bias makes each east share inf / inf. The reference keeps NaN rows,
+   so [create] sees them; it rejects a bad sum itself, so for that case
+   both must name the same row. A bias of 1e308 overflows the weight
+   total of a cell with three east neighbours (the first odd row),
+   which zeroes every share and leaves a row summing to [stay]. *)
+let test_reference_walks_fail_as_create () =
+  let raised f =
+    match f () with
+    | _ -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument msg -> msg
+  in
+  let h = hex8 () in
+  List.iter
+    (fun (name, expected, sparse, dense) ->
+      let msg = raised sparse in
+      check Alcotest.string (name ^ ": text") expected msg;
+      check Alcotest.string (name ^ ": same as create") msg
+        (raised (fun () -> M.create (dense ()).R.rows)))
+    [
+      ( "random walk, NaN stay",
+        "Mobility.create: NaN entry in row 0, column 0",
+        (fun () -> M.random_walk h ~stay:nan),
+        fun () -> R.random_walk h ~stay:nan );
+      ( "drift walk, NaN stay",
+        "Mobility.create: NaN entry in row 0, column 0",
+        (fun () -> M.drift_walk h ~stay:nan ~east_bias:2.0),
+        fun () -> R.drift_walk h ~stay:nan ~east_bias:2.0 );
+      ( "drift walk, infinite bias",
+        "Mobility.create: NaN entry in row 0, column 1",
+        (fun () -> M.drift_walk h ~stay:0.2 ~east_bias:infinity),
+        fun () -> R.drift_walk h ~stay:0.2 ~east_bias:infinity );
+    ];
+  check Alcotest.string "drift walk, overflowing bias"
+    "Mobility.create: row 8 sums to 0.2, not 1"
+    (raised (fun () -> M.drift_walk h ~stay:0.2 ~east_bias:1e308));
+  check Alcotest.string "reference rejects the same row"
+    "Mobility_ref.create: row 8 sum"
+    (raised (fun () -> R.drift_walk h ~stay:0.2 ~east_bias:1e308))
+
+(* [semi_step] allocates only its (cell, dwell) pair: 3 words a call,
+   jumps included. *)
+let test_semi_step_allocation () =
+  let base = M.random_walk (hex8 ()) ~stay:(1.0 -. (1.0 /. 6.0)) in
+  let kernel = M.aging_uniform base Cellsim.Scenario.pareto_dwell in
+  let rng = Prob.Rng.create ~seed:7 in
+  let cell = ref 0 and dwell = ref 0 and moves = ref 0 in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    let c, d = M.semi_step kernel rng ~cell:!cell ~dwell:!dwell in
+    if c <> !cell then incr moves;
+    cell := c;
+    dwell := d
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  check bool_t "the walk jumps" true (!moves > calls / 20);
+  if words > 3.0 then
+    Alcotest.failf "semi_step allocated %.2f minor words a call (at most 3)"
+      words
+
 let () =
   Alcotest.run "aging"
     [
@@ -707,6 +797,8 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_aging_validation;
           Alcotest.test_case "semi_step bounds" `Quick test_semi_step_bounds;
+          Alcotest.test_case "semi_step allocates its pair only" `Quick
+            test_semi_step_allocation;
           Alcotest.test_case "absorbing cell stays" `Quick
             test_semi_step_absorbing_cell_stays;
           Alcotest.test_case "matched exp = Markov" `Quick
@@ -726,6 +818,8 @@ let () =
             test_reference_stationary_and_diffuse;
           Alcotest.test_case "age_dist and semi_step" `Quick
             test_reference_aging;
+          Alcotest.test_case "walks fail as create does" `Quick
+            test_reference_walks_fail_as_create;
         ] );
       ( "profile",
         [

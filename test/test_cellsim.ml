@@ -76,6 +76,25 @@ let test_hex_neighbors_symmetric () =
       (Cellsim.Hex.neighbors h cell)
   done
 
+(* Neighbour lists come out strictly ascending (the walks write their
+   rows in that order), on one cell, both strips and two fields. *)
+let test_hex_neighbors_ascending () =
+  List.iter
+    (fun (rows, cols) ->
+      let h = Cellsim.Hex.create ~rows ~cols in
+      for cell = 0 to Cellsim.Hex.cells h - 1 do
+        let rec ascending = function
+          | a :: (b :: _ as rest) -> a < b && ascending rest
+          | _ -> true
+        in
+        let ns = Cellsim.Hex.neighbors h cell in
+        if not (ascending ns) then
+          Alcotest.failf "%dx%d: neighbours of cell %d not ascending: [%s]"
+            rows cols cell
+            (String.concat "; " (List.map string_of_int ns))
+      done)
+    [ (1, 1); (1, 6); (6, 1); (7, 9); (8, 8) ]
+
 let test_hex_distance () =
   let h = Cellsim.Hex.create ~rows:5 ~cols:5 in
   let a = Cellsim.Hex.index h ~row:0 ~col:0 in
@@ -224,6 +243,47 @@ let test_la_grid_partition () =
       (Cellsim.Location_area.cells_of_area la a)
   done;
   Array.iter (fun n -> check int_t "exactly once" 1 n) seen
+
+(* Blocks that do not divide the field: edge blocks are cut short, ids
+   run row-major by block, and each area lists its cells ascending. *)
+let test_la_grid_uneven () =
+  let layout rows cols ~block_rows ~block_cols =
+    Cellsim.Location_area.grid
+      (Cellsim.Hex.create ~rows ~cols)
+      ~block_rows ~block_cols
+  in
+  let pin name la area_of members =
+    check Alcotest.(array int) (name ^ ": area_of") area_of
+      la.Cellsim.Location_area.area_of;
+    check Alcotest.(array (array int)) (name ^ ": members") members
+      la.Cellsim.Location_area.members
+  in
+  pin "7x10, 3x4 blocks"
+    (layout 7 10 ~block_rows:3 ~block_cols:4)
+    [|
+      0; 0; 0; 0; 1; 1; 1; 1; 2; 2;
+      0; 0; 0; 0; 1; 1; 1; 1; 2; 2;
+      0; 0; 0; 0; 1; 1; 1; 1; 2; 2;
+      3; 3; 3; 3; 4; 4; 4; 4; 5; 5;
+      3; 3; 3; 3; 4; 4; 4; 4; 5; 5;
+      3; 3; 3; 3; 4; 4; 4; 4; 5; 5;
+      6; 6; 6; 6; 7; 7; 7; 7; 8; 8;
+    |]
+    [|
+      [| 0; 1; 2; 3; 10; 11; 12; 13; 20; 21; 22; 23 |];
+      [| 4; 5; 6; 7; 14; 15; 16; 17; 24; 25; 26; 27 |];
+      [| 8; 9; 18; 19; 28; 29 |];
+      [| 30; 31; 32; 33; 40; 41; 42; 43; 50; 51; 52; 53 |];
+      [| 34; 35; 36; 37; 44; 45; 46; 47; 54; 55; 56; 57 |];
+      [| 38; 39; 48; 49; 58; 59 |];
+      [| 60; 61; 62; 63 |];
+      [| 64; 65; 66; 67 |];
+      [| 68; 69 |];
+    |];
+  pin "1x5, 2x2 blocks"
+    (layout 1 5 ~block_rows:2 ~block_cols:2)
+    [| 0; 0; 1; 1; 2 |]
+    [| [| 0; 1 |]; [| 2; 3 |]; [| 4 |] |]
 
 let test_la_crossing () =
   let hex = Cellsim.Hex.create ~rows:4 ~cols:4 in
@@ -633,6 +693,8 @@ let () =
             test_hex_neighbors_interior;
           Alcotest.test_case "corner neighbors" `Quick test_hex_neighbors_corner;
           Alcotest.test_case "symmetry" `Quick test_hex_neighbors_symmetric;
+          Alcotest.test_case "neighbours ascending" `Quick
+            test_hex_neighbors_ascending;
           Alcotest.test_case "distance" `Quick test_hex_distance;
           Alcotest.test_case "triangle inequality" `Slow
             test_hex_distance_triangle;
@@ -661,6 +723,7 @@ let () =
       ( "location-area",
         [
           Alcotest.test_case "grid partition" `Quick test_la_grid_partition;
+          Alcotest.test_case "uneven blocks" `Quick test_la_grid_uneven;
           Alcotest.test_case "crossing" `Quick test_la_crossing;
           Alcotest.test_case "single/per-cell" `Quick test_la_single_and_per_cell;
         ] );

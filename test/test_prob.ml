@@ -99,6 +99,29 @@ let test_rng_draws_allocate_nothing () =
   if words > 20_000.0 then
     Alcotest.failf "Rng.unit_float allocated %.0f words over 10000 calls" words
 
+(* [bits53] is the draw [unit_float] scales: the same stream, the top 53
+   bits of [bits64], and an unboxed result. *)
+let test_rng_bits53_is_unit_float () =
+  List.iter
+    (fun (seed, first, _, _, _, _) ->
+      let top = Int64.shift_right_logical first 11 in
+      check int_t "top 53 bits of the first draw" (Int64.to_int top)
+        (Prob.Rng.bits53 (Prob.Rng.create ~seed));
+      check (float_t 0.0) "unit_float of the first draw"
+        (Int64.to_float top *. 0x1p-53)
+        (Prob.Rng.unit_float (Prob.Rng.create ~seed)))
+    rng_known_answers;
+  let a = Prob.Rng.create ~seed:13 and b = Prob.Rng.create ~seed:13 in
+  for _ = 1 to 1000 do
+    check (float_t 0.0) "same draw"
+      (Prob.Rng.unit_float a)
+      (float_of_int (Prob.Rng.bits53 b) *. 0x1p-53)
+  done;
+  Testutil.assert_no_minor_alloc "Rng.bits53" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Prob.Rng.bits53 a))
+      done)
+
 let test_rng_int_bounds () =
   let rng = Prob.Rng.create ~seed:3 in
   for _ = 1 to 1000 do
@@ -390,6 +413,8 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int uniformity" `Slow test_rng_int_uniformity;
           Alcotest.test_case "unit float" `Quick test_rng_unit_float_range;
+          Alcotest.test_case "bits53 is unit_float's draw" `Quick
+            test_rng_bits53_is_unit_float;
           Alcotest.test_case "exponential" `Slow test_rng_exponential_mean;
           Alcotest.test_case "normal" `Slow test_rng_normal_moments;
           Alcotest.test_case "gamma" `Slow test_rng_gamma_mean;
