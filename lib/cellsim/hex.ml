@@ -58,12 +58,24 @@ let distance t a b =
   let xa, ya, za = to_cube ra ca and xb, yb, zb = to_cube rb cb in
   (abs (xa - xb) + abs (ya - yb) + abs (za - zb)) / 2
 
+(* Row r of the disk: in cube coordinates a cell at row offset dz and
+   x offset dx is within the radius iff |dz|, |dx| and |dx + dz| all are,
+   so each row holds one run of columns. Rows and columns ascend, so the
+   list is in ascending cell order; it is built back to front. *)
 let disk t center ~radius =
   if radius < 0 then invalid_arg "Hex.disk: negative radius"
   else begin
-    let acc = ref [] in
-    for cell = cells t - 1 downto 0 do
-      if distance t center cell <= radius then acc := cell :: !acc
+    let r0, c0 = coords t center in
+    let x0 = c0 - (r0 asr 1) in
+    let acc = ref [] and last = Int.min (t.rows - 1) (r0 + radius) in
+    for r = last downto Int.max 0 (r0 - radius) do
+      let dz = r - r0 in
+      let shift = x0 + (r asr 1) in
+      let lo = Int.max 0 (shift + Int.max (-radius) (-radius - dz)) in
+      let hi = Int.min (t.cols - 1) (shift + Int.min radius (radius - dz)) in
+      for col = hi downto lo do
+        acc := ((r * t.cols) + col) :: !acc
+      done
     done;
     !acc
   end

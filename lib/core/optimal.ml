@@ -10,23 +10,21 @@ let guard_size ~c ~d =
   else if not (small ~c ~d) then
     invalid_arg "Optimal.exhaustive: d^c too large"
 
-(* The prefix-chain engine (DESIGN §15). W_k(x), the most gain
-   Σ |S_{r+1}|·F(L_r) still collectable from prefix x (per-class counts)
-   in at most k rounds, is 0 at x = [c], else the max over y ⊋ x with
-   |y| − |x| ≤ b of (|y| − |x|)·F(x) + W_{k−1}(y); EP = c − W_d(∅). The
-   finishing pass scores every chain within [tolerance] of the optimal
-   gain, keeping the least score, then the smallest label vector. *)
-type 'a num = {
-  zero : 'a; of_int : int -> 'a; add : 'a -> 'a -> 'a; sub : 'a -> 'a -> 'a;
-  mul : 'a -> 'a -> 'a; lt : 'a -> 'a -> bool }
-
 (* Most memo slots (prefixes × rounds) one search allocates; a larger
    lattice is searched without a memo, in memory linear in the instance. *)
 let memo_cap = 1 lsl 20
 
-let search num ~col ~success ~m ~classes ~rounds ~max_group:b ~cancel
-    ~tolerance ~score =
-  let ntypes = Array.length classes in
+(* The prefix-chain engine (DESIGN §15), in floats. W_k(x), the most gain
+   Σ |S_{r+1}|·F(L_r) still collectable from prefix x (per-class counts)
+   in at most k rounds, is 0 at x = [c], else the max over y ⊋ x with
+   |y| − |x| ≤ b of (|y| − |x|)·F(x) + W_{k−1}(y); EP = c − W_d(∅). The
+   finishing pass scores every chain within [tolerance] of the optimal
+   gain, keeping the least [score] under [lt], then the smallest label
+   vector. Values pass between round levels through float arrays indexed
+   by the level, so no float is boxed. *)
+let search (inst : Instance.t) ~objective ~classes ~rounds ~max_group:b
+    ~cancel ~tolerance ~score ~lt =
+  let m = inst.m and p = inst.p and ntypes = Array.length classes in
   let sizes = Array.map Array.length classes in
   let c = Array.fold_left ( + ) 0 sizes in
   (* mixed-radix memo index of a prefix; [states] saturates past the cap *)
@@ -40,74 +38,34 @@ let search num ~col ~success ~m ~classes ~rounds ~max_group:b ~cancel
   (* with two rounds only the finishing pass revisits a prefix: no memo *)
   let memo_rounds =
     if rounds >= 3 && states <= memo_cap / (rounds - 1) then rounds else 1 in
-  let memo = Array.make (states * (memo_rounds - 1)) None in
+  let memo = Array.make (states * (memo_rounds - 1)) Float.nan (* unset *) in
   (* The current prefix: per-class counts, the class of each cell in the
      order added, and the per-device masses after each cell (rows up to
      [valid] match the trail; later ones are rebuilt on demand). *)
   let cnt = Array.make ntypes 0 and trail = Array.make c 0 in
-  let rows = Array.init (c + 1) (fun _ -> Array.make m num.zero) in
-  let valid = ref 0 in
-  let success_at size =
+  let rows = Array.init (c + 1) (fun _ -> Float.Array.make m 0.0) in
+  let valid = ref 0 and dp = Float.Array.make (m + 1) 0.0 in
+  (* per round level k: F at the level's prefix, W_k (the best so far
+     while its successors are walked) and the pass's gain on entry *)
+  let fx = Float.Array.make (rounds + 1) 0.0 and floor = ref 0.0 in
+  let w = Array.make (rounds + 1) 0.0 and gains = Array.make (rounds + 1) 0.0 in
+  let success_at size k =
     for s = !valid to size - 1 do
-      let src = rows.(s) and dst = rows.(s + 1) and t = trail.(s) in
+      let src = rows.(s) and dst = rows.(s + 1) in
+      let j = classes.(trail.(s)).(0) in
       for i = 0 to m - 1 do
-        dst.(i) <- num.add src.(i) (col i t)
+        Float.Array.set dst i (Float.Array.get src i +. p.(i).(j))
       done
     done;
     valid := size;
-    success rows.(size)
+    Objective.success_into objective ~src:rows.(size) ~off:0 ~n:m ~dp ~dst:fx
+      ~di:k
   in
-  (* [children k size idx f] runs [f n |y| idx(y)] with y current for each
-     successor y that can still finish in k − 1 rounds (n = |y| − size),
-     enumerated as multisets of class increments. *)
-  let children k size idx f =
-    let left = c - size in
-    let n_max = min b left and n_min = max 1 (left - ((k - 1) * b)) in
-    let rec go t0 n idx =
-      Cancel.check cancel;
-      if n >= n_min then f n (size + n) idx;
-      if n < n_max then
-        for t = t0 to ntypes - 1 do
-          if cnt.(t) < sizes.(t) then begin
-            let pos = size + n in
-            cnt.(t) <- cnt.(t) + 1;
-            trail.(pos) <- t;
-            if !valid > pos then valid := pos;
-            go t (n + 1) (idx + stride.(t));
-            cnt.(t) <- cnt.(t) - 1
-          end
-        done
-    in
-    go 0 0 idx
-  in
-  let step n f = num.mul (num.of_int n) f in
-  (* the gain of a last round, which pages every remaining cell *)
-  let last size = step (c - size) (success_at size) in
-  let rec value k size idx =
-    let slot = if k < memo_rounds then ((k - 1) * states) + idx else -1 in
-    if size = c then num.zero
-    else
-      match if slot < 0 then None else memo.(slot) with
-      | Some v -> v
-      | None ->
-        let best = ref None in
-        if k = 1 then best := Some (last size)
-        else begin
-          let fx = success_at size in
-          children k size idx (fun n size idx ->
-              let v = num.add (step n fx) (value (k - 1) size idx) in
-              if Option.fold ~none:true ~some:(fun w -> num.lt w v) !best then
-                best := Some v)
-        end;
-        if slot >= 0 then memo.(slot) <- !best;
-        Option.get !best
-  in
-  let floor = num.sub (value rounds 0 0) tolerance in
   (* mark.(k): the prefix size on entering round level k of the chain *)
   let mark = Array.make (rounds + 1) 0 and best = ref None in
   (* A chain of [used] rounds: trail positions before [rest] carry their
      round; every other cell is paged in the last round. *)
-  let consider rest used gain =
+  let consider rest used =
     let label = Array.make c (used - 1) and next = Array.make ntypes 0 in
     let r = ref 0 in
     for s = 0 to rest - 1 do
@@ -119,42 +77,89 @@ let search num ~col ~success ~m ~classes ~rounds ~max_group:b ~cancel
     let g = Array.make used [] in
     for j = c - 1 downto 0 do g.(label.(j)) <- j :: g.(label.(j)) done;
     let s = Strategy.create (Array.map Array.of_list g) in
-    let sc = score s gain in
+    let sc = score s in
     match !best with
-    | Some (_, w, _) when num.lt w sc -> ()
-    | Some (_, w, l) when (not (num.lt sc w)) && compare label l >= 0 -> ()
+    | Some (_, v, _) when lt v sc -> ()
+    | Some (_, v, l) when (not (lt sc v)) && compare label l >= 0 -> ()
     | _ -> best := Some (s, sc, label)
   in
-  let rec near k size idx gain =
-    mark.(k) <- size;
-    if size = c then consider mark.(k + 1) (rounds - k) gain
-    else if k = 1 then consider size rounds (num.add gain (last size))
+  (* [value k size idx] sets w.(k) to W_k at the current prefix. *)
+  let rec value k size idx =
+    let slot = if k < memo_rounds then ((k - 1) * states) + idx else -1 in
+    if size = c then w.(k) <- 0.0
+    else if slot >= 0 && not (Float.is_nan memo.(slot)) then
+      w.(k) <- memo.(slot)
     else begin
-      let fx = success_at size in
-      children k size idx (fun n size idx ->
-          let gain = num.add gain (step n fx) in
-          if not (num.lt (num.add gain (value (k - 1) size idx)) floor) then
-            near (k - 1) size idx gain)
+      success_at size k;
+      (* a last round pages every remaining cell *)
+      if k = 1 then w.(k) <- float_of_int (c - size) *. Float.Array.get fx k
+      else begin
+        w.(k) <- Float.neg_infinity;
+        go false k size 0 0 idx
+      end;
+      if slot >= 0 then memo.(slot) <- w.(k)
     end
+  (* Visits, with y current, each successor y that can still finish in
+     k − 1 rounds (n = |y| − size), enumerated as multisets of class
+     increments: for the finishing pass if [pass], else for [value]. *)
+  and go pass k size t0 n idx =
+    Cancel.check cancel;
+    let left = c - size in
+    if n >= Int.max 1 (left - ((k - 1) * b)) then begin
+      value (k - 1) (size + n) idx;
+      let step = float_of_int n *. Float.Array.get fx k and rest = w.(k - 1) in
+      if not pass then (if w.(k) < step +. rest then w.(k) <- step +. rest)
+      else if not (gains.(k) +. step +. rest < !floor) then begin
+        gains.(k - 1) <- gains.(k) +. step;
+        near (k - 1) (size + n) idx
+      end
+    end;
+    if n < Int.min b left then
+      for t = t0 to ntypes - 1 do
+        if cnt.(t) < sizes.(t) then begin
+          let pos = size + n in
+          cnt.(t) <- cnt.(t) + 1;
+          trail.(pos) <- t;
+          if !valid > pos then valid := pos;
+          go pass k size t (n + 1) (idx + stride.(t));
+          cnt.(t) <- cnt.(t) - 1
+        end
+      done
+  and near k size idx =
+    mark.(k) <- size;
+    if size = c then consider mark.(k + 1) (rounds - k)
+    else if k = 1 then consider size rounds
+    else (success_at size k; go true k size 0 0 idx)
   in
-  near rounds 0 0 num.zero;
+  value rounds 0 0;
+  floor := w.(rounds) -. tolerance;
+  near rounds 0 0;
   match !best with
   | Some (s, sc, _) -> (s, sc)
   | None -> assert false (* the optimal chain itself is within tolerance *)
 
-(* 8E, where E bounds any float evaluation of a chain's gain against the
-   exact one (DESIGN §15); the finishing pass needs 5E. *)
-let slack ~d (inst : Instance.t) =
+(* The finishing pass's tolerance (DESIGN §15). E bounds how far a float
+   evaluation of a chain's gain on [inst]'s rows lies from its exact gain
+   on them; the pass needs 5E and gets 8E. Rows [rounded] from exact ones
+   get 3E′ with E′ = E + E_in, E_in = c·K·m·(u + c·η) bounding how far
+   that rounding (at most u·p + η, η = 2⁻¹⁰⁷⁴) moves a chain's gain. *)
+let tolerance ?(rounded = false) ~d (inst : Instance.t) =
   let c = float_of_int inst.c and m = float_of_int inst.m in
+  let u = epsilon_float /. 2.0 in
   let sum row = Array.fold_left ( +. ) 0.0 row in
   let r = Array.fold_left (fun a row -> Float.max a (sum row)) 1.0 inst.p in
   let r = r *. (1.0 +. (c *. epsilon_float)) in
-  8.0 *. 1.01 *. (epsilon_float /. 2.0) *. c *. (((2.0 *. r) -. 1.0) ** m)
-  *. ((m *. (c +. 1.0) *. r) +. (3.0 *. m) +. float_of_int d +. 7.0)
+  let k = ((2.0 *. r) -. 1.0) ** m in
+  let e =
+    1.01 *. u *. c *. k
+    *. ((m *. (c +. 1.0) *. r) +. (3.0 *. m) +. float_of_int d +. 7.0)
+  in
+  if not rounded then 8.0 *. e
+  else 3.0 *. (e +. (1.01 *. c *. k *. m *. (u +. (c *. ldexp 1.0 (-1074)))))
 
 let exhaustive ?(objective = Objective.Find_all) ?max_group ?classes
     ?(cancel = Cancel.never) ?(guard = true) inst =
-  let c = inst.Instance.c and p = inst.Instance.p in
+  let c = inst.Instance.c in
   (* unguarded only under a deadline token, which bounds the cost *)
   if guard then guard_size ~c ~d:inst.Instance.d;
   let classes =
@@ -163,30 +168,23 @@ let exhaustive ?(objective = Objective.Find_all) ?max_group ?classes
   let b = min c (Option.value max_group ~default:c) in
   if c > rounds * b then invalid_arg "Optimal.exhaustive: no feasible strategy";
   let strategy, expected_paging =
-    search
-      { zero = 0.0; of_int = float_of_int; add = ( +. ); sub = ( -. );
-        mul = ( *. ); lt = (fun (a : float) b -> a < b) }
-      ~col:(fun i t -> p.(i).(classes.(t).(0)))
-      ~success:(Objective.success objective) ~m:inst.Instance.m ~classes
-      ~rounds ~max_group:b ~cancel ~tolerance:(slack ~d:rounds inst)
-      ~score:(fun s _ -> Strategy.expected_paging_unchecked ~objective inst s)
+    search inst ~objective ~classes ~rounds ~max_group:b ~cancel
+      ~tolerance:(tolerance ~d:rounds inst)
+      ~score:(Strategy.expected_paging_unchecked ~objective inst)
+      ~lt:(fun (a : float) b -> a < b)
   in
   { strategy; expected_paging }
 
 let exhaustive_exact ?(objective = Objective.Find_all) ?(cancel = Cancel.never)
     inst =
-  let c = inst.Instance.Exact.c and p = inst.Instance.Exact.p in
-  guard_size ~c ~d:inst.Instance.Exact.d;
-  (* exact gains: the pass walks exactly the optimal chains, EP c − gain *)
-  search
-    { zero = Q.zero; of_int = Q.of_int; add = Q.add; sub = Q.sub;
-      mul = Q.mul; lt = (fun a b -> Q.compare a b < 0) }
-    ~col:(fun i j -> p.(i).(j))
-    ~success:(Objective.success_exact objective) ~m:inst.Instance.Exact.m
-    ~classes:(Array.init c (fun j -> [| j |]))
-    ~rounds:(min inst.Instance.Exact.d c)
-    ~max_group:c ~cancel ~tolerance:Q.zero
-    ~score:(fun _ gain -> Q.sub (Q.of_int c) gain)
+  let c = inst.Instance.Exact.c and d = inst.Instance.Exact.d in
+  guard_size ~c ~d;
+  (* the float search on the correctly rounded rows, scored in rationals *)
+  let rounded = Instance.Exact.to_float inst and rounds = min d c in
+  search rounded ~objective ~classes:(Array.init c (fun j -> [| j |])) ~rounds
+    ~max_group:c ~cancel ~tolerance:(tolerance ~rounded:true ~d:rounds rounded)
+    ~score:(Strategy.expected_paging_exact ~objective inst)
+    ~lt:(fun a b -> Q.compare a b < 0)
 
 let branch_and_bound_d2 ?(objective = Objective.Find_all)
     ?(cancel = Cancel.never) inst =

@@ -31,8 +31,13 @@ val exhaustive :
   Instance.t ->
   result
 
-(** Exact-rational {!exhaustive} on an exact instance, under the same
-    guard: returns the minimizer and its expected paging as a rational. *)
+(** [exhaustive_exact ?objective ?cancel inst] is the exact optimum of
+    an exact instance, under {!exhaustive}'s guard: the rational
+    minimizer of {!Strategy.expected_paging_exact}, ties going to the
+    smallest label vector, with its expected paging. It runs the float
+    search on [Instance.Exact.to_float inst] with a tolerance that
+    covers rounding each entry to the nearest float (DESIGN §15) and
+    scores each chain that tolerance keeps in rationals. *)
 val exhaustive_exact :
   ?objective:Objective.t ->
   ?cancel:Cancel.t ->

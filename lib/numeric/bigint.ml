@@ -240,12 +240,37 @@ let to_int_exn x =
   | Some n -> n
   | None -> failwith "Bigint.to_int_exn: does not fit in int"
 
+(* q = ⌊num·2^k / den⌋ is taken with 55 or 56 bits and the remainder is
+   the sticky bit; q keeps 53 bits, or fewer where the result falls below
+   2^-1022 and its last bit is worth 2^-1074. *)
+let ratio_to_float num den =
+  let k = 55 - (bit_length num - bit_length den) in
+  let q, r =
+    if k >= 0 then divmod (mul num (pow two k)) den
+    else divmod num (mul den (pow two (-k)))
+  in
+  let q = to_int_exn q in
+  let bits = if q lsr 55 > 0 then 56 else 55 in
+  let drop = Stdlib.max (bits - 53) (k - 1074) in
+  (* past the last bit q is below half an ulp of 2^-1074 *)
+  if drop > bits then 0.0
+  else begin
+    let keep = q asr drop and rest = q land ((1 lsl drop) - 1) in
+    let half = 1 lsl (drop - 1) in
+    let up = rest > half || (rest = half && (r.sign <> 0 || keep land 1 = 1)) in
+    Float.ldexp (float_of_int (keep + Bool.to_int up)) (drop - k)
+  end
+
+(* Below 2^53 the limb sum is exact. *)
 let to_float x =
-  let f = ref 0.0 in
-  for i = Array.length x.mag - 1 downto 0 do
-    f := (!f *. float_of_int base) +. float_of_int x.mag.(i)
-  done;
-  float_of_int x.sign *. !f
+  if bit_length x > 53 then float_of_int x.sign *. ratio_to_float (abs x) one
+  else begin
+    let f = ref 0.0 in
+    for i = Array.length x.mag - 1 downto 0 do
+      f := (!f *. float_of_int base) +. float_of_int x.mag.(i)
+    done;
+    float_of_int x.sign *. !f
+  end
 
 (* Small-divisor helpers for decimal conversion. *)
 let divmod_small x d =

@@ -57,9 +57,13 @@ val pow : t -> int -> t
 val min : t -> t -> t
 val max : t -> t -> t
 
-(** [to_float x] is the nearest-ish float (computed limb-wise; exact for
-    values below 2^53). *)
+(** [to_float x] is the float nearest to [x], ties to even (infinite
+    past the largest float). *)
 val to_float : t -> float
+
+(** [ratio_to_float num den] is the float nearest to [num / den] for
+    positive [num] and [den], ties to even, subnormals included. *)
+val ratio_to_float : t -> t -> float
 
 (** [bit_length x] is the position of the highest set bit of [|x|]
     (0 for zero). *)

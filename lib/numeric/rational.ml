@@ -48,15 +48,12 @@ let pow x k =
   if k >= 0 then { num = B.pow x.num k; den = B.pow x.den k }
   else inv { num = B.pow x.num (-k); den = B.pow x.den (-k) }
 
+(* Round to nearest, ties to even: with both parts below 2^53 one float
+   division already is. *)
 let to_float x =
-  (* Scale so that both parts stay within float precision when huge. *)
-  let bn = B.bit_length x.num and bd = B.bit_length x.den in
-  if bn < 500 && bd < 500 then B.to_float x.num /. B.to_float x.den
-  else begin
-    let shift = Stdlib.max 0 (Stdlib.min bn bd - 100) in
-    let scale = B.pow B.two shift in
-    B.to_float (B.div x.num scale) /. B.to_float (B.div x.den scale)
-  end
+  if B.bit_length x.num <= 53 && B.bit_length x.den <= 53 then
+    B.to_float x.num /. B.to_float x.den
+  else float_of_int (B.sign x.num) *. B.ratio_to_float (B.abs x.num) x.den
 
 let to_string x =
   if B.equal x.den B.one then B.to_string x.num

@@ -45,6 +45,8 @@ val max : t -> t -> t
     [Division_by_zero]. *)
 val pow : t -> int -> t
 
+(** [to_float x] is the float nearest to [x], ties to even: correctly
+    rounded, subnormals included (infinite past the largest float). *)
 val to_float : t -> float
 
 (** [to_string x] is ["num/den"], or just ["num"] when [den = 1]. *)

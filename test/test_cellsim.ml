@@ -123,6 +123,27 @@ let test_hex_disk () =
   let d1 = Cellsim.Hex.disk h center ~radius:1 in
   check int_t "radius 1 is center + neighbors" 7 (List.length d1)
 
+(* The full scan [Hex.disk] replaced: every cell, by hex distance. *)
+let disk_by_scan h center ~radius =
+  List.filter
+    (fun cell -> Cellsim.Hex.distance h center cell <= radius)
+    (List.init (Cellsim.Hex.cells h) Fun.id)
+
+let test_hex_disk_matches_scan () =
+  List.iter
+    (fun (rows, cols) ->
+      let h = Cellsim.Hex.create ~rows ~cols in
+      for center = 0 to Cellsim.Hex.cells h - 1 do
+        for radius = 0 to rows + cols + 1 do
+          check
+            Alcotest.(list int)
+            (Printf.sprintf "%dx%d center %d radius %d" rows cols center radius)
+            (disk_by_scan h center ~radius)
+            (Cellsim.Hex.disk h center ~radius)
+        done
+      done)
+    [ (1, 1); (1, 6); (6, 1); (7, 9); (8, 8) ]
+
 (* -------------------- Mobility -------------------- *)
 
 let hex44 () = Cellsim.Hex.create ~rows:4 ~cols:4
@@ -699,6 +720,8 @@ let () =
           Alcotest.test_case "triangle inequality" `Slow
             test_hex_distance_triangle;
           Alcotest.test_case "disk" `Quick test_hex_disk;
+          Alcotest.test_case "disk equals the full scan" `Quick
+            test_hex_disk_matches_scan;
         ] );
       ( "mobility",
         [

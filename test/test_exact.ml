@@ -97,6 +97,87 @@ let test_differential () =
   check bool_t "exact rationals checked on dyadic instances" true
     (!exact_checked >= 15)
 
+(* ---------------- exact answers beyond dyadics ---------------- *)
+
+(* [exhaustive_exact] searches in floats on the correctly rounded rows
+   and scores near chains in rationals. These rows are not exact in
+   floats: small denominators (many exact ties), 4-digit denominators,
+   multi-limb entries, the §4.3 instance and Partition → QP1 reductions. *)
+
+(* [units] units spread over c cells, each row in multiples of 1/units. *)
+let unit_rows rng ~m ~c ~units =
+  Array.init m (fun _ ->
+      let row = Array.make c 0 in
+      for _ = 1 to units do
+        let j = Prob.Rng.int rng c in
+        row.(j) <- row.(j) + 1
+      done;
+      Array.map (fun u -> Q.of_ints u units) row)
+
+(* Rows w_j / Σ w with w_j of one or two 30-bit limbs, some zero. *)
+let multi_limb_rows rng ~m ~c =
+  let module B = Numeric.Bigint in
+  let limb () = B.of_int (Prob.Rng.int rng (1 lsl 30)) in
+  let weight () =
+    match Prob.Rng.int rng 5 with
+    | 0 -> B.zero
+    | 1 | 2 -> limb ()
+    | _ -> B.add (B.mul (limb ()) (B.pow B.two 30)) (limb ())
+  in
+  Array.init m (fun _ ->
+      let w = Array.init c (fun _ -> weight ()) in
+      let j = Prob.Rng.int rng c in
+      w.(j) <- B.add w.(j) B.one;
+      let total = Array.fold_left B.add B.zero w in
+      Array.map (fun x -> Q.make x total) w)
+
+let same_exact_answer name ?objective ex =
+  let ws, wep = Exhaustive_ref.exhaustive_exact ?objective ex in
+  let gs, gep = Optimal.exhaustive_exact ?objective ex in
+  check bool_t (name ^ ": exact EP") true (Q.equal wep gep);
+  check bool_t (name ^ ": exact strategy") true (Strategy.equal ws gs)
+
+let test_exact_beyond_dyadics () =
+  let rng = Prob.Rng.create ~seed:2507 in
+  let families = [| "small-den"; "4-digit"; "multi-limb" |] in
+  (* sized so the reference's bignum scoring of dᶜ labellings stays cheap *)
+  for case = 0 to 44 do
+    let family = families.(case mod 3) in
+    let small = family = "small-den" and multi = family = "multi-limb" in
+    let d = if multi then 2 else 2 + Prob.Rng.int rng 2 in
+    let spread = if multi || d = 3 then 4 else if small then 8 else 6 in
+    let c = 2 + Prob.Rng.int rng spread in
+    let d = min d c and m = 1 + Prob.Rng.int rng (if small then 3 else 2) in
+    let rows =
+      match family with
+      | "small-den" -> unit_rows rng ~m ~c ~units:(3 + Prob.Rng.int rng 10)
+      | "4-digit" -> unit_rows rng ~m ~c ~units:(1000 + Prob.Rng.int rng 9000)
+      | _ -> multi_limb_rows rng ~m ~c
+    in
+    let objective = objective_of rng m in
+    same_exact_answer ~objective
+      (Printf.sprintf "case %d (%s m=%d c=%d d=%d %s)" case family m c d
+         (Objective.to_string objective))
+      (Instance.Exact.create ~d rows)
+  done;
+  let s = Q.of_ints 1 7 and z = Q.zero in
+  let section_4_3 =
+    Instance.Exact.create ~d:2
+      [| [| Q.of_ints 2 7; s; s; s; s; s; z; z |];
+         [| z; s; s; s; s; s; s; s |] |]
+  in
+  same_exact_answer "§4.3 instance" section_4_3;
+  check bool_t "§4.3 optimum is 317/49" true
+    (Q.equal (snd (Optimal.exhaustive_exact section_4_3)) (Q.of_ints 317 49));
+  List.iter
+    (fun sizes ->
+      let qp1 = Hardness.partition_to_qp1 sizes in
+      same_exact_answer
+        (Printf.sprintf "Partition [%s] -> QP1"
+           (String.concat "; " (Array.to_list (Array.map string_of_int sizes))))
+        (Hardness.qp1_to_conference qp1))
+    [ [| 1; 1 |]; [| 1; 2 |]; [| 5; 5 |]; [| 3; 7 |] ]
+
 (* ---------------- metamorphic properties, in rationals ---------------- *)
 
 let dyadic_instances () =
@@ -178,6 +259,52 @@ let test_bandwidth_monotone () =
         (Q.equal (capped c) uncapped))
     (dyadic_instances ())
 
+(* Merging rounds r and r + 1 of a strategy into one never lowers its
+   exact EP: every outcome pages the cells it paged before, plus round
+   r + 1's cells when round r already found enough devices. Checked for
+   every adjacent pair of the exact optimum and of seeded random
+   strategies. *)
+let merge_adjacent groups r =
+  Array.concat
+    [ Array.sub groups 0 r;
+      [| Array.append groups.(r) groups.(r + 1) |];
+      Array.sub groups (r + 2) (Array.length groups - r - 2) ]
+
+let check_merges ~objective ex name strategy =
+  let ep = Strategy.expected_paging_exact ~objective ex strategy in
+  let groups = Strategy.groups strategy in
+  for r = 0 to Array.length groups - 2 do
+    let merged = Strategy.create (merge_adjacent groups r) in
+    check bool_t
+      (Printf.sprintf "%s: merging rounds %d and %d" name r (r + 1))
+      true
+      (Q.compare (Strategy.expected_paging_exact ~objective ex merged) ep >= 0)
+  done
+
+let test_merge_never_lowers () =
+  List.iter
+    (fun (rng, rows, objective) ->
+      let c = Array.length rows.(0) in
+      let ex = Instance.Exact.create ~d:c rows in
+      check_merges ~objective ex
+        (Printf.sprintf "c=%d optimum" c)
+        (fst (Optimal.exhaustive_exact ~objective ex));
+      for trial = 1 to 5 do
+        (* a random order of the cells, cut into 1 to c non-empty rounds *)
+        let order = shuffle rng (Array.init c Fun.id) in
+        let cut _ = 1 + Prob.Rng.int rng (c - 1) in
+        let cuts = List.sort_uniq compare (List.init (Prob.Rng.int rng c) cut) in
+        let bounds = Array.of_list ((0 :: cuts) @ [ c ]) in
+        let groups =
+          Array.init (Array.length bounds - 1) (fun r ->
+              Array.sub order bounds.(r) (bounds.(r + 1) - bounds.(r)))
+        in
+        check_merges ~objective ex
+          (Printf.sprintf "c=%d random strategy %d" c trial)
+          (Strategy.create groups)
+      done)
+    (dyadic_instances ())
+
 (* ---------------- bounded work ---------------- *)
 
 (* c = 40 is far beyond the memo cap: the unguarded search runs without
@@ -204,6 +331,31 @@ let test_unguarded_cancel_bounded () =
     true
     (growth < 1 lsl 18)
 
+(* The float search allocates its set-up and its memo (one float array,
+   straight to the major heap) and nothing per step: an unguarded m = 3,
+   c = 18, d = 3 search cancelled after 200 000 polls stays under 2¹⁴
+   minor words. A search that boxes its arithmetic allocates tens of
+   words a poll. *)
+let test_unguarded_cancel_minor_words () =
+  let rng = Prob.Rng.create ~seed:18 in
+  let inst = Instance.random_uniform_simplex rng ~m:3 ~c:18 ~d:3 in
+  let polls = ref 0 in
+  let cancel =
+    Cancel.of_probe ~every:1 (fun () ->
+        incr polls;
+        !polls > 200_000)
+  in
+  let before = Gc.minor_words () in
+  (match Optimal.exhaustive ~guard:false ~cancel inst with
+   | _ -> Alcotest.fail "an unguarded c = 18 search finished"
+   | exception Cancel.Cancelled -> ());
+  let words = Gc.minor_words () -. before in
+  check bool_t "fired after 200 000 polls" true (!polls = 200_001);
+  check bool_t
+    (Printf.sprintf "%.0f minor words < 2^14" words)
+    true
+    (words < 16384.0)
+
 let () =
   Alcotest.run "exact"
     [
@@ -212,6 +364,9 @@ let () =
           Alcotest.test_case
             "420 instances: bits, strategies, rationals, classes" `Slow
             test_differential;
+          Alcotest.test_case
+            "exact beyond dyadics: small and 4-digit denominators, multi-limb, \
+             §4.3, QP1" `Quick test_exact_beyond_dyadics;
         ] );
       ( "metamorphic",
         [
@@ -221,10 +376,14 @@ let () =
             test_relabelling_invariant;
           Alcotest.test_case "bandwidth cap monotone" `Quick
             test_bandwidth_monotone;
+          Alcotest.test_case "merging adjacent rounds never lowers EP" `Quick
+            test_merge_never_lowers;
         ] );
       ( "bounded-work",
         [
           Alcotest.test_case "unguarded c=40 cancels in bounded memory"
             `Quick test_unguarded_cancel_bounded;
+          Alcotest.test_case "unguarded c=18 search allocates its memo only"
+            `Quick test_unguarded_cancel_minor_words;
         ] );
     ]

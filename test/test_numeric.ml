@@ -174,6 +174,80 @@ let test_rational_to_float () =
   check float_t "1/2" 0.5 (Q.to_float (q 1 2));
   check float_t "317/49" (317.0 /. 49.0) (Q.to_float (q 317 49))
 
+(* A finite float as m·2^e with m an integer. *)
+let dyadic f =
+  let fr, e = Float.frexp f in
+  (B.of_int (Int64.to_int (Int64.of_float (Float.ldexp fr 53))), e - 53)
+
+let shift m k = B.mul m (B.pow B.two k)
+
+(* The midpoint of two finite floats, as a dyadic. *)
+let midpoint f g =
+  let (mf, ef), (mg, eg) = (dyadic f, dyadic g) in
+  let e = min ef eg in
+  (B.add (shift mf (ef - e)) (shift mg (eg - e)), e - 1)
+
+(* [x] against m·2^e, by cross-multiplication (no gcd). *)
+let compare_dyadic x (m, e) =
+  let a = Q.num x and b = Q.den x in
+  if e >= 0 then B.compare a (B.mul (shift m e) b)
+  else B.compare (shift a (-e)) (B.mul m b)
+
+(* [f] is a nearest float to [x]: x lies between the midpoints to its
+   finite neighbours, and an infinite [f] means |x| reaches
+   2^1024 − 2^970, where rounding to nearest overflows. *)
+let nearest x f =
+  let side g sign =
+    (not (Float.is_finite g)) || sign * compare_dyadic x (midpoint g f) >= 0
+  in
+  if Float.is_finite f then side (Float.pred f) 1 && side (Float.succ f) (-1)
+  else
+    Q.sign x = int_of_float (Float.copy_sign 1.0 f)
+    && Q.compare (Q.abs x)
+         (Q.of_bigint (B.sub (B.pow B.two 1024) (B.pow B.two 970)))
+       >= 0
+
+(* A non-negative integer of [limbs] random 30-bit limbs. *)
+let random_limbs rng limbs =
+  let x = ref B.zero in
+  for _ = 1 to limbs do
+    x := B.add (shift !x 30) (B.of_int (Prob.Rng.int rng (1 lsl 30)))
+  done;
+  !x
+
+let test_to_float_correctly_rounded () =
+  let rng = Prob.Rng.create ~seed:5309 in
+  for case = 1 to 1000 do
+    let num = random_limbs rng (2 + Prob.Rng.int rng 4) in
+    let den = B.add B.one (random_limbs rng (2 + Prob.Rng.int rng 4)) in
+    (* one case in ten scaled by up to 2^±1100: subnormals and overflow *)
+    let scale = if case mod 10 = 0 then Prob.Rng.int rng 2201 - 1100 else 0 in
+    let num, den =
+      if scale >= 0 then (shift num scale, den) else (num, shift den (-scale))
+    in
+    let num = if case mod 3 = 0 then B.neg num else num in
+    let x = Q.make num den in
+    let f = Q.to_float x in
+    if not (nearest x f) then
+      Alcotest.failf "%s rounds to %h" (Q.to_string x) f;
+    let n = B.to_float num in
+    if not (nearest (Q.of_bigint num) n) then
+      Alcotest.failf "Bigint %s rounds to %h" (B.to_string num) n
+  done;
+  let two53 = B.pow B.two 53 in
+  check bool_t "(2^53+1)/2^53 ties to even: 1.0" true
+    (Q.to_float (Q.make (B.add two53 B.one) two53) = 1.0);
+  check bool_t "2^53+1 ties to even: 2^53" true
+    (B.to_float (B.add two53 B.one) = 0x1p53);
+  check bool_t "2^53+3 ties to even: 2^53+4" true
+    (B.to_float (B.add two53 (B.of_int 3)) = 0x1.0000000000002p53);
+  let tiny = Q.make B.one (B.mul (B.of_int 3) (B.pow B.two 1070)) in
+  check bool_t "1/(3*2^1070) is the subnormal 5*2^-1074" true
+    (Q.to_float tiny = 0x0.0000000000005p-1022);
+  let x = Q.of_string "10656303392921628207114566/82040592654758123303375445" in
+  check bool_t "a quotient the limb-wise division missed by 1.29 ulp" true
+    (nearest x (Q.to_float x))
+
 let test_rational_division_by_zero () =
   Alcotest.check_raises "make x 0" Division_by_zero (fun () ->
       ignore (Q.make Numeric.Bigint.one Numeric.Bigint.zero));
@@ -356,6 +430,8 @@ let () =
           Alcotest.test_case "compare" `Quick test_rational_compare;
           Alcotest.test_case "of_string" `Quick test_rational_of_string;
           Alcotest.test_case "to_float" `Quick test_rational_to_float;
+          Alcotest.test_case "to_float correctly rounded" `Quick
+            test_to_float_correctly_rounded;
           Alcotest.test_case "division by zero" `Quick
             test_rational_division_by_zero;
           qt prop_rat_add_comm;
