@@ -355,7 +355,74 @@ let hedge_after_arg =
 let bounds_json (b : Uncertainty.bounds) =
   J.Obj [ ("lo", J.Num b.Uncertainty.lo); ("hi", J.Num b.Uncertainty.hi) ]
 
-let runner_report_json (r : Runner.run_report) =
+(* The winner's quality against the certified machinery: the Lemma
+   3.1/3.4 lower bound and the e/(e−1) guarantee of Theorem 4.8 (proved
+   for the greedy heuristic under Find_all; printed as the reference
+   line for every winner). *)
+type quality = {
+  expected_paging : float;
+  lower_bound : float;
+  ratio_to_lower_bound : float;
+  guarantee : float;  (* e/(e−1) ≈ 1.582 *)
+  within_guarantee : bool;  (* ratio ≤ e/(e−1) + 1e-9 *)
+}
+
+let quality_of ~objective inst (outcome : Solver.outcome) =
+  let lower_bound = Bounds.lower_bound ~objective inst in
+  let ep = outcome.Solver.expected_paging in
+  let ratio = if lower_bound > 0.0 then ep /. lower_bound else Float.nan in
+  let guarantee = Greedy.approximation_factor in
+  {
+    expected_paging = ep;
+    lower_bound;
+    ratio_to_lower_bound = ratio;
+    guarantee;
+    within_guarantee = ratio <= guarantee +. 1e-9;
+  }
+
+(* The certificate printed with a strategy under the ball [u]: the
+   ball, the strategy's interval-certified EP range and its exact
+   worst-case EP. A runner winner passes [worst], the score its stage
+   was re-ranked by, so it is computed once. *)
+let certification ~objective ?worst u inst strategy =
+  let bounds = Uncertainty.ep_bounds ~objective u inst strategy in
+  let worst =
+    match worst with
+    | Some w -> w
+    | None -> Uncertainty.robust_ep ~objective u inst strategy
+  in
+  (u, bounds, worst)
+
+(* The report's reading of a run: the quality block for its winner
+   and, in a re-ranking run, the winner's certification. The winner is
+   the stage with the least worst-case EP, so that minimum is its
+   score. *)
+type runner_reading = {
+  quality : quality option;
+  robust : (Uncertainty.t * Uncertainty.bounds * float) option;
+}
+
+let read_run ~objective ~uncertainty inst (r : Runner.run_report) =
+  let winner_robust_ep =
+    List.fold_left
+      (fun acc (s : Runner.stage_report) ->
+        Option.fold ~none:acc ~some:(Float.min acc) s.Runner.robust_ep)
+      infinity r.Runner.stages
+  in
+  match r.Runner.winner with
+  | None -> { quality = None; robust = None }
+  | Some (_, o) ->
+    {
+      quality = Some (quality_of ~objective inst o);
+      robust =
+        Option.map
+          (fun u ->
+            certification ~objective ~worst:winner_robust_ep u inst
+              o.Solver.strategy)
+          uncertainty;
+    }
+
+let runner_report_json (r : Runner.run_report) reading =
   let stage (s : Runner.stage_report) =
     J.Obj
       ([
@@ -383,31 +450,30 @@ let runner_report_json (r : Runner.run_report) =
     | None -> []
   in
   let quality_fields =
-    match r.Runner.quality with
+    match reading.quality with
     | Some q ->
       [
         ( "quality",
           J.Obj
             [
-              ("lower_bound", J.Num q.Runner.lower_bound);
-              ("ratio_to_lower_bound", J.Num q.Runner.ratio_to_lower_bound);
-              ("guarantee", J.Num q.Runner.guarantee);
-              ("within_guarantee", J.Bool q.Runner.within_guarantee);
+              ("lower_bound", J.Num q.lower_bound);
+              ("ratio_to_lower_bound", J.Num q.ratio_to_lower_bound);
+              ("guarantee", J.Num q.guarantee);
+              ("within_guarantee", J.Bool q.within_guarantee);
             ] );
       ]
     | None -> []
   in
   let robust_fields =
-    match r.Runner.robust with
-    | Some rb ->
+    match reading.robust with
+    | Some (u, bounds, worst) ->
       [
         ( "robust",
           J.Obj
             [
-              ( "uncertainty",
-                J.Str (Uncertainty.to_string rb.Runner.uncertainty) );
-              ("winner_robust_ep", J.Num rb.Runner.winner_robust_ep);
-              ("ep_bounds", bounds_json rb.Runner.winner_bounds);
+              ("uncertainty", J.Str (Uncertainty.to_string u));
+              ("winner_robust_ep", J.Num worst);
+              ("ep_bounds", bounds_json bounds);
             ] );
       ]
     | None -> []
@@ -428,14 +494,64 @@ let runner_report_json (r : Runner.run_report) =
      ]
     @ winner_fields @ quality_fields @ robust_fields @ failure_fields)
 
+(* One line per stage, then the winner, its quality and certification. *)
+let pp_runner_report fmt ((r : Runner.run_report), reading) =
+  let open Format in
+  fprintf fmt "chain: %s@," (Runner.chain_to_string r.Runner.chain);
+  fprintf fmt "objective: %s@," (Objective.to_string r.Runner.objective);
+  (match r.Runner.budget_ms with
+   | Some b -> fprintf fmt "budget: %.1f ms@," b
+   | None -> fprintf fmt "budget: none@,");
+  List.iter
+    (fun (s : Runner.stage_report) ->
+      fprintf fmt "  %-14s %8.2f ms  %s%s%s%s@,"
+        (Solver.spec_to_string s.Runner.spec)
+        s.Runner.elapsed_ms
+        (Runner.stage_status_to_string s.Runner.status)
+        (match s.Runner.expected_paging with
+         | Some ep -> sprintf "  EP=%.6f" ep
+         | None -> "")
+        (match s.Runner.robust_ep with
+         | Some rep -> sprintf "  worst-EP=%.6f" rep
+         | None -> "")
+        (if s.Runner.raced then "  [raced]" else ""))
+    r.Runner.stages;
+  (match r.Runner.winner with
+   | Some (spec, outcome) ->
+     fprintf fmt "winner: %s (EP=%.6f%s)@,"
+       (Solver.spec_to_string spec)
+       outcome.Solver.expected_paging
+       (if outcome.Solver.exact then ", exact" else "")
+   | None -> fprintf fmt "winner: none@,");
+  (match reading.quality with
+   | Some q ->
+     fprintf fmt
+       "quality: EP=%.6f  LB=%.6f  ratio=%.4f  e/(e-1)=%.4f  %s@,"
+       q.expected_paging q.lower_bound q.ratio_to_lower_bound q.guarantee
+       (if q.within_guarantee then "within guarantee"
+        else "above guarantee line")
+   | None -> ());
+  (match reading.robust with
+   | Some (u, bounds, worst) ->
+     fprintf fmt
+       "robust (%s): worst-case EP=%.6f  certified EP in [%.6f, %.6f]@,"
+       (Uncertainty.to_string u) worst bounds.Uncertainty.lo
+       bounds.Uncertainty.hi
+   | None -> ());
+  (match r.Runner.failure with
+   | Some e -> fprintf fmt "failure: %s@," (Runner.error_to_string e)
+   | None -> ());
+  fprintf fmt "total: %.2f ms" r.Runner.total_ms
+
 let solve_budgeted inst objective json budget_ms chain uncertainty domains =
   let report =
     with_domains domains (fun pool ->
         Runner.run ~objective ?budget_ms ?uncertainty ~chain ?pool inst)
   in
-  if json then print_json (runner_report_json report)
+  let reading = read_run ~objective ~uncertainty inst report in
+  if json then print_json (runner_report_json report reading)
   else begin
-    Format.printf "@[<v>%a@]@." Runner.pp_report report;
+    Format.printf "@[<v>%a@]@." pp_runner_report (report, reading);
     match report.Runner.winner with
     | Some (_, o) ->
       Printf.printf "strategy: %s\n" (Strategy.to_string o.Solver.strategy)
@@ -470,24 +586,14 @@ let solve path spec objective verbose json budget_ms chain eps tv samples
   let uncertainty = Option.map (fun e -> Uncertainty.uniform ?tv e) eff_eps in
   Result.iter_error invalid_arg
     (Runner.validate ~objective ?budget_ms ?uncertainty ~m:inst.Instance.m ());
-  (* Text-mode certification printed for the direct (non-runner) path;
-     the runner prints its own robust report. *)
-  let certification strategy =
-    match uncertainty with
-    | None -> None
-    | Some u ->
-      let b = Uncertainty.ep_bounds ~objective u inst strategy in
-      let worst = Uncertainty.robust_ep ~objective u inst strategy in
-      Some (u, b, worst)
-  in
   match (budget_ms, chain) with
   | (Some _, _ | None, Some _) ->
     (* Runner path: a budget or an explicit chain was requested. With a
        budget but no chain, an explicit --solver becomes a one-stage
        chain (plus the Page_all baseline); otherwise the default chain.
        With --robust the uncertainty flows into the runner, which
-       re-ranks the chain by worst-case EP and certifies the winner;
-       without it the certification is computed for the winner only. *)
+       re-ranks the chain by worst-case EP and the winner is certified;
+       without it the report points at --robust. *)
     let chain = Runner.resolve_chain ~chain ~spec in
     if robust then
       solve_budgeted inst objective json budget_ms chain uncertainty domains
@@ -517,7 +623,11 @@ let solve path spec objective verbose json budget_ms chain eps tv samples
     let words_before = Gc.minor_words () in
     let outcome = Solver.solve ~objective spec inst in
     let alloc_words = int_of_float (Gc.minor_words () -. words_before) in
-    let cert = certification outcome.Solver.strategy in
+    let cert =
+      Option.map
+        (fun u -> certification ~objective u inst outcome.Solver.strategy)
+        uncertainty
+    in
     if json then
       print_json
         (J.Obj

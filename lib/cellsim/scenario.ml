@@ -130,7 +130,6 @@ let drifting_commuter ?(seed = 2002) () =
                 threshold = 0.15;
                 cooldown = 20.0;
               };
-          budget_ms = Some 5.0;
         };
     aging = None;
     duration;

@@ -75,7 +75,6 @@ type estimator =
   | Snapshot of {
       warmup : float;
       drift : Drift.config option;
-      budget_ms : float option;
     }
 
 type aging_config = {
@@ -188,7 +187,7 @@ let validate_config config =
      | Error reason -> invalid_arg ("Sim.run: " ^ reason));
     (match config.estimator with
      | Live -> ()
-     | Snapshot { warmup; drift; budget_ms } ->
+     | Snapshot { warmup; drift } ->
        if not (Float.is_finite warmup && warmup >= 0.0) then
          invalid_arg "Sim.run: estimator warmup must be finite and >= 0";
        (match drift with
@@ -196,11 +195,7 @@ let validate_config config =
         | Some dc ->
           (match Drift.validate dc with
            | Ok () -> ()
-           | Error reason -> invalid_arg ("Sim.run: drift: " ^ reason)));
-       (* every paged call seeks at least one device *)
-       Result.iter_error
-         (fun reason -> invalid_arg ("Sim.run: estimator " ^ reason))
-         (Runner.validate ?budget_ms ~m:1 ()));
+           | Error reason -> invalid_arg ("Sim.run: drift: " ^ reason))));
     (match config.aging with
      | None ->
        List.iter
@@ -445,15 +440,14 @@ let run config =
     let snapshot = ref [||] in
     let snapshot_active () = Array.length !snapshot > 0 in
     let take_snapshot () = snapshot := Array.map Profile.copy profiles in
-    let est_warmup, dmon, plan_budget_ms =
+    let est_warmup, dmon =
       match config.estimator with
-      | Live -> (infinity, None, None)
-      | Snapshot { warmup; drift; budget_ms } ->
+      | Live -> (infinity, None)
+      | Snapshot { warmup; drift } ->
         ( warmup,
           Option.map
             (fun dc -> Drift.create dc ~users:config.users ~cells)
-            drift,
-          budget_ms )
+            drift )
     in
     (* Fresh sightings required before a drift trigger may discard a
        user's history in favor of the window, and how far (in TV
@@ -800,18 +794,8 @@ let run config =
                | None -> greedy ())
             | _ ->
               (* Selective, diffuse and aged (validation gives the robust
-                 scheme an aging config). A budgeted estimator re-solves
-                 through the runtime: a refreshed snapshot re-plans like
-                 any other call, under the same per-call deadline. *)
-              (match plan_budget_ms with
-               | Some b ->
-                 (match
-                    Runner.solve ~budget_ms:b
-                      ~chain:Solver.[ Greedy; Page_all ] inst
-                  with
-                  | Ok o -> o.Solver.strategy
-                  | Error _ -> greedy ())
-               | None -> greedy ())
+                 scheme an aging config). *)
+              greedy ()
           in
           inst, strategy
         in

@@ -98,7 +98,10 @@ type result = {
   per_scheme : scheme_metrics list;
 }
 
-(** Which matrix the paging planner sees. *)
+(** Which matrix the paging planner sees. The planner is the same under
+    both: a selective call plans with the greedy heuristic on the rows
+    it sees, with no wall-clock deadline, so a seed's result does not
+    depend on machine load. *)
 type estimator =
   | Live
       (** page straight from the continuously-updated profiles (the
@@ -112,10 +115,6 @@ type estimator =
               snapshot; a trigger re-estimates (refreshes the snapshot)
               and re-solves. [None] is the stale-matrix baseline: the
               snapshot is never refreshed. *)
-      budget_ms : float option;
-          (** when set, per-call selective planning goes through
-              {!Confcall.Runner.solve} under this time budget instead of
-              calling the greedy solver directly *)
     }
 
 (** The residence-time layer: how profile age translates into belief

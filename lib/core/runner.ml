@@ -15,20 +15,6 @@ type stage_report = {
   raced : bool;  (* stage ran concurrently with the rest of the chain *)
 }
 
-type quality = {
-  expected_paging : float;
-  lower_bound : float;
-  ratio_to_lower_bound : float;
-  guarantee : float;
-  within_guarantee : bool;
-}
-
-type robust_report = {
-  uncertainty : Uncertainty.t;
-  winner_robust_ep : float;
-  winner_bounds : Uncertainty.bounds;
-}
-
 type run_report = {
   chain : Solver.spec list;
   objective : Objective.t;
@@ -36,8 +22,6 @@ type run_report = {
   winner : (Solver.spec * Solver.outcome) option;
   stages : stage_report list;
   total_ms : float;
-  quality : quality option;
-  robust : robust_report option;
   failure : error option;
 }
 
@@ -77,9 +61,7 @@ let chain_of_string s =
    window: polynomial, small constants. Everything else is skipped once
    the budget is gone. *)
 let always_fast = function
-  | Solver.Greedy | Solver.Page_all | Solver.Within_order _
-  | Solver.Bandwidth_limited _ ->
-    true
+  | Solver.Greedy | Solver.Page_all | Solver.Bandwidth_limited _ -> true
   | Solver.Exhaustive | Solver.Branch_and_bound | Solver.Best_exact
   | Solver.Local_search | Solver.Class_based | Solver.Robust _ ->
     false
@@ -115,19 +97,6 @@ let obs_record_stage (s : stage_report) =
     Obs.observe ~buckets:Obs.latency_ms_buckets "runner_stage_ms" s.elapsed_ms
   end
 
-let quality_of ?objective inst (outcome : Solver.outcome) =
-  let lower_bound = Bounds.lower_bound ?objective inst in
-  let ep = outcome.Solver.expected_paging in
-  let ratio = if lower_bound > 0.0 then ep /. lower_bound else Float.nan in
-  let guarantee = Greedy.approximation_factor in
-  {
-    expected_paging = ep;
-    lower_bound;
-    ratio_to_lower_bound = ratio;
-    guarantee;
-    within_guarantee = (ratio <= guarantee +. 1e-9);
-  }
-
 let validate ?(objective = Objective.Find_all) ?budget_ms ?uncertainty ~m () =
   match (Objective.validate objective ~m, budget_ms, uncertainty) with
   | Error msg, _, _ -> Error ("objective: " ^ msg)
@@ -152,24 +121,6 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(clock = Obs.now)
   let deadline = Option.map (fun b -> start +. (b /. 1000.0)) budget_ms in
   let unguarded = Option.is_some deadline in
   let finish ~stages ~winner ~failure =
-    let quality =
-      Option.map (fun (_, o) -> quality_of ~objective inst o) winner
-    in
-    let robust =
-      match (uncertainty, winner) with
-      | Some u, Some (_, o) ->
-        (try
-           let strat = o.Solver.strategy in
-           Some
-             {
-               uncertainty = u;
-               winner_robust_ep =
-                 Uncertainty.robust_ep ~objective u inst strat;
-               winner_bounds = Uncertainty.ep_bounds ~objective u inst strat;
-             }
-         with Invalid_argument _ -> None)
-      | _ -> None
-    in
     let total_ms = (clock () -. start) *. 1000.0 in
     if Obs.on () then begin
       (match winner with
@@ -177,28 +128,13 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(clock = Obs.now)
          Obs.count
            ("runner_winner_" ^ Obs.sanitize (Solver.spec_to_string spec))
        | None -> Obs.count "runner_no_winner");
-      (match quality with
-       | Some q when Float.is_finite q.ratio_to_lower_bound ->
-         Obs.observe ~buckets:Obs.excess_buckets "runner_ep_excess"
-           (Float.max 0.0 (q.ratio_to_lower_bound -. 1.0))
-       | Some _ | None -> ());
       match budget_ms with
       | Some b ->
         Obs.observe ~buckets:Obs.latency_ms_buckets "runner_budget_slack_ms"
           (b -. total_ms)
       | None -> ()
     end;
-    {
-      chain;
-      objective;
-      budget_ms;
-      winner;
-      stages;
-      total_ms;
-      quality;
-      robust;
-      failure;
-    }
+    { chain; objective; budget_ms; winner; stages; total_ms; failure }
   in
   match validate ~objective ?budget_ms ?uncertainty ~m:inst.Instance.m () with
   | Error msg ->
@@ -352,51 +288,3 @@ let solve ?objective ?budget_ms ?chain inst =
   | Some (_, outcome), _ -> Ok outcome
   | None, Some err -> Error err
   | None, None -> Error (Internal "runner produced neither winner nor failure")
-
-let pp_report fmt r =
-  let open Format in
-  fprintf fmt "chain: %s@," (chain_to_string r.chain);
-  fprintf fmt "objective: %s@," (Objective.to_string r.objective);
-  (match r.budget_ms with
-   | Some b -> fprintf fmt "budget: %.1f ms@," b
-   | None -> fprintf fmt "budget: none@,");
-  List.iter
-    (fun s ->
-       fprintf fmt "  %-14s %8.2f ms  %s%s%s%s@,"
-         (Solver.spec_to_string s.spec)
-         s.elapsed_ms
-         (stage_status_to_string s.status)
-         (match s.expected_paging with
-          | Some ep -> sprintf "  EP=%.6f" ep
-          | None -> "")
-         (match s.robust_ep with
-          | Some rep -> sprintf "  worst-EP=%.6f" rep
-          | None -> "")
-         (if s.raced then "  [raced]" else ""))
-    r.stages;
-  (match r.winner with
-   | Some (spec, outcome) ->
-     fprintf fmt "winner: %s (EP=%.6f%s)@,"
-       (Solver.spec_to_string spec)
-       outcome.Solver.expected_paging
-       (if outcome.Solver.exact then ", exact" else "")
-   | None -> fprintf fmt "winner: none@,");
-  (match r.quality with
-   | Some q ->
-     fprintf fmt
-       "quality: EP=%.6f  LB=%.6f  ratio=%.4f  e/(e-1)=%.4f  %s@,"
-       q.expected_paging q.lower_bound q.ratio_to_lower_bound q.guarantee
-       (if q.within_guarantee then "within guarantee"
-        else "above guarantee line")
-   | None -> ());
-  (match r.robust with
-   | Some rr ->
-     fprintf fmt "robust (%s): worst-case EP=%.6f  certified EP in [%.6f, %.6f]@,"
-       (Uncertainty.to_string rr.uncertainty)
-       rr.winner_robust_ep rr.winner_bounds.Uncertainty.lo
-       rr.winner_bounds.Uncertainty.hi
-   | None -> ());
-  (match r.failure with
-   | Some e -> fprintf fmt "failure: %s@," (error_to_string e)
-   | None -> ());
-  fprintf fmt "total: %.2f ms" r.total_ms

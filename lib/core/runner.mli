@@ -53,25 +53,10 @@ type stage_report = {
           domain pool ([?pool] with more than one domain) *)
 }
 
-(** Winner quality against the certified machinery: the Lemma 3.1/3.4
-    lower bound and the e/(e−1) guarantee of Theorem 4.8 (proved for the
-    greedy heuristic under [Find_all]; reported as the reference line for
-    every winner). *)
-type quality = {
-  expected_paging : float;
-  lower_bound : float;
-  ratio_to_lower_bound : float;
-  guarantee : float;  (** e/(e−1) ≈ 1.582 *)
-  within_guarantee : bool;  (** ratio ≤ e/(e−1) + 1e-9 *)
-}
-
-(** Certification attached to the winner of an uncertainty-aware run. *)
-type robust_report = {
-  uncertainty : Uncertainty.t;
-  winner_robust_ep : float;  (** exact worst-case EP over the ball *)
-  winner_bounds : Uncertainty.bounds;  (** interval-certified EP range *)
-}
-
+(** What a run decided: the chain, each stage, the winner or the
+    failure, and the timings. Nothing is computed for the report beyond
+    the decision; a reader that wants the winner's lower-bound ratio or
+    its certified EP range over the ball computes them itself. *)
 type run_report = {
   chain : Solver.spec list;  (** as actually executed (baseline appended) *)
   objective : Objective.t;
@@ -82,8 +67,6 @@ type run_report = {
           runs, and the stage with the least [robust_ep] in
           uncertainty-aware runs *)
   total_ms : float;
-  quality : quality option;
-  robust : robust_report option;  (** set iff run with [?uncertainty] *)
   failure : error option;  (** set iff [winner = None] *)
 }
 
@@ -105,18 +88,18 @@ val chain_of_string : string -> (Solver.spec list, string) result
 val chain_to_string : Solver.spec list -> string
 
 (** [always_fast spec] holds for the stages cheap enough to run after
-    the deadline, inside the grace window: [Greedy], [Page_all],
-    [Within_order] and [Bandwidth_limited] (polynomial, small
-    constants). {!run} skips every other stage once the budget is gone;
-    the daemon's load-shedding ladder keeps the same set. *)
+    the deadline, inside the grace window: [Greedy], [Page_all] and
+    [Bandwidth_limited] (polynomial, small constants). {!run} skips
+    every other stage once the budget is gone; the daemon's
+    load-shedding ladder keeps the same set. *)
 val always_fast : Solver.spec -> bool
 
 (** [validate ?objective ?budget_ms ?uncertainty ~m ()] is the one
     check of a solve request on [m] devices: the objective (default
     [Find_all]) and the uncertainty ball against [m], and a positive,
     finite budget. The error names the field. {!run} applies it first;
-    the CLI, the daemon, the simulator and the load generator call it
-    at their boundary, before any side effect. *)
+    the CLI, the daemon and the load generator call it at their
+    boundary, before any side effect. *)
 val validate :
   ?objective:Objective.t ->
   ?budget_ms:float ->
@@ -152,8 +135,9 @@ val validate :
     completed stage's strategy is scored by its worst-case EP over the
     ball ({!Uncertainty.robust_ep}, recorded in
     [stage_report.robust_ep]), and the winner is the stage with the
-    least worst-case EP (ties to the earlier chain entry). The report's
-    [robust] field carries the winner's certification. Budget semantics
+    least worst-case EP (ties to the earlier chain entry), so the
+    winner's worst-case EP is the least [robust_ep] of the report's
+    stages. Budget semantics
     are unchanged — overdue expensive stages are still skipped, so the
     run degrades to re-ranking whatever candidates fit the budget.
 
@@ -209,6 +193,3 @@ val solve :
 
 val error_to_string : error -> string
 val stage_status_to_string : stage_status -> string
-
-(** One line per stage plus winner and quality; for the CLI and logs. *)
-val pp_report : Format.formatter -> run_report -> unit

@@ -1,7 +1,6 @@
 type spec =
   | Greedy
   | Page_all
-  | Within_order of int array
   | Bandwidth_limited of int
   | Exhaustive
   | Branch_and_bound
@@ -33,7 +32,6 @@ let of_optimal (r : Optimal.result) =
 let spec_to_string = function
   | Greedy -> "greedy"
   | Page_all -> "page-all"
-  | Within_order _ -> "within-order"
   | Bandwidth_limited b -> Printf.sprintf "bandwidth-%d" b
   | Exhaustive -> "exhaustive"
   | Branch_and_bound -> "bnb"
@@ -68,8 +66,6 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
       expected_paging = float_of_int inst.Instance.c;
       exact = inst.Instance.d = 1;
     }
-  | Within_order order ->
-    of_order_dp false (Flat.order_dp ?objective ?cancel arena inst ~order)
   | Bandwidth_limited b ->
     of_order_dp false (Flat.bandwidth ?objective ?cancel arena inst ~b)
   | Exhaustive ->

@@ -4,7 +4,6 @@
 type spec =
   | Greedy  (** the §4 heuristic (Theorem 4.8) *)
   | Page_all  (** the d = 1 / GSM-IS-41 baseline: one round, all cells *)
-  | Within_order of int array  (** Lemma 4.7 DP on a fixed cell order *)
   | Bandwidth_limited of int  (** greedy with a per-round cap (§5) *)
   | Exhaustive  (** exact, small c only *)
   | Branch_and_bound  (** exact, d = 2, find-all *)
@@ -32,9 +31,8 @@ type outcome = {
     exact methods — only meaningful together with a deadline token, as
     the {!Runner} does.
 
-    [Greedy], [Within_order], [Bandwidth_limited] and [Local_search]
-    (and the [Robust] re-rank over them) always run on the
-    allocation-free {!Flat} cores. [arena] only names the scratch arena
+    [Greedy], [Bandwidth_limited] and [Local_search] (and the [Robust]
+    re-rank over them) always run on the allocation-free {!Flat} cores. [arena] only names the scratch arena
     they reuse across solves; it defaults to {!Flat.domain_arena} and
     never changes a result. Exact methods ignore it.
     @raise Invalid_argument when the method does not apply (e.g.

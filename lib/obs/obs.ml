@@ -48,7 +48,6 @@ let latency_ms_buckets =
      2500.; 5000.; 10000. |]
 
 let small_count_buckets = [| 1.; 2.; 3.; 4.; 6.; 8.; 12.; 16.; 24.; 32.; 64. |]
-let excess_buckets = [| 0.; 0.001; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.5; 1. |]
 
 module J = Wire.Json
 

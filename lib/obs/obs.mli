@@ -151,8 +151,5 @@ val latency_ms_buckets : float array
 val small_count_buckets : float array
 (** 1 .. 64 — for rounds-to-find and cells-per-round histograms. *)
 
-val excess_buckets : float array
-(** 0 .. 1 — for relative EP excess over the lower bound. *)
-
 val sanitize : string -> string
 (** Map a raw string onto the Prometheus name alphabet. *)

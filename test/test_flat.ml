@@ -77,8 +77,17 @@ let same_outcome what trial (reference : Solver.outcome)
 
 (* -------------------- differential: solver specs -------------------- *)
 
+(* A corpus entry: a solver spec with a flat core, or the Lemma 4.7 DP
+   on a fixed cell order, which the yellow-pages planner runs through
+   [Flat.order_dp] and no solver spec reaches. *)
+type case = Spec of Solver.spec | Within_order of int array
+
+let case_name = function
+  | Spec spec -> Solver.spec_to_string spec
+  | Within_order _ -> "within-order"
+
 (* ≥ 200 instances (random + adversarial), each with its objective and
-   the specs that have a flat core. Generated in one fixed rng sequence
+   the cases that have a flat core. Generated in one fixed rng sequence
    so the differential and the golden digest below see the same corpus.
    Production solves rebind this domain's one arena across all of them,
    so the cache-invalidation logic is exercised as hard as the
@@ -90,31 +99,32 @@ let spec_corpus () =
       let m, c, d = random_dims rng in
       let inst = random_instance rng ~kind:trial ~m ~c ~d in
       let objective = objective_for rng ~m trial in
-      let specs =
+      let cases =
         [
-          Solver.Greedy;
-          Solver.Page_all;
-          Solver.Within_order (random_order rng c);
-          Solver.Bandwidth_limited (1 + ((c + d - 1) / d));
-          Solver.Local_search;
+          Spec Solver.Greedy;
+          Spec Solver.Page_all;
+          Within_order (random_order rng c);
+          Spec (Solver.Bandwidth_limited (1 + ((c + d - 1) / d)));
+          Spec Solver.Local_search;
         ]
         @
-        if trial mod 10 = 0 then [ Solver.Robust { eps = 0.05; tv = infinity } ]
+        if trial mod 10 = 0 then
+          [ Spec (Solver.Robust { eps = 0.05; tv = infinity }) ]
         else []
       in
-      (trial, inst, objective, specs))
+      (trial, inst, objective, cases))
+
+let of_dp exact (r : Order_dp.result) =
+  {
+    Solver.strategy = r.Order_dp.strategy;
+    expected_paging = r.Order_dp.expected_paging;
+    exact;
+  }
 
 (* The list cores are the reference implementation: what each spec
    answered before the flat arena became the only production path.
    Specs without a flat core go straight to [Solver.solve]. *)
 let rec reference_outcome ~objective spec inst =
-  let of_dp exact (r : Order_dp.result) =
-    {
-      Solver.strategy = r.Order_dp.strategy;
-      expected_paging = r.Order_dp.expected_paging;
-      exact;
-    }
-  in
   let weight_order = Instance.weight_order inst in
   match spec with
   | Solver.Greedy ->
@@ -128,8 +138,6 @@ let rec reference_outcome ~objective spec inst =
       expected_paging = Strategy.expected_paging ~objective inst strategy;
       exact = inst.Instance.d = 1;
     }
-  | Solver.Within_order order ->
-    of_dp false (Order_dp.solve ~objective inst ~order)
   | Solver.Bandwidth_limited b ->
     of_dp false
       (Order_dp.solve ~objective ~max_group:b inst ~order:weight_order)
@@ -160,35 +168,45 @@ let rec reference_outcome ~objective spec inst =
      | None -> invalid_arg "reference: no robust candidate applies")
   | spec -> Solver.solve ~objective spec inst
 
+let reference_case ~objective case inst =
+  match case with
+  | Spec spec -> reference_outcome ~objective spec inst
+  | Within_order order -> of_dp false (Order_dp.solve ~objective inst ~order)
+
+let production_case ~objective case inst =
+  match case with
+  | Spec spec -> Solver.solve ~objective spec inst
+  | Within_order order ->
+    of_dp false (Flat.order_dp ~objective (Flat.domain_arena ()) inst ~order)
+
 let test_differential_specs () =
   List.iter
-    (fun (trial, inst, objective, specs) ->
+    (fun (trial, inst, objective, cases) ->
       List.iter
-        (fun spec ->
-          same_outcome (Solver.spec_to_string spec) trial
-            (reference_outcome ~objective spec inst)
-            (Solver.solve ~objective spec inst))
-        specs)
+        (fun case ->
+          same_outcome (case_name case) trial
+            (reference_case ~objective case inst)
+            (production_case ~objective case inst))
+        cases)
     (spec_corpus ())
 
 (* Golden pin over the same corpus: EP bits, strategy and exact flag of
-   every spec, plus the hill-climb iteration count, hashed. The value
+   every case, plus the hill-climb iteration count, hashed. The value
    was taken from the list solvers before the flat arena became the
    only production path, so the reference and the flat cores cannot
    drift together unnoticed. *)
 let corpus_digest ~solve ~climb_iterations =
   let b = Buffer.create 65536 in
   List.iter
-    (fun (trial, inst, objective, specs) ->
+    (fun (trial, inst, objective, cases) ->
       List.iter
-        (fun spec ->
-          let o = solve ~objective spec inst in
-          Printf.bprintf b "%d %s %Lx %s %b\n" trial
-            (Solver.spec_to_string spec)
+        (fun case ->
+          let o = solve ~objective case inst in
+          Printf.bprintf b "%d %s %Lx %s %b\n" trial (case_name case)
             (Int64.bits_of_float o.Solver.expected_paging)
             (Strategy.to_string o.Solver.strategy)
             o.Solver.exact)
-        specs;
+        cases;
       Printf.bprintf b "%d climb %d\n" trial (climb_iterations ~objective inst))
     (spec_corpus ());
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -200,12 +218,12 @@ let test_golden_digest () =
     Alcotest.(check string) what golden_corpus_digest digest
   in
   check_digest "reference"
-    (corpus_digest ~solve:reference_outcome
+    (corpus_digest ~solve:reference_case
        ~climb_iterations:(fun ~objective inst ->
          (Local_search.hill_climb ~objective inst).Local_search.iterations));
   check_digest "production"
     (corpus_digest
-       ~solve:(fun ~objective spec inst -> Solver.solve ~objective spec inst)
+       ~solve:production_case
        ~climb_iterations:(fun ~objective inst ->
          (Flat.hill_climb ~objective (Flat.domain_arena ()) inst)
            .Local_search.iterations))
@@ -350,8 +368,8 @@ let test_rational_oracle_pin () =
    instances; the raced leg (4 domains) runs each stage on its domain's
    own arena. *)
 let has_flat_core = function
-  | Solver.Greedy | Solver.Page_all | Solver.Within_order _
-  | Solver.Bandwidth_limited _ | Solver.Local_search | Solver.Robust _ ->
+  | Solver.Greedy | Solver.Page_all | Solver.Bandwidth_limited _
+  | Solver.Local_search | Solver.Robust _ ->
     true
   | _ -> false
 
@@ -364,7 +382,15 @@ let test_runner_differential_domains () =
     let objective = objective_for rng ~m trial in
     let report =
       if trial mod 2 = 1 then Runner.run ~objective ?pool ?arena inst
-      else
+      else begin
+        (* The fixed-order DP on the arena the run is about to reuse. *)
+        let order = random_order rng c in
+        same_outcome "within-order" trial
+          (reference_case ~objective (Within_order order) inst)
+          (of_dp false
+             (Flat.order_dp ~objective
+                (Option.value arena ~default:(Flat.domain_arena ()))
+                inst ~order));
         Runner.run ~objective ?pool ?arena
           ~uncertainty:(Uncertainty.uniform 0.05)
           ~chain:
@@ -372,11 +398,11 @@ let test_runner_differential_domains () =
               [
                 Local_search;
                 Greedy;
-                Within_order (random_order rng c);
                 Bandwidth_limited (1 + ((c + d - 1) / d));
                 Page_all;
               ]
           inst
+      end
     in
     List.iter
       (fun (st : Runner.stage_report) ->

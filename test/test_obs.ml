@@ -106,8 +106,7 @@ let test_histogram_layouts_increasing () =
     !ok
   in
   check bool_t "latency_ms_buckets" true (increasing Obs.latency_ms_buckets);
-  check bool_t "small_count_buckets" true (increasing Obs.small_count_buckets);
-  check bool_t "excess_buckets" true (increasing Obs.excess_buckets)
+  check bool_t "small_count_buckets" true (increasing Obs.small_count_buckets)
 
 (* ---------------- exposition ---------------- *)
 

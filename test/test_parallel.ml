@@ -311,10 +311,13 @@ let test_differential_uncertainty () =
         let seq = Runner.run ~chain ~uncertainty:u inst in
         let par = Runner.run ~chain ~uncertainty:u ~pool inst in
         assert_same_run ~name seq par;
+        (* The winner stage's score: the stage the winner came from. *)
         let robust_ep (r : Runner.run_report) =
-          Option.map
-            (fun (rr : Runner.robust_report) -> rr.Runner.winner_robust_ep)
-            r.Runner.robust
+          Option.bind r.Runner.winner (fun (spec, _) ->
+              List.find_map
+                (fun (s : Runner.stage_report) ->
+                  if s.Runner.spec = spec then s.Runner.robust_ep else None)
+                r.Runner.stages)
         in
         check bool_t
           (Printf.sprintf "%s: same certified worst-case EP" name)

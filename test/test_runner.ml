@@ -207,6 +207,28 @@ let test_runner_invalid_budget () =
     (Runner.validate ~objective:(Objective.Find_at_least 5) ~m:2 ()
      = Error "objective: Find_at_least k requires 1 <= k <= m")
 
+(* The runner reports its decision and nothing else: a fast-chain run
+   on a serve-mid shaped instance (m = 16, c = 1000, d = 4, zipf) must
+   allocate less than twice the greedy solve it returns. A lower bound
+   or a certification computed on every run shows up here. *)
+let test_runner_allocates_its_decision () =
+  let inst =
+    Instance.random_zipf (Prob.Rng.create ~seed:16) ~s:1.0 ~m:16 ~c:1000 ~d:4
+  in
+  let chain = Solver.[ Greedy; Page_all ] in
+  let words f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let solve = words (fun () -> Solver.solve Solver.Greedy inst) in
+  let run = words (fun () -> Runner.run ~chain inst) in
+  check bool_t
+    (Printf.sprintf "run %.0f words < 2 x solve %.0f words" run solve)
+    true
+    (run < 2.0 *. solve)
+
 let test_runner_exact_wins_small () =
   let inst = small_instance () in
   let report = Runner.run ~budget_ms:5000.0 inst in
@@ -214,11 +236,9 @@ let test_runner_exact_wins_small () =
   | Some (spec, o) ->
     check bool_t "winner is exact" true o.Solver.exact;
     check bool_t "first stage won" true (spec = List.hd report.Runner.chain);
-    (match report.Runner.quality with
-     | Some q ->
-       check bool_t "within e/(e-1) of the lower bound" true
-         q.Runner.within_guarantee
-     | None -> Alcotest.fail "no quality block")
+    check bool_t "within e/(e-1) of the lower bound" true
+      (o.Solver.expected_paging /. Bounds.lower_bound inst
+       <= Greedy.approximation_factor +. 1e-9)
   | None -> Alcotest.fail "no winner"
 
 let test_runner_baseline_appended () =
@@ -309,27 +329,37 @@ let test_runner_uncertainty_reranks () =
       | Some _, None -> Alcotest.fail "scored stage missing robust_ep"
       | None, _ -> ())
     report.Runner.stages;
-  match (report.Runner.winner, report.Runner.robust) with
-  | Some (_, o), Some rb ->
+  match report.Runner.winner with
+  | Some (spec, o) ->
     (* The winner is the stage with the least worst-case EP, and its
        certificate brackets its nominal EP. *)
+    let winner_robust_ep =
+      match
+        List.find
+          (fun (s : Runner.stage_report) ->
+            s.Runner.spec = spec && s.Runner.robust_ep <> None)
+          report.Runner.stages
+      with
+      | { Runner.robust_ep = Some rep; _ } -> rep
+      | _ -> Alcotest.fail "winner stage has no robust_ep"
+    in
+    check bool_t "winner's worst case is its strategy's" true
+      (winner_robust_ep = Uncertainty.robust_ep u inst o.Solver.strategy);
     List.iter
       (fun (s : Runner.stage_report) ->
         match s.Runner.robust_ep with
         | Some rep ->
           check bool_t "winner minimizes robust EP" true
-            (rb.Runner.winner_robust_ep <= rep +. 1e-9)
+            (winner_robust_ep <= rep +. 1e-9)
         | None -> ())
       report.Runner.stages;
+    let bounds = Uncertainty.ep_bounds u inst o.Solver.strategy in
     check bool_t "bounds bracket nominal" true
-      (rb.Runner.winner_bounds.Uncertainty.lo
-         <= o.Solver.expected_paging +. 1e-9
-      && o.Solver.expected_paging
-         <= rb.Runner.winner_bounds.Uncertainty.hi +. 1e-9);
+      (bounds.Uncertainty.lo <= o.Solver.expected_paging +. 1e-9
+      && o.Solver.expected_paging <= bounds.Uncertainty.hi +. 1e-9);
     check bool_t "worst case within upper bound" true
-      (rb.Runner.winner_robust_ep
-       <= rb.Runner.winner_bounds.Uncertainty.hi +. 1e-9)
-  | _ -> Alcotest.fail "uncertainty-aware run produced no certified winner"
+      (winner_robust_ep <= bounds.Uncertainty.hi +. 1e-9)
+  | None -> Alcotest.fail "uncertainty-aware run produced no winner"
 
 let test_solver_robust_spec () =
   let inst = Instance.all_uniform ~m:2 ~c:10 ~d:2 in
@@ -559,6 +589,8 @@ let () =
             test_solver_robust_spec;
           Alcotest.test_case "invalid budget" `Quick
             test_runner_invalid_budget;
+          Alcotest.test_case "allocates its decision only" `Quick
+            test_runner_allocates_its_decision;
         ] );
       ( "journal",
         [
