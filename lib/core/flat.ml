@@ -1,12 +1,14 @@
 (* Allocation-free solver hot path on flat unboxed float arrays.
 
    One arena holds every scratch buffer the order-DP (Fig. 1 / Lemma
-   4.7), the coarse metro-scale DP and the local search need, pre-sized
-   at [prepare] time and reused across solves. After a [prepare_*] call
-   the [run_*] entry points allocate zero minor-heap words: all float
-   state lives in [floatarray]s, all float math is hand-inlined (ocamlopt
-   boxes floats crossing non-inlined function boundaries), and scalar
-   results travel through the [out] slots instead of return values.
+   4.7) and the local search need, pre-sized at [prepare] time and
+   reused across solves. The coarse metro-scale DP is the same greedy
+   DP on a coarser prefix table ([prepare ~block]). After a [prepare_*]
+   call the [run_*] entry points allocate zero minor-heap words: all
+   float state lives in [floatarray]s, all float math is hand-inlined
+   (ocamlopt boxes floats crossing non-inlined function boundaries),
+   and scalar results travel through the [out] slots instead of return
+   values.
 
    This is the only production implementation of the heuristics:
    [Solver], [Runner], [Greedy.solve] and [Bandwidth.solve] all run
@@ -35,22 +37,17 @@ type t = {
   mutable order_is_weight : bool;
   mutable weights : FA.t;  (* cell weights, valid iff weights_ok *)
   mutable weights_ok : bool;
-  (* ---- full-resolution prefix success table ---- *)
-  mutable table : FA.t;  (* length c+1, valid iff table_ok *)
-  mutable cum : FA.t;  (* length c+1: cumulative unit cost *)
+  (* ---- prefix success table, one DP position per [block] cells ---- *)
+  mutable block : int;  (* 1 = every cell; valid iff table_ok *)
+  mutable table : FA.t;  (* ceil(c/block)+1 entries, valid iff table_ok *)
+  mutable cum : FA.t;  (* same length: cumulative cell cost *)
   mutable table_ok : bool;
-  (* ---- coarse (metro) boundary table ---- *)
-  mutable coarse_block : int;
-  mutable nblocks : int;
-  mutable ftab_c : FA.t;  (* nblocks+1 boundary success values *)
-  mutable cum_c : FA.t;  (* nblocks+1 cumulative cell cost *)
-  mutable coarse_ok : bool;
   (* ---- per-device scratch ---- *)
   mutable acc : FA.t;  (* m: Neumaier running sums *)
   mutable comp : FA.t;  (* m: Neumaier compensations *)
   mutable masses : FA.t;  (* m: materialized prefix masses *)
   mutable dp : FA.t;  (* m+1: Poisson-binomial scratch *)
-  (* ---- DP matrices, flattened rows of width c+1 (or nblocks+1) ---- *)
+  (* ---- DP matrices, flattened rows of width positions+1 ---- *)
   mutable e : FA.t;
   mutable x : int array;
   (* ---- results ---- *)
@@ -86,14 +83,10 @@ let create () =
     order_is_weight = false;
     weights = FA.create 0;
     weights_ok = false;
+    block = 1;
     table = FA.create 0;
     cum = FA.create 0;
     table_ok = false;
-    coarse_block = 0;
-    nblocks = 0;
-    ftab_c = FA.create 0;
-    cum_c = FA.create 0;
-    coarse_ok = false;
     acc = FA.create 0;
     comp = FA.create 0;
     masses = FA.create 0;
@@ -155,13 +148,11 @@ let bind a ~objective inst =
     a.ls_cells <- ia_cap a.ls_cells c;
     a.weights_ok <- false;
     a.order_is_weight <- false;
-    a.table_ok <- false;
-    a.coarse_ok <- false
+    a.table_ok <- false
   end;
   if a.objective <> objective then begin
     a.objective <- objective;
-    a.table_ok <- false;
-    a.coarse_ok <- false
+    a.table_ok <- false
   end
 
 (* Cell weights, accumulated row-major for cache locality. Per cell the
@@ -196,14 +187,20 @@ let compute_weight_order a =
   in
   Array.sort cmp a.order;
   a.order_is_weight <- true;
-  a.table_ok <- false;
-  a.coarse_ok <- false
+  a.table_ok <- false
 
-(* Full-resolution prefix success table: mirror of
-   [Order_dp.prefix_success_table] — one continuous Neumaier chain per
-   device over the order, success evaluated after every cell. *)
-let compute_table a =
+(* Prefix success table: mirror of [Order_dp.prefix_success_table] —
+   one continuous Neumaier chain per device over the order — with the
+   success fold evaluated at the position boundaries [min c (u·block)]
+   only, and [cum] advancing by each position's cell count. Block 1
+   evaluates after every cell: the full table, with unit costs as the
+   list DP adds them. A coarser block samples that same table bit for
+   bit, as [Order_dp.solve_coarse] does, because a skipped evaluation
+   never touches the chain; the O(m·c) pass stays a once-per-instance
+   cost while the DP shrinks to O(d·(c/block)²). *)
+let compute_table a ~block =
   let m = a.m and c = a.c in
+  a.table_ok <- false;
   for i = 0 to m - 1 do
     FA.set a.acc i 0.0;
     FA.set a.comp i 0.0;
@@ -211,52 +208,7 @@ let compute_table a =
   done;
   Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
     ~dst:a.table ~di:0;
-  for j = 1 to c do
-    let cell = a.order.(j - 1) in
-    for i = 0 to m - 1 do
-      let sum = FA.get a.acc i and cmp = FA.get a.comp i in
-      let p = a.pmat.(i).(cell) in
-      let s = sum +. p in
-      let cmp =
-        if abs_float sum >= abs_float p then cmp +. (sum -. s +. p)
-        else cmp +. (p -. s +. sum)
-      in
-      FA.set a.acc i s;
-      FA.set a.comp i cmp;
-      FA.set a.masses i (s +. cmp)
-    done;
-    Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
-      ~dst:a.table ~di:j
-  done;
-  (* Unit cumulative cost, as the list DP computes it. *)
   FA.set a.cum 0 0.0;
-  for j = 1 to c do
-    FA.set a.cum j (FA.get a.cum (j - 1) +. 1.0)
-  done;
-  a.table_ok <- true
-
-(* Coarse boundary table: the same Neumaier chain, with the success
-   fold evaluated only at block boundaries. Skipped evaluations never
-   touch the per-device chain, so each boundary entry is bit-identical
-   to the corresponding full-table entry — this is what makes the
-   O(m·c) pass a once-per-instance cost instead of a per-solve one. *)
-let compute_coarse a ~block =
-  let m = a.m and c = a.c in
-  let nblocks = (c + block - 1) / block in
-  a.coarse_block <- block;
-  a.nblocks <- nblocks;
-  a.ftab_c <- fa_cap a.ftab_c (nblocks + 1);
-  a.cum_c <- fa_cap a.cum_c (nblocks + 1);
-  a.e <- fa_cap a.e ((a.d + 1) * (Stdlib.max (a.c + 1) (nblocks + 1)));
-  a.x <- ia_cap a.x ((a.d + 1) * (Stdlib.max (a.c + 1) (nblocks + 1)));
-  let boundary u = Stdlib.min c (u * block) in
-  for i = 0 to m - 1 do
-    FA.set a.acc i 0.0;
-    FA.set a.comp i 0.0;
-    FA.set a.masses i 0.0
-  done;
-  Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
-    ~dst:a.ftab_c ~di:0;
   let u = ref 1 in
   for j = 1 to c do
     let cell = a.order.(j - 1) in
@@ -271,64 +223,49 @@ let compute_coarse a ~block =
       FA.set a.acc i s;
       FA.set a.comp i cmp
     done;
-    if !u <= nblocks && j = boundary !u then begin
+    if j = Stdlib.min c (!u * block) then begin
       for i = 0 to m - 1 do
         FA.set a.masses i (FA.get a.acc i +. FA.get a.comp i)
       done;
       Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
-        ~dst:a.ftab_c ~di:!u;
+        ~dst:a.table ~di:!u;
+      FA.set a.cum !u
+        (FA.get a.cum (!u - 1) +. float_of_int (j - ((!u - 1) * block)));
       incr u
     end
   done;
-  FA.set a.cum_c 0 0.0;
-  for v = 1 to nblocks do
-    FA.set a.cum_c v
-      (FA.get a.cum_c (v - 1) +. float_of_int (boundary v - boundary (v - 1)))
-  done;
-  a.coarse_ok <- true
+  a.block <- block;
+  a.table_ok <- true
 
-let prepare ?(objective = Objective.Find_all) a inst =
+let prepare ?(objective = Objective.Find_all) ?(block = 1) a inst =
+  if block < 1 then
+    invalid_arg
+      (Printf.sprintf "Flat.prepare: block must be >= 1, got %d" block);
   bind a ~objective inst;
   if not a.order_is_weight then compute_weight_order a;
-  if not a.table_ok then compute_table a
-
-let prepare_coarse ?(objective = Objective.Find_all) ?(block = 16) a inst =
-  if block < 1 then invalid_arg "Order_dp.solve_coarse: block must be >= 1";
-  bind a ~objective inst;
-  if not a.order_is_weight then compute_weight_order a;
-  if not (a.coarse_ok && a.coarse_block = block) then compute_coarse a ~block
+  if not (a.table_ok && a.block = block) then compute_table a ~block
 
 let prepare_order ?(objective = Objective.Find_all) a inst ~order =
   bind a ~objective inst;
   let c = a.c in
-  (* Mirror Order_dp.check_order, including its error strings. *)
-  if Array.length order <> c then
-    invalid_arg "Order_dp: order must list every cell exactly once";
   let same =
     (not a.order_is_weight)
+    && Array.length order = c
     &&
     let rec eq j = j >= c || (a.order.(j) = order.(j) && eq (j + 1)) in
     eq 0
   in
-  if not (same && a.table_ok) then begin
-    let seen = Array.make c false in
-    Array.iter
-      (fun j ->
-        if j < 0 || j >= c || seen.(j) then
-          invalid_arg "Order_dp: order is not a permutation of the cells"
-        else seen.(j) <- true)
-      order;
+  if not (same && a.table_ok && a.block = 1) then begin
+    Order_dp.check_order ~c order;
     Array.blit order 0 a.order 0 c;
     a.order_is_weight <- false;
-    a.table_ok <- false;
-    a.coarse_ok <- false;
-    compute_table a
+    compute_table a ~block:1
   end
 
 (* ------------------------------------------------------------------ *)
 (* The Fig. 1 DP, mirrored from [Order_dp.solve_with_prefix_success]
    onto the arena's flat matrices. [n] is the number of DP positions
-   (cells, or blocks on the coarse path), [dd] the round budget, [b]
+   (cells, or blocks of a coarser table), [dd] the round budget, [b]
    the per-group cap, [ftab]/[cumtab] the prefix-success and
    cumulative-cost tables. Writes group sizes (in positions) into
    [a.sizes], the optimum into [a.out.(0)]. *)
@@ -389,35 +326,34 @@ let run_dp_core a ~n ~dd ~b ~ftab ~cumtab ~cancel =
    value of another module, not a literal), which would break the
    zero-allocation guarantee. *)
 let order_dp_core a cancel b =
-  if not a.table_ok then invalid_arg "Flat.run_order_dp: arena not prepared";
+  if not (a.table_ok && a.block = 1) then
+    invalid_arg "Flat.run_order_dp: arena not prepared";
   run_dp_core a ~n:a.c ~dd:a.d ~b ~ftab:a.table ~cumtab:a.cum ~cancel
 
 let run_order_dp ?(cancel = Cancel.never) ?max_group a =
   order_dp_core a cancel (match max_group with None -> a.c | Some b -> b)
 
-let greedy_core a cancel =
+let check_weight_order a =
   if not a.order_is_weight then
-    invalid_arg "Flat.run_greedy: arena not prepared with the weight order";
-  order_dp_core a cancel a.c
+    invalid_arg "Flat.run_greedy: arena not prepared with the weight order"
 
-let run_greedy ?(cancel = Cancel.never) a = greedy_core a cancel
-
-let run_coarse ?(cancel = Cancel.never) a =
-  if not a.coarse_ok then invalid_arg "Flat.run_coarse: arena not prepared";
-  let nblocks = a.nblocks in
-  let dd = Stdlib.min a.d nblocks in
-  run_dp_core a ~n:nblocks ~dd ~b:nblocks ~ftab:a.ftab_c ~cumtab:a.cum_c
+(* The greedy DP over the prepared positions, uncapped. Rounds beyond
+   the position count scan nothing, so [dd = min d n] is the full DP's
+   answer at block 1. Position-level sizes are then expanded back to
+   cells in place (positions are consumed left to right, so each slot
+   is read before it is overwritten): the identity at block 1. *)
+let run_greedy ?(cancel = Cancel.never) a =
+  check_weight_order a;
+  if not a.table_ok then invalid_arg "Flat.run_greedy: arena not prepared";
+  let block = a.block and c = a.c in
+  let n = (c + block - 1) / block in
+  run_dp_core a ~n ~dd:(Stdlib.min a.d n) ~b:n ~ftab:a.table ~cumtab:a.cum
     ~cancel;
-  (* Expand block-level sizes back to cells, in place (positions are
-     consumed left to right, so each slot is read before overwrite). *)
-  let block = a.coarse_block and c = a.c in
   let pos = ref 0 in
   for l = 0 to a.nsizes - 1 do
     let units = a.sizes.(l) in
-    let lo = Stdlib.min c (!pos * block)
-    and hi = Stdlib.min c ((!pos + units) * block) in
-    pos := !pos + units;
-    a.sizes.(l) <- hi - lo
+    a.sizes.(l) <- Stdlib.min c ((!pos + units) * block) - (!pos * block);
+    pos := !pos + units
   done
 
 let run_page_all a =
@@ -512,9 +448,10 @@ let ls_relocate a cell target =
   done
 
 let run_hill_climb ?(cancel = Cancel.never) a =
-  (* Seed from the greedy cut, uncancelled — exactly as
-     [Local_search.hill_climb] seeds from the weight-order DP. *)
-  greedy_core a Cancel.never;
+  (* Seed from the greedy cut on the cell table, uncancelled — exactly
+     as [Local_search.hill_climb] seeds from the weight-order DP. *)
+  check_weight_order a;
+  order_dp_core a Cancel.never a.c;
   seed_ls a;
   a.iters <- 0;
   ls_ep_into a ~di:0;
@@ -610,8 +547,8 @@ let ls_strategy a =
   done;
   Strategy.create groups
 
-let greedy ?objective ?cancel a inst =
-  prepare ?objective a inst;
+let greedy ?objective ?block ?cancel a inst =
+  prepare ?objective ?block a inst;
   run_greedy ?cancel a;
   dp_result a
 
@@ -623,11 +560,6 @@ let order_dp ?objective ?max_group ?cancel a inst ~order =
 let bandwidth ?objective ?cancel a inst ~b =
   prepare ?objective a inst;
   run_order_dp ?cancel ~max_group:b a;
-  dp_result a
-
-let coarse ?objective ?block ?cancel a inst =
-  prepare_coarse ?objective ?block a inst;
-  run_coarse ?cancel a;
   dp_result a
 
 let hill_climb ?objective ?cancel a inst =

@@ -75,6 +75,11 @@ val solve_with_prefix_success :
   unit ->
   result
 
+(** [check_order ~c order] accepts [order] when it lists each of the
+    cells [0 .. c-1] exactly once.
+    @raise Invalid_argument naming the fault otherwise. *)
+val check_order : c:int -> int array -> unit
+
 (** [prefix_success_table ?objective inst ~order] is the F[·] table of
     Fig. 1 lines 07–14: entry [j] is the success probability of the
     length-[j] prefix. Length c+1. *)

@@ -27,10 +27,14 @@ let active = Atomic.make 0
 
 let active_domains () = Atomic.get active
 
-(* Lifetime total across all pools, for the chaos bench and soaks:
-   respawned worker domains. *)
+(* Lifetime totals across all pools, for the chaos bench and soaks:
+   crashes on spawned worker domains (each one asks for a respawn; a
+   crash on the caller's help loop recovers in place and is not
+   counted), and respawned worker domains. *)
+let all_worker_crashes = Atomic.make 0
 let all_respawns = Atomic.make 0
 
+let total_worker_crashes () = Atomic.get all_worker_crashes
 let total_respawns () = Atomic.get all_respawns
 
 exception Killed of exn
@@ -101,7 +105,11 @@ let rec worker_loop t =
         Obs.count "pool_tasks_worker";
         Obs.gauge_add "pool_queue_depth" (-1)
       end;
-      if run_task_contained task then respawn t else worker_loop t
+      if run_task_contained task then begin
+        Atomic.incr all_worker_crashes;
+        respawn t
+      end
+      else worker_loop t
 
 (* The executing domain is done for: it crashed out of a task. Hand
    the lane to a freshly spawned domain and let this one exit; the

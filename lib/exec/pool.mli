@@ -108,6 +108,12 @@ val respawns : t -> int
     the process — the chaos bench and soak gates read it. *)
 val total_respawns : unit -> int
 
+(** Lifetime total of tasks that crashed on a spawned worker domain,
+    across every pool in the process: each one asks for a respawn. A
+    crash on the caller's own help loop recovers in place and is not
+    counted. The chaos bench gates respawns against it. *)
+val total_worker_crashes : unit -> int
+
 (** ["CONFCALL_DOMAINS"] — the environment variable that sets the
     [confcall] CLI's parallelism degree when no [--domains] flag is
     given. The pool never reads it: the CLI parses and validates it at

@@ -305,6 +305,136 @@ let test_merge_never_lowers () =
       done)
     (dyadic_instances ())
 
+(* Argmin monotonicity of the Fig. 1 recurrence (Lemma 4.7). Counted
+   unconditionally, a group paging order positions t .. s-1 costs
+   w(t, s) = (1 - F(t))·(s - t), and w satisfies the quadrangle
+   inequality because 1 - F is non-increasing. So the leftmost optimal
+   cut moves right as t does: for every round count l, the remainder
+   k - v_l(k) left after the first group is non-decreasing over the
+   feasible k. The recurrence is [Order_dp.solve_with_prefix_success]'s
+   (the same v range, the same strict [<], so the same leftmost argmin),
+   evaluated in rationals on small integer-weight rows with ties, zero
+   columns, point-mass devices and prefixes whose success reaches 1,
+   over the weight order and random orders, with and without a
+   bandwidth cap. The traced cut's exact EP must equal the recurrence's
+   optimum, which pins the rational recurrence itself. A bound between
+   rounds, v_l(k) <= v_(l-1)(k), is deliberately not asserted: float
+   scans of generated rows break it, so no faster scan may rely on
+   it. *)
+let integer_rows rng ~m ~c =
+  let zero_col = Array.init c (fun _ -> Prob.Rng.int rng 4 = 0) in
+  if Array.for_all Fun.id zero_col then zero_col.(Prob.Rng.int rng c) <- false;
+  let live =
+    Array.of_list (List.filter (fun j -> not zero_col.(j)) (List.init c Fun.id))
+  in
+  let any_live () = live.(Prob.Rng.int rng (Array.length live)) in
+  Array.init m (fun _ ->
+      let w =
+        if Prob.Rng.int rng 4 = 0 then begin
+          let w = Array.make c 0 in
+          w.(any_live ()) <- 1;
+          w
+        end
+        else
+          Array.init c (fun j -> if zero_col.(j) then 0 else Prob.Rng.int rng 3)
+      in
+      if Array.for_all (fun n -> n = 0) w then w.(any_live ()) <- 1;
+      let total = Array.fold_left ( + ) 0 w in
+      Array.map (fun n -> Q.of_ints n total) w)
+
+(* e.(l).(k) and the leftmost minimising first-group size x.(l).(k);
+   [None] is the float DP's infinity (no feasible strategy). *)
+let rational_recurrence ~objective (ex : Instance.Exact.t) ~order ~b =
+  let m = ex.Instance.Exact.m and c = ex.Instance.Exact.c in
+  let d = ex.Instance.Exact.d in
+  let masses = Array.make m Q.zero in
+  let f = Array.make (c + 1) (Objective.success_exact objective masses) in
+  for j = 1 to c do
+    for i = 0 to m - 1 do
+      masses.(i) <- Q.add masses.(i) ex.Instance.Exact.p.(i).(order.(j - 1))
+    done;
+    f.(j) <- Objective.success_exact objective masses
+  done;
+  let e = Array.make_matrix (d + 1) (c + 1) None in
+  let x = Array.make_matrix (d + 1) (c + 1) 0 in
+  for k = 1 to min c b do
+    e.(1).(k) <- Some (Q.of_int k);
+    x.(1).(k) <- k
+  done;
+  for l = 2 to d do
+    for k = l to c do
+      let tail_start = c - k in
+      let denom = Q.sub Q.one f.(tail_start) in
+      for v = max 1 (k - (b * (l - 1))) to min b (k - l + 1) do
+        match e.(l - 1).(k - v) with
+        | None -> ()
+        | Some rest ->
+          let cont =
+            if Q.sign denom <= 0 then Q.zero
+            else Q.div (Q.sub Q.one f.(tail_start + v)) denom
+          in
+          let cost = Q.add (Q.of_int v) (Q.mul cont rest) in
+          (match e.(l).(k) with
+           | Some best when Q.compare cost best >= 0 -> ()
+           | _ ->
+             e.(l).(k) <- Some cost;
+             x.(l).(k) <- v)
+      done
+    done
+  done;
+  (e, x)
+
+let test_argmin_monotone () =
+  let rng = Prob.Rng.create ~seed:2507 in
+  for trial = 0 to 239 do
+    let m = 1 + Prob.Rng.int rng 3 in
+    let c = 2 + Prob.Rng.int rng 9 in
+    let d = 1 + Prob.Rng.int rng c in
+    let ex = Instance.Exact.create ~d (integer_rows rng ~m ~c) in
+    let objective =
+      match trial mod 3 with
+      | 0 -> Objective.Find_all
+      | 1 -> Objective.Find_any
+      | _ -> Objective.Find_at_least (1 + Prob.Rng.int rng m)
+    in
+    let b =
+      if trial / 3 mod 2 = 0 then c
+      else Prob.Rng.int_range rng ((c + d - 1) / d) c
+    in
+    let order =
+      if trial / 6 mod 2 = 0 then Instance.Exact.weight_order ex
+      else shuffle rng (Array.init c Fun.id)
+    in
+    let e, x = rational_recurrence ~objective ex ~order ~b in
+    let name =
+      Printf.sprintf "trial %d (m=%d c=%d d=%d b=%d %s)" trial m c d b
+        (Objective.to_string objective)
+    in
+    for l = 1 to d do
+      let prev = ref (-1) in
+      for k = l to c do
+        if e.(l).(k) <> None then begin
+          let rest = k - x.(l).(k) in
+          if rest < !prev then
+            Alcotest.failf "%s: l=%d: remainder %d at k=%d after %d at k-1"
+              name l rest k !prev;
+          prev := rest
+        end
+      done
+    done;
+    let sizes = Array.make d 0 and k = ref c in
+    for l = d downto 1 do
+      sizes.(d - l) <- x.(l).(!k);
+      k := !k - x.(l).(!k)
+    done;
+    let ep =
+      Strategy.expected_paging_exact ~objective ex
+        (Strategy.of_sizes ~order ~sizes)
+    in
+    check bool_t (name ^ ": traced cut's exact EP is the optimum") true
+      (match e.(d).(c) with Some opt -> Q.equal opt ep | None -> false)
+  done
+
 (* ---------------- bounded work ---------------- *)
 
 (* c = 40 is far beyond the memo cap: the unguarded search runs without
@@ -378,6 +508,8 @@ let () =
             test_bandwidth_monotone;
           Alcotest.test_case "merging adjacent rounds never lowers EP" `Quick
             test_merge_never_lowers;
+          Alcotest.test_case "Fig. 1 recurrence: leftmost argmin monotone"
+            `Quick test_argmin_monotone;
         ] );
       ( "bounded-work",
         [

@@ -307,7 +307,7 @@ let test_differential_coarse () =
     let block = blocks.(trial mod Array.length blocks) in
     let order = Instance.weight_order inst in
     let legacy = Order_dp.solve_coarse ~objective ~block inst ~order in
-    let flat = Flat.coarse ~objective ~block arena inst in
+    let flat = Flat.greedy ~objective ~block arena inst in
     check bool_t "coarse ep bits" true
       (legacy.Order_dp.expected_paging = flat.Order_dp.expected_paging);
     check bool_t "coarse strategy" true
@@ -350,7 +350,7 @@ let test_rational_oracle_pin () =
             trial r.Order_dp.expected_paging ep_exact)
       [
         ("greedy", Flat.greedy ~objective arena inst);
-        ("coarse", Flat.coarse ~objective ~block:3 arena inst);
+        ("coarse", Flat.greedy ~objective ~block:3 arena inst);
         ( "within-order",
           Flat.order_dp ~objective arena inst ~order:(random_order rng c) );
       ]
@@ -455,10 +455,10 @@ let test_zero_alloc_cores () =
       Testutil.assert_no_minor_alloc
         (Printf.sprintf "run_hill_climb[%s]" oname)
         (fun () -> Flat.run_hill_climb arena);
-      Flat.prepare_coarse ~objective ~block:8 arena inst;
+      Flat.prepare ~objective ~block:8 arena inst;
       Testutil.assert_no_minor_alloc
-        (Printf.sprintf "run_coarse[%s]" oname)
-        (fun () -> Flat.run_coarse arena))
+        (Printf.sprintf "run_greedy block 8[%s]" oname)
+        (fun () -> Flat.run_greedy arena))
     [
       ("find-all", Objective.Find_all);
       ("find-any", Objective.Find_any);
@@ -509,6 +509,40 @@ let test_named_dimension_errors () =
   expect_msg "m < 0" "-3 4 2\n" "no devices";
   expect_msg "c = 0" "2 0 1\n" "no cells"
 
+(* One arena table per granularity: a block switch on the same binding
+   rebuilds it (the coarse and cell answers both stay the references'),
+   the cores that need a cell table refuse a coarser one, and a block
+   below 1 is named. *)
+let test_block_switch () =
+  let inst = steady_instance () in
+  let order = Instance.weight_order inst in
+  let arena = Flat.create () in
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "%s ran on a block-4 table" what
+    | exception Invalid_argument msg ->
+      check Alcotest.string what "Flat.run_order_dp: arena not prepared" msg
+  in
+  let coarse = Order_dp.solve_coarse ~block:4 inst ~order in
+  let full = Order_dp.solve inst ~order in
+  for _ = 1 to 2 do
+    Flat.prepare ~block:4 arena inst;
+    Flat.run_greedy arena;
+    check bool_t "block 4 ep bits" true
+      (Flat.ep arena = coarse.Order_dp.expected_paging);
+    refuses "run_order_dp" (fun () -> Flat.run_order_dp arena);
+    refuses "run_hill_climb" (fun () -> Flat.run_hill_climb arena);
+    Flat.prepare arena inst;
+    Flat.run_greedy arena;
+    check bool_t "block 1 ep bits" true
+      (Flat.ep arena = full.Order_dp.expected_paging)
+  done;
+  match Flat.prepare ~block:0 arena inst with
+  | () -> Alcotest.fail "block 0 accepted"
+  | exception Invalid_argument msg ->
+    check Alcotest.string "block 0" "Flat.prepare: block must be >= 1, got 0"
+      msg
+
 let () =
   Alcotest.run "flat"
     [
@@ -540,5 +574,7 @@ let () =
         [
           Alcotest.test_case "named m=0 / c=0 errors" `Quick
             test_named_dimension_errors;
+          Alcotest.test_case "block switch and cell-table cores" `Quick
+            test_block_switch;
         ] );
     ]
