@@ -127,3 +127,25 @@ let write_all ?deadline fd s =
     end
   in
   go 0
+
+(* ---------------- wake-up pipe ---------------- *)
+
+(* A self-pipe that wakes a thread parked in [select]: the sleeper
+   selects on [wake_fd], and [wake] puts one byte in the non-blocking
+   write end. A full pipe ([EAGAIN]) already holds a wake-up, and a
+   closed one has no sleeper left, so a failed write is dropped. Nothing
+   reads the pipe: a woken sleeper re-checks its flags and leaves. *)
+type waker = { wake_fd : Unix.file_descr; wake_w : Unix.file_descr }
+
+let waker () =
+  let wake_fd, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
+  { wake_fd; wake_w }
+
+let wake k =
+  try ignore (Unix.single_write_substring k.wake_w "\n" 0 1)
+  with Unix.Unix_error _ -> ()
+
+let close_waker k =
+  (try Unix.close k.wake_w with Unix.Unix_error _ -> ());
+  try Unix.close k.wake_fd with Unix.Unix_error _ -> ()

@@ -118,6 +118,8 @@ type job = {
   ladder : ladder;
 }
 
+module Transport = Client.Transport
+
 type state = {
   cfg : config;
   qmutex : Mutex.t;
@@ -125,6 +127,8 @@ type state = {
   queue : job Queue.t;
   stopping : bool Atomic.t;  (** drain begun: reject new submissions *)
   drain_flag : bool Atomic.t;  (** signal-handler-safe drain request *)
+  waker : Transport.waker;  (** wakes the accept loop's select *)
+  mutable waker_open : bool;  (** under [qmutex] *)
   workers_done : bool Atomic.t;
   cache_closed : bool Atomic.t;
   connections : int Atomic.t;
@@ -160,13 +164,11 @@ let breaker_threshold capacity = max 8 capacity
 type handle = {
   st : state;
   accept_thread : Thread.t;
-  workers_thread : Thread.t;
+  workers : unit Domain.t;
   bound : Unix.sockaddr;
 }
 
 (* ---------------- socket plumbing ---------------- *)
-
-module Transport = Client.Transport
 
 (* One line per response, appended atomically w.r.t. other responses on
    the same connection: workers complete out of order, so pipelined
@@ -302,10 +304,15 @@ let reject_waiters st ~request_id ?retry_after_ms ~reason () =
 
 (* ---------------- drain ---------------- *)
 
+(* Wakes the workers parked on an empty queue and the accept loop
+   parked in select. The wake-up byte is written under [qmutex], which
+   [wait] holds to close the pipe, so it never lands on a closed (and
+   perhaps reused) descriptor. *)
 let initiate_drain st =
   if not (Atomic.exchange st.stopping true) then begin
     Mutex.lock st.qmutex;
     Condition.broadcast st.qnonempty;
+    if st.waker_open then Transport.wake st.waker;
     Mutex.unlock st.qmutex
   end
 
@@ -847,15 +854,17 @@ let take_conn st fd =
     ignore (Thread.create (conn_main st) fd)
   end
 
-(* Select with a short timeout instead of a blocking accept: the loop
-   doubles as the poller that promotes a signal-handler drain request
-   (an atomic flag — handlers must not lock) into the real drain. *)
+(* Select on the listening socket and the wake-up pipe instead of a
+   blocking accept: a drain wakes the loop at once. The loop also
+   promotes a signal-handler drain request (an atomic flag — handlers
+   must not lock) into the real drain; the short timeout covers a
+   handler that runs after the loop last looked at the flag. *)
 let accept_loop st lfd =
   let rec go () =
     if Atomic.get st.drain_flag then initiate_drain st;
     if not (Atomic.get st.stopping) then begin
-      (match Unix.select [ lfd ] [] [] 0.1 with
-       | [], _, _ -> ()
+      (match Unix.select [ lfd; st.waker.Transport.wake_fd ] [] [] 0.1 with
+       | ready, _, _ when not (List.mem lfd ready) -> ()
        | _ ->
          (match
             Faultpoint.hit "serve.accept";
@@ -938,6 +947,8 @@ let start cfg =
       queue = Queue.create ();
       stopping = Atomic.make false;
       drain_flag = Atomic.make false;
+      waker = Transport.waker ();
+      waker_open = true;
       workers_done = Atomic.make false;
       cache_closed = Atomic.make false;
       connections = Atomic.make 0;
@@ -959,39 +970,31 @@ let start cfg =
      mapping context the last lane), and [with_pool] joins the domains
      on the way out — after it returns, [Pool.active_domains] is back
      to baseline. The pool is launched from its own domain, not from
-     this systhread: the caller-helps lane computes in whatever domain
-     calls [map], and domain 0 hosts every connection thread — a
-     CPU-bound solve there would hold the runtime lock for whole
-     preemption quanta (~50 ms) and stall even trivial admission
-     rejections behind it. *)
-  let workers_thread =
-    Thread.create
-      (fun () ->
-        let launcher =
-          Domain.spawn (fun () ->
-              try
-                Exec.Pool.with_pool ~domains:cfg.domains (fun pool ->
-                    (* More lane tasks than domains: the surplus sits
-                       in the pool queue as {e spares}. A lane that
-                       crashes (chaos seam, solver domain death) fails
-                       only its task; the respawned domain dequeues a
-                       spare and service is restored at full width. At
-                       drain, unused spares run once into the
-                       stopping-and-empty exit, so the map always
-                       completes. [run_all], not [map]: crashed lanes
-                       are expected under chaos and must not raise. *)
-                    let lanes =
-                      cfg.domains + max 16 (4 * cfg.domains)
-                    in
-                    ignore
-                      (Exec.Pool.run_all pool
-                         (fun _ -> worker_loop st)
-                         (Array.init lanes Fun.id)))
-              with _ -> ())
-        in
-        Domain.join launcher;
+     this one: the caller-helps lane computes in whatever domain calls
+     [map], and domain 0 hosts every connection thread — a CPU-bound
+     solve there would hold the runtime lock for whole preemption
+     quanta (~50 ms) and stall even trivial admission rejections
+     behind it. The launcher flags [workers_done] as its last act;
+     [wait] joins it once the flag is up. *)
+  let workers =
+    Domain.spawn (fun () ->
+        (try
+           Exec.Pool.with_pool ~domains:cfg.domains (fun pool ->
+               (* More lane tasks than domains: the surplus sits in the
+                  pool queue as {e spares}. A lane that crashes (chaos
+                  seam, solver domain death) fails only its task; the
+                  respawned domain dequeues a spare and service is
+                  restored at full width. At drain, unused spares run
+                  once into the stopping-and-empty exit, so the map
+                  always completes. [run_all], not [map]: crashed lanes
+                  are expected under chaos and must not raise. *)
+               let lanes = cfg.domains + max 16 (4 * cfg.domains) in
+               ignore
+                 (Exec.Pool.run_all pool
+                    (fun _ -> worker_loop st)
+                    (Array.init lanes Fun.id)))
+         with _ -> ());
         Atomic.set st.workers_done true)
-      ()
   in
   let accept_thread = Thread.create (accept_loop st) lfd in
   if not cfg.quiet then
@@ -1000,7 +1003,7 @@ let start cfg =
        | Unix.ADDR_INET (_, port) -> Printf.sprintf "127.0.0.1:%d" port
        | Unix.ADDR_UNIX p -> p)
       cfg.domains cfg.capacity;
-  { st; accept_thread; workers_thread; bound }
+  { st; accept_thread; workers; bound }
 
 let bound_port h =
   match h.bound with
@@ -1017,6 +1020,12 @@ let request_drain h =
    journal is not closed). *)
 let wait h =
   Thread.join h.accept_thread;
+  Mutex.lock h.st.qmutex;
+  if h.st.waker_open then begin
+    h.st.waker_open <- false;
+    Transport.close_waker h.st.waker
+  end;
+  Mutex.unlock h.st.qmutex;
   let deadline = Obs.now () +. (h.st.cfg.drain_grace_ms /. 1000.0) in
   let rec poll () =
     if Atomic.get h.st.workers_done then true
@@ -1028,7 +1037,7 @@ let wait h =
   in
   let clean = poll () in
   if clean then begin
-    Thread.join h.workers_thread;
+    Domain.join h.workers;
     if not (Atomic.exchange h.st.cache_closed true) then begin
       Cache.close h.st.cache;
       Option.iter Journal.close h.st.reqlog
@@ -1042,9 +1051,14 @@ let stop h =
 
 let run cfg =
   let h = start cfg in
-  (* Handlers only flip an atomic; the accept loop notices within its
-     100 ms select timeout and performs the drain in thread context. *)
-  let on_signal _ = Atomic.set h.st.drain_flag true in
+  (* Handlers only flip an atomic and wake the accept loop, which
+     performs the drain in thread context. They take no lock, so a
+     handler that runs after [wait] closed the pipe writes to a closed
+     descriptor and the error is dropped; [run] opens none after it. *)
+  let on_signal _ =
+    Atomic.set h.st.drain_flag true;
+    Transport.wake h.st.waker
+  in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   let clean = wait h in

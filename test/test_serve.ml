@@ -683,6 +683,31 @@ let test_drain_finishes_inflight () =
         responses;
       check bool_t "drain completes within grace" true (Sv.stop h))
 
+(* A drain wakes the accept loop through its self-pipe instead of
+   waiting for the select timeout (100 ms) to run out, so stopping an
+   idle server takes milliseconds. The server idles in select before it
+   is stopped; the fastest of three stops is checked, so one slow
+   scheduling slice on a loaded host does not fail the test. *)
+let test_idle_stop_is_prompt () =
+  let stop_ms () =
+    let before = Exec.Pool.active_domains () in
+    let h =
+      Sv.start { (Sv.default_config (Sv.Tcp 0)) with domains = 1; quiet = true }
+    in
+    Thread.delay 0.02;
+    let t0 = Unix.gettimeofday () in
+    check bool_t "idle server drains" true (Sv.stop h);
+    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+    check int_t "no leaked domains after server stop" before
+      (Exec.Pool.active_domains ());
+    ms
+  in
+  let fastest =
+    List.fold_left Float.min infinity (List.init 3 (fun _ -> stop_ms ()))
+  in
+  if fastest >= 50.0 then
+    Alcotest.failf "fastest of 3 idle stops took %.1f ms (want < 50)" fastest
+
 (* ---------------- idempotency ---------------- *)
 
 (* The server-side half of the resilient-client contract: frames
@@ -1059,6 +1084,8 @@ let () =
             test_ops_and_drain;
           Alcotest.test_case "drain finishes in-flight work" `Quick
             test_drain_finishes_inflight;
+          Alcotest.test_case "idle stop is prompt" `Quick
+            test_idle_stop_is_prompt;
           Alcotest.test_case "simulate matches in-process replicas" `Quick
             test_simulate_matches_in_process;
           Alcotest.test_case "simulate scenario names in any case" `Quick
