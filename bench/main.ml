@@ -1854,6 +1854,19 @@ let calibrate ~targets ~lanes =
     (2 * lanes) lanes calibration_windows calibration_window_s shown median;
   median
 
+(* One request on a raw frame connection: one write and one blocking
+   read, with no client thread between the socket and the caller. *)
+let ask_raw fd fields =
+  Client.Transport.write_all fd
+    (J.to_string (J.Obj (("id", J.Str "probe") :: fields)) ^ "\n");
+  let line = ref None in
+  (try
+     Client.Transport.read_frames fd ~on_oversize:ignore (fun l ->
+         line := Some l;
+         raise Exit)
+   with Exit -> ());
+  Option.map Wire.Proto.decode_response !line
+
 (* ------------------------------------------------------------------ *)
 (* E27: paging-as-a-service — the daemon under 0.5x/1x/2x offered load *)
 (* ------------------------------------------------------------------ *)
@@ -1937,17 +1950,7 @@ let e27 () =
      unpinned. *)
   let prober = Client.connect_endpoint target in
   Unix.setsockopt_float prober Unix.SO_RCVTIMEO 10.0;
-  let ask fields =
-    Client.Transport.write_all prober
-      (J.to_string (J.Obj (("id", J.Str "probe") :: fields)) ^ "\n");
-    let line = ref None in
-    (try
-       Client.Transport.read_frames prober ~on_oversize:ignore (fun l ->
-           line := Some l;
-           raise Exit)
-     with Exit -> ());
-    Option.map Wire.Proto.decode_response !line
-  in
+  let ask = ask_raw prober in
   let breaker_open () =
     match ask [ ("op", J.Str "health") ] with
     | Some (Ok r) ->
@@ -2308,19 +2311,47 @@ let e29 () =
   let expected_s = float_of_int requests /. rate in
   Printf.printf "legs at 0.6x (%.0f req/s, %d requests, ~%.1f s)\n\n" rate
     requests expected_s;
-  let run_leg ~label ~kill_after ~hedge =
+  (* The kill leg SIGKILLs replica A from its own progress, not from a
+     timer: a prober asks A's [health] on a raw frame connection (as
+     e27's does) every 2 ms, and kills A once it has completed an eighth
+     of the leg's requests and holds at least one admitted job. A timer
+     can fire after a short leg has ended, with nothing left to fail
+     over. The prober stops when the leg ends or A stops answering. *)
+  let kill_on_progress target pid_a ~leg_done =
+    let fd = Client.connect_endpoint target in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    let stat name r =
+      Option.value ~default:0
+        (Option.bind (J.member name r.Wire.Proto.json) J.to_int)
+    in
+    let rec poll () =
+      if not (Atomic.get leg_done) then
+        match ask_raw fd [ ("op", J.Str "health") ] with
+        | Some (Ok r)
+          when stat "dedup_completed" r >= requests / 8
+               && stat "inflight" r >= 1 ->
+          (try Unix.kill pid_a Sys.sigkill with Unix.Unix_error _ -> ())
+        | Some (Ok _) ->
+          Thread.delay 0.002;
+          poll ()
+        | Some (Error _) | None -> ()
+        | exception Unix.Unix_error _ -> ()
+    in
+    poll ();
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  let run_leg ~label ~kill ~hedge =
     let s, ((exec_a, dup_a), (exec_b, dup_b)) =
       with_pair (fun targets pid_a ->
+          let leg_done = Atomic.make false in
           let killer =
-            Option.map
-              (fun after_s ->
-                Thread.create
-                  (fun () ->
-                    Thread.delay after_s;
-                    try Unix.kill pid_a Sys.sigkill
-                    with Unix.Unix_error _ -> ())
-                  ())
-              kill_after
+            if kill then
+              Some
+                (Thread.create
+                   (fun () ->
+                     kill_on_progress (List.hd targets) pid_a ~leg_done)
+                   ())
+            else None
           in
           let s =
             Serve.Loadgen.run_multi targets
@@ -2330,6 +2361,7 @@ let e29 () =
                 hedge_after_ms = hedge;
               }
           in
+          Atomic.set leg_done true;
           Option.iter Thread.join killer;
           s)
     in
@@ -2347,15 +2379,13 @@ let e29 () =
     (s, terminal, p 99.0, exec_a + exec_b, dup_a || dup_b)
   in
   let base_s, base_term, p99_base, _, base_dup =
-    run_leg ~label:"baseline" ~kill_after:None ~hedge:None
+    run_leg ~label:"baseline" ~kill:false ~hedge:None
   in
   let kill_s, kill_term, p99_kill, _, kill_dup =
-    run_leg ~label:"killed"
-      ~kill_after:(Some (Float.max 0.3 (0.4 *. expected_s)))
-      ~hedge:None
+    run_leg ~label:"killed" ~kill:true ~hedge:None
   in
   let hedge_s, hedge_term, p99_hedge, _, hedge_dup =
-    run_leg ~label:"hedged" ~kill_after:None
+    run_leg ~label:"hedged" ~kill:false
       ~hedge:(Some (budget_ms *. 2.0))
   in
   print_newline ();

@@ -127,32 +127,18 @@ type t = {
   cfg : config;
   eps : ep array;
   ids : int Atomic.t;
-  prng : int64 Atomic.t;
+  draws : int Atomic.t;  (* retry-jitter draws made so far *)
   rr : int Atomic.t;  (* near-tie rotation between healthy replicas *)
 }
 
 let now = Obs.now
 
-(* splitmix64, same construction as the faultpoint seam: lock-free
-   jitter draws from any calling thread. *)
-let rec prng_next t =
-  let cur = Atomic.get t.prng in
-  let nxt = Int64.add cur 0x9E3779B97F4A7C15L in
-  if Atomic.compare_and_set t.prng cur nxt then begin
-    let z = nxt in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    Int64.to_float (Int64.shift_right_logical z 11)
-    *. (1.0 /. 9007199254740992.0)
-  end
-  else prng_next t
+(* Draw k is output k of the SplitMix64 stream keyed by the seed: one
+   atomic increment numbers it, so any calling thread may draw. *)
+let jitter t =
+  Prob.Rng.splitmix64_unit
+    (Int64.of_int ((t.cfg.seed * 2) + 1))
+    (1 + Atomic.fetch_and_add t.draws 1)
 
 let validate cfg =
   if cfg.endpoints = [] then invalid_arg "Client: endpoints must be non-empty";
@@ -183,7 +169,7 @@ let create cfg =
              })
            cfg.endpoints);
     ids = Atomic.make 0;
-    prng = Atomic.make (Int64.of_int ((cfg.seed * 2) + 1));
+    draws = Atomic.make 0;
     rr = Atomic.make 0;
   }
 
@@ -575,7 +561,7 @@ let call t ?request_id fields =
                    && next.endpoint <> primary.endpoint in
         if not fast then begin
           let d =
-            Retry.next_delay_ms policy ~u:(prng_next t)
+            Retry.next_delay_ms policy ~u:(jitter t)
               ~prev_ms:!prev_delay ~hint_ms:!hint
           in
           prev_delay := d;

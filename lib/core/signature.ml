@@ -22,15 +22,13 @@ let sweep inst =
    order are the same problem — every objective here ([Find_all],
    [Find_any], [Find_at_least]) is symmetric under device permutation
    and a strategy is a partition of cells only — so rows are sorted
-   into a canonical order. Entries are quantized to a [quantum] grid
-   first so that float noise below the grid (re-serialized matrices,
+   into a canonical order. Entries are quantized to a 1e-9 grid first
+   so that float noise below the grid (re-serialized matrices,
    re-estimated profiles) maps to the same key; instances closer than
    the grid intentionally collide, which trades sub-quantum EP
-   differences for cache hits and is documented at the API. *)
-
-let canonical_key ?(quantum = 1e-9) ~objective inst =
-  if not (Float.is_finite quantum) || quantum <= 0.0 then
-    invalid_arg "Signature.canonical_key: quantum must be positive and finite";
+   differences for cache hits and is documented at the API. Journals
+   persist keys, so the grid and the key text are fixed. *)
+let canonical_key ~objective inst =
   let { Instance.m; c; d; p } = inst in
   let buf = Buffer.create (m * c * 8) in
   let rows =
@@ -39,9 +37,9 @@ let canonical_key ?(quantum = 1e-9) ~objective inst =
         Buffer.clear buf;
         Array.iter
           (fun x ->
-            (* Probabilities are in [0, 1]: the quantized value fits an
-               int for any sane quantum (guarded below for tiny ones). *)
-            let q = Float.round (x /. quantum) in
+            (* A probability quantizes to at most 1e9; the guard keeps
+               the int64 conversion exact for any larger entry. *)
+            let q = Float.round (x /. 1e-9) in
             if Float.abs q > 1e15 then
               Buffer.add_string buf (Printf.sprintf "%.17g;" x)
             else
@@ -53,9 +51,8 @@ let canonical_key ?(quantum = 1e-9) ~objective inst =
   in
   Array.sort String.compare rows;
   let material =
-    Printf.sprintf "v1|m=%d|c=%d|d=%d|obj=%s|q=%.3g|%s" m c d
+    Printf.sprintf "v1|m=%d|c=%d|d=%d|obj=%s|q=1e-09|%s" m c d
       (Objective.to_string objective)
-      quantum
       (String.concat "|" (Array.to_list rows))
   in
   Digest.to_hex (Digest.string material)

@@ -15,13 +15,12 @@ val exhaustive : Instance.t -> k:int -> Optimal.result
     the interpolation curve of experiment E13. *)
 val sweep : Instance.t -> float array
 
-(** [canonical_key ?quantum ~objective inst] — a stable hex digest
-    identifying the {e problem} an instance poses, for result caches:
-    two instances that differ only by device (row) order, or by float
-    noise below the [quantum] grid (default [1e-9]), share a key. The
-    key covers [m], [c], [d], the objective, the quantum and the
-    row-sorted quantized matrix. Instances within one quantum of each
-    other intentionally collide — a cache keyed on this may return the
-    strategy of a sub-quantum neighbour.
-    @raise Invalid_argument when [quantum] is not positive and finite. *)
-val canonical_key : ?quantum:float -> objective:Objective.t -> Instance.t -> string
+(** [canonical_key ~objective inst] — a stable hex digest identifying
+    the {e problem} an instance poses, for result caches: two instances
+    that differ only by device (row) order, or by float noise below a
+    fixed [1e-9] grid, share a key. The key covers [m], [c], [d], the
+    objective, the grid and the row-sorted quantized matrix. Instances
+    within one grid step of each other intentionally collide — a cache
+    keyed on this may return the strategy of a sub-quantum neighbour.
+    Journals persist keys, so the key of an instance never changes. *)
+val canonical_key : objective:Objective.t -> Instance.t -> string

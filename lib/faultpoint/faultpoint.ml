@@ -46,7 +46,16 @@ let default_param point =
 
 (* ---------------- state ---------------- *)
 
-type point = { prob : float; param : float; count : int Atomic.t }
+(* [key] starts the point's own SplitMix64 stream (from the seed and the
+   name) and [probes] numbers its probes: probe k fires iff output k is
+   below [prob], whatever the other points draw. *)
+type point = {
+  prob : float;
+  param : float;
+  key : int64;
+  probes : int Atomic.t;
+  count : int Atomic.t;
+}
 
 (* Written only by [configure]/[disable] (single-threaded setup), read
    by any domain afterwards: the table itself is immutable once
@@ -55,25 +64,11 @@ let table : (string, point) Hashtbl.t = Hashtbl.create 16
 let enabled = Atomic.make false
 let on () = Atomic.get enabled
 
-(* splitmix64 behind a CAS loop: lock-free, any domain may draw. The
-   uniform is the mixed state's top 53 bits. *)
-let prng = Atomic.make 0L
-
-let rec next_state () =
-  let cur = Atomic.get prng in
-  let nxt = Int64.add cur 0x9E3779B97F4A7C15L in
-  if Atomic.compare_and_set prng cur nxt then nxt else next_state ()
-
-let mix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let uniform () =
-  let bits = Int64.shift_right_logical (mix (next_state ())) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+let stream_key ~seed name =
+  String.fold_left
+    (fun z ch -> Prob.Rng.mix (Int64.add z (Int64.of_int (Char.code ch))))
+    (Prob.Rng.mix (Int64.of_int seed))
+    name
 
 (* ---------------- spec parsing ---------------- *)
 
@@ -156,11 +151,12 @@ let configure ?(seed = 1) spec =
   | Ok entries ->
     Atomic.set enabled false;
     Hashtbl.reset table;
-    Atomic.set prng (mix (Int64.of_int ((seed * 2) + 1)));
     List.iter
       (fun (name, prob, param) ->
         if prob > 0.0 then
-          Hashtbl.replace table name { prob; param; count = Atomic.make 0 })
+          Hashtbl.replace table name
+            { prob; param; key = stream_key ~seed name; probes = Atomic.make 0;
+              count = Atomic.make 0 })
       entries;
     if Hashtbl.length table > 0 then Atomic.set enabled true;
     Ok ()
@@ -184,20 +180,20 @@ let arm_from_env () =
 
 (* ---------------- probes ---------------- *)
 
+(* Every caller has checked [enabled]: off stays one load and a branch. *)
 let draw name =
-  if not (Atomic.get enabled) then None
-  else
-    match Hashtbl.find_opt table name with
-    | None ->
-      if not (List.mem_assoc name catalogue) then
-        invalid_arg (Printf.sprintf "Faultpoint: unknown point %S" name);
-      None
-    | Some p ->
-      if uniform () < p.prob then begin
-        Atomic.incr p.count;
-        Some p
-      end
-      else None
+  match Hashtbl.find_opt table name with
+  | None ->
+    if not (List.mem_assoc name catalogue) then
+      invalid_arg (Printf.sprintf "Faultpoint: unknown point %S" name);
+    None
+  | Some p ->
+    let k = 1 + Atomic.fetch_and_add p.probes 1 in
+    if Prob.Rng.splitmix64_unit p.key k < p.prob then begin
+      Atomic.incr p.count;
+      Some p
+    end
+    else None
 
 let hit name =
   if Atomic.get enabled then
@@ -212,11 +208,9 @@ let delay name =
     | None -> ()
 
 let short name =
-  if not (Atomic.get enabled) then None
-  else
-    match draw name with
-    | Some p -> Some (Float.max 0.0 (Float.min 1.0 p.param))
-    | None -> None
+  if Atomic.get enabled then
+    Option.map (fun p -> Float.max 0.0 (Float.min 1.0 p.param)) (draw name)
+  else None
 
 (* ---------------- accounting ---------------- *)
 

@@ -16,16 +16,16 @@
       solver and serve outputs with the seam compiled in but disabled
       are byte-identical to the clean build.
     + {b Domain-safe.} Arming happens once, before the workload
-      (configuration tables become read-only); the per-draw PRNG state
-      is a lock-free atomic splitmix64, so any domain or systhread may
-      probe any point concurrently.
-    + {b Deterministic per seed.} The PRNG is seeded explicitly
-      ([CONFCALL_CHAOS_SEED] or [?seed]); a chaos failure in CI
-      reproduces with the same seed. (Across domains the interleaving
-      still varies — determinism here means the draw {e sequence}, not
-      the schedule.)
-    + {b Stdlib only.} [Atomic], [Hashtbl], [Unix.sleepf]; nothing the
-      container does not already have.
+      (configuration tables become read-only); each armed point counts
+      its own probes in an atomic, and a draw shares no other state, so
+      any domain or systhread may probe any point concurrently.
+    + {b Deterministic per seed, point and probe index.} The k-th probe
+      of point P fires iff output k of a SplitMix64 stream keyed by the
+      seed ([CONFCALL_CHAOS_SEED] or [?seed]) and P's name is below P's
+      probability, whatever the other points do. Which request or
+      domain makes P's k-th probe can still vary between runs.
+    + {b No third-party library.} [Atomic], [Hashtbl], [Unix.sleepf]
+      and [Prob.Rng].
 
     {2 Points and spec grammar}
 

@@ -11,19 +11,27 @@ type t = Bytes.t
 external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let splitmix64_next state =
+(* SplitMix64 (Steele, Lea & Flood): output k of the stream that starts
+   at state [key] is [mix (key + k·γ)]. The repository's one copy: the
+   xoshiro seeds, the chaos seam's probes and the client's retry jitter
+   all draw through it. *)
+let mix z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let splitmix64 key k =
+  mix (Int64.add key (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L))
+
+let splitmix64_unit key k =
+  float_of_int (Int64.to_int (Int64.shift_right_logical (splitmix64 key k) 11))
+  *. 0x1.0p-53
+
 let create ~seed =
-  let state = ref (Int64.of_int seed) in
   let t = Bytes.create 32 in
   for k = 0 to 3 do
-    set t (8 * k) (splitmix64_next state)
+    set t (8 * k) (splitmix64 (Int64.of_int seed) (k + 1))
   done;
   t
 

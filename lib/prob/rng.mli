@@ -9,6 +9,15 @@ type t
 (** [create ~seed] builds a generator from a 63-bit seed. *)
 val create : seed:int -> t
 
+(** [mix z] is SplitMix64's finaliser, a bijection on 64-bit words. *)
+val mix : int64 -> int64
+
+(** [splitmix64_unit key k] is output [k] of the SplitMix64 stream that
+    starts at state [key], [mix (key + k·γ)], as a 53-bit uniform in
+    [[0, 1)]. A pure function: draw [k] is the same whatever else is
+    drawn. *)
+val splitmix64_unit : int64 -> int -> float
+
 (** [split t] derives an independent generator; [t] advances. *)
 val split : t -> t
 

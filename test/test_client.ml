@@ -167,12 +167,18 @@ let test_decode_ignores_unknown_fields () =
 (* A scripted endpoint: [handler frame] returns the response line
    (None = swallow the request). Every received frame is logged so
    tests can assert exactly what reached the wire. *)
+(* The accept thread is the listening socket's only closer, and
+   [stop_fake] joins it: a stale thread can then never accept on a
+   descriptor number that the next test's [start_fake] has reused.
+   [stop_fake] only shuts [lfd] down, which wakes the thread's
+   [select]. *)
 type fake = {
   port : int;
   lfd : Unix.file_descr;
   fstop : bool Atomic.t;
   flog : J.t list ref;
   fmutex : Mutex.t;
+  acceptor : Thread.t;
 }
 
 let fake_frames f =
@@ -191,9 +197,7 @@ let start_fake handler =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let f =
-    { port; lfd; fstop = Atomic.make false; flog = ref []; fmutex = Mutex.create () }
-  in
+  let fstop = Atomic.make false and flog = ref [] and fmutex = Mutex.create () in
   let serve_conn cfd =
     let c = Testutil.frame_conn cfd in
     let rec loop () =
@@ -201,26 +205,26 @@ let start_fake handler =
       | Some line ->
         (match J.parse line with
          | Ok frame -> (
-           Mutex.lock f.fmutex;
-           f.flog := frame :: !(f.flog);
-           Mutex.unlock f.fmutex;
+           Mutex.lock fmutex;
+           flog := frame :: !flog;
+           Mutex.unlock fmutex;
            match handler frame with
            | Some resp -> (
              try Testutil.send_frame c resp with Unix.Unix_error _ -> ())
            | None -> ())
          | Error _ -> ());
         loop ()
-      | None -> if c.eof || Atomic.get f.fstop then () else loop ()
+      | None -> if c.eof || Atomic.get fstop then () else loop ()
       | exception Unix.Unix_error _ -> ()
     in
     loop ();
     Testutil.frame_close c
   in
-  let _accept : Thread.t =
+  let acceptor =
     Thread.create
       (fun () ->
         let rec loop () =
-          if not (Atomic.get f.fstop) then (
+          if not (Atomic.get fstop) then (
             match Unix.select [ lfd ] [] [] 0.1 with
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
             | [], _, _ -> loop ()
@@ -231,14 +235,16 @@ let start_fake handler =
                 loop ()
               | exception Unix.Unix_error _ -> loop ()))
         in
-        loop ())
+        loop ();
+        Unix.close lfd)
       ()
   in
-  f
+  { port; lfd; fstop; flog; fmutex; acceptor }
 
 let stop_fake f =
   Atomic.set f.fstop true;
-  try Unix.close f.lfd with Unix.Unix_error _ -> ()
+  (try Unix.shutdown f.lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  Thread.join f.acceptor
 
 let frame_id frame =
   match Option.bind (J.member "id" frame) J.to_str with
@@ -603,6 +609,23 @@ let test_endpoint_parsing () =
   check bool_t "empty list rejected" true
     (match C.endpoints_of_string " , " with Error _ -> true | Ok _ -> false)
 
+(* ---------------- retry: jitter draws ---------------- *)
+
+(* Draw k of a client is output k of the SplitMix64 stream keyed by its
+   seed: the first four for seed 7, and the same four again from a
+   fresh client. *)
+let test_jitter_pinned () =
+  let draws () =
+    let t = C.create { (C.default_config [ C.Tcp 1 ]) with seed = 7 } in
+    List.init 4 (fun _ -> C.jitter t)
+  in
+  let expected =
+    [ 0x1.0eb7260f57eaap-1; 0x1.8f702eef77503p-1; 0x1.1efb643832ec9p-1;
+      0x1.ba34305b17a2cp-3 ]
+  in
+  check bool_t "first draws for seed 7" true (draws () = expected);
+  check bool_t "a fresh client draws them again" true (draws () = expected)
+
 (* ---------------- registration ---------------- *)
 
 let () =
@@ -614,6 +637,8 @@ let () =
             test_delay_bounds;
           Alcotest.test_case "retry_after hint dominates" `Quick
             test_hint_dominates;
+          Alcotest.test_case "jitter draws pinned per seed" `Quick
+            test_jitter_pinned;
           Alcotest.test_case "response classification" `Quick test_classify;
         ] );
       ( "proto",

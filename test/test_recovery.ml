@@ -98,6 +98,72 @@ let test_arm_probe_disable () =
       Faultpoint.configure_exn "pool.task.crash=0.0";
       check bool_t "all-zero spec stays off" false (Faultpoint.on ()))
 
+(* Probe [name] once: [true] when it fired. *)
+let fires name =
+  match Faultpoint.hit name with
+  | () -> false
+  | exception Faultpoint.Injected _ -> true
+
+(* The 1-based probe indices at which [name] fired over [n] probes,
+   with [between i] run before probe [i]. *)
+let fire_indices ?(between = ignore) name n =
+  List.filter
+    (fun i ->
+      between i;
+      fires name)
+    (List.init n succ)
+
+let test_decisions_ignore_other_points () =
+  let spec = "journal.fsync=0.3,cache.store=0.3,serve.accept=0.5" in
+  Fun.protect ~finally:Faultpoint.disable (fun () ->
+      Faultpoint.configure_exn ~seed:5 spec;
+      let alone = fire_indices "journal.fsync" 500 in
+      Faultpoint.configure_exn ~seed:5 spec;
+      let interleaved =
+        fire_indices "journal.fsync" 500 ~between:(fun i ->
+            for _ = 1 to i mod 3 do
+              ignore (fires "cache.store")
+            done;
+            if i mod 5 = 0 then ignore (fires "serve.accept"))
+      in
+      check bool_t "some probes fire, some skip" true
+        (alone <> [] && List.length alone < 500);
+      check bool_t "same decisions whatever other points draw" true
+        (alone = interleaved);
+      Faultpoint.configure_exn ~seed:6 spec;
+      check bool_t "another seed, another sequence" true
+        (fire_indices "journal.fsync" 500 <> alone))
+
+(* The fired set {(point, k)} of one seed, every point armed, probed in
+   catalogue order on one thread: 40 rounds, 24 fires. *)
+let test_fired_set_pinned () =
+  Fun.protect ~finally:Faultpoint.disable (fun () ->
+      Faultpoint.configure_exn ~seed:11 "*=0.05";
+      let fired = ref [] in
+      for k = 1 to 40 do
+        List.iter
+          (fun (p, _) -> if fires p then fired := (p, k) :: !fired)
+          Faultpoint.catalogue
+      done;
+      check
+        Alcotest.(list (pair string int))
+        "fired set for seed 11"
+        [
+          ("pool.task.delay", 2); ("journal.fsync", 4);
+          ("pool.task.crash", 6); ("serve.lane.crash", 11);
+          ("serve.read", 12); ("serve.write.delay", 15);
+          ("pool.task.crash", 16); ("pool.task.delay", 16);
+          ("serve.read", 20); ("journal.append", 23);
+          ("journal.append.short", 23); ("pool.task.delay", 24);
+          ("serve.accept", 26); ("journal.append.short", 31);
+          ("serve.read", 31); ("journal.append", 32); ("journal.fsync", 32);
+          ("serve.accept", 33); ("serve.lane.crash", 34);
+          ("journal.append", 36); ("serve.read.delay", 36);
+          ("serve.lane.crash", 37); ("journal.fsync", 40); ("serve.write", 40);
+        ]
+        (List.rev !fired);
+      check int_t "fired counters agree" 24 (Faultpoint.total_fired ()))
+
 (* ---------------- pool: injected domain death ---------------- *)
 
 let test_killed_fails_only_that_task () =
@@ -409,6 +475,10 @@ let () =
           Alcotest.test_case "spec grammar rejects" `Quick test_parse_errors;
           Alcotest.test_case "arm, probe, disable" `Quick
             test_arm_probe_disable;
+          Alcotest.test_case "decisions ignore other points" `Quick
+            test_decisions_ignore_other_points;
+          Alcotest.test_case "fired set pinned per seed" `Quick
+            test_fired_set_pinned;
         ] );
       ( "pool-recovery",
         [

@@ -177,21 +177,22 @@ let test_canonical_key () =
   check bool_t "different rows, different key" true (key i1 <> key i3);
   check bool_t "objective separates keys" true
     (key i1 <> Signature.canonical_key ~objective:Objective.Find_any i1);
-  (* sub-quantum jitter collapses to the same key *)
-  let j1 =
-    Instance.of_string "1 2 1\n0.5 0.5\n"
-  and j2 =
-    Instance.of_string "1 2 1\n0.5000000001 0.4999999999\n"
-  in
-  check string_t "coarse quantum collapses jitter"
-    (Signature.canonical_key ~quantum:1e-6 ~objective:Objective.Find_all j1)
-    (Signature.canonical_key ~quantum:1e-6 ~objective:Objective.Find_all j2);
-  check bool_t "fine quantum distinguishes jitter" true
-    (Signature.canonical_key ~quantum:1e-12 ~objective:Objective.Find_all j1
-    <> Signature.canonical_key ~quantum:1e-12 ~objective:Objective.Find_all j2);
-  (match Signature.canonical_key ~quantum:0.0 ~objective:Objective.Find_all i1 with
-   | _ -> Alcotest.fail "quantum 0 accepted"
-   | exception Invalid_argument _ -> ())
+  (* the grid is 1e-9: jitter below it collapses, jitter above it
+     does not *)
+  let near =
+    Instance.of_string "1 2 1\n0.500000000001 0.499999999999\n"
+  and far = Instance.of_string "1 2 1\n0.500001 0.499999\n"
+  and base = Instance.of_string "1 2 1\n0.5 0.5\n" in
+  check string_t "1e-12 jitter collapses" (key base) (key near);
+  check bool_t "1e-6 jitter does not" true (key base <> key far);
+  (* Journals persist keys: the digest of one instance and objective
+     is pinned, so a change to the key material shows here. *)
+  check string_t "golden key"
+    "f262e9888eefdbff0926cff7cc6a08f0"
+    (Signature.canonical_key ~objective:(Objective.Find_at_least 2)
+       (Instance.of_string
+          "3 5 2\n0.1 0.2 0.3 0.2 0.2\n0.5 0.1 0.1 0.1 0.2\n\
+           0.2 0.2 0.2 0.2 0.2\n"))
 
 (* ---------------- ladder ---------------- *)
 

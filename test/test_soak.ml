@@ -319,14 +319,15 @@ let run_serve_burst ~chaos () =
 
 let test_soak_serve () = run_serve_burst ~chaos:false ()
 
-(* The ISSUE-7 chaos gate: every catalogued faultpoint armed at once
-   (CHAOS_SEED selects the draw sequence; CI runs a small seed matrix),
+(* The chaos gate: every catalogued faultpoint armed at once
+   (CHAOS_SEED keys every point's decisions; CI runs a small seed matrix),
    double the burst of the clean leg, result cache journalled with
    fsync so the journal points probe. Invariants are the clean leg's —
    exactly one terminal response per request, drain within grace, zero
    leaked domains — plus: the seam actually fired, and disabling it
-   restores the clean path. A failing leg prints its seed and fault
-   spec to stderr, so a CI log is enough to replay it. *)
+   restores the clean path. The leg prints its seed and per-point
+   fired counts to stderr, and a failing leg its fault spec, so a CI
+   log is enough to replay it. *)
 let test_soak_serve_chaos () =
   let seed =
     match Option.bind (Sys.getenv_opt "CHAOS_SEED") int_of_string_opt with
@@ -338,6 +339,11 @@ let test_soak_serve_chaos () =
   (match
      Fun.protect ~finally:Faultpoint.disable (fun () ->
          run_serve_burst ~chaos:true ();
+         Printf.eprintf "chaos leg: CHAOS_SEED=%d fired %s\n%!" seed
+           (String.concat " "
+              (List.map
+                 (fun (p, n) -> Printf.sprintf "%s=%d" p n)
+                 (Faultpoint.fired_all ())));
          check bool_t "chaos seam fired at least once" true
            (Faultpoint.total_fired () > 0))
    with
