@@ -2133,8 +2133,10 @@ let e28 () =
     run_leg ~label:"baseline" ~chaos:None
   in
   (* Lane deaths dominate the spec; journal/cache faults ride along.
-     Probabilities sized so expected crashes stay well inside the
-     serve layer's spare-lane budget. *)
+     The daemon survives any number of lane deaths (each re-queues its
+     untouched job on a respawned domain), so the probabilities only
+     keep respawn cost a small share of a nominal-load leg: the p99
+     gate measures degradation under faults, not a respawn storm. *)
   let spec =
     "serve.lane.crash=0.03,journal.fsync=0.1,journal.append.short=0.05,\
      cache.store=0.05,pool.task.delay=0.02@5"
@@ -2145,8 +2147,8 @@ let e28 () =
   in
   print_newline ();
   (* Gates. Terminal responses and a clean drain on both legs; lane
-     crashes on spawned domains were healed by respawns (a crash on the
-     caller-helps lane recovers in place and needs none); accepted p99
+     crashes on spawned domains were healed by respawns (every daemon
+     lane is a spawned domain); accepted p99
      under fault within max(5x, +200 ms) of the leg-local fault-free
      baseline (the floor absorbs sub-millisecond baselines where a
      multiple is noise). *)

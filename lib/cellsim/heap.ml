@@ -4,7 +4,6 @@ type 'a t = { mutable data : 'a entry array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 let length t = t.size
-let is_empty t = t.size = 0
 
 let swap t i j =
   let tmp = t.data.(i) in

@@ -5,7 +5,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** [push t ~priority payload] inserts in O(log n). *)
 val push : 'a t -> priority:float -> 'a -> unit

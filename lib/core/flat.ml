@@ -527,8 +527,6 @@ let run_hill_climb ?(cancel = Cancel.never) a =
 (* Result accessors and allocating conveniences. *)
 
 let ep a = FA.get a.out 0
-let rounds a = a.nsizes
-let iterations a = a.iters
 let current_order a = Array.copy a.order
 
 let dp_result a =

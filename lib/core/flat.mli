@@ -71,12 +71,6 @@ val run_hill_climb : ?cancel:Cancel.t -> t -> unit
 (** Expected paging of the last [run_*]. *)
 val ep : t -> float
 
-(** Number of groups of the last [run_*]. *)
-val rounds : t -> int
-
-(** Move evaluations of the last hill climb. *)
-val iterations : t -> int
-
 (** Copy of the currently prepared cell order. *)
 val current_order : t -> int array
 

@@ -171,17 +171,31 @@ let to_string t =
     t.p;
   Buffer.contents buf
 
-let of_string s =
-  let tokens =
-    String.split_on_char '\n' s
-    |> List.filter (fun line ->
-           let line = String.trim line in
-           line <> "" && line.[0] <> '#')
-    |> List.concat_map (fun line ->
-           String.split_on_char ' ' line
-           |> List.filter (fun tok -> String.trim tok <> ""))
+(* Any run of ASCII whitespace separates two tokens, so CRLF and
+   tab-separated files read like the [to_string] form; a line whose first
+   non-blank character is '#' is a comment. *)
+let tokens s =
+  let n = String.length s in
+  let blank i =
+    match s.[i] with ' ' | '\t' | '\n' | '\r' | '\011' | '\012' -> true | _ -> false
   in
-  match tokens with
+  let rec go i line_start acc =
+    if i >= n then List.rev acc
+    else if blank i then go (i + 1) (line_start || s.[i] = '\n') acc
+    else if line_start && s.[i] = '#' then
+      go (Option.value (String.index_from_opt s i '\n') ~default:n) true acc
+    else begin
+      let j = ref i in
+      while !j < n && not (blank !j) do
+        incr j
+      done;
+      go !j false (String.sub s i (!j - i) :: acc)
+    end
+  in
+  go 0 true []
+
+let of_string s =
+  match tokens s with
   | m :: c :: d :: rest ->
     let parse_int name s =
       match int_of_string_opt s with

@@ -79,7 +79,10 @@ val all_uniform : m:int -> c:int -> d:int -> t
 
 val to_string : t -> string
 
-(** @raise Invalid_argument on malformed input. *)
+(** Reads the {!to_string} form. Tokens may be separated by any run of
+    ASCII whitespace (CRLF and tab-separated files read the same), and a
+    line whose first non-blank character is ['#'] is a comment.
+    @raise Invalid_argument on malformed input, naming what is wrong. *)
 val of_string : string -> t
 
 (** Exact-arithmetic instances, used to verify the paper's rational

@@ -7,8 +7,10 @@
    The caller of [map] is itself one of the pool's compute lanes: it
    drains the queue alongside the workers before blocking, so a pool of
    [domains] applies exactly [domains] domains and [domains = 1] spawns
-   nothing at all — that degenerate case is the repository's historical
-   sequential path, bit for bit.
+   nothing at all — that degenerate case runs the elements in order on
+   the caller. A pool created with [~caller:false] spawns all [domains]
+   lanes instead and is fed by [submit]: the serve daemon's solve lanes,
+   kept off the domain that runs its connection threads.
 
    Self-healing (DESIGN §11): a queued task is a {run; fail} pair, so a
    crash that escapes the task harness — an injected domain death, a
@@ -159,7 +161,7 @@ and respawn t =
       worker_loop t
   end
 
-let create ~domains () =
+let create ?(caller = true) ~domains () =
   if domains < 1 || domains > max_domains then
     invalid_arg
       (Printf.sprintf "Pool.create: domains must be in [1, %d], got %d"
@@ -184,7 +186,7 @@ let create ~domains () =
      otherwise [active_domains] would stay elevated forever and the
      leak tests downstream would blame an innocent caller. *)
   (try
-     for _ = 2 to domains do
+     for _ = (if caller then 2 else 1) to domains do
        let d = Domain.spawn (fun () -> worker_loop t) in
        Atomic.incr active;
        t.workers <- d :: t.workers
@@ -217,6 +219,17 @@ let in_task t body =
       | _ :: rest -> stack := rest
       | [] -> ())
     body
+
+let submit t task =
+  Mutex.lock t.mutex;
+  if t.joined || t.workers = [] then begin
+    Mutex.unlock t.mutex;
+    invalid_arg "Pool.submit: pool joined or without worker domains"
+  end;
+  Queue.add task t.queue;
+  Condition.signal t.nonempty;
+  Mutex.unlock t.mutex;
+  if Obs.on () then Obs.gauge_add "pool_queue_depth" 1
 
 (* Core scheduler: every element becomes a {run; fail} task whose
    result lands in its input-index slot as a [result]; the caller helps
@@ -299,44 +312,10 @@ let run_all t f input =
       input
   else run_all_parallel t f input
 
+(* The lowest-indexed failure is re-raised, so the raised exception is
+   as deterministic as the results. *)
 let map t f input =
-  if t.joined then invalid_arg "Pool.map: pool already joined";
-  if List.mem t.id !(Domain.DLS.get executing) then
-    invalid_arg "Pool.map: nested map on the same pool from one of its tasks";
-  let n = Array.length input in
-  if n = 0 then [||]
-  else if t.size = 1 then begin
-    (* The historical sequential path, bit for bit, with one addition
-       invisible to clean runs: a [Killed] crash (only ever raised by
-       chaos seams) fails that element but lets the rest run, so a
-       single-domain chaos soak degrades instead of aborting. Any other
-       exception propagates immediately, exactly as before. *)
-    let killed = ref None in
-    let out =
-      Array.map
-        (fun x ->
-          match f x with
-          | v -> Some v
-          | exception Killed e ->
-            if !killed = None then killed := Some e;
-            None)
-        input
-    in
-    match !killed with
-    | Some e -> raise e
-    | None -> Array.map Option.get out
-  end
-  else begin
-    let results = run_all_parallel t f input in
-    (* Surface the lowest-indexed failure so the raised exception is as
-       deterministic as the results. *)
-    Array.iter
-      (function Error e -> raise e | Ok _ -> ())
-      results;
-    Array.map
-      (function Ok v -> v | Error _ -> assert false)
-      results
-  end
+  Array.map (function Ok v -> v | Error e -> raise e) (run_all t f input)
 
 let map_list t f xs =
   Array.to_list (map t f (Array.of_list xs))

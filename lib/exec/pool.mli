@@ -16,10 +16,9 @@
     - {!map} writes each result into the slot of its input index, so
       output order equals input order no matter which domain finished
       first or in what order;
-    - a pool of size 1 spawns {e no} domains and runs the plain
-      sequential [Array.map] — bit-identical to the code path that
-      existed before this module, which is what the differential test
-      suite pins;
+    - a pool of size 1 spawns {e no} domains and runs the elements in
+      input order on the caller — the sequential path the differential
+      test suite pins the parallel ones against;
     - tasks receive no shared mutable state from the pool; anything the
       caller shares across tasks must be its own synchronized state
       (the {!Confcall.Cancel} hookup below uses [Atomic]).
@@ -57,9 +56,10 @@ exception Killed of exn
 (** [create ~domains ()] builds a pool that applies [domains] domains of
     compute: [domains - 1] spawned workers plus the caller inside
     {!map}. [domains = 1] spawns nothing and makes {!map} purely
-    sequential.
+    sequential. [~caller:false] spawns all [domains] lanes as workers,
+    for a pool fed by {!submit} from a domain that must stay free.
     @raise Invalid_argument when [domains < 1] or [domains > 256]. *)
-val create : domains:int -> unit -> t
+val create : ?caller:bool -> domains:int -> unit -> t
 
 (** Parallelism degree the pool was created with (including the
     caller). *)
@@ -70,7 +70,8 @@ val size : t -> int
     domain; if any task raises, the remaining tasks still run to
     completion (or unwind via their own cancellation), and then the
     exception of the {e lowest-indexed} failing task is re-raised — so
-    the surfaced error is also independent of scheduling.
+    the surfaced error is also independent of scheduling, and of the
+    pool's size: [map] is {!run_all} plus that re-raise.
     @raise Invalid_argument when called on a joined pool, or from
     inside a task of the same pool. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
@@ -83,6 +84,20 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     @raise Invalid_argument when called on a joined pool, or from
     inside a task of the same pool. *)
 val run_all : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
+
+(** A queued unit of work. [run] does the work; when it raises instead
+    ({!Killed} or anything else), [fail] is called once with the
+    exception, on the same domain, and a worker domain is respawned.
+    [fail] also runs when a crash seam fires before [run] starts. *)
+type task = { run : unit -> unit; fail : exn -> unit }
+
+(** [submit pool task] queues [task] for the pool's spawned workers and
+    returns at once. Callable from any thread, and from a task's
+    [fail] (to re-queue work that never started).
+    @raise Invalid_argument when the pool is joined (its workers may
+    already have exited) or has no worker domains (size 1, created
+    with the caller as its only lane). *)
+val submit : t -> task -> unit
 
 (** [map_list pool f xs] is {!map} over a list, preserving order. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list

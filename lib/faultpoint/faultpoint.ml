@@ -15,8 +15,8 @@ let catalogue =
       "task start delayed by param ms (straggler; a budgeted stage's own \
        token still bounds it)" );
     ( "serve.lane.crash",
-      "a serve worker lane dies between jobs (domain death; a spare \
-       lane takes over)" );
+      "a serve worker lane dies as a job starts (domain death; the pool \
+       respawns the lane and the untouched job is re-queued)" );
     ( "journal.append",
       "journal append fails before any byte is written" );
     ( "journal.append.short",

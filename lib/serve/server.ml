@@ -122,14 +122,13 @@ module Transport = Client.Transport
 
 type state = {
   cfg : config;
-  qmutex : Mutex.t;
-  qnonempty : Condition.t;
-  queue : job Queue.t;
+  pool : Exec.Pool.t;  (** the solve lanes; admitted jobs queue here *)
+  queued : int Atomic.t;  (** admitted jobs not yet started *)
   stopping : bool Atomic.t;  (** drain begun: reject new submissions *)
   drain_flag : bool Atomic.t;  (** signal-handler-safe drain request *)
   waker : Transport.waker;  (** wakes the accept loop's select *)
-  mutable waker_open : bool;  (** under [qmutex] *)
-  workers_done : bool Atomic.t;
+  wake_mutex : Mutex.t;
+  mutable waker_open : bool;  (** under [wake_mutex] *)
   cache_closed : bool Atomic.t;
   connections : int Atomic.t;
   inflight : int Atomic.t;
@@ -164,7 +163,6 @@ let breaker_threshold capacity = max 8 capacity
 type handle = {
   st : state;
   accept_thread : Thread.t;
-  workers : unit Domain.t;
   bound : Unix.sockaddr;
 }
 
@@ -304,16 +302,14 @@ let reject_waiters st ~request_id ?retry_after_ms ~reason () =
 
 (* ---------------- drain ---------------- *)
 
-(* Wakes the workers parked on an empty queue and the accept loop
-   parked in select. The wake-up byte is written under [qmutex], which
-   [wait] holds to close the pipe, so it never lands on a closed (and
-   perhaps reused) descriptor. *)
+(* Wakes the accept loop parked in select. The wake-up byte is written
+   under [wake_mutex], which [wait] holds to close the pipe, so it never
+   lands on a closed (and perhaps reused) descriptor. *)
 let initiate_drain st =
   if not (Atomic.exchange st.stopping true) then begin
-    Mutex.lock st.qmutex;
-    Condition.broadcast st.qnonempty;
+    Mutex.lock st.wake_mutex;
     if st.waker_open then Transport.wake st.waker;
-    Mutex.unlock st.qmutex
+    Mutex.unlock st.wake_mutex
   end
 
 (* ---------------- admission control ---------------- *)
@@ -355,52 +351,6 @@ let breaker_open_ms st =
   let rem = Atomic.get st.breaker_until -. Obs.now () in
   if rem > 0.0 then Some (int_of_float (Float.ceil (rem *. 1000.0)))
   else None
-
-let admit st conn ~id ~request_id work =
-  match breaker_open_ms st with
-  | Some retry_after_ms ->
-    (* Open breaker: reject without taking any lock. *)
-    Atomic.incr st.shed;
-    if Obs.on () then begin
-      Obs.count "serve_shed_total";
-      Obs.count "serve_breaker_rejects"
-    end;
-    respond st conn ~status:"rejected"
-      (Wire.Proto.rejected_frame ~id ~retry_after_ms ~reason:"overload" ());
-    reject_waiters st ~request_id ~retry_after_ms ~reason:"overload" ()
-  | None ->
-  Mutex.lock st.qmutex;
-  if Atomic.get st.stopping then begin
-    Mutex.unlock st.qmutex;
-    respond st conn ~status:"rejected"
-      (Wire.Proto.rejected_frame ~id ~reason:"draining" ());
-    reject_waiters st ~request_id ~reason:"draining" ()
-  end
-  else begin
-    let depth = Queue.length st.queue in
-    if depth >= st.cfg.capacity then begin
-      Mutex.unlock st.qmutex;
-      note_shed st;
-      let retry_after_ms = retry_after_hint st ~depth in
-      respond st conn ~status:"rejected"
-        (Wire.Proto.rejected_frame ~id ~retry_after_ms ~reason:"overload" ());
-      reject_waiters st ~request_id ~retry_after_ms ~reason:"overload" ()
-    end
-    else begin
-      let ladder = ladder_of_depth ~capacity:st.cfg.capacity depth in
-      Atomic.incr conn.pending;
-      Atomic.incr st.inflight;
-      Queue.add
-        { conn; id; request_id; work; admitted_s = Obs.now (); ladder }
-        st.queue;
-      Condition.signal st.qnonempty;
-      if Obs.on () then begin
-        Obs.gauge_set "serve_queue_depth" (depth + 1);
-        Obs.count ("serve_ladder_" ^ ladder_to_string ladder)
-      end;
-      Mutex.unlock st.qmutex
-    end
-  end
 
 (* ---------------- solve execution (worker side) ---------------- *)
 
@@ -608,29 +558,76 @@ let execute st job =
         terminal_error st job.conn ~id:job.id ~request_id:job.request_id
           ("internal: " ^ Printexc.to_string e))
 
-(* Runs as an [Exec.Pool] task: one lane per domain (plus queued
-   spares, below). Exits only when draining AND the queue is empty —
-   every admitted request is answered before the pool unwinds.
+(* An admitted job as a pool task. The [serve.lane.crash] seam fires
+   first, before the job is taken, and kills the lane's domain: the pool
+   respawns it, and [fail] puts the untouched job back on the queue, so
+   a lane death costs no request however many lanes die. A job that
+   started is never re-queued: [execute] answers it exactly once. *)
+let rec job_task st job =
+  let started = ref false in
+  {
+    Exec.Pool.run =
+      (fun () ->
+        (try Faultpoint.hit "serve.lane.crash"
+         with Faultpoint.Injected _ as e -> raise (Exec.Pool.Killed e));
+        started := true;
+        let depth = Atomic.fetch_and_add st.queued (-1) - 1 in
+        if Obs.on () then Obs.gauge_set "serve_queue_depth" depth;
+        execute st job);
+    fail = (fun _ -> if not !started then submit st job);
+  }
 
-   The [serve.lane.crash] seam fires {e between} jobs, before one is
-   taken: a lane death never swallows an admitted request's response —
-   it costs a domain, which the pool respawns, and the replacement
-   picks up a spare lane task. *)
-let rec worker_loop st =
-  (try Faultpoint.hit "serve.lane.crash"
-   with Faultpoint.Injected _ as e -> raise (Exec.Pool.Killed e));
-  Mutex.lock st.qmutex;
-  while Queue.is_empty st.queue && not (Atomic.get st.stopping) do
-    Condition.wait st.qnonempty st.qmutex
-  done;
-  match Queue.take_opt st.queue with
-  | None ->
-    Mutex.unlock st.qmutex (* draining and drained: this lane is done *)
-  | Some job ->
-    if Obs.on () then Obs.gauge_set "serve_queue_depth" (Queue.length st.queue);
-    Mutex.unlock st.qmutex;
-    execute st job;
-    worker_loop st
+(* A joined pool refuses the job: the drain got there first. The job
+   never ran, so it is answered like any submission during a drain. *)
+and submit st job =
+  match Exec.Pool.submit st.pool (job_task st job) with
+  | () -> ()
+  | exception Invalid_argument _ ->
+    Atomic.decr st.queued;
+    Atomic.decr job.conn.pending;
+    Atomic.decr st.inflight;
+    respond st job.conn ~status:"rejected"
+      (Wire.Proto.rejected_frame ~id:job.id ~reason:"draining" ());
+    reject_waiters st ~request_id:job.request_id ~reason:"draining" ()
+
+(* Take one queue slot if fewer than [capacity] are taken; the depth
+   before the take, or [Error depth] at a full queue. *)
+let rec reserve st =
+  let depth = Atomic.get st.queued in
+  if depth >= st.cfg.capacity then Error depth
+  else if Atomic.compare_and_set st.queued depth (depth + 1) then Ok depth
+  else reserve st
+
+let admit st conn ~id ~request_id work =
+  let reject ?retry_after_ms reason =
+    respond st conn ~status:"rejected"
+      (Wire.Proto.rejected_frame ~id ?retry_after_ms ~reason ());
+    reject_waiters st ~request_id ?retry_after_ms ~reason ()
+  in
+  match breaker_open_ms st with
+  | Some retry_after_ms ->
+    (* Open breaker: reject without touching the queue. *)
+    Atomic.incr st.shed;
+    if Obs.on () then begin
+      Obs.count "serve_shed_total";
+      Obs.count "serve_breaker_rejects"
+    end;
+    reject ~retry_after_ms "overload"
+  | None when Atomic.get st.stopping -> reject "draining"
+  | None -> (
+    match reserve st with
+    | Error depth ->
+      note_shed st;
+      reject ~retry_after_ms:(retry_after_hint st ~depth) "overload"
+    | Ok depth ->
+      let ladder = ladder_of_depth ~capacity:st.cfg.capacity depth in
+      Atomic.incr conn.pending;
+      Atomic.incr st.inflight;
+      if Obs.on () then begin
+        Obs.gauge_set "serve_queue_depth" (depth + 1);
+        Obs.count ("serve_ladder_" ^ ladder_to_string ladder)
+      end;
+      submit st { conn; id; request_id; work; admitted_s = Obs.now (); ladder })
 
 (* ---------------- request handling (connection side) ---------------- *)
 
@@ -709,14 +706,11 @@ let handle_solve st conn ~id (sr : Wire.Proto.solve_req) =
       respond st conn ~status (dedup_line ~id ~status payload))
 
 let health_response st ~id =
-  Mutex.lock st.qmutex;
-  let depth = Queue.length st.queue in
-  Mutex.unlock st.qmutex;
   let ds = Dedup.stats st.dedup in
   Wire.Proto.frame ~id ~status:"ok"
     [
       ("draining", J.Bool (Atomic.get st.stopping));
-      ("queue_depth", J.int depth);
+      ("queue_depth", J.int (Atomic.get st.queued));
       ("capacity", J.int st.cfg.capacity);
       ("domains", J.int st.cfg.domains);
       ("inflight", J.int (Atomic.get st.inflight));
@@ -837,6 +831,12 @@ let bind_listen cfg =
       Unix.bind fd addr;
       Unix.listen fd 128)
 
+let close_listen cfg lfd =
+  (try Unix.close lfd with Unix.Unix_error _ -> ());
+  match cfg.listen with
+  | Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
+
 (* Give an accepted socket its connection thread, or, at the
    connection cap, answer "too many connections" under a 1 s write
    deadline (an accept-time abuser cannot stall the accept loop) and
@@ -905,15 +905,15 @@ let accept_loop st lfd =
     | exception Unix.Unix_error _ -> ()
   in
   sweep ();
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
-  match st.cfg.listen with
-  | Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
-  | Tcp _ -> ()
+  close_listen st.cfg lfd
 
 (* ---------------- lifecycle ---------------- *)
 
 let validate cfg =
-  if cfg.domains < 1 then invalid_arg "serve: domains must be >= 1";
+  if cfg.domains < 1 || cfg.domains > Exec.Pool.max_domains then
+    invalid_arg
+      (Printf.sprintf "serve: domains must be in [1, %d], got %d"
+         Exec.Pool.max_domains cfg.domains);
   if cfg.capacity < 1 then invalid_arg "serve: capacity must be >= 1";
   if cfg.max_connections < 1 then
     invalid_arg "serve: max_connections must be >= 1";
@@ -939,17 +939,27 @@ let start cfg =
   in
   let lfd = bind_listen cfg in
   let bound = Unix.getsockname lfd in
+  (* The solve lanes are the pool's spawned workers, none on this
+     domain: domain 0 hosts every connection thread, and a CPU-bound
+     solve there would hold the runtime lock for whole preemption quanta
+     (~50 ms) and stall even trivial admission rejections behind it. *)
+  let pool =
+    try Exec.Pool.create ~caller:false ~domains:cfg.domains ()
+    with e ->
+      close_listen cfg lfd;
+      Cache.close cache;
+      raise e
+  in
   let st =
     {
       cfg;
-      qmutex = Mutex.create ();
-      qnonempty = Condition.create ();
-      queue = Queue.create ();
+      pool;
+      queued = Atomic.make 0;
       stopping = Atomic.make false;
       drain_flag = Atomic.make false;
       waker = Transport.waker ();
+      wake_mutex = Mutex.create ();
       waker_open = true;
-      workers_done = Atomic.make false;
       cache_closed = Atomic.make false;
       connections = Atomic.make 0;
       inflight = Atomic.make 0;
@@ -965,37 +975,6 @@ let start cfg =
       rlmutex = Mutex.create ();
     }
   in
-  (* The worker lanes live on an [Exec.Pool]: [map] runs one blocking
-     [worker_loop] per domain (the caller-helps scheduler makes the
-     mapping context the last lane), and [with_pool] joins the domains
-     on the way out — after it returns, [Pool.active_domains] is back
-     to baseline. The pool is launched from its own domain, not from
-     this one: the caller-helps lane computes in whatever domain calls
-     [map], and domain 0 hosts every connection thread — a CPU-bound
-     solve there would hold the runtime lock for whole preemption
-     quanta (~50 ms) and stall even trivial admission rejections
-     behind it. The launcher flags [workers_done] as its last act;
-     [wait] joins it once the flag is up. *)
-  let workers =
-    Domain.spawn (fun () ->
-        (try
-           Exec.Pool.with_pool ~domains:cfg.domains (fun pool ->
-               (* More lane tasks than domains: the surplus sits in the
-                  pool queue as {e spares}. A lane that crashes (chaos
-                  seam, solver domain death) fails only its task; the
-                  respawned domain dequeues a spare and service is
-                  restored at full width. At drain, unused spares run
-                  once into the stopping-and-empty exit, so the map
-                  always completes. [run_all], not [map]: crashed lanes
-                  are expected under chaos and must not raise. *)
-               let lanes = cfg.domains + max 16 (4 * cfg.domains) in
-               ignore
-                 (Exec.Pool.run_all pool
-                    (fun _ -> worker_loop st)
-                    (Array.init lanes Fun.id)))
-         with _ -> ());
-        Atomic.set st.workers_done true)
-  in
   let accept_thread = Thread.create (accept_loop st) lfd in
   if not cfg.quiet then
     Printf.eprintf "confcall serve: listening on %s (domains=%d capacity=%d)\n%!"
@@ -1003,7 +982,7 @@ let start cfg =
        | Unix.ADDR_INET (_, port) -> Printf.sprintf "127.0.0.1:%d" port
        | Unix.ADDR_UNIX p -> p)
       cfg.domains cfg.capacity;
-  { st; accept_thread; workers; bound }
+  { st; accept_thread; bound }
 
 let bound_port h =
   match h.bound with
@@ -1014,21 +993,22 @@ let request_drain h =
   Atomic.set h.st.drain_flag true;
   initiate_drain h.st
 
-(* Block until the daemon has drained and the worker pool is joined;
-   [false] when the config's drain grace elapsed with work still in
-   flight (workers are then left to finish on their own and the cache
-   journal is not closed). *)
+(* Block until every admitted job is answered, then join the worker
+   pool; [false] when the config's drain grace elapsed first (workers
+   are then left to finish on their own and the cache journal is not
+   closed). A submission racing the join is refused by the pool and
+   answered as a draining reject. *)
 let wait h =
   Thread.join h.accept_thread;
-  Mutex.lock h.st.qmutex;
+  Mutex.lock h.st.wake_mutex;
   if h.st.waker_open then begin
     h.st.waker_open <- false;
     Transport.close_waker h.st.waker
   end;
-  Mutex.unlock h.st.qmutex;
+  Mutex.unlock h.st.wake_mutex;
   let deadline = Obs.now () +. (h.st.cfg.drain_grace_ms /. 1000.0) in
   let rec poll () =
-    if Atomic.get h.st.workers_done then true
+    if Atomic.get h.st.inflight = 0 then true
     else if Obs.now () >= deadline then false
     else begin
       Thread.delay 0.005;
@@ -1037,7 +1017,7 @@ let wait h =
   in
   let clean = poll () in
   if clean then begin
-    Domain.join h.workers;
+    Exec.Pool.join h.st.pool;
     if not (Atomic.exchange h.st.cache_closed true) then begin
       Cache.close h.st.cache;
       Option.iter Journal.close h.st.reqlog

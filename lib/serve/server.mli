@@ -5,7 +5,8 @@
     [Thread], [Domain] via {!Exec.Pool}). Connection threads do the
     I/O and the cheap work (parsing, cache lookups, admission);
     solve/simulate execution runs on a fixed {!Exec.Pool} of worker
-    domains fed by one {e bounded} queue. Robustness is the design
+    domains, and admission puts each job straight on that pool's queue,
+    bounded at [capacity] jobs not yet started. Robustness is the design
     center:
 
     - {b Admission control + backpressure}: the queue holds at most
@@ -21,9 +22,10 @@
       dedicated writer systhread draining a bounded output buffer
       under a per-chunk write deadline, so a stalled or slow-reading
       client is disconnected instead of pinning a worker or growing
-      memory; worker lanes are [Exec.Pool] tasks with queued spares,
-      so an injected or real lane death ([serve.lane.crash]) costs a
-      respawned domain, never an admitted request's response.
+      memory; each admitted job is an [Exec.Pool] task, so an injected
+      or real lane death ([serve.lane.crash], fired before the job
+      starts) costs a respawned domain and re-queues the job, never an
+      admitted request's response.
     - {b Graceful degradation}: between 50% and 75% queue occupancy the
       fallback chain of an admitted request is filtered to its anytime
       + always-fast stages ([heuristic] rung); above 75% to the
@@ -58,7 +60,7 @@ type listen = Client.endpoint =
 
 type config = {
   listen : listen;
-  domains : int;  (** worker parallelism, >= 1 (see {!Exec.Pool}) *)
+  domains : int;  (** solve lanes in [1, 256], none on domain 0 *)
   capacity : int;  (** bounded request queue, >= 1 *)
   max_connections : int;
   cache_path : string option;  (** journal the result cache here *)
@@ -119,7 +121,10 @@ type handle
     with [EPIPE], not kill the process); no other signal handlers are
     installed — that is {!run}'s job.
     @raise Invalid_argument on invalid config fields.
-    @raise Unix.Unix_error when the address cannot be bound. *)
+    @raise Unix.Unix_error when the address cannot be bound.
+    @raise Failure when the runtime cannot spawn [domains] more domains
+    (OCaml 5.1 runs at most 128 at once); the domains already spawned
+    are joined and the socket is closed. *)
 val start : config -> handle
 
 (** The actually-bound TCP port ([None] for Unix sockets) — for tests
@@ -132,8 +137,9 @@ val bound_port : handle -> int option
 val request_drain : handle -> unit
 
 (** [stop h] = {!request_drain}, then block until the daemon has
-    drained and the worker pool is joined; returns [false] when the
-    config's drain grace elapsed with work still in flight (workers are
+    drained — every admitted job answered — and the worker pool is
+    joined; returns [false] when the config's drain grace elapsed with
+    work still in flight (workers are
     then left to finish on their own and the cache journal is not
     closed). *)
 val stop : handle -> bool

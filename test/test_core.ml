@@ -125,6 +125,33 @@ let test_instance_of_string_comments () =
   let t = Instance.of_string "# header\n1 2 1\n# row\n0.5 0.5\n" in
   check int_t "c" 2 t.Instance.c
 
+(* Any ASCII whitespace separates tokens: a CRLF file and a
+   tab-separated one read like the space-separated form, comments
+   included, and the error texts are unchanged. *)
+let test_instance_of_string_whitespace () =
+  let reference = Instance.to_string (Instance.of_string "1 2 1\n0.5 0.5\n") in
+  List.iter
+    (fun input ->
+      check Alcotest.string (String.escaped input) reference
+        (Instance.to_string (Instance.of_string input)))
+    [
+      "1 2 1\r\n0.5 0.5\r\n";
+      "1\t2\t1\n0.5\t0.5\n";
+      "# header\r\n\t1 2 1\r\n\t# row\r\n0.5\t 0.5\x0c\n";
+    ];
+  List.iter
+    (fun (input, msg) ->
+      match Instance.of_string input with
+      | _ -> Alcotest.failf "%S accepted" input
+      | exception Invalid_argument m ->
+        check Alcotest.string (String.escaped input) ("Instance.of_string: " ^ msg) m)
+    [
+      ("1\t2\r\n", "missing header");
+      ("1 2 x\r\n0.5 0.5\r\n", "bad d");
+      ("1\t2\t1\t0.5\r\n", "wrong number of probabilities");
+      ("1 2 1\r\n0.5 #0.5\r\n", "bad probability");
+    ]
+
 let prop_generators_valid =
   QCheck.Test.make ~name:"random instances validate" ~count:100
     (QCheck.triple (QCheck.int_range 1 5) (QCheck.int_range 1 20)
@@ -588,6 +615,8 @@ let () =
           Alcotest.test_case "serialization" `Quick
             test_instance_serialization_roundtrip;
           Alcotest.test_case "comments" `Quick test_instance_of_string_comments;
+          Alcotest.test_case "CRLF and tab separators" `Quick
+            test_instance_of_string_whitespace;
           qt prop_generators_valid;
           qt prop_zipf_valid;
         ] );

@@ -37,15 +37,24 @@ let test_size_one_sequential () =
   Exec.Pool.join pool;
   check int_t "still no domains" before (Exec.Pool.active_domains ())
 
+(* One error contract at every size: a raising task does not stop its
+   siblings, and the lowest-indexed error surfaces once all have run. *)
 let test_error_lowest_index () =
-  Exec.Pool.with_pool ~domains:4 (fun pool ->
-      let f i =
-        if i = 3 || i = 7 then failwith (string_of_int i) else i
-      in
-      match Exec.Pool.map pool f (Array.init 10 Fun.id) with
-      | _ -> Alcotest.fail "expected Failure"
-      | exception Failure msg ->
-        check bool_t "lowest-indexed failure surfaces" true (msg = "3"))
+  List.iter
+    (fun domains ->
+      Exec.Pool.with_pool ~domains (fun pool ->
+          let ran = Atomic.make 0 in
+          let f i =
+            Atomic.incr ran;
+            if i = 3 || i = 7 then failwith (string_of_int i) else i
+          in
+          match Exec.Pool.map pool f (Array.init 10 Fun.id) with
+          | _ -> Alcotest.fail "expected Failure"
+          | exception Failure msg ->
+            let what = Printf.sprintf "size %d: " domains in
+            check bool_t (what ^ "lowest-indexed failure") true (msg = "3");
+            check int_t (what ^ "every task ran") 10 (Atomic.get ran)))
+    [ 1; 4 ]
 
 let test_nested_map_rejected () =
   Exec.Pool.with_pool ~domains:2 (fun pool ->

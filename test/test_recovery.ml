@@ -257,6 +257,55 @@ let test_respawn_exact_accounting () =
   check int_t "no leaked domains after join" before
     (Exec.Pool.active_domains ())
 
+(* A submitted task that kills its domain has [fail] run exactly once,
+   on that domain; the pool respawns the lane, keeps serving, and
+   [active_domains] is exact before and after [join]. *)
+let test_submit_killed_fails_once () =
+  let before = Exec.Pool.active_domains () in
+  let pool = Exec.Pool.create ~caller:false ~domains:2 () in
+  check int_t "both lanes spawned" (before + 2) (Exec.Pool.active_domains ());
+  let fails = Atomic.make 0 and ran = Atomic.make 0 in
+  Exec.Pool.submit pool
+    {
+      Exec.Pool.run = (fun () -> raise (Exec.Pool.Killed (Failure "die")));
+      fail = (fun _ -> Atomic.incr fails);
+    };
+  let wait_for what cond =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    check bool_t what true (cond ())
+  in
+  wait_for "the dead lane is respawned" (fun () ->
+      Exec.Pool.respawns pool = 1);
+  for _ = 1 to 8 do
+    Exec.Pool.submit pool
+      { Exec.Pool.run = (fun () -> Atomic.incr ran); fail = ignore }
+  done;
+  wait_for "the healed pool runs later tasks" (fun () -> Atomic.get ran = 8);
+  check int_t "fail ran exactly once" 1 (Atomic.get fails);
+  (* the replacement joins its predecessor, so the count settles *)
+  wait_for "active domains exact after the respawn" (fun () ->
+      Exec.Pool.active_domains () = before + 2);
+  Exec.Pool.join pool;
+  check int_t "active domains exact after join" before
+    (Exec.Pool.active_domains ())
+
+(* A joined pool, or one whose only lane is the caller, refuses work
+   instead of queueing it where no worker will ever run it. *)
+let test_submit_refused () =
+  let task = { Exec.Pool.run = ignore; fail = ignore } in
+  let refused what pool =
+    match Exec.Pool.submit pool task with
+    | () -> Alcotest.failf "%s: submit accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let pool = Exec.Pool.create ~caller:false ~domains:1 () in
+  Exec.Pool.join pool;
+  refused "joined pool" pool;
+  Exec.Pool.with_pool ~domains:1 (refused "caller-only pool")
+
 (* ---------------- journal: corruption and recovery ---------------- *)
 
 let test_journal_mixed_corruption () =
@@ -490,6 +539,10 @@ let () =
             test_killed_sequential_pool;
           Alcotest.test_case "respawn keeps accounting exact" `Quick
             test_respawn_exact_accounting;
+          Alcotest.test_case "killed submit fails once, lane respawned"
+            `Quick test_submit_killed_fails_once;
+          Alcotest.test_case "submit refused when joined or caller-only"
+            `Quick test_submit_refused;
         ] );
       ( "journal-integrity",
         [

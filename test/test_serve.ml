@@ -848,6 +848,106 @@ let test_loadgen_unreachable () =
   | exception Unix.Unix_error (e, _, _) ->
     check bool_t "the first target's error" true (e = Unix.ENOENT)
 
+(* ---------------- solve lanes ---------------- *)
+
+let lane_config domains =
+  { (Sv.default_config (Sv.Tcp 0)) with domains; capacity = 256; quiet = true }
+
+(* Lane deaths cost no request, however many lanes die. With
+   [serve.lane.crash] armed at 0.5 about every other job start kills its
+   lane; the pool respawns the domain and the untouched job goes back
+   on the queue. Every one of 200 solves gets a terminal [ok] within a
+   bounded wait (a daemon that stops serving fails here, not hangs), and
+   afterwards nothing is queued or in flight and the drain is clean. *)
+let test_lane_deaths_cost_no_request domains () =
+  let before = Exec.Pool.active_domains () in
+  let respawns0 = Exec.Pool.total_respawns () in
+  Fun.protect ~finally:Faultpoint.disable @@ fun () ->
+  Faultpoint.configure_exn ~seed:42 "serve.lane.crash=0.5";
+  let h = Sv.start (lane_config domains) in
+  let port = Option.get (Sv.bound_port h) in
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+      let rng = Prob.Rng.create ~seed:31 in
+      let inst = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:2 in
+      let n = 200 in
+      for i = 1 to n do
+        send c (solve_frame ~id:(Printf.sprintf "s%d" i) ~solver:"greedy" inst)
+      done;
+      let responses = by_id (recv_n ~timeout:20.0 c n) in
+      List.iter
+        (fun (id, (j, _)) ->
+          check string_t (id ^ " ok") "ok" (jstr_field "status" j))
+        responses;
+      check int_t "one answer per solve" n
+        (List.length (List.sort_uniq compare (List.map fst responses)));
+      (* the last answer is written just before its job leaves the
+         in-flight count *)
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      let rec settled () =
+        let hj = health_frame port in
+        if jnum_field "inflight" hj = 0.0 || Unix.gettimeofday () > deadline
+        then hj
+        else (Thread.delay 0.01; settled ())
+      in
+      let hj = settled () in
+      check int_t "queue_depth" 0 (int_of_float (jnum_field "queue_depth" hj));
+      check int_t "inflight" 0 (int_of_float (jnum_field "inflight" hj)));
+  let deaths = Faultpoint.fired "serve.lane.crash" in
+  check bool_t "more lanes died than there are lanes" true (deaths > domains);
+  check bool_t "stop drains clean" true (Sv.stop h);
+  check int_t "every dead lane respawned" deaths
+    (Exec.Pool.total_respawns () - respawns0);
+  check int_t "no leaked domains after server stop" before
+    (Exec.Pool.active_domains ())
+
+(* [domains] counts solve lanes, and every lane is a spawned domain, so
+   none computes on domain 0. 256 is accepted as 256 lanes: the runtime
+   may refuse that many domains (OCaml 5.1 runs at most 128 at once),
+   and then [start] fails with the spawn error, having joined what it
+   spawned. 257 is refused before anything is spawned or bound. *)
+let test_domains_are_spawned_lanes () =
+  let before = Exec.Pool.active_domains () in
+  List.iter
+    (fun domains ->
+      let h = Sv.start (lane_config domains) in
+      check int_t
+        (Printf.sprintf "domains %d: %d spawned" domains domains)
+        (before + domains)
+        (Exec.Pool.active_domains ());
+      check bool_t "stop drains clean" true (Sv.stop h);
+      check int_t "joined" before (Exec.Pool.active_domains ()))
+    [ 1; 3 ];
+  (match Sv.start (lane_config 256) with
+   | h ->
+     check int_t "256 lanes" (before + 256) (Exec.Pool.active_domains ());
+     check bool_t "stop drains clean" true (Sv.stop h)
+   | exception Failure _ -> ());
+  check int_t "256: nothing leaked" before (Exec.Pool.active_domains ());
+  match Sv.start (lane_config 257) with
+  | h ->
+    ignore (Sv.stop h);
+    Alcotest.fail "257 lanes accepted"
+  | exception Invalid_argument msg ->
+    check string_t "257 refused" "serve: domains must be in [1, 256], got 257"
+      msg;
+    check int_t "257: nothing spawned" before (Exec.Pool.active_domains ())
+
+(* Once [stop] has returned, the lanes' pool is joined; a solve arriving
+   on a connection that outlived it is a [draining] reject, not a lost
+   request. *)
+let test_submit_after_join_is_draining () =
+  let h = Sv.start (lane_config 1) in
+  let c = connect (Option.get (Sv.bound_port h)) in
+  Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+  check bool_t "stop drains clean" true (Sv.stop h);
+  let rng = Prob.Rng.create ~seed:37 in
+  let inst = Instance.random_uniform_simplex rng ~m:2 ~c:5 ~d:2 in
+  send c (solve_frame ~id:"late" ~solver:"greedy" inst);
+  let j = parse_response (List.hd (recv_n ~timeout:10.0 c 1)) in
+  check string_t "rejected" "rejected" (jstr_field "status" j);
+  check string_t "reason" "draining" (jstr_field "reason" j)
+
 (* ---------------- golden frames ---------------- *)
 
 (* Every response shape the daemon writes, byte for byte: a direct and
@@ -1113,5 +1213,16 @@ let () =
             test_loadgen_counts_sheds;
           Alcotest.test_case "no reachable target raises" `Quick
             test_loadgen_unreachable;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "lane deaths cost no request, domains 1" `Quick
+            (test_lane_deaths_cost_no_request 1);
+          Alcotest.test_case "lane deaths cost no request, domains 2" `Quick
+            (test_lane_deaths_cost_no_request 2);
+          Alcotest.test_case "domains are spawned lanes, 1 to 256" `Quick
+            test_domains_are_spawned_lanes;
+          Alcotest.test_case "submit after join is a draining reject" `Quick
+            test_submit_after_join_is_draining;
         ] );
     ]
