@@ -1944,22 +1944,11 @@ let e27 () =
   (* The prober is a raw frame connection: a probe's RTT is one write
      and one blocking read, bounded at 10 s by [SO_RCVTIMEO], with no
      client thread between the socket and the clock. It is opened, and
-     warmed by untimed health calls, while the lanes are idle; the
-     calls repeat until the circuit breaker the 2x leg may have tripped
-     is closed again, or it would shed the fillers and leave the queue
-     unpinned. *)
+     warmed by an untimed health call, while the lanes are idle. *)
   let prober = Client.connect_endpoint target in
   Unix.setsockopt_float prober Unix.SO_RCVTIMEO 10.0;
   let ask = ask_raw prober in
-  let breaker_open () =
-    match ask [ ("op", J.Str "health") ] with
-    | Some (Ok r) ->
-      J.member "breaker_open" r.Wire.Proto.json = Some (J.Bool true)
-    | _ -> false
-  in
-  while breaker_open () do
-    Thread.delay 0.05
-  done;
+  ignore (ask [ ("op", J.Str "health") ]);
   (* The fillers run [exhaustive], which burns its whole budget on a
      c = 18 instance, so the first [domains] jobs pin the lanes for
      250 ms; the rest sit in the queue (where the ladder will later

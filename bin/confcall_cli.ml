@@ -938,27 +938,7 @@ let evaluate_cmd =
 
 let reporting_conv =
   let parse s =
-    let fail () =
-      Error
-        (`Msg "reporting must be area | movement-<k> | distance-<k> | time-<k>")
-    in
-    match String.lowercase_ascii s with
-    | "area" -> Ok Cellsim.Reporting.Area
-    | other ->
-      (match String.split_on_char '-' other with
-       | [ "movement"; k ] | [ "move"; k ] ->
-         (match int_of_string_opt k with
-          | Some k when k >= 1 -> Ok (Cellsim.Reporting.Movement k)
-          | _ -> fail ())
-       | [ "distance"; k ] | [ "dist"; k ] ->
-         (match int_of_string_opt k with
-          | Some k when k >= 1 -> Ok (Cellsim.Reporting.Distance k)
-          | _ -> fail ())
-       | [ "time"; k ] ->
-         (match int_of_string_opt k with
-          | Some k when k >= 1 -> Ok (Cellsim.Reporting.Time k)
-          | _ -> fail ())
-       | _ -> fail ())
+    Result.map_error (fun e -> `Msg e) (Cellsim.Reporting.of_string s)
   in
   Arg.conv
     ( parse,

@@ -75,3 +75,18 @@ let to_string = function
   | Movement k -> Printf.sprintf "movement-%d" k
   | Distance k -> Printf.sprintf "distance-%d" k
   | Time k -> Printf.sprintf "time-%d" k
+
+let of_string s =
+  let policy =
+    match String.split_on_char '-' (String.lowercase_ascii s) with
+    | [ "area" ] -> Some Area
+    | [ ("movement" | "move"); k ] ->
+      Option.map (fun k -> Movement k) (int_of_string_opt k)
+    | [ ("distance" | "dist"); k ] ->
+      Option.map (fun k -> Distance k) (int_of_string_opt k)
+    | [ "time"; k ] -> Option.map (fun k -> Time k) (int_of_string_opt k)
+    | _ -> None
+  in
+  match policy with
+  | Some p when validate p = Ok () -> Ok p
+  | _ -> Error "reporting must be area | movement-<k> | distance-<k> | time-<k>"

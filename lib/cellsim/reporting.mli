@@ -76,3 +76,8 @@ val rollback : state -> snapshot:state -> moved:bool -> unit
 val validate : policy -> (unit, string) result
 
 val to_string : policy -> string
+
+(** [of_string s] — the inverse of {!to_string}, case-insensitive, also
+    accepting the short forms [move-<k>] and [dist-<k>]; [k] must pass
+    {!validate}. *)
+val of_string : string -> (policy, string) result

@@ -58,7 +58,7 @@ exception Killed of exn
     {!map}. [domains = 1] spawns nothing and makes {!map} purely
     sequential. [~caller:false] spawns all [domains] lanes as workers,
     for a pool fed by {!submit} from a domain that must stay free.
-    @raise Invalid_argument when [domains < 1] or [domains > 256]. *)
+    @raise Invalid_argument when [domains < 1] or [domains > max_domains]. *)
 val create : ?caller:bool -> domains:int -> unit -> t
 
 (** Parallelism degree the pool was created with (including the
@@ -135,7 +135,7 @@ val total_worker_crashes : unit -> int
     its own boundary. *)
 val env_var : string
 
-(** Upper bound {!create} accepts for [domains] (256) — exported so
-    front ends can validate at their own boundary with a matching
-    message. *)
+(** Upper bound {!create} accepts for [domains] (127: the runtime's
+    128 domains less domain 0) — exported so front ends can validate
+    at their own boundary with a matching message. *)
 val max_domains : int

@@ -172,9 +172,14 @@ let arm_from_env () =
   | Some spec when String.trim spec = "" -> ()
   | Some spec ->
     let seed =
-      match Option.bind (Sys.getenv_opt seed_env_var) int_of_string_opt with
-      | Some s -> s
+      match Sys.getenv_opt seed_env_var with
       | None -> 1
+      | Some raw -> (
+        match int_of_string_opt (String.trim raw) with
+        | Some s -> s
+        | None ->
+          invalid_arg
+            (Printf.sprintf "%s must be an integer, got %S" seed_env_var raw))
     in
     configure_exn ~seed spec
 

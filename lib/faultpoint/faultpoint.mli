@@ -73,9 +73,12 @@ val configure_exn : ?seed:int -> string -> unit
 
 val arm_from_env : unit -> unit
 (** Arm from [CONFCALL_CHAOS]/[CONFCALL_CHAOS_SEED] when set; no-op —
-    and no spec validation — when the variable is absent or empty.
-    @raise Invalid_argument on a malformed spec (fail loud at startup,
-    not silently clean). *)
+    and no spec validation — when the variable is absent or empty. The
+    seed defaults to 1 when its variable is unset; surrounding blanks
+    are trimmed.
+    @raise Invalid_argument on a malformed spec or a seed that is not
+    an integer (fail loud at startup, not silently clean or on
+    another seed). *)
 
 val disable : unit -> unit
 (** Back to the clean path: every probe is one atomic load + branch

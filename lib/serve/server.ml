@@ -135,14 +135,6 @@ type state = {
   requests : int Atomic.t;
   shed : int Atomic.t;
   cache : Cache.t;
-  (* Circuit breaker, one rung below the shedding ladder: when even
-     Fast-rung shedding is rejecting at a sustained rate (the queue is
-     pinned at capacity), admission stops touching the queue lock at
-     all for a cooldown window and rejects instantly with a
-     [retry_after_ms] hint — the cheapest possible "come back later". *)
-  breaker_until : float Atomic.t;  (* epoch s; 0 = closed *)
-  breaker_window_start : float Atomic.t;
-  breaker_window_sheds : int Atomic.t;
   exec_ms_ewma : float Atomic.t;  (* retry-after estimator *)
   (* Idempotency: request_id -> execution state. Waiters are
      (connection, frame id) pairs; the memoized payload is the terminal
@@ -151,14 +143,6 @@ type state = {
   reqlog : Journal.t option;
   rlmutex : Mutex.t;  (* Journal.t is not thread-safe *)
 }
-
-let breaker_window_s = 1.0
-let breaker_cooldown_ms = 500.0
-
-(* Sheds per window that trip the breaker: at least one full queue's
-   worth, so a brief burst against a small queue does not slam the
-   door. *)
-let breaker_threshold capacity = max 8 capacity
 
 type handle = {
   st : state;
@@ -324,33 +308,6 @@ let retry_after_hint st ~depth =
   let est = float_of_int (max depth 1) *. per_job
             /. float_of_int st.cfg.domains in
   int_of_float (Float.min 10_000.0 (Float.max 1.0 est))
-
-(* One shed: slide the 1 s window, and trip the breaker when the rate
-   within it crosses the threshold. Racy counts under concurrent sheds
-   only make the trip a request or two late — the breaker is a relief
-   valve, not an invariant. *)
-let note_shed st =
-  Atomic.incr st.shed;
-  if Obs.on () then Obs.count "serve_shed_total";
-  let now = Obs.now () in
-  if now -. Atomic.get st.breaker_window_start > breaker_window_s then begin
-    Atomic.set st.breaker_window_start now;
-    Atomic.set st.breaker_window_sheds 1
-  end
-  else if
-    Atomic.fetch_and_add st.breaker_window_sheds 1 + 1
-    >= breaker_threshold st.cfg.capacity
-    && Atomic.get st.breaker_until < now
-  then begin
-    Atomic.set st.breaker_until (now +. (breaker_cooldown_ms /. 1000.0));
-    Atomic.set st.breaker_window_sheds 0;
-    if Obs.on () then Obs.count "serve_breaker_opens"
-  end
-
-let breaker_open_ms st =
-  let rem = Atomic.get st.breaker_until -. Obs.now () in
-  if rem > 0.0 then Some (int_of_float (Float.ceil (rem *. 1000.0)))
-  else None
 
 (* ---------------- solve execution (worker side) ---------------- *)
 
@@ -604,20 +561,12 @@ let admit st conn ~id ~request_id work =
       (Wire.Proto.rejected_frame ~id ?retry_after_ms ~reason ());
     reject_waiters st ~request_id ?retry_after_ms ~reason ()
   in
-  match breaker_open_ms st with
-  | Some retry_after_ms ->
-    (* Open breaker: reject without touching the queue. *)
-    Atomic.incr st.shed;
-    if Obs.on () then begin
-      Obs.count "serve_shed_total";
-      Obs.count "serve_breaker_rejects"
-    end;
-    reject ~retry_after_ms "overload"
-  | None when Atomic.get st.stopping -> reject "draining"
-  | None -> (
+  if Atomic.get st.stopping then reject "draining"
+  else
     match reserve st with
     | Error depth ->
-      note_shed st;
+      Atomic.incr st.shed;
+      if Obs.on () then Obs.count "serve_shed_total";
       reject ~retry_after_ms:(retry_after_hint st ~depth) "overload"
     | Ok depth ->
       let ladder = ladder_of_depth ~capacity:st.cfg.capacity depth in
@@ -627,7 +576,7 @@ let admit st conn ~id ~request_id work =
         Obs.gauge_set "serve_queue_depth" (depth + 1);
         Obs.count ("serve_ladder_" ^ ladder_to_string ladder)
       end;
-      submit st { conn; id; request_id; work; admitted_s = Obs.now (); ladder })
+      submit st { conn; id; request_id; work; admitted_s = Obs.now (); ladder }
 
 (* ---------------- request handling (connection side) ---------------- *)
 
@@ -719,7 +668,6 @@ let health_response st ~id =
       ("cache_hits", J.int (Cache.hits st.cache));
       ("cache_misses", J.int (Cache.misses st.cache));
       ("cache_evictions", J.int (Cache.evictions st.cache));
-      ("breaker_open", J.Bool (breaker_open_ms st <> None));
       ("pool_respawns", J.int (Exec.Pool.total_respawns ()));
       ("dedup_in_flight", J.int ds.Dedup.in_flight);
       ("dedup_completed", J.int ds.Dedup.completed);
@@ -966,9 +914,6 @@ let start cfg =
       requests = Atomic.make 0;
       shed = Atomic.make 0;
       cache;
-      breaker_until = Atomic.make 0.0;
-      breaker_window_start = Atomic.make 0.0;
-      breaker_window_sheds = Atomic.make 0;
       exec_ms_ewma = Atomic.make 0.0;
       dedup = Dedup.create ~max_completed:cfg.dedup_max;
       reqlog = Option.map (fun p -> Journal.load_or_create p) cfg.request_log;

@@ -14,10 +14,9 @@
       with [rejected:overload] {e immediately} from the connection
       thread, carrying a [retry_after_ms] hint sized to the queue's
       estimated drain time — overload degrades quality, then
-      availability, never latency-to-verdict. Sustained shedding trips
-      a {b circuit breaker}: for a short cooldown, admission rejects
-      without touching the queue lock at all, and the hint is the
-      breaker's remaining cooldown.
+      availability, never latency-to-verdict. Admission takes no lock:
+      a slot is a compare-and-set on the queued-job count, so a freed
+      slot is open to the very next request.
     - {b Client hardening} (DESIGN §11): every connection has a
       dedicated writer systhread draining a bounded output buffer
       under a per-chunk write deadline, so a stalled or slow-reading
@@ -60,7 +59,7 @@ type listen = Client.endpoint =
 
 type config = {
   listen : listen;
-  domains : int;  (** solve lanes in [1, 256], none on domain 0 *)
+  domains : int;  (** solve lanes in [1, 127], none on domain 0 *)
   capacity : int;  (** bounded request queue, >= 1 *)
   max_connections : int;
   cache_path : string option;  (** journal the result cache here *)

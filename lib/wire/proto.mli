@@ -69,8 +69,8 @@ val decode : string -> (frame, string option * string) result
 val error_frame : id:string option -> string -> string
 
 (** [retry_after_ms]: backpressure hint — how long the client should
-    wait before retrying (overload estimate, or the circuit breaker's
-    remaining cooldown). *)
+    wait before retrying: the queue's estimated drain time (depth ×
+    execution-time EWMA / lanes). *)
 val rejected_frame :
   id:string -> ?retry_after_ms:int -> reason:string -> unit -> string
 

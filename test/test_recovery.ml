@@ -164,6 +164,55 @@ let test_fired_set_pinned () =
         (List.rev !fired);
       check int_t "fired counters agree" 24 (Faultpoint.total_fired ()))
 
+(* CONFCALL_CHAOS_SEED is read at the boundary: blanks are trimmed, and
+   a value that is not an integer fails naming the variable instead of
+   replaying seed 1. *)
+let test_env_seed_boundary () =
+  let spec = "journal.fsync=0.3" in
+  (* No unsetenv in the stdlib: an empty spec and seed 1 read as unset. *)
+  let restore var unset =
+    let v = Option.value (Sys.getenv_opt var) ~default:unset in
+    fun () -> Unix.putenv var v
+  in
+  let with_env seed f =
+    let restore_spec = restore "CONFCALL_CHAOS" ""
+    and restore_seed = restore "CONFCALL_CHAOS_SEED" "1" in
+    Unix.putenv "CONFCALL_CHAOS" spec;
+    Unix.putenv "CONFCALL_CHAOS_SEED" seed;
+    Fun.protect
+      ~finally:(fun () ->
+        restore_spec ();
+        restore_seed ();
+        Faultpoint.disable ())
+      f
+  in
+  let decisions_of_seed seed =
+    Fun.protect ~finally:Faultpoint.disable (fun () ->
+        Faultpoint.configure_exn ~seed spec;
+        fire_indices "journal.fsync" 200)
+  in
+  let armed =
+    with_env "7 " (fun () ->
+        Faultpoint.arm_from_env ();
+        fire_indices "journal.fsync" 200)
+  in
+  check bool_t "\"7 \" arms seed 7" true (armed = decisions_of_seed 7);
+  check bool_t "seeds 7 and 1 differ" true
+    (decisions_of_seed 7 <> decisions_of_seed 1);
+  List.iter
+    (fun bad ->
+      with_env bad (fun () ->
+          match Faultpoint.arm_from_env () with
+          | () -> Alcotest.failf "seed %S armed" bad
+          | exception Invalid_argument msg ->
+            check Alcotest.string
+              (Printf.sprintf "seed %S refused" bad)
+              (Printf.sprintf "CONFCALL_CHAOS_SEED must be an integer, got %S"
+                 bad)
+              msg;
+            check bool_t "nothing armed" false (Faultpoint.on ())))
+    [ "x"; ""; "7x"; "1.5" ]
+
 (* ---------------- pool: injected domain death ---------------- *)
 
 let test_killed_fails_only_that_task () =
@@ -528,6 +577,8 @@ let () =
             test_decisions_ignore_other_points;
           Alcotest.test_case "fired set pinned per seed" `Quick
             test_fired_set_pinned;
+          Alcotest.test_case "CONFCALL_CHAOS_SEED checked at the boundary"
+            `Quick test_env_seed_boundary;
         ] );
       ( "pool-recovery",
         [

@@ -132,6 +132,38 @@ let test_policy_validation () =
   check bool_t "area fine" true
     (Cellsim.Reporting.validate Cellsim.Reporting.Area = Ok ())
 
+(* The parser's one error, for any spelling it does not accept. *)
+let bad_policy =
+  Error "reporting must be area | movement-<k> | distance-<k> | time-<k>"
+
+(* [of_string] inverts [to_string] on every valid policy, and refuses a
+   parameter [validate] refuses. *)
+let prop_policy_round_trip =
+  let open Cellsim.Reporting in
+  QCheck.Test.make ~name:"of_string inverts to_string" ~count:500
+    QCheck.(pair (int_range 0 3) (int_range (-3) 1000))
+    (fun (kind, k) ->
+      let p =
+        match kind with
+        | 0 -> Area
+        | 1 -> Movement k
+        | 2 -> Distance k
+        | _ -> Time k
+      in
+      of_string (to_string p)
+      = if validate p = Ok () then Ok p else bad_policy)
+
+let test_policy_spellings () =
+  let open Cellsim.Reporting in
+  List.iter
+    (fun (s, want) -> check bool_t s true (of_string s = want))
+    [
+      ("AREA", Ok Area); ("move-2", Ok (Movement 2));
+      ("Movement-3", Ok (Movement 3)); ("dist-4", Ok (Distance 4));
+      ("TIME-5", Ok (Time 5)); ("time-x", bad_policy);
+      ("movement--1", bad_policy); ("area-1", bad_policy); ("", bad_policy);
+    ]
+
 (* -------------------- Simulator with new features -------------------- *)
 
 let base_config schemes reporting call_duration =
@@ -304,6 +336,8 @@ let () =
           Alcotest.test_case "page shrinks uncertainty" `Quick
             test_observe_page_shrinks_uncertainty;
           Alcotest.test_case "validation" `Quick test_policy_validation;
+          QCheck_alcotest.to_alcotest prop_policy_round_trip;
+          Alcotest.test_case "parser spellings" `Quick test_policy_spellings;
         ] );
       ( "simulator",
         [

@@ -485,6 +485,63 @@ let test_overload_sheds () =
             check string_t "shed reason" "overload" (jstr_field "reason" j))
         responses)
 
+(* Sheds close nothing: the queue bound is the one admission rule, so
+   once a burst has been shed and a slot is free again, the next solve
+   is admitted. The fillers pin the one lane and the two queue slots
+   for ~30 ms each; the probes behind them, written in the same burst,
+   find the queue full. *)
+let test_shed_burst_leaves_admission_open () =
+  let capacity = 2 in
+  with_server ~domains:1 ~capacity (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let rng = Prob.Rng.create ~seed:29 in
+      let slow = Instance.random_zipf rng ~s:1.1 ~m:3 ~c:18 ~d:3 in
+      let quick = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:2 in
+      let fillers = 1 + capacity and probes = 16 in
+      let burst =
+        List.init fillers (fun i ->
+            solve_frame ~id:(Printf.sprintf "fill%d" i) ~chain:"exhaustive"
+              ~budget_ms:30.0 slow)
+        @ List.init probes (fun i ->
+              solve_frame ~id:(Printf.sprintf "probe%d" i) ~solver:"greedy"
+                quick)
+      in
+      send c (String.concat "\n" burst);
+      let responses = by_id (recv_n c (fillers + probes)) in
+      let shed =
+        List.filter
+          (fun (id, (j, _)) ->
+            String.starts_with ~prefix:"probe" id
+            && jstr_field "status" j = "rejected")
+          responses
+      in
+      List.iter
+        (fun (_, (j, _)) ->
+          check string_t "shed reason" "overload" (jstr_field "reason" j);
+          check bool_t "shed carries retry_after_ms" true
+            (jnum_field "retry_after_ms" j >= 1.0))
+        shed;
+      check bool_t "at least max 8 capacity probes shed" true
+        (List.length shed >= max 8 capacity);
+      let rec wait_for_slot n =
+        send c "{\"id\": \"h\", \"op\": \"health\"}";
+        let h = parse_response (List.hd (recv_n c 1)) in
+        if int_of_float (jnum_field "queue_depth" h) >= capacity then begin
+          if n = 0 then Alcotest.fail "queue never drained";
+          Thread.delay 0.005;
+          wait_for_slot (n - 1)
+        end
+      in
+      wait_for_slot 1000;
+      send c (solve_frame ~id:"after" ~solver:"greedy" quick);
+      let j = parse_response (List.hd (recv_n c 1)) in
+      let status = jstr_field "status" j in
+      check bool_t
+        (Printf.sprintf "admitted after the burst (status %s)" status)
+        true
+        (status = "ok" || status = "degraded"))
+
 (* ---------------- cache through the daemon, across restart ------------- *)
 
 let test_cache_hit_and_restart () =
@@ -902,10 +959,9 @@ let test_lane_deaths_cost_no_request domains () =
     (Exec.Pool.active_domains ())
 
 (* [domains] counts solve lanes, and every lane is a spawned domain, so
-   none computes on domain 0. 256 is accepted as 256 lanes: the runtime
-   may refuse that many domains (OCaml 5.1 runs at most 128 at once),
-   and then [start] fails with the spawn error, having joined what it
-   spawned. 257 is refused before anything is spawned or bound. *)
+   none computes on domain 0. The OCaml 5.1 runtime runs at most 128
+   domains, domain 0 among them: 127 lanes start, and 128 are refused
+   before anything is spawned or bound. *)
 let test_domains_are_spawned_lanes () =
   let before = Exec.Pool.active_domains () in
   List.iter
@@ -918,20 +974,18 @@ let test_domains_are_spawned_lanes () =
       check bool_t "stop drains clean" true (Sv.stop h);
       check int_t "joined" before (Exec.Pool.active_domains ()))
     [ 1; 3 ];
-  (match Sv.start (lane_config 256) with
-   | h ->
-     check int_t "256 lanes" (before + 256) (Exec.Pool.active_domains ());
-     check bool_t "stop drains clean" true (Sv.stop h)
-   | exception Failure _ -> ());
-  check int_t "256: nothing leaked" before (Exec.Pool.active_domains ());
-  match Sv.start (lane_config 257) with
+  let h = Sv.start (lane_config 127) in
+  check int_t "127 lanes" (before + 127) (Exec.Pool.active_domains ());
+  check bool_t "stop drains clean" true (Sv.stop h);
+  check int_t "127: nothing leaked" before (Exec.Pool.active_domains ());
+  match Sv.start (lane_config 128) with
   | h ->
     ignore (Sv.stop h);
-    Alcotest.fail "257 lanes accepted"
+    Alcotest.fail "128 lanes accepted"
   | exception Invalid_argument msg ->
-    check string_t "257 refused" "serve: domains must be in [1, 256], got 257"
+    check string_t "128 refused" "serve: domains must be in [1, 127], got 128"
       msg;
-    check int_t "257: nothing spawned" before (Exec.Pool.active_domains ())
+    check int_t "128: nothing spawned" before (Exec.Pool.active_domains ())
 
 (* Once [stop] has returned, the lanes' pool is joined; a solve arriving
    on a connection that outlived it is a [draining] reject, not a lost
@@ -1014,7 +1068,7 @@ let golden_frames =
     ( "frame error",
       "{\"id\": \"e4\", \"status\": \"error\", \"error\": \"unknown op \\\"warp\\\" (expected solve|simulate|health|metrics|drain)\"}" );
     ( "health",
-      "{\"id\": \"h\", \"status\": \"ok\", \"draining\": false, \"queue_depth\": 0, \"capacity\": 8, \"domains\": 1, \"inflight\": 0, \"connections\": 1, \"cache_entries\": 2, \"cache_hits\": 2, \"cache_misses\": 2, \"cache_evictions\": 0, \"breaker_open\": false, \"pool_respawns\": 0, \"dedup_in_flight\": 0, \"dedup_completed\": 3, \"dedup_hits\": 3, \"request_log\": false}" );
+      "{\"id\": \"h\", \"status\": \"ok\", \"draining\": false, \"queue_depth\": 0, \"capacity\": 8, \"domains\": 1, \"inflight\": 0, \"connections\": 1, \"cache_entries\": 2, \"cache_hits\": 2, \"cache_misses\": 2, \"cache_evictions\": 0, \"pool_respawns\": 0, \"dedup_in_flight\": 0, \"dedup_completed\": 3, \"dedup_hits\": 3, \"request_log\": false}" );
     ( "simulate",
       "{\"id\": \"s1\", \"status\": \"ok\", \"scenario\": \"suburb\", \"seed\": 3, \"replicas\": 1, \"per_scheme\": [{\"scheme\": \"blanket\", \"calls\": 156, \"cells_paged\": 5776, \"expected_paging\": 5776}, {\"scheme\": \"selective-d3\", \"calls\": 156, \"cells_paged\": 4923, \"expected_paging\": 2881.0168217719574}, {\"scheme\": \"diffuse-d3\", \"calls\": 156, \"cells_paged\": 3432, \"expected_paging\": 3298.7171050794504}], \"queue_ms\": T, \"elapsed_ms\": T}" );
     ( "simulate, two replicas",
@@ -1197,6 +1251,8 @@ let () =
             test_stalled_reader_disconnected;
           Alcotest.test_case "objective error text" `Quick
             test_objective_error_text;
+          Alcotest.test_case "a shed burst leaves admission open" `Quick
+            test_shed_burst_leaves_admission_open;
         ] );
       ( "idempotency",
         [
@@ -1220,7 +1276,7 @@ let () =
             (test_lane_deaths_cost_no_request 1);
           Alcotest.test_case "lane deaths cost no request, domains 2" `Quick
             (test_lane_deaths_cost_no_request 2);
-          Alcotest.test_case "domains are spawned lanes, 1 to 256" `Quick
+          Alcotest.test_case "domains are spawned lanes, 1 to 127" `Quick
             test_domains_are_spawned_lanes;
           Alcotest.test_case "submit after join is a draining reject" `Quick
             test_submit_after_join_is_draining;
