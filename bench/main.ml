@@ -1436,10 +1436,6 @@ let e25 () =
     let r = f () in
     (r, (Obs.now () -. t0) *. 1000.0)
   in
-  let with_degree domains f =
-    if domains > 1 then Exec.Pool.with_pool ~domains (fun p -> f (Some p))
-    else f None
-  in
   (* Leg 1 — chain racing. Uncertainty re-ranking runs *every* stage
      (all candidates are scored), so the sequential cost is the sum of
      the stage times and the raced cost their max. *)
@@ -1448,7 +1444,7 @@ let e25 () =
   let race_chain = Solver.[ Local_search; Greedy; Bandwidth_limited 80 ] in
   let u = Uncertainty.uniform 0.01 in
   let race domains =
-    with_degree domains (fun pool ->
+    Exec.Pool.with_pool_opt ~domains (fun pool ->
         Runner.run ~chain:race_chain ~uncertainty:u ?pool race_inst)
   in
   (* Leg 2 — sharded sweep: independent greedy solves journalled through
@@ -1477,7 +1473,8 @@ let e25 () =
       Fun.protect
         ~finally:(fun () -> Journal.close journal)
         (fun () ->
-          with_degree domains (fun pool -> Sweep.run ?pool ~journal sweep_items))
+          Exec.Pool.with_pool_opt ~domains (fun pool ->
+              Sweep.run ?pool ~journal sweep_items))
     in
     let bytes = read_file path in
     Sys.remove path;
@@ -1489,7 +1486,7 @@ let e25 () =
     { (Cellsim.Sim.default_config ()) with Cellsim.Sim.duration = 150.0 }
   in
   let sim domains =
-    with_degree domains (fun pool ->
+    Exec.Pool.with_pool_opt ~domains (fun pool ->
         Cellsim.Replicate.run_summary ?pool ~replicas:4 sim_cfg)
   in
   let time_leg f = List.map (fun d -> (d, wall (fun () -> f d))) degrees in
@@ -1591,10 +1588,6 @@ let e26 () =
   let module Uncertainty = Confcall.Uncertainty in
   let registry = Obs.Metrics.default in
   let tracer = Obs.Trace.default in
-  let with_degree domains f =
-    if domains > 1 then Exec.Pool.with_pool ~domains (fun p -> f (Some p))
-    else f None
-  in
   (* The e25 legs, scaled down: an uncertainty re-ranked chain (every
      stage runs to completion, in sequential and raced mode alike, so
      the executed stage set is degree-independent), a journalled greedy
@@ -1604,7 +1597,7 @@ let e26 () =
   let race_chain = Solver.[ Local_search; Greedy; Bandwidth_limited 80 ] in
   let u = Uncertainty.uniform 0.01 in
   let race domains =
-    with_degree domains (fun pool ->
+    Exec.Pool.with_pool_opt ~domains (fun pool ->
         ignore (Runner.run ~chain:race_chain ~uncertainty:u ?pool race_inst))
   in
   let sweep_items =
@@ -1629,7 +1622,7 @@ let e26 () =
     Fun.protect
       ~finally:(fun () -> Journal.close journal)
       (fun () ->
-        with_degree domains (fun pool ->
+        Exec.Pool.with_pool_opt ~domains (fun pool ->
             ignore (Sweep.run ?pool ~journal sweep_items)));
     Sys.remove path
   in
@@ -1637,7 +1630,7 @@ let e26 () =
     { (Cellsim.Sim.default_config ()) with Cellsim.Sim.duration = 80.0 }
   in
   let sim domains =
-    with_degree domains (fun pool ->
+    Exec.Pool.with_pool_opt ~domains (fun pool ->
         ignore (Cellsim.Replicate.run_summary ?pool ~replicas:3 sim_cfg))
   in
   let legs = [ ("race", race); ("sweep", sweep); ("sim", sim) ] in

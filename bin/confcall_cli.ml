@@ -142,32 +142,23 @@ let replicate_summary_json (s : Cellsim.Replicate.summary) =
    with a message naming the flag or the environment variable, instead
    of raising inside [Exec.Pool] (or, worse, being silently ignored, as
    a malformed CONFCALL_DOMAINS used to be). *)
-let effective_domains = function
-  | Some n when n >= 1 && n <= Exec.Pool.max_domains -> n
-  | Some n ->
-    invalid_arg
-      (Printf.sprintf "--domains must be an integer in [1, %d], got %d"
-         Exec.Pool.max_domains n)
-  | None ->
-    (match Sys.getenv_opt Exec.Pool.env_var with
-     | None -> 1
-     | Some raw ->
-       (match int_of_string_opt (String.trim raw) with
-        | Some n when n >= 1 && n <= Exec.Pool.max_domains -> n
-        | Some n ->
-          invalid_arg
-            (Printf.sprintf "%s must be in [1, %d], got %d" Exec.Pool.env_var
-               Exec.Pool.max_domains n)
-        | None ->
-          invalid_arg
-            (Printf.sprintf "%s must be a positive integer, got %S"
-               Exec.Pool.env_var raw)))
-
-(* Run [f] with a pool when more than one domain is asked for; [None]
-   keeps every call site on the exact sequential path of old. *)
-let with_domains domains f =
-  if domains > 1 then Exec.Pool.with_pool ~domains (fun p -> f (Some p))
-  else f None
+let effective_domains flag =
+  let in_range what n =
+    if n >= 1 && n <= Exec.Pool.max_domains then n
+    else
+      invalid_arg
+        (Printf.sprintf "%s in [1, %d], got %d" what Exec.Pool.max_domains n)
+  in
+  match (flag, Sys.getenv_opt Exec.Pool.env_var) with
+  | Some n, _ -> in_range "--domains must be an integer" n
+  | None, None -> 1
+  | None, Some raw ->
+    (match Wire.Spec.int (String.trim raw) with
+     | Some n -> in_range (Exec.Pool.env_var ^ " must be") n
+     | None ->
+       invalid_arg
+         (Printf.sprintf "%s must be a positive integer, got %S"
+            Exec.Pool.env_var raw))
 
 (* ---------------- observability ----------------
 
@@ -227,13 +218,20 @@ let trace_out_arg =
 
 (* ---------------- generate ---------------- *)
 
+(* Every spec flag reads its value with the owning module's [of_string]
+   and shows it with its [to_string]. *)
+let spec_conv of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
+      fun ppf v -> Format.pp_print_string ppf (to_string v) )
+
 let dist_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "uniform" | "zipf" | "simplex" | "geometric" -> Ok s
-    | _ -> Error (`Msg "distribution must be uniform|zipf|simplex|geometric")
-  in
-  Arg.conv (parse, Format.pp_print_string)
+  spec_conv
+    (fun s ->
+      match Wire.Spec.token s with
+      | ("uniform" | "zipf" | "simplex" | "geometric") as d -> Ok d
+      | _ -> Error "distribution must be uniform|zipf|simplex|geometric")
+    Fun.id
 
 let make_instance ~dist ~skew rng ~m ~c ~d =
   match dist with
@@ -279,23 +277,16 @@ let generate_cmd =
    The flags of a solve request, each defined once on the library's own
    parser and shared by every command that takes it, so a bad value
    fails the same way everywhere: as a usage error before anything is
-   read, written or connected. A parsed value keeps the text as typed:
-   `call` and `loadgen` put that text in the frame, so the daemon parses
-   exactly what was typed (the spec printer rounds robust radii). What
-   depends on the instance or the value's range (the objective against
-   m, a positive and finite budget) is [Runner.validate], which each
-   command calls before any output or side effect. *)
-
-let request_conv parse =
-  let parse s =
-    match parse s with Ok v -> Ok (s, v) | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf (s, _) -> Format.pp_print_string ppf s)
+   read, written or connected. `call` and `loadgen` send the value's
+   canonical text, which parses back to the same value. What depends on
+   the instance or the value's range (the objective against m, a
+   positive and finite budget) is [Runner.validate], which each command
+   calls before any output or side effect. *)
 
 let objective_arg =
   Arg.(
     value
-    & opt (some (request_conv Objective.of_string)) None
+    & opt (some (spec_conv Objective.of_string Objective.to_string)) None
     & info [ "objective" ] ~docv:"OBJ"
         ~doc:"all (conference, the default) | any (yellow pages) | <k> \
               (at least k devices).")
@@ -305,7 +296,9 @@ let objective_arg =
 let solver_arg default =
   Arg.(
     value
-    & opt (some (request_conv Solver.spec_of_string)) default
+    & opt
+        (some (spec_conv Solver.spec_of_string Solver.spec_to_string))
+        default
     & info [ "solver" ] ~docv:"SPEC"
         ~doc:"greedy|page-all|exhaustive|bnb|exact|local-search|class|\
               bandwidth-<b>|robust-<eps>[:<tv>].")
@@ -313,7 +306,9 @@ let solver_arg default =
 let chain_arg =
   Arg.(
     value
-    & opt (some (request_conv Runner.chain_of_string)) None
+    & opt
+        (some (spec_conv Runner.chain_of_string Runner.chain_to_string))
+        None
     & info [ "chain" ] ~docv:"CHAIN"
         ~doc:"Fallback chain for the deadline runner: \
               default|fast|heuristic|exact or a comma-separated solver \
@@ -334,7 +329,10 @@ let json_arg =
 let endpoints_arg =
   Arg.(
     value
-    & opt (some (request_conv Client.endpoints_of_string)) None
+    & opt
+        (some
+           (spec_conv Client.endpoints_of_string Client.endpoints_to_string))
+        None
     & info [ "endpoints" ] ~docv:"LIST"
         ~doc:"Comma-separated daemon endpoints (PORT, tcp:PORT, \
               unix:PATH or a socket path), ranked by observed health for \
@@ -545,7 +543,7 @@ let pp_runner_report fmt ((r : Runner.run_report), reading) =
 
 let solve_budgeted inst objective json budget_ms chain uncertainty domains =
   let report =
-    with_domains domains (fun pool ->
+    Exec.Pool.with_pool_opt ~domains (fun pool ->
         Runner.run ~objective ?budget_ms ?uncertainty ~chain ?pool inst)
   in
   let reading = read_run ~objective ~uncertainty inst report in
@@ -572,8 +570,7 @@ let solve path spec objective verbose json budget_ms chain eps tv samples
   with_obs ~metrics_out ~trace_out @@ fun () ->
   let domains = effective_domains domains in
   let inst = read_instance path in
-  let spec = Option.map snd spec and chain = Option.map snd chain in
-  let objective = Option.fold ~none:Objective.Find_all ~some:snd objective in
+  let objective = Option.value objective ~default:Objective.Find_all in
   (* The perturbation ball: an explicit --eps wins; --samples derives a
      DKW-style per-entry radius at --confidence; --robust alone uses
      the same default radius as the "robust" solver spec. *)
@@ -754,9 +751,9 @@ let sweep m c d dist skew seeds objective budget_ms chain journal_path resume
   if c < 1 then invalid_arg (Printf.sprintf "-c must be >= 1, got %d" c);
   if d < 1 || d > c then
     invalid_arg (Printf.sprintf "-d must be in [1, c = %d], got %d" c d);
-  let objective = Option.fold ~none:Objective.Find_all ~some:snd objective in
+  let objective = Option.value objective ~default:Objective.Find_all in
   Result.iter_error invalid_arg (Runner.validate ~objective ?budget_ms ~m ());
-  let chain = Option.fold ~none:Runner.default_chain ~some:snd chain in
+  let chain = Option.value chain ~default:Runner.default_chain in
   let domains = effective_domains domains in
   if Sys.file_exists journal_path && not resume then
     invalid_arg
@@ -795,7 +792,8 @@ let sweep m c d dist skew seeds objective budget_ms chain journal_path resume
           seeds
       in
       let outcomes =
-        with_domains domains (fun pool -> Sweep.run ?pool ~journal items)
+        Exec.Pool.with_pool_opt ~domains (fun pool ->
+            Sweep.run ?pool ~journal items)
       in
       List.iter
         (fun { Sweep.id; payload; status } ->
@@ -886,37 +884,17 @@ let compare_cmd =
 
 (* ---------------- evaluate ---------------- *)
 
-let parse_strategy s =
-  let groups =
-    String.split_on_char '|' s
-    |> List.map (fun g ->
-           String.split_on_char ' ' (String.trim g)
-           |> List.filter (fun tok -> tok <> "")
-           |> List.map (fun tok ->
-                  (* [int_of_string] would raise bare [Failure
-                     "int_of_string"], which [guard] prints verbatim —
-                     useless. Name the flag and the offending token. *)
-                  match int_of_string_opt tok with
-                  | Some cell -> cell
-                  | None ->
-                    invalid_arg
-                      (Printf.sprintf
-                         "--strategy: bad cell index %S (expected \
-                          space-separated integers in '|'-separated \
-                          groups, e.g. \"0 1 2|3 4|5\")"
-                         tok))
-           |> Array.of_list)
-    |> Array.of_list
-  in
-  Strategy.create groups
-
 let evaluate path strategy_s objective =
   guard @@ fun () ->
   let inst = read_instance path in
-  let objective = Option.fold ~none:Objective.Find_all ~some:snd objective in
+  let objective = Option.value objective ~default:Objective.Find_all in
   Result.iter_error invalid_arg
     (Runner.validate ~objective ~m:inst.Instance.m ());
-  let strategy = parse_strategy strategy_s in
+  let strategy =
+    match Strategy.of_string strategy_s with
+    | Ok t -> t
+    | Error e -> invalid_arg ("--strategy: " ^ e)
+  in
   Printf.printf "expected paging: %.6f\n"
     (Strategy.expected_paging ~objective inst strategy);
   Printf.printf "expected rounds: %.6f\n"
@@ -928,7 +906,8 @@ let evaluate_cmd =
       required
       & opt (some string) None
       & info [ "strategy" ] ~docv:"GROUPS"
-          ~doc:"Strategy as cell groups, e.g. \"0 1 2|3 4|5\".")
+          ~doc:"Strategy as cell groups, e.g. \"0 1 2|3 4|5\", or as \
+                $(b,solve) prints it, \"{0 1 2}|{3 4}|{5}\".")
   in
   Cmd.v
     (Cmd.info "evaluate" ~doc:"Expected paging of an explicit strategy")
@@ -937,29 +916,15 @@ let evaluate_cmd =
 (* ---------------- simulate ---------------- *)
 
 let reporting_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Cellsim.Reporting.of_string s)
-  in
-  Arg.conv
-    ( parse,
-      fun ppf p -> Format.pp_print_string ppf (Cellsim.Reporting.to_string p) )
+  spec_conv Cellsim.Reporting.of_string Cellsim.Reporting.to_string
 
 let scenario_conv =
-  let parse s =
-    match Cellsim.Scenario.find s with
-    | Ok build -> Ok (Some build)
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf _ -> Format.pp_print_string ppf "<scenario>")
+  spec_conv
+    (fun s -> Result.map Option.some (Cellsim.Scenario.find s))
+    (fun _ -> "<scenario>")
 
 let retry_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Cellsim.Faults.retry_of_string s)
-  in
-  Arg.conv
-    ( parse,
-      fun ppf r -> Format.pp_print_string ppf (Cellsim.Faults.retry_to_string r)
-    )
+  spec_conv Cellsim.Faults.retry_of_string Cellsim.Faults.retry_to_string
 
 (* Combine the fault flags into a [Faults.t option]. [None] when every
    knob is at its clean default so a scenario preset's own fault model
@@ -989,15 +954,8 @@ let build_faults page_loss detect_q outage_rate outage_repair report_loss
   else Some f
 
 let residence_conv =
-  let parse s =
-    Result.map_error
-      (fun e -> `Msg e)
-      (Cellsim.Mobility.residence_of_string s)
-  in
-  Arg.conv
-    ( parse,
-      fun ppf r ->
-        Format.pp_print_string ppf (Cellsim.Mobility.residence_to_string r) )
+  spec_conv Cellsim.Mobility.residence_of_string
+    Cellsim.Mobility.residence_to_string
 
 (* Combine the aging flags into a [Sim.aging_config option]. The aged
    schemes and re-profiling only make sense against a dwell law, so the
@@ -1033,7 +991,7 @@ let run_sim_config ~replicas ~domains json config =
   if replicas <= 1 then print_sim_result json (Cellsim.Sim.run config)
   else begin
     let summary =
-      with_domains domains (fun pool ->
+      Exec.Pool.with_pool_opt ~domains (fun pool ->
           Cellsim.Replicate.run_summary ?pool ~replicas config)
     in
     if json then print_json (replicate_summary_json summary)
@@ -1533,7 +1491,7 @@ let serve_cmd =
    unix:PATH or a bare socket path (see {!Client.endpoint_of_string}). *)
 let endpoints_of_flags endpoints port socket =
   match endpoints with
-  | Some (_, eps) -> eps
+  | Some eps -> eps
   | None -> [ listen_of_flags port socket ]
 
 let loadgen port socket endpoints rate requests budget_ms solver chain m c d
@@ -1545,8 +1503,8 @@ let loadgen port socket endpoints rate requests budget_ms solver chain m c d
       Serve.Loadgen.rate;
       requests;
       budget_ms;
-      solver = Option.map fst solver;
-      chain = Option.map fst chain;
+      solver = Option.map Solver.spec_to_string solver;
+      chain = Option.map Runner.chain_to_string chain;
       m;
       c;
       d;
@@ -1685,7 +1643,7 @@ let loadgen_cmd =
        ~doc:"Drive Poisson load at a running serve daemon")
     Term.(
       const loadgen $ port_arg $ socket_arg $ endpoints_arg $ rate $ requests
-      $ budget_arg $ solver_arg (Some ("greedy", Solver.Greedy)) $ chain_arg
+      $ budget_arg $ solver_arg (Some Solver.Greedy) $ chain_arg
       $ m $ c $ d $ instances $ seed $ cache $ timeout $ retries
       $ hedge_after_arg $ json_arg)
 
@@ -1696,8 +1654,7 @@ let call path endpoints port socket retries hedge_after_ms deadline_ms
   guard @@ fun () ->
   let inst = read_instance path in
   Result.iter_error invalid_arg
-    (Runner.validate ?objective:(Option.map snd objective) ?budget_ms
-       ~m:inst.Instance.m ());
+    (Runner.validate ?objective ?budget_ms ~m:inst.Instance.m ());
   let eps = endpoints_of_flags endpoints port socket in
   if not (Float.is_finite deadline_ms) || deadline_ms <= 0.0 then
     invalid_arg "call: --deadline-ms must be positive";
@@ -1725,10 +1682,10 @@ let call path endpoints port socket retries hedge_after_ms deadline_ms
     Wire.Proto.solve_fields
       {
         instance = Instance.to_string inst;
-        solver = Option.map fst solver;
-        chain = Option.map fst chain;
+        solver = Option.map Solver.spec_to_string solver;
+        chain = Option.map Runner.chain_to_string chain;
         budget_ms;
-        objective = Option.map fst objective;
+        objective = Option.map Objective.to_string objective;
         cache = not no_cache;
         request_id = None;
       }

@@ -64,34 +64,27 @@ let retry_to_string = function
       (if to_blanket then "blanket" else "universe")
 
 let retry_of_string s =
-  match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
+  let int = Wire.Spec.int in
+  match Wire.Spec.parts ':' s with
   | [ "none" ] | [ "no-retry" ] -> Ok No_retry
-  | "repeat" :: rest ->
-    (match rest with
-     | [ c ] | [ c; "0" ] ->
-       (match int_of_string_opt c with
-        | Some cycles when cycles >= 1 -> Ok (Repeat { cycles; backoff = 0 })
-        | _ -> Error "repeat cycles must be an integer >= 1")
-     | [ c; b ] ->
-       (match int_of_string_opt c, int_of_string_opt b with
-        | Some cycles, Some backoff when cycles >= 1 && backoff >= 0 ->
-          Ok (Repeat { cycles; backoff })
-        | _ -> Error "repeat takes cycles >= 1 and backoff >= 0"
-       )
-     | _ -> Error "retry must be none | repeat:<cycles>[:<backoff>] | \
-                   escalate:<after>[:blanket|universe]")
+  | [ "repeat"; c ] | [ "repeat"; c; "0" ] ->
+    (match int c with
+     | Some cycles when cycles >= 1 -> Ok (Repeat { cycles; backoff = 0 })
+     | _ -> Error "repeat cycles must be an integer >= 1")
+  | [ "repeat"; c; b ] ->
+    (match (int c, int b) with
+     | Some cycles, Some backoff when cycles >= 1 && backoff >= 0 ->
+       Ok (Repeat { cycles; backoff })
+     | _ -> Error "repeat takes cycles >= 1 and backoff >= 0")
   | "escalate" :: rest ->
+    let escalate a to_blanket =
+      match int a with
+      | Some after when after >= 0 -> Ok (Escalate { after; to_blanket })
+      | _ -> Error "escalate after must be an integer >= 0"
+    in
     (match rest with
-     | [ a ] | [ a; "blanket" ] ->
-       (match int_of_string_opt a with
-        | Some after when after >= 0 ->
-          Ok (Escalate { after; to_blanket = true })
-        | _ -> Error "escalate after must be an integer >= 0")
-     | [ a; "universe" ] ->
-       (match int_of_string_opt a with
-        | Some after when after >= 0 ->
-          Ok (Escalate { after; to_blanket = false })
-        | _ -> Error "escalate after must be an integer >= 0")
+     | [ a ] | [ a; "blanket" ] -> escalate a true
+     | [ a; "universe" ] -> escalate a false
      | _ -> Error "escalate target must be blanket or universe")
   | _ ->
     Error

@@ -360,34 +360,36 @@ let residence_mean r =
       !sum
     end
 
-let residence_to_string = function
-  | Exponential { mean } -> Printf.sprintf "exp:%g" mean
-  | Pareto { alpha; scale } -> Printf.sprintf "pareto:%g:%g" alpha scale
-  | Zipf { s; cutoff } -> Printf.sprintf "zipf:%g:%d" s cutoff
+let residence_to_string r =
+  let num = Wire.Spec.float_to_string in
+  match r with
+  | Exponential { mean } -> "exp:" ^ num mean
+  | Pareto { alpha; scale } ->
+    Printf.sprintf "pareto:%s:%s" (num alpha) (num scale)
+  | Zipf { s; cutoff } -> Printf.sprintf "zipf:%s:%d" (num s) cutoff
 
 let residence_of_string str =
-  let fail () =
+  let num = Wire.Spec.float in
+  let law =
+    match Wire.Spec.parts ':' str with
+    | [ ("exp" | "exponential"); mean ] ->
+      Option.map (fun mean -> Exponential { mean }) (num mean)
+    | [ "pareto"; alpha; scale ] ->
+      (match (num alpha, num scale) with
+       | Some alpha, Some scale -> Some (Pareto { alpha; scale })
+       | _ -> None)
+    | [ "zipf"; s; cutoff ] ->
+      (match (num s, Wire.Spec.int cutoff) with
+       | Some s, Some cutoff -> Some (Zipf { s; cutoff })
+       | _ -> None)
+    | _ -> None
+  in
+  match law with
+  | Some r -> Result.map (fun () -> r) (validate_residence r)
+  | None ->
     Error
       "residence must be exp:<mean> | pareto:<alpha>:<scale> | \
        zipf:<s>:<cutoff>"
-  in
-  let checked r =
-    match validate_residence r with Ok () -> Ok r | Error e -> Error e
-  in
-  match String.split_on_char ':' (String.lowercase_ascii (String.trim str)) with
-  | [ ("exp" | "exponential"); mean ] ->
-    (match float_of_string_opt mean with
-     | Some mean -> checked (Exponential { mean })
-     | None -> fail ())
-  | [ "pareto"; alpha; scale ] ->
-    (match float_of_string_opt alpha, float_of_string_opt scale with
-     | Some alpha, Some scale -> checked (Pareto { alpha; scale })
-     | _ -> fail ())
-  | [ "zipf"; s; cutoff ] ->
-    (match float_of_string_opt s, int_of_string_opt cutoff with
-     | Some s, Some cutoff -> checked (Zipf { s; cutoff })
-     | _ -> fail ())
-  | _ -> fail ()
 
 (* ------------------------------------------------------------------ *)
 (* Dwell-age-expanded aging kernel                                     *)

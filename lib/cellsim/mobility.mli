@@ -116,7 +116,9 @@ val residence_hazard : residence -> int -> float
 val residence_mean : residence -> float
 
 (** [residence_of_string s] parses ["exp:<mean>"],
-    ["pareto:<alpha>:<scale>"] or ["zipf:<s>:<cutoff>"]. *)
+    ["pareto:<alpha>:<scale>"] or ["zipf:<s>:<cutoff>"] in the
+    {!Wire.Spec} grammar. It inverts {!residence_to_string}, which
+    prints every parameter exactly. *)
 val residence_of_string : string -> (residence, string) result
 
 val residence_to_string : residence -> string

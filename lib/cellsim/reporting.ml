@@ -77,14 +77,13 @@ let to_string = function
   | Time k -> Printf.sprintf "time-%d" k
 
 let of_string s =
+  let with_k policy n = Option.map policy (Wire.Spec.int n) in
   let policy =
-    match String.split_on_char '-' (String.lowercase_ascii s) with
+    match Wire.Spec.parts '-' s with
     | [ "area" ] -> Some Area
-    | [ ("movement" | "move"); k ] ->
-      Option.map (fun k -> Movement k) (int_of_string_opt k)
-    | [ ("distance" | "dist"); k ] ->
-      Option.map (fun k -> Distance k) (int_of_string_opt k)
-    | [ "time"; k ] -> Option.map (fun k -> Time k) (int_of_string_opt k)
+    | [ ("movement" | "move"); n ] -> with_k (fun k -> Movement k) n
+    | [ ("distance" | "dist"); n ] -> with_k (fun k -> Distance k) n
+    | [ "time"; n ] -> with_k (fun k -> Time k) n
     | _ -> None
   in
   match policy with

@@ -242,7 +242,7 @@ let all =
   ]
 
 let find name =
-  match List.assoc_opt (String.lowercase_ascii name) all with
+  match List.assoc_opt (Wire.Spec.token name) all with
   | Some build -> Ok build
   | None ->
     Error

@@ -41,45 +41,28 @@ let endpoint_to_string = function
   | Unix_path p -> "unix:" ^ p
 
 (* "8080" and "tcp:8080" are loopback TCP; "unix:/p" and any other
-   string are Unix-socket paths. *)
+   string are Unix-socket paths, kept as typed. *)
 let endpoint_of_string s =
   let s = String.trim s in
-  let prefixed p =
-    let k = String.length p in
-    if String.length s > k && String.sub s 0 k = p then
-      Some (String.sub s k (String.length s - k))
-    else None
-  in
-  match prefixed "tcp:" with
-  | Some rest -> (
-    match int_of_string_opt rest with
-    | Some p when p >= 0 && p <= 65535 -> Ok (Tcp p)
-    | _ -> Error (Printf.sprintf "endpoint %S: bad tcp port" s))
-  | None -> (
-    match prefixed "unix:" with
-    | Some rest ->
-      if rest = "" then Error "endpoint \"unix:\" has no path"
-      else Ok (Unix_path rest)
-    | None -> (
-      match int_of_string_opt s with
-      | Some p when p >= 0 && p <= 65535 -> Ok (Tcp p)
-      | Some _ -> Error (Printf.sprintf "endpoint %S: port out of range" s)
-      | None -> if s = "" then Error "empty endpoint" else Ok (Unix_path s)))
+  let in_range p = p >= 0 && p <= 65535 in
+  match Wire.Spec.(after "tcp:" s, after "unix:" s, int s) with
+  | Some rest, _, _ ->
+    (match Wire.Spec.int rest with
+     | Some p when in_range p -> Ok (Tcp p)
+     | _ -> Error (Printf.sprintf "endpoint %S: bad tcp port" s))
+  | _, Some "", _ -> Error "endpoint \"unix:\" has no path"
+  | _, Some path, _ -> Ok (Unix_path path)
+  | _, _, Some p when in_range p -> Ok (Tcp p)
+  | _, _, Some _ -> Error (Printf.sprintf "endpoint %S: port out of range" s)
+  | _ -> if s = "" then Error "empty endpoint" else Ok (Unix_path s)
+
+let endpoints_to_string eps =
+  String.concat "," (List.map endpoint_to_string eps)
 
 let endpoints_of_string s =
-  let parts =
-    List.filter (fun x -> String.trim x <> "") (String.split_on_char ',' s)
-  in
-  if parts = [] then Error "no endpoints given"
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: tl -> (
-        match endpoint_of_string p with
-        | Ok e -> go (e :: acc) tl
-        | Error _ as e -> e)
-    in
-    go [] parts
+  let parts = Wire.Spec.parts ~keep_case:true ',' s in
+  if List.for_all (( = ) "") parts then Error "no endpoints given"
+  else Wire.Spec.all endpoint_of_string parts
 
 (* ---------------- configuration ---------------- *)
 

@@ -137,15 +137,11 @@ let to_string = function
   | Find_at_least k -> Printf.sprintf "find-%d" k
 
 let of_string s =
-  match String.lowercase_ascii (String.trim s) with
+  match Wire.Spec.token s with
   | "all" | "find-all" -> Ok Find_all
   | "any" | "find-any" -> Ok Find_any
-  | other ->
-    let k =
-      if String.starts_with ~prefix:"find-" other then
-        String.sub other 5 (String.length other - 5)
-      else other
-    in
-    (match int_of_string_opt k with
+  | s ->
+    let k = Option.value (Wire.Spec.after "find-" s) ~default:s in
+    (match Wire.Spec.int k with
      | Some k when k >= 1 -> Ok (Find_at_least k)
      | _ -> Error "objective must be all|any|<k>")

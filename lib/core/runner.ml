@@ -35,27 +35,26 @@ let resolve_chain ~chain ~spec =
   | None, Some spec -> [ spec ]
   | None, None -> default_chain
 
+(* "exact" alone names the exact chain, so a lone Best_exact stage
+   prints as its other name. *)
 let chain_to_string chain =
-  String.concat "," (List.map Solver.spec_to_string chain)
+  match List.map Solver.spec_to_string chain with
+  | [ "exact" ] -> "best-exact"
+  | specs -> String.concat "," specs
 
 let chain_of_string s =
-  match String.lowercase_ascii (String.trim s) with
+  match Wire.Spec.token s with
   | "default" | "best-exact-chain" -> Ok default_chain
   | "fast" -> Ok Solver.[ Greedy; Page_all ]
   | "heuristic" -> Ok Solver.[ Local_search; Greedy; Page_all ]
   | "exact" -> Ok Solver.[ Best_exact; Branch_and_bound; Exhaustive ]
   | "" -> Error "empty fallback chain"
   | _ ->
-    let parts = String.split_on_char ',' s |> List.map String.trim in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | "" :: _ -> Error "empty solver name in chain"
-      | p :: rest ->
-        (match Solver.spec_of_string p with
-         | Ok spec -> go (spec :: acc) rest
-         | Error e -> Error e)
-    in
-    go [] parts
+    Wire.Spec.all
+      (function
+        | "" -> Error "empty solver name in chain"
+        | p -> Solver.spec_of_string p)
+      (Wire.Spec.parts ',' s)
 
 (* Stages cheap enough to run after the deadline, inside the grace
    window: polynomial, small constants. Everything else is skipped once
@@ -281,10 +280,3 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(clock = Obs.now)
       (match pool with
        | Some p when Exec.Pool.size p > 1 -> raced p
        | Some _ | None -> sequential [] chain)
-
-let solve ?objective ?budget_ms ?chain inst =
-  let report = run ?objective ?budget_ms ?chain inst in
-  match (report.winner, report.failure) with
-  | Some (_, outcome), _ -> Ok outcome
-  | None, Some err -> Error err
-  | None, None -> Error (Internal "runner produced neither winner nor failure")

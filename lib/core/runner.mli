@@ -82,7 +82,8 @@ val resolve_chain :
 
 (** Chains by name ("default", "fast", "heuristic", "exact") or as
     comma-separated solver specs ("bnb,local-search,page-all"); specs as
-    in {!Solver.spec_of_string}. *)
+    in {!Solver.spec_of_string}. It inverts {!chain_to_string} on every
+    non-empty chain. *)
 val chain_of_string : string -> (Solver.spec list, string) result
 
 val chain_to_string : Solver.spec list -> string
@@ -181,15 +182,6 @@ val run :
   ?arena:Flat.t ->
   Instance.t ->
   run_report
-
-(** [solve ...] is {!run} reduced to its outcome: the winning strategy,
-    or the run's failure. *)
-val solve :
-  ?objective:Objective.t ->
-  ?budget_ms:float ->
-  ?chain:Solver.spec list ->
-  Instance.t ->
-  (Solver.outcome, error) result
 
 val error_to_string : error -> string
 val stage_status_to_string : stage_status -> string

@@ -39,8 +39,9 @@ let spec_to_string = function
   | Local_search -> "local-search"
   | Class_based -> "class"
   | Robust { eps; tv } ->
-    if Float.is_finite tv then Printf.sprintf "robust-%g:%g" eps tv
-    else Printf.sprintf "robust-%g" eps
+    let num = Wire.Spec.float_to_string in
+    if Float.is_finite tv then Printf.sprintf "robust-%s:%s" (num eps) (num tv)
+    else "robust-" ^ num eps
 
 (* Candidate pool for the robust re-ranking: the fast end of the
    default chain. Each candidate is scored by its worst-case EP over
@@ -110,7 +111,15 @@ and most_robust ?objective ?cancel ?arena u inst =
   |> Option.map fst
 
 let spec_of_string s =
-  match String.lowercase_ascii s with
+  let ( let* ) = Result.bind in
+  let radius what s =
+    match Wire.Spec.float s with
+    | Some x when x < 0.0 ->
+      Error (Printf.sprintf "robust: %s must be >= 0" what)
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "robust: bad %s %S" what s)
+  in
+  match Wire.Spec.token s with
   | "greedy" -> Ok Greedy
   | "page-all" | "pageall" -> Ok Page_all
   | "exhaustive" -> Ok Exhaustive
@@ -119,33 +128,24 @@ let spec_of_string s =
   | "local-search" | "local" -> Ok Local_search
   | "class" | "class-based" -> Ok Class_based
   | "robust" -> Ok (Robust { eps = 0.05; tv = infinity })
-  | s when String.length s > 7 && String.sub s 0 7 = "robust-" ->
-    let body = String.sub s 7 (String.length s - 7) in
-    let eps_s, tv_s =
-      match String.index_opt body ':' with
-      | Some i ->
-        ( String.sub body 0 i,
-          Some (String.sub body (i + 1) (String.length body - i - 1)) )
-      | None -> (body, None)
-    in
-    let parse what s =
-      match float_of_string_opt s with
-      | Some x when Float.is_nan x || x < 0.0 ->
-        Error (Printf.sprintf "robust: %s must be >= 0" what)
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "robust: bad %s %S" what s)
-    in
-    (match (parse "eps" eps_s, Option.map (parse "tv") tv_s) with
-     | Ok eps, None when eps <= 1.0 -> Ok (Robust { eps; tv = infinity })
-     | Ok eps, Some (Ok tv) when eps <= 1.0 -> Ok (Robust { eps; tv })
-     | Ok _, Some (Error e) -> Error e
-     | Ok _, _ -> Error "robust-<eps>[:<tv>] needs eps in [0, 1]"
-     | Error e, _ -> Error e)
-  | s when String.length s > 10 && String.sub s 0 10 = "bandwidth-" ->
-    (match int_of_string_opt (String.sub s 10 (String.length s - 10)) with
-     | Some b when b >= 1 -> Ok (Bandwidth_limited b)
-     | _ -> Error "bandwidth-<b> needs a positive integer")
-  | other -> Error (Printf.sprintf "unknown solver %S" other)
+  | s ->
+    (match Wire.Spec.(after "robust-" s, after "bandwidth-" s) with
+     | Some body, _ ->
+       let e, t =
+         match Wire.Spec.parts ':' body with
+         | [ e; t ] -> (e, Some t)
+         | [ e ] -> (e, None)
+         | _ -> (body, None)
+       in
+       let* eps = radius "eps" e in
+       let* tv = Option.fold t ~none:(Ok infinity) ~some:(radius "tv") in
+       if eps <= 1.0 then Ok (Robust { eps; tv })
+       else Error "robust-<eps>[:<tv>] needs eps in [0, 1]"
+     | None, Some b ->
+       (match Wire.Spec.int b with
+        | Some b when b >= 1 -> Ok (Bandwidth_limited b)
+        | _ -> Error "bandwidth-<b> needs a positive integer")
+     | None, None -> Error (Printf.sprintf "unknown solver %S" s))
 
 let basic_specs =
   [ Greedy; Page_all; Exhaustive; Branch_and_bound; Best_exact; Local_search ]

@@ -64,6 +64,9 @@ val most_robust :
   Instance.t ->
   outcome option
 
+(** [spec_of_string s] reads a spec in the {!Wire.Spec} grammar: words
+    in any case, parts trimmed, decimal numbers. It inverts
+    {!spec_to_string}, which prints robust radii exactly. *)
 val spec_of_string : string -> (spec, string) result
 val spec_to_string : spec -> string
 

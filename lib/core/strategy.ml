@@ -232,3 +232,28 @@ let to_string t =
     ^ "}"
   in
   String.concat "|" (Array.to_list (Array.map group t.groups))
+
+let of_string s =
+  let cell tok =
+    match Wire.Spec.int tok with
+    | Some j -> j
+    | None ->
+      invalid_arg
+        (Printf.sprintf
+           "bad cell index %S (expected space-separated integers in \
+            '|'-separated groups, e.g. \"0 1 2|3 4|5\")"
+           tok)
+  in
+  let group g =
+    let n = String.length g in
+    let g =
+      if n >= 2 && g.[0] = '{' && g.[n - 1] = '}' then String.sub g 1 (n - 2)
+      else g
+    in
+    String.split_on_char ' ' g
+    |> List.filter (( <> ) "")
+    |> List.map cell |> Array.of_list
+  in
+  match create (Array.of_list (List.map group (Wire.Spec.parts '|' s))) with
+  | t -> Ok t
+  | exception Invalid_argument e -> Error e

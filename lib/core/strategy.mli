@@ -84,3 +84,8 @@ val expected_paging_exact :
 
 val equal : t -> t -> bool
 val to_string : t -> string
+
+(** [of_string s] reads what {!to_string} prints (["{0 1}|{2}"]),
+    braces optional, cells as decimal integers; [Error] names a bad
+    cell index or what {!create} refuses. *)
+val of_string : string -> (t, string) result

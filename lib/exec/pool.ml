@@ -345,3 +345,6 @@ let join t =
 let with_pool ~domains f =
   let t = create ~domains () in
   Fun.protect ~finally:(fun () -> join t) (fun () -> f t)
+
+let with_pool_opt ~domains f =
+  if domains > 1 then with_pool ~domains (fun p -> f (Some p)) else f None

@@ -112,6 +112,10 @@ val join : t -> unit
     {!join}, whatever [f] does. *)
 val with_pool : domains:int -> (t -> 'a) -> 'a
 
+(** [with_pool_opt ~domains f] runs [f] on [Some] pool of [domains]
+    when [domains > 1], and as [f None], the sequential path, else. *)
+val with_pool_opt : domains:int -> (t option -> 'a) -> 'a
+
 (** Number of worker domains spawned and not yet joined, across all
     pools — the leak detector for tests. *)
 val active_domains : unit -> int

@@ -35,13 +35,9 @@ let catalogue =
   ]
 
 let default_param point =
-  let n = String.length point in
-  let has_suffix suf =
-    let k = String.length suf in
-    n >= k && String.sub point (n - k) k = suf
-  in
-  if has_suffix ".delay" then 2.0 (* ms *)
-  else if has_suffix ".short" then 0.5 (* fraction of the write kept *)
+  if String.ends_with ~suffix:".delay" point then 2.0 (* ms *)
+  else if String.ends_with ~suffix:".short" point then
+    0.5 (* fraction of the write kept *)
   else 0.0
 
 (* ---------------- state ---------------- *)
@@ -73,72 +69,54 @@ let stream_key ~seed name =
 (* ---------------- spec parsing ---------------- *)
 
 let parse spec =
-  let spec = String.trim spec in
-  if spec = "" then Ok []
-  else begin
-    let entries = String.split_on_char ',' spec in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | raw :: rest -> (
-        let raw = String.trim raw in
-        match String.index_opt raw '=' with
+  let ( let* ) = Result.bind in
+  let entry raw =
+    match Wire.Spec.parts ~keep_case:true '=' raw with
+    | [ name; rhs ] ->
+      let prob_s, param_s =
+        match Wire.Spec.parts ~keep_case:true '@' rhs with
+        | [ p; prm ] -> (p, Some prm)
+        | _ -> (rhs, None)
+      in
+      let* prob =
+        match Wire.Spec.float prob_s with
         | None ->
+          Error (Printf.sprintf "chaos: %s: bad probability %S" name prob_s)
+        | Some p when p < 0.0 || p > 1.0 ->
+          Error (Printf.sprintf "chaos: %s: probability must be in [0, 1]" name)
+        | Some p -> Ok p
+      in
+      let* points =
+        if name = "*" then Ok (List.map fst catalogue)
+        else if List.mem_assoc name catalogue then Ok [ name ]
+        else
           Error
-            (Printf.sprintf "chaos: entry %S is not point=prob[@param]" raw)
-        | Some eq -> (
-          let name = String.trim (String.sub raw 0 eq) in
-          let rhs = String.sub raw (eq + 1) (String.length raw - eq - 1) in
-          let prob_s, param_s =
-            match String.index_opt rhs '@' with
-            | None -> (String.trim rhs, None)
-            | Some at ->
-              ( String.trim (String.sub rhs 0 at),
-                Some
-                  (String.trim
-                     (String.sub rhs (at + 1) (String.length rhs - at - 1)))
-              )
-          in
-          match float_of_string_opt prob_s with
-          | None ->
-            Error (Printf.sprintf "chaos: %s: bad probability %S" name prob_s)
-          | Some prob when not (Float.is_finite prob) || prob < 0.0 || prob > 1.0
-            ->
-            Error
-              (Printf.sprintf "chaos: %s: probability must be in [0, 1]" name)
-          | Some prob -> (
-            let param name =
-              match param_s with
-              | None -> Ok (default_param name)
-              | Some s -> (
-                match float_of_string_opt s with
-                | Some p when Float.is_finite p && p >= 0.0 -> Ok p
-                | Some _ | None ->
-                  Error
-                    (Printf.sprintf
-                       "chaos: %s: param must be a non-negative number, got %S"
-                       name s))
-            in
-            if name = "*" then begin
-              let rec expand acc = function
-                | [] -> go acc rest
-                | (p, _) :: tl -> (
-                  match param p with
-                  | Ok prm -> expand ((p, prob, prm) :: acc) tl
-                  | Error e -> Error e)
-              in
-              expand acc catalogue
-            end
-            else if not (List.mem_assoc name catalogue) then
-              Error
-                (Printf.sprintf "chaos: unknown point %S (known: %s)" name
-                   (String.concat " " (List.map fst catalogue)))
-            else
-              match param name with
-              | Ok prm -> go ((name, prob, prm) :: acc) rest
-              | Error e -> Error e)))
-    in
-    go [] entries
-  end
+            (Printf.sprintf "chaos: unknown point %S (known: %s)" name
+               (String.concat " " (List.map fst catalogue)))
+      in
+      let* param =
+        match param_s with
+        | None -> Ok None
+        | Some s ->
+          (match Wire.Spec.float s with
+           | Some p when p >= 0.0 -> Ok (Some p)
+           | _ ->
+             Error
+               (Printf.sprintf
+                  "chaos: %s: param must be a non-negative number, got %S"
+                  name s))
+      in
+      Ok
+        (List.map
+           (fun p -> (p, prob, Option.value param ~default:(default_param p)))
+           points)
+    | _ ->
+      Error (Printf.sprintf "chaos: entry %S is not point=prob[@param]" raw)
+  in
+  if String.trim spec = "" then Ok []
+  else
+    Result.map List.concat
+      (Wire.Spec.all entry (Wire.Spec.parts ~keep_case:true ',' spec))
 
 (* Only drop the enabled flag: the fired counters stay readable (the
    chaos soak and the CLI's exit summary report them after disarming)
@@ -175,7 +153,7 @@ let arm_from_env () =
       match Sys.getenv_opt seed_env_var with
       | None -> 1
       | Some raw -> (
-        match int_of_string_opt (String.trim raw) with
+        match Wire.Spec.int (String.trim raw) with
         | Some s -> s
         | None ->
           invalid_arg

@@ -311,24 +311,20 @@ let retry_after_hint st ~depth =
 
 (* ---------------- solve execution (worker side) ---------------- *)
 
-(* A spec as the cache key spells it: [Solver.spec_to_string], except
-   that a robust radius is written exactly (%h), since %g would give
-   robust-0.3000004 the key of robust-0.3. *)
-let key_spec = function
-  | Solver.Robust { eps; tv } ->
-    if Float.is_finite tv then Printf.sprintf "robust-%h:%h" eps tv
-    else Printf.sprintf "robust-%h" eps
-  | s -> Solver.spec_to_string s
-
+(* The solve path as the cache key spells it. [Solver.spec_to_string]
+   writes robust radii exactly, so robust-0.3000004 keys apart from
+   robust-0.3. A chain is its specs joined by commas, as it always was
+   ([Runner.chain_to_string] renames a lone best-exact stage). *)
 let mode_of_solve ~spec ~chain ~budgeted =
+  let key = Solver.spec_to_string in
   match chain with
   | Some c -> Printf.sprintf "chain:%s|%s"
-                (String.concat "," (List.map key_spec c))
+                (String.concat "," (List.map key c))
                 (if budgeted then "budgeted" else "unbudgeted")
   | None ->
     (match (spec, budgeted) with
-     | Some s, false -> "spec:" ^ key_spec s
-     | Some s, true -> Printf.sprintf "chain:%s|budgeted" (key_spec s)
+     | Some s, false -> "spec:" ^ key s
+     | Some s, true -> Printf.sprintf "chain:%s|budgeted" (key s)
      | None, true -> "chain:default|budgeted"
      | None, false -> "spec:greedy")
 

@@ -27,13 +27,12 @@ let add_escaped buf s =
   done;
   Buffer.add_substring buf s !run (n - !run)
 
-(* A finite number prints as [%.12g] when that text parses back to the
-   same float and as [%.17g] otherwise, so every number round-trips bit
-   for bit; a non-finite one prints as a quoted [%h] string. An integral
-   value below 10^12 in magnitude (other than -0) takes the first rule
-   and is written as its [string_of_int] digits straight into the
-   buffer: several times cheaper than [Printf], and strategies are
-   arrays of cell indices. *)
+(* A finite number prints as [Spec.float_to_string] writes it, so every
+   number round-trips bit for bit; a non-finite one prints as a quoted
+   [%h] string. An integral value below 10^12 in magnitude (other than
+   -0) prints the same text, its [string_of_int] digits, written
+   straight into the buffer: several times cheaper than [Printf], and
+   strategies are arrays of cell indices. *)
 let rec add_nat buf n =
   if n >= 10 then add_nat buf (n / 10);
   Buffer.add_char buf (Char.chr (48 + (n mod 10)))
@@ -46,11 +45,7 @@ let add_num buf x =
     if x < 0.0 then Buffer.add_char buf '-';
     add_nat buf (int_of_float (Float.abs x))
   end
-  else if Float.is_finite x then begin
-    let s = Printf.sprintf "%.12g" x in
-    Buffer.add_string buf
-      (if float_of_string s = x then s else Printf.sprintf "%.17g" x)
-  end
+  else if Float.is_finite x then Buffer.add_string buf (Spec.float_to_string x)
   else begin
     Buffer.add_char buf '"';
     add_escaped buf (Printf.sprintf "%h" x);
@@ -231,31 +226,13 @@ let parse ?(max_depth = 64) s =
     Buffer.contents buf
   in
   let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        advance ()
-      done;
-      if !pos = d0 then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-     | Some ('e' | 'E') ->
-       advance ();
-       (match peek () with
-        | Some ('+' | '-') -> advance ()
-        | _ -> ());
-       digits ()
-     | _ -> ());
-    let x = float_of_string (String.sub s start (!pos - start)) in
-    if not (Float.is_finite x) then fail "number overflows a float";
-    Num x
+    match Spec.scan s !pos with
+    | Error at -> pos := at; fail "expected digit"
+    | Ok stop ->
+      let x = float_of_string (String.sub s !pos (stop - !pos)) in
+      if not (Float.is_finite x) then fail "number overflows a float";
+      pos := stop;
+      Num x
   in
   let rec parse_value depth =
     if depth > max_depth then fail "nesting too deep";

@@ -9,12 +9,9 @@
     answer).
 
     The printer uses [", "]/[": "] separators. A finite number prints
-    as [%.12g] when that text parses back to the same float and as
-    [%.17g] otherwise (an integral value below 10{^12} in magnitude,
-    other than [-0], as its [string_of_int] digits: the same bytes), so
-    [parse (to_string (Num x))] returns [Num x] bit for bit; a
-    non-finite one prints as its quoted [%h] string. Print, parse,
-    print is the identity.
+    as {!Spec.float_to_string} writes it, so [parse (to_string (Num x))]
+    returns [Num x] bit for bit; a non-finite one prints as its quoted
+    [%h] string. Print, parse, print is the identity.
 
     The parser is total: any byte string returns [Ok] or [Error],
     never an exception — it sits directly behind the network boundary

@@ -609,6 +609,21 @@ let test_endpoint_parsing () =
   check bool_t "empty list rejected" true
     (match C.endpoints_of_string " , " with Error _ -> true | Ok _ -> false)
 
+(* A prefix with nothing after it is no socket path: the error names the
+   endpoint. *)
+let test_bare_prefixes_refused () =
+  List.iter
+    (fun (s, expected) ->
+      check
+        (Alcotest.result Alcotest.reject Alcotest.string)
+        s (Error expected)
+        (Result.map ignore (C.endpoint_of_string s)))
+    [
+      ("unix:", "endpoint \"unix:\" has no path");
+      ("tcp:", "endpoint \"tcp:\": bad tcp port");
+      (" tcp: ", "endpoint \"tcp:\": bad tcp port");
+    ]
+
 (* ---------------- retry: jitter draws ---------------- *)
 
 (* Draw k of a client is output k of the SplitMix64 stream keyed by its
@@ -660,7 +675,11 @@ let () =
             test_shed_outranks_dead_endpoint;
         ] );
       ( "endpoints",
-        [ Alcotest.test_case "endpoint grammar" `Quick test_endpoint_parsing ] );
+        [
+          Alcotest.test_case "endpoint grammar" `Quick test_endpoint_parsing;
+          Alcotest.test_case "bare prefixes refused" `Quick
+            test_bare_prefixes_refused;
+        ] );
       ( "transport",
         [
           Alcotest.test_case "frame rules" `Quick test_framer_rules;

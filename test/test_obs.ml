@@ -266,10 +266,6 @@ let with_enabled_default f =
       f ();
       deterministic_snapshot m)
 
-let with_degree domains f =
-  if domains > 1 then Exec.Pool.with_pool ~domains (fun p -> f (Some p))
-  else f None
-
 let snapshots_equal name workload =
   let snap d = with_enabled_default (fun () -> workload d) in
   let s1 = snap 1 and s4 = snap 4 in
@@ -287,7 +283,7 @@ let test_runner_counters_deterministic () =
   let chain = Solver.[ Local_search; Greedy; Bandwidth_limited 60 ] in
   let u = Uncertainty.uniform 0.01 in
   snapshots_equal "runner" (fun d ->
-      with_degree d (fun pool ->
+      Exec.Pool.with_pool_opt ~domains:d (fun pool ->
           ignore (Runner.run ~chain ~uncertainty:u ?pool inst)))
 
 let test_sweep_counters_deterministic () =
@@ -313,14 +309,15 @@ let test_sweep_counters_deterministic () =
           Journal.close journal;
           Sys.remove path)
         (fun () ->
-          with_degree d (fun pool -> ignore (Sweep.run ?pool ~journal items))))
+          Exec.Pool.with_pool_opt ~domains:d (fun pool ->
+              ignore (Sweep.run ?pool ~journal items))))
 
 let test_sim_counters_deterministic () =
   let cfg =
     { (Cellsim.Sim.default_config ()) with Cellsim.Sim.duration = 40.0 }
   in
   snapshots_equal "sim" (fun d ->
-      with_degree d (fun pool ->
+      Exec.Pool.with_pool_opt ~domains:d (fun pool ->
           ignore (Cellsim.Replicate.run_summary ?pool ~replicas:3 cfg)))
 
 let () =

@@ -165,8 +165,8 @@ let test_fired_set_pinned () =
       check int_t "fired counters agree" 24 (Faultpoint.total_fired ()))
 
 (* CONFCALL_CHAOS_SEED is read at the boundary: blanks are trimmed, and
-   a value that is not an integer fails naming the variable instead of
-   replaying seed 1. *)
+   a value that is not a decimal integer fails naming the variable
+   instead of replaying seed 1. *)
 let test_env_seed_boundary () =
   let spec = "journal.fsync=0.3" in
   (* No unsetenv in the stdlib: an empty spec and seed 1 read as unset. *)
@@ -211,7 +211,7 @@ let test_env_seed_boundary () =
                  bad)
               msg;
             check bool_t "nothing armed" false (Faultpoint.on ())))
-    [ "x"; ""; "7x"; "1.5" ]
+    [ "x"; ""; "7x"; "1.5"; "0x10"; "1_0"; "+3"; "nan"; "inf"; ".5" ]
 
 (* ---------------- pool: injected domain death ---------------- *)
 

@@ -266,13 +266,14 @@ let test_chain_of_string () =
 
 let test_runner_solve_result () =
   let inst = small_instance () in
-  (match Runner.solve inst with
-   | Ok o ->
+  (match (Runner.run inst).Runner.winner with
+   | Some (_, o) ->
      check bool_t "valid strategy" true
        (Strategy.validate ~c:inst.Instance.c o.Solver.strategy = Ok ())
-   | Error e -> Alcotest.fail (Runner.error_to_string e));
-  match Runner.solve ~objective:(Objective.Find_at_least 9) inst with
-  | Error (Runner.Invalid_input _) -> ()
+   | None -> Alcotest.fail "no winner");
+  let r = Runner.run ~objective:(Objective.Find_at_least 9) inst in
+  match (r.Runner.winner, r.Runner.failure) with
+  | None, Some (Runner.Invalid_input _) -> ()
   | _ -> Alcotest.fail "expected Invalid_input"
 
 (* Satellite: every fallback chain built from basic_specs returns a

@@ -63,16 +63,14 @@ let by_id lines =
       ((try jstr_field "id" j with _ -> "?"), (j, l)))
     lines
 
-let solve_frame ?(id = "r") ?request_id ?solver ?chain ?budget_ms
+let solve_frame ?(id = "r") ?request_id ?solver ?chain ?objective ?budget_ms
     ?(cache = false) inst =
+  let str k = Option.fold ~none:[] ~some:(fun v -> [ (k, J.Str v) ]) in
   let fields =
     [ ("id", J.Str id); ("op", J.Str "solve");
       ("instance", J.Str (Instance.to_string inst)) ]
-    @ (match request_id with
-       | Some r -> [ ("request_id", J.Str r) ]
-       | None -> [])
-    @ (match solver with Some s -> [ ("solver", J.Str s) ] | None -> [])
-    @ (match chain with Some s -> [ ("chain", J.Str s) ] | None -> [])
+    @ str "request_id" request_id @ str "solver" solver @ str "chain" chain
+    @ str "objective" objective
     @ (match budget_ms with
        | Some b -> [ ("budget_ms", J.Num b) ]
        | None -> [])
@@ -1145,6 +1143,54 @@ let test_golden_frames () =
       check string_t what expected line)
     golden_frames got
 
+(* The cache key of every solve mode but the robust one, byte for byte
+   as the daemon has always spelled it: a journal written by an older
+   daemon keeps its hits. *)
+let golden_cache_keys =
+  [
+    "22438fbcd8102fc498f4ccd37e19e658|989e443d86a1a0d19dd9afd15cba8ba7";
+    "789466a9df22d8c92d39f1b8fdee88b7|989e443d86a1a0d19dd9afd15cba8ba7";
+    "46e66f83b38e9d2ddd1621a70a564a98|bbb5cd4a11ce340ce9ece66914030e5b";
+    "22438fbcd8102fc498f4ccd37e19e658|bbb5cd4a11ce340ce9ece66914030e5b";
+    "22438fbcd8102fc498f4ccd37e19e658|45c521140f519d25d5e4655f801c4be1";
+    "22438fbcd8102fc498f4ccd37e19e658|69d8cab1e4a5b6cc8c9c312f63cd827b";
+    "22438fbcd8102fc498f4ccd37e19e658|7f6594359361fc3a7d5b214bd91965ee";
+    "22438fbcd8102fc498f4ccd37e19e658|1aa79f1d120678694bd972fa374a8e7d";
+  ]
+
+let test_golden_cache_keys () =
+  let path = Filename.temp_file "confcall_keys" ".cachej" in
+  Sys.remove path;
+  let rng = Prob.Rng.create ~seed:0x4B45 in
+  let inst = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:2 in
+  let b = 10_000.0 in
+  with_server ~domains:1 ~cache_path:path (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      List.iter
+        (fun (solver, chain, objective, budget_ms) ->
+          send c
+            (solve_frame ?solver ?chain ?objective ?budget_ms ~cache:true inst);
+          ignore (recv_n c 1))
+        [
+          (Some "greedy", None, None, None);
+          (Some "greedy", None, Some "any", None);
+          (None, Some "fast", Some "2", None);
+          (None, Some "fast", None, None);
+          (None, Some "exact", None, None);
+          (None, Some "heuristic", None, Some b);
+          (Some "bandwidth-2", None, None, Some b);
+          (None, None, None, Some b);
+        ]);
+  let journal = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let keys =
+    String.split_on_char '\n' journal
+    |> List.filter (( <> ) "")
+    |> List.map (fun l -> List.hd (String.split_on_char '\t' l))
+  in
+  check (Alcotest.list string_t) "cache keys" golden_cache_keys keys
+
 (* ---------------- registration ---------------- *)
 
 (* ---------------- stalled readers ---------------- *)
@@ -1235,6 +1281,8 @@ let () =
             test_cache_hit_and_restart;
           Alcotest.test_case "robust radii keyed exactly" `Quick
             test_cache_robust_radii_exact;
+          Alcotest.test_case "cache keys by mode" `Quick
+            test_golden_cache_keys;
           Alcotest.test_case "health/metrics/simulate/drain" `Quick
             test_ops_and_drain;
           Alcotest.test_case "drain finishes in-flight work" `Quick
