@@ -70,7 +70,7 @@ let e1 () =
   List.iter
     (fun c ->
       let inst = Instance.all_uniform ~m:1 ~c ~d:2 in
-      let dp = (Single.solve inst).Order_dp.expected_paging in
+      let dp = (Single.solve inst).Strategy.expected_paging in
       let closed = 3.0 *. float_of_int c /. 4.0 in
       if abs_float (dp -. closed) > 1e-9 then ok := false;
       Printf.printf "%8d %12.2f %12.2f %12d %10.2f\n" c dp closed c
@@ -102,8 +102,8 @@ let e2 () =
           if t mod 2 = 0 then Instance.random_uniform_simplex rng ~m ~c ~d
           else Instance.random_zipf rng ~s:1.0 ~m ~c ~d
         in
-        let g = (Greedy.solve inst).Order_dp.expected_paging in
-        let o = (Optimal.exhaustive inst).Optimal.expected_paging in
+        let g = (Greedy.solve inst).Strategy.expected_paging in
+        let o = (Optimal.exhaustive inst).Strategy.expected_paging in
         let ratio = g /. o in
         Prob.Stats.Acc.add acc ratio;
         if ratio > !max_ratio then max_ratio := ratio;
@@ -144,14 +144,14 @@ let e3 () =
   let opt_strategy, opt_ep = Optimal.exhaustive_exact exact in
   let float_inst = Instance.Exact.to_float exact in
   let heur = Greedy.solve float_inst in
-  let heur_ep = Strategy.expected_paging_exact exact heur.Order_dp.strategy in
+  let heur_ep = Strategy.expected_paging_exact exact heur.Strategy.strategy in
   let ratio = Q.div heur_ep opt_ep in
   Printf.printf "%-22s %-22s %s\n" "quantity" "strategy" "exact EP";
   Printf.printf "%-22s %-22s %s = %.6f\n" "optimal"
     (Strategy.to_string opt_strategy)
     (Q.to_string opt_ep) (Q.to_float opt_ep);
   Printf.printf "%-22s %-22s %s = %.6f\n" "heuristic"
-    (Strategy.to_string heur.Order_dp.strategy)
+    (Strategy.to_string heur.Strategy.strategy)
     (Q.to_string heur_ep) (Q.to_float heur_ep);
   Printf.printf "%-22s %-22s %s = %.6f\n" "ratio" "-" (Q.to_string ratio)
     (Q.to_float ratio);
@@ -189,13 +189,13 @@ let e4 () =
       List.iteri
         (fun i (_, base) ->
           let ep =
-            (Greedy.solve (Instance.with_d base d)).Order_dp.expected_paging
+            (Greedy.solve (Instance.with_d base d)).Strategy.expected_paging
           in
           columns.(i) <- ep :: columns.(i);
           Printf.printf "%12.2f" ep)
         bases;
       let ep =
-        (Greedy.solve (Instance.with_d uniform_base d)).Order_dp.expected_paging
+        (Greedy.solve (Instance.with_d uniform_base d)).Strategy.expected_paging
       in
       columns.(List.length ms) <- ep :: columns.(List.length ms);
       Printf.printf "%12.2f\n" ep)
@@ -229,7 +229,7 @@ let e5 () =
   let eps = ref [] in
   for m = 1 to 10 do
     let inst = Instance.create ~d (Array.sub all_rows 0 m) in
-    let ep = (Greedy.solve inst).Order_dp.expected_paging in
+    let ep = (Greedy.solve inst).Strategy.expected_paging in
     let lb = Bounds.lower_bound inst in
     eps := ep :: !eps;
     Printf.printf "%4d %12.2f %12.2f %12d %12.1f%%\n" m ep lb c
@@ -263,9 +263,9 @@ let e6 () =
   let adaptive_beats_optimal = ref 0 in
   for _ = 1 to trials do
     let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-    let obl = (Greedy.solve inst).Order_dp.expected_paging in
+    let obl = (Greedy.solve inst).Strategy.expected_paging in
     let ada = Adaptive.greedy_adaptive_ep inst in
-    let opt = (Optimal.exhaustive inst).Optimal.expected_paging in
+    let opt = (Optimal.exhaustive inst).Strategy.expected_paging in
     if ada > obl +. 1e-9 then ok := false;
     if ada < opt -. 1e-9 then incr adaptive_beats_optimal;
     Prob.Stats.Acc.add acc_obl obl;
@@ -302,11 +302,11 @@ let e7 () =
   let acc_single = Prob.Stats.Acc.create () in
   for _ = 1 to trials do
     let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-    let opt = (Yellow_pages.exhaustive inst).Optimal.expected_paging in
+    let opt = (Yellow_pages.exhaustive inst).Strategy.expected_paging in
     Prob.Stats.Acc.add acc_nat
-      ((Yellow_pages.natural_heuristic inst).Order_dp.expected_paging /. opt);
+      ((Yellow_pages.natural_heuristic inst).Strategy.expected_paging /. opt);
     Prob.Stats.Acc.add acc_single
-      ((Yellow_pages.best_single_device inst).Order_dp.expected_paging /. opt)
+      ((Yellow_pages.best_single_device inst).Strategy.expected_paging /. opt)
   done;
   Printf.printf
     "random instances (m=%d, c=%d, d=%d, %d trials), ratio to exact OPT:\n" m
@@ -323,10 +323,10 @@ let e7 () =
       (fun blocks ->
         let adv = Yellow_pages.adversarial_instance ~blocks ~d:2 in
         let nat =
-          (Yellow_pages.natural_heuristic adv).Order_dp.expected_paging
+          (Yellow_pages.natural_heuristic adv).Strategy.expected_paging
         in
         let single =
-          (Yellow_pages.best_single_device adv).Order_dp.expected_paging
+          (Yellow_pages.best_single_device adv).Strategy.expected_paging
         in
         Printf.printf "%8d %6d %10.3f %10.3f %8.3f\n" blocks adv.Instance.c
           nat single (nat /. single);
@@ -511,7 +511,7 @@ let e12 () =
   List.iter
     (fun (m, d) ->
       let inst = Instance.all_uniform ~m ~c ~d in
-      let dp_sizes = (Greedy.solve inst).Order_dp.sizes in
+      let dp_sizes = Strategy.sizes (Greedy.solve inst).Strategy.strategy in
       let fractions = Numeric.Lemma_bounds.optimal_group_fractions ~m ~d in
       let predicted = Array.map (fun f -> f *. float_of_int c) fractions in
       let show_i a =
@@ -547,9 +547,9 @@ let e13 () =
   Printf.printf "%4s %12s\n" "k" "EP";
   Array.iteri (fun i ep -> Printf.printf "%4d %12.3f\n" (i + 1) ep) sweep;
   let yp =
-    (Greedy.solve ~objective:Objective.Find_any inst).Order_dp.expected_paging
+    (Greedy.solve ~objective:Objective.Find_any inst).Strategy.expected_paging
   in
-  let cc = (Greedy.solve inst).Order_dp.expected_paging in
+  let cc = (Greedy.solve inst).Strategy.expected_paging in
   let monotone = ref true in
   for i = 0 to m - 2 do
     if sweep.(i) > sweep.(i + 1) +. 1e-9 then monotone := false
@@ -575,7 +575,7 @@ let e14 () =
   let c = 16 and d = 4 in
   let rng = Prob.Rng.create ~seed:14141 in
   let inst = Instance.random_zipf rng ~s:1.2 ~m:1 ~c ~d in
-  let strategy = (Greedy.solve inst).Order_dp.strategy in
+  let strategy = (Greedy.solve inst).Strategy.strategy in
   let schedule = Miss.repeat_strategy strategy ~cycles:6 in
   Printf.printf "single device, greedy schedule repeated 6x:\n";
   Printf.printf "%6s %14s %12s\n" "q" "E[cells paged]" "P[found]";
@@ -594,7 +594,7 @@ let e14 () =
     go (List.rev !costs)
   in
   let inst2 = Instance.random_zipf rng ~s:1.0 ~m:2 ~c:12 ~d:3 in
-  let s2 = (Greedy.solve inst2).Order_dp.strategy in
+  let s2 = (Greedy.solve inst2).Strategy.strategy in
   let sched2 = Miss.repeat_strategy s2 ~cycles:5 in
   let summary, success =
     Miss.simulate inst2 ~q:0.8 ~schedule:sched2 rng ~trials:20_000
@@ -603,7 +603,7 @@ let e14 () =
     "\nconference m=2, q=0.8, 5 cycles: E[cells] = %.2f (perfect-detection \
      EP %.2f), P[all found] = %.4f\n"
     summary.Prob.Stats.mean
-    (Greedy.solve inst2).Order_dp.expected_paging
+    (Greedy.solve inst2).Strategy.expected_paging
     success;
   record ~id:"e14"
     ~pass:(increasing && success > 0.95)
@@ -908,12 +908,12 @@ let e18 () =
   in
   for _ = 1 to trials do
     let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-    let opt = (Optimal.exhaustive inst).Optimal.expected_paging in
+    let opt = (Optimal.exhaustive inst).Strategy.expected_paging in
     let entries =
       [
-        "greedy", (Greedy.solve inst).Order_dp.expected_paging;
+        "greedy", (Greedy.solve inst).Strategy.expected_paging;
         "local-search",
-        (Local_search.hill_climb inst).Local_search.expected_paging;
+        (fst (Local_search.hill_climb inst)).Strategy.expected_paging;
         "qap (Sec 5.1)", snd (Qap.solve_conference_m2 ~rng inst);
         "adaptive-dp (within order)", Adaptive_dp.value inst;
         "adaptive OPT (unrestricted)", Adaptive_dp.unrestricted inst;
@@ -973,7 +973,7 @@ let e19 () =
       let order = Confcall.Instance.weight_order inst in
       let full =
         if c <= 4096 then
-          Some (Order_dp.solve inst ~order).Order_dp.expected_paging
+          Some (Order_dp.solve inst ~order).Strategy.expected_paging
         else None
       in
       List.iter
@@ -984,13 +984,13 @@ let e19 () =
           let loss =
             match full with
             | Some f ->
-              if coarse.Order_dp.expected_paging < f -. 1e-9 then ok := false;
+              if coarse.Strategy.expected_paging < f -. 1e-9 then ok := false;
               Printf.sprintf "%.3f%%"
-                (100.0 *. (coarse.Order_dp.expected_paging -. f) /. f)
+                (100.0 *. (coarse.Strategy.expected_paging -. f) /. f)
             | None -> "-"
           in
           Printf.printf "%8d %8d %12.1f %12s %10s %12.3f\n" c block
-            coarse.Order_dp.expected_paging
+            coarse.Strategy.expected_paging
             (match full with Some f -> Printf.sprintf "%.1f" f | None -> "-")
             loss elapsed;
           if elapsed > 10.0 then ok := false)
@@ -1014,7 +1014,7 @@ let e20 () =
        designer actually navigates";
   let rng = Prob.Rng.create ~seed:20202 in
   let inst = Instance.random_zipf rng ~s:1.1 ~m:2 ~c:32 ~d:4 in
-  let strategy = (Greedy.solve inst).Order_dp.strategy in
+  let strategy = (Greedy.solve inst).Strategy.strategy in
   let dist = Analysis.cost_distribution inst strategy in
   Printf.printf "greedy strategy on zipf m=2 c=32 d=4:\n";
   Printf.printf "  mean %.2f, sd %.2f, p50 %.0f, p90 %.0f, p99 %.0f\n"
@@ -2456,14 +2456,14 @@ let e30 () =
     in
     let gf = Flat.greedy ~objective arena inst in
     if
-      gl.Order_dp.expected_paging <> gf.Order_dp.expected_paging
-      || not (Strategy.equal gl.Order_dp.strategy gf.Order_dp.strategy)
+      gl.Strategy.expected_paging <> gf.Strategy.expected_paging
+      || not (Strategy.equal gl.Strategy.strategy gf.Strategy.strategy)
     then small_equal := false;
-    let hl = Local_search.hill_climb ~objective inst in
+    let hl, hl_iters = Local_search.hill_climb ~objective inst in
     let hf = Flat.hill_climb ~objective arena inst in
     if
-      hl.Local_search.expected_paging <> hf.Local_search.expected_paging
-      || hl.Local_search.iterations <> hf.Local_search.iterations
+      hl.Strategy.expected_paging <> hf.Strategy.expected_paging
+      || hl_iters <> Flat.iterations arena
     then small_equal := false
   done;
   Printf.printf
@@ -2500,9 +2500,9 @@ let e30 () =
   let legacy = Order_dp.solve_coarse ~block inst ~order in
   let legacy_ms = (Obs.now () -. t2) *. 1000.0 in
   let equal =
-    legacy.Order_dp.expected_paging = flat_ep
-    && Strategy.equal legacy.Order_dp.strategy
-         (Flat.greedy ~block arena inst).Order_dp.strategy
+    legacy.Strategy.expected_paging = flat_ep
+    && Strategy.equal legacy.Strategy.strategy
+         (Flat.greedy ~block arena inst).Strategy.strategy
   in
   let cells_per_sec =
     float_of_int (m * c) /. ((prepare_ms +. steady_ms) /. 1000.0)

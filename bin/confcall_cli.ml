@@ -1233,8 +1233,8 @@ let analyze path max_d =
     invalid_arg (Printf.sprintf "--max-d must be >= 1, got %d" max_d);
   let inst = read_instance path in
   let r = Greedy.solve inst in
-  let dist = Analysis.cost_distribution inst r.Order_dp.strategy in
-  Printf.printf "strategy: %s\n" (Strategy.to_string r.Order_dp.strategy);
+  let dist = Analysis.cost_distribution inst r.Strategy.strategy in
+  Printf.printf "strategy: %s\n" (Strategy.to_string r.Strategy.strategy);
   Printf.printf "cost distribution: mean %.3f sd %.3f p50 %.0f p90 %.0f p99 %.0f\n"
     dist.Analysis.mean dist.Analysis.stddev
     (Analysis.quantile dist 0.5)

@@ -26,7 +26,7 @@ let () =
       List.iter
         (fun (_, base) ->
           let inst = Instance.with_d base d in
-          let ep = (Greedy.solve inst).Order_dp.expected_paging in
+          let ep = (Greedy.solve inst).Strategy.expected_paging in
           Printf.printf "%12.2f" ep)
         instances;
       print_newline ())

@@ -30,7 +30,7 @@ let () =
   let rng = Prob.Rng.create ~seed:9 in
   let inst = Instance.random_zipf rng ~s:1.2 ~m:2 ~c:24 ~d:4 in
 
-  let greedy = (Greedy.solve inst).Order_dp.strategy in
+  let greedy = (Greedy.solve inst).Strategy.strategy in
   show "greedy (4 rounds)" inst greedy;
 
   (* A cautious alternative: front-load more cells. Lower tail spread,

@@ -27,13 +27,13 @@ let () =
       (if c <= 4096 then begin
          let full, t = time (fun () -> Order_dp.solve inst ~order) in
          Printf.printf "%10d %8s %14.1f %10.3f\n" c "full"
-           full.Order_dp.expected_paging t
+           full.Strategy.expected_paging t
        end);
       let coarse, t =
         time (fun () -> Order_dp.solve_coarse ~block inst ~order)
       in
       Printf.printf "%10d %8d %14.1f %10.3f\n" c block
-        coarse.Order_dp.expected_paging t)
+        coarse.Strategy.expected_paging t)
     [ 1024, 16; 8192, 64; 65536, 256 ];
 
   print_endline "\n== Solver comparison at c = 30 (m = 2, d = 3) ==";
@@ -43,9 +43,9 @@ let () =
     [
       "page-all (blanket)", (fun () -> 30.0);
       ( "greedy (Thm 4.8)",
-        fun () -> (Greedy.solve inst).Order_dp.expected_paging );
+        fun () -> (Greedy.solve inst).Strategy.expected_paging );
       ( "local search",
-        fun () -> (Local_search.hill_climb inst).Local_search.expected_paging );
+        fun () -> (fst (Local_search.hill_climb inst)).Strategy.expected_paging );
       "QAP route (Sec 5.1)", (fun () -> snd (Qap.solve_conference_m2 inst));
     ]
   in

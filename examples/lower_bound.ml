@@ -34,9 +34,9 @@ let () =
   (* The heuristic on the float version of the same instance. *)
   let inst = Instance.Exact.to_float exact in
   let heur = Greedy.solve inst in
-  let heur_ep = Strategy.expected_paging_exact exact heur.Order_dp.strategy in
+  let heur_ep = Strategy.expected_paging_exact exact heur.Strategy.strategy in
   Printf.printf "Heuristic strategy : %s\n"
-    (Strategy.to_string heur.Order_dp.strategy);
+    (Strategy.to_string heur.Strategy.strategy);
   Printf.printf "Heuristic EP       : %s = %.6f\n" (Q.to_string heur_ep)
     (Q.to_float heur_ep);
 
@@ -76,4 +76,4 @@ let () =
   let h2 = Greedy.solve perturbed in
   Printf.printf
     "Perturbed by 1e-9 (positive probabilities): heuristic EP = %.6f\n"
-    h2.Order_dp.expected_paging
+    h2.Strategy.expected_paging

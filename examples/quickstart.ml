@@ -30,10 +30,10 @@ let () =
      e/(e-1) ~ 1.582 of optimal). *)
   let result = Greedy.solve inst in
   Printf.printf "Greedy strategy : %s\n"
-    (Strategy.to_string result.Order_dp.strategy);
-  Printf.printf "Expected paging : %.3f cells\n" result.Order_dp.expected_paging;
+    (Strategy.to_string result.Strategy.strategy);
+  Printf.printf "Expected paging : %.3f cells\n" result.Strategy.expected_paging;
   Printf.printf "Expected rounds : %.3f\n\n"
-    (Strategy.expected_rounds inst result.Order_dp.strategy);
+    (Strategy.expected_rounds inst result.Strategy.strategy);
 
   (* Baseline: page every cell at once (the GSM/IS-41 behaviour). *)
   let blanket = Strategy.page_all inst.Instance.c in
@@ -47,17 +47,17 @@ let () =
   (match Optimal.best inst with
    | Some opt ->
      Printf.printf "Exact optimum   : %.3f cells (strategy %s)\n"
-       opt.Optimal.expected_paging
-       (Strategy.to_string opt.Optimal.strategy);
+       opt.Strategy.expected_paging
+       (Strategy.to_string opt.Strategy.strategy);
      Printf.printf "Greedy/OPT      : %.4f (Theorem 4.8 guarantees <= %.4f)\n"
-       (result.Order_dp.expected_paging /. opt.Optimal.expected_paging)
+       (result.Strategy.expected_paging /. opt.Strategy.expected_paging)
        Greedy.approximation_factor
    | None -> print_endline "Instance too large for exact solving.");
 
   (* Sanity: Monte Carlo agreement with the Lemma 2.1 formula. *)
   let rng = Prob.Rng.create ~seed:1 in
   let mc =
-    Strategy.monte_carlo_ep inst result.Order_dp.strategy rng ~trials:200_000
+    Strategy.monte_carlo_ep inst result.Strategy.strategy rng ~trials:200_000
   in
   Printf.printf "\nMonte Carlo     : %.3f +/- %.3f cells (200k trials)\n"
     mc.Prob.Stats.mean

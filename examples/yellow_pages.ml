@@ -30,11 +30,11 @@ let () =
   let natural = Yellow_pages.natural_heuristic inst in
   let single = Yellow_pages.best_single_device inst in
   Printf.printf "Yellow Pages, cell-weight heuristic   : %.3f\n"
-    natural.Order_dp.expected_paging;
+    natural.Strategy.expected_paging;
   Printf.printf "Yellow Pages, best-single-device      : %.3f\n"
-    single.Order_dp.expected_paging;
+    single.Strategy.expected_paging;
   Printf.printf "Combined (library default)            : %.3f\n\n"
-    (Yellow_pages.solve inst).Order_dp.expected_paging;
+    (Yellow_pages.solve inst).Strategy.expected_paging;
 
   (* The adversarial family: the conference-call heuristic's cell-weight
      order is misled by cells whose weight is split among many devices.
@@ -45,8 +45,8 @@ let () =
   List.iter
     (fun blocks ->
       let adv = Yellow_pages.adversarial_instance ~blocks ~d:2 in
-      let nat = (Yellow_pages.natural_heuristic adv).Order_dp.expected_paging in
-      let bsd = (Yellow_pages.best_single_device adv).Order_dp.expected_paging in
+      let nat = (Yellow_pages.natural_heuristic adv).Strategy.expected_paging in
+      let bsd = (Yellow_pages.best_single_device adv).Strategy.expected_paging in
       Printf.printf "%8d %6d %12.3f %12.3f %8.3f\n" blocks adv.Instance.c nat
         bsd (nat /. bsd))
     [ 1; 2; 4; 8; 16; 32 ];

@@ -781,7 +781,7 @@ let run config =
               Stdlib.min d c_local, aged_rows
           in
           let inst = Instance.create ~d (Lazy.force rows) in
-          let greedy () = (Greedy.solve inst).Order_dp.strategy in
+          let greedy () = (Greedy.solve inst).Strategy.strategy in
           let strategy =
             match scheme, aging_cfg with
             | Blanket, _ -> Strategy.page_all c_local

@@ -16,7 +16,7 @@ let greedy_policy ?objective inst =
               ~devices:missing
           in
           let result = Greedy.solve ?objective sub in
-          let first = (Strategy.groups result.Order_dp.strategy).(0) in
+          let first = (Strategy.groups result.Strategy.strategy).(0) in
           (* Map sub-instance cell indices back to original ids. *)
           Array.map (fun j -> remaining.(j)) first
         end

@@ -70,5 +70,5 @@ let delay_paging_frontier ?objective inst ~max_d =
         let d = i + 1 in
         let sub = Instance.with_d inst d in
         let r = Greedy.solve ?objective sub in
-        let rounds = Strategy.expected_rounds ?objective sub r.Order_dp.strategy in
-        rounds, r.Order_dp.expected_paging)
+        let rounds = Strategy.expected_rounds ?objective sub r.Strategy.strategy in
+        rounds, r.Strategy.expected_paging)

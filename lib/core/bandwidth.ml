@@ -10,6 +10,6 @@ let sweep inst ~bs =
   Array.map
     (fun b ->
       if feasible ~c:inst.Instance.c ~d:inst.Instance.d ~b then
-        (solve inst ~b).Order_dp.expected_paging
+        (solve inst ~b).Strategy.expected_paging
       else nan)
     bs

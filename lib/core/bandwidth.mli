@@ -16,10 +16,11 @@ val solve :
   ?cancel:Cancel.t ->
   Instance.t ->
   b:int ->
-  Order_dp.result
+  Strategy.solution
 
 (** [exhaustive inst ~b] — ground truth for small c. *)
-val exhaustive : ?objective:Objective.t -> Instance.t -> b:int -> Optimal.result
+val exhaustive :
+  ?objective:Objective.t -> Instance.t -> b:int -> Strategy.solution
 
 (** [sweep inst ~bs] — heuristic expected paging per cap, [nan] where
     infeasible. *)

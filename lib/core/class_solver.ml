@@ -1,5 +1,3 @@
-type result = { strategy : Strategy.t; expected_paging : float; classes : int }
-
 let classes ?(eps = 0.0) inst =
   let p = inst.Instance.p in
   let same a b = Array.for_all (fun r -> abs_float (r.(a) -. r.(b)) <= eps) p in
@@ -27,12 +25,7 @@ let solve ?objective ?cancel ?eps ?(max_candidates = 5_000_000) inst =
   if Array.fold_left (fun a g -> a *. compositions (Array.length g)) 1.0 cls
      > float_of_int max_candidates
   then invalid_arg "Class_solver.solve: too many compositions"
-  else
-    let r =
-      Optimal.exhaustive ?objective ?cancel ~classes:cls ~guard:false inst
-    in
-    { strategy = r.strategy; expected_paging = r.expected_paging;
-      classes = Array.length cls }
+  else Optimal.exhaustive ?objective ?cancel ~classes:cls ~guard:false inst
 
 let approximate ?(objective = Objective.Find_all) ?max_candidates inst ~grid =
   if grid < 1 then invalid_arg "Class_solver.approximate: grid must be >= 1"
@@ -53,5 +46,5 @@ let approximate ?(objective = Objective.Find_all) ?max_candidates inst ~grid =
     let r = solve ~objective ?max_candidates surrogate in
     (* Report the strategy's true quality on the original instance. *)
     let expected_paging = Strategy.expected_paging ~objective inst r.strategy in
-    { r with expected_paging }
+    { r with expected_paging; exact = false }
   end

@@ -10,19 +10,14 @@
     the classes are few (uniform instances, the §4.3 instance,
     reduction outputs). *)
 
-type result = {
-  strategy : Strategy.t;
-  expected_paging : float;
-  classes : int;  (** number of distinct cell types found *)
-}
-
 (** [classes ?eps inst] groups cells by probability column (tolerance
     [eps] per entry, default exact equality); returns representative ->
     members. *)
 val classes : ?eps:float -> Instance.t -> int array array
 
 (** [solve ?objective ?cancel ?eps ?max_candidates inst] — exact
-    optimum; [cancel] is polled at every prefix the search visits.
+    optimum, marked [exact]; [cancel] is polled at every prefix the
+    search visits. The search runs over [classes ?eps inst].
     @raise Invalid_argument when the Π_t C(n_t + d − 1, d − 1) per-class
     count compositions exceed [max_candidates] (default 5,000,000).
     @raise Cancel.Cancelled when the token fires mid-search. *)
@@ -32,7 +27,7 @@ val solve :
   ?eps:float ->
   ?max_candidates:int ->
   Instance.t ->
-  result
+  Strategy.solution
 
 (** [approximate ?objective ?max_candidates inst ~grid] — the §5
     approximation-scheme idea made concrete: snap every probability to a
@@ -42,7 +37,8 @@ val solve :
     coarse grids many cells collapse into few classes, making the exact
     search cheap; finer grids trade running time for fidelity. The
     returned [expected_paging] is the true EP of the strategy on the
-    original instance (not the snapped surrogate).
+    original instance (not the snapped surrogate), and the result is
+    not marked [exact].
     @raise Invalid_argument when [grid < 1] or the snapped instance
     still has too many classes. *)
 val approximate :
@@ -50,4 +46,4 @@ val approximate :
   ?max_candidates:int ->
   Instance.t ->
   grid:int ->
-  result
+  Strategy.solution

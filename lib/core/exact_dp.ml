@@ -1,11 +1,5 @@
 module Q = Numeric.Rational
 
-type result = {
-  strategy : Strategy.t;
-  sizes : int array;
-  expected_paging : Q.t;
-}
-
 let solve ?(objective = Objective.Find_all) ?(cancel = Cancel.never) inst
     ~order =
   let c = inst.Instance.Exact.c in
@@ -71,8 +65,7 @@ let solve ?(objective = Objective.Find_all) ?(cancel = Cancel.never) inst
       sizes.(d - l) <- v;
       k := !k - v
     done;
-    let strategy = Strategy.of_sizes ~order ~sizes in
-    { strategy; sizes; expected_paging }
+    (Strategy.of_sizes ~order ~sizes, expected_paging)
 
 let greedy ?objective ?cancel inst =
   solve ?objective ?cancel inst ~order:(Instance.Exact.weight_order inst)

@@ -5,16 +5,11 @@
     reduction instances and other rational inputs. O(d·c²) rational
     operations — intended for small c. *)
 
-type result = {
-  strategy : Strategy.t;
-  sizes : int array;
-  expected_paging : Numeric.Rational.t;
-}
-
 (** [solve ?objective ?cancel inst ~order] — optimal cut of [order] into
-    at most [inst.d] groups, exactly. Objectives as in {!Order_dp}.
-    Rational arithmetic on adversarial inputs can blow up in digit count,
-    so the (l, k) loop polls [cancel].
+    at most [inst.d] groups, exactly, with its expected paging.
+    Objectives as in {!Order_dp}. Rational arithmetic on adversarial
+    inputs can blow up in digit count, so the (l, k) loop polls
+    [cancel].
     @raise Invalid_argument when [order] is not a permutation.
     @raise Cancel.Cancelled when the token fires mid-DP. *)
 val solve :
@@ -22,10 +17,13 @@ val solve :
   ?cancel:Cancel.t ->
   Instance.Exact.t ->
   order:int array ->
-  result
+  Strategy.t * Numeric.Rational.t
 
 (** [greedy ?objective ?cancel inst] — the §4 heuristic end-to-end in
     exact arithmetic: weight order (exact comparisons, ties by index) +
     exact DP. *)
 val greedy :
-  ?objective:Objective.t -> ?cancel:Cancel.t -> Instance.Exact.t -> result
+  ?objective:Objective.t ->
+  ?cancel:Cancel.t ->
+  Instance.Exact.t ->
+  Strategy.t * Numeric.Rational.t

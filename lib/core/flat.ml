@@ -527,12 +527,13 @@ let run_hill_climb ?(cancel = Cancel.never) a =
 (* Result accessors and allocating conveniences. *)
 
 let ep a = FA.get a.out 0
+let iterations a = a.iters
 let current_order a = Array.copy a.order
 
-let dp_result a =
+let dp_result a ~exact =
   let sizes = Array.sub a.sizes 0 a.nsizes in
   let strategy = Strategy.of_sizes ~order:a.order ~sizes in
-  { Order_dp.strategy; sizes; expected_paging = FA.get a.out 0 }
+  { Strategy.strategy; expected_paging = FA.get a.out 0; exact }
 
 let ls_strategy a =
   let r = a.ls_rounds in
@@ -545,26 +546,25 @@ let ls_strategy a =
   done;
   Strategy.create groups
 
+(* One round is always optimal, and for one device the weight order is
+   the optimal order [11,16,17] — unless a coarse table cuts it. *)
 let greedy ?objective ?block ?cancel a inst =
   prepare ?objective ?block a inst;
   run_greedy ?cancel a;
-  dp_result a
+  dp_result a ~exact:(a.d = 1 || (a.m = 1 && a.block = 1))
 
 let order_dp ?objective ?max_group ?cancel a inst ~order =
   prepare_order ?objective a inst ~order;
   run_order_dp ?cancel ?max_group a;
-  dp_result a
+  dp_result a ~exact:false
 
 let bandwidth ?objective ?cancel a inst ~b =
   prepare ?objective a inst;
   run_order_dp ?cancel ~max_group:b a;
-  dp_result a
+  dp_result a ~exact:false
 
 let hill_climb ?objective ?cancel a inst =
   prepare ?objective a inst;
   run_hill_climb ?cancel a;
-  {
-    Local_search.strategy = ls_strategy a;
-    expected_paging = FA.get a.out 0;
-    iterations = a.iters;
-  }
+  { Strategy.strategy = ls_strategy a; expected_paging = FA.get a.out 0;
+    exact = false }

@@ -71,28 +71,33 @@ val run_hill_climb : ?cancel:Cancel.t -> t -> unit
 (** Expected paging of the last [run_*]. *)
 val ep : t -> float
 
+(** Move evaluations of the last {!run_hill_climb}. *)
+val iterations : t -> int
+
 (** Copy of the currently prepared cell order. *)
 val current_order : t -> int array
 
 (** {1 Allocating conveniences}
 
-    One-call wrappers: prepare, run, and box the result in the
-    [Order_dp]/[Local_search] record types (strategies are rebuilt
-    exactly as the list solvers build them, preserving bit-identity end
-    to end). *)
+    One-call wrappers: prepare, run, and box the result as a
+    {!Strategy.solution} (strategies are rebuilt exactly as the list
+    solvers build them, preserving bit-identity end to end). Only
+    {!greedy} can be [exact]: with one round, or with one device on the
+    cell table (the weight order is then the optimal order). *)
 
 val greedy :
   ?objective:Objective.t -> ?block:int -> ?cancel:Cancel.t -> t ->
-  Instance.t -> Order_dp.result
+  Instance.t -> Strategy.solution
 
 val order_dp :
   ?objective:Objective.t -> ?max_group:int -> ?cancel:Cancel.t ->
-  t -> Instance.t -> order:int array -> Order_dp.result
+  t -> Instance.t -> order:int array -> Strategy.solution
 
 val bandwidth :
   ?objective:Objective.t -> ?cancel:Cancel.t -> t -> Instance.t -> b:int ->
-  Order_dp.result
+  Strategy.solution
 
+(** The climb's move count is {!iterations} of the arena afterwards. *)
 val hill_climb :
   ?objective:Objective.t -> ?cancel:Cancel.t -> t -> Instance.t ->
-  Local_search.result
+  Strategy.solution

@@ -11,9 +11,11 @@
     {!Flat.domain_arena}; [Order_dp.solve] over {!order} is the list
     reference it is tested against. Note the approximation guarantee of
     Theorem 4.8 is proved for [Find_all]; other objectives reuse the
-    same machinery heuristically (§5). *)
+    same machinery heuristically (§5). The result is [exact] when
+    m = 1 or d = 1, where the cut is provably optimal. *)
 val solve :
-  ?objective:Objective.t -> ?cancel:Cancel.t -> Instance.t -> Order_dp.result
+  ?objective:Objective.t -> ?cancel:Cancel.t -> Instance.t ->
+  Strategy.solution
 
 (** [order inst] is the heuristic's cell sequence (exposed for tests and
     for the adaptive solver). *)

@@ -1,9 +1,3 @@
-type result = {
-  strategy : Strategy.t;
-  expected_paging : float;
-  iterations : int;
-}
-
 (* Mutable working state: cell -> round assignment, per-round cell
    counts, and per-device per-round probability masses. Rounds stay
    non-empty throughout (fixed strategy length; by the remark after
@@ -154,9 +148,11 @@ let hill_climb_state ?(cancel = Cancel.never) state =
    through [Greedy.solve]. *)
 let greedy_seed ~objective inst =
   (Order_dp.solve ~objective inst ~order:(Instance.weight_order inst))
-    .Order_dp.strategy
+    .Strategy.strategy
 
 let hill_climb ?(objective = Objective.Find_all) ?cancel inst =
   let state = state_of_strategy ~objective inst (greedy_seed ~objective inst) in
   let expected_paging, iterations = hill_climb_state ?cancel state in
-  { strategy = strategy_of_state state; expected_paging; iterations }
+  ( { Strategy.strategy = strategy_of_state state; expected_paging;
+      exact = false },
+    iterations )

@@ -11,14 +11,9 @@
     Moves considered: relocate one cell to another round (groups stay
     non-empty), and swap two cells between rounds. *)
 
-type result = {
-  strategy : Strategy.t;
-  expected_paging : float;
-  iterations : int;  (** total move evaluations *)
-}
-
 (** [hill_climb ?objective ?cancel inst] — steepest-descent from the
-    greedy solution until no improving move exists. Deterministic.
+    greedy solution until no improving move exists, with the total
+    number of move evaluations. Deterministic; never [exact].
     Unlike the exact searches, local search is anytime: when [cancel]
     fires mid-climb it returns its best-so-far strategy instead of
     raising — the working state is valid at every step, so there is
@@ -27,4 +22,4 @@ val hill_climb :
   ?objective:Objective.t ->
   ?cancel:Cancel.t ->
   Instance.t ->
-  result
+  Strategy.solution * int

@@ -1,7 +1,5 @@
 module Q = Numeric.Rational
 
-type result = { strategy : Strategy.t; expected_paging : float }
-
 (* The one size rule of the guarded exact search. *)
 let small ~c ~d = c <= 16 && float_of_int d ** float_of_int c <= 8e6
 
@@ -173,7 +171,7 @@ let exhaustive ?(objective = Objective.Find_all) ?max_group ?classes
       ~score:(Strategy.expected_paging_unchecked ~objective inst)
       ~lt:(fun (a : float) b -> a < b)
   in
-  { strategy; expected_paging }
+  { Strategy.strategy; expected_paging; exact = true }
 
 let exhaustive_exact ?(objective = Objective.Find_all) ?(cancel = Cancel.never)
     inst =
@@ -255,7 +253,7 @@ let branch_and_bound_d2 ?(objective = Objective.Find_all)
     let s2 = List.filter (fun j -> not (Array.mem j s1)) (List.init c Fun.id) in
     let strategy = Strategy.create [| s1; Array.of_list s2 |] in
     let expected_paging = Strategy.expected_paging ~objective inst strategy in
-    { strategy; expected_paging }
+    { Strategy.strategy; expected_paging; exact = true }
   end
 
 let best ?objective ?cancel ?(unguarded = false) inst =

@@ -6,9 +6,8 @@
 
     Every search accepts a {!Cancel.t} token polled in its hot loop, so
     a deadline-driven caller (the {!Runner}) can abandon it mid-search;
-    a cancelled search raises {!Cancel.Cancelled}. *)
-
-type result = { strategy : Strategy.t; expected_paging : float }
+    a cancelled search raises {!Cancel.Cancelled}. Every float search
+    returns a {!Strategy.solution} marked [exact]. *)
 
 (** [exhaustive ?objective ?max_group ?classes ?cancel ?guard inst]
     returns the first minimizer, in round-labelling order and bit for
@@ -29,7 +28,7 @@ val exhaustive :
   ?cancel:Cancel.t ->
   ?guard:bool ->
   Instance.t ->
-  result
+  Strategy.solution
 
 (** [exhaustive_exact ?objective ?cancel inst] is the exact optimum of
     an exact instance, under {!exhaustive}'s guard: the rational
@@ -51,7 +50,8 @@ val exhaustive_exact :
     @raise Invalid_argument when [inst.d <> 2].
     @raise Cancel.Cancelled when the token fires mid-search. *)
 val branch_and_bound_d2 :
-  ?objective:Objective.t -> ?cancel:Cancel.t -> Instance.t -> result
+  ?objective:Objective.t -> ?cancel:Cancel.t -> Instance.t ->
+  Strategy.solution
 
 (** [best ?objective ?cancel ?unguarded inst] picks the cheapest
     applicable exact method (exhaustive for small c, branch-and-bound
@@ -63,4 +63,4 @@ val best :
   ?cancel:Cancel.t ->
   ?unguarded:bool ->
   Instance.t ->
-  result option
+  Strategy.solution option

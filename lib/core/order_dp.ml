@@ -1,7 +1,7 @@
-type result = {
+type result = Strategy.solution = {
   strategy : Strategy.t;
-  sizes : int array;
   expected_paging : float;
+  exact : bool;
 }
 
 let check_order ~c order =
@@ -115,22 +115,14 @@ let solve_with_prefix_success ~c ~d ?max_group ?cell_cost
         k := !k - v
       done;
       let strategy = Strategy.of_sizes ~order ~sizes in
-      { strategy; sizes; expected_paging = e.(rounds).(c) }
+      { strategy; expected_paging = e.(rounds).(c); exact = false }
     end
   end
 
-let solve ?objective ?max_group ?cell_cost ?cancel inst ~order =
+let solve ?objective ?max_group ?cancel inst ~order =
   let c = inst.Instance.c and d = inst.Instance.d in
   let table = prefix_success_table ?objective inst ~order in
-  let cell_cost =
-    Option.map
-      (fun costs ->
-        if Array.length costs <> c then
-          invalid_arg "Order_dp.solve: cell_cost length mismatch"
-        else fun pos -> costs.(order.(pos)))
-      cell_cost
-  in
-  solve_with_prefix_success ~c ~d ?max_group ?cell_cost ?cancel
+  solve_with_prefix_success ~c ~d ?max_group ?cancel
     ~prefix_success:(fun j -> table.(j))
     ~order ()
 
@@ -161,8 +153,7 @@ let solve_coarse ?objective ?(block = 16) inst ~order =
           let lo = boundary !pos and hi = boundary (!pos + units) in
           pos := !pos + units;
           hi - lo)
-        result.sizes
+        (Strategy.sizes result.strategy)
     in
-    let strategy = Strategy.of_sizes ~order ~sizes in
-    { strategy; sizes; expected_paging = result.expected_paging }
+    { result with strategy = Strategy.of_sizes ~order ~sizes }
   end

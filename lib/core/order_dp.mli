@@ -9,35 +9,32 @@
     remark that it works "for any predefined sequence" and for the
     bandwidth-limited model is exposed through [order] and [max_group]. *)
 
-type result = {
+(** The one solution record; the name stays for callers that spell it
+    [Order_dp.result]. The group sizes g₁ … g_d are
+    [Strategy.sizes r.strategy]; [expected_paging] is E(d, c). Results
+    over a fixed order are never marked [exact]: the order may be the
+    wrong one. *)
+type result = Strategy.solution = {
   strategy : Strategy.t;
-  sizes : int array;  (** g₁ … g_d, the chosen group sizes *)
-  expected_paging : float;  (** E(d, c) *)
+  expected_paging : float;
+  exact : bool;
 }
 
-(** [solve ?objective ?max_group ?cell_cost inst ~order] cuts [order]
-    (a permutation of the instance's cells) into at most [inst.d]
-    groups.
+(** [solve ?objective ?max_group inst ~order] cuts [order] (a
+    permutation of the instance's cells) into at most [inst.d] groups.
 
     [max_group] bounds every group size (the §5 bandwidth model); the
     problem is infeasible when [c > max_group · d].
-
-    [cell_cost] generalizes the objective from expected {e cells} paged
-    to expected paging {e cost}: entry [j] is the cost of paging cell
-    [j] (default: 1 everywhere). Models cells with unequal load or
-    radio footprint.
 
     [cancel] is polled once per DP cell (the quadratic part): the DP is
     polynomial, but at metropolitan c it still outlives tight budgets.
 
     @raise Invalid_argument when [order] is not a permutation of the
-    cells, [cell_cost] has the wrong length, or the bandwidth constraint
-    is infeasible.
+    cells or the bandwidth constraint is infeasible.
     @raise Cancel.Cancelled when the token fires mid-DP. *)
 val solve :
   ?objective:Objective.t ->
   ?max_group:int ->
-  ?cell_cost:float array ->
   ?cancel:Cancel.t ->
   Instance.t ->
   order:int array ->
@@ -61,9 +58,10 @@ val solve_coarse :
     ~prefix_success ~order] is the raw DP: [prefix_success j] must be
     the probability that the search objective is met within the first
     [j] cells of [order] (non-decreasing, [prefix_success 0 = 0]);
-    [cell_cost pos] is the cost of the cell at order position [pos].
-    Exposed for custom objectives and for the tests that cross-check the
-    recurrence. *)
+    [cell_cost pos] is the cost of the cell at order position [pos]
+    (default 1: the result is then expected cells paged, otherwise
+    expected paging cost). Exposed for custom objectives and for the
+    tests that cross-check the recurrence. *)
 val solve_with_prefix_success :
   c:int ->
   d:int ->

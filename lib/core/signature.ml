@@ -13,7 +13,7 @@ let exhaustive inst ~k =
 
 let sweep inst =
   Array.init inst.Instance.m (fun i ->
-      (solve inst ~k:(i + 1)).Order_dp.expected_paging)
+      (solve inst ~k:(i + 1)).Strategy.expected_paging)
 
 (* ---------------- canonical instance keys ----------------
 

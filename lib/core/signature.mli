@@ -6,10 +6,10 @@
     objective (the prefix success probability is a Poisson–binomial
     tail).
     @raise Invalid_argument unless 1 ≤ k ≤ m. *)
-val solve : Instance.t -> k:int -> Order_dp.result
+val solve : Instance.t -> k:int -> Strategy.solution
 
 (** [exhaustive inst ~k] — ground truth for small c. *)
-val exhaustive : Instance.t -> k:int -> Optimal.result
+val exhaustive : Instance.t -> k:int -> Strategy.solution
 
 (** [sweep inst] — heuristic expected paging for every k = 1..m;
     the interpolation curve of experiment E13. *)

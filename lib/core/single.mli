@@ -6,9 +6,9 @@
     uses it as the easy baseline that the Conference Call problem
     generalizes (§1.3). *)
 
-(** [solve inst] for an instance with [inst.m = 1].
+(** [solve inst] for an instance with [inst.m = 1]; marked [exact].
     @raise Invalid_argument when [inst.m <> 1]. *)
-val solve : Instance.t -> Order_dp.result
+val solve : Instance.t -> Strategy.solution
 
 (** [uniform_ep ~c ~d] is the optimal expected paging for a uniform
     single device in closed form: with near-equal group sizes

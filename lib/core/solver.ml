@@ -9,25 +9,11 @@ type spec =
   | Class_based
   | Robust of { eps : float; tv : float }
 
-type outcome = {
+type outcome = Strategy.solution = {
   strategy : Strategy.t;
   expected_paging : float;
   exact : bool;
 }
-
-let of_order_dp exact (r : Order_dp.result) =
-  {
-    strategy = r.Order_dp.strategy;
-    expected_paging = r.Order_dp.expected_paging;
-    exact;
-  }
-
-let of_optimal (r : Optimal.result) =
-  {
-    strategy = r.Optimal.strategy;
-    expected_paging = r.Optimal.expected_paging;
-    exact = true;
-  }
 
 let spec_to_string = function
   | Greedy -> "greedy"
@@ -56,9 +42,7 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
     Obs.count ("solver_solve_" ^ Obs.sanitize (spec_to_string spec));
   let arena = Option.value arena ~default:(Flat.domain_arena ()) in
   match spec with
-  | Greedy ->
-    let exact = inst.Instance.m = 1 || inst.Instance.d = 1 in
-    of_order_dp exact (Flat.greedy ?objective ?cancel arena inst)
+  | Greedy -> Flat.greedy ?objective ?cancel arena inst
   | Page_all ->
     (* One round never stops early: EP = c, bit-identical to the
        Lemma 2.1 evaluation (whose sum has no terms to subtract). *)
@@ -67,27 +51,17 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
       expected_paging = float_of_int inst.Instance.c;
       exact = inst.Instance.d = 1;
     }
-  | Bandwidth_limited b ->
-    of_order_dp false (Flat.bandwidth ?objective ?cancel arena inst ~b)
+  | Bandwidth_limited b -> Flat.bandwidth ?objective ?cancel arena inst ~b
   | Exhaustive ->
     let guard = not (Option.value unguarded ~default:false) in
-    of_optimal (Optimal.exhaustive ?objective ?cancel ~guard inst)
-  | Branch_and_bound ->
-    of_optimal (Optimal.branch_and_bound_d2 ?objective ?cancel inst)
+    Optimal.exhaustive ?objective ?cancel ~guard inst
+  | Branch_and_bound -> Optimal.branch_and_bound_d2 ?objective ?cancel inst
   | Best_exact ->
     (match Optimal.best ?objective ?cancel ?unguarded inst with
-     | Some r -> of_optimal r
+     | Some r -> r
      | None -> invalid_arg "Solver: instance too large for exact solving")
-  | Local_search ->
-    let r = Flat.hill_climb ?objective ?cancel arena inst in
-    {
-      strategy = r.Local_search.strategy;
-      expected_paging = r.Local_search.expected_paging;
-      exact = false;
-    }
-  | Class_based ->
-    let r = Class_solver.solve ?objective ?cancel inst in
-    { strategy = r.strategy; expected_paging = r.expected_paging; exact = true }
+  | Local_search -> Flat.hill_climb ?objective ?cancel arena inst
+  | Class_based -> Class_solver.solve ?objective ?cancel inst
   | Robust { eps; tv } ->
     (match
        most_robust ?objective ?cancel ~arena (Uncertainty.uniform ~tv eps)

@@ -19,10 +19,14 @@ type spec =
           strategy. Parse as ["robust"], ["robust-<eps>"], or
           ["robust-<eps>:<tv>"]. *)
 
-type outcome = {
+(** The one solution record, under the name the runner and the daemon
+    spell. [exact] is whether the strategy is provably optimal: each
+    method sets it (greedy when m = 1 or d = 1, page-all when d = 1,
+    the exact searches always, the rest never). *)
+type outcome = Strategy.solution = {
   strategy : Strategy.t;
   expected_paging : float;
-  exact : bool;  (** whether the strategy is provably optimal *)
+  exact : bool;
 }
 
 (** [solve ?objective ?cancel ?unguarded ?arena spec inst] runs the

@@ -1,6 +1,7 @@
 module Q = Numeric.Rational
 
 type t = { groups : int array array }
+type solution = { strategy : t; expected_paging : float; exact : bool }
 
 let create groups =
   if Array.length groups = 0 then invalid_arg "Strategy.create: no groups"
@@ -120,24 +121,6 @@ let expected_paging_unchecked ?(objective = Objective.Find_all) inst t =
 let expected_paging ?objective inst t =
   check inst t;
   expected_paging_unchecked ?objective inst t
-
-let expected_cost ?(objective = Objective.Find_all) inst ~cell_cost t =
-  check inst t;
-  if Array.length cell_cost <> inst.Instance.c then
-    invalid_arg "Strategy.expected_cost: cell_cost length mismatch"
-  else begin
-    let group_cost g =
-      Array.fold_left (fun acc j -> acc +. cell_cost.(j)) 0.0 g
-    in
-    let f = success_by_round ~objective inst t in
-    let rounds = Array.length t.groups in
-    let total = Array.fold_left ( +. ) 0.0 cell_cost in
-    let e = ref total in
-    for r = 0 to rounds - 2 do
-      e := !e -. (group_cost t.groups.(r + 1) *. f.(r))
-    done;
-    !e
-  end
 
 let expected_rounds ?(objective = Objective.Find_all) inst t =
   check inst t;

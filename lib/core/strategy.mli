@@ -7,6 +7,12 @@
 
 type t = private { groups : int array array }
 
+(** What every solver answers: a strategy, its expected paging under
+    Lemma 2.1, and whether the method proves it optimal. The exact
+    searches set [exact]; heuristics set it only where the paper proves
+    their cut optimal (one device, or one round). *)
+type solution = { strategy : t; expected_paging : float; exact : bool }
+
 (** [create groups] validates that the groups are non-empty, disjoint and
     sorted internally; cell indices may cover any ground set.
     @raise Invalid_argument on empty/overlapping groups. *)
@@ -42,14 +48,6 @@ val success_by_round : ?objective:Objective.t -> Instance.t -> t -> float array
     @raise Invalid_argument when the strategy does not partition the
     instance's cells or is longer than [inst.d]. *)
 val expected_paging : ?objective:Objective.t -> Instance.t -> t -> float
-
-(** [expected_cost ?objective inst ~cell_cost t] generalizes
-    {!expected_paging} to per-cell paging costs:
-    E[cost] = cost([c]) − Σ_{r} cost(S_{r+1})·F_r. With unit costs this
-    is exactly {!expected_paging}.
-    @raise Invalid_argument on length mismatch or invalid strategy. *)
-val expected_cost :
-  ?objective:Objective.t -> Instance.t -> cell_cost:float array -> t -> float
 
 (** [expected_paging_unchecked] skips the partition check (hot path for
     exhaustive search). *)

@@ -255,14 +255,16 @@ let optimistic_ep ?(objective = Objective.Find_all) u inst strat =
   check ~objective u inst strat;
   Strategy.expected_paging ~objective (best_case_instance u inst strat) strat
 
+(* Radii print exactly, so the ball reported is the ball solved. *)
 let to_string t =
+  let num = Wire.Spec.float_to_string in
   let eps_s =
     match t.row_eps with
-    | None -> Printf.sprintf "eps=%g" t.eps
+    | None -> "eps=" ^ num t.eps
     | Some a ->
       let mn = Array.fold_left Float.min infinity a
       and mx = Array.fold_left Float.max neg_infinity a in
-      Printf.sprintf "eps=per-row[%g,%g]" mn mx
+      Printf.sprintf "eps=per-row[%s,%s]" (num mn) (num mx)
   in
-  if Float.is_finite t.tv then Printf.sprintf "%s tv=%g" eps_s t.tv
+  if Float.is_finite t.tv then Printf.sprintf "%s tv=%s" eps_s (num t.tv)
   else eps_s

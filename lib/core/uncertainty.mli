@@ -104,4 +104,7 @@ val robust_ep : ?objective:Objective.t -> t -> Instance.t -> Strategy.t -> float
 val optimistic_ep :
   ?objective:Objective.t -> t -> Instance.t -> Strategy.t -> float
 
+(** [to_string u] names the ball: [eps=<e>] (or [eps=per-row[<lo>,<hi>]])
+    and [tv=<t>] when finite, each radius printed exactly by
+    [Wire.Spec.float_to_string]. *)
 val to_string : t -> string

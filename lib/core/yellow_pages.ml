@@ -20,7 +20,7 @@ let best_single_device inst =
     else begin
       let r = candidate i in
       let best =
-        if r.Order_dp.expected_paging < best.Order_dp.expected_paging then r
+        if r.Strategy.expected_paging < best.Strategy.expected_paging then r
         else best
       in
       pick (i + 1) best
@@ -30,7 +30,7 @@ let best_single_device inst =
 
 let solve inst =
   let a = natural_heuristic inst and b = best_single_device inst in
-  if a.Order_dp.expected_paging <= b.Order_dp.expected_paging then a else b
+  if a.Strategy.expected_paging <= b.Strategy.expected_paging then a else b
 
 let exhaustive inst = Optimal.exhaustive ~objective inst
 

@@ -7,22 +7,22 @@
 
 (** [natural_heuristic inst] — the §4 heuristic run with the find-any
     objective: weight order + DP. No constant-factor guarantee. *)
-val natural_heuristic : Instance.t -> Order_dp.result
+val natural_heuristic : Instance.t -> Strategy.solution
 
 (** [best_single_device inst] — for each device [i], order cells by
     p(i,·) and cut with the find-any DP; return the best of the m
     results. This is the m-approximation candidate: the chosen strategy
     is within the single-device optimum for its device, and OPT cannot
     beat every single-device optimum by more than a factor m. *)
-val best_single_device : Instance.t -> Order_dp.result
+val best_single_device : Instance.t -> Strategy.solution
 
 (** [solve inst] = better of {!natural_heuristic} and
     {!best_single_device}. *)
-val solve : Instance.t -> Order_dp.result
+val solve : Instance.t -> Strategy.solution
 
 (** [exhaustive inst] — ground truth via {!Optimal.exhaustive} with the
     find-any objective (small c only). *)
-val exhaustive : Instance.t -> Optimal.result
+val exhaustive : Instance.t -> Strategy.solution
 
 (** [adversarial_instance ~blocks ~d] builds the family showing the
     natural heuristic is not constant-factor for find-any: one "private"

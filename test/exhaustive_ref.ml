@@ -49,7 +49,8 @@ let exhaustive ?objective ?max_group inst =
       | Some (_, best_ep) when best_ep <= ep -> ()
       | _ -> best := Some (strategy, ep));
   match !best with
-  | Some (strategy, expected_paging) -> { Optimal.strategy; expected_paging }
+  | Some (strategy, expected_paging) ->
+    { Strategy.strategy; expected_paging; exact = true }
   | None -> invalid_arg "Exhaustive_ref.exhaustive: no feasible strategy"
 
 (* The rational minimizer under [Strategy.expected_paging_exact]. *)

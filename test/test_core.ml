@@ -391,7 +391,7 @@ let prop_find_any_cheaper_than_find_all =
       let d = 3 in
       let c = Stdlib.max c d in
       let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-      let s = (Greedy.solve inst).Order_dp.strategy in
+      let s = (Greedy.solve inst).Strategy.strategy in
       Strategy.expected_paging ~objective:Objective.Find_any inst s
       <= Strategy.expected_paging inst s +. 1e-9)
 
@@ -401,7 +401,7 @@ let prop_signature_monotone_in_k =
       let rng = Prob.Rng.create ~seed in
       let m = 4 and c = 8 and d = 3 in
       let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-      let s = (Greedy.solve inst).Order_dp.strategy in
+      let s = (Greedy.solve inst).Strategy.strategy in
       let eps =
         Array.init m (fun i ->
             Strategy.expected_paging
@@ -444,7 +444,7 @@ let test_order_dp_matches_brute_force_within_order () =
         done
     in
     go [] c d;
-    check (float_t 1e-9) "dp = brute force" !best dp.Order_dp.expected_paging
+    check (float_t 1e-9) "dp = brute force" !best dp.Strategy.expected_paging
   done
 
 let test_order_dp_ep_consistent () =
@@ -454,8 +454,8 @@ let test_order_dp_ep_consistent () =
     let inst = Instance.random_uniform_simplex rng ~m:2 ~c:12 ~d:4 in
     let r = Greedy.solve inst in
     check (float_t 1e-9) "consistent"
-      (Strategy.expected_paging inst r.Order_dp.strategy)
-      r.Order_dp.expected_paging
+      (Strategy.expected_paging inst r.Strategy.strategy)
+      r.Strategy.expected_paging
   done
 
 let test_order_dp_rejects_bad_order () =
@@ -481,7 +481,7 @@ let test_exhaustive_small_known () =
   (* m=1, d=2, p = (0.7, 0.2, 0.1): optimal pages {0} then {1,2}. *)
   let inst = Instance.create ~d:2 [| [| 0.7; 0.2; 0.1 |] |] in
   let r = Optimal.exhaustive inst in
-  check (float_t 1e-12) "EP" 1.6 r.Optimal.expected_paging
+  check (float_t 1e-12) "EP" 1.6 r.Strategy.expected_paging
 
 let test_bnb_matches_exhaustive () =
   let rng = Prob.Rng.create ~seed:9 in
@@ -491,8 +491,8 @@ let test_bnb_matches_exhaustive () =
     let inst = Instance.random_uniform_simplex rng ~m ~c ~d:2 in
     let a = Optimal.exhaustive inst in
     let b = Optimal.branch_and_bound_d2 inst in
-    check (float_t 1e-9) "bnb = exhaustive" a.Optimal.expected_paging
-      b.Optimal.expected_paging
+    check (float_t 1e-9) "bnb = exhaustive" a.Strategy.expected_paging
+      b.Strategy.expected_paging
   done
 
 let test_bnb_matches_exhaustive_other_objectives () =
@@ -507,7 +507,7 @@ let test_bnb_matches_exhaustive_other_objectives () =
         let b = Optimal.branch_and_bound_d2 ~objective:obj inst in
         check (float_t 1e-9)
           (Objective.to_string obj)
-          a.Optimal.expected_paging b.Optimal.expected_paging)
+          a.Strategy.expected_paging b.Strategy.expected_paging)
       [ Objective.Find_any; Objective.Find_at_least 2 ]
   done
 
@@ -562,7 +562,7 @@ let prop_bounds_admissible =
           match Objective.validate obj ~m with
           | Error _ -> true
           | Ok () ->
-            let g = (Greedy.solve ~objective:obj inst).Order_dp.expected_paging in
+            let g = (Greedy.solve ~objective:obj inst).Strategy.expected_paging in
             Bounds.lower_bound ~objective:obj inst <= g +. 1e-9)
         [ Objective.Find_all; Objective.Find_any; Objective.Find_at_least 2 ])
 
@@ -595,7 +595,39 @@ let test_solver_exactness_flags () =
   check bool_t "greedy m=2 not exact" false
     (Solver.solve Solver.Greedy inst2).Solver.exact;
   check bool_t "exhaustive exact" true
-    (Solver.solve Solver.Exhaustive inst2).Solver.exact
+    (Solver.solve Solver.Exhaustive inst2).Solver.exact;
+  (* Every spec on one device, one round and the general case: [None]
+     where the method does not apply. *)
+  let rng = Prob.Rng.create ~seed:593 in
+  let one_device = Instance.random_uniform_simplex rng ~m:1 ~c:6 ~d:3 in
+  let one_round = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:1 in
+  let general = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:2 in
+  List.iter
+    (fun (spec, on_m1, on_d1, on_general) ->
+      List.iter
+        (fun (what, inst, expect) ->
+          let name = Solver.spec_to_string spec ^ " " ^ what in
+          let got =
+            match Solver.solve spec inst with
+            | o -> Some o.Solver.exact
+            | exception Invalid_argument _ -> None
+          in
+          check (Alcotest.option bool_t) name expect got)
+        [ ("m=1", one_device, on_m1); ("d=1", one_round, on_d1);
+          ("general", general, on_general) ])
+    Solver.
+      [
+        (Greedy, Some true, Some true, Some false);
+        (Page_all, Some false, Some true, Some false);
+        (Bandwidth_limited 6, Some false, Some false, Some false);
+        (Local_search, Some false, Some false, Some false);
+        (Exhaustive, Some true, Some true, Some true);
+        (Branch_and_bound, None, None, Some true);
+        (Best_exact, Some true, Some true, Some true);
+        (Class_based, Some true, Some true, Some true);
+        (Robust { eps = 0.05; tv = infinity }, Some false, Some false,
+         Some false);
+      ]
 
 let () =
   Alcotest.run "core"

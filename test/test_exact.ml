@@ -69,15 +69,15 @@ let test_differential () =
     let got = Optimal.exhaustive ~objective ?max_group inst in
     check bool_t (name ^ ": same EP bits") true
       (Int64.equal
-         (Int64.bits_of_float want.Optimal.expected_paging)
-         (Int64.bits_of_float got.Optimal.expected_paging));
+         (Int64.bits_of_float want.Strategy.expected_paging)
+         (Int64.bits_of_float got.Strategy.expected_paging));
     check bool_t (name ^ ": same strategy") true
-      (Strategy.equal want.Optimal.strategy got.Optimal.strategy);
+      (Strategy.equal want.Strategy.strategy got.Strategy.strategy);
     if max_group = None then begin
       let cls = Class_solver.solve ~objective inst in
-      let ref_ep = want.Optimal.expected_paging in
+      let ref_ep = want.Strategy.expected_paging in
       check bool_t (name ^ ": class solver EP") true
-        (Float.abs (cls.Class_solver.expected_paging -. ref_ep)
+        (Float.abs (cls.Strategy.expected_paging -. ref_ep)
         <= 1e-12 *. ref_ep);
       match exact_rows with
       | Some rows when float_of_int d ** float_of_int c <= 1000.0 ->
@@ -90,7 +90,7 @@ let test_differential () =
         check bool_t (name ^ ": class solver exact EP") true
           (Q.equal wep
              (Strategy.expected_paging_exact ~objective ex
-                cls.Class_solver.strategy))
+                cls.Strategy.strategy))
       | _ -> ()
     end
   done;
@@ -240,7 +240,7 @@ let test_bandwidth_monotone () =
       let uncapped = snd (Optimal.exhaustive_exact ~objective ex) in
       let capped b =
         Strategy.expected_paging_exact ~objective ex
-          (Bandwidth.exhaustive ~objective inst ~b).Optimal.strategy
+          (Bandwidth.exhaustive ~objective inst ~b).Strategy.strategy
       in
       let prev = ref None in
       for b = (c + d - 1) / d to c do

@@ -17,7 +17,7 @@ let test_oblivious_policy_replays_strategy () =
   let rng = Prob.Rng.create ~seed:61 in
   for _ = 1 to 15 do
     let inst = Instance.random_uniform_simplex rng ~m:2 ~c:7 ~d:3 in
-    let s = (Greedy.solve inst).Order_dp.strategy in
+    let s = (Greedy.solve inst).Strategy.strategy in
     let via_policy = Adaptive.evaluate_exact inst (Adaptive.oblivious_policy s) in
     check (float_t 1e-9) "replay = formula"
       (Strategy.expected_paging inst s)
@@ -29,7 +29,7 @@ let test_adaptive_never_worse_than_oblivious () =
   for _ = 1 to 15 do
     let m = 2 and c = 6 and d = 3 in
     let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-    let oblivious = (Greedy.solve inst).Order_dp.expected_paging in
+    let oblivious = (Greedy.solve inst).Strategy.expected_paging in
     let adaptive = Adaptive.greedy_adaptive_ep inst in
     if adaptive > oblivious +. 1e-9 then
       Alcotest.failf "adaptive %.6f worse than oblivious %.6f" adaptive
@@ -53,7 +53,7 @@ let test_adaptive_single_device_matches_optimal () =
   let rng = Prob.Rng.create ~seed:64 in
   for _ = 1 to 10 do
     let inst = Instance.random_uniform_simplex rng ~m:1 ~c:6 ~d:3 in
-    let oblivious = (Greedy.solve inst).Order_dp.expected_paging in
+    let oblivious = (Greedy.solve inst).Strategy.expected_paging in
     let adaptive = Adaptive.greedy_adaptive_ep inst in
     check (float_t 1e-9) "m=1 adaptive = oblivious" oblivious adaptive
   done
@@ -70,8 +70,8 @@ let test_yellow_pages_better_than_find_all () =
   let rng = Prob.Rng.create ~seed:71 in
   for _ = 1 to 10 do
     let inst = Instance.random_uniform_simplex rng ~m:3 ~c:8 ~d:3 in
-    let yp = (Yellow_pages.solve inst).Order_dp.expected_paging in
-    let all = (Greedy.solve inst).Order_dp.expected_paging in
+    let yp = (Yellow_pages.solve inst).Strategy.expected_paging in
+    let all = (Greedy.solve inst).Strategy.expected_paging in
     check bool_t "YP <= conference" true (yp <= all +. 1e-9)
   done
 
@@ -79,8 +79,8 @@ let test_yellow_pages_vs_exhaustive () =
   let rng = Prob.Rng.create ~seed:72 in
   for _ = 1 to 15 do
     let inst = Instance.random_uniform_simplex rng ~m:2 ~c:7 ~d:2 in
-    let heur = (Yellow_pages.solve inst).Order_dp.expected_paging in
-    let opt = (Yellow_pages.exhaustive inst).Optimal.expected_paging in
+    let heur = (Yellow_pages.solve inst).Strategy.expected_paging in
+    let opt = (Yellow_pages.exhaustive inst).Strategy.expected_paging in
     check bool_t "heuristic >= opt" true (heur >= opt -. 1e-9);
     (* The combined heuristic is decent on random instances. *)
     check bool_t "within factor 2 on random instances" true
@@ -97,8 +97,8 @@ let prop_best_single_device_within_m =
       let c = 4 + Prob.Rng.int rng 4 in
       let d = 2 in
       let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-      let bsd = (Yellow_pages.best_single_device inst).Order_dp.expected_paging in
-      let opt = (Yellow_pages.exhaustive inst).Optimal.expected_paging in
+      let bsd = (Yellow_pages.best_single_device inst).Strategy.expected_paging in
+      let opt = (Yellow_pages.exhaustive inst).Strategy.expected_paging in
       bsd <= (float_of_int m *. opt) +. 1e-9)
 
 let test_adversarial_instance_shape () =
@@ -112,8 +112,8 @@ let test_adversarial_hurts_natural_heuristic () =
      device heuristic on the adversarial family, with a growing gap. *)
   let gap blocks =
     let inst = Yellow_pages.adversarial_instance ~blocks ~d:2 in
-    let nat = (Yellow_pages.natural_heuristic inst).Order_dp.expected_paging in
-    let single = (Yellow_pages.best_single_device inst).Order_dp.expected_paging in
+    let nat = (Yellow_pages.natural_heuristic inst).Strategy.expected_paging in
+    let single = (Yellow_pages.best_single_device inst).Strategy.expected_paging in
     nat /. single
   in
   let g2 = gap 2 and g6 = gap 6 and g12 = gap 12 in
@@ -128,11 +128,11 @@ let test_signature_endpoints () =
   for _ = 1 to 10 do
     let inst = Instance.random_uniform_simplex rng ~m:3 ~c:8 ~d:3 in
     check (float_t 1e-9) "k=m = conference"
-      (Greedy.solve inst).Order_dp.expected_paging
-      (Signature.solve inst ~k:3).Order_dp.expected_paging;
+      (Greedy.solve inst).Strategy.expected_paging
+      (Signature.solve inst ~k:3).Strategy.expected_paging;
     check (float_t 1e-9) "k=1 = yellow pages"
-      (Greedy.solve ~objective:Objective.Find_any inst).Order_dp.expected_paging
-      (Signature.solve inst ~k:1).Order_dp.expected_paging
+      (Greedy.solve ~objective:Objective.Find_any inst).Strategy.expected_paging
+      (Signature.solve inst ~k:1).Strategy.expected_paging
   done
 
 let test_signature_sweep_monotone () =
@@ -159,8 +159,8 @@ let test_signature_vs_exhaustive () =
   let rng = Prob.Rng.create ~seed:83 in
   for _ = 1 to 10 do
     let inst = Instance.random_uniform_simplex rng ~m:3 ~c:6 ~d:2 in
-    let heur = (Signature.solve inst ~k:2).Order_dp.expected_paging in
-    let opt = (Signature.exhaustive inst ~k:2).Optimal.expected_paging in
+    let heur = (Signature.solve inst ~k:2).Strategy.expected_paging in
+    let opt = (Signature.exhaustive inst ~k:2).Strategy.expected_paging in
     check bool_t "heuristic >= opt" true (heur >= opt -. 1e-9)
   done
 
@@ -178,7 +178,7 @@ let test_bandwidth_respects_cap () =
     let r = Bandwidth.solve inst ~b:4 in
     Array.iter
       (fun s -> check bool_t "cap" true (s <= 4))
-      r.Order_dp.sizes
+      (Strategy.sizes r.Strategy.strategy)
   done
 
 let test_bandwidth_infeasible_raises () =
@@ -204,8 +204,8 @@ let test_bandwidth_matches_exhaustive_within_order () =
   let rng = Prob.Rng.create ~seed:93 in
   for _ = 1 to 10 do
     let inst = Instance.random_uniform_simplex rng ~m:2 ~c:8 ~d:4 in
-    let heur = (Bandwidth.solve inst ~b:3).Order_dp.expected_paging in
-    let opt = (Bandwidth.exhaustive inst ~b:3).Optimal.expected_paging in
+    let heur = (Bandwidth.solve inst ~b:3).Strategy.expected_paging in
+    let opt = (Bandwidth.exhaustive inst ~b:3).Strategy.expected_paging in
     check bool_t "heur >= opt" true (heur >= opt -. 1e-9);
     check bool_t "heur <= c" true (heur <= 8.0 +. 1e-9)
   done
@@ -214,8 +214,8 @@ let test_bandwidth_unconstrained_matches_greedy () =
   let rng = Prob.Rng.create ~seed:94 in
   let inst = Instance.random_uniform_simplex rng ~m:2 ~c:10 ~d:3 in
   check (float_t 1e-12) "b = c is unconstrained"
-    (Greedy.solve inst).Order_dp.expected_paging
-    (Bandwidth.solve inst ~b:10).Order_dp.expected_paging
+    (Greedy.solve inst).Strategy.expected_paging
+    (Bandwidth.solve inst ~b:10).Strategy.expected_paging
 
 (* -------------------- Miss (imperfect detection) -------------------- *)
 
@@ -291,12 +291,12 @@ let test_expected_looks_beats_bad_order () =
 let test_miss_conference_simulation () =
   let rng = Prob.Rng.create ~seed:102 in
   let inst = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:3 in
-  let s = (Greedy.solve inst).Order_dp.strategy in
+  let s = (Greedy.solve inst).Strategy.strategy in
   let schedule = Miss.repeat_strategy s ~cycles:5 in
   let summary, success = Miss.simulate inst ~q:0.8 ~schedule rng ~trials:5000 in
   check bool_t "success high with repaging" true (success > 0.95);
   check bool_t "cost above perfect-detection EP" true
-    (summary.Prob.Stats.mean >= (Greedy.solve inst).Order_dp.expected_paging -. 0.2)
+    (summary.Prob.Stats.mean >= (Greedy.solve inst).Strategy.expected_paging -. 0.2)
 
 let prop_miss_q1_matches_lemma21 =
   QCheck.Test.make ~name:"q=1 single-device miss model = Lemma 2.1" ~count:50
@@ -305,7 +305,7 @@ let prop_miss_q1_matches_lemma21 =
       let c = 3 + Prob.Rng.int rng 6 in
       let d = Stdlib.min c (1 + Prob.Rng.int rng 3) in
       let inst = Instance.random_uniform_simplex rng ~m:1 ~c ~d in
-      let s = (Greedy.solve inst).Order_dp.strategy in
+      let s = (Greedy.solve inst).Strategy.strategy in
       let schedule = Miss.repeat_strategy s ~cycles:1 in
       let ep, _ = Miss.single_device_exact inst ~q:1.0 ~schedule in
       abs_float (ep -. Strategy.expected_paging inst s) < 1e-9)

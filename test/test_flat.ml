@@ -114,10 +114,10 @@ let spec_corpus () =
       in
       (trial, inst, objective, cases))
 
-let of_dp exact (r : Order_dp.result) =
+let of_dp exact (r : Strategy.solution) =
   {
-    Solver.strategy = r.Order_dp.strategy;
-    expected_paging = r.Order_dp.expected_paging;
+    Solver.strategy = r.Strategy.strategy;
+    expected_paging = r.Strategy.expected_paging;
     exact;
   }
 
@@ -142,12 +142,8 @@ let rec reference_outcome ~objective spec inst =
     of_dp false
       (Order_dp.solve ~objective ~max_group:b inst ~order:weight_order)
   | Solver.Local_search ->
-    let r = Local_search.hill_climb ~objective inst in
-    {
-      Solver.strategy = r.Local_search.strategy;
-      expected_paging = r.Local_search.expected_paging;
-      exact = false;
-    }
+    let r, _ = Local_search.hill_climb ~objective inst in
+    { r with Solver.exact = false }
   | Solver.Robust { eps; tv } ->
     (* The robust re-rank over reference candidates: lowest worst-case
        EP wins, ties go to the earlier candidate. *)
@@ -220,13 +216,14 @@ let test_golden_digest () =
   check_digest "reference"
     (corpus_digest ~solve:reference_case
        ~climb_iterations:(fun ~objective inst ->
-         (Local_search.hill_climb ~objective inst).Local_search.iterations));
+         snd (Local_search.hill_climb ~objective inst)));
   check_digest "production"
     (corpus_digest
        ~solve:production_case
        ~climb_iterations:(fun ~objective inst ->
-         (Flat.hill_climb ~objective (Flat.domain_arena ()) inst)
-           .Local_search.iterations))
+         let arena = Flat.domain_arena () in
+         ignore (Flat.hill_climb ~objective arena inst);
+         Flat.iterations arena))
 
 (* Local search must also agree on the iteration count: the flat climb
    claims to replay the legacy scan move for move. *)
@@ -237,14 +234,13 @@ let test_differential_hill_climb_iterations () =
     let m, c, d = random_dims rng in
     let inst = random_instance rng ~kind:trial ~m ~c ~d in
     let objective = objective_for rng ~m trial in
-    let legacy = Local_search.hill_climb ~objective inst in
+    let legacy, legacy_iters = Local_search.hill_climb ~objective inst in
     let flat = Flat.hill_climb ~objective arena inst in
-    check int_t "iterations" legacy.Local_search.iterations
-      flat.Local_search.iterations;
+    check int_t "iterations" legacy_iters (Flat.iterations arena);
     check bool_t "ep bits" true
-      (legacy.Local_search.expected_paging = flat.Local_search.expected_paging);
+      (legacy.Strategy.expected_paging = flat.Strategy.expected_paging);
     check bool_t "strategy" true
-      (Strategy.equal legacy.Local_search.strategy flat.Local_search.strategy)
+      (Strategy.equal legacy.Strategy.strategy flat.Strategy.strategy)
   done
 
 (* The anytime contract the Runner relies on: a climb cancelled after
@@ -265,30 +261,27 @@ let test_differential_cancelled_climb () =
     let m, c, d = random_dims rng in
     let inst = random_instance rng ~kind:trial ~m ~c ~d in
     let objective = objective_for rng ~m trial in
-    let full =
-      (Local_search.hill_climb ~objective inst).Local_search.iterations
-    in
+    let full = snd (Local_search.hill_climb ~objective inst) in
     [ 0; 1; 2; full / 3; full / 2; full - 1; full ]
     |> List.filter (fun k -> k >= 0)
     |> List.sort_uniq compare
     |> List.iter (fun k ->
-           let legacy =
+           let legacy, legacy_iters =
              Local_search.hill_climb ~objective ~cancel:(cut_after k) inst
            in
            let flat =
              Flat.hill_climb ~objective ~cancel:(cut_after k) arena inst
            in
            let what = Printf.sprintf "trial %d, cut after poll %d" trial k in
-           check int_t (what ^ ": iterations") legacy.Local_search.iterations
-             flat.Local_search.iterations;
+           check int_t (what ^ ": iterations") legacy_iters
+             (Flat.iterations arena);
            check int_t (what ^ ": iterations = cut") (min k full)
-             flat.Local_search.iterations;
+             (Flat.iterations arena);
            check bool_t (what ^ ": ep bits") true
-             (Int64.bits_of_float legacy.Local_search.expected_paging
-             = Int64.bits_of_float flat.Local_search.expected_paging);
+             (Int64.bits_of_float legacy.Strategy.expected_paging
+             = Int64.bits_of_float flat.Strategy.expected_paging);
            check bool_t (what ^ ": strategy") true
-             (Strategy.equal legacy.Local_search.strategy
-                flat.Local_search.strategy))
+             (Strategy.equal legacy.Strategy.strategy flat.Strategy.strategy))
   done
 
 (* Coarse DP: block boundaries must not perturb the per-device mass
@@ -309,9 +302,9 @@ let test_differential_coarse () =
     let legacy = Order_dp.solve_coarse ~objective ~block inst ~order in
     let flat = Flat.greedy ~objective ~block arena inst in
     check bool_t "coarse ep bits" true
-      (legacy.Order_dp.expected_paging = flat.Order_dp.expected_paging);
+      (legacy.Strategy.expected_paging = flat.Strategy.expected_paging);
     check bool_t "coarse strategy" true
-      (Strategy.equal legacy.Order_dp.strategy flat.Order_dp.strategy)
+      (Strategy.equal legacy.Strategy.strategy flat.Strategy.strategy)
   done
 
 (* Rational-oracle pin: the flat EP must sit within 1e-12·c of the
@@ -340,14 +333,14 @@ let test_rational_oracle_pin () =
         let ep_exact =
           Numeric.Rational.to_float
             (Strategy.expected_paging_exact ~objective exact
-               r.Order_dp.strategy)
+               r.Strategy.strategy)
         in
         if
-          abs_float (r.Order_dp.expected_paging -. ep_exact)
+          abs_float (r.Strategy.expected_paging -. ep_exact)
           > 1e-12 *. float_of_int c
         then
           Alcotest.failf "%s (trial %d): flat EP %.17g vs exact %.17g" what
-            trial r.Order_dp.expected_paging ep_exact)
+            trial r.Strategy.expected_paging ep_exact)
       [
         ("greedy", Flat.greedy ~objective arena inst);
         ("coarse", Flat.greedy ~objective ~block:3 arena inst);
@@ -529,13 +522,13 @@ let test_block_switch () =
     Flat.prepare ~block:4 arena inst;
     Flat.run_greedy arena;
     check bool_t "block 4 ep bits" true
-      (Flat.ep arena = coarse.Order_dp.expected_paging);
+      (Flat.ep arena = coarse.Strategy.expected_paging);
     refuses "run_order_dp" (fun () -> Flat.run_order_dp arena);
     refuses "run_hill_climb" (fun () -> Flat.run_hill_climb arena);
     Flat.prepare arena inst;
     Flat.run_greedy arena;
     check bool_t "block 1 ep bits" true
-      (Flat.ep arena = full.Order_dp.expected_paging)
+      (Flat.ep arena = full.Strategy.expected_paging)
   done;
   match Flat.prepare ~block:0 arena inst with
   | () -> Alcotest.fail "block 0 accepted"

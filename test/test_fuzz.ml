@@ -133,10 +133,10 @@ let test_flat_arena_fuzz () =
       in
       (match (reference, flat) with
        | Ok l, Ok f ->
-         if l.Order_dp.expected_paging <> f.Solver.expected_paging then
+         if l.Strategy.expected_paging <> f.Solver.expected_paging then
            Alcotest.failf
              "flat/reference EP diverge (seed %d): %.17g vs %.17g on %S" case
-             l.Order_dp.expected_paging f.Solver.expected_paging (escape input)
+             l.Strategy.expected_paging f.Solver.expected_paging (escape input)
        | Error _, Error _ -> ()
        | Ok _, Error msg ->
          Alcotest.failf "flat rejects what the reference accepts (seed %d): %s"

@@ -147,7 +147,7 @@ let test_distribution_mean_equals_ep_random () =
   let rng = Prob.Rng.create ~seed:501 in
   for _ = 1 to 20 do
     let inst = Instance.random_uniform_simplex rng ~m:2 ~c:9 ~d:3 in
-    let s = (Greedy.solve inst).Order_dp.strategy in
+    let s = (Greedy.solve inst).Strategy.strategy in
     let dist = Analysis.cost_distribution inst s in
     check (float_t 1e-9) "mean = EP" (Strategy.expected_paging inst s)
       dist.Analysis.mean;
@@ -158,7 +158,7 @@ let test_distribution_mean_equals_ep_random () =
 let test_rounds_distribution_mean () =
   let rng = Prob.Rng.create ~seed:502 in
   let inst = Instance.random_uniform_simplex rng ~m:2 ~c:9 ~d:3 in
-  let s = (Greedy.solve inst).Order_dp.strategy in
+  let s = (Greedy.solve inst).Strategy.strategy in
   let dist = Analysis.rounds_distribution inst s in
   check (float_t 1e-9) "mean = expected rounds"
     (Strategy.expected_rounds inst s)
@@ -220,9 +220,9 @@ let test_block_diagonal_solvable () =
   let part k = [| Prob.Dist.uniform_simplex rng k |] in
   let inst = Instance.block_diagonal ~d:3 [ part 4; part 4; part 4 ] in
   let r = Greedy.solve inst in
-  check bool_t "EP below c" true (r.Order_dp.expected_paging < 12.0);
+  check bool_t "EP below c" true (r.Strategy.expected_paging < 12.0);
   check bool_t "EP above occupied-cells bound" true
-    (r.Order_dp.expected_paging >= Bounds.occupied_cells inst -. 1e-9)
+    (r.Strategy.expected_paging >= Bounds.occupied_cells inst -. 1e-9)
 
 let test_block_diagonal_invalid () =
   (match Instance.block_diagonal ~d:1 [] with

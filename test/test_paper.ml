@@ -24,13 +24,14 @@ let test_uniform_3c_over_4 () =
       let expected = 3.0 *. float_of_int c /. 4.0 in
       check (float_t 1e-9)
         (Printf.sprintf "c=%d dp" c)
-        expected r.Order_dp.expected_paging;
+        expected r.Strategy.expected_paging;
       check (float_t 1e-9)
         (Printf.sprintf "c=%d closed form" c)
         expected
         (Single.uniform_ep ~c ~d:2);
       (* The optimal split is half and half. *)
-      check Alcotest.(array int) "sizes" [| c / 2; c / 2 |] r.Order_dp.sizes)
+      check Alcotest.(array int) "sizes" [| c / 2; c / 2 |]
+        (Strategy.sizes r.Strategy.strategy))
     [ 2; 4; 10; 100; 512 ]
 
 let test_uniform_closed_form_matches_dp () =
@@ -41,15 +42,15 @@ let test_uniform_closed_form_matches_dp () =
       check (float_t 1e-9)
         (Printf.sprintf "c=%d d=%d" c d)
         (Single.uniform_ep ~c ~d)
-        r.Order_dp.expected_paging
+        r.Strategy.expected_paging
     done
   done
 
 let test_uniform_d1_pages_everything () =
   let inst = Instance.all_uniform ~m:3 ~c:7 ~d:1 in
   let r = Greedy.solve inst in
-  check (float_t 1e-9) "EP = c" 7.0 r.Order_dp.expected_paging;
-  check Alcotest.int "one round" 1 (Array.length r.Order_dp.sizes)
+  check (float_t 1e-9) "EP = c" 7.0 r.Strategy.expected_paging;
+  check Alcotest.int "one round" 1 (Strategy.length r.Strategy.strategy)
 
 (* ---------- §4.3: the 320/317 lower-bound instance ---------- *)
 
@@ -80,10 +81,10 @@ let test_lower_bound_instance_heuristic () =
   let r = Greedy.solve inst in
   (* Evaluate the heuristic's strategy in exact arithmetic. *)
   let exact = lb_instance_exact () in
-  let ep = Strategy.expected_paging_exact exact r.Order_dp.strategy in
+  let ep = Strategy.expected_paging_exact exact r.Strategy.strategy in
   check bool_t "heuristic = 320/49" true (Q.equal ep (Q.of_ints 320 49));
   (* The heuristic pages cells 1..5 (indices 0..4) first. *)
-  let g = Strategy.groups r.Order_dp.strategy in
+  let g = Strategy.groups r.Strategy.strategy in
   check Alcotest.(array int) "first group" [| 0; 1; 2; 3; 4 |] g.(0)
 
 let test_ratio_constant_is_320_317 () =
@@ -98,15 +99,15 @@ let random_ratio_check ~m ~c ~d ~bound ~seed ~trials =
     let greedy = Greedy.solve inst in
     let opt = Optimal.exhaustive inst in
     let ratio =
-      greedy.Order_dp.expected_paging /. opt.Optimal.expected_paging
+      greedy.Strategy.expected_paging /. opt.Strategy.expected_paging
     in
     if ratio > bound +. 1e-9 then
       Alcotest.failf "trial %d: ratio %.6f exceeds bound %.6f (m=%d c=%d d=%d)"
         trial ratio bound m c d;
-    if greedy.Order_dp.expected_paging < opt.Optimal.expected_paging -. 1e-9
+    if greedy.Strategy.expected_paging < opt.Strategy.expected_paging -. 1e-9
     then
       Alcotest.failf "trial %d: greedy %.6f beats exhaustive %.6f" trial
-        greedy.Order_dp.expected_paging opt.Optimal.expected_paging
+        greedy.Strategy.expected_paging opt.Strategy.expected_paging
   done
 
 let test_ratio_m2_d2_within_4_3 () =
@@ -127,8 +128,8 @@ let test_single_device_greedy_is_optimal () =
     let inst = Instance.random_uniform_simplex rng ~m:1 ~c:8 ~d:3 in
     let greedy = Greedy.solve inst in
     let opt = Optimal.exhaustive inst in
-    check (float_t 1e-9) "m=1 optimal" opt.Optimal.expected_paging
-      greedy.Order_dp.expected_paging
+    check (float_t 1e-9) "m=1 optimal" opt.Strategy.expected_paging
+      greedy.Strategy.expected_paging
   done
 
 (* ---------- Lemma 2.1: EP formula vs Monte Carlo ---------- *)
@@ -139,13 +140,13 @@ let test_ep_formula_vs_monte_carlo () =
     let inst = Instance.random_zipf rng ~s:1.0 ~m:2 ~c:10 ~d:3 in
     let r = Greedy.solve inst in
     let mc =
-      Strategy.monte_carlo_ep inst r.Order_dp.strategy rng ~trials:60_000
+      Strategy.monte_carlo_ep inst r.Strategy.strategy rng ~trials:60_000
     in
     let halfwidth = 4.0 *. Prob.Stats.ci95_halfwidth mc in
-    if abs_float (mc.Prob.Stats.mean -. r.Order_dp.expected_paging) > halfwidth
+    if abs_float (mc.Prob.Stats.mean -. r.Strategy.expected_paging) > halfwidth
     then
       Alcotest.failf "Lemma 2.1 mismatch: formula %.4f, MC %.4f ± %.4f"
-        r.Order_dp.expected_paging mc.Prob.Stats.mean halfwidth
+        r.Strategy.expected_paging mc.Prob.Stats.mean halfwidth
   done
 
 let test_ep_exact_matches_float () =
@@ -165,7 +166,7 @@ let test_longer_strategies_weakly_better () =
     let eps = ref [] in
     for d = 1 to 6 do
       let inst = Instance.with_d base d in
-      eps := (Greedy.solve inst).Order_dp.expected_paging :: !eps
+      eps := (Greedy.solve inst).Strategy.expected_paging :: !eps
     done;
     let arr = Array.of_list (List.rev !eps) in
     check bool_t "EP non-increasing in d" true
@@ -213,7 +214,7 @@ let prop_greedy_between_bounds =
       let rng = Prob.Rng.create ~seed:(71 + (m * 1000) + c) in
       let d = Stdlib.min c 3 in
       let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-      let g = (Greedy.solve inst).Order_dp.expected_paging in
+      let g = (Greedy.solve inst).Strategy.expected_paging in
       let lb = Bounds.lower_bound inst in
       lb <= g +. 1e-9 && g <= float_of_int c +. 1e-9)
 
@@ -225,7 +226,7 @@ let prop_lb_below_opt =
       let rng = Prob.Rng.create ~seed:(91 + (m * 1000) + c) in
       let d = 2 in
       let inst = Instance.random_uniform_simplex rng ~m ~c ~d in
-      let opt = (Optimal.exhaustive inst).Optimal.expected_paging in
+      let opt = (Optimal.exhaustive inst).Strategy.expected_paging in
       Bounds.lower_bound inst <= opt +. 1e-9)
 
 let () =

@@ -131,7 +131,7 @@ let test_qap_solver_matches_exhaustive () =
   for _ = 1 to 8 do
     let inst = random_m2 rng 6 2 in
     let _, qap_ep = Qap.solve_conference_m2 ~rng inst in
-    let opt = (Optimal.exhaustive inst).Optimal.expected_paging in
+    let opt = (Optimal.exhaustive inst).Strategy.expected_paging in
     check bool_t "never better than optimum" true (qap_ep >= opt -. 1e-9);
     check bool_t "close to optimum" true (qap_ep <= opt +. 0.15)
   done
@@ -164,11 +164,10 @@ let lb_instance_exact () =
     |]
 
 let test_exact_dp_heuristic_is_320_49 () =
-  let r = Exact_dp.greedy (lb_instance_exact ()) in
-  check bool_t "exact heuristic EP" true
-    (Q.equal r.Exact_dp.expected_paging (Q.of_ints 320 49));
+  let strategy, ep = Exact_dp.greedy (lb_instance_exact ()) in
+  check bool_t "exact heuristic EP" true (Q.equal ep (Q.of_ints 320 49));
   check Alcotest.(array int) "first group" [| 0; 1; 2; 3; 4 |]
-    (Strategy.groups r.Exact_dp.strategy).(0)
+    (Strategy.groups strategy).(0)
 
 let test_exact_dp_matches_float_dp () =
   (* On random rational instances the exact DP and the float DP must
@@ -186,26 +185,22 @@ let test_exact_dp_matches_float_dp () =
     in
     let exact = Instance.Exact.create ~d rows_q in
     let inst = Instance.Exact.to_float exact in
-    let er = Exact_dp.greedy exact in
+    let _, ep = Exact_dp.greedy exact in
     let fr = Greedy.solve inst in
-    check (float_t 1e-6) "EP agreement"
-      (Q.to_float er.Exact_dp.expected_paging)
-      fr.Order_dp.expected_paging
+    check (float_t 1e-6) "EP agreement" (Q.to_float ep)
+      fr.Strategy.expected_paging
   done
 
 let test_exact_dp_consistent_with_strategy_eval () =
   let exact = lb_instance_exact () in
-  let r = Exact_dp.greedy exact in
-  let direct = Strategy.expected_paging_exact exact r.Exact_dp.strategy in
-  check bool_t "DP value = strategy evaluation" true
-    (Q.equal direct r.Exact_dp.expected_paging)
+  let strategy, ep = Exact_dp.greedy exact in
+  let direct = Strategy.expected_paging_exact exact strategy in
+  check bool_t "DP value = strategy evaluation" true (Q.equal direct ep)
 
 let test_exact_dp_objectives () =
   let exact = lb_instance_exact () in
-  let all = (Exact_dp.greedy exact).Exact_dp.expected_paging in
-  let any =
-    (Exact_dp.greedy ~objective:Objective.Find_any exact).Exact_dp.expected_paging
-  in
+  let all = snd (Exact_dp.greedy exact) in
+  let any = snd (Exact_dp.greedy ~objective:Objective.Find_any exact) in
   check bool_t "find-any cheaper" true (Q.compare any all <= 0)
 
 let () =

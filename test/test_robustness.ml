@@ -90,9 +90,9 @@ let prop_exact_methods_agree =
       let m = 1 + Prob.Rng.int rng 2 in
       let c = 4 + Prob.Rng.int rng 3 in
       let inst = Instance.random_uniform_simplex rng ~m ~c ~d:2 in
-      let a = (Optimal.exhaustive inst).Optimal.expected_paging in
-      let b = (Optimal.branch_and_bound_d2 inst).Optimal.expected_paging in
-      let cl = (Class_solver.solve inst).Class_solver.expected_paging in
+      let a = (Optimal.exhaustive inst).Strategy.expected_paging in
+      let b = (Optimal.branch_and_bound_d2 inst).Strategy.expected_paging in
+      let cl = (Class_solver.solve inst).Strategy.expected_paging in
       abs_float (a -. b) < 1e-9 && abs_float (a -. cl) < 1e-9)
 
 (* -------------------- simulator config validation -------------------- *)
@@ -218,7 +218,7 @@ let prop_repeat_strategy_one_cycle_is_strategy =
       let c = 3 + Prob.Rng.int rng 6 in
       let d = 1 + Prob.Rng.int rng c in
       let inst = Instance.random_uniform_simplex rng ~m:1 ~c ~d in
-      let strategy = (Greedy.solve inst).Order_dp.strategy in
+      let strategy = (Greedy.solve inst).Strategy.strategy in
       let schedule = Miss.repeat_strategy strategy ~cycles:1 in
       schedule = Strategy.groups strategy)
 
@@ -232,9 +232,9 @@ let test_regression_pins () =
     Instance.create ~d:2 [| [| 0.7; 0.2; 0.1 |]; [| 0.1; 0.2; 0.7 |] |]
   in
   check (float_t 1e-9) "pin 1: greedy" 2.36
-    (Greedy.solve inst1).Order_dp.expected_paging;
+    (Greedy.solve inst1).Strategy.expected_paging;
   check (float_t 1e-9) "pin 1: optimal" 2.36
-    (Optimal.exhaustive inst1).Optimal.expected_paging;
+    (Optimal.exhaustive inst1).Strategy.expected_paging;
 
   (* Seeded-generator pin: ties the PRNG, the Zipf generator and the DP
      together; pinned from the implementation validated against
@@ -242,7 +242,7 @@ let test_regression_pins () =
   let rng = Prob.Rng.create ~seed:424242 in
   let inst2 = Instance.random_zipf rng ~s:1.0 ~m:2 ~c:12 ~d:3 in
   check (float_t 1e-12) "pin 2: greedy on seeded zipf" 7.504556700877087
-    (Greedy.solve inst2).Order_dp.expected_paging
+    (Greedy.solve inst2).Strategy.expected_paging
 
 let test_uniform_pins () =
   (* Closed-form pins across a range of (c, d). *)
