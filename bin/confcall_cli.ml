@@ -968,7 +968,6 @@ let build_aging residence age_cap reprofile_age age_robust aged =
         Cellsim.Sim.default_aging with
         residence = law;
         age_cap;
-        drive_motion = true;
         reprofile_age;
         confidence =
           Option.value age_robust

@@ -215,7 +215,7 @@ let residence_lab ?(seed = 2002) ~residence () =
     track_ongoing = true;
     faults = None;
     estimator = Sim.Live;
-    aging = Some { Sim.default_aging with residence; drive_motion = true };
+    aging = Some { Sim.default_aging with residence };
     duration = 300.0;
     seed;
   }

@@ -81,7 +81,6 @@ type aging_config = {
   residence : Mobility.residence;
   age_cap : int;
   dwell_cap : int;
-  drive_motion : bool;
   reprofile_age : int option;
   confidence : float;
 }
@@ -91,7 +90,6 @@ let default_aging =
     residence = Mobility.Exponential { mean = 6.0 };
     age_cap = 30;
     dwell_cap = 32;
-    drive_motion = false;
     reprofile_age = None;
     confidence = 0.9;
   }
@@ -221,10 +219,8 @@ let validate_config config =
         | Some k when k < 0 ->
           invalid_arg "Sim.run: aging reprofile_age must be >= 0"
         | _ -> ());
-       if a.drive_motion && config.mobility_schedule <> [] then
-         invalid_arg
-           "Sim.run: aging drive_motion is incompatible with a \
-            mobility_schedule");
+       if config.mobility_schedule <> [] then
+         invalid_arg "Sim.run: aging is incompatible with a mobility_schedule");
     match config.faults with
     | None -> ()
     | Some f ->
@@ -475,9 +471,9 @@ let run config =
     let busy_until = Array.make config.users neg_infinity in
     let diffuse = diffusion_cache config.mobility cells in
     (* Residence-time layer: the aging kernel evolves beliefs by profile
-       age, and optionally drives the ground-truth motion itself (the
-       semi-Markov walk), giving dwell times the configured law instead
-       of the geometric one the plain matrix implies. *)
+       age and drives the ground-truth motion itself (the semi-Markov
+       walk), giving dwell times the configured law instead of the
+       geometric one the plain matrix implies. *)
     let aging_cfg = config.aging in
     let kernel =
       Option.map
@@ -548,23 +544,17 @@ let run config =
       if fmodel.Faults.outage_rate > 0.0 then
         Faults.Outage.step outage fmodel rng_faults;
       let mobility = mobility_at now in
-      let drive_semi =
-        match aging_cfg, kernel with
-        | Some a, Some _ -> a.drive_motion
-        | _ -> false
-      in
       for u = 0 to config.users - 1 do
         let from_cell = position.(u) in
         let to_cell =
-          if drive_semi then begin
-            let k = Option.get kernel in
+          match kernel with
+          | Some k ->
             let cell, dw =
               Mobility.semi_step k rng_move ~cell:from_cell ~dwell:dwell.(u)
             in
             dwell.(u) <- dw;
             cell
-          end
-          else Mobility.step mobility rng_move ~cell:from_cell
+          | None -> Mobility.step mobility rng_move ~cell:from_cell
         in
         if to_cell <> from_cell then incr moves;
         position.(u) <- to_cell;

@@ -118,7 +118,10 @@ type estimator =
     }
 
 (** The residence-time layer: how profile age translates into belief
-    evolution, uncertainty growth and (optionally) ground-truth motion. *)
+    evolution and uncertainty growth, and the law ground-truth motion
+    follows: with an aging config, motion is the semi-Markov walk
+    ({!Mobility.semi_step}) so actual dwell times obey [residence],
+    which excludes a [mobility_schedule]. *)
 type aging_config = {
   residence : Mobility.residence;
       (** per-cell dwell law (uniform across cells) *)
@@ -127,12 +130,6 @@ type aging_config = {
           aged matrix approaches stationarity anyway and the cap bounds
           work per row; [0] disables evolution (frozen snapshots) *)
   dwell_cap : int;  (** dwell-age truncation of the aging kernel *)
-  drive_motion : bool;
-      (** when true, ground-truth motion follows the semi-Markov walk
-          ({!Mobility.semi_step}) so actual dwell times obey
-          [residence]; incompatible with [mobility_schedule]. When
-          false, motion stays the plain Markov chain and the kernel
-          only ages beliefs. *)
   reprofile_age : int option;
       (** poll call participants whose profile age exceeds this before
           planning (counted in [result.polls]); [None] never polls *)
@@ -140,9 +137,8 @@ type aging_config = {
       (** confidence for the DKW component of the staleness radius *)
 }
 
-(** Exponential residence of mean 6, age cap 30, dwell cap 32, belief
-    aging only (no semi-Markov motion), no re-profiling, confidence
-    0.9. *)
+(** Exponential residence of mean 6, age cap 30, dwell cap 32, no
+    re-profiling, confidence 0.9. *)
 val default_aging : aging_config
 
 type config = {
@@ -184,7 +180,7 @@ type config = {
   aging : aging_config option;
       (** residence-time layer; required by [Selective_aged] and
           [Selective_robust] schemes, [None] is the ageless simulator
-          (byte-identical to the previous behaviour) *)
+          (plain Markov motion) *)
   duration : float;  (** mobility ticks happen at every integer time *)
   seed : int;
 }

@@ -1,6 +1,6 @@
-let classes ?(eps = 0.0) inst =
+let classes inst =
   let p = inst.Instance.p in
-  let same a b = Array.for_all (fun r -> abs_float (r.(a) -. r.(b)) <= eps) p in
+  let same a b = Array.for_all (fun r -> r.(a) = r.(b)) p in
   (* Group cells left to right; representatives keep first-seen order so
      the constructed strategies are deterministic. *)
   let groups : (int * int list ref) list ref = ref [] in
@@ -11,23 +11,23 @@ let classes ?(eps = 0.0) inst =
   done;
   Array.of_list (List.map (fun (_, ms) -> Array.of_list (List.rev !ms)) !groups)
 
-let solve ?objective ?cancel ?eps ?(max_candidates = 5_000_000) inst =
+let solve ?objective ?cancel ?(guard = true) inst =
   let d = Stdlib.min inst.Instance.d inst.Instance.c in
-  let cls = classes ?eps inst in
-  (* Guard: the Π_t C(n_t + d − 1, d − 1) per-class count compositions. *)
-  let compositions n =
+  let cls = classes inst in
+  (* Guard: at most 5·10⁶ Π_t C(n_t + d − 1, d − 1) per-class count
+     compositions. *)
+  let compositions g =
     let acc = ref 1.0 in
     for i = 1 to d - 1 do
-      acc := !acc *. float_of_int (n + i) /. float_of_int i
+      acc := !acc *. float_of_int (Array.length g + i) /. float_of_int i
     done;
     !acc
   in
-  if Array.fold_left (fun a g -> a *. compositions (Array.length g)) 1.0 cls
-     > float_of_int max_candidates
+  if guard && Array.fold_left (fun a g -> a *. compositions g) 1.0 cls > 5e6
   then invalid_arg "Class_solver.solve: too many compositions"
   else Optimal.exhaustive ?objective ?cancel ~classes:cls ~guard:false inst
 
-let approximate ?(objective = Objective.Find_all) ?max_candidates inst ~grid =
+let approximate ?(objective = Objective.Find_all) inst ~grid =
   if grid < 1 then invalid_arg "Class_solver.approximate: grid must be >= 1"
   else begin
     (* Snap each probability to the nearest multiple of 1/grid, keep rows
@@ -43,7 +43,7 @@ let approximate ?(objective = Objective.Find_all) ?max_candidates inst ~grid =
         inst.Instance.p
     in
     let surrogate = Instance.create ~d:inst.Instance.d snapped in
-    let r = solve ~objective ?max_candidates surrogate in
+    let r = solve ~objective surrogate in
     (* Report the strategy's true quality on the original instance. *)
     let expected_paging = Strategy.expected_paging ~objective inst r.strategy in
     { r with expected_paging; exact = false }

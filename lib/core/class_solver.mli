@@ -10,26 +10,27 @@
     the classes are few (uniform instances, the §4.3 instance,
     reduction outputs). *)
 
-(** [classes ?eps inst] groups cells by probability column (tolerance
-    [eps] per entry, default exact equality); returns representative ->
-    members. *)
-val classes : ?eps:float -> Instance.t -> int array array
+(** [classes inst] groups cells whose probability columns are equal
+    entry for entry; returns representative -> members. *)
+val classes : Instance.t -> int array array
 
-(** [solve ?objective ?cancel ?eps ?max_candidates inst] — exact
-    optimum, marked [exact]; [cancel] is polled at every prefix the
-    search visits. The search runs over [classes ?eps inst].
-    @raise Invalid_argument when the Π_t C(n_t + d − 1, d − 1) per-class
-    count compositions exceed [max_candidates] (default 5,000,000).
+(** [solve ?objective ?cancel ?guard inst] — exact optimum, marked
+    [exact]; [cancel] is polled at every prefix the search visits. The
+    search runs over [classes inst]. [guard] (default [true]) rejects an
+    instance whose Π_t C(n_t + d − 1, d − 1) per-class count
+    compositions exceed 5·10⁶; pass [~guard:false] only with a real
+    [cancel] token.
+    @raise Invalid_argument when guarded and the compositions exceed
+    the limit.
     @raise Cancel.Cancelled when the token fires mid-search. *)
 val solve :
   ?objective:Objective.t ->
   ?cancel:Cancel.t ->
-  ?eps:float ->
-  ?max_candidates:int ->
+  ?guard:bool ->
   Instance.t ->
   Strategy.solution
 
-(** [approximate ?objective ?max_candidates inst ~grid] — the §5
+(** [approximate ?objective inst ~grid] — the §5
     approximation-scheme idea made concrete: snap every probability to a
     grid of [grid] equal intervals (then renormalize rows), solve the
     snapped instance {e exactly} with the class machinery, and return
@@ -43,7 +44,6 @@ val solve :
     still has too many classes. *)
 val approximate :
   ?objective:Objective.t ->
-  ?max_candidates:int ->
   Instance.t ->
   grid:int ->
   Strategy.solution

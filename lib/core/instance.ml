@@ -18,11 +18,12 @@ let bad_entry row =
   in
   go 0
 
-let validate ?(row_sum_tol = 1e-6) ~d p =
+(* The allowed |Σⱼ p(i,j) − 1| residual of a row. *)
+let sum_tol = 1e-6
+
+let validate ~d p =
   let m = Array.length p in
-  if Float.is_nan row_sum_tol || row_sum_tol < 0.0 then
-    Error (Printf.sprintf "row_sum_tol must be >= 0, got %g" row_sum_tol)
-  else if m = 0 then Error "no devices"
+  if m = 0 then Error "no devices"
   else begin
     let c = Array.length p.(0) in
     if c = 0 then Error "no cells"
@@ -50,19 +51,19 @@ let validate ?(row_sum_tol = 1e-6) ~d p =
                    (if Float.is_nan s then "NaN" else "infinite"))
             else if s <= 0.0 then
               Error (Printf.sprintf "device %d: row has no mass" i)
-            else if abs_float (s -. 1.0) > row_sum_tol then
+            else if abs_float (s -. 1.0) > sum_tol then
               Error
                 (Printf.sprintf
                    "device %d: row sums to %.9g, not 1 (residual %.3g, tolerance %.3g)"
-                   i s (s -. 1.0) row_sum_tol)
+                   i s (s -. 1.0) sum_tol)
             else check (i + 1)
       in
       check 0
     end
   end
 
-let create ?row_sum_tol ~d p =
-  match validate ?row_sum_tol ~d p with
+let create ~d p =
+  match validate ~d p with
   | Error reason -> invalid_arg ("Instance.create: " ^ reason)
   | Ok () ->
     let m = Array.length p in

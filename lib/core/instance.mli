@@ -14,21 +14,16 @@ type t = private {
   p : float array array;  (** [p.(i).(j)]: device [i] in cell [j] *)
 }
 
-(** [create ?row_sum_tol ~d p] validates and builds an instance (rows
-    are copied verbatim, not renormalized — renormalizing would disturb
-    exact cell-weight ties). [row_sum_tol] (default [1e-6]) is the
-    allowed |Σⱼ p(i,j) − 1| residual; estimated matrices built from
-    observation counts carry float round-off in their row sums and may
-    need a looser tolerance at the uncertainty boundary.
+(** [create ~d p] validates and builds an instance (rows are copied
+    verbatim, not renormalized — renormalizing would disturb exact
+    cell-weight ties). Each row must sum to 1 within 10⁻⁶.
     @raise Invalid_argument on dimension errors, negative entries, or
     rows not summing to 1 within the tolerance. *)
-val create : ?row_sum_tol:float -> d:int -> float array array -> t
+val create : d:int -> float array array -> t
 
-(** [validate ?row_sum_tol ~d p] is [Ok ()] or [Error reason] without
-    building; the row-sum error names the row, its residual and the
-    tolerance in force. *)
-val validate :
-  ?row_sum_tol:float -> d:int -> float array array -> (unit, string) result
+(** [validate ~d p] is [Ok ()] or [Error reason] without building; the
+    row-sum error names the row, its residual and the tolerance. *)
+val validate : d:int -> float array array -> (unit, string) result
 
 (** [with_d t d] is [t] with a different delay constraint.
     @raise Invalid_argument when [d] is not in [1, c]. *)

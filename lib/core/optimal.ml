@@ -1,7 +1,8 @@
 module Q = Numeric.Rational
 
-(* The one size rule of the guarded exact search. *)
+(* The size rules of the guarded exact searches, engine and d = 2 B&B. *)
 let small ~c ~d = c <= 16 && float_of_int d ** float_of_int c <= 8e6
+let bnb_max_c = 26
 
 let guard_size ~c ~d =
   if c > 16 then invalid_arg "Optimal.exhaustive: c too large (max 16)"
@@ -185,9 +186,11 @@ let exhaustive_exact ?(objective = Objective.Find_all) ?(cancel = Cancel.never)
     ~lt:(fun a b -> Q.compare a b < 0)
 
 let branch_and_bound_d2 ?(objective = Objective.Find_all)
-    ?(cancel = Cancel.never) inst =
+    ?(cancel = Cancel.never) ?(guard = true) inst =
   if inst.Instance.d <> 2 then
     invalid_arg "Optimal.branch_and_bound_d2: requires d = 2"
+  else if guard && inst.Instance.c > bnb_max_c then
+    invalid_arg "Optimal.branch_and_bound_d2: c too large (max 26)"
   else begin
     let c = inst.Instance.c and m = inst.Instance.m in
     let order = Instance.weight_order inst in
@@ -256,11 +259,10 @@ let branch_and_bound_d2 ?(objective = Objective.Find_all)
     { Strategy.strategy; expected_paging; exact = true }
   end
 
-let best ?objective ?cancel ?(unguarded = false) inst =
+let best ?objective ?cancel ?(guard = true) inst =
   let c = inst.Instance.c and d = inst.Instance.d in
   if small ~c ~d then Some (exhaustive ?objective ?cancel inst)
-  else if d = 2 && (c <= 26 || unguarded) then
-    Some (branch_and_bound_d2 ?objective ?cancel inst)
-  else if unguarded then
-    Some (exhaustive ?objective ?cancel ~guard:false inst)
+  else if d = 2 && ((not guard) || c <= bnb_max_c) then
+    Some (branch_and_bound_d2 ?objective ?cancel ~guard inst)
+  else if not guard then Some (exhaustive ?objective ?cancel ~guard:false inst)
   else None

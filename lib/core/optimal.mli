@@ -43,24 +43,33 @@ val exhaustive_exact :
   Instance.Exact.t ->
   Strategy.t * Numeric.Rational.t
 
-(** [branch_and_bound_d2 ?objective ?cancel inst] computes an optimal
-    two-round strategy by depth-first search over first-round subsets
-    with an admissible pruning bound (success is monotone in the
-    per-device prefix masses for every objective); practical to c ≈ 24.
-    @raise Invalid_argument when [inst.d <> 2].
+(** [branch_and_bound_d2 ?objective ?cancel ?guard inst] computes an
+    optimal two-round strategy by depth-first search over first-round
+    subsets with an admissible pruning bound (success is monotone in the
+    per-device prefix masses for every objective). [guard] (default
+    [true]) rejects [c > 26] before the search starts, where the
+    exponential search stops taking seconds (DESIGN §15). Pass
+    [~guard:false] only with a real [cancel] token.
+    @raise Invalid_argument when [inst.d <> 2], or when guarded and
+    [c > 26].
     @raise Cancel.Cancelled when the token fires mid-search. *)
 val branch_and_bound_d2 :
-  ?objective:Objective.t -> ?cancel:Cancel.t -> Instance.t ->
+  ?objective:Objective.t ->
+  ?cancel:Cancel.t ->
+  ?guard:bool ->
+  Instance.t ->
   Strategy.solution
 
-(** [best ?objective ?cancel ?unguarded inst] picks the cheapest
-    applicable exact method (exhaustive for small c, branch-and-bound
-    when d = 2); [None] when the instance is too large for exact solving.
-    With [~unguarded:true] (runner-only: pair it with a deadline token)
-    no instance is "too large" — the search runs until the token fires. *)
+(** [best ?objective ?cancel ?guard inst] picks the cheapest applicable
+    exact method: {!exhaustive} within its guard, else
+    {!branch_and_bound_d2} when d = 2 and within its guard. [None] when
+    no guarded method fits. With [~guard:false] (pair it with a deadline
+    token) no instance is too large: d = 2 goes to branch and bound,
+    anything else to the unguarded {!exhaustive}, and the search runs
+    until the token fires. *)
 val best :
   ?objective:Objective.t ->
   ?cancel:Cancel.t ->
-  ?unguarded:bool ->
+  ?guard:bool ->
   Instance.t ->
   Strategy.solution option

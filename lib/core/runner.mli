@@ -122,9 +122,12 @@ val validate :
     expensive stages are skipped (recorded as [Failed Timeout]) and only
     the {!always_fast} ones still run, each under its own 100 ms grace
     token, started when the stage starts. Without a budget no token is
-    armed and the exact methods keep their size guards; with a budget
-    the guards are lifted — the deadline, not the guard, bounds the
-    work.
+    armed and every exact stage keeps its size guard, so it is
+    [Inapplicable] at once above it: [Exhaustive] needs c ≤ 16 and
+    dᶜ ≤ 8·10⁶, [Branch_and_bound] c ≤ 26, [Class_based] at most 5·10⁶
+    per-class count compositions, and [Best_exact] either of the first
+    two. With a budget every guard is lifted — the deadline, not the
+    guard, bounds the work.
 
     [Page_all] is appended when absent so the chain cannot end
     empty-handed. [clock] (default {!Obs.now}) is exposed for tests.

@@ -34,13 +34,14 @@ let spec_to_string = function
    the perturbation ball; ties go to the earlier (stronger) method. *)
 let robust_candidates = [ Local_search; Greedy; Page_all ]
 
-let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
+let rec solve ?objective ?cancel ?(unguarded = false) ?arena spec inst =
   (* Dispatch counter (DESIGN §9): one counter per solver spec, so the
      registry shows which algorithms actually ran — including the
      recursive candidates a [Robust] re-rank fans out to. *)
   if Obs.on () then
     Obs.count ("solver_solve_" ^ Obs.sanitize (spec_to_string spec));
   let arena = Option.value arena ~default:(Flat.domain_arena ()) in
+  let guard = not unguarded in
   match spec with
   | Greedy -> Flat.greedy ?objective ?cancel arena inst
   | Page_all ->
@@ -52,16 +53,15 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
       exact = inst.Instance.d = 1;
     }
   | Bandwidth_limited b -> Flat.bandwidth ?objective ?cancel arena inst ~b
-  | Exhaustive ->
-    let guard = not (Option.value unguarded ~default:false) in
-    Optimal.exhaustive ?objective ?cancel ~guard inst
-  | Branch_and_bound -> Optimal.branch_and_bound_d2 ?objective ?cancel inst
+  | Exhaustive -> Optimal.exhaustive ?objective ?cancel ~guard inst
+  | Branch_and_bound ->
+    Optimal.branch_and_bound_d2 ?objective ?cancel ~guard inst
   | Best_exact ->
-    (match Optimal.best ?objective ?cancel ?unguarded inst with
+    (match Optimal.best ?objective ?cancel ~guard inst with
      | Some r -> r
      | None -> invalid_arg "Solver: instance too large for exact solving")
   | Local_search -> Flat.hill_climb ?objective ?cancel arena inst
-  | Class_based -> Class_solver.solve ?objective ?cancel inst
+  | Class_based -> Class_solver.solve ?objective ?cancel ~guard inst
   | Robust { eps; tv } ->
     (match
        most_robust ?objective ?cancel ~arena (Uncertainty.uniform ~tv eps)

@@ -6,7 +6,7 @@ type spec =
   | Page_all  (** the d = 1 / GSM-IS-41 baseline: one round, all cells *)
   | Bandwidth_limited of int  (** greedy with a per-round cap (§5) *)
   | Exhaustive  (** exact, small c only *)
-  | Branch_and_bound  (** exact, d = 2, find-all *)
+  | Branch_and_bound  (** exact, d = 2; c ≤ 26 when guarded *)
   | Best_exact  (** cheapest applicable exact method *)
   | Local_search  (** hill-climbing from the greedy solution *)
   | Class_based  (** exact when cells fall into few types *)
@@ -31,8 +31,11 @@ type outcome = Strategy.solution = {
 
 (** [solve ?objective ?cancel ?unguarded ?arena spec inst] runs the
     chosen method. [cancel] is threaded into the method's hot loop (see
-    {!Cancel}); [~unguarded:true] lifts the instance-size guards of the
-    exact methods — only meaningful together with a deadline token, as
+    {!Cancel}). Each exact method owns its size guard
+    ({!Optimal.exhaustive}, {!Optimal.branch_and_bound_d2},
+    {!Optimal.best}, {!Class_solver.solve}); [~unguarded:true] lifts it
+    for every exact spec ([Exhaustive], [Branch_and_bound], [Best_exact],
+    [Class_based]) — only meaningful together with a deadline token, as
     the {!Runner} does.
 
     [Greedy], [Bandwidth_limited] and [Local_search] (and the [Robust]
@@ -40,7 +43,8 @@ type outcome = Strategy.solution = {
     they reuse across solves; it defaults to {!Flat.domain_arena} and
     never changes a result. Exact methods ignore it.
     @raise Invalid_argument when the method does not apply (e.g.
-    [Best_exact] on a huge instance, [Branch_and_bound] with d ≠ 2).
+    [Best_exact] on a huge instance, [Branch_and_bound] with d ≠ 2 or,
+    guarded, c > 26).
     @raise Cancel.Cancelled when the token fires before a non-anytime
     method finishes ([Local_search] instead returns best-so-far). *)
 val solve :

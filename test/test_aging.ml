@@ -421,7 +421,8 @@ let shorten cfg = { cfg with Sim.duration = 150.0 }
 
 (* With age_cap = 0 the aged scheme must reproduce the age-blind one
    decision for decision within the same run — the frozen-snapshot
-   differential of the aged path. *)
+   differential of the aged path, on the semi-Markov motion every aging
+   config drives. *)
 let test_sim_age0_differential () =
   let base = Cellsim.Scenario.suburb ~seed:5 () in
   let cfg =
@@ -498,14 +499,9 @@ let test_sim_aging_validation () =
                  };
            }));
   let commuter = Cellsim.Scenario.commuter_day ~seed:1 () in
-  check bool_t "drive_motion excludes mobility_schedule" true
+  check bool_t "aging excludes mobility_schedule" true
     (raises_invalid (fun () ->
-         Sim.run
-           {
-             commuter with
-             Sim.aging =
-               Some { Sim.default_aging with Sim.drive_motion = true };
-           }))
+         Sim.run { commuter with Sim.aging = Some Sim.default_aging }))
 
 (* -------------------- dense reference -------------------- *)
 

@@ -170,6 +170,44 @@ let test_runner_no_budget_keeps_guards () =
        (Runner.stage_status_to_string s));
   check bool_t "has winner" true (report.Runner.winner <> None)
 
+(* Branch and bound owns its c <= 26 limit: guarded, it refuses an
+   m = 3, c = 27, d = 2 instance before the search starts, so a token
+   that has already fired is never polled; unguarded, the search starts
+   and the token stops it. *)
+let test_bnb_guard_refuses_before_search () =
+  let rng = Prob.Rng.create ~seed:27 in
+  let inst = Instance.random_uniform_simplex rng ~m:3 ~c:27 ~d:2 in
+  let fired () = Cancel.of_probe ~every:1 (fun () -> true) in
+  (match Solver.solve ~cancel:(fired ()) Solver.Branch_and_bound inst with
+   | exception Invalid_argument msg ->
+     check string_t "names the limit"
+       "Optimal.branch_and_bound_d2: c too large (max 26)" msg
+   | exception Cancel.Cancelled -> Alcotest.fail "the guarded search started"
+   | _ -> Alcotest.fail "a guarded c = 27 search finished");
+  match
+    Solver.solve ~cancel:(fired ()) ~unguarded:true Solver.Branch_and_bound
+      inst
+  with
+  | exception Cancel.Cancelled -> ()
+  | exception Invalid_argument msg -> Alcotest.failf "unguarded refused: %s" msg
+  | _ -> Alcotest.fail "a cancelled search finished"
+
+(* With a budget the deadline, not the guard, bounds every exact stage:
+   the class search on an m = 3, c = 16, d = 3 instance with all columns
+   distinct (3^16 compositions, above the guarded limit) runs under the
+   200 ms deadline instead of being refused. *)
+let test_runner_budget_lifts_class_guard () =
+  let rng = Prob.Rng.create ~seed:16 in
+  let inst = Instance.random_uniform_simplex rng ~m:3 ~c:16 ~d:3 in
+  (match Class_solver.solve inst with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "expected the guarded class search to refuse");
+  let report = Runner.run ~budget_ms:200.0 ~chain:[ Solver.Class_based ] inst in
+  match (List.hd report.Runner.stages).Runner.status with
+  | Runner.Failed (Runner.Inapplicable msg) ->
+    Alcotest.failf "budgeted class stage refused: %s" msg
+  | _ -> check bool_t "has winner" true (report.Runner.winner <> None)
+
 let test_runner_invalid_objective () =
   let inst = small_instance () in
   let report = Runner.run ~objective:(Objective.Find_at_least 5) inst in
@@ -575,6 +613,10 @@ let () =
             test_runner_fallback_deterministic;
           Alcotest.test_case "no budget keeps guards" `Quick
             test_runner_no_budget_keeps_guards;
+          Alcotest.test_case "guarded bnb refuses before searching" `Quick
+            test_bnb_guard_refuses_before_search;
+          Alcotest.test_case "budget lifts the class guard" `Quick
+            test_runner_budget_lifts_class_guard;
           Alcotest.test_case "invalid objective" `Quick
             test_runner_invalid_objective;
           Alcotest.test_case "exact wins small" `Quick

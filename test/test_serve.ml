@@ -450,6 +450,30 @@ let test_objective_error_text () =
          Find_at_least k requires 1 <= k <= m\"}"
         (List.hd (recv_n c 1)))
 
+(* An unbudgeted exact request above its method's limit is refused at
+   once, so it cannot pin the only lane: the greedy frame behind it on
+   the same connection is answered within 5 s, and the default chain
+   falls through the refused exact stages to a heuristic. *)
+let test_oversized_exact_leaves_lane_free () =
+  with_server ~domains:1 ~capacity:8 (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let rng = Prob.Rng.create ~seed:40 in
+      let inst = Instance.random_uniform_simplex rng ~m:3 ~c:40 ~d:2 in
+      send c (solve_frame ~id:"big" ~solver:"bnb" inst);
+      send c (solve_frame ~id:"g" ~solver:"greedy" inst);
+      let responses = by_id (recv_n ~timeout:5.0 c 2) in
+      let big, _ = List.assoc "big" responses in
+      check string_t "bnb refused" "error" (jstr_field "status" big);
+      check string_t "names the limit"
+        "inapplicable: Optimal.branch_and_bound_d2: c too large (max 26)"
+        (jstr_field "error" big);
+      let g, _ = List.assoc "g" responses in
+      check string_t "greedy answered" "ok" (jstr_field "status" g);
+      send c (solve_frame ~id:"dflt" ~chain:"default" inst);
+      let d = parse_response (List.hd (recv_n ~timeout:5.0 c 1)) in
+      check string_t "default chain answered" "ok" (jstr_field "status" d))
+
 (* ---------------- overload and shedding ---------------- *)
 
 let test_overload_sheds () =
@@ -1299,6 +1323,8 @@ let () =
             test_stalled_reader_disconnected;
           Alcotest.test_case "objective error text" `Quick
             test_objective_error_text;
+          Alcotest.test_case "oversized exact request leaves the lane free"
+            `Quick test_oversized_exact_leaves_lane_free;
           Alcotest.test_case "a shed burst leaves admission open" `Quick
             test_shed_burst_leaves_admission_open;
         ] );

@@ -247,7 +247,7 @@ let test_class_solver_guard () =
   let rng = Prob.Rng.create ~seed:222 in
   (* All columns distinct: classes = c, candidates = d^... huge. *)
   let inst = Instance.random_uniform_simplex rng ~m:2 ~c:40 ~d:4 in
-  match Class_solver.solve ~max_candidates:1000 inst with
+  match Class_solver.solve inst with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected candidate guard"
 

@@ -332,9 +332,7 @@ let prop_sampled_perturbations_within_bounds =
               q)
            inst.Instance.p
        in
-       let perturbed =
-         Instance.create ~row_sum_tol:1e-6 ~d:inst.Instance.d rows
-       in
+       let perturbed = Instance.create ~d:inst.Instance.d rows in
        let ep = Strategy.expected_paging ~objective perturbed strat in
        let b = Uncertainty.ep_bounds ~objective u inst strat in
        let robust = Uncertainty.robust_ep ~objective u inst strat in
